@@ -2,8 +2,12 @@ package learn
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/subsume"
 )
 
@@ -32,86 +36,160 @@ func ARMG(c *logic.Clause, ground *logic.Clause, opts subsume.Options) *logic.Cl
 // caller observes the cancellation via ctx and discards the result, so
 // the truncation is harmless — it only bounds how much work is wasted.
 func ARMGCtx(ctx context.Context, c *logic.Clause, ground *logic.Clause, opts subsume.Options) *logic.Clause {
-	// The pass tests up to len(c.Body)+2 candidates against the one
-	// ground clause, so compile its index once and share it (the ids
-	// stay private to this call's interner).
-	cg := subsume.CompileGround(nil, ground)
-	head := &logic.Clause{Head: c.Head}
-	if !subsume.CheckCompiledCtx(ctx, head, cg, opts).Subsumes {
-		return nil
-	}
-	// Fast path: the clause may already cover the example.
-	if subsume.CheckCompiledCtx(ctx, c, cg, opts).Subsumes {
-		return c.PruneNotHeadConnected()
-	}
-	kept := make([]logic.Literal, 0, len(c.Body))
-	trial := &logic.Clause{Head: c.Head}
-	for _, lit := range c.Body {
-		trial.Body = append(kept, lit)
-		if subsume.CheckCompiledCtx(ctx, trial, cg, opts).Subsumes {
-			kept = trial.Body
-		}
-	}
-	out := (&logic.Clause{Head: c.Head, Body: kept}).PruneNotHeadConnected()
+	out, _ := armg(ctx, c, subsume.CompileGround(nil, ground), opts)
 	return out
 }
 
-// GeneralizeCtx applies the armg operator to c against e's ground bottom
-// clause through the engine's memo. The outcome is a pure function of
-// (clause, example ground BC, subsumption options): within a run the
-// ground BC is fixed per example (cached on first build), so the memo
-// key is (rendered clause, example key). Beam clauses recur across
-// rounds — the same (clause, example) pair is re-generalized whenever a
-// clause survives a round and the example is re-sampled — and each
-// application pays a per-literal subsumption pass, so the memo removes a
-// large share of learning cost without touching the decision sequence:
-// a hit returns exactly the clause a fresh pass would rebuild, and the
-// operator consumes no RNG. In pure-provenance mode the memo also
-// carries across runs (CarriedState), which is what lets incremental
-// repair skip the generalization work of unperturbed examples; keying
-// by the rendered form (name-sensitive) rather than the canonical key
-// is what keeps that carry exact — a perturbed seed's bottom clause
-// renumbers variables, and its generalization chain must rebuild with
-// the new names instead of replaying a renamed twin's memo entry. A
-// cancelled pass is truncated (remaining subsumption tests report
-// non-coverage), so it is returned as a ctx error and never memoized.
-func (ce *CoverageEngine) GeneralizeCtx(ctx context.Context, c *logic.Clause, e Example) (*logic.Clause, error) {
-	key := ce.clauseString(c) + "\x00" + e.String()
-	ce.mu.RLock()
-	cand, ok := ce.armg[key]
-	ce.mu.RUnlock()
-	if ok {
-		return cand, nil
+// armg is ARMGCtx over an already compiled ground clause. The forward
+// pass itself — compile the clause once, grow the kept prefix literal by
+// literal, refute before searching — is subsume.ForwardPass; its result
+// also carries the refuter's counts for the armg.* counters.
+func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts subsume.Options) (*logic.Clause, subsume.Forward) {
+	fw := subsume.ForwardPass(ctx, c, cg, opts)
+	switch {
+	case !fw.HeadMatches:
+		return nil, fw
+	case fw.Covers:
+		return c.PruneNotHeadConnected(), fw
 	}
-	g, err := ce.GroundBCCtx(ctx, e)
-	if err != nil {
-		return nil, err
+	kept := make([]logic.Literal, len(fw.Kept))
+	for i, li := range fw.Kept {
+		kept[i] = c.Body[li]
 	}
-	cand = ARMGCtx(ctx, c, g, ce.subOpts)
+	return (&logic.Clause{Head: c.Head, Body: kept}).PruneNotHeadConnected(), fw
+}
+
+// GeneralizeManyCtx applies the armg operator to every (clause, example)
+// pair — one beam-search round's frontier — through the engine's memo,
+// and returns the results clause-major: out[i*len(examples)+j] is
+// clauses[i] generalized against examples[j], nil when there is none.
+//
+// The outcome for a pair is a pure function of (clause, example ground
+// BC, subsumption options): within a run the ground BC is fixed per
+// example (cached on first build), so the memo key is (rendered clause,
+// example key). Beam clauses recur across rounds — the same (clause,
+// example) pair is re-generalized whenever a clause survives a round and
+// the example is re-sampled — and each application pays a per-literal
+// subsumption pass, so the memo removes a large share of learning cost
+// without touching the decision sequence: a hit returns exactly the
+// clause a fresh pass would rebuild, and the operator consumes no RNG.
+// In pure-provenance mode the memo also carries across runs
+// (CarriedState), which is what lets incremental repair skip the
+// generalization work of unperturbed examples; keying by the rendered
+// form (name-sensitive) rather than the canonical key is what keeps that
+// carry exact — a perturbed seed's bottom clause renumbers variables,
+// and its generalization chain must rebuild with the new names instead
+// of replaying a renamed twin's memo entry.
+//
+// The pairs that miss the memo fan out across the worker pool. What
+// keeps the result, the memo and the builder's RNG stream identical at
+// every worker count is the order of the one step that is not pure: the
+// ground BCs of the missing pairs are fetched first, sequentially, in
+// pair order — the order a one-by-one loop first touches them — and only
+// then do the passes run, each a function of its own (clause, compiled
+// ground BC, options). A cancelled pass is truncated (remaining
+// subsumption tests report non-coverage), so a done ctx is returned as
+// an error and nothing of the round is memoized.
+func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logic.Clause, examples []Example) ([]*logic.Clause, error) {
+	spanStart := ce.mc.StartSpan()
+	defer ce.mc.EndSpan(metrics.SpanARMG, spanStart)
+
+	// A job is one memo miss: a pass to run, and the slots of out it
+	// fills (more than one when the pair repeats within the round, which
+	// a one-by-one loop would have answered from the memo).
+	type job struct {
+		key   string
+		c     *logic.Clause
+		cg    *subsume.CompiledGround
+		slots []int
+		out   *logic.Clause
+		fw    subsume.Forward
+	}
+	out := make([]*logic.Clause, len(clauses)*len(examples))
+	var jobs []*job
+	planned := make(map[string]*job)
+	for i, c := range clauses {
+		for j, e := range examples {
+			slot := i*len(examples) + j
+			ekey := e.String()
+			key := ce.clauseString(c) + "\x00" + ekey
+			ce.mu.RLock()
+			cand, ok := ce.armg[key]
+			ce.mu.RUnlock()
+			if ok {
+				ce.mc.Inc(metrics.ARMGMemoHits)
+				out[slot] = cand
+				continue
+			}
+			if jb := planned[key]; jb != nil {
+				ce.mc.Inc(metrics.ARMGMemoHits)
+				jb.slots = append(jb.slots, slot)
+				continue
+			}
+			ent, err := ce.groundEntryCtx(ctx, ekey, e)
+			if err != nil {
+				return nil, err
+			}
+			jb := &job{key: key, c: c, cg: ent.cg, slots: []int{slot}}
+			jobs = append(jobs, jb)
+			planned[key] = jb
+		}
+	}
+
+	var next atomic.Int64
+	run := func(w int) (err error) {
+		defer recoverToErr(&err)
+		if ce.mc.Enabled() {
+			busyStart := time.Now()
+			defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
+		}
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				break
+			}
+			jobs[i].out, jobs[i].fw = armg(ctx, jobs[i].c, jobs[i].cg, ce.subOpts)
+		}
+		return nil
+	}
+	nw := min(ce.workers, len(jobs))
+	errs := make([]error, max(nw, 1))
+	if nw <= 1 {
+		errs[0] = run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < nw; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = run(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ce.mu.Lock()
-	ce.armg[key] = cand
-	ce.mu.Unlock()
-	return cand, nil
-}
-
-// firstBlocking returns the least index i such that the prefix
-// (head ← body[0..i]) does not cover the ground clause; it assumes the
-// full body does not cover. Prefix coverage is monotone non-increasing,
-// so binary search applies. Exported within the package for tests and
-// for callers that need the blocking index itself.
-func firstBlocking(head logic.Literal, body []logic.Literal, ground *logic.Clause, opts subsume.Options) int {
-	cg := subsume.CompileGround(nil, ground)
-	lo, hi := 0, len(body)-1 // invariant: prefix through hi fails
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if subsume.CheckCompiled(&logic.Clause{Head: head, Body: body[:mid+1]}, cg, opts).Subsumes {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return lo
+
+	ce.mu.Lock()
+	for _, jb := range jobs {
+		ce.armg[jb.key] = jb.out
+	}
+	ce.mu.Unlock()
+	for _, jb := range jobs {
+		for _, slot := range jb.slots {
+			out[slot] = jb.out
+		}
+		ce.mc.Inc(metrics.ARMGApplications)
+		ce.mc.Add(metrics.ARMGLiteralsRefuted, int64(jb.fw.Refuted))
+		if jb.fw.WholeRefuted {
+			ce.mc.Inc(metrics.ARMGFastPathSkipped)
+		}
+	}
+	return out, nil
 }

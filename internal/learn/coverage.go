@@ -147,11 +147,14 @@ type CoverageEngine struct {
 	mc *metrics.Collector
 }
 
-// NewCoverage creates an engine over the builder. The subsumption budget
-// defaults to 10000 nodes per test when unset — coverage runs thousands
+// NewCoverage creates an engine over the builder. An unset subsumption
+// budget defaults to 10000 nodes per test here — coverage runs thousands
 // of tests per learned clause, and the common hard case (proving a
 // negative is NOT covered) is where unbounded search goes to die (§5).
-// The engine starts sequential; call SetWorkers to enable the pool.
+// That default only reaches callers that build an engine directly: the
+// learner (learn.New) has already set its own, tighter 5000 in
+// Options.normalized before it gets here. The engine starts sequential;
+// call SetWorkers to enable the pool.
 func NewCoverage(builder *bottom.Builder, subOpts subsume.Options) *CoverageEngine {
 	if subOpts.MaxNodes <= 0 {
 		subOpts.MaxNodes = 10000
@@ -570,6 +573,21 @@ func (ce *CoverageEngine) DefinitionCoversPooledCtx(ctx context.Context, d *logi
 }
 
 func (ce *CoverageEngine) covers(ctx context.Context, c *logic.Clause, e Example, pooled bool) (bool, error) {
+	return ce.coversWith(ctx, c, nil, e, pooled)
+}
+
+// lazyClause compiles a candidate for subsumption at most once per
+// count call, on the first example whose verdict is in no memo; the
+// rest of the call's tests bind that one compiled form per example
+// (subsume.CheckClauseCtx) instead of compiling the clause per test.
+type lazyClause struct {
+	once sync.Once
+	cc   *subsume.CompiledClause
+}
+
+// coversWith is covers for one test of a count call; lc (nil outside
+// count calls) is the call's shared compilation of c.
+func (ce *CoverageEngine) coversWith(ctx context.Context, c *logic.Clause, lc *lazyClause, e Example, pooled bool) (bool, error) {
 	key := e.String()
 	ce.mu.RLock()
 	v, ok := ce.results[c][key]
@@ -605,7 +623,7 @@ func (ce *CoverageEngine) covers(ctx context.Context, c *logic.Clause, e Example
 			return ce.isolate(c, key, err)
 		}
 	}
-	v, complete, err := ce.testCovers(ctx, c, e, key, pooled)
+	v, complete, err := ce.testCovers(ctx, c, lc, e, key, pooled)
 	if err != nil {
 		var pe *panicErr
 		if errors.As(err, &pe) {
@@ -627,9 +645,10 @@ func (ce *CoverageEngine) covers(ctx context.Context, c *logic.Clause, e Example
 // testCovers runs the actual test — compiled-ground fetch plus
 // subsumption — with panics converted to *panicErr. complete reports
 // whether the subsumption answer was exact (§5's approximation note).
-// The ground side arrives pre-compiled from the engine's cache, so the
-// per-test cost is compiling the candidate clause and searching.
-func (ce *CoverageEngine) testCovers(ctx context.Context, c *logic.Clause, e Example, key string, pooled bool) (v, complete bool, err error) {
+// The ground side arrives pre-compiled from the engine's cache, and
+// inside a count call so does the candidate (lc), so the per-test cost
+// is binding the two and searching.
+func (ce *CoverageEngine) testCovers(ctx context.Context, c *logic.Clause, lc *lazyClause, e Example, key string, pooled bool) (v, complete bool, err error) {
 	defer recoverToErr(&err)
 	var ent *GroundEntry
 	if pooled {
@@ -643,7 +662,13 @@ func (ce *CoverageEngine) testCovers(ctx context.Context, c *logic.Clause, e Exa
 	ce.tests.Add(1)
 	ce.mc.Inc(metrics.CoverageTests)
 	ce.mc.Inc(metrics.CoverageCGHits)
-	res := subsume.CheckCompiledCtx(ctx, c, ent.cg, ce.subOpts)
+	var res subsume.Result
+	if lc != nil {
+		lc.once.Do(func() { lc.cc = subsume.CompileClause(ce.in, c) })
+		res = subsume.CheckClauseCtx(ctx, lc.cc, ent.cg, ce.subOpts)
+	} else {
+		res = subsume.CheckCompiledCtx(ctx, c, ent.cg, ce.subOpts)
+	}
 	if res.Cancelled {
 		if cerr := ctx.Err(); cerr != nil {
 			return false, false, cerr
@@ -745,12 +770,13 @@ func (ce *CoverageEngine) countLocal(ctx context.Context, c *logic.Clause, examp
 	if nw > len(examples) {
 		nw = len(examples)
 	}
+	lc := new(lazyClause)
 	if nw <= 1 {
 		// Sequential path: exact legacy behavior, including the order of
 		// BC construction and the number of subsumption tests.
 		n := 0
 		for _, e := range examples {
-			ok, err := ce.covers(ctx, c, e, false)
+			ok, err := ce.coversWith(ctx, c, lc, e, false)
 			if err != nil {
 				return 0, ce.abandoned(err, len(examples))
 			}
@@ -798,7 +824,7 @@ func (ce *CoverageEngine) countLocal(ctx context.Context, c *logic.Clause, examp
 				if stop.Load() {
 					return
 				}
-				ok, err := ce.covers(ctx, c, examples[i], true)
+				ok, err := ce.coversWith(ctx, c, lc, examples[i], true)
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -888,8 +914,9 @@ func (ce *CoverageEngine) countManyLocal(ctx context.Context, clauses []*logic.C
 	if nw <= 1 {
 		for i, c := range clauses {
 			n := 0
+			lc := new(lazyClause)
 			for _, e := range examples {
-				ok, err := ce.covers(ctx, c, e, false)
+				ok, err := ce.coversWith(ctx, c, lc, e, false)
 				if err != nil {
 					return nil, ce.abandoned(err, len(examples))
 				}
@@ -938,11 +965,12 @@ func (ce *CoverageEngine) countManyLocal(ctx context.Context, clauses []*logic.C
 					return
 				}
 				n := 0
+				lc := new(lazyClause)
 				for _, e := range examples {
 					if stop.Load() {
 						return
 					}
-					ok, err := ce.covers(ctx, clauses[i], e, true)
+					ok, err := ce.coversWith(ctx, clauses[i], lc, e, true)
 					if err != nil {
 						errMu.Lock()
 						if firstErr == nil {

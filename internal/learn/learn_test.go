@@ -164,28 +164,6 @@ func TestARMGSize(t *testing.T) {
 	}
 }
 
-func TestFirstBlockingBinarySearch(t *testing.T) {
-	head := logic.MustParseClause("h(X).").Head
-	g := logic.MustParseClause("h(a) :- p(a), q(a).")
-	body := []logic.Literal{
-		logic.NewLiteral("p", logic.Var("X")),
-		logic.NewLiteral("q", logic.Var("X")),
-		logic.NewLiteral("missing", logic.Var("X")),
-		logic.NewLiteral("alsoMissing", logic.Var("X")),
-	}
-	if got := firstBlocking(head, body, g, subsume.Options{}); got != 2 {
-		t.Fatalf("firstBlocking = %d, want 2", got)
-	}
-	// Blocking atom at position 0.
-	body2 := []logic.Literal{
-		logic.NewLiteral("missing", logic.Var("X")),
-		logic.NewLiteral("p", logic.Var("X")),
-	}
-	if got := firstBlocking(head, body2, g, subsume.Options{}); got != 0 {
-		t.Fatalf("firstBlocking = %d, want 0", got)
-	}
-}
-
 func TestLearnCoAuthorship(t *testing.T) {
 	d, pos, neg := uwWorld(t, 10, 6)
 	c := uwLearnBias(t, d)

@@ -377,30 +377,29 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 		stats.RoundsTotal++
 		l.opts.Metrics.Inc(metrics.LearnRounds)
 		sample := l.sampleExamples(pos, l.opts.GeneralizeSample)
-		// Generate the round's whole candidate frontier first (dedup by
-		// canonical key, same order as per-candidate generation), then
-		// score it in one batched evaluation.
+		// Generate the round's whole candidate frontier first — the beam ×
+		// sample armg applications, fanned across the engine's pool —
+		// dedup by canonical key in (beam, sample) order, then score it in
+		// one batched evaluation.
+		beamClauses := make([]*logic.Clause, len(beam))
+		for i, b := range beam {
+			beamClauses[i] = b.clause
+		}
+		generalized, err := l.cover.GeneralizeManyCtx(ctx, beamClauses, sample)
+		if err != nil {
+			return nil, err
+		}
 		var fresh []*logic.Clause
-		for _, b := range beam {
-			for _, e := range sample {
-				if l.expired() {
-					stats.TimedOut = true
-					break
-				}
-				cand, err := l.cover.GeneralizeCtx(ctx, b.clause, e)
-				if err != nil {
-					return nil, err
-				}
-				if cand == nil || len(cand.Body) == 0 {
-					continue
-				}
-				key := cand.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				fresh = append(fresh, cand)
+		for _, cand := range generalized {
+			if cand == nil || len(cand.Body) == 0 {
+				continue
 			}
+			key := cand.Key()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			fresh = append(fresh, cand)
 		}
 		candidates, err := evaluate(fresh)
 		if err != nil {

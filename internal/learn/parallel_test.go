@@ -2,6 +2,9 @@ package learn
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -123,6 +126,66 @@ func TestCountManyMatchesSequential(t *testing.T) {
 			if gs.String() != gp.String() {
 				t.Fatalf("workers=%d: ground BC for %v diverged under batched evaluation", workers, e)
 			}
+		}
+	}
+}
+
+// TestGeneralizeManyMatchesSequential checks the armg fan-out: a round
+// resolved on 2, 4 and 8 workers returns, slot for slot, the clauses the
+// one-worker engine returns, stores the same memo, and leaves the shared
+// builder having built the same ground BCs in the same order. The round
+// holds a repeated pair (the bottom clause twice), which must share one
+// pass, and is resolved twice, the second time from the memo.
+func TestGeneralizeManyMatchesSequential(t *testing.T) {
+	d, pos, _ := uwWorld(t, 12, 8)
+	c := uwLearnBias(t, d)
+	round := func(workers int) ([]string, []string, []bottom.BuildRecord) {
+		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
+		ce := NewCoverage(builder, subsume.Options{})
+		ce.SetWorkers(workers)
+		var clauses []*logic.Clause
+		for _, e := range pos[:3] {
+			bc, err := builder.Construct(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clauses = append(clauses, bc.PruneNotHeadConnected())
+		}
+		clauses = append(clauses, clauses[0])
+		var rendered []string
+		for pass := 0; pass < 2; pass++ {
+			out, err := ce.GeneralizeManyCtx(context.Background(), clauses, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != len(clauses)*len(pos) {
+				t.Fatalf("workers=%d: %d results for %d pairs", workers, len(out), len(clauses)*len(pos))
+			}
+			for i, cand := range out {
+				if first := i - 3*len(pos); first >= 0 && cand != out[first] {
+					t.Fatalf("workers=%d: repeated pair %d did not share its pass", workers, first)
+				}
+				rendered = append(rendered, fmt.Sprint(cand))
+			}
+		}
+		var keys []string
+		for k := range ce.ExtractCarried().ARMG {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return rendered, keys, builder.BuildLog()
+	}
+	wantOut, wantKeys, wantLog := round(1)
+	for _, workers := range []int{2, 4, 8} {
+		out, keys, log := round(workers)
+		if !reflect.DeepEqual(out, wantOut) {
+			t.Errorf("workers=%d: generalizations diverge from workers=1", workers)
+		}
+		if !reflect.DeepEqual(keys, wantKeys) {
+			t.Errorf("workers=%d: armg memo keys diverge from workers=1", workers)
+		}
+		if !reflect.DeepEqual(log, wantLog) {
+			t.Errorf("workers=%d: builder ran %d builds, workers=1 ran %d (or in another order)", workers, len(log), len(wantLog))
 		}
 	}
 }

@@ -77,6 +77,20 @@ const (
 	// LearnClauses counts clauses added to the learned definition.
 	// Deterministic.
 	LearnClauses
+	// ARMGApplications counts armg forward passes actually run (memo
+	// misses). Deterministic, like the three below: the (clause,
+	// example) pairs of a round and each pass's outcome are fixed by the
+	// run's seed at every worker count.
+	ARMGApplications
+	// ARMGMemoHits counts (clause, example) pairs answered from the
+	// engine's armg memo, including a pair repeated within one round.
+	ARMGMemoHits
+	// ARMGLiteralsRefuted counts body literals the forward pass dropped
+	// without a subsumption search (subsume.ForwardPass's refuter).
+	ARMGLiteralsRefuted
+	// ARMGFastPathSkipped counts passes whose whole-clause test was
+	// refuted instead of searched.
+	ARMGFastPathSkipped
 	// EvalExamples counts held-out examples scored by Evaluate.
 	// Deterministic.
 	EvalExamples
@@ -224,6 +238,10 @@ var counterDefs = [numCounters]counterDef{
 	LearnRounds:               {"learn.rounds", true, kindSum},
 	LearnCandidates:           {"learn.candidates", true, kindSum},
 	LearnClauses:              {"learn.clauses", true, kindSum},
+	ARMGApplications:          {"armg.applications", true, kindSum},
+	ARMGMemoHits:              {"armg.memo_hits", true, kindSum},
+	ARMGLiteralsRefuted:       {"armg.literals_refuted", true, kindSum},
+	ARMGFastPathSkipped:       {"armg.fastpath_skipped", true, kindSum},
 	EvalExamples:              {"eval.examples_scored", true, kindSum},
 	CoverageBCBuilt:           {"coverage.bc_built", true, kindSum},
 	CoverageCGBuilt:           {"coverage.compiled_ground_built", true, kindSum},
@@ -323,6 +341,9 @@ const (
 	SpanCoverageCount
 	// SpanLearn covers one learning run (Algorithm 1).
 	SpanLearn
+	// SpanARMG covers one beam-search round's frontier generation: the
+	// armg applications of beam × sample, ground-BC fetches included.
+	SpanARMG
 	// SpanEval covers one held-out evaluation pass.
 	SpanEval
 	// SpanDatagen covers benchmark dataset generation.
@@ -341,6 +362,7 @@ var spanNames = [numSpans]string{
 	SpanBottomConstruct: "bottom.construct",
 	SpanCoverageCount:   "coverage.count",
 	SpanLearn:           "learn.run",
+	SpanARMG:            "learn.armg",
 	SpanEval:            "eval.evaluate",
 	SpanDatagen:         "datagen.generate",
 	SpanServeReplay:     "serve.replay",

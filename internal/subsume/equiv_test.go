@@ -33,9 +33,15 @@ func requireEquiv(t *testing.T, name string, c, g *logic.Clause, opts Options) {
 	// when the candidate mentions constants interned by other grounds.
 	in := logic.NewInterner()
 	in.Intern("unrelated_const_from_another_example")
+	// The candidate compiled ahead of the ground clause — before the
+	// table holds the ground's constants — must bind to the same result.
+	cc := CompileClause(in, c)
 	shared := CompileGround(in, g)
 	if got := CheckCompiled(c, shared, opts); got != want {
 		t.Fatalf("%s: shared-interner CheckCompiled=%+v legacy=%+v", name, got, want)
+	}
+	if got := CheckClauseCtx(ctx, cc, shared, opts); got != want {
+		t.Fatalf("%s: CheckClauseCtx=%+v legacy=%+v (clause %v vs %v)", name, got, want, c, g)
 	}
 }
 
@@ -248,5 +254,6 @@ func FuzzCheckCompiledEquivalence(f *testing.F) {
 			opts = Options{Restarts: take(3), Seed: int64(take(16))}
 		}
 		requireEquiv(t, "fuzz", c, g, opts)
+		requireForwardSound(t, "fuzz", c, g, opts)
 	})
 }

@@ -1,0 +1,179 @@
+package subsume
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// exhaustive is a budget no test instance comes near: under it a "does
+// not subsume" is exact.
+var exhaustive = Options{MaxNodes: 1 << 40}
+
+// requireForwardSound drives the forward pass literal by literal and
+// checks its two contracts on one (clause, ground, opts) input.
+// Soundness: whenever the refuter vetoes the whole-clause test or drops
+// a literal, an exhaustive search over that same prefix says "does not
+// subsume". Equivalence: ForwardPass keeps exactly the literals the
+// reference pass — one independent CheckCompiled per prefix — keeps. It
+// returns how many refutations it saw.
+func requireForwardSound(t *testing.T, name string, c, g *logic.Clause, opts Options) int {
+	t.Helper()
+	ctx := context.Background()
+	cg := CompileGround(nil, g)
+
+	var want Forward
+	if CheckCompiled(&logic.Clause{Head: c.Head}, cg, opts).Subsumes {
+		want.HeadMatches = true
+		if CheckCompiled(c, cg, opts).Subsumes {
+			want.Covers = true
+		} else {
+			trial := &logic.Clause{Head: c.Head}
+			for i, lit := range c.Body {
+				trial.Body = append(trial.Body, lit)
+				if CheckCompiled(trial, cg, opts).Subsumes {
+					want.Kept = append(want.Kept, i)
+				} else {
+					trial.Body = trial.Body[:len(trial.Body)-1]
+				}
+			}
+		}
+	}
+	got := ForwardPass(ctx, c, cg, opts)
+	if got.HeadMatches != want.HeadMatches || got.Covers != want.Covers || !slices.Equal(got.Kept, want.Kept) {
+		t.Fatalf("%s: ForwardPass=%+v reference=%+v (clause %v vs %v, opts %+v)", name, got, want, c, g, opts)
+	}
+
+	f := newForward(c, cg, opts.normalized())
+	defer f.m.release()
+	if !f.m.bindHead(&f.cc, cg) {
+		return 0
+	}
+	refutations := 0
+	if f.refutesWhole() {
+		refutations++
+		if legacyCheck(ctx, c, g, exhaustive).Subsumes {
+			t.Fatalf("%s: whole clause refuted but it subsumes (clause %v vs %v)", name, c, g)
+		}
+	}
+	prefix := &logic.Clause{Head: c.Head}
+	for i, lit := range c.Body {
+		kept, refuted := f.extend(ctx, i)
+		if refuted {
+			refutations++
+			trial := &logic.Clause{Head: c.Head, Body: append(slices.Clone(prefix.Body), lit)}
+			if legacyCheck(ctx, trial, g, exhaustive).Subsumes {
+				t.Fatalf("%s: literal %d refuted but the prefix subsumes (prefix %v vs %v)", name, i, trial, g)
+			}
+		}
+		if kept {
+			prefix.Body = append(prefix.Body, lit)
+		}
+	}
+	return refutations
+}
+
+func TestForwardPassTable(t *testing.T) {
+	cases := []struct {
+		name   string
+		clause string
+		ground string
+	}{
+		{"covers", "h(X) :- p(X,Y), q(Y).", "h(a) :- p(a,b), q(b)."},
+		{"head-mismatch", "h(b) :- p(b,Y).", "h(a) :- p(a,b)."},
+		{"drops-missing-pred", "h(X) :- p(X,Y), r(Y), q(Y).", "h(a) :- p(a,b), q(b)."},
+		{"drops-by-domain", "h(X) :- p(X,Y), q(Y), s(Y).", "h(a) :- p(a,b), q(b), s(c)."},
+		{"chain-narrowing", "h(X) :- p(X,Y), p(Y,Z), q(Z), s(Z).", "h(a) :- p(a,b), p(b,c), p(b,d), q(c), s(d)."},
+		{"repeated-var", "h(X) :- p(X,Y), e(Y,Y), q(Y).", "h(a) :- p(a,b), p(a,c), e(c,c), e(b,d), q(b)."},
+		{"const-in-body", "h(X) :- p(X,b), q(c,X), q(b,X).", "h(a) :- p(a,b), q(b,a)."},
+		{"unknown-const", "h(X) :- p(X,zzz), p(X,Y).", "h(a) :- p(a,b)."},
+		{"arity-mismatch", "h(X) :- p(X), p(X,Y).", "h(a) :- p(a,b)."},
+		// Not refutable by one directional step (Y=b and Y=c each have
+		// support in q and in s, never together): the search must decide.
+		{"needs-search", "h(X) :- p(X,Y), q(Y,Z), s(Y,Z).", "h(a) :- p(a,b), p(a,c), q(b,d), q(c,e), s(b,e), s(c,d)."},
+	}
+	for _, tc := range cases {
+		c := mustClause(t, tc.clause)
+		g := mustClause(t, tc.ground)
+		for _, opts := range []Options{{}, {MaxNodes: 1}, {MaxNodes: 3, Restarts: 2, Seed: 5}} {
+			requireForwardSound(t, tc.name, c, g, opts)
+		}
+	}
+
+	// A head variable bound to the empty string (the reserved id 0) is
+	// free to the search, so it must be free to the refuter too.
+	g0 := &logic.Clause{Head: logic.NewLiteral("h", logic.Const(""))}
+	g0.Body = append(g0.Body,
+		logic.NewLiteral("p", logic.Const("a"), logic.Const("b")),
+		logic.NewLiteral("q", logic.Const("c")))
+	requireForwardSound(t, "empty-head-value", mustClause(t, "h(X) :- p(X,Y), q(Y)."), g0, Options{})
+
+	// The refuter must actually fire where one consistent row is missing.
+	c := mustClause(t, "h(X) :- p(X,Y), q(Y), s(Y).")
+	g := mustClause(t, "h(a) :- p(a,b), q(b), s(c).")
+	got := ForwardPass(context.Background(), c, CompileGround(nil, g), Options{})
+	if !got.WholeRefuted || got.Refuted != 1 || !slices.Equal(got.Kept, []int{0, 1}) {
+		t.Fatalf("expected the whole clause and s(Y) refuted, got %+v", got)
+	}
+}
+
+// TestForwardPassRandom is the soundness property over random instances
+// wide enough (three predicates, five variables, up to eight literals
+// over up to twelve ground rows) for domains to narrow and refute.
+func TestForwardPassRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	preds := []string{"p", "q", "s"}
+	vars := []string{"X", "Y", "Z", "W", "V"}
+	consts := []string{"a", "b", "c", "d", ""}
+	refutations := 0
+	for trial := 0; trial < 1500; trial++ {
+		g := &logic.Clause{Head: logic.NewLiteral("h", logic.Const(consts[r.Intn(5)]))}
+		for i, n := 0, 1+r.Intn(12); i < n; i++ {
+			g.Body = append(g.Body, logic.NewLiteral(
+				preds[r.Intn(3)], logic.Const(consts[r.Intn(5)]), logic.Const(consts[r.Intn(5)])))
+		}
+		c := &logic.Clause{Head: logic.NewLiteral("h", logic.Var("X"))}
+		for i, n := 0, r.Intn(9); i < n; i++ {
+			mk := func() logic.Term {
+				if r.Intn(5) == 0 {
+					return logic.Const(consts[r.Intn(5)])
+				}
+				return logic.Var(vars[r.Intn(5)])
+			}
+			c.Body = append(c.Body, logic.NewLiteral(preds[r.Intn(3)], mk(), mk()))
+		}
+		opts := Options{}
+		switch trial % 3 {
+		case 1:
+			opts = Options{MaxNodes: 1 + r.Intn(6)}
+		case 2:
+			opts = Options{MaxNodes: 1 + r.Intn(40), Restarts: r.Intn(3), Seed: int64(trial)}
+		}
+		refutations += requireForwardSound(t, "random", c, g, opts)
+	}
+	if refutations < 500 {
+		t.Fatalf("only %d refutations in 1500 instances: the property is not exercising the refuter", refutations)
+	}
+}
+
+// TestCheckClauseStaleSymbols: a candidate compiled before the ground
+// clause that first interns one of its constants (the table grows while
+// ground BCs are built between the tests of one count) must still see
+// that constant when bound.
+func TestCheckClauseStaleSymbols(t *testing.T) {
+	in := logic.NewInterner()
+	c := mustClause(t, "h(X) :- p(X,late), r(X).")
+	cc := CompileClause(in, c)
+	early := CompileGround(in, mustClause(t, "h(a) :- p(a,b)."))
+	if res := CheckClauseCtx(context.Background(), cc, early, Options{}); res.Subsumes {
+		t.Fatalf("must not subsume a ground clause without its constant: %+v", res)
+	}
+	late := CompileGround(in, mustClause(t, "h(a) :- p(a,late), r(a)."))
+	want := CheckCompiled(c, late, Options{})
+	if got := CheckClauseCtx(context.Background(), cc, late, Options{}); got != want || !got.Subsumes {
+		t.Fatalf("stale constant not re-resolved at bind time: got %+v want %+v", got, want)
+	}
+}

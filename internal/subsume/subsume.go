@@ -5,13 +5,15 @@
 // covers an example by checking whether it subsumes the example's ground
 // bottom clause.
 //
-// Subsumption is NP-hard, so the engine is an anytime approximation in
-// the spirit of the restarted strategy of Kuzelka and Zelezny [29]: a
+// Subsumption is NP-hard, so the engine is an anytime approximation: a
 // deterministic backtracking search with fail-first literal ordering
-// runs under a node budget; if the budget is exhausted without an
-// answer, randomized restarts with shuffled value orderings follow. An
-// inconclusive outcome is reported as "does not subsume", matching the
-// paper's use of approximate coverage.
+// runs under a node budget, and an inconclusive outcome is reported as
+// "does not subsume", matching the paper's use of approximate coverage.
+// The randomized restarts of Kuzelka and Zelezny [29] (shuffled value
+// orderings after an exhausted pass) are implemented behind
+// Options.Restarts, but every path through the learner, the serving
+// layer and the CLIs passes Restarts: 0, so what runs there is the
+// single deterministic pass.
 //
 // Bottom clauses routinely hold hundreds of literals and coverage
 // testing dominates learning time, so matching is split into two
@@ -161,6 +163,32 @@ func record(opts Options, res Result) {
 // CheckCompiledCtx, with opts already normalized and instrumentation
 // applied by the caller.
 func checkCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Result {
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.cc.compile(cg.in, c)
+	return m.check(ctx, &m.cc, cg, opts)
+}
+
+// checkClauseCtx is checkCompiledCtx for a candidate compiled ahead of
+// the call.
+func checkClauseCtx(ctx context.Context, cc *CompiledClause, cg *CompiledGround, opts Options) Result {
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	return m.check(ctx, cc, cg, opts)
+}
+
+// check binds cc over the ground clause and searches.
+func (m *matcher) check(ctx context.Context, cc *CompiledClause, cg *CompiledGround, opts Options) Result {
+	if !m.bind(cc, cg) {
+		// Head mismatch, or a body predicate absent from g.
+		return Result{Subsumes: false, Complete: true}
+	}
+	return m.search(ctx, opts)
+}
+
+// search runs the deterministic pass and, when it exhausts its budget,
+// the restarts over the clause the matcher currently holds.
+func (m *matcher) search(ctx context.Context, opts Options) Result {
 	if faultpoint.Enabled() {
 		if err := faultpoint.Inject(ctx, "subsume.check"); err != nil {
 			// An injected error (or a cancelled injected delay) aborts the
@@ -169,13 +197,7 @@ func checkCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, 
 			return Result{Subsumes: false, Complete: false, Cancelled: true}
 		}
 	}
-
-	m := matcherPool.Get().(*matcher)
-	defer m.release()
-	if !m.compile(c, cg) {
-		// Head mismatch, or a body predicate absent from g.
-		return Result{Subsumes: false, Complete: true}
-	}
+	m.cancelled = false
 	m.done = ctx.Done()
 
 	total := 0
@@ -190,6 +212,9 @@ func checkCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, 
 	}
 	if !exhausted {
 		return Result{Subsumes: false, Complete: true, Nodes: total}
+	}
+	if opts.Restarts == 0 {
+		return Result{Subsumes: false, Complete: false, Nodes: total}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for r := 0; r < opts.Restarts; r++ {
@@ -216,6 +241,7 @@ type cTerm struct {
 }
 
 // cLit is a compiled candidate body literal bound to its ground extent.
+// terms aliases the CompiledClause the literal came from (read-only).
 type cLit struct {
 	terms []cTerm
 	ext   *groundExtent
@@ -226,10 +252,10 @@ type varOcc struct {
 	delta int
 }
 
-// matcher holds one check's compiled candidate and search state. All of
-// it is scratch: matchers are recycled through matcherPool and every
-// slice is resized (capacity kept) by compile, so steady-state checks
-// allocate nothing.
+// matcher holds one check's bound candidate and search state. All of it
+// is scratch: matchers are recycled through matcherPool and every slice
+// is resized (capacity kept) by bind, so steady-state checks allocate
+// nothing.
 type matcher struct {
 	lits []cLit
 	// initial[v] is the interned ground value the head fixes for
@@ -239,11 +265,11 @@ type matcher struct {
 	varOccs [][]varOcc
 	nVars   int
 
-	// Compile scratch: candidate-variable name → dense id, and the
-	// head-bound (id, ground value) pairs in first-occurrence order.
-	varIDs  map[string]int32
-	headIDs []int32
-	headGVs []int32
+	// cc is the one-shot path's clause scratch (CheckCompiledCtx compiles
+	// into it and binds it in the same call); terms is the private copy
+	// of literals whose constants had to be re-resolved at bind time.
+	cc    CompiledClause
+	terms []cTerm
 
 	// Search state, reset by run(). vals is the substitution (variable
 	// id → interned bound value); the per-literal trail lives on solve's
@@ -277,122 +303,129 @@ type matcher struct {
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
-// release drops references into the compiled ground (so pooling a
-// matcher never pins a CompiledGround in memory) and returns it to the
-// pool.
+// release drops references into the compiled ground and the candidate
+// (so pooling a matcher never pins either in memory) and returns it to
+// the pool.
 func (m *matcher) release() {
-	for i := range m.lits {
-		m.lits[i].ext = nil
-	}
+	clear(m.lits)
+	m.cc.src = nil
 	m.rng = nil
 	m.done = nil
 	matcherPool.Put(m)
 }
 
-// compile builds the matcher for candidate c over the compiled ground
-// clause. ok is false when the head cannot match or some body predicate
-// has no extent. Constants resolve through lookup only: a string the
-// ground side never interned cannot match anything, so it compiles to
-// the never-equal id -1 instead of growing the table.
-func (m *matcher) compile(c *logic.Clause, cg *CompiledGround) bool {
-	m.cancelled = false
-	in := cg.in
-	if m.varIDs == nil {
-		m.varIDs = make(map[string]int32)
-	} else {
-		clear(m.varIDs)
-	}
-	idOf := func(name string) int32 {
-		if id, ok := m.varIDs[name]; ok {
-			return id
-		}
-		id := int32(len(m.varIDs))
-		m.varIDs[name] = id
-		return id
-	}
-
-	// Head match: bind head variables, reject constant mismatches.
-	if hid, ok := in.Lookup(c.Head.Predicate); !ok || hid != cg.headPred || len(c.Head.Terms) != len(cg.headVals) {
+// bindHead starts a binding of cc over the compiled ground: it unifies
+// the head (binding head variables, rejecting constant mismatches) and
+// leaves the matcher holding the empty-bodied clause. ok is false when
+// the head cannot match.
+func (m *matcher) bindHead(cc *CompiledClause, cg *CompiledGround) bool {
+	if hp := cc.resolve(cc.headPred, cc.src.Head.Predicate); hp != cg.headPred || len(cc.head) != len(cg.headVals) {
 		return false
 	}
-	m.headIDs, m.headGVs = m.headIDs[:0], m.headGVs[:0]
-	for i, t := range c.Head.Terms {
+	m.nVars = cc.nVars
+	clear(m.lits) // nothing past len may pin a ground clause or a candidate
+	m.lits = m.lits[:0]
+	m.baseDeg = m.baseDeg[:0]
+	m.terms = m.terms[:0]
+	m.initial = resizeInt32(m.initial, m.nVars)
+	clear(m.initial)
+	m.varOccs = resizeOccs(m.varOccs, m.nVars)
+	for i, t := range cc.head {
 		gv := cg.headVals[i]
-		if t.IsConst() {
-			if cid, ok := in.Lookup(t.Name); !ok || cid != gv {
+		if t.varID < 0 {
+			if cc.resolve(t.val, cc.src.Head.Terms[i].Name) != gv {
 				return false
 			}
 			continue
 		}
-		id := idOf(t.Name)
-		seen := false
-		for j, prev := range m.headIDs {
-			if prev == id {
-				if m.headGVs[j] != gv {
-					return false
-				}
-				seen = true
-				break
+		// A repeated head variable must see one ground value.
+		for j := 0; j < i; j++ {
+			if cc.head[j].varID == t.varID && cg.headVals[j] != gv {
+				return false
 			}
 		}
-		if !seen {
-			m.headIDs = append(m.headIDs, id)
-			m.headGVs = append(m.headGVs, gv)
-		}
+		m.initial[t.varID] = gv
 	}
+	return true
+}
 
-	m.lits = resizeLits(m.lits, len(c.Body))
-	for i, l := range c.Body {
-		var ext *groundExtent
-		if pid, ok := in.Lookup(l.Predicate); ok {
-			ext = cg.preds[pid]
-		}
-		if ext == nil || len(ext.rows) == 0 {
+// bind binds the whole of cc over the compiled ground. ok is false when
+// the head cannot match or some body predicate has no extent.
+func (m *matcher) bind(cc *CompiledClause, cg *CompiledGround) bool {
+	if !m.bindHead(cc, cg) {
+		return false
+	}
+	for i := range cc.lits {
+		ext := cc.extent(i, cg)
+		if ext == nil {
 			return false
 		}
-		cl := &m.lits[i]
-		cl.ext = ext
-		cl.terms = resizeTerms(cl.terms, len(l.Terms))
-		for p, t := range l.Terms {
-			if t.IsConst() {
-				val := int32(-1)
-				if id, ok := in.Lookup(t.Name); ok {
-					val = id
-				}
-				cl.terms[p] = cTerm{varID: -1, val: val}
-			} else {
-				cl.terms[p] = cTerm{varID: idOf(t.Name)}
-			}
-		}
+		m.pushLit(m.litTerms(cc, i), ext)
 	}
+	m.sizeSearch()
+	return true
+}
 
-	m.nVars = len(m.varIDs)
-	m.initial = resizeInt32(m.initial, m.nVars)
-	for i := range m.initial {
-		m.initial[i] = 0
+// litTerms returns body literal i's compiled terms: the clause's own
+// (shared, read-only) unless a constant was absent from the intern table
+// when the clause was compiled, in which case it is looked up again —
+// the table grows while ground clauses are compiled — into a copy
+// private to this binding.
+func (m *matcher) litTerms(cc *CompiledClause, i int) []cTerm {
+	terms := cc.lits[i].terms
+	if !cc.stale {
+		return terms
 	}
-	for j, id := range m.headIDs {
-		m.initial[id] = m.headGVs[j]
-	}
-	m.varOccs = resizeOccs(m.varOccs, m.nVars)
-	for li := range m.lits {
-		for _, t := range m.lits[li].terms {
-			if t.varID >= 0 {
-				m.varOccs[t.varID] = append(m.varOccs[t.varID], varOcc{lit: li, delta: 1})
+	for p, t := range terms {
+		if t.varID >= 0 || t.val >= 0 {
+			continue
+		}
+		from := len(m.terms)
+		m.terms = append(m.terms, terms...)
+		own := m.terms[from:len(m.terms):len(m.terms)]
+		for q := p; q < len(own); q++ {
+			if own[q].varID < 0 {
+				own[q].val = cc.resolve(own[q].val, cc.src.Body[i].Terms[q].Name)
 			}
 		}
+		return own
 	}
-	// Base degrees: constants and head-bound variables.
-	m.baseDeg = resizeInts(m.baseDeg, len(m.lits))
-	for li := range m.lits {
-		d := 0
-		for _, t := range m.lits[li].terms {
-			if t.varID < 0 || m.initial[t.varID] != 0 {
-				d++
-			}
+	return terms
+}
+
+// pushLit appends a body literal to the bound clause. Base degree counts
+// the term slots held by constants and head-bound variables.
+func (m *matcher) pushLit(terms []cTerm, ext *groundExtent) {
+	li := len(m.lits)
+	m.lits = append(m.lits, cLit{terms: terms, ext: ext})
+	d := 0
+	for _, t := range terms {
+		if t.varID >= 0 {
+			m.varOccs[t.varID] = append(m.varOccs[t.varID], varOcc{lit: li, delta: 1})
 		}
-		m.baseDeg[li] = d
+		if t.varID < 0 || m.initial[t.varID] != 0 {
+			d++
+		}
 	}
+	m.baseDeg = append(m.baseDeg, d)
+}
+
+// popLit removes the literal pushed last.
+func (m *matcher) popLit() {
+	li := len(m.lits) - 1
+	for _, t := range m.lits[li].terms {
+		if t.varID >= 0 {
+			occs := m.varOccs[t.varID]
+			m.varOccs[t.varID] = occs[:len(occs)-1]
+		}
+	}
+	m.lits[li] = cLit{}
+	m.lits = m.lits[:li]
+	m.baseDeg = m.baseDeg[:li]
+}
+
+// sizeSearch sizes the per-search state for the literals now bound.
+func (m *matcher) sizeSearch() {
 	m.vals = resizeInt32(m.vals, m.nVars)
 	m.bound = resizeBools(m.bound, m.nVars)
 	m.matched = resizeBools(m.matched, len(m.lits))
@@ -412,7 +445,6 @@ func (m *matcher) compile(c *logic.Clause, cg *CompiledGround) bool {
 		m.cands = append(m.cands[:cap(m.cands)], make([][]int32, len(m.lits)+1-cap(m.cands))...)
 	}
 	m.cands = m.cands[:len(m.lits)+1]
-	return true
 }
 
 // resize helpers: keep capacity across pooled reuse, reallocate only on
@@ -435,15 +467,6 @@ func resizeInts(s []int, n int) []int {
 func resizeBools(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func resizeLits(s []cLit, n int) []cLit {
-	if cap(s) < n {
-		out := make([]cLit, n)
-		copy(out, s[:cap(s)])
-		return out
 	}
 	return s[:n]
 }

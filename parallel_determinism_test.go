@@ -1,28 +1,69 @@
 package autobias
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/bottom"
 )
 
 // TestLearnDeterministicAcrossWorkers: the facade-level guarantee that
-// the Workers knob changes wall-clock only — the learned definition is
-// identical at 1 worker (the exact sequential engine) and at 8.
+// the Workers knob changes wall-clock only. Neither the coverage pool
+// nor the armg fan-out may leave a trace of the worker count: at 1 (the
+// exact sequential engine), 2, 4 and 8 workers, with shared-builder and
+// with pure ground-BC provenance, a run must end with the same theory,
+// the same deterministic counters (candidates scored, armg.* among
+// them), the same armg memo (the pairs the rounds planned and stored),
+// and the shared builder's RNG in the same position — its build log, the
+// sequence of draw-consuming builds, is what a model replay restores
+// that position from.
 func TestLearnDeterministicAcrossWorkers(t *testing.T) {
-	task := uwTask(t, 0.2)
-	r1, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	task := uwTask(t, 0.15)
+	type outcome struct {
+		theory   string
+		counters map[string]int64
+		memoKeys []string
+		builds   []bottom.BuildRecord
 	}
-	r8, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Definition.String() != r8.Definition.String() {
-		t.Errorf("definitions diverge across worker counts:\nworkers=1:\n%s\nworkers=8:\n%s",
-			r1.Definition, r8.Definition)
-	}
-	if r1.Clauses != r8.Clauses {
-		t.Errorf("clause counts diverge: %d vs %d", r1.Clauses, r8.Clauses)
+	for _, pure := range []bool{false, true} {
+		var ref outcome
+		for _, workers := range []int{1, 2, 4, 8} {
+			res, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: workers, PureGroundBCs: pure, Metrics: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := outcome{
+				theory:   res.Definition.String(),
+				counters: res.Metrics.Counters,
+				builds:   res.engine.Builder().BuildLog(),
+			}
+			for key := range res.engine.ExtractCarried().ARMG {
+				got.memoKeys = append(got.memoKeys, key)
+			}
+			slices.Sort(got.memoKeys)
+			if workers == 1 {
+				ref = got
+				if got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0 {
+					t.Fatalf("pure=%v: the run exercised no armg pass or no refutation: %v", pure, got.counters)
+				}
+				continue
+			}
+			label := fmt.Sprintf("pure=%v workers=%d", pure, workers)
+			if got.theory != ref.theory {
+				t.Errorf("%s: theory diverges from workers=1:\n%s\nwant:\n%s", label, got.theory, ref.theory)
+			}
+			if !reflect.DeepEqual(got.counters, ref.counters) {
+				t.Errorf("%s: deterministic counters diverge from workers=1:\n%v\nwant:\n%v", label, got.counters, ref.counters)
+			}
+			if !slices.Equal(got.memoKeys, ref.memoKeys) {
+				t.Errorf("%s: armg memo holds %d keys, workers=1 holds %d (or different ones)", label, len(got.memoKeys), len(ref.memoKeys))
+			}
+			if !reflect.DeepEqual(got.builds, ref.builds) {
+				t.Errorf("%s: the shared builder ran %d builds, workers=1 ran %d (or in another order)", label, len(got.builds), len(ref.builds))
+			}
+		}
 	}
 }
 
