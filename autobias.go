@@ -318,12 +318,6 @@ type ShardOptions struct {
 	// DisableLocalFallback aborts (anytime, partial theory) instead of
 	// computing a lost shard's examples in-process.
 	DisableLocalFallback bool
-	// DisableBatch forces per-candidate RPCs instead of shipping each
-	// refinement step's whole candidate frontier per shard in one wire-v2
-	// round. Verdicts and theories are identical either way (the
-	// differential suite proves it); the per-candidate mode exists for
-	// diagnosis and old-fleet comparison.
-	DisableBatch bool
 	// BatchClauses caps frontier clauses per wire batch; <=0 selects 256.
 	BatchClauses int
 }
@@ -640,7 +634,7 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 		res.Report = stats.Report
 		res.Clauses = stats.Clauses
 		res.covers = func(d *Definition, e Example) (bool, error) {
-			return l.Coverage().DefinitionCovers(d, e)
+			return l.Coverage().DefinitionCovers(context.Background(), d, e)
 		}
 		res.engine = l.Coverage()
 	} else {
@@ -666,7 +660,6 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 				Retries:              so.Retries,
 				HedgeDelay:           so.HedgeDelay,
 				DisableLocalFallback: so.DisableLocalFallback,
-				DisableBatch:         so.DisableBatch,
 				MaxBatchClauses:      so.BatchClauses,
 				JitterSeed:           opts.Seed,
 				Metrics:              mc,
@@ -690,7 +683,7 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 		res.Report = stats.Report
 		res.Clauses = stats.Clauses
 		res.covers = func(d *Definition, e Example) (bool, error) {
-			return l.Coverage().DefinitionCovers(d, e)
+			return l.Coverage().DefinitionCovers(context.Background(), d, e)
 		}
 		res.engine = l.Coverage()
 	}
@@ -707,9 +700,8 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 // coordinator's — same bias (induced or given), same effective
 // bottom-clause and subsumption options, pure ground-BC provenance —
 // plus the config fingerprint that proves the parity on every RPC. The
-// returned worker serves POST /v1/coverage, POST /v2/coverage (the
-// batched frontier protocol), GET /healthz, GET /readyz
-// and GET /metrics; run it with (*ShardWorker).Serve or mount
+// returned worker serves POST /v2/coverage (the batched frontier
+// protocol), GET /healthz, GET /readyz and GET /metrics; run it with (*ShardWorker).Serve or mount
 // (*ShardWorker).Handler yourself. See cmd/shardworker for the CLI.
 func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions) (*ShardWorker, error) {
 	if opts.method() == MethodAleph {

@@ -61,7 +61,6 @@ func main() {
 	shardRetries := flag.Int("shard-retries", 0, "RPC attempt budget per shard with -shards (0 = 3)")
 	shardHedge := flag.Duration("shard-hedge", 0, "duplicate straggling shard RPCs to a second replica after this delay (0 = off)")
 	shardNoFallback := flag.Bool("shard-no-fallback", false, "with -shards: abort to the partial theory instead of computing a lost shard's examples in-process")
-	shardNoBatch := flag.Bool("shard-no-batch", false, "with -shards: send one RPC per candidate clause instead of batching each refinement frontier per shard")
 	shardBatchClauses := flag.Int("shard-batch-clauses", 0, "with -shards: max frontier clauses per wire batch (0 = 256)")
 	pure := flag.Bool("pure-bcs", false, "derived-seed ground-BC provenance (implied by -shards; set on a single-process run to produce the reference a sharded run matches bit for bit)")
 	flag.Parse()
@@ -93,7 +92,6 @@ func main() {
 			Retries:              *shardRetries,
 			HedgeDelay:           *shardHedge,
 			DisableLocalFallback: *shardNoFallback,
-			DisableBatch:         *shardNoBatch,
 			BatchClauses:         *shardBatchClauses,
 		}
 	}

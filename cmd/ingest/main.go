@@ -211,10 +211,8 @@ func repairNote(rep *autobias.Repair) string {
 	switch {
 	case rep.Unchanged:
 		return " (unchanged)"
-	case rep.BiasDrift:
-		return " (bias drift: full re-learn)"
 	case rep.FullRelearn:
-		return " (full re-learn)"
+		return " (full re-learn: " + rep.FullRelearnReason + ")"
 	}
 	return ""
 }

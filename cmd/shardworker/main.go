@@ -1,7 +1,7 @@
 // Command shardworker runs one shard-worker process for a distributed
 // learning run: a coverage engine behind HTTP, answering the
-// coordinator's coverage RPCs (POST /v1/coverage per-candidate, POST
-// /v2/coverage batched frontiers) plus /healthz (liveness), /readyz
+// coordinator's coverage RPCs (POST /v2/coverage, one batched candidate
+// frontier per request) plus /healthz (liveness), /readyz
 // (readiness, used by the coordinator's revival probes; 503 while a
 // -preload warm-up is compiling ground BCs) and /metrics.
 //

@@ -379,8 +379,8 @@ func TestRepairStaleCommitFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.FullRelearn {
-		t.Fatal("stale-version commit did not fall back to a full re-learn")
+	if !rep.FullRelearn || rep.FullRelearnReason != autobias.FullRelearnVersionSkew {
+		t.Fatalf("stale-version commit: FullRelearn=%v reason=%q, want a %s re-learn", rep.FullRelearn, rep.FullRelearnReason, autobias.FullRelearnVersionSkew)
 	}
 	relearn, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
@@ -401,8 +401,67 @@ func TestRepairStaleCommitFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep3.FullRelearn {
-		t.Fatal("summary-less commit did not fall back to a full re-learn")
+	if !rep3.FullRelearn || rep3.FullRelearnReason != autobias.FullRelearnNoSummary {
+		t.Fatalf("summary-less commit: FullRelearn=%v reason=%q, want a %s re-learn", rep3.FullRelearn, rep3.FullRelearnReason, autobias.FullRelearnNoSummary)
+	}
+}
+
+// TestRepairFullRelearnReasons drives the fallbacks that depend on the
+// previous result and the options rather than on the commit, and checks
+// each is named on the Repair and counted under its own gauge. (The two
+// commit conditions are TestRepairStaleCommitFallsBack's.)
+func TestRepairFullRelearnReasons(t *testing.T) {
+	ctx := context.Background()
+	task, _ := liveTask(t)
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	prev, err := autobias.LearnCtx(ctx, task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit, err := autobias.NewIngestor(task.DB, nil).Apply(ctx, duplicateBatch(t, task, 71, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	noINDs := *prev
+	noINDs.INDs = nil
+	random := opts
+	random.Sampling = autobias.SamplingRandom
+	shared := opts
+	shared.PureGroundBCs = false
+	impure, err := autobias.LearnCtx(ctx, task, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		reason string
+		prev   *autobias.Result
+		opts   autobias.Options
+	}{
+		{autobias.FullRelearnNoPrevINDs, &noINDs, opts},
+		{autobias.FullRelearnNonNaiveSampling, prev, random},
+		{autobias.FullRelearnImpureEngine, impure, shared},
+	} {
+		leg.opts.Collector = autobias.NewMetricsCollector()
+		rep, err := autobias.RepairCtx(ctx, leg.prev, task, commit, leg.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.reason, err)
+		}
+		if !rep.FullRelearn || rep.FullRelearnReason != leg.reason || rep.BiasDrift || rep.Unchanged {
+			t.Errorf("%s: got FullRelearn=%v reason=%q drift=%v unchanged=%v", leg.reason, rep.FullRelearn, rep.FullRelearnReason, rep.BiasDrift, rep.Unchanged)
+		}
+		if got := leg.opts.Collector.Snapshot().Gauges["ingest.full_relearn."+leg.reason]; got != 1 {
+			t.Errorf("%s: gauge ingest.full_relearn.%s = %d, want 1", leg.reason, leg.reason, got)
+		}
+	}
+
+	// The repair path proper names no reason.
+	rep, err := autobias.RepairCtx(ctx, prev, task, commit, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FullRelearn || rep.FullRelearnReason != "" {
+		t.Errorf("repair path: FullRelearn=%v reason=%q, want neither", rep.FullRelearn, rep.FullRelearnReason)
 	}
 }
 

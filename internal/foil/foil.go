@@ -204,10 +204,10 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []learn.Example) (*logi
 		}
 		keep := false
 		if clause != nil && len(clause.Body) > 0 {
-			p, err := l.cover.CountCtx(ctx, clause, sample(l.rng, uncovered, l.opts.EvalSampleCap))
+			p, err := l.count(ctx, clause, sample(l.rng, uncovered, l.opts.EvalSampleCap))
 			if err == nil {
 				var n int
-				n, err = l.cover.CountCtx(ctx, clause, sample(l.rng, neg, l.opts.EvalSampleCap))
+				n, err = l.count(ctx, clause, sample(l.rng, neg, l.opts.EvalSampleCap))
 				if err == nil {
 					prec := 1.0
 					if p+n > 0 {
@@ -234,7 +234,7 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []learn.Example) (*logi
 		var still []learn.Example
 		interrupted := false
 		for _, e := range uncovered {
-			ok, err := l.cover.CoversCtx(ctx, clause, e)
+			ok, err := l.cover.Covers(ctx, clause, e)
 			if err != nil {
 				if isCtxErr(err) {
 					interrupted = true
@@ -291,14 +291,14 @@ func (l *Learner) learnClause(ctx context.Context, pos, neg []learn.Example, sta
 			stats.CandidatesSeen++
 			l.opts.Metrics.Inc(metrics.LearnCandidates)
 			trial := &logic.Clause{Head: clause.Head, Body: append(append([]logic.Literal(nil), clause.Body...), cands[i])}
-			p1, err := l.cover.CountCtx(ctx, trial, posSample)
+			p1, err := l.count(ctx, trial, posSample)
 			if err != nil {
 				return nil, err
 			}
 			if p1 == 0 {
 				continue
 			}
-			n1, err := l.cover.CountCtx(ctx, trial, negSample)
+			n1, err := l.count(ctx, trial, negSample)
 			if err != nil {
 				return nil, err
 			}
@@ -498,6 +498,15 @@ func intersects(a, b map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// count is the exact number of examples the clause covers.
+func (l *Learner) count(ctx context.Context, c *logic.Clause, examples []learn.Example) (int, error) {
+	ns, err := l.cover.CountMany(ctx, []*logic.Clause{c}, examples, len(examples)+1)
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
 }
 
 // sample draws up to n examples without replacement.

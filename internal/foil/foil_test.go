@@ -1,6 +1,7 @@
 package foil
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestFOILLearnsGrandparent(t *testing.T) {
 		t.Fatal("unexpected timeout")
 	}
 	for _, e := range pos {
-		ok, err := l.Coverage().DefinitionCovers(def, e)
+		ok, err := l.Coverage().DefinitionCovers(context.Background(), def, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestFOILLearnsGrandparent(t *testing.T) {
 		}
 	}
 	for _, e := range neg {
-		ok, err := l.Coverage().DefinitionCovers(def, e)
+		ok, err := l.Coverage().DefinitionCovers(context.Background(), def, e)
 		if err != nil {
 			t.Fatal(err)
 		}

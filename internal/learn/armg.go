@@ -66,13 +66,14 @@ func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts
 //
 // The outcome for a pair is a pure function of (clause, example ground
 // BC, subsumption options): within a run the ground BC is fixed per
-// example (cached on first build), so the memo key is (rendered clause,
-// example key). Beam clauses recur across rounds — the same (clause,
-// example) pair is re-generalized whenever a clause survives a round and
-// the example is re-sampled — and each application pays a per-literal
-// subsumption pass, so the memo removes a large share of learning cost
-// without touching the decision sequence: a hit returns exactly the
-// clause a fresh pass would rebuild, and the operator consumes no RNG.
+// example (cached on first build), so the memo lives in the clause's
+// store record under (rendered clause, example key). Beam clauses recur
+// across rounds — the same (clause, example) pair is re-generalized
+// whenever a clause survives a round and the example is re-sampled — and
+// each application pays a per-literal subsumption pass, so the memo
+// removes a large share of learning cost without touching the decision
+// sequence: a hit returns exactly the clause a fresh pass would rebuild,
+// and the operator consumes no RNG.
 // In pure-provenance mode the memo also carries across runs
 // (CarriedState), which is what lets incremental repair skip the
 // generalization work of unperturbed examples; keying by the rendered
@@ -97,8 +98,10 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 	// A job is one memo miss: a pass to run, and the slots of out it
 	// fills (more than one when the pair repeats within the round, which
 	// a one-by-one loop would have answered from the memo).
+	type pair struct{ rendered, example string }
 	type job struct {
-		key   string
+		pair
+		rec   *clauseRecord
 		c     *logic.Clause
 		cg    *subsume.CompiledGround
 		slots []int
@@ -107,14 +110,14 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 	}
 	out := make([]*logic.Clause, len(clauses)*len(examples))
 	var jobs []*job
-	planned := make(map[string]*job)
+	planned := make(map[pair]*job)
 	for i, c := range clauses {
+		rec, rendered := ce.record(c), c.String()
 		for j, e := range examples {
 			slot := i*len(examples) + j
-			ekey := e.String()
-			key := ce.clauseString(c) + "\x00" + ekey
+			key := pair{rendered, e.String()}
 			ce.mu.RLock()
-			cand, ok := ce.armg[key]
+			cand, ok := rec.armg[rendered][key.example]
 			ce.mu.RUnlock()
 			if ok {
 				ce.mc.Inc(metrics.ARMGMemoHits)
@@ -126,11 +129,11 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 				jb.slots = append(jb.slots, slot)
 				continue
 			}
-			ent, err := ce.groundEntryCtx(ctx, ekey, e)
+			ent, err := ce.groundEntry(ctx, key.example, e, false)
 			if err != nil {
 				return nil, err
 			}
-			jb := &job{key: key, c: c, cg: ent.cg, slots: []int{slot}}
+			jb := &job{pair: key, rec: rec, c: c, cg: ent.cg, slots: []int{slot}}
 			jobs = append(jobs, jb)
 			planned[key] = jb
 		}
@@ -178,7 +181,15 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 
 	ce.mu.Lock()
 	for _, jb := range jobs {
-		ce.armg[jb.key] = jb.out
+		if jb.rec.armg == nil {
+			jb.rec.armg = make(map[string]map[string]*logic.Clause)
+		}
+		byEx := jb.rec.armg[jb.rendered]
+		if byEx == nil {
+			byEx = make(map[string]*logic.Clause)
+			jb.rec.armg[jb.rendered] = byEx
+		}
+		byEx[jb.example] = jb.out
 	}
 	ce.mu.Unlock()
 	for _, jb := range jobs {

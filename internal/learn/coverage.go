@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,20 +30,24 @@ type Example = logic.Literal
 // whether C θ-subsumes e's ground bottom clause (§5). Ground BCs are
 // built once per example with the same sampling strategy as the
 // (variabilized) bottom clauses and cached for the lifetime of the
-// engine.
+// engine; everything else the engine knows lives in one store of
+// per-clause records (store.go, DESIGN.md §18).
 //
-// The engine is safe for concurrent use and fans Count/CountUpTo out
-// over a bounded worker pool (SetWorkers). Coverage testing is the
-// dominant cost of learning (§5) and the per-example checks are
-// independent, so this is where parallel hardware pays off. Three rules
-// keep results bit-identical to the sequential engine at every worker
-// count:
+// The verdict surface is four verbs: Covers and DefinitionCovers for one
+// example, CountMany for a candidate frontier (through the transport when
+// one is installed), and ResolveLocal, the in-process every-pair form
+// transports fall back to. All of them reach the same resolver, which is
+// safe for concurrent use and fans the (clause, example) tests out over a
+// bounded worker pool (SetWorkers). Coverage testing is the dominant cost
+// of learning (§5) and the tests are independent, so this is where
+// parallel hardware pays off. Three rules keep results bit-identical to
+// the sequential engine at every worker count:
 //
 //   - Subsumption tests are pure: each call owns its restart RNG
 //     (see the subsume package's concurrency contract), so an outcome
 //     depends only on (clause, ground BC, options), never on which
 //     worker runs it.
-//   - Ground BCs consumed by a Count are prefetched sequentially, in
+//   - Ground BCs consumed by a resolve are prefetched sequentially, in
 //     slice order, through the one shared builder — exactly the order
 //     and RNG consumption of the sequential engine.
 //   - A worker that still misses the BC cache (possible only for
@@ -51,21 +56,20 @@ type Example = logic.Literal
 //     the example, so the constructed BC is a deterministic function of
 //     the example, not of goroutine scheduling.
 //
-// Bounded execution: every entry point has a Ctx variant. Cancellation
-// reaches into the running primitives — the subsumption node-budget
-// loop and BC construction — so a deadline interrupts coverage
-// mid-test, not at the next example boundary. A panic inside one
-// example's test (a bug, or a fault injected via internal/faultpoint)
-// is recovered and isolated to that (clause, example) pair, which
-// deterministically scores "not covered": learning continues, the
-// outcome is identical at every worker count, and the degradation is
-// recorded on the engine's Report.
+// Bounded execution: cancellation reaches into the running primitives —
+// the subsumption node-budget loop and BC construction — so a deadline
+// interrupts coverage mid-test, not at the next example boundary. A
+// panic inside one example's test (a bug, or a fault injected via
+// internal/faultpoint) is recovered and isolated to that (clause,
+// example) pair, which deterministically scores "not covered": learning
+// continues, the outcome is identical at every worker count, and the
+// degradation is recorded on the engine's Report.
 type CoverageEngine struct {
 	builder *bottom.Builder
 	subOpts subsume.Options
 	workers int
 
-	// transport, when non-nil, computes Count/CountUpTo remotely (see
+	// transport, when non-nil, computes CountMany remotely (see
 	// transport.go); pureGround forces every ground-BC miss through the
 	// derived-seed clone path so BCs are order-independent pure
 	// functions of the example — required by transports, optional
@@ -82,56 +86,21 @@ type CoverageEngine struct {
 	// pre-interned literals.
 	in *logic.Interner
 
-	// mu guards cache, results and seeds. buildMu serializes the shared
-	// builder, whose RNG makes it unsafe for concurrent use (see
-	// bottom.Builder.Clone); it is separate from mu so cached reads
-	// never wait on a BC under construction.
+	// mu guards cache and the clause store (records, byPtr and every
+	// record's maps). buildMu serializes the shared builder, whose RNG
+	// makes it unsafe for concurrent use (see bottom.Builder.Clone); it
+	// is separate from mu so cached reads never wait on a BC under
+	// construction.
 	mu      sync.RWMutex
 	buildMu sync.Mutex
 	cache   map[string]*GroundEntry
-	// results memoizes Covers outcomes by clause identity. Clauses are
-	// immutable once built by the learner, so pointer identity is a safe
-	// and allocation-free key. Isolated failures memoize false, which is
-	// what keeps a panicking example from perturbing later decisions.
-	results map[*logic.Clause]map[string]bool
-	// seeds memoizes the per-example clone seed for the pooled BC-miss
-	// fallback, so the example key is hashed once per example rather
-	// than on every miss.
-	seeds map[string]int64
-	// pinned marks cache entries that must never be dropped: BCs
-	// restored by a model replay (internal/serve) are order-dependent
-	// products of the shared builder's RNG sequence and cannot be
-	// rebuilt on demand, unlike pooled derived-seed BCs. Nil until
-	// PinCached is called; guarded by mu.
-	pinned map[string]bool
+	// records is the verdict store, keyed by clause canonical key; byPtr
+	// is its pointer fast path (see store.go).
+	records map[string]*clauseRecord
+	byPtr   map[*logic.Clause]*clauseRecord
 
-	// carried is the incremental-repair verdict store: verdicts from a
-	// previous run keyed by (clause canonical key, example key),
-	// installed by AdoptCarried before the engine runs and read-only
-	// afterwards (no lock needed on reads). covers consults it on a
-	// pointer-memo miss: a hit replays the previous run's verdict
-	// without fetching the ground BC or running subsumption — the cost
-	// incremental repair saves. ckeys memoizes clause canonical keys by
-	// pointer (guarded by mu) so Key() is computed once per clause.
-	carried map[string]map[string]bool
-	ckeys   map[*logic.Clause]string
-	// armg memoizes ARMG generalization outcomes by (rendered clause,
-	// example key) — the operator is a pure function of the clause, the
-	// example's ground BC, and the subsumption options, and its direct
-	// subsumption tests are a large share of learning cost. The memo
-	// serves repeat applications within a run (beam clauses recur across
-	// rounds) and is carried across runs by incremental repair in pure
-	// mode. The key is the clause's rendered form, NOT its canonical
-	// key: the armg result reuses the input clause's variable names, so
-	// a canonical-key hit on a renamed-but-equal clause would resurrect
-	// another clause's variable naming and break the repair replay's
-	// bit-identical-theory contract. cstrs memoizes rendered forms by
-	// pointer. Guarded by mu. A nil value records "no generalization".
-	armg  map[string]*logic.Clause
-	cstrs map[*logic.Clause]string
-	// carriedHits counts carried-verdict replays; a deterministic
-	// function of (carried store, tested pairs), identical at every
-	// worker count.
+	// carriedHits counts the distinct carried (clause, example) verdicts
+	// this run consumed (see CarriedHits).
 	carriedHits atomic.Int64
 
 	// tests counts subsumption checks, for instrumentation.
@@ -177,10 +146,8 @@ func NewCoverage(builder *bottom.Builder, subOpts subsume.Options) *CoverageEngi
 		workers: 1,
 		in:      in,
 		cache:   make(map[string]*GroundEntry),
-		results: make(map[*logic.Clause]map[string]bool),
-		seeds:   make(map[string]int64),
-		armg:    make(map[string]*logic.Clause),
-		cstrs:   make(map[*logic.Clause]string),
+		records: make(map[string]*clauseRecord),
+		byPtr:   make(map[*logic.Clause]*clauseRecord),
 	}
 }
 
@@ -197,15 +164,9 @@ type GroundEntry struct {
 	size int64
 }
 
-func newGroundEntry(bc *logic.Clause, cg *subsume.CompiledGround) *GroundEntry {
-	return &GroundEntry{bc: bc, cg: cg, size: bc.SizeBytes() + cg.SizeBytes()}
-}
-
-// NewGroundEntry wraps an externally built (bottom clause, compiled
-// ground) pair as an entry, for callers that manage their own storage —
-// notably the serving layer's cache tests.
+// NewGroundEntry pairs a ground bottom clause with its compiled index.
 func NewGroundEntry(bc *logic.Clause, cg *subsume.CompiledGround) *GroundEntry {
-	return newGroundEntry(bc, cg)
+	return &GroundEntry{bc: bc, cg: cg, size: bc.SizeBytes() + cg.SizeBytes()}
 }
 
 // BC returns the entry's ground bottom clause.
@@ -246,30 +207,23 @@ func (ce *CoverageEngine) SubsumeOptions() subsume.Options { return ce.subOpts }
 // symbols into a model artifact or warming a serving engine's table.
 func (ce *CoverageEngine) Interner() *logic.Interner { return ce.in }
 
-// PinCached marks every currently cached ground BC as pinned and returns
-// how many entries were pinned. The serving engine pins the BCs restored
-// by a training replay — their contents depend on the shared builder's
-// RNG order and could not be rebuilt identically on demand — and reads
-// them back through PinnedEntry; everything else it builds via
-// BuildPooledEntry and bounds in its own byte-budgeted cache.
-func (ce *CoverageEngine) PinCached() int {
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	if ce.pinned == nil {
-		ce.pinned = make(map[string]bool, len(ce.cache))
-	}
-	for k := range ce.cache {
-		ce.pinned[k] = true
-	}
-	return len(ce.pinned)
-}
-
 // CachedBCs returns the number of ground BCs currently cached.
 func (ce *CoverageEngine) CachedBCs() int {
 	ce.mu.RLock()
-	n := len(ce.cache)
-	ce.mu.RUnlock()
-	return n
+	defer ce.mu.RUnlock()
+	return len(ce.cache)
+}
+
+// CachedEntry returns the engine's cached ground entry for the example
+// key, if any. A serving engine's cache holds exactly the BCs its model
+// replay restored — order-dependent products of the shared builder's RNG
+// that cannot be rebuilt on demand; fresh examples go through
+// BuildPooledEntry into the server's own byte-budgeted cache.
+func (ce *CoverageEngine) CachedEntry(key string) (*GroundEntry, bool) {
+	ce.mu.RLock()
+	defer ce.mu.RUnlock()
+	ent, ok := ce.cache[key]
+	return ent, ok
 }
 
 // SetMetrics directs the engine's instrumentation to mc; nil disables
@@ -285,8 +239,10 @@ func (ce *CoverageEngine) SetMetrics(mc *metrics.Collector) {
 // counts, exhausted subsumption budgets) to r; nil disables recording.
 func (ce *CoverageEngine) SetReport(r *report.Report) { ce.rep.Store(r) }
 
-// Report returns the engine's current degradation report (may be nil).
-func (ce *CoverageEngine) Report() *report.Report { return ce.rep.Load() }
+// RecordEvent records a degradation event on the engine's report —
+// exported so transports report shard retries, failovers, and losses
+// into the same Result.Report the rest of the run uses.
+func (ce *CoverageEngine) RecordEvent(e report.Event) { ce.rep.Load().Add(e) }
 
 // TestCount returns how many subsumption checks the engine has run.
 func (ce *CoverageEngine) TestCount() int { return int(ce.tests.Load()) }
@@ -305,110 +261,94 @@ func recoverToErr(errp *error) {
 	}
 }
 
+// isPanic reports whether err carries a recovered panic.
+func isPanic(err error) bool {
+	var pe *panicErr
+	return errors.As(err, &pe)
+}
+
 // isCtxErr reports whether err is the context's cancellation or
 // deadline, possibly wrapped.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// GroundBC returns the cached ground bottom clause for the example,
+// GroundBCCtx returns the cached ground bottom clause for the example,
 // building it with the shared builder (serialized, so concurrent calls
-// never construct the same BC twice nor interleave RNG draws).
-func (ce *CoverageEngine) GroundBC(e Example) (*logic.Clause, error) {
-	return ce.GroundBCCtx(context.Background(), e)
-}
-
-// GroundBCCtx is GroundBC with cancellation: ctx interrupts an in-flight
-// construction. A panic during construction is converted to an error
-// (the callers isolate it per example).
+// never construct the same BC twice nor interleave RNG draws). ctx
+// interrupts an in-flight construction; a panic during construction is
+// converted to an error (the callers isolate it per example).
 func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Clause, error) {
-	ent, err := ce.groundEntryCtx(ctx, e.String(), e)
+	ent, err := ce.groundEntry(ctx, e.String(), e, false)
 	if err != nil {
 		return nil, err
 	}
 	return ent.bc, nil
 }
 
-// groundEntryCtx returns the cached (BC, compiled index) pair for the
-// example, building and compiling under buildMu on a miss — the
-// sequential prefetch pass funnels through here, so intern-table growth
-// and compilation order match the sequential engine exactly. In pure
-// ground-BC mode every miss takes the derived-seed clone path instead:
-// the shared builder's RNG stream is never consumed, so the BC is the
-// same one any other process would build for this example.
-func (ce *CoverageEngine) groundEntryCtx(ctx context.Context, key string, e Example) (ent *GroundEntry, err error) {
-	if ce.pureGround {
-		return ce.groundEntryPooled(ctx, key, e)
-	}
-	if ent, ok := ce.cachedEntry(key); ok {
+// groundEntry returns the cached (BC, compiled index) pair for the
+// example, building it on a miss. The sequential prefetch pass funnels
+// through the unpooled path — built and compiled on the shared builder
+// under buildMu, so intern-table growth and compilation order match the
+// sequential engine exactly. Pool workers pass pooled: their miss is
+// built on a clone of the builder seeded from the example key, so the
+// result is identical no matter which worker gets there first (resolve
+// prefetches, so that only fires for concurrent external Covers callers
+// — or when the prefetch itself was isolated). Pure ground-BC mode sends
+// every miss down the clone path: the shared builder's RNG stream is
+// never consumed, and the BC is the one any other process would build
+// for this example.
+func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example, pooled bool) (*GroundEntry, error) {
+	if ent, ok := ce.CachedEntry(key); ok {
 		ce.mc.Inc(metrics.CoverageBCCacheHits)
 		return ent, nil
 	}
-	ce.buildMu.Lock()
-	defer ce.buildMu.Unlock()
-	// Re-check: another goroutine may have built it while we waited.
-	if ent, ok := ce.cachedEntry(key); ok {
-		ce.mc.Inc(metrics.CoverageBCCacheHits)
-		return ent, nil
-	}
-	defer recoverToErr(&err)
-	g, err := ce.builder.ConstructGroundCtx(ctx, e)
-	if err != nil {
-		if isCtxErr(err) {
-			ce.recordEvent(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: key})
+	clone := pooled || ce.pureGround
+	if !clone {
+		ce.buildMu.Lock()
+		defer ce.buildMu.Unlock()
+		// Re-check: another goroutine may have built it while we waited.
+		if ent, ok := ce.CachedEntry(key); ok {
+			ce.mc.Inc(metrics.CoverageBCCacheHits)
+			return ent, nil
 		}
-		return nil, fmt.Errorf("learn: ground BC for %v: %w", e, err)
 	}
-	ent = newGroundEntry(g, subsume.CompileGround(ce.in, g))
+	built, err := ce.buildEntry(ctx, key, e, clone)
+	if err != nil {
+		return nil, err
+	}
 	ce.mu.Lock()
-	ce.cache[key] = ent
-	ce.mu.Unlock()
+	defer ce.mu.Unlock()
+	// First build wins (clone builds can race), so every caller sees one
+	// canonical entry.
+	if prev, ok := ce.cache[key]; ok {
+		ce.mc.Inc(metrics.CoverageBCRebuilt)
+		return prev, nil
+	}
+	ce.cache[key] = built
 	ce.mc.Inc(metrics.CoverageBCBuilt)
 	ce.mc.Inc(metrics.CoverageCGBuilt)
-	return ent, nil
+	return built, nil
 }
 
-// groundEntryPooled is the pool workers' BC access: a cache hit is
-// shared, a miss is built on a clone of the builder seeded from the
-// example key, so the result is identical no matter which worker gets
-// there first. (Count prefetches, so this miss path only fires for
-// concurrent external Covers callers — or when the prefetch itself was
-// isolated.)
-func (ce *CoverageEngine) groundEntryPooled(ctx context.Context, key string, e Example) (ent *GroundEntry, err error) {
-	if ent, ok := ce.cachedEntry(key); ok {
-		ce.mc.Inc(metrics.CoverageBCCacheHits)
-		return ent, nil
-	}
+// buildEntry constructs the example's ground BC — on the shared builder,
+// or with clone on a copy seeded from the example key — and compiles its
+// subsumption index, without touching the cache. A panic becomes an
+// error; an interrupted build is recorded as abandoned.
+func (ce *CoverageEngine) buildEntry(ctx context.Context, key string, e Example, clone bool) (ent *GroundEntry, err error) {
 	defer recoverToErr(&err)
-	b := ce.builder.CloneSeeded(ce.seedFor(key))
+	b := ce.builder
+	if clone {
+		b = b.CloneSeeded(deriveSeed(ce.subOpts.Seed, key))
+	}
 	g, err := b.ConstructGroundCtx(ctx, e)
 	if err != nil {
 		if isCtxErr(err) {
-			ce.recordEvent(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: key})
+			ce.RecordEvent(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: key})
 		}
 		return nil, fmt.Errorf("learn: ground BC for %v: %w", e, err)
 	}
-	built := newGroundEntry(g, subsume.CompileGround(ce.in, g))
-	ce.mu.Lock()
-	// First build wins, so every caller sees one canonical entry.
-	if prev, ok := ce.cache[key]; ok {
-		ent = prev
-		ce.mc.Inc(metrics.CoverageBCRebuilt)
-	} else {
-		ce.cache[key] = built
-		ent = built
-		ce.mc.Inc(metrics.CoverageBCBuilt)
-		ce.mc.Inc(metrics.CoverageCGBuilt)
-	}
-	ce.mu.Unlock()
-	return ent, nil
-}
-
-func (ce *CoverageEngine) cachedEntry(key string) (*GroundEntry, bool) {
-	ce.mu.RLock()
-	ent, ok := ce.cache[key]
-	ce.mu.RUnlock()
-	return ent, ok
+	return NewGroundEntry(g, subsume.CompileGround(ce.in, g)), nil
 }
 
 // BuildPooledEntry constructs the example's ground BC on a builder clone
@@ -417,108 +357,10 @@ func (ce *CoverageEngine) cachedEntry(key string) (*GroundEntry, bool) {
 // function of (engine configuration, example) — independent of request
 // order, concurrency, and process restarts — which is what lets an
 // external cache (internal/serve's size-aware LRU) evict and rebuild
-// entries freely without ever changing a verdict. The per-example seed
-// is derived directly (not memoized in ce.seeds) so unbounded serving
-// traffic cannot grow engine state.
-func (ce *CoverageEngine) BuildPooledEntry(ctx context.Context, e Example) (ent *GroundEntry, err error) {
-	defer recoverToErr(&err)
-	key := e.String()
-	b := ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key))
-	g, err := b.ConstructGroundCtx(ctx, e)
-	if err != nil {
-		if isCtxErr(err) {
-			ce.recordEvent(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: key})
-		}
-		return nil, fmt.Errorf("learn: ground BC for %v: %w", e, err)
-	}
-	return newGroundEntry(g, subsume.CompileGround(ce.in, g)), nil
-}
-
-// PinnedEntry returns the pinned cache entry for the example key, if
-// any. Pinned entries are the BCs a model replay restored (see
-// PinCached): order-dependent products of the shared builder's RNG that
-// cannot be rebuilt on demand, so the serving layer consults them before
-// its own evictable cache.
-func (ce *CoverageEngine) PinnedEntry(key string) (*GroundEntry, bool) {
-	ce.mu.RLock()
-	defer ce.mu.RUnlock()
-	if !ce.pinned[key] {
-		return nil, false
-	}
-	ent, ok := ce.cache[key]
-	return ent, ok
-}
-
-// CheckEntryCtx tests whether the clause θ-subsumes the entry's ground
-// BC, through the compiled index — the compile-once-check-many hot
-// path. A panic inside the test is isolated to the (clause, entry) pair
-// and deterministically answers "not covered", matching the covers()
-// contract; an exhausted node budget answers sound-negative and records
-// a degradation event.
-func (ce *CoverageEngine) CheckEntryCtx(ctx context.Context, c *logic.Clause, ent *GroundEntry) (bool, error) {
-	v, complete, err := func() (v, complete bool, err error) {
-		defer recoverToErr(&err)
-		ce.tests.Add(1)
-		ce.mc.Inc(metrics.CoverageTests)
-		ce.mc.Inc(metrics.CoverageCGHits)
-		res := subsume.CheckCompiledCtx(ctx, c, ent.cg, ce.subOpts)
-		if res.Cancelled {
-			if cerr := ctx.Err(); cerr != nil {
-				return false, false, cerr
-			}
-			return false, false, nil
-		}
-		return res.Subsumes, res.Complete, nil
-	}()
-	if err != nil {
-		var pe *panicErr
-		if errors.As(err, &pe) {
-			ce.recordEvent(report.Event{
-				Kind:   report.PanicRecovered,
-				Site:   "coverage.test",
-				Detail: pe.Error(),
-			})
-			return false, nil
-		}
-		return false, err
-	}
-	if !complete {
-		ce.recordEvent(report.Event{Kind: report.SubsumeBudget, Site: "subsume.check"})
-	}
-	return v, nil
-}
-
-// CheckDefinitionEntryCtx reports whether any clause of the definition
-// subsumes the entry's ground BC, in clause order with early exit —
-// the same semantics as DefinitionCovers over the same BC.
-func (ce *CoverageEngine) CheckDefinitionEntryCtx(ctx context.Context, d *logic.Definition, ent *GroundEntry) (bool, error) {
-	for _, c := range d.Clauses {
-		ok, err := ce.CheckEntryCtx(ctx, c, ent)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// seedFor returns the example's clone seed, deriving it once per
-// example (memoized under mu) instead of re-hashing the key on every
-// cache miss.
-func (ce *CoverageEngine) seedFor(key string) int64 {
-	ce.mu.RLock()
-	s, ok := ce.seeds[key]
-	ce.mu.RUnlock()
-	if ok {
-		return s
-	}
-	s = deriveSeed(ce.subOpts.Seed, key)
-	ce.mu.Lock()
-	ce.seeds[key] = s
-	ce.mu.Unlock()
-	return s
+// entries freely without ever changing a verdict, and unbounded serving
+// traffic never grows engine state.
+func (ce *CoverageEngine) BuildPooledEntry(ctx context.Context, e Example) (*GroundEntry, error) {
+	return ce.buildEntry(ctx, e.String(), e, true)
 }
 
 // deriveSeed maps (base seed, example key) to a deterministic RNG seed
@@ -532,351 +374,134 @@ func deriveSeed(base int64, key string) int64 {
 	return base ^ int64(h.Sum64())
 }
 
-// Covers reports whether the clause covers the example. Results are
-// memoized per (clause, example): the covering loop and beam scoring
-// revisit the same pairs many times. Safe for concurrent use.
-func (ce *CoverageEngine) Covers(c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(context.Background(), c, e, false)
-}
-
-// CoversCtx is Covers with cancellation; a done ctx returns its error
-// (the outcome of an interrupted test is never memoized).
-func (ce *CoverageEngine) CoversCtx(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(ctx, c, e, false)
-}
-
-// CoversPooledCtx is CoversCtx through the pooled BC path: a cache miss
-// builds the example's ground BC on a clone of the builder seeded from
-// the example (never the shared builder), so the verdict is a pure
-// function of (engine configuration, example) — independent of request
-// order, concurrency, and process restarts. This is the serving path
-// (internal/serve): the shared builder's RNG position must stay exactly
-// where a model replay left it, and concurrent requests must not
-// serialize on BC construction.
-func (ce *CoverageEngine) CoversPooledCtx(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(ctx, c, e, true)
-}
-
-// DefinitionCoversPooledCtx is DefinitionCoversCtx through the pooled BC
-// path; see CoversPooledCtx for the order-invariance contract.
-func (ce *CoverageEngine) DefinitionCoversPooledCtx(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
-	for _, c := range d.Clauses {
-		ok, err := ce.covers(ctx, c, e, true)
+// settle produces one verdict: fetch the ground entry, bind the record's
+// compiled clause to it and search. It is the one place a test is
+// counted, a panic (in the fetch or the test) is isolated to the pair as
+// "not covered", and an exhausted node budget — a sound-negative answer,
+// §5's approximation — is reported. A done ctx returns its error.
+func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*GroundEntry, error)) (bool, error) {
+	v, complete, err := func() (v, complete bool, err error) {
+		defer recoverToErr(&err)
+		ent, err := fetch()
 		if err != nil {
-			return false, err
+			return false, false, err
 		}
-		if ok {
-			return true, nil
+		ce.tests.Add(1)
+		ce.mc.Inc(metrics.CoverageTests)
+		ce.mc.Inc(metrics.CoverageCGHits)
+		res := subsume.CheckClauseCtx(ctx, ce.compiled(rec, c), ent.cg, ce.subOpts)
+		if res.Cancelled {
+			// Cancelled without a done ctx: an injected subsume fault; treat
+			// as an ordinary incomplete (sound-negative) answer.
+			return false, false, ctx.Err()
 		}
+		return res.Subsumes, res.Complete, nil
+	}()
+	switch {
+	case isPanic(err):
+		// The failure belongs to this pair alone, and is a function of the
+		// pair, not of scheduling: the same answer at every worker count.
+		ce.RecordEvent(report.Event{Kind: report.PanicRecovered, Site: "coverage.test", Example: key, Detail: err.Error()})
+		return false, nil
+	case err != nil:
+		return false, err
+	case !complete:
+		ce.RecordEvent(report.Event{Kind: report.SubsumeBudget, Site: "subsume.check", Example: key})
 	}
-	return false, nil
+	return v, nil
 }
 
-func (ce *CoverageEngine) covers(ctx context.Context, c *logic.Clause, e Example, pooled bool) (bool, error) {
-	return ce.coversWith(ctx, c, nil, e, pooled)
-}
-
-// lazyClause compiles a candidate for subsumption at most once per
-// count call, on the first example whose verdict is in no memo; the
-// rest of the call's tests bind that one compiled form per example
-// (subsume.CheckClauseCtx) instead of compiling the clause per test.
-type lazyClause struct {
-	once sync.Once
-	cc   *subsume.CompiledClause
-}
-
-// coversWith is covers for one test of a count call; lc (nil outside
-// count calls) is the call's shared compilation of c.
-func (ce *CoverageEngine) coversWith(ctx context.Context, c *logic.Clause, lc *lazyClause, e Example, pooled bool) (bool, error) {
-	key := e.String()
-	ce.mu.RLock()
-	v, ok := ce.results[c][key]
-	ce.mu.RUnlock()
-	if ok {
-		ce.mc.Inc(metrics.CoverageMemoHits)
-		return v, nil
-	}
-	if v, ok := ce.carriedVerdict(c, key); ok {
-		ce.memoize(c, key, v)
+// covers answers one (clause, example) pair through the store: a stored
+// verdict is returned as is, anything else is settled against the
+// example's ground entry and stored — including an isolated failure,
+// which is what keeps a panicking example from perturbing later
+// decisions. The outcome of an interrupted test is never stored.
+func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logic.Clause, e Example, key string, pooled bool) (bool, error) {
+	if v, ok := ce.lookup(rec, key); ok {
 		return v, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	if faultpoint.Enabled() {
-		// Per-example site, so injected worker failures are a
-		// deterministic function of the example — the hit order across
-		// pool workers is not. Injected panics are recovered here, the
-		// same as panics from the test proper.
-		err := func() (err error) {
-			defer recoverToErr(&err)
-			return faultpoint.Inject(ctx, "coverage.test:"+key)
-		}()
-		if err != nil {
-			if isCtxErr(err) {
-				return false, err
+	v, err := ce.settle(ctx, rec, c, key, func() (*GroundEntry, error) {
+		if faultpoint.Enabled() {
+			// Per-example site, so injected worker failures are a
+			// deterministic function of the example — the hit order across
+			// pool workers is not. Anything injected but a cancellation is
+			// isolated like a panic from the test proper.
+			if err := faultpoint.Inject(ctx, "coverage.test:"+key); err != nil {
+				if isCtxErr(err) {
+					return nil, err
+				}
+				return nil, &panicErr{val: err}
 			}
-			var pe *panicErr
-			if !errors.As(err, &pe) {
-				err = &panicErr{val: err}
-			}
-			return ce.isolate(c, key, err)
 		}
-	}
-	v, complete, err := ce.testCovers(ctx, c, lc, e, key, pooled)
+		return ce.groundEntry(ctx, key, e, pooled)
+	})
 	if err != nil {
-		var pe *panicErr
-		if errors.As(err, &pe) {
-			// Fault isolation: the failure belongs to this (clause,
-			// example) pair alone. Score it "not covered" (deterministic
-			// at every worker count — the panic is a function of the
-			// pair, not of scheduling) and keep learning.
-			return ce.isolate(c, key, pe)
-		}
 		return false, err
 	}
-	if !complete {
-		ce.recordEvent(report.Event{Kind: report.SubsumeBudget, Site: "subsume.check", Example: key})
-	}
-	ce.memoize(c, key, v)
+	ce.memoize(rec, key, v)
 	return v, nil
 }
 
-// testCovers runs the actual test — compiled-ground fetch plus
-// subsumption — with panics converted to *panicErr. complete reports
-// whether the subsumption answer was exact (§5's approximation note).
-// The ground side arrives pre-compiled from the engine's cache, and
-// inside a count call so does the candidate (lc), so the per-test cost
-// is binding the two and searching.
-func (ce *CoverageEngine) testCovers(ctx context.Context, c *logic.Clause, lc *lazyClause, e Example, key string, pooled bool) (v, complete bool, err error) {
-	defer recoverToErr(&err)
-	var ent *GroundEntry
-	if pooled {
-		ent, err = ce.groundEntryPooled(ctx, key, e)
-	} else {
-		ent, err = ce.groundEntryCtx(ctx, key, e)
-	}
-	if err != nil {
-		return false, false, err
-	}
-	ce.tests.Add(1)
-	ce.mc.Inc(metrics.CoverageTests)
-	ce.mc.Inc(metrics.CoverageCGHits)
-	var res subsume.Result
-	if lc != nil {
-		lc.once.Do(func() { lc.cc = subsume.CompileClause(ce.in, c) })
-		res = subsume.CheckClauseCtx(ctx, lc.cc, ent.cg, ce.subOpts)
-	} else {
-		res = subsume.CheckCompiledCtx(ctx, c, ent.cg, ce.subOpts)
-	}
-	if res.Cancelled {
-		if cerr := ctx.Err(); cerr != nil {
-			return false, false, cerr
-		}
-		// Cancelled without a done ctx: an injected subsume fault; treat
-		// as an ordinary incomplete (sound-negative) answer.
-		return false, false, nil
-	}
-	return res.Subsumes, res.Complete, nil
+// Covers reports whether the clause covers the example. Results are
+// stored per (canonical clause, example): the covering loop and beam
+// scoring revisit the same pairs many times. Safe for concurrent use; a
+// done ctx returns its error.
+func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
+	return ce.covers(ctx, ce.record(c), c, e, e.String(), false)
 }
 
-// isolate records a recovered per-example failure and memoizes "not
-// covered" for the pair so every later visit (and every worker count)
-// sees the same deterministic outcome.
-func (ce *CoverageEngine) isolate(c *logic.Clause, key string, cause error) (bool, error) {
-	ce.recordEvent(report.Event{
-		Kind:    report.PanicRecovered,
-		Site:    "coverage.test",
-		Example: key,
-		Detail:  cause.Error(),
-	})
-	ce.memoize(c, key, false)
+// DefinitionCovers reports whether any clause of the definition covers
+// the example. Clauses are tried in order with early exit, matching the
+// sequential engine; the per-clause verdicts are stored, so this stays
+// cheap inside evaluation loops.
+func (ce *CoverageEngine) DefinitionCovers(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
+	for _, c := range d.Clauses {
+		if ok, err := ce.Covers(ctx, c, e); ok || err != nil {
+			return ok, err
+		}
+	}
 	return false, nil
 }
 
-func (ce *CoverageEngine) memoize(c *logic.Clause, key string, v bool) {
-	ce.mu.Lock()
-	byEx := ce.results[c]
-	if byEx == nil {
-		byEx = make(map[string]bool)
-		ce.results[c] = byEx
+// CheckDefinitionEntryCtx reports whether any clause of the definition
+// subsumes the entry's ground BC, in clause order with early exit — the
+// same semantics as DefinitionCovers over the same BC, for callers that
+// manage ground entries and verdict memos of their own (internal/serve).
+// Nothing is stored, but each clause is compiled once, in its record.
+func (ce *CoverageEngine) CheckDefinitionEntryCtx(ctx context.Context, d *logic.Definition, ent *GroundEntry) (bool, error) {
+	for _, c := range d.Clauses {
+		ok, err := ce.settle(ctx, ce.record(c), c, "", func() (*GroundEntry, error) { return ent, nil })
+		if ok || err != nil {
+			return ok, err
+		}
 	}
-	byEx[key] = v
-	ce.mu.Unlock()
+	return false, nil
 }
 
-func (ce *CoverageEngine) recordEvent(e report.Event) { ce.rep.Load().Add(e) }
-
-// Count returns how many of the examples the clause covers, fanning the
-// subsumption tests across the worker pool. The result is exact and
-// identical at every worker count.
-func (ce *CoverageEngine) Count(c *logic.Clause, examples []Example) (int, error) {
-	return ce.countBounded(context.Background(), c, examples, len(examples)+1)
-}
-
-// CountCtx is Count with cancellation: a done ctx abandons the count and
-// returns its error (recorded as a coverage-abandoned degradation).
-func (ce *CoverageEngine) CountCtx(ctx context.Context, c *logic.Clause, examples []Example) (int, error) {
-	return ce.countBounded(ctx, c, examples, len(examples)+1)
-}
-
-// CountUpTo counts coverage but lets the pool cancel once the count
-// reaches limit, returning min(exact count, limit). Callers that only
+// CountMany resolves a whole candidate frontier in one call:
+// counts[i] = min(|{e : clauses[i] covers e}|, limit). Callers that only
 // need a threshold decision ("does this clause cover more than k
-// negatives?") use it to stop paying for subsumption tests whose
-// outcome cannot change the decision. With one worker it computes the
-// full count — the sequential engine stays byte-identical to the
-// pre-pool implementation, early exit being purely a parallel-path
-// optimization.
-func (ce *CoverageEngine) CountUpTo(c *logic.Clause, examples []Example, limit int) (int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	return ce.countBounded(context.Background(), c, examples, limit)
-}
-
-// CountUpToCtx is CountUpTo with cancellation.
-func (ce *CoverageEngine) CountUpToCtx(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	return ce.countBounded(ctx, c, examples, limit)
-}
-
-func (ce *CoverageEngine) countBounded(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
-	if faultpoint.Enabled() {
-		if err := faultpoint.Inject(ctx, "coverage.count"); err != nil {
-			return 0, err
-		}
-	}
-	if ce.transport != nil {
-		n, err := ce.transport.CountUpTo(ctx, c, examples, limit)
-		if err != nil {
-			return 0, ce.abandoned(err, len(examples))
-		}
-		return n, nil
-	}
-	return ce.countLocal(ctx, c, examples, limit)
-}
-
-// countLocal is the in-process count: the sequential path at one
-// worker, the prefetch-then-fan-out pool otherwise. It is the engine
-// every transport degrades to, so it must never route back through the
-// transport.
-func (ce *CoverageEngine) countLocal(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
-	spanStart := ce.mc.StartSpan()
-	defer ce.mc.EndSpan(metrics.SpanCoverageCount, spanStart)
-	nw := ce.workers
-	if nw > len(examples) {
-		nw = len(examples)
-	}
-	lc := new(lazyClause)
-	if nw <= 1 {
-		// Sequential path: exact legacy behavior, including the order of
-		// BC construction and the number of subsumption tests.
-		n := 0
-		for _, e := range examples {
-			ok, err := ce.coversWith(ctx, c, lc, e, false)
-			if err != nil {
-				return 0, ce.abandoned(err, len(examples))
-			}
-			if ok {
-				n++
-			}
-		}
-		if n > limit {
-			n = limit
-		}
-		return n, nil
-	}
-
-	// Prefetch missing ground BCs sequentially, in slice order, through
-	// the shared builder: bit-identical RNG consumption to the
-	// sequential engine, so parallelism cannot perturb sampled BCs. A
-	// prefetch isolated by a panic is skipped here — the per-example
-	// pooled fallback re-derives the same deterministic failure.
-	for _, e := range examples {
-		if _, err := ce.GroundBCCtx(ctx, e); err != nil {
-			var pe *panicErr
-			if errors.As(err, &pe) {
-				continue
-			}
-			return 0, ce.abandoned(err, len(examples))
-		}
-	}
-
-	var (
-		count    atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if ce.mc.Enabled() {
-				busyStart := time.Now()
-				defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
-			}
-			for i := w; i < len(examples); i += nw {
-				if stop.Load() {
-					return
-				}
-				ok, err := ce.coversWith(ctx, c, lc, examples[i], true)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				if ok && count.Add(1) >= int64(limit) {
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, ce.abandoned(firstErr, len(examples))
-	}
-	n := int(count.Load())
-	if n > limit {
-		// Workers already past their stop check may each add one more
-		// covered example before observing the flag; clamp so the
-		// returned value is deterministic.
-		n = limit
-	}
-	return n, nil
-}
-
-// CountManyUpToCtx resolves a whole candidate frontier in one call:
-// counts[i] = min(|{e : clauses[i] covers e}|, limit). With a transport
-// installed the frontier travels as one bulk call (the coordinator turns
-// it into one RPC round per shard instead of one per candidate); without
-// one, the local path fans the clauses across the worker pool, so
-// single-process learning gets candidate-level parallelism from the same
-// batching seam. Counts are bit-identical to len(clauses) sequential
-// CountUpToCtx calls at every worker count.
-func (ce *CoverageEngine) CountManyUpToCtx(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
+// negatives?") pass a small limit and stop paying for subsumption tests
+// whose outcome cannot change the decision; len(examples)+1 asks for the
+// exact count. With a transport installed the frontier travels as one
+// bulk call (the coordinator turns it into one RPC round per shard
+// instead of one per candidate); without one it is resolved in process.
+// Counts are identical at every worker count.
+func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
 	if len(clauses) == 0 {
 		return nil, nil
 	}
-	if limit < 0 {
-		limit = 0
-	}
+	limit = max(limit, 0)
 	if faultpoint.Enabled() {
 		if err := faultpoint.Inject(ctx, "coverage.count"); err != nil {
 			return nil, err
 		}
 	}
 	if ce.transport != nil {
-		ns, err := ce.transport.CountManyUpTo(ctx, clauses, examples, limit)
+		ns, err := ce.transport.CountMany(ctx, clauses, examples, limit)
 		if err != nil {
 			return nil, ce.abandoned(err, len(examples))
 		}
@@ -885,153 +510,123 @@ func (ce *CoverageEngine) CountManyUpToCtx(ctx context.Context, clauses []*logic
 		}
 		return ns, nil
 	}
-	return ce.countManyLocal(ctx, clauses, examples, limit)
+	verdicts, err := ce.resolve(ctx, clauses, examples, limit)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(clauses))
+	for i, row := range verdicts {
+		for _, v := range row {
+			if v {
+				counts[i]++
+			}
+		}
+		// Past the limit the pool stops testing, but workers already past
+		// their check may each add one more; clamp so the value returned
+		// is deterministic.
+		counts[i] = min(counts[i], limit)
+	}
+	return counts, nil
 }
 
-// countManyLocal is the in-process frontier count. One worker runs the
-// exact sequential path — clause by clause, example by example, the
-// same order as N individual counts. With more workers the examples'
-// ground BCs are prefetched sequentially ONCE for the whole frontier
-// (the per-candidate path re-probed the cache per clause), then the
-// clauses fan out across the pool; each clause scans its examples in
-// order with early exit at limit, so the per-clause result is the same
-// min(exact, limit) the sequential path computes.
-func (ce *CoverageEngine) countManyLocal(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
-	if len(clauses) == 1 {
-		n, err := ce.countLocal(ctx, clauses[0], examples, limit)
-		if err != nil {
-			return nil, err
-		}
-		return []int{n}, nil
-	}
+// ResolveLocal resolves every (clause, example) pair in process —
+// verdicts[i][j] is clauses[i] on examples[j] — bypassing any installed
+// transport: it is what a shard worker answers a batch with and what the
+// coordinator degrades to when a shard's workers are gone, so it must
+// never route back through the transport.
+func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
+	return ce.resolve(ctx, clauses, examples, math.MaxInt)
+}
+
+// resolve is the one loop that fans (clause, example) subsumption tests
+// out: it fills the clauses × examples verdict matrix, from the store
+// where it can. One worker runs the exact sequential path — clause by
+// clause, example by example, every pair, ground BCs built as first
+// touched. With more workers the examples' ground BCs are prefetched
+// sequentially ONCE for the whole matrix, then the flattened pair space
+// is strided across the pool; a clause that has reached limit covered
+// examples stops being tested (its remaining cells stay false), which
+// is purely a parallel-path saving — the sequential engine stays
+// byte-identical to the pre-pool implementation.
+func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([][]bool, error) {
 	spanStart := ce.mc.StartSpan()
 	defer ce.mc.EndSpan(metrics.SpanCoverageCount, spanStart)
-	counts := make([]int, len(clauses))
-	nw := ce.workers
-	if nw > len(clauses) {
-		nw = len(clauses)
+	recs := make([]*clauseRecord, len(clauses))
+	verdicts := make([][]bool, len(clauses))
+	for i, c := range clauses {
+		recs[i] = ce.record(c)
+		verdicts[i] = make([]bool, len(examples))
 	}
-	if nw <= 1 {
-		for i, c := range clauses {
-			n := 0
-			lc := new(lazyClause)
-			for _, e := range examples {
-				ok, err := ce.coversWith(ctx, c, lc, e, false)
-				if err != nil {
-					return nil, ce.abandoned(err, len(examples))
-				}
-				if ok {
-					n++
-				}
-			}
-			if n > limit {
-				n = limit
-			}
-			counts[i] = n
-		}
-		return counts, nil
+	keys := make([]string, len(examples))
+	for j, e := range examples {
+		keys[j] = e.String()
 	}
-
-	// Sequential BC prefetch, shared across every clause of the batch
-	// (see countLocal for why order matters). An isolated prefetch is
-	// skipped — the pooled per-example fallback re-derives the same
-	// deterministic failure.
-	for _, e := range examples {
-		if _, err := ce.GroundBCCtx(ctx, e); err != nil {
-			var pe *panicErr
-			if errors.As(err, &pe) {
-				continue
-			}
+	pairs := len(clauses) * len(examples)
+	nw := max(min(ce.workers, pairs), 1)
+	pooled := nw > 1
+	if !pooled {
+		limit = math.MaxInt // one worker scans every pair
+	}
+	// Prefetch missing ground BCs sequentially, in slice order, through
+	// the shared builder: bit-identical RNG consumption to the
+	// sequential engine, so parallelism cannot perturb sampled BCs. A
+	// prefetch isolated by a panic is skipped here — the per-example
+	// pooled fallback re-derives the same deterministic failure.
+	for j := 0; pooled && j < len(examples); j++ {
+		if _, err := ce.groundEntry(ctx, keys[j], examples[j], false); err != nil && !isPanic(err) {
 			return nil, ce.abandoned(err, len(examples))
 		}
 	}
 
 	var (
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
+		hits = make([]atomic.Int64, len(clauses))
+		errs = make([]error, nw)
+		stop atomic.Bool
+		wg   sync.WaitGroup
 	)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if ce.mc.Enabled() {
-				busyStart := time.Now()
-				defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
+	run := func(w int) {
+		defer wg.Done()
+		if pooled && ce.mc.Enabled() {
+			busyStart := time.Now()
+			defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
+		}
+		for p := w; p < pairs && !stop.Load(); p += nw {
+			i, j := p/len(examples), p%len(examples)
+			if hits[i].Load() >= int64(limit) {
+				continue
 			}
-			for i := w; i < len(clauses); i += nw {
-				if stop.Load() {
-					return
-				}
-				n := 0
-				lc := new(lazyClause)
-				for _, e := range examples {
-					if stop.Load() {
-						return
-					}
-					ok, err := ce.coversWith(ctx, clauses[i], lc, e, true)
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						stop.Store(true)
-						return
-					}
-					if ok {
-						n++
-						if n >= limit {
-							break
-						}
-					}
-				}
-				if n > limit {
-					n = limit // limit 0: the early break fires after the first hit
-				}
-				counts[i] = n
+			v, err := ce.covers(ctx, recs[i], clauses[i], examples[j], keys[j], pooled)
+			if err != nil {
+				errs[w] = err
+				stop.Store(true)
+				return
 			}
-		}(w)
+			if v {
+				verdicts[i][j] = true
+				hits[i].Add(1)
+			}
+		}
 	}
+	wg.Add(nw)
+	for w := 1; w < nw; w++ {
+		go run(w)
+	}
+	run(0)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, ce.abandoned(firstErr, len(examples))
+	for _, err := range errs {
+		if err != nil {
+			return nil, ce.abandoned(err, len(examples))
+		}
 	}
-	return counts, nil
+	return verdicts, nil
 }
 
 // abandoned records a coverage-abandoned event when the count died to
 // cancellation, and passes the error through either way.
 func (ce *CoverageEngine) abandoned(err error, total int) error {
 	if isCtxErr(err) {
-		ce.recordEvent(report.Event{
-			Kind:   report.CoverageAbandoned,
-			Site:   "coverage.count",
-			Detail: fmt.Sprintf("count over %d examples interrupted", total),
-		})
+		detail := fmt.Sprintf("count over %d examples interrupted", total)
+		ce.RecordEvent(report.Event{Kind: report.CoverageAbandoned, Site: "coverage.count", Detail: detail})
 	}
 	return err
-}
-
-// DefinitionCovers reports whether any clause of the definition covers
-// the example. Clauses are tried in order with early exit, matching the
-// sequential engine; the per-clause tests themselves are memoized, so
-// this stays cheap inside evaluation loops.
-func (ce *CoverageEngine) DefinitionCovers(d *logic.Definition, e Example) (bool, error) {
-	return ce.DefinitionCoversCtx(context.Background(), d, e)
-}
-
-// DefinitionCoversCtx is DefinitionCovers with cancellation.
-func (ce *CoverageEngine) DefinitionCoversCtx(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
-	for _, c := range d.Clauses {
-		ok, err := ce.covers(ctx, c, e, false)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }

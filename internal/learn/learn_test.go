@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -116,7 +117,7 @@ func TestARMGDropsBlockingAtom(t *testing.T) {
 		}
 	}
 	// The generalization must cover the other example.
-	if !subsume.Subsumes(out, g, subsume.Options{}) {
+	if !subsume.CheckCompiled(out, subsume.CompileGround(nil, g), subsume.Options{}).Subsumes {
 		t.Fatalf("armg result must cover the generalization example: %s", out)
 	}
 	// The co-publication join must survive.
@@ -159,7 +160,7 @@ func TestARMGSize(t *testing.T) {
 	if len(out.Body) >= len(c.Body) {
 		t.Fatalf("clause did not shrink: %v", out)
 	}
-	if !subsume.Subsumes(out, g, subsume.Options{}) {
+	if !subsume.CheckCompiled(out, subsume.CompileGround(nil, g), subsume.Options{}).Subsumes {
 		t.Fatalf("result must cover: %v", out)
 	}
 }
@@ -184,7 +185,7 @@ func TestLearnCoAuthorship(t *testing.T) {
 	// The definition must cover all positives and no negatives (training
 	// accuracy on a noise-free concept).
 	for _, e := range pos {
-		ok, err := l.Coverage().DefinitionCovers(def, e)
+		ok, err := l.Coverage().DefinitionCovers(context.Background(), def, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestLearnCoAuthorship(t *testing.T) {
 		}
 	}
 	for _, e := range neg {
-		ok, err := l.Coverage().DefinitionCovers(def, e)
+		ok, err := l.Coverage().DefinitionCovers(context.Background(), def, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,11 +259,11 @@ func TestCoverageEngineCache(t *testing.T) {
 	c := uwLearnBias(t, d)
 	builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 	ce := NewCoverage(builder, subsume.Options{})
-	g1, err := ce.GroundBC(pos[0])
+	g1, err := ce.GroundBCCtx(context.Background(), pos[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ce.GroundBC(pos[0])
+	g2, err := ce.GroundBCCtx(context.Background(), pos[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +278,14 @@ func TestCoverageCount(t *testing.T) {
 	builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 	ce := NewCoverage(builder, subsume.Options{})
 	copub := logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).")
-	nPos, err := ce.Count(copub, pos)
+	nPos, err := count(ce, copub, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nPos != len(pos) {
 		t.Fatalf("co-publication covers %d/%d positives", nPos, len(pos))
 	}
-	nNeg, err := ce.Count(copub, neg)
+	nNeg, err := count(ce, copub, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestMinCriterionRejectsBadClauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range neg {
-		ok, err := l.Coverage().DefinitionCovers(def, e)
+		ok, err := l.Coverage().DefinitionCovers(context.Background(), def, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -254,7 +254,7 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 		var still []Example
 		interrupted := false
 		for _, e := range uncovered {
-			ok, err := l.cover.CoversCtx(ctx, clause, e)
+			ok, err := l.cover.Covers(ctx, clause, e)
 			if err != nil {
 				if isCtxErr(err) {
 					interrupted = true
@@ -278,7 +278,7 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 	// more full coverage pass.
 	covered := 0
 	for _, e := range pos {
-		ok, err := l.cover.DefinitionCoversCtx(ctx, def, e)
+		ok, err := l.cover.DefinitionCovers(ctx, def, e)
 		if err != nil {
 			if isCtxErr(err) {
 				l.noteStop(stats, "final coverage accounting")
@@ -334,7 +334,7 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 	negSample := l.sampleExamples(neg, l.opts.EvalSampleCap)
 
 	// evaluate scores a frontier of candidates through the bulk coverage
-	// path: two CountManyUpTo calls — the whole frontier against the
+	// path: two CountMany calls — the whole frontier against the
 	// positive sample, then the negative sample — instead of 2·N
 	// individual counts. Through the shard transport this collapses a
 	// refinement step's RPC rounds from O(candidates · shards) to
@@ -345,11 +345,11 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 			stats.CandidatesSeen++
 			l.opts.Metrics.Inc(metrics.LearnCandidates)
 		}
-		ps, err := l.cover.CountManyUpToCtx(ctx, cs, posSample, len(posSample)+1)
+		ps, err := l.cover.CountMany(ctx, cs, posSample, len(posSample)+1)
 		if err != nil {
 			return nil, err
 		}
-		ns, err := l.cover.CountManyUpToCtx(ctx, cs, negSample, len(negSample)+1)
+		ns, err := l.cover.CountMany(ctx, cs, negSample, len(negSample)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +447,7 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 	if len(c.Body) <= 1 {
 		return c, nil
 	}
-	baseNeg, err := l.cover.CountCtx(ctx, c, negSample)
+	baseNeg, err := l.count(ctx, c, negSample, len(negSample)+1)
 	if err != nil {
 		if isCtxErr(err) {
 			// Anytime: an un-reduced clause is still correct, just longer.
@@ -470,7 +470,7 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 		// Only the threshold decision n <= baseNeg matters here, so the
 		// pool may stop counting at baseNeg+1: a failing trial costs one
 		// extra covered negative instead of the whole sample.
-		n, err := l.cover.CountUpToCtx(ctx, trial, negSample, baseNeg+1)
+		n, err := l.count(ctx, trial, negSample, baseNeg+1)
 		if err != nil {
 			if isCtxErr(err) {
 				break
@@ -493,15 +493,25 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 func (l *Learner) scoreCounts(ctx context.Context, c *logic.Clause, pos, neg []Example) (int, int, error) {
 	posSample := l.sampleExamples(pos, l.opts.EvalSampleCap)
 	negSample := l.sampleExamples(neg, l.opts.EvalSampleCap)
-	p, err := l.cover.CountCtx(ctx, c, posSample)
+	p, err := l.count(ctx, c, posSample, len(posSample)+1)
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err := l.cover.CountCtx(ctx, c, negSample)
+	n, err := l.count(ctx, c, negSample, len(negSample)+1)
 	if err != nil {
 		return 0, 0, err
 	}
 	return p, n, nil
+}
+
+// count is CountMany for one clause: min(covered, limit), where
+// len(examples)+1 asks for the exact count.
+func (l *Learner) count(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
+	ns, err := l.cover.CountMany(ctx, []*logic.Clause{c}, examples, limit)
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
 }
 
 // sampleExamples returns up to n examples drawn without replacement; the

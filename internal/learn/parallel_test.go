@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -25,11 +24,11 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 
 	builderSeq := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 	seq := NewCoverage(builderSeq, subsume.Options{})
-	wantPos, err := seq.Count(copub, pos)
+	wantPos, err := count(seq, copub, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAll, err := seq.Count(copub, all)
+	wantAll, err := count(seq, copub, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +37,14 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 		par := NewCoverage(builder, subsume.Options{})
 		par.SetWorkers(workers)
-		got, err := par.Count(copub, pos)
+		got, err := count(par, copub, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != wantPos {
 			t.Errorf("workers=%d: Count(pos) = %d, want %d", workers, got, wantPos)
 		}
-		got, err = par.Count(copub, all)
+		got, err = count(par, copub, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +54,11 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 		// The pool must have produced the same ground BCs as the
 		// sequential engine (prefetch order = sequential order).
 		for _, e := range all {
-			gs, err := seq.GroundBC(e)
+			gs, err := seq.GroundBCCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp, err := par.GroundBC(e)
+			gp, err := par.GroundBCCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,8 +70,8 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 }
 
 // TestCountManyMatchesSequential checks the batched evaluation path:
-// CountManyUpTo over a candidate frontier returns exactly the counts
-// sequential per-clause CountUpTo calls return, at every worker count
+// CountMany over a candidate frontier returns exactly the counts
+// sequential single-clause counts return, at every worker count
 // and every limit, and leaves the same ground BCs behind.
 func TestCountManyMatchesSequential(t *testing.T) {
 	d, pos, neg := uwWorld(t, 12, 8)
@@ -90,7 +89,7 @@ func TestCountManyMatchesSequential(t *testing.T) {
 	want := make(map[int][]int)
 	for _, limit := range limits {
 		for _, cl := range frontier {
-			n, err := ref.CountUpTo(cl, all, limit)
+			n, err := countUpTo(ref, cl, all, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +101,7 @@ func TestCountManyMatchesSequential(t *testing.T) {
 		ce := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
 		ce.SetWorkers(workers)
 		for _, limit := range limits {
-			got, err := ce.CountManyUpToLocalCtx(context.Background(), frontier, all, limit)
+			got, err := ce.CountMany(context.Background(), frontier, all, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +114,11 @@ func TestCountManyMatchesSequential(t *testing.T) {
 		// Batched evaluation must build the same ground BCs the
 		// sequential engine builds (prefetch order = example order).
 		for _, e := range all {
-			gs, err := ref.GroundBC(e)
+			gs, err := ref.GroundBCCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp, err := ce.GroundBC(e)
+			gp, err := ce.GroundBCCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +138,7 @@ func TestCountManyMatchesSequential(t *testing.T) {
 func TestGeneralizeManyMatchesSequential(t *testing.T) {
 	d, pos, _ := uwWorld(t, 12, 8)
 	c := uwLearnBias(t, d)
-	round := func(workers int) ([]string, []string, []bottom.BuildRecord) {
+	round := func(workers int) ([]string, [][2]string, []bottom.BuildRecord) {
 		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 		ce := NewCoverage(builder, subsume.Options{})
 		ce.SetWorkers(workers)
@@ -168,12 +167,7 @@ func TestGeneralizeManyMatchesSequential(t *testing.T) {
 				rendered = append(rendered, fmt.Sprint(cand))
 			}
 		}
-		var keys []string
-		for k := range ce.ExtractCarried().ARMG {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return rendered, keys, builder.BuildLog()
+		return rendered, ce.ExtractCarried().ARMGPairs(), builder.BuildLog()
 	}
 	wantOut, wantKeys, wantLog := round(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -190,7 +184,7 @@ func TestGeneralizeManyMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCountUpToDecisions checks the early-exit contract: CountUpTo
+// TestCountUpToDecisions checks the early-exit contract: a count
 // returns min(exact, limit), so threshold decisions agree with the full
 // count at every worker count.
 func TestCountUpToDecisions(t *testing.T) {
@@ -202,7 +196,7 @@ func TestCountUpToDecisions(t *testing.T) {
 		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 		ce := NewCoverage(builder, subsume.Options{})
 		ce.SetWorkers(workers)
-		exact, err := ce.Count(copub, pos)
+		exact, err := count(ce, copub, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +204,7 @@ func TestCountUpToDecisions(t *testing.T) {
 			t.Fatal("co-publication must cover positives")
 		}
 		for _, limit := range []int{0, 1, exact - 1, exact, exact + 3} {
-			got, err := ce.CountUpTo(copub, pos, limit)
+			got, err := countUpTo(ce, copub, pos, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +213,7 @@ func TestCountUpToDecisions(t *testing.T) {
 				want = limit
 			}
 			if got != want {
-				t.Errorf("workers=%d: CountUpTo(limit=%d) = %d, want %d", workers, limit, got, want)
+				t.Errorf("workers=%d: count(limit=%d) = %d, want %d", workers, limit, got, want)
 			}
 		}
 	}
@@ -244,7 +238,7 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 	// call at a time.
 	want := make(map[string]bool)
 	for _, e := range all {
-		ok, err := ce.covers(context.Background(), copub, e, true)
+		ok, err := ce.covers(context.Background(), ce.record(copub), copub, e, e.String(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +255,7 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(e Example) {
 				defer wg.Done()
-				ok, err := cold.covers(context.Background(), copub, e, true)
+				ok, err := cold.covers(context.Background(), cold.record(copub), copub, e, e.String(), true)
 				if err != nil {
 					errs <- err
 					return
@@ -279,11 +273,11 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 	}
 	// One canonical BC pointer per example after the storm.
 	for _, e := range all {
-		g1, err := cold.GroundBC(e)
+		g1, err := cold.GroundBCCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := cold.GroundBC(e)
+		g2, err := cold.GroundBCCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package learn
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/logic"
@@ -16,95 +18,72 @@ import (
 // path a cold re-learn would take — bit-identical theories by
 // construction — while skipping the ground-BC construction and
 // subsumption work that dominates learning cost.
-//
-// The carried state crosses engines as three pieces: the intern table
-// (symbol ids never affect verdicts, but carried compiled grounds are
-// expressed in the old table's ids, so the new engine adopts it), the
-// ground-entry cache for clean examples, and a string-keyed verdict
-// store (clause canonical key → example key → verdict) consulted by
-// covers on a pointer-memo miss. Dirty examples — those whose ground BC
-// could differ on the new database — are dropped from both before the
-// replay, so their verdicts are recomputed from scratch.
 
 // CarriedState is the portable coverage state extracted from a previous
 // run's engine, to be adopted by a fresh engine over the post-batch
-// database. It is only valid for a repair run with identical learning
-// options and seed: the verdict store keys clauses by canonical form,
-// and a changed configuration would pair old verdicts with clauses that
-// mean something different.
+// database: a copy of the engine's clause store and ground-entry cache
+// plus its intern table. Dirty examples — those whose ground BC could
+// differ on the new database — are dropped from it before the replay, so
+// their verdicts are recomputed from scratch. It is only valid for a
+// repair run with identical learning options and seed: the store keys
+// clauses by canonical form, and a changed configuration would pair old
+// verdicts with clauses that mean something different.
 type CarriedState struct {
 	// Interner is the previous engine's intern table. Carried compiled
-	// grounds hold ids from this table, so the adopting engine must use
-	// it (ids never affect verdicts — see internal/model).
+	// grounds and clauses hold ids from this table, so the adopting
+	// engine must use it (ids never affect verdicts — see internal/model).
 	Interner *logic.Interner
 	// Entries maps example key → cached ground entry (BC + compiled
 	// index). Only pure-mode entries are carried: they are pure
 	// functions of (configuration, example) and remain valid for every
 	// example the batch did not touch.
 	Entries map[string]*GroundEntry
-	// Verdicts maps clause canonical key → example key → coverage
-	// verdict from the previous run.
-	Verdicts map[string]map[string]bool
-	// ARMG maps (rendered clause + NUL + example key) → the previous
-	// run's memoized armg generalization for the pair (nil = "no
-	// generalization"). Like a verdict, an armg outcome is a pure
-	// function of the clause and the example's ground BC, so it stays
-	// valid for every example the batch did not perturb. The key is the
-	// name-sensitive rendered form, so a perturbed seed's renamed
-	// generalization chain misses and rebuilds instead of replaying
-	// stale variable names.
-	ARMG map[string]*logic.Clause
+	// records is the previous run's clause store. Like a verdict, an armg
+	// outcome is a pure function of the clause and the example's ground
+	// BC, so both stay valid for every example the batch did not
+	// perturb; the armg memo's name-sensitive level makes a perturbed
+	// seed's renamed generalization chain miss and rebuild instead of
+	// replaying stale variable names.
+	records map[string]*clauseRecord
 }
 
 // ExtractCarried snapshots the engine's coverage state for a repair run.
-// The returned maps are fresh copies; mutating them (DropExamples) does
-// not disturb the source engine, which may still be serving.
+// The maps are fresh copies; mutating them (DropExamples) does not
+// disturb the source engine, which may still be serving.
 func (ce *CoverageEngine) ExtractCarried() *CarriedState {
-	cs := &CarriedState{
-		Interner: ce.in,
-		Entries:  make(map[string]*GroundEntry),
-		Verdicts: make(map[string]map[string]bool),
-		ARMG:     make(map[string]*logic.Clause),
-	}
 	ce.mu.RLock()
 	defer ce.mu.RUnlock()
-	for k, ent := range ce.cache {
-		cs.Entries[k] = ent
+	cs := &CarriedState{
+		Interner: ce.in,
+		Entries:  maps.Clone(ce.cache),
+		records:  make(map[string]*clauseRecord, len(ce.records)),
 	}
-	for k, cand := range ce.armg {
-		cs.ARMG[k] = cand
-	}
-	for c, byEx := range ce.results {
-		ck := c.Key()
-		m := cs.Verdicts[ck]
-		if m == nil {
-			m = make(map[string]bool, len(byEx))
-			cs.Verdicts[ck] = m
+	for ck, rec := range ce.records {
+		cp := &clauseRecord{
+			verdicts: maps.Clone(rec.verdicts),
+			armg:     make(map[string]map[string]*logic.Clause, len(rec.armg)),
 		}
-		for ek, v := range byEx {
-			m[ek] = v
+		for rendered, byEx := range rec.armg {
+			cp.armg[rendered] = maps.Clone(byEx)
 		}
+		cp.cc.Store(rec.cc.Load())
+		cs.records[ck] = cp
 	}
 	return cs
 }
 
 // DropExamples removes the given example keys from the carried state —
-// both their ground entries and every clause's verdict against them —
-// so the repair run recomputes them against the post-batch database.
+// their ground entries and, in every record, their verdicts and armg
+// results — so the repair run recomputes them against the post-batch
+// database.
 func (cs *CarriedState) DropExamples(keys []string) {
-	dropped := make(map[string]bool, len(keys))
 	for _, k := range keys {
-		dropped[k] = true
 		delete(cs.Entries, k)
-		for _, byEx := range cs.Verdicts {
-			delete(byEx, k)
-		}
-	}
-	// ARMG keys are rendered clause + NUL + example key; neither side
-	// contains a NUL of its own, so the last NUL splits them.
-	for k := range cs.ARMG {
-		if i := strings.LastIndexByte(k, 0); i >= 0 && dropped[k[i+1:]] {
-			delete(cs.ARMG, k)
+		for _, rec := range cs.records {
+			delete(rec.verdicts, k)
+			for _, byEx := range rec.armg {
+				delete(byEx, k)
+			}
 		}
 	}
 }
@@ -112,90 +91,60 @@ func (cs *CarriedState) DropExamples(keys []string) {
 // Verdict reads one carried verdict by (clause canonical key, example
 // key); ok is false if the pair was dropped or never tested.
 func (cs *CarriedState) Verdict(clauseKey, exampleKey string) (v, ok bool) {
-	v, ok = cs.Verdicts[clauseKey][exampleKey]
-	return v, ok
+	rec := cs.records[clauseKey]
+	if rec == nil {
+		return false, false
+	}
+	st, ok := rec.verdicts[exampleKey]
+	return st&vCovered != 0, ok
 }
 
-// AdoptCarried installs a previous run's coverage state on this engine.
-// Must be called before the engine runs (the SetWorkers contract): it
-// replaces the intern table, seeds the ground-entry cache, and arms the
-// carried-verdict store consulted by covers. Pure ground-BC mode is
-// forced on — carried entries are only reusable when cache misses build
-// order-independent BCs, and repair correctness requires both the
-// original and repair runs to have used pure mode.
+// ARMGPairs lists the (rendered clause, example key) pairs the carried
+// armg memo holds, sorted — the determinism suites compare it across
+// worker counts.
+func (cs *CarriedState) ARMGPairs() [][2]string {
+	var pairs [][2]string
+	for _, rec := range cs.records {
+		for rendered, byEx := range rec.armg {
+			for ek := range byEx {
+				pairs = append(pairs, [2]string{rendered, ek})
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	})
+	return pairs
+}
+
+// AdoptCarried installs a previous run's coverage state on this engine,
+// which takes ownership of it. Must be called before the engine runs
+// (the SetWorkers contract): it replaces the intern table, the
+// ground-entry cache and the clause store, marking every verdict carried
+// so its first use is counted. A carried verdict answers without
+// fetching the ground BC or running subsumption — the cost incremental
+// repair saves. Pure ground-BC mode is forced on — carried entries are
+// only reusable when cache misses build order-independent BCs, and
+// repair correctness requires both the original and repair runs to have
+// used pure mode.
 func (ce *CoverageEngine) AdoptCarried(cs *CarriedState) {
 	ce.in = cs.Interner
 	ce.builder.SetInterner(cs.Interner)
 	ce.pureGround = true
+	for _, rec := range cs.records {
+		for ek, v := range rec.verdicts {
+			rec.verdicts[ek] = v | vCarried
+		}
+	}
 	ce.mu.Lock()
-	for k, ent := range cs.Entries {
-		ce.cache[k] = ent
-	}
-	for k, cand := range cs.ARMG {
-		ce.armg[k] = cand
-	}
+	ce.cache, ce.records = cs.Entries, cs.records
 	ce.mu.Unlock()
-	ce.carried = cs.Verdicts
 }
 
-// clauseKey returns c's canonical key, memoized by pointer (clauses are
-// immutable once built, so the pointer identifies the canonical form).
-func (ce *CoverageEngine) clauseKey(c *logic.Clause) string {
-	ce.mu.RLock()
-	ck, ok := ce.ckeys[c]
-	ce.mu.RUnlock()
-	if ok {
-		return ck
-	}
-	ck = c.Key()
-	ce.mu.Lock()
-	if ce.ckeys == nil {
-		ce.ckeys = make(map[*logic.Clause]string)
-	}
-	ce.ckeys[c] = ck
-	ce.mu.Unlock()
-	return ck
-}
-
-// clauseString returns c's rendered form, memoized by pointer. Unlike
-// clauseKey it is name-sensitive: two clauses equal up to variable
-// renaming render differently, which is exactly what the armg memo
-// needs (its stored results carry the input clause's variable names).
-func (ce *CoverageEngine) clauseString(c *logic.Clause) string {
-	ce.mu.RLock()
-	s, ok := ce.cstrs[c]
-	ce.mu.RUnlock()
-	if ok {
-		return s
-	}
-	s = c.String()
-	ce.mu.Lock()
-	if ce.cstrs == nil {
-		ce.cstrs = make(map[*logic.Clause]string)
-	}
-	ce.cstrs[c] = s
-	ce.mu.Unlock()
-	return s
-}
-
-// carriedVerdict consults the carried-verdict store for a (clause,
-// example) pair. The store is read-only after AdoptCarried, so reads
-// are lock-free; only the clause-key memo needs the engine lock.
-func (ce *CoverageEngine) carriedVerdict(c *logic.Clause, key string) (bool, bool) {
-	if ce.carried == nil {
-		return false, false
-	}
-	v, ok := ce.carried[ce.clauseKey(c)][key]
-	if ok {
-		ce.carriedHits.Add(1)
-	}
-	return v, ok
-}
-
-// CarriedHits reports how many coverage tests were answered from the
-// carried-verdict store — the work incremental repair avoided. It is a
-// deterministic function of the carried store and the pairs the learner
-// tests, identical at every worker count.
+// CarriedHits reports how many distinct carried (clause, example)
+// verdicts the run consumed — each one a ground-BC fetch and subsumption
+// test incremental repair avoided. Clauses equal up to variable renaming
+// share a record, so a verdict read through several of them counts once.
 func (ce *CoverageEngine) CarriedHits() int64 { return ce.carriedHits.Load() }
 
 // StaleExamples narrows a candidate dirty set to the examples whose
@@ -240,7 +189,7 @@ func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, d
 			stale = append(stale, key)
 		}
 	}
-	sort.Strings(stale)
+	slices.Sort(stale)
 	return stale, nil
 }
 
@@ -249,7 +198,7 @@ func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, d
 // error like the pooled build path does.
 func (ce *CoverageEngine) rebuildBC(ctx context.Context, key string, e Example) (bc *logic.Clause, err error) {
 	defer recoverToErr(&err)
-	b := ce.builder.CloneSeeded(ce.seedFor(key))
+	b := ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key))
 	return b.ConstructGroundCtx(ctx, e)
 }
 
@@ -284,6 +233,6 @@ func (ce *CoverageEngine) AffectedExamples(values []string) []string {
 		}
 	}
 	ce.mu.RUnlock()
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }

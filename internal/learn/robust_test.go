@@ -86,7 +86,7 @@ func TestPanicIsolationMatchesCleanRunExceptVictim(t *testing.T) {
 	clean := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
 	want := make(map[string]bool)
 	for _, e := range pos {
-		ok, err := clean.Covers(copub, e)
+		ok, err := clean.Covers(context.Background(), copub, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestPanicIsolationMatchesCleanRunExceptVictim(t *testing.T) {
 	rep := report.New()
 	faulted.SetReport(rep)
 	for _, e := range pos {
-		ok, err := faulted.Covers(copub, e)
+		ok, err := faulted.Covers(context.Background(), copub, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestCountCtxCancelledMidCoverage(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := ce.CountCtx(ctx, copub, pos)
+	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos, len(pos)+1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -163,7 +163,7 @@ func TestCountCtxCancelledMidCoverageParallel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := ce.CountCtx(ctx, copub, pos)
+	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos, len(pos)+1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

@@ -1,11 +1,6 @@
 package learn
 
-import (
-	"testing"
-
-	"repro/internal/bottom"
-	"repro/internal/subsume"
-)
+import "testing"
 
 // TestDeriveSeedStable pins the (base seed, example key) → clone seed
 // mapping to golden values. Pooled BC construction seeds builder clones
@@ -30,43 +25,5 @@ func TestDeriveSeedStable(t *testing.T) {
 		if got := deriveSeed(tc.base, tc.key); got != tc.want {
 			t.Errorf("deriveSeed(%d, %q) = %d, want %d", tc.base, tc.key, got, tc.want)
 		}
-	}
-}
-
-// TestSeedForMemoized checks the cache-miss fix: the per-example clone
-// seed is derived exactly once and the memo returns the same value on
-// every subsequent call, matching a fresh derivation.
-func TestSeedForMemoized(t *testing.T) {
-	d, pos, _ := uwWorld(t, 6, 3)
-	builder := bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1})
-	ce := NewCoverage(builder, subsume.Options{Seed: 17})
-	for _, e := range pos {
-		key := e.String()
-		first := ce.seedFor(key)
-		if want := deriveSeed(ce.subOpts.Seed, key); first != want {
-			t.Fatalf("seedFor(%q) = %d, want derived %d", key, first, want)
-		}
-		for i := 0; i < 3; i++ {
-			if got := ce.seedFor(key); got != first {
-				t.Fatalf("seedFor(%q) changed between calls: %d then %d", key, first, got)
-			}
-		}
-		if _, ok := ce.seeds[key]; !ok {
-			t.Fatalf("seedFor(%q) did not memoize", key)
-		}
-	}
-	if len(ce.seeds) != len(pos) {
-		t.Fatalf("memo holds %d seeds, want %d", len(ce.seeds), len(pos))
-	}
-	// Distinct examples must get distinct seeds (FNV collisions aside,
-	// these fixed keys are known not to collide).
-	seen := map[int64]string{}
-	for _, e := range pos {
-		key := e.String()
-		s := ce.seedFor(key)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("seed collision between %q and %q", prev, key)
-		}
-		seen[s] = key
 	}
 }

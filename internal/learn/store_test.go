@@ -1,0 +1,175 @@
+package learn
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/bottom"
+	"repro/internal/logic"
+	"repro/internal/metrics"
+	"repro/internal/subsume"
+)
+
+// TestStoreSharesVerdictsAcrossRenamedTwins: verdicts key canonically,
+// so a clause equal to an already-counted one up to variable renaming is
+// answered entirely from the store — no subsumption test, no compile.
+func TestStoreSharesVerdictsAcrossRenamedTwins(t *testing.T) {
+	d, pos, neg := uwWorld(t, 12, 8)
+	all := append(append([]Example(nil), pos...), neg...)
+	ce := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	first := logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).")
+	twin := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B).")
+	if first.Key() != twin.Key() || first.String() == twin.String() {
+		t.Fatal("fixture: the clauses must be canonically equal and render differently")
+	}
+
+	want, err := count(ce, first, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == 0 || ce.TestCount() != len(all) {
+		t.Fatalf("first count covered %d with %d tests, want >0 with %d", want, ce.TestCount(), len(all))
+	}
+	got, err := count(ce, twin, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("twin count %d, want %d", got, want)
+	}
+	if extra := ce.TestCount() - len(all); extra != 0 {
+		t.Errorf("the twin's count ran %d subsumption tests, want 0", extra)
+	}
+	if ce.record(first) != ce.record(twin) {
+		t.Error("twins hold different records")
+	}
+	if len(ce.records) != 1 || len(ce.byPtr) != 2 {
+		t.Errorf("store holds %d records / %d pointers, want 1 / 2", len(ce.records), len(ce.byPtr))
+	}
+}
+
+// TestARMGMemoNotServedToRenamedTwin is the PR-10 lesson as a unit test:
+// an armg result reuses its input's variable names, so the memo must
+// miss for a renamed twin (a fresh pass, in the twin's own names) even
+// though both share one record.
+func TestARMGMemoNotServedToRenamedTwin(t *testing.T) {
+	d, pos, _ := uwWorld(t, 12, 8)
+	builder := bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1})
+	mc := metrics.New()
+	ce := NewCoverage(builder, subsume.Options{})
+	ce.SetMetrics(mc)
+	bc, err := builder.Construct(pos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bc.PruneNotHeadConnected()
+	ren := make(logic.Substitution)
+	for _, v := range first.Variables() {
+		ren[v] = logic.Var("Renamed" + v)
+	}
+	twin := first.Apply(ren)
+	if first.Key() != twin.Key() || first.String() == twin.String() {
+		t.Fatal("fixture: the clauses must be canonically equal and render differently")
+	}
+
+	generalize := func(c *logic.Clause) *logic.Clause {
+		t.Helper()
+		out, err := ce.GeneralizeManyCtx(context.Background(), []*logic.Clause{c}, pos[1:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	a, b := generalize(first), generalize(twin)
+	if a == nil || b == nil {
+		t.Fatal("fixture: armg must generalize the seed's bottom clause against another positive")
+	}
+	snap := mc.Snapshot()
+	if snap.Counters["armg.applications"] != 2 || snap.Counters["armg.memo_hits"] != 0 {
+		t.Errorf("applications=%d memo_hits=%d, want 2 passes and no hit: the twin must not be served the first clause's entry",
+			snap.Counters["armg.applications"], snap.Counters["armg.memo_hits"])
+	}
+	if a.Key() != b.Key() {
+		t.Errorf("twins generalize to different clauses:\n%s\n%s", a, b)
+	}
+	if a.String() == b.String() {
+		t.Error("the twin's result carries the first clause's variable names")
+	}
+	if generalize(first) != a || generalize(twin) != b {
+		t.Error("a repeat application was not served its own memo entry")
+	}
+	if rec := ce.record(first); rec != ce.record(twin) || len(rec.armg) != 2 {
+		t.Errorf("want one record holding both rendered forms, got %d", len(rec.armg))
+	}
+}
+
+// TestDropExamplesReachesEveryRecord: dropping a dirty example removes
+// its ground entry and, in every record, its verdicts and armg results;
+// everything about the other examples is carried, and consuming a
+// carried verdict is counted once however many twins read it.
+func TestDropExamplesReachesEveryRecord(t *testing.T) {
+	d, pos, _ := uwWorld(t, 12, 8)
+	builder := bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1})
+	ce := NewCoverage(builder, subsume.Options{})
+	ce.SetPureGroundBCs(true)
+	clauses := []*logic.Clause{
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)."),
+		logic.MustParseClause("advisedBy(X,Y) :- student(X)."),
+	}
+	bc, err := builder.Construct(pos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses = append(clauses, bc.PruneNotHeadConnected())
+	ctx := context.Background()
+	if _, err := ce.CountMany(ctx, clauses, pos, len(pos)+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ce.GeneralizeManyCtx(ctx, clauses[2:], pos); err != nil {
+		t.Fatal(err)
+	}
+
+	dirty := pos[1].String()
+	cs := ce.ExtractCarried()
+	if pairs := cs.ARMGPairs(); len(pairs) != len(pos) {
+		t.Fatalf("carried armg memo holds %d pairs, want %d", len(pairs), len(pos))
+	}
+	cs.DropExamples([]string{dirty})
+	if _, ok := cs.Entries[dirty]; ok {
+		t.Error("dirty example's ground entry survived")
+	}
+	for _, c := range clauses {
+		if _, ok := cs.Verdict(c.Key(), dirty); ok {
+			t.Errorf("dirty example's verdict survived for %s", c.Key())
+		}
+		if _, ok := cs.Verdict(c.Key(), pos[0].String()); !ok {
+			t.Errorf("clean example's verdict was dropped for %s", c.Key())
+		}
+	}
+	for _, p := range cs.ARMGPairs() {
+		if p[1] == dirty {
+			t.Errorf("dirty example's armg result survived under %q", p[0])
+		}
+	}
+	if got := len(cs.ARMGPairs()); got != len(pos)-1 {
+		t.Errorf("%d armg pairs after the drop, want %d", got, len(pos)-1)
+	}
+	if _, ok := ce.lookup(ce.record(clauses[0]), dirty); !ok {
+		t.Error("dropping from the carried copy disturbed the source engine")
+	}
+
+	repair := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	repair.AdoptCarried(cs)
+	twin := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B).")
+	for _, c := range []*logic.Clause{clauses[0], twin} {
+		if _, err := count(repair, c, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if repair.TestCount() != 1 {
+		t.Errorf("replay ran %d subsumption tests, want 1 (the dirty example, once)", repair.TestCount())
+	}
+	if hits := repair.CarriedHits(); hits != int64(len(pos)-1) {
+		t.Errorf("carried hits %d, want %d distinct verdicts consumed", hits, len(pos)-1)
+	}
+}

@@ -1,0 +1,65 @@
+package learn
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// The engine's exported surface after the one-coverage-core refactor
+// (DESIGN.md §18). It can only go down from here: a new entry point must
+// replace one, not join them.
+const maxEngineMethods = 29
+
+// TestEngineSurface fails when CoverageEngine grows an exported method,
+// gains a second exported counter or covers, or when CoverageTransport
+// grows past its one bulk call.
+func TestEngineSurface(t *testing.T) {
+	typ := reflect.TypeOf((*CoverageEngine)(nil))
+	if n := typ.NumMethod(); n > maxEngineMethods {
+		t.Errorf("CoverageEngine has %d exported methods, budget %d", n, maxEngineMethods)
+	}
+	for _, name := range []string{"CountMany", "Covers", "DefinitionCovers", "ResolveLocal"} {
+		if _, ok := typ.MethodByName(name); !ok {
+			t.Errorf("CoverageEngine lost its %s verb", name)
+		}
+	}
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		if len(name) > 5 && name[:5] == "Count" && name != "CountMany" {
+			t.Errorf("second exported counting method %s; CountMany is the one", name)
+		}
+		if len(name) > 6 && name[:6] == "Covers" {
+			t.Errorf("second exported covers %s; Covers is the one", name)
+		}
+	}
+	if n := reflect.TypeOf((*CoverageTransport)(nil)).Elem().NumMethod(); n != 1 {
+		t.Errorf("CoverageTransport has %d methods, want the one bulk call", n)
+	}
+	maps := 0
+	fields := reflect.TypeOf(CoverageEngine{})
+	for i := 0; i < fields.NumField(); i++ {
+		if fields.Field(i).Type.Kind() == reflect.Map {
+			maps++
+		}
+	}
+	if maps > 3 {
+		t.Errorf("CoverageEngine has %d map-typed fields, budget 3 (ground-entry cache, clause store, pointer fast path)", maps)
+	}
+}
+
+// count and countUpTo are CountMany for one clause, for the suites
+// written against single-clause counts.
+func count(ce *CoverageEngine, c *logic.Clause, examples []Example) (int, error) {
+	return countUpTo(ce, c, examples, len(examples)+1)
+}
+
+func countUpTo(ce *CoverageEngine, c *logic.Clause, examples []Example, limit int) (int, error) {
+	ns, err := ce.CountMany(context.Background(), []*logic.Clause{c}, examples, limit)
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
+}

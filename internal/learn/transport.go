@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/logic"
-	"repro/internal/report"
 )
 
 // CoverageTransport computes bounded coverage counts on behalf of the
@@ -22,12 +21,11 @@ import (
 //     "clause c covers example e" is a function of (configuration,
 //     clause, example) — independent of which process computes it, in
 //     what order, or how many times (retries, hedges).
-//   - Every example is resolved. A CountUpTo call must produce a
-//     verdict for every requested example (no early exit at limit), so
-//     the engine's memo state after the call does not depend on
-//     scheduling. The returned count is min(covered, limit).
-//   - Verdicts flow back. The transport memoizes resolved verdicts on
-//     the engine (MemoizeRemote) so later per-example queries — the
+//   - Every pair is resolved. A call must produce a verdict for every
+//     (clause, example) pair it is given (no early exit at limit), so
+//     the engine's store after the call does not depend on scheduling.
+//   - Verdicts flow back. The transport stores resolved verdicts on the
+//     engine (MemoizeRemote) so later per-example queries — the
 //     covering loop's positive removal, final accounting — reuse them
 //     instead of recomputing locally.
 //
@@ -36,22 +34,15 @@ import (
 // graceful anytime cancellation (partial theory, degradation recorded)
 // rather than a hard failure.
 type CoverageTransport interface {
-	CountUpTo(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error)
-
-	// CountManyUpTo is the bulk form: one call resolves a whole candidate
-	// frontier against the same example set, returning min(covered, limit)
-	// per clause, positionally aligned with clauses. The per-clause
-	// contract is identical to CountUpTo — every (clause, example) pair
-	// is resolved, every verdict is memoized — so a batched evaluation
-	// and len(clauses) sequential CountUpTo calls leave the engine in the
-	// same memo state and return the same counts. Batching only changes
-	// how many wire round-trips pay for the frontier.
-	CountManyUpTo(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error)
+	// CountMany resolves a whole candidate frontier against one example
+	// set, returning min(covered, limit) per clause, positionally aligned
+	// with clauses. How many wire round-trips pay for the frontier is the
+	// transport's business.
+	CountMany(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error)
 }
 
-// SetTransport routes the engine's coverage counts (Count/CountUpTo and
-// their Ctx variants) through t; nil restores the in-process pool.
-// Installing a transport switches the engine to pure ground-BC
+// SetTransport routes CountMany through t; nil restores the in-process
+// pool. Installing a transport switches the engine to pure ground-BC
 // provenance (SetPureGroundBCs) — remote workers cannot share this
 // process's builder RNG stream, so every BC must be a derived-seed
 // clone product for verdicts to agree across processes. Must be called
@@ -62,9 +53,6 @@ func (ce *CoverageEngine) SetTransport(t CoverageTransport) {
 		ce.SetPureGroundBCs(true)
 	}
 }
-
-// Transport returns the installed transport (nil = in-process).
-func (ce *CoverageEngine) Transport() CoverageTransport { return ce.transport }
 
 // SetPureGroundBCs forces every ground-BC cache miss through the
 // derived-seed clone path (the provenance BuildPooledEntry and the
@@ -79,64 +67,18 @@ func (ce *CoverageEngine) SetPureGroundBCs(on bool) { ce.pureGround = on }
 // PureGroundBCs reports whether pure ground-BC provenance is on.
 func (ce *CoverageEngine) PureGroundBCs() bool { return ce.pureGround }
 
-// CountUpToLocalCtx is CountUpToCtx pinned to the in-process engine,
-// bypassing any installed transport — the transport's own local
-// fallback calls this (routing through countBounded again would
-// recurse).
-func (ce *CoverageEngine) CountUpToLocalCtx(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	return ce.countLocal(ctx, c, examples, limit)
-}
-
-// CountManyUpToLocalCtx is CountManyUpToCtx pinned to the in-process
-// engine, bypassing any installed transport — the transport's own local
-// fallback calls this (routing through the bounded entry point again
-// would recurse).
-func (ce *CoverageEngine) CountManyUpToLocalCtx(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
-	if limit < 0 {
-		limit = 0
-	}
-	return ce.countManyLocal(ctx, clauses, examples, limit)
-}
-
-// CoversLocalPooledCtx is CoversPooledCtx pinned to the in-process
-// engine: one example's verdict through the pooled (pure) BC path,
-// memoized. Transports use it to resolve stragglers locally.
-func (ce *CoverageEngine) CoversLocalPooledCtx(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(ctx, c, e, true)
-}
-
-// MemoizedCovers returns the memoized verdict for (c, example key), if
-// the pair has been resolved before. Transports consult it so examples
-// already settled — locally or by an earlier remote response — are
-// never re-shipped. Carried verdicts from an incremental-repair run
-// (AdoptCarried) resolve here too, so a repair run over a sharded
-// transport never ships pairs the previous run already settled.
+// MemoizedCovers returns the stored verdict for (c, example key), if the
+// pair has been resolved before — locally, by an earlier remote
+// response, or by the previous run an incremental repair carried over.
+// Transports consult it so settled pairs are never shipped.
 func (ce *CoverageEngine) MemoizedCovers(c *logic.Clause, key string) (v, ok bool) {
-	ce.mu.RLock()
-	v, ok = ce.results[c][key]
-	ce.mu.RUnlock()
-	if ok {
-		return v, true
-	}
-	if v, ok := ce.carriedVerdict(c, key); ok {
-		ce.memoize(c, key, v)
-		return v, true
-	}
-	return false, false
+	return ce.lookup(ce.record(c), key)
 }
 
 // MemoizeRemote records a remotely computed verdict for (c, example
 // key). Remote verdicts are pure (see CoverageTransport), so a
 // duplicate arrival — a retry and its hedge both landing — writes the
-// same value and the memo stays deterministic under any interleaving.
+// same value and the store stays deterministic under any interleaving.
 func (ce *CoverageEngine) MemoizeRemote(c *logic.Clause, key string, v bool) {
-	ce.memoize(c, key, v)
+	ce.memoize(ce.record(c), key, v)
 }
-
-// RecordEvent records a degradation event on the engine's report —
-// exported so transports report shard retries, failovers, and losses
-// into the same Result.Report the rest of the run uses.
-func (ce *CoverageEngine) RecordEvent(e report.Event) { ce.recordEvent(e) }

@@ -25,7 +25,7 @@
 //     are bit-identical at 1, 4, and 8 workers.
 //   - Gauges (Snapshot.Gauges) count work whose total legitimately
 //     depends on scheduling — subsumption tests and nodes (the parallel
-//     CountUpTo early-exit skips tests whose outcome cannot change a
+//     CountMany early exit skips tests whose outcome cannot change a
 //     threshold decision), memo and BC-cache hits, per-worker busy time.
 //     These are observability data, never compared for equality.
 //
@@ -109,7 +109,7 @@ const (
 	// --- gauges: totals below depend on scheduling ---
 
 	// CoverageTests counts θ-subsumption coverage tests actually executed
-	// (memo misses). Gauge: the parallel CountUpTo early-exit skips tests
+	// (memo misses). Gauge: the parallel CountMany early exit skips tests
 	// whose outcome cannot change a threshold decision, so the total
 	// varies with worker count even though results never do.
 	CoverageTests

@@ -188,7 +188,6 @@ func Bind(ctx context.Context, name string, art *model.Artifact, database *db.Da
 	if err := replay(ctx, art, builder, engine, opts.Metrics); err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
-	engine.PinCached()
 
 	m := &Model{
 		name:    name,
@@ -394,7 +393,7 @@ func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 // first (free and irreplaceable), then the LRU/singleflight path, then
 // a direct build when uncached.
 func (m *Model) entryFor(ctx context.Context, key string, e Example) (*learn.GroundEntry, error) {
-	if ent, ok := m.engine.PinnedEntry(key); ok {
+	if ent, ok := m.engine.CachedEntry(key); ok {
 		m.mc.Inc(metrics.ServeCacheHits)
 		return ent, nil
 	}

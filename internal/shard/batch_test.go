@@ -16,6 +16,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/model"
 )
 
 func TestPackUnpackBits(t *testing.T) {
@@ -104,19 +105,22 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	examples := []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)", "advisedBy(s01,p01)"}
 	dict := DictFingerprint(examples)
 
-	// Ground truth from an identically configured engine, through the
-	// worker's own serving path (v1).
-	var want [][]bool
-	for _, cs := range clauses {
-		resp, body := postCoverage(t, srv.URL, CoverageRequest{Clause: cs, Examples: examples}, "deadbeef")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("v1 reference status %d: %s", resp.StatusCode, body)
+	// Ground truth from an identically configured engine.
+	truth := tinyEngine(t, 1)
+	truth.SetPureGroundBCs(true)
+	want := make([][]bool, len(clauses))
+	for i, cs := range clauses {
+		for _, es := range examples {
+			e, err := model.ParseExample(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := truth.Covers(context.Background(), logic.MustParseClause(cs), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], v)
 		}
-		var cr CoverageResponse
-		if err := json.Unmarshal(body, &cr); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, cr.Covered)
 	}
 
 	t.Run("inline-registers-and-answers", func(t *testing.T) {
@@ -138,7 +142,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 			}
 			for j := range got {
 				if got[j] != want[i][j] {
-					t.Errorf("clause %d example %d: batch verdict %v, v1 verdict %v", i, j, got[j], want[i][j])
+					t.Errorf("clause %d example %d: batch verdict %v, local verdict %v", i, j, got[j], want[i][j])
 				}
 			}
 		}
@@ -197,32 +201,25 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	})
 
 	t.Run("wrong-proto-409", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV1)
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("v1 header on /v2/coverage: status %d, want 409: %s", resp.StatusCode, body)
-		}
-		if detail, ok := httpx.DecodeError(body); !ok || detail.Code != httpx.ErrCodeUnsupportedProto {
-			t.Errorf("error body %s, want code %s", body, httpx.ErrCodeUnsupportedProto)
-		}
-		// And the mirror image: a v2 header on the v1 endpoint.
-		b2, err := json.Marshal(CoverageRequest{Clause: clauses[0], Examples: examples})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/coverage", strings.NewReader(string(b2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hreq.Header.Set(ProtoHeader, ProtoV2)
-		resp2, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp2.Body.Close()
-		if resp2.StatusCode != http.StatusConflict {
-			t.Errorf("v2 header on /v1/coverage: status %d, want 409", resp2.StatusCode)
+		for _, proto := range []string{"1", "3"} {
+			resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", proto)
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("X-Shard-Proto %s on /v2/coverage: status %d, want 409: %s", proto, resp.StatusCode, body)
+			}
+			if detail, ok := httpx.DecodeError(body); !ok || detail.Code != httpx.ErrCodeUnsupportedProto {
+				t.Errorf("error body %s, want code %s", body, httpx.ErrCodeUnsupportedProto)
+			}
 		}
 	})
+}
+
+// countLocal is the exact number of examples c covers on a local engine.
+func countLocal(e *learn.CoverageEngine, c *logic.Clause, examples []learn.Example) (int, error) {
+	ns, err := e.CountMany(context.Background(), []*logic.Clause{c}, examples, len(examples)+1)
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
 }
 
 // realWorkerCoordinator boots one real worker (identically configured
@@ -251,14 +248,14 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	truth := tinyEngine(t, 1)
 	want := make([]int, len(frontier))
 	for i, c := range frontier {
-		n, err := truth.Count(c, all)
+		n, err := countLocal(truth, c, all)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = n
 	}
 
-	got, err := co.CountManyUpTo(context.Background(), frontier, all, len(all)+1)
+	got, err := co.CountMany(context.Background(), frontier, all, len(all)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,105 +276,11 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	}
 
 	// Every verdict memoized: the same frontier again costs zero RPCs.
-	if _, err := co.CountManyUpTo(context.Background(), frontier, all, len(all)+1); err != nil {
+	if _, err := co.CountMany(context.Background(), frontier, all, len(all)+1); err != nil {
 		t.Fatal(err)
 	}
 	if rpcs := mc.Snapshot().Gauges["shard.rpc_sent"]; rpcs != 1 {
 		t.Errorf("fully memoized frontier re-count issued %d extra RPCs", rpcs-1)
-	}
-}
-
-func TestCoordinatorDisableBatchMatches(t *testing.T) {
-	_, pos, neg := tinyWorld(t)
-	all := append(append([]learn.Example(nil), pos...), neg...)
-	frontier := []*logic.Clause{
-		logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)"),
-		logic.MustParseClause("advisedBy(A,B) :- student(A)"),
-	}
-
-	run := func(disable bool) ([]int, int64) {
-		w := NewWorker("db", tinyEngine(t, 1), "fp1", WorkerOptions{})
-		srv := httptest.NewServer(w.Handler())
-		t.Cleanup(srv.Close)
-		mc := metrics.New()
-		co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Fingerprint: "fp1", Metrics: mc, DisableBatch: disable})
-		got, err := co.CountManyUpTo(context.Background(), frontier, all, len(all)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, mc.Snapshot().Gauges["shard.rpc_sent"]
-	}
-
-	batched, batchedRPCs := run(false)
-	perCand, perCandRPCs := run(true)
-	for i := range frontier {
-		if batched[i] != perCand[i] {
-			t.Errorf("clause %d: batched %d != per-candidate %d", i, batched[i], perCand[i])
-		}
-	}
-	if perCandRPCs <= batchedRPCs {
-		t.Errorf("per-candidate mode took %d RPCs vs batched %d; expected strictly more", perCandRPCs, batchedRPCs)
-	}
-}
-
-func TestCoordinatorProtoDowngrade(t *testing.T) {
-	// A pre-batching worker: the real v1 endpoint, but /v2/coverage does
-	// not exist. The coordinator's first v2 attempt gets 404 and the
-	// replica settles to v1 for the rest of the run.
-	w := NewWorker("old", tinyEngine(t, 1), "fp1", WorkerOptions{})
-	legacy := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v2/coverage" {
-			http.NotFound(rw, r)
-			return
-		}
-		w.Handler().ServeHTTP(rw, r)
-	})
-	srv := httptest.NewServer(legacy)
-	defer srv.Close()
-	mc := metrics.New()
-	co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Fingerprint: "fp1", Metrics: mc})
-
-	_, pos, neg := tinyWorld(t)
-	all := append(append([]learn.Example(nil), pos...), neg...)
-	frontier := []*logic.Clause{
-		logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)"),
-		logic.MustParseClause("advisedBy(A,B) :- student(A)"),
-	}
-	truth := tinyEngine(t, 1)
-
-	got, err := co.CountManyUpTo(context.Background(), frontier, all, len(all)+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range frontier {
-		want, terr := truth.Count(c, all)
-		if terr != nil {
-			t.Fatal(terr)
-		}
-		if got[i] != want {
-			t.Errorf("clause %d: downgraded count %d, want %d", i, got[i], want)
-		}
-	}
-	if p := co.shards[0][0].proto.Load(); p != protoV1Only {
-		t.Errorf("replica proto state %d after 404, want %d (v1-only)", p, protoV1Only)
-	}
-	snap := mc.Snapshot()
-	if snap.Gauges["shard.proto_downgrades"] != 1 {
-		t.Errorf("proto_downgrades = %d, want 1", snap.Gauges["shard.proto_downgrades"])
-	}
-	// One failed v2 probe + one v1 request per clause.
-	if rpcs := snap.Gauges["shard.rpc_sent"]; rpcs != int64(1+len(frontier)) {
-		t.Errorf("downgraded frontier took %d RPCs, want %d", rpcs, 1+len(frontier))
-	}
-
-	// The downgrade sticks: a later count must not re-probe v2.
-	before := mc.Snapshot().Gauges["shard.rpc_sent"]
-	extra := []*logic.Clause{logic.MustParseClause("advisedBy(A,B) :- professor(B)")}
-	if _, err := co.CountManyUpTo(context.Background(), extra, all, len(all)+1); err != nil {
-		t.Fatal(err)
-	}
-	if delta := mc.Snapshot().Gauges["shard.rpc_sent"] - before; delta != 1 {
-		t.Errorf("settled v1 replica took %d RPCs for one clause, want exactly 1 (no v2 re-probe)", delta)
 	}
 }
 
@@ -400,7 +303,7 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 	c1 := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	c2 := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 
-	if _, err := co.CountManyUpTo(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
+	if _, err := co.CountMany(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
 		t.Fatal(err)
 	}
 	if mc.Snapshot().Gauges["shard.dict_registers"] != 1 {
@@ -410,11 +313,11 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 	// "Restart" the worker: fresh engine, empty dictionary store.
 	cur.Store(NewWorker("r2", tinyEngine(t, 1), "fp1", WorkerOptions{}))
 
-	got, err := co.CountManyUpTo(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
+	got, err := co.CountMany(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
 	if err != nil {
 		t.Fatalf("dict invalidation must recover transparently: %v", err)
 	}
-	want, err := truth.Count(c2, all)
+	want, err := countLocal(truth, c2, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +365,7 @@ func TestCoordinatorFatalCancelsSiblingShards(t *testing.T) {
 	})
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	start := time.Now()
-	_, err := co.CountUpTo(context.Background(), c, all, len(all))
+	_, err := countOne(co, c, all, len(all))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fatal shard answer did not fail the count")
@@ -506,7 +409,7 @@ func TestCoordinatorKeepAliveSteadyState(t *testing.T) {
 		{logic.MustParseClause("advisedBy(A,B) :- professor(B)")},
 	}
 	for _, f := range frontiers {
-		if _, err := co.CountManyUpTo(context.Background(), f, all, len(all)+1); err != nil {
+		if _, err := co.CountMany(context.Background(), f, all, len(all)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -602,101 +505,5 @@ func TestNewFleetClientTuned(t *testing.T) {
 	tr2 := big.Transport.(*http.Transport)
 	if tr2.MaxIdleConnsPerHost < total {
 		t.Errorf("40-replica fleet MaxIdleConnsPerHost %d, want >= %d so steady state never churns connections", tr2.MaxIdleConnsPerHost, total)
-	}
-}
-
-// TestBatchWireSavings measures the headline numbers of the batched
-// protocol on a 4-shard fleet: RPC rounds and wire bytes for a 4-round
-// refinement trace (8 fresh candidates per round over a fixed 256
-// example set), wire v2 batched vs the v1 JSON per-candidate protocol
-// — the latter forced by a legacy fleet whose /v2/coverage 404s, so the
-// coordinator downgrades and re-ships every example key with every
-// clause, exactly as the pre-batching transport did. The counts must be
-// identical either way; the savings floors asserted here (>=5x fewer
-// RPC rounds, >=10x fewer wire bytes) are the ones BENCH_shard.json
-// records.
-func TestBatchWireSavings(t *testing.T) {
-	const (
-		shardCount   = 4
-		entities     = 128
-		rounds       = 4
-		frontierSize = 8
-	)
-	d, pos, neg := sizedWorld(t, entities)
-	all := append(append([]learn.Example(nil), pos...), neg...)
-	texts := benchFrontierTexts(rounds * frontierSize)
-	if len(texts) != rounds*frontierSize {
-		t.Fatalf("only %d distinct candidate texts available", len(texts))
-	}
-
-	run := func(legacy bool) ([][]int, metrics.Snapshot) {
-		var shards [][]string
-		for i := 0; i < shardCount; i++ {
-			w := NewWorker(fmt.Sprintf("w%d", i), worldEngine(t, d, 1), "wirefp", WorkerOptions{})
-			h := http.Handler(w.Handler())
-			if legacy {
-				inner := h
-				h = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/v2/coverage" {
-						http.NotFound(rw, r)
-						return
-					}
-					inner.ServeHTTP(rw, r)
-				})
-			}
-			srv := httptest.NewServer(h)
-			t.Cleanup(srv.Close)
-			shards = append(shards, []string{srv.URL})
-		}
-		mc := metrics.New()
-		co, err := New(Options{Shards: shards, Fingerprint: "wirefp", Metrics: mc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		co.Bind(worldEngine(t, d, 1))
-		t.Cleanup(co.Close)
-		var counts [][]int
-		for r := 0; r < rounds; r++ {
-			frontier := make([]*logic.Clause, frontierSize)
-			for j := range frontier {
-				frontier[j] = logic.MustParseClause(texts[r*frontierSize+j])
-			}
-			ns, err := co.CountManyUpTo(context.Background(), frontier, all, len(all)+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts = append(counts, ns)
-		}
-		return counts, mc.Snapshot()
-	}
-
-	v2Counts, v2 := run(false)
-	v1Counts, v1 := run(true)
-	for r := range v2Counts {
-		for j := range v2Counts[r] {
-			if v2Counts[r][j] != v1Counts[r][j] {
-				t.Errorf("round %d clause %d: v2 count %d != v1 count %d", r, j, v2Counts[r][j], v1Counts[r][j])
-			}
-		}
-	}
-
-	v2RPC := v2.Gauges["shard.rpc_sent"]
-	v1RPC := v1.Gauges["shard.rpc_sent"]
-	v2Bytes := v2.Gauges["shard.wire_bytes_sent"] + v2.Gauges["shard.wire_bytes_recv"]
-	v1Bytes := v1.Gauges["shard.wire_bytes_sent"] + v1.Gauges["shard.wire_bytes_recv"]
-	t.Logf("%d shards, %d examples, %d rounds x %d candidates:", shardCount, len(all), rounds, frontierSize)
-	t.Logf("  rpc rounds:  v1=%d v2=%d (%.1fx fewer)", v1RPC, v2RPC, float64(v1RPC)/float64(v2RPC))
-	t.Logf("  wire bytes:  v1=%d (%d sent + %d recv) v2=%d (%d sent + %d recv) (%.1fx fewer)",
-		v1Bytes, v1.Gauges["shard.wire_bytes_sent"], v1.Gauges["shard.wire_bytes_recv"],
-		v2Bytes, v2.Gauges["shard.wire_bytes_sent"], v2.Gauges["shard.wire_bytes_recv"],
-		float64(v1Bytes)/float64(v2Bytes))
-	if v2RPC == 0 || v2Bytes == 0 {
-		t.Fatal("v2 leg moved no wire counters")
-	}
-	if v1RPC < 5*v2RPC {
-		t.Errorf("batching saved only %.1fx RPC rounds (v1 %d, v2 %d), want >=5x", float64(v1RPC)/float64(v2RPC), v1RPC, v2RPC)
-	}
-	if v1Bytes < 10*v2Bytes {
-		t.Errorf("batching saved only %.1fx wire bytes (v1 %d, v2 %d), want >=10x", float64(v1Bytes)/float64(v2Bytes), v1Bytes, v2Bytes)
 	}
 }

@@ -28,6 +28,18 @@ func benchFleet(tb testing.TB) (*httptest.Server, *Worker) {
 	return srv, w
 }
 
+// coldEngines returns a source of fresh coordinator-side engines over
+// one tiny world. The engine's store keys verdicts by canonical clause,
+// so a fresh clause pointer would not keep the coordinator's store cold
+// — a fresh engine does, and building one is a few allocations (the
+// bias is compiled once, here).
+func coldEngines(tb testing.TB) func() *learn.CoverageEngine {
+	tb.Helper()
+	d, _, _ := tinyWorld(tb)
+	compiled := worldBias(tb, d)
+	return func() *learn.CoverageEngine { return newEngine(d, compiled, 1) }
+}
+
 func benchExamples() []learn.Example {
 	var out []learn.Example
 	for i := 0; i < 4; i++ {
@@ -67,7 +79,8 @@ func benchFrontierTexts(n int) []string {
 }
 
 // BenchmarkWorkerRPC measures one HTTP coverage round-trip against a
-// memo-hot worker: transport + JSON codec + 8 memoized verdicts.
+// memo-hot worker: transport + JSON codec + 8 memoized verdicts, the
+// example set inline.
 func BenchmarkWorkerRPC(b *testing.B) {
 	b.Logf("env: %s", benchenv.Capture())
 	srv, _ := benchFleet(b)
@@ -75,30 +88,30 @@ func BenchmarkWorkerRPC(b *testing.B) {
 	for _, e := range benchExamples() {
 		keys = append(keys, e.String())
 	}
-	body, err := json.Marshal(CoverageRequest{Clause: benchClause, Examples: keys})
+	body, err := json.Marshal(BatchCoverageRequest{Clauses: []string{benchClause}, Examples: keys})
 	if err != nil {
 		b.Fatal(err)
 	}
 	client := srv.Client()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(srv.URL+"/v1/coverage", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(srv.URL+"/v2/coverage", "application/json", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
-		var cr CoverageResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		var br BatchCoverageResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			b.Fatal(err)
 		}
 		resp.Body.Close()
-		if len(cr.Covered) != len(keys) {
-			b.Fatalf("%d verdicts", len(cr.Covered))
+		if _, ok := UnpackBits(br.Covered[0], len(keys)); !ok {
+			b.Fatalf("%d-byte bitset for %d examples", len(br.Covered[0]), len(keys))
 		}
 	}
 	b.ReportMetric(float64(len(keys))*float64(b.N)/b.Elapsed().Seconds(), "verdicts/sec")
 }
 
-// BenchmarkCoordinatorMemoHit measures a fully-memoized CountUpTo — the
+// BenchmarkCoordinatorMemoHit measures a fully-memoized count — the
 // steady-state cost of re-scoring a known candidate: no RPC at all.
 func BenchmarkCoordinatorMemoHit(b *testing.B) {
 	b.Logf("env: %s", benchenv.Capture())
@@ -111,12 +124,12 @@ func BenchmarkCoordinatorMemoHit(b *testing.B) {
 	b.Cleanup(co.Close)
 	c := logic.MustParseClause(benchClause)
 	examples := benchExamples()
-	if _, err := co.CountUpTo(context.Background(), c, examples, len(examples)); err != nil {
+	if _, err := countOne(co, c, examples, len(examples)); err != nil {
 		b.Fatal(err) // warm the memo
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := co.CountUpTo(context.Background(), c, examples, len(examples)); err != nil {
+		if _, err := countOne(co, c, examples, len(examples)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,16 +149,17 @@ func BenchmarkCoordinatorProcsMatrix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		co.Bind(tinyEngine(b, 1))
 		b.Cleanup(co.Close)
+		fresh := coldEngines(b)
 		examples := benchExamples()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			co.Bind(fresh())
 			c, err := logic.ParseClause(benchClause)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := co.CountUpTo(context.Background(), c, examples, len(examples)); err != nil {
+			if _, err := countOne(co, c, examples, len(examples)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,9 +168,8 @@ func BenchmarkCoordinatorProcsMatrix(b *testing.B) {
 }
 
 // BenchmarkCoordinatorRPC measures the full coordinator path — shard
-// grouping, RPC, merge, memoization — with a fresh clause pointer per
-// iteration so the coordinator memo never hits (the worker's does: its
-// clause cache is keyed by text).
+// grouping, RPC, merge, memoization — with a fresh coordinator engine per
+// iteration so the coordinator's store never hits (the worker's does).
 func BenchmarkCoordinatorRPC(b *testing.B) {
 	b.Logf("env: %s", benchenv.Capture())
 	srv, _ := benchFleet(b)
@@ -164,16 +177,17 @@ func BenchmarkCoordinatorRPC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	co.Bind(tinyEngine(b, 1))
 	b.Cleanup(co.Close)
+	fresh := coldEngines(b)
 	examples := benchExamples()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		co.Bind(fresh())
 		c, err := logic.ParseClause(benchClause)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := co.CountUpTo(context.Background(), c, examples, len(examples)); err != nil {
+		if _, err := countOne(co, c, examples, len(examples)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,12 +195,12 @@ func BenchmarkCoordinatorRPC(b *testing.B) {
 }
 
 // BenchmarkCoordinatorBatchRPC measures the batched frontier path: an
-// 8-clause frontier resolved by CountManyUpTo in one wire-v2 round —
-// dictionary-referenced examples, packed-bitset verdicts. Fresh clause
-// pointers per iteration keep the coordinator memo cold (the worker's
-// clause cache and verdict memo are hot, like BenchmarkCoordinatorRPC),
-// so verdicts/sec here vs BenchmarkCoordinatorRPC is the per-verdict
-// amortization batching buys.
+// 8-clause frontier resolved by CountMany in one wire round —
+// dictionary-referenced examples, packed-bitset verdicts. A fresh
+// coordinator engine per iteration keeps the coordinator's store cold
+// (the worker's parse cache and store are hot, like
+// BenchmarkCoordinatorRPC), so verdicts/sec here vs
+// BenchmarkCoordinatorRPC is the per-verdict amortization batching buys.
 func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 	b.Logf("env: %s", benchenv.Capture())
 	srv, _ := benchFleet(b)
@@ -194,12 +208,13 @@ func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	co.Bind(tinyEngine(b, 1))
 	b.Cleanup(co.Close)
+	fresh := coldEngines(b)
 	texts := benchFrontierTexts(8)
 	examples := benchExamples()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		co.Bind(fresh())
 		frontier := make([]*logic.Clause, len(texts))
 		for j, txt := range texts {
 			c, err := logic.ParseClause(txt)
@@ -208,7 +223,7 @@ func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 			}
 			frontier[j] = c
 		}
-		counts, err := co.CountManyUpTo(context.Background(), frontier, examples, len(examples))
+		counts, err := co.CountMany(context.Background(), frontier, examples, len(examples))
 		if err != nil {
 			b.Fatal(err)
 		}

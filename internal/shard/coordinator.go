@@ -38,15 +38,6 @@ const downAfterFails = 2
 // will read.
 const maxResponseBytes = 1 << 24
 
-// Replica wire-protocol states (replica.proto). Unknown replicas are
-// optimistically tried at v2 first; the 404/409 downgrade in sendV2
-// settles them to v1 for the rest of the run.
-const (
-	protoUnknown int32 = 0
-	protoV1Only  int32 = 1
-	protoV2OK    int32 = 2
-)
-
 // Options configures a Coordinator.
 type Options struct {
 	// Shards lists the worker fleet: Shards[i] holds the base URLs of
@@ -77,13 +68,6 @@ type Options struct {
 	// ladder. With it set, losing every worker aborts the run (anytime:
 	// partial theory) instead of degrading to in-process computation.
 	DisableLocalFallback bool
-	// DisableBatch forces per-candidate evaluation: CountManyUpTo loops
-	// clause by clause through the single-candidate path instead of
-	// shipping the frontier in one round. The differential harness uses
-	// it to prove batched and per-candidate transports produce
-	// bit-identical theories; it is also the knob to reach for when
-	// diagnosing a misbehaving fleet.
-	DisableBatch bool
 	// MaxBatchClauses chunks a candidate frontier into wire batches of
 	// at most this many clauses (workers enforce the same cap);
 	// <=0 selects 256.
@@ -147,14 +131,10 @@ func newFleetClient(shards [][]string) *http.Client {
 	}
 }
 
-// replica tracks one worker process's passive health, its negotiated
-// wire-protocol version, and which example-set dictionaries it holds.
+// replica tracks one worker process's passive health and which
+// example-set dictionaries it holds.
 type replica struct {
 	url string
-
-	// proto is the replica's negotiated wire protocol (protoUnknown
-	// until the first v2 attempt settles it).
-	proto atomic.Int32
 
 	mu        sync.Mutex
 	fails     int
@@ -218,10 +198,9 @@ func (r *replica) forgetDict(fp string) {
 }
 
 // Coordinator partitions coverage counts across the worker fleet and
-// implements learn.CoverageTransport — both the per-candidate CountUpTo
-// and the batched CountManyUpTo, which ships a whole candidate frontier
-// per shard in one wire-v2 round. One coordinator serves one learning
-// run's engine (Bind).
+// implements learn.CoverageTransport: CountMany ships a whole candidate
+// frontier per shard in one wire round. One coordinator serves one
+// learning run's engine (Bind).
 type Coordinator struct {
 	opts   Options
 	client *http.Client
@@ -312,51 +291,20 @@ type item struct {
 
 // batchReq is one shard's RPC work order: the active frontier's clause
 // texts and the shard group's ordered example keys, with the group's
-// precomputed dictionary fingerprint. The wire form depends on the
-// replica it lands on — one v2 batch round, or per-clause v1 requests
-// against a downgraded worker.
+// precomputed dictionary fingerprint.
 type batchReq struct {
 	clauses []string
 	keys    []string
 	dict    string
 }
 
-// CountUpTo implements learn.CoverageTransport's per-candidate call as
-// a frontier of one.
-func (co *Coordinator) CountUpTo(ctx context.Context, c *logic.Clause, examples []learn.Example, limit int) (int, error) {
-	ns, err := co.countMany(ctx, []*logic.Clause{c}, examples, limit)
-	if err != nil {
-		return 0, err
-	}
-	return ns[0], nil
-}
-
-// CountManyUpTo implements learn.CoverageTransport's bulk call: the
-// whole candidate frontier resolves in one RPC round per shard (chunked
-// at MaxBatchClauses). With DisableBatch the frontier degrades to
-// sequential per-candidate counts — same verdicts, same memo state,
-// O(candidates) more RPC rounds.
-func (co *Coordinator) CountManyUpTo(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
-	if len(clauses) == 0 {
-		return nil, nil
-	}
-	if co.opts.DisableBatch && len(clauses) > 1 {
-		counts := make([]int, len(clauses))
-		for i, c := range clauses {
-			ns, err := co.countMany(ctx, []*logic.Clause{c}, examples, limit)
-			if err != nil {
-				return nil, err
-			}
-			counts[i] = ns[0]
-		}
-		return counts, nil
-	}
+// CountMany implements learn.CoverageTransport: the whole candidate
+// frontier resolves in one RPC round per shard (chunked at
+// MaxBatchClauses).
+func (co *Coordinator) CountMany(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
 	counts := make([]int, 0, len(clauses))
 	for start := 0; start < len(clauses); start += co.opts.MaxBatchClauses {
-		end := start + co.opts.MaxBatchClauses
-		if end > len(clauses) {
-			end = len(clauses)
-		}
+		end := min(start+co.opts.MaxBatchClauses, len(clauses))
 		ns, err := co.countMany(ctx, clauses[start:end], examples, limit)
 		if err != nil {
 			return nil, err
@@ -373,18 +321,17 @@ const (
 	vTrue    uint8 = 2
 )
 
-// countMany is the merge core shared by both transport calls:
-// memo-resolved (clause, example) pairs are settled locally; clauses
-// with any unresolved pair form the active frontier; each shard whose
-// example group has unresolved work receives the whole frontier — and
-// its FULL example group, memoized pairs included, so the group's
-// dictionary fingerprint stays stable across rounds — in one
-// resolveShard walk. Every returned verdict is memoized on the engine
+// countMany is the merge core: memo-resolved (clause, example) pairs
+// are settled locally; clauses with any unresolved pair form the active
+// frontier; each shard whose example group has unresolved work receives
+// the whole frontier — and its FULL example group, memoized pairs
+// included, so the group's dictionary fingerprint stays stable across
+// rounds — in one resolveShard walk. Every returned verdict is memoized on the engine
 // and per-clause counts clamp at limit. Because workers resolve every
 // (clause, example) pair they are sent and verdicts are pure, the memo
 // state and counts are identical under any interleaving of retries,
-// hedges, and failovers — and identical to per-candidate evaluation and
-// to a single-process pure-mode run.
+// hedges, and failovers — and identical to a single-process pure-mode
+// run.
 //
 // The shard fan-out runs under a per-count cancellable context: the
 // first shard to return an error (its ladder already exhausted — the
@@ -562,19 +509,11 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 			Site:   fmt.Sprintf("shard:%d", s),
 			Detail: fmt.Sprintf("%d examples computed in-process: %v", len(grp), err),
 		})
-		verdicts := make([][]bool, len(clauses))
-		for ci, c := range clauses {
-			row := make([]bool, len(grp))
-			for j, it := range grp {
-				v, lerr := co.engine.CoversLocalPooledCtx(ctx, c, it.e)
-				if lerr != nil {
-					return nil, lerr
-				}
-				row[j] = v
-			}
-			verdicts[ci] = row
+		exs := make([]learn.Example, len(grp))
+		for j, it := range grp {
+			exs[j] = it.e
 		}
-		return verdicts, nil
+		return co.engine.ResolveLocal(ctx, clauses, exs)
 	}
 
 	co.mc.AddNamedGauge("shard.lost", 1)
@@ -685,8 +624,9 @@ func (co *Coordinator) probeReady(r *replica) bool {
 	return true
 }
 
-// fatalError marks failures that retrying cannot fix (409 config
-// mismatch); they abort the run instead of walking the failover ladder.
+// fatalError marks failures that retrying cannot fix (409: the worker was
+// built from a different configuration, or does not speak this wire
+// protocol); they abort the run instead of walking the failover ladder.
 type fatalError struct{ error }
 
 func isFatal(err error) bool {
@@ -694,60 +634,27 @@ func isFatal(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// send performs one RPC attempt against one replica, speaking whichever
-// wire protocol the replica negotiated: wire v2 (one batched round,
-// dictionary-referenced examples, bitset verdicts) unless the replica
-// is known v1-only, in which case the frontier degrades to per-clause
-// v1 requests. A replica whose v2 support is unknown is tried at v2;
-// 404 (no such route — an old worker) or 409 unsupported_proto settles
-// it to v1 for the rest of the run. The hedge flag selects the
-// faultpoint site family — hedges fire on wall-clock timers, so they
-// must never consume hit windows tests arm on the deterministic
-// primary-send sites.
+// send performs one RPC attempt against one replica: one batched round,
+// dictionary-referenced examples, bitset verdicts. The example set
+// travels by dictionary reference once the replica has registered it; a
+// 410 dict_unknown (the worker restarted and lost its dictionaries)
+// forgets the registration and re-sends inline in the same attempt. The
+// hedge flag selects the faultpoint site family — hedges fire on
+// wall-clock timers, so they must never consume hit windows tests arm on
+// the deterministic primary-send sites.
 func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req batchReq, hedge bool) ([][]bool, time.Duration, error) {
-	site := "shard.rpc.send"
-	if hedge {
-		site = "shard.rpc.hedge"
-	}
-	if err := faultpoint.Inject(ctx, site); err != nil {
-		rep.noteFailure(co.opts.ReplicaCooldown)
-		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
-	}
-	if err := faultpoint.Inject(ctx, fmt.Sprintf("%s:%d", site, target)); err != nil {
-		rep.noteFailure(co.opts.ReplicaCooldown)
-		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
-	}
-	if rep.proto.Load() != protoV1Only {
-		m, ra, err, downgraded := co.sendV2(ctx, target, rep, req, hedge)
-		if !downgraded {
-			return m, ra, err
+	if faultpoint.Enabled() {
+		sites := []string{"shard.rpc.send", "shard.rpc.batch"}
+		if hedge {
+			sites = []string{"shard.rpc.hedge"}
 		}
-		rep.proto.Store(protoV1Only)
-		co.mc.AddNamedGauge("shard.proto_downgrades", 1)
-		co.engine.RecordEvent(report.Event{
-			Kind:   report.ShardRetried,
-			Site:   fmt.Sprintf("shard.proto:%d", target),
-			Detail: fmt.Sprintf("%s does not speak wire v2; downgraded to per-candidate v1", rep.url),
-		})
-	}
-	return co.sendV1(ctx, target, rep, req)
-}
-
-// sendV2 performs one wire-v2 batch round. The example set travels by
-// dictionary reference once the replica has registered it; a 410
-// dict_unknown (the worker restarted and lost its dictionaries) forgets
-// the registration and re-sends inline in the same attempt. downgraded
-// reports the replica does not speak v2 at all — the caller falls back
-// to v1 and remembers.
-func (co *Coordinator) sendV2(ctx context.Context, target int, rep *replica, req batchReq, hedge bool) (m [][]bool, ra time.Duration, err error, downgraded bool) {
-	if !hedge {
-		if err := faultpoint.Inject(ctx, "shard.rpc.batch"); err != nil {
-			rep.noteFailure(co.opts.ReplicaCooldown)
-			return nil, 0, fmt.Errorf("shard %d: batch send %s: %w", target, rep.url, err), false
-		}
-		if err := faultpoint.Inject(ctx, fmt.Sprintf("shard.rpc.batch:%d", target)); err != nil {
-			rep.noteFailure(co.opts.ReplicaCooldown)
-			return nil, 0, fmt.Errorf("shard %d: batch send %s: %w", target, rep.url, err), false
+		for _, site := range sites {
+			for _, name := range []string{site, fmt.Sprintf("%s:%d", site, target)} {
+				if err := faultpoint.Inject(ctx, name); err != nil {
+					rep.noteFailure(co.opts.ReplicaCooldown)
+					return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
+				}
+			}
 		}
 	}
 	inline := req.dict == "" || !rep.hasDict(req.dict)
@@ -756,29 +663,28 @@ func (co *Coordinator) sendV2(ctx context.Context, target int, rep *replica, req
 		if inline {
 			wire.Examples = req.keys
 		}
-		status, retryAfter, data, err := co.postJSON(ctx, target, rep, "/v2/coverage", ProtoV2, wire)
+		status, retryAfter, data, err := co.postJSON(ctx, target, rep, wire)
 		if err != nil {
-			return nil, 0, err, false
+			return nil, 0, err
 		}
 		switch status {
 		case http.StatusOK:
 			var br BatchCoverageResponse
 			if err := json.Unmarshal(data, &br); err != nil {
-				return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, rep.url, err), false
+				return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, rep.url, err)
 			}
 			if len(br.Covered) != len(req.clauses) {
-				return nil, 0, fmt.Errorf("shard %d: %s answered %d bitsets for %d clauses", target, rep.url, len(br.Covered), len(req.clauses)), false
+				return nil, 0, fmt.Errorf("shard %d: %s answered %d bitsets for %d clauses", target, rep.url, len(br.Covered), len(req.clauses))
 			}
 			m := make([][]bool, len(br.Covered))
 			for i, bs := range br.Covered {
 				row, ok := UnpackBits(bs, len(req.keys))
 				if !ok {
-					return nil, 0, fmt.Errorf("shard %d: %s clause %d bitset is %d bytes for %d examples", target, rep.url, i, len(bs), len(req.keys)), false
+					return nil, 0, fmt.Errorf("shard %d: %s clause %d bitset is %d bytes for %d examples", target, rep.url, i, len(bs), len(req.keys))
 				}
 				m[i] = row
 			}
 			rep.noteSuccess()
-			rep.proto.Store(protoV2OK)
 			if req.dict != "" {
 				if inline {
 					rep.noteDict(req.dict)
@@ -789,7 +695,7 @@ func (co *Coordinator) sendV2(ctx context.Context, target int, rep *replica, req
 			}
 			co.mc.Observe(metrics.HistShardBatchClauses, int64(len(req.clauses)))
 			co.mc.Observe(metrics.HistShardBatchExamples, int64(len(req.keys)))
-			return m, 0, nil, false
+			return m, 0, nil
 		case http.StatusGone:
 			// The worker lost the dictionary (restart). Re-register inline
 			// in the next loop iteration; a second 410 is a real error.
@@ -799,55 +705,12 @@ func (co *Coordinator) sendV2(ctx context.Context, target int, rep *replica, req
 				inline = true
 				continue
 			}
-			return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message), false
-		case http.StatusNotFound:
-			// No /v2/coverage route: a pre-batching worker. Not a failure —
-			// a negotiation answer.
-			return nil, 0, nil, true
+			return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message)
 		case http.StatusConflict:
+			// config_mismatch or unsupported_proto: either way this worker
+			// answers for a different universe than the run's.
 			detail, _ := httpx.DecodeError(data)
-			if detail.Code == httpx.ErrCodeUnsupportedProto {
-				return nil, 0, nil, true
-			}
-			return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch: %s", target, rep.url, detail.Message)}, false
-		case http.StatusServiceUnavailable:
-			detail, _ := httpx.DecodeError(data)
-			return nil, retryAfter, fmt.Errorf("shard %d: %s overloaded: %s", target, rep.url, detail.Message), false
-		default:
-			rep.noteFailure(co.opts.ReplicaCooldown)
-			if detail, ok := httpx.DecodeError(data); ok {
-				return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message), false
-			}
-			return nil, 0, fmt.Errorf("shard %d: %s: status %d", target, rep.url, status), false
-		}
-	}
-	return nil, 0, fmt.Errorf("shard %d: %s: dictionary re-registration looped", target, rep.url), false
-}
-
-// sendV1 degrades one batch to per-clause wire-v1 requests against a
-// replica that does not speak v2 — the mixed-fleet compatibility path.
-// Verdict semantics are identical; the frontier just pays one RPC round
-// per clause.
-func (co *Coordinator) sendV1(ctx context.Context, target int, rep *replica, req batchReq) ([][]bool, time.Duration, error) {
-	m := make([][]bool, len(req.clauses))
-	for i, ct := range req.clauses {
-		status, retryAfter, data, err := co.postJSON(ctx, target, rep, "/v1/coverage", ProtoV1, CoverageRequest{Clause: ct, Examples: req.keys})
-		if err != nil {
-			return nil, 0, err
-		}
-		switch status {
-		case http.StatusOK:
-			var cr CoverageResponse
-			if err := json.Unmarshal(data, &cr); err != nil {
-				return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, rep.url, err)
-			}
-			if len(cr.Covered) != len(req.keys) {
-				return nil, 0, fmt.Errorf("shard %d: %s answered %d verdicts for %d examples", target, rep.url, len(cr.Covered), len(req.keys))
-			}
-			m[i] = cr.Covered
-		case http.StatusConflict:
-			detail, _ := httpx.DecodeError(data)
-			return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch: %s", target, rep.url, detail.Message)}
+			return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch (%s): %s", target, rep.url, detail.Code, detail.Message)}
 		case http.StatusServiceUnavailable:
 			detail, _ := httpx.DecodeError(data)
 			return nil, retryAfter, fmt.Errorf("shard %d: %s overloaded: %s", target, rep.url, detail.Message)
@@ -859,8 +722,7 @@ func (co *Coordinator) sendV1(ctx context.Context, target int, rep *replica, req
 			return nil, 0, fmt.Errorf("shard %d: %s: status %d", target, rep.url, status)
 		}
 	}
-	rep.noteSuccess()
-	return m, 0, nil
+	return nil, 0, fmt.Errorf("shard %d: %s: dictionary re-registration looped", target, rep.url)
 }
 
 // postJSON performs one HTTP POST attempt: marshal (wire-bytes
@@ -869,7 +731,7 @@ func (co *Coordinator) sendV1(ctx context.Context, target int, rep *replica, req
 // bounded body read. Connection-level failures bench the replica;
 // status handling is the caller's. retryAfter carries a 503 response's
 // Retry-After hint, when one was sent.
-func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, path, proto string, payload any) (status int, retryAfter time.Duration, data []byte, err error) {
+func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, payload BatchCoverageRequest) (status int, retryAfter time.Duration, data []byte, err error) {
 	co.mc.AddNamedGauge("shard.rpc_sent", 1)
 	body, err := json.Marshal(payload)
 	if err != nil {
@@ -878,12 +740,12 @@ func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, p
 	co.mc.AddNamedGauge("shard.wire_bytes_sent", int64(len(body)))
 	attemptCtx, cancel := context.WithTimeout(ctx, co.opts.RequestTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, rep.url+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, rep.url+"/v2/coverage", bytes.NewReader(body))
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("shard %d: request: %w", target, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ProtoHeader, proto)
+	hreq.Header.Set(ProtoHeader, ProtoV2)
 	if co.opts.Fingerprint != "" {
 		hreq.Header.Set(FingerprintHeader, co.opts.Fingerprint)
 	}

@@ -31,8 +31,8 @@
 // Every recovery is recorded in the run's Result.Report
 // (ShardRetried / ShardFellBackLocal / ShardLost) and surfaced as
 // shard.* metrics. Fault injection sites: shard.rpc.send[:<shard>],
-// shard.rpc.recv[:<shard>], shard.rpc.hedge[:<shard>], and — fired only
-// for wire-v2 batch sends — shard.rpc.batch[:<shard>] on the
+// shard.rpc.batch[:<shard>] (both on every primary send),
+// shard.rpc.recv[:<shard>] and shard.rpc.hedge[:<shard>] on the
 // coordinator, shard.crash[:<id>] in the worker handler.
 package shard
 
@@ -52,40 +52,21 @@ import (
 const FingerprintHeader = "X-Shard-Fingerprint"
 
 // ProtoHeader carries the wire-protocol version on every coverage RPC.
-// Version negotiation is explicit: a v2 coordinator first tries
-// POST /v2/coverage with "X-Shard-Proto: 2"; a worker that predates the
-// route answers 404 and the coordinator downgrades that replica to v1
-// per-candidate requests for the rest of the run. A worker that sees a
-// version it does not speak answers a structured 409
-// (httpx.ErrCodeUnsupportedProto) instead of guessing.
-const ProtoHeader = "X-Shard-Proto"
-
-// Wire-protocol versions. V1 is one clause per request with []bool JSON
-// verdicts; V2 is the batched frontier protocol (BatchCoverageRequest)
-// with dictionary-referenced example sets and packed bitset verdicts.
+// There is one protocol, ProtoV2: the batched frontier protocol
+// (BatchCoverageRequest) with dictionary-referenced example sets and
+// packed bitset verdicts. A worker that sees any other declared version
+// answers a structured 409 (httpx.ErrCodeUnsupportedProto) instead of
+// guessing, and the coordinator treats that like a config mismatch: the
+// fleet was not built for this run.
 const (
-	ProtoV1 = "1"
-	ProtoV2 = "2"
+	ProtoHeader = "X-Shard-Proto"
+	ProtoV2     = "2"
 )
 
-// CoverageRequest is one shard RPC: a candidate clause and the examples
-// (ground target literals, string form) whose coverage it should test.
-// The count limit deliberately does not travel: workers resolve every
-// example so the coordinator's memo state is interleaving-independent.
-type CoverageRequest struct {
-	Clause   string   `json:"clause"`
-	Examples []string `json:"examples"`
-}
-
-// CoverageResponse carries positionally aligned verdicts plus the
-// worker's subsumption-test count for the request (observability only).
-type CoverageResponse struct {
-	Covered []bool `json:"covered"`
-	Tests   int64  `json:"tests"`
-}
-
-// BatchCoverageRequest is one wire-v2 shard RPC: the whole candidate
-// frontier for a shard in one round. The example set travels either
+// BatchCoverageRequest is one shard RPC: the whole candidate frontier
+// for a shard in one round. The count limit deliberately does not
+// travel: workers resolve every pair so the coordinator's store is
+// interleaving-independent. The example set travels either
 // inline (Examples) or by reference (Dict alone): the coordinator
 // registers a shard's stable example range once — keyed by the set's
 // fingerprint — and subsequent frontiers reference it by id instead of
@@ -107,8 +88,8 @@ type BatchCoverageRequest struct {
 // clause — bit j of Covered[i] (LSB-first) is clause i's verdict on
 // example j of the request's example set — plus the worker's
 // subsumption-test count (observability only). Bitsets ride JSON as
-// base64, so a 10⁶-example set costs ~167KB per clause instead of the
-// multi-megabyte []bool array v1 would ship.
+// base64, so a 10⁶-example set costs ~167KB per clause instead of a
+// multi-megabyte JSON []bool array.
 type BatchCoverageResponse struct {
 	Covered [][]byte `json:"covered"`
 	Tests   int64    `json:"tests"`

@@ -18,6 +18,7 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/learn"
 	"repro/internal/logic"
+	"repro/internal/report"
 	"repro/internal/subsume"
 )
 
@@ -62,6 +63,17 @@ func tinyEngine(t testing.TB, subSeed int64) *learn.CoverageEngine {
 // bound engine), all fingerprint-identical by construction.
 func worldEngine(t testing.TB, d *db.Database, subSeed int64) *learn.CoverageEngine {
 	t.Helper()
+	return newEngine(d, worldBias(t, d), subSeed)
+}
+
+func newEngine(d *db.Database, c *bias.Compiled, subSeed int64) *learn.CoverageEngine {
+	builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1, Seed: 1})
+	return learn.NewCoverage(builder, subsume.Options{Seed: subSeed})
+}
+
+// worldBias compiles the advisedBy bias over d.
+func worldBias(t testing.TB, d *db.Database) *bias.Compiled {
+	t.Helper()
 	b := bias.MustParse(`
 		advisedBy(T1,T2)
 		student(T1)
@@ -77,8 +89,7 @@ func worldEngine(t testing.TB, d *db.Database, subSeed int64) *learn.CoverageEng
 	if err != nil {
 		t.Fatal(err)
 	}
-	builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1, Seed: 1})
-	return learn.NewCoverage(builder, subsume.Options{Seed: subSeed})
+	return c
 }
 
 func TestShardForDeterministic(t *testing.T) {
@@ -125,29 +136,6 @@ func TestEngineFingerprint(t *testing.T) {
 	}
 }
 
-func postCoverage(t *testing.T, url string, req CoverageRequest, fp string) (*http.Response, []byte) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/coverage", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != "" {
-		hreq.Header.Set(FingerprintHeader, fp)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf [1 << 16]byte
-	n, _ := resp.Body.Read(buf[:])
-	return resp, buf[:n]
-}
-
 func TestWorkerEndpoints(t *testing.T) {
 	engine := tinyEngine(t, 1)
 	w := NewWorker("w1", engine, "deadbeef", WorkerOptions{MaxBatch: 4})
@@ -155,27 +143,28 @@ func TestWorkerEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	clause := "advisedBy(A,B) :- publication(C,A), publication(C,B)"
-	req := CoverageRequest{Clause: clause, Examples: []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)"}}
+	req := BatchCoverageRequest{Clauses: []string{clause}, Examples: []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)"}}
 
 	t.Run("coverage-roundtrip", func(t *testing.T) {
-		resp, body := postCoverage(t, srv.URL, req, "deadbeef")
+		resp, body := postBatch(t, srv.URL, req, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-		var cr CoverageResponse
-		if err := json.Unmarshal(body, &cr); err != nil {
+		var br BatchCoverageResponse
+		if err := json.Unmarshal(body, &br); err != nil {
 			t.Fatal(err)
 		}
-		if len(cr.Covered) != 2 || !cr.Covered[0] || cr.Covered[1] {
-			t.Errorf("verdicts %v, want [true false]", cr.Covered)
+		got, ok := UnpackBits(br.Covered[0], 2)
+		if !ok || !got[0] || got[1] {
+			t.Errorf("verdicts %v, want [true false]", got)
 		}
-		if cr.Tests == 0 {
+		if br.Tests == 0 {
 			t.Error("worker reported zero subsumption tests for a non-memoized clause")
 		}
 	})
 
 	t.Run("fingerprint-mismatch-409", func(t *testing.T) {
-		resp, body := postCoverage(t, srv.URL, req, "00000000")
+		resp, body := postBatch(t, srv.URL, req, "00000000", ProtoV2)
 		if resp.StatusCode != http.StatusConflict {
 			t.Fatalf("status %d, want 409: %s", resp.StatusCode, body)
 		}
@@ -185,27 +174,39 @@ func TestWorkerEndpoints(t *testing.T) {
 	})
 
 	t.Run("no-fingerprint-accepted", func(t *testing.T) {
-		resp, body := postCoverage(t, srv.URL, req, "")
+		resp, body := postBatch(t, srv.URL, req, "", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("status %d, want 200 when the coordinator sends no fingerprint: %s", resp.StatusCode, body)
 		}
 	})
 
 	t.Run("batch-too-large-413", func(t *testing.T) {
-		big := CoverageRequest{Clause: clause, Examples: make([]string, 5)}
+		big := BatchCoverageRequest{Clauses: []string{clause}, Examples: make([]string, 5)}
 		for i := range big.Examples {
 			big.Examples[i] = "advisedBy(s00,p00)"
 		}
-		resp, body := postCoverage(t, srv.URL, big, "deadbeef")
+		resp, body := postBatch(t, srv.URL, big, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("status %d, want 413: %s", resp.StatusCode, body)
 		}
 	})
 
 	t.Run("bad-clause-400", func(t *testing.T) {
-		resp, body := postCoverage(t, srv.URL, CoverageRequest{Clause: "not a clause((", Examples: []string{"advisedBy(s00,p00)"}}, "deadbeef")
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: []string{"not a clause(("}, Examples: []string{"advisedBy(s00,p00)"}}, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400: %s", resp.StatusCode, body)
+		}
+	})
+
+	t.Run("v1-route-gone-404", func(t *testing.T) {
+		resp, err := http.Post(srv.URL+"/v1/coverage", "application/json",
+			strings.NewReader(`{"clause":"advisedBy(A,B) :- student(A)","examples":["advisedBy(s00,p00)"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("/v1/coverage status %d, want 404: wire v1 is gone", resp.StatusCode)
 		}
 	})
 
@@ -251,10 +252,8 @@ func TestWorkerEndpoints(t *testing.T) {
 }
 
 // stubWorker answers coverage RPCs with canned all-false verdicts via
-// fn (nil fn = default behavior), counting requests. The default leg
-// speaks both wire versions — v2 batches get zero bitsets, dict-only
-// requests the honest 410 — so coordinator tests exercise whichever
-// protocol the coordinator picks.
+// fn (nil fn = default behavior), counting requests: batches get zero
+// bitsets, dict-only requests the honest 410.
 func stubWorker(fn func(w http.ResponseWriter, r *http.Request, calls int64) bool) (*httptest.Server, *atomic.Int64) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -262,25 +261,28 @@ func stubWorker(fn func(w http.ResponseWriter, r *http.Request, calls int64) boo
 		if fn != nil && fn(w, r, n) {
 			return
 		}
-		if r.URL.Path == "/v2/coverage" {
-			var req BatchCoverageRequest
-			json.NewDecoder(r.Body).Decode(&req)
-			if len(req.Examples) == 0 {
-				httpx.Fail(w, http.StatusGone, httpx.ErrCodeDictUnknown, errors.New("stub holds no dictionaries"))
-				return
-			}
-			covered := make([][]byte, len(req.Clauses))
-			for i := range covered {
-				covered[i] = PackBits(make([]bool, len(req.Examples)))
-			}
-			httpx.WriteJSON(w, http.StatusOK, BatchCoverageResponse{Covered: covered, Tests: 1})
+		var req BatchCoverageRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		if len(req.Examples) == 0 {
+			httpx.Fail(w, http.StatusGone, httpx.ErrCodeDictUnknown, errors.New("stub holds no dictionaries"))
 			return
 		}
-		var req CoverageRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		httpx.WriteJSON(w, http.StatusOK, CoverageResponse{Covered: make([]bool, len(req.Examples)), Tests: 1})
+		covered := make([][]byte, len(req.Clauses))
+		for i := range covered {
+			covered[i] = PackBits(make([]bool, len(req.Examples)))
+		}
+		httpx.WriteJSON(w, http.StatusOK, BatchCoverageResponse{Covered: covered, Tests: 1})
 	}))
 	return srv, &calls
+}
+
+// countOne is the coordinator's CountMany for one clause.
+func countOne(co *Coordinator, c *logic.Clause, examples []learn.Example, limit int) (int, error) {
+	ns, err := co.CountMany(context.Background(), []*logic.Clause{c}, examples, limit)
+	if err != nil {
+		return 0, err
+	}
+	return ns[0], nil
 }
 
 func bindCoordinator(t *testing.T, opts Options) (*Coordinator, *learn.CoverageEngine) {
@@ -302,7 +304,7 @@ func TestCoordinatorMemoizesVerdicts(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	_, pos, _ := tinyWorld(t)
-	n, err := co.CountUpTo(context.Background(), c, pos, len(pos))
+	n, err := countOne(co, c, pos, len(pos))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestCoordinatorMemoizesVerdicts(t *testing.T) {
 	if first == 0 {
 		t.Fatal("no RPC issued on a cold memo")
 	}
-	if _, err := co.CountUpTo(context.Background(), c, pos, len(pos)); err != nil {
+	if _, err := countOne(co, c, pos, len(pos)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != first {
@@ -336,7 +338,7 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
 	start := time.Now()
-	if _, err := co.CountUpTo(context.Background(), c, pos[:1], 1); err != nil {
+	if _, err := countOne(co, c, pos[:1], 1); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
@@ -359,7 +361,7 @@ func TestCoordinatorConfigMismatchIsFatal(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
-	_, err := co.CountUpTo(context.Background(), c, pos, len(pos))
+	_, err := countOne(co, c, pos, len(pos))
 	if err == nil {
 		t.Fatal("config mismatch did not abort the count")
 	}
@@ -368,6 +370,37 @@ func TestCoordinatorConfigMismatchIsFatal(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "config mismatch") {
 		t.Errorf("error does not name the cause: %v", err)
+	}
+}
+
+// TestCoordinatorUnsupportedProtoIsFatal: a worker that rejects the
+// coordinator's wire version answers 409 unsupported_proto, and that is
+// a fleet built for another run — fatal on the first answer, with no
+// downgrade, no retry, no failover and no local fallback.
+func TestCoordinatorUnsupportedProtoIsFatal(t *testing.T) {
+	srv, calls := stubWorker(func(w http.ResponseWriter, r *http.Request, n int64) bool {
+		httpx.Fail(w, http.StatusConflict, httpx.ErrCodeUnsupportedProto, errors.New("this worker speaks wire v3"))
+		return true
+	})
+	defer srv.Close()
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}, {srv.URL}}, Retries: 3})
+	rep := report.New()
+	engine.SetReport(rep)
+
+	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
+	_, pos, _ := tinyWorld(t)
+	_, err := countOne(co, c, pos[:1], 1)
+	if err == nil || !isFatal(err) {
+		t.Fatalf("unsupported_proto must be fatal, got %v", err)
+	}
+	if !strings.Contains(err.Error(), httpx.ErrCodeUnsupportedProto) {
+		t.Errorf("error does not name the cause: %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("%d RPCs, want 1: a fatal answer walks no retry ladder", calls.Load())
+	}
+	if n := rep.Count(report.ShardRetried) + rep.Count(report.ShardFellBackLocal); n != 0 {
+		t.Errorf("fatal answer recorded %d recoveries: %s", n, rep.Summary())
 	}
 }
 
@@ -381,7 +414,7 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	_, pos, neg := tinyWorld(t)
-	n, err := co.CountUpTo(context.Background(), c, append(append([]learn.Example(nil), pos...), neg...), 100)
+	n, err := countOne(co, c, append(append([]learn.Example(nil), pos...), neg...), 100)
 	if err != nil {
 		t.Fatalf("local fallback should have absorbed the dead worker: %v", err)
 	}
@@ -406,7 +439,7 @@ func TestCoordinatorShardsLost(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
-	_, err := co.CountUpTo(context.Background(), c, pos, len(pos))
+	_, err := countOne(co, c, pos, len(pos))
 	if err == nil {
 		t.Fatal("total loss with fallback disabled must error")
 	}

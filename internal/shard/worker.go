@@ -60,10 +60,9 @@ func (o WorkerOptions) normalized() WorkerOptions {
 }
 
 // Worker is one shard-worker service: a coverage engine behind the
-// httpx substrate. It answers POST /v1/coverage (one clause, []bool
-// verdicts) and POST /v2/coverage (a whole candidate frontier with
-// dictionary-referenced example sets and packed bitset verdicts) with
-// pure per-example verdicts — every example resolved, no count limit;
+// httpx substrate. It answers POST /v2/coverage (a whole candidate
+// frontier with dictionary-referenced example sets and packed bitset
+// verdicts) with pure per-example verdicts — every example resolved, no count limit;
 // see the package comment's merge contract — plus GET /healthz
 // (liveness: the process is up), GET /readyz (readiness: not draining
 // and not mid-preload; reports fingerprint, cache heat, and wire
@@ -109,7 +108,6 @@ func NewWorker(id string, engine *learn.CoverageEngine, fp string, opts WorkerOp
 		dicts:    make(map[string][]learn.Example),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/coverage", w.handleCoverage)
 	mux.HandleFunc("POST /v2/coverage", w.handleBatchCoverage)
 	mux.HandleFunc("GET /healthz", w.handleHealth)
 	mux.HandleFunc("GET /readyz", w.handleReady)
@@ -165,20 +163,11 @@ func (w *Worker) Preload(ctx context.Context, examples []learn.Example, shardInd
 	return n, nil
 }
 
-// protoOK validates the request's wire-protocol version header against
-// the endpoint's version. An absent header is accepted — the route
-// already names the version — but a header naming a different version
-// is a coordinator/worker disagreement that must surface, not be
-// guessed around.
-func protoOK(r *http.Request, want string) bool {
-	got := r.Header.Get(ProtoHeader)
-	return got == "" || got == want
-}
-
-// parseClause resolves clause text to a canonical *logic.Clause. The
-// cache matters beyond speed: the engine's verdict memo is keyed by
-// clause pointer, so stable pointers make repeat tests of the same
-// candidate (beam re-scoring, retried RPCs) memo hits.
+// parseClause resolves clause text to a *logic.Clause. The cache is a
+// pure parse cache: the engine's store keys verdicts by canonical
+// clause, so a re-parsed candidate would hit its record all the same —
+// but only after parsing and canonicalizing a multi-KB text again on
+// every round that repeats it (beam re-scoring, retried RPCs).
 func (w *Worker) parseClause(s string) (*logic.Clause, error) {
 	w.mu.Lock()
 	c, ok := w.clauses[s]
@@ -192,7 +181,7 @@ func (w *Worker) parseClause(s string) (*logic.Clause, error) {
 	}
 	w.mu.Lock()
 	if prev, ok := w.clauses[s]; ok {
-		c = prev // first parse wins; keep pointers canonical
+		c = prev // first parse wins: one pointer per text
 	} else {
 		w.clauses[s] = c
 	}
@@ -258,75 +247,6 @@ func (w *Worker) crashFault(rw http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
-	if !w.crashFault(rw, r) {
-		return
-	}
-	if !protoOK(r, ProtoV1) {
-		httpx.Fail(rw, http.StatusConflict, httpx.ErrCodeUnsupportedProto,
-			fmt.Errorf("shard %s: /v1/coverage speaks wire v1, request declared %q", w.id, r.Header.Get(ProtoHeader)))
-		return
-	}
-	if got := r.Header.Get(FingerprintHeader); got != "" && got != w.fp {
-		httpx.Fail(rw, http.StatusConflict, httpx.ErrCodeConfigMismatch,
-			fmt.Errorf("shard %s: coordinator fingerprint %s != worker %s (different task/options?)", w.id, got, w.fp))
-		return
-	}
-	if !w.lim.Acquire(r.Context()) {
-		httpx.Fail(rw, http.StatusServiceUnavailable, httpx.ErrCodeOverloaded,
-			fmt.Errorf("shard %s: %d requests in flight", w.id, w.lim.Cap()))
-		return
-	}
-	defer w.lim.Release()
-
-	var req CoverageRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if len(req.Examples) > w.opts.MaxBatch {
-		httpx.Fail(rw, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
-			fmt.Errorf("%d examples exceeds max batch %d", len(req.Examples), w.opts.MaxBatch))
-		return
-	}
-	c, err := w.parseClause(req.Clause)
-	if err != nil {
-		httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, err)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), w.opts.RequestTimeout)
-	defer cancel()
-
-	before := w.engine.TestCount()
-	covered := make([]bool, len(req.Examples))
-	for i, es := range req.Examples {
-		e, err := w.parseExample(es)
-		if err != nil {
-			httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, fmt.Errorf("example %d: %w", i, err))
-			return
-		}
-		v, err := w.engine.CoversLocalPooledCtx(ctx, c, e)
-		if err != nil {
-			if status, code, ok := httpx.CtxStatus(err); ok {
-				httpx.Fail(rw, status, code, err)
-				return
-			}
-			httpx.Fail(rw, http.StatusInternalServerError, httpx.ErrCodeInternal, err)
-			return
-		}
-		covered[i] = v
-	}
-	mc := w.opts.Metrics
-	mc.AddNamedGauge("shard.worker.requests", 1)
-	mc.AddNamedGauge("shard.worker.examples", int64(len(req.Examples)))
-	httpx.WriteJSON(rw, http.StatusOK, CoverageResponse{
-		Covered: covered,
-		Tests:   int64(w.engine.TestCount() - before),
-	})
-}
-
 // handleBatchCoverage answers wire v2: the shard's whole candidate
 // frontier in one request, the example set inline or by dictionary
 // reference, verdicts as one packed bitset per clause.
@@ -334,9 +254,12 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	if !w.crashFault(rw, r) {
 		return
 	}
-	if !protoOK(r, ProtoV2) {
+	// An absent version header is accepted — the route already names the
+	// version — but a header naming a different one is a coordinator/
+	// worker disagreement that must surface, not be guessed around.
+	if got := r.Header.Get(ProtoHeader); got != "" && got != ProtoV2 {
 		httpx.Fail(rw, http.StatusConflict, httpx.ErrCodeUnsupportedProto,
-			fmt.Errorf("shard %s: /v2/coverage speaks wire v2, request declared %q", w.id, r.Header.Get(ProtoHeader)))
+			fmt.Errorf("shard %s: /v2/coverage speaks wire v2, request declared %q", w.id, got))
 		return
 	}
 	if got := r.Header.Get(FingerprintHeader); got != "" && got != w.fp {
@@ -417,11 +340,8 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	before := w.engine.TestCount()
-	verdicts := make([][]bool, len(clauses))
-	for i := range verdicts {
-		verdicts[i] = make([]bool, len(exs))
-	}
-	if err := w.resolveBatch(ctx, clauses, exs, verdicts); err != nil {
+	verdicts, err := w.engine.ResolveLocal(ctx, clauses, exs)
+	if err != nil {
 		if status, code, ok := httpx.CtxStatus(err); ok {
 			httpx.Fail(rw, status, code, err)
 			return
@@ -443,61 +363,6 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 		Covered: covered,
 		Tests:   int64(w.engine.TestCount() - before),
 	})
-}
-
-// resolveBatch fills the clauses × exs verdict matrix, fanning the
-// flattened (clause, example) pair space across the engine's worker
-// budget. Verdicts are pure and ground-BC builds are first-build-wins,
-// so the parallel schedule cannot change any answer.
-func (w *Worker) resolveBatch(ctx context.Context, clauses []*logic.Clause, exs []learn.Example, verdicts [][]bool) error {
-	pairs := len(clauses) * len(exs)
-	nw := w.engine.Workers()
-	if nw > pairs {
-		nw = pairs
-	}
-	if nw <= 1 {
-		for ci, c := range clauses {
-			for ei, e := range exs {
-				v, err := w.engine.CoversLocalPooledCtx(ctx, c, e)
-				if err != nil {
-					return err
-				}
-				verdicts[ci][ei] = v
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for g := 0; g < nw; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for p := g; p < pairs; p += nw {
-				if stop.Load() {
-					return
-				}
-				ci, ei := p/len(exs), p%len(exs)
-				v, err := w.engine.CoversLocalPooledCtx(ctx, clauses[ci], exs[ei])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				verdicts[ci][ei] = v
-			}
-		}(g)
-	}
-	wg.Wait()
-	return firstErr
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {

@@ -45,6 +45,39 @@ func requireEquiv(t *testing.T, name string, c, g *logic.Clause, opts Options) {
 	}
 }
 
+// requireRenamingInvariant checks what the coverage engine's verdict
+// store rests on: a clause and a variable-renamed twin are one search.
+// The twin — and the twin answered through the first clause's compiled
+// form, which is how the store serves it — must return the identical
+// Result (Subsumes, Complete, Nodes) under a starved budget and under
+// the learner's default one. The new names reverse the old ones' sort
+// order, so a decision that leaned on variable names would show.
+func requireRenamingInvariant(t *testing.T, name string, c, g *logic.Clause) {
+	t.Helper()
+	vars := c.Variables()
+	ren := make(logic.Substitution, len(vars))
+	for i, v := range vars {
+		ren[v] = logic.Var("R" + string(rune('a'+len(vars)-i)) + v)
+	}
+	twin := c.Apply(ren)
+	if twin.Key() != c.Key() {
+		t.Fatalf("%s: renaming changed the canonical key: %v vs %v", name, c, twin)
+	}
+	in := logic.NewInterner()
+	cg := CompileGround(in, g)
+	cc := CompileClause(in, c)
+	for _, budget := range []int{50, 5000} {
+		opts := Options{MaxNodes: budget}
+		want := CheckCompiled(c, cg, opts)
+		if got := CheckCompiled(twin, cg, opts); got != want {
+			t.Fatalf("%s budget %d: renamed twin %+v, original %+v (clause %v vs %v)", name, budget, got, want, c, g)
+		}
+		if got := CheckClauseCtx(context.Background(), cc, cg, opts); got != want {
+			t.Fatalf("%s budget %d: original's compiled form %+v, original %+v (clause %v vs %v)", name, budget, got, want, c, g)
+		}
+	}
+}
+
 func TestCheckCompiledEquivalenceTable(t *testing.T) {
 	hard := func(t *testing.T) (c, g *logic.Clause) {
 		// Pigeonhole: 7-clique pattern over a 6-vertex complete digraph.
@@ -125,6 +158,8 @@ func TestCheckCompiledEquivalenceTable(t *testing.T) {
 	} {
 		requireEquiv(t, "pigeonhole", c, g, opts)
 	}
+	// Exhausted at 50 and at 5000 alike: the renaming leg's budget path.
+	requireRenamingInvariant(t, "pigeonhole", c, g)
 }
 
 func TestCheckCompiledEquivalenceEmptyStringConstants(t *testing.T) {
@@ -201,6 +236,7 @@ func TestCheckCompiledEquivalenceRandom(t *testing.T) {
 			opts = Options{MaxNodes: 1 + r.Intn(50), Restarts: 1 + r.Intn(3), Seed: int64(trial)}
 		}
 		requireEquiv(t, "random", c, g, opts)
+		requireRenamingInvariant(t, "random", c, g)
 	}
 }
 

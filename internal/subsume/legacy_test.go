@@ -15,6 +15,24 @@ import (
 	"repro/internal/logic"
 )
 
+// The compile-per-check wrappers the suites are written against: each
+// compiles the ground side, then the candidate, for one test. Nothing
+// outside the tests checks a clause that way.
+
+func Subsumes(c, g *logic.Clause, opts Options) bool { return Check(c, g, opts).Subsumes }
+
+func Check(c, g *logic.Clause, opts Options) Result {
+	return CheckCtx(context.Background(), c, g, opts)
+}
+
+func SubsumesCtx(ctx context.Context, c, g *logic.Clause, opts Options) bool {
+	return CheckCtx(ctx, c, g, opts).Subsumes
+}
+
+func CheckCtx(ctx context.Context, c, g *logic.Clause, opts Options) Result {
+	return CheckCompiledCtx(ctx, c, CompileGround(nil, g), opts)
+}
+
 func legacyCheck(ctx context.Context, c, g *logic.Clause, opts Options) Result {
 	opts = opts.normalized()
 	m, ok := newLegacyMatcher(c, g)

@@ -22,8 +22,9 @@
 // value→row postings over interned int32 ids (see logic.Interner) — that
 // callers cache and share: the coverage engine compiles each ground
 // bottom clause once and tests hundreds of beam-search candidates
-// against it. CheckCompiled then compiles only the candidate clause
-// (a handful of literals) per call: variables become dense integer ids
+// against it. CompileClause does the same for the candidate side (the
+// engine keeps one per clause; CheckCompiled compiles one per call for
+// callers that test a clause once): variables become dense integer ids
 // (the substitution is an array, not a map), constants resolve to
 // interned ids by lookup, each literal's "constrained degree" (term
 // slots held by a constant or a bound variable) is maintained
@@ -34,13 +35,14 @@
 // buckets, candidate buffers) is recycled through a sync.Pool, so a
 // steady-state check allocates nothing.
 //
-// Concurrency contract: Subsumes, Check and CheckCompiled are pure with
-// respect to shared state — every call compiles its own candidate and,
-// when restarts are needed, seeds its own *rand.Rand from Options.Seed.
-// A CompiledGround is immutable and safe to share. The outcome of a
-// test therefore depends only on (c, g, opts), never on which worker
-// runs it or in what order, which is what lets the parallel coverage
-// engine in internal/learn fan tests out without perturbing results.
+// Concurrency contract: CheckCompiled(Ctx), CheckClauseCtx and
+// ForwardPass are pure with respect to shared state — every call binds
+// into search state of its own and, when restarts are needed,
+// seeds its own *rand.Rand from Options.Seed. A CompiledGround and a
+// CompiledClause are immutable and safe to share. The outcome of a test
+// therefore depends only on (c, g, opts), never on which worker runs it
+// or in what order, which is what lets the parallel coverage engine in
+// internal/learn fan tests out without perturbing results.
 package subsume
 
 import (
@@ -100,46 +102,18 @@ type Result struct {
 	Nodes int
 }
 
-// Subsumes reports whether c θ-subsumes the ground clause g, using the
-// bounded engine. Inconclusive searches report false.
-func Subsumes(c, g *logic.Clause, opts Options) bool {
-	return Check(c, g, opts).Subsumes
-}
-
-// Check runs the subsumption test and returns the detailed result. It
-// compiles the ground side per call; callers testing many candidates
-// against one ground clause should CompileGround once and use
-// CheckCompiled instead.
-func Check(c, g *logic.Clause, opts Options) Result {
-	return CheckCtx(context.Background(), c, g, opts)
-}
-
-// SubsumesCtx is Subsumes with cancellation; an interrupted search
-// reports false (sound-negative), like a budget-exhausted one.
-func SubsumesCtx(ctx context.Context, c, g *logic.Clause, opts Options) bool {
-	return CheckCtx(ctx, c, g, opts).Subsumes
-}
-
-// CheckCtx runs the subsumption test under a context. Cancellation is
-// folded into the node-budget check loop, so an in-flight search stops
-// within a few hundred binding attempts of ctx being done — timeouts
-// interrupt mid-test rather than waiting out the node budget.
-func CheckCtx(ctx context.Context, c, g *logic.Clause, opts Options) Result {
-	opts = opts.normalized()
-	res := checkCompiledCtx(ctx, c, CompileGround(nil, g), opts)
-	record(opts, res)
-	return res
-}
-
-// CheckCompiled tests c against a pre-compiled ground clause. Outcomes
-// are bit-identical to Check on the same (c, g, opts) — the compiled
-// form changes representation, never decisions.
+// CheckCompiled tests c against a pre-compiled ground clause, compiling
+// the candidate for the call. The compiled forms change representation,
+// never decisions (equiv_test.go holds them to the string-keyed legacy
+// matcher).
 func CheckCompiled(c *logic.Clause, cg *CompiledGround, opts Options) Result {
 	return CheckCompiledCtx(context.Background(), c, cg, opts)
 }
 
-// CheckCompiledCtx is CheckCompiled under a context, with CheckCtx's
-// cancellation semantics.
+// CheckCompiledCtx is CheckCompiled under a context. Cancellation is
+// folded into the node-budget check loop, so an in-flight search stops
+// within a few hundred binding attempts of ctx being done — timeouts
+// interrupt mid-test rather than waiting out the node budget.
 func CheckCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Result {
 	opts = opts.normalized()
 	res := checkCompiledCtx(ctx, c, cg, opts)
@@ -159,9 +133,8 @@ func record(opts Options, res Result) {
 	}
 }
 
-// checkCompiledCtx is the engine shared by CheckCtx and
-// CheckCompiledCtx, with opts already normalized and instrumentation
-// applied by the caller.
+// checkCompiledCtx is CheckCompiledCtx with opts already normalized and
+// instrumentation applied by the caller.
 func checkCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Result {
 	m := matcherPool.Get().(*matcher)
 	defer m.release()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -38,19 +37,8 @@ func (f *ShardFleet) Close() {
 // built from the same task and options the coordinating run will use,
 // as the fingerprint contract requires.
 func StartShardFleet(task autobias.Task, opts autobias.Options, layout [][]string) (*ShardFleet, error) {
-	return StartShardFleetLegacy(task, opts, layout, nil)
-}
-
-// StartShardFleetLegacy boots a fleet like StartShardFleet, except that
-// shards whose index is in legacyShards serve only the v1 wire protocol
-// — their /v2/coverage answers 404, exactly like a worker built before
-// the batched protocol existed. Mixed-fleet tests use it to prove the
-// coordinator's per-replica protocol negotiation: v2 rounds against new
-// workers, transparent per-candidate downgrade against old ones, same
-// theory either way.
-func StartShardFleetLegacy(task autobias.Task, opts autobias.Options, layout [][]string, legacyShards map[int]bool) (*ShardFleet, error) {
 	f := &ShardFleet{}
-	for i, ids := range layout {
+	for _, ids := range layout {
 		entry := ""
 		for j, id := range ids {
 			w, err := autobias.NewShardWorker(task, opts, id, autobias.ShardWorkerOptions{})
@@ -58,18 +46,7 @@ func StartShardFleetLegacy(task autobias.Task, opts autobias.Options, layout [][
 				f.Close()
 				return nil, fmt.Errorf("testkit: shard worker %s: %w", id, err)
 			}
-			h := http.Handler(w.Handler())
-			if legacyShards[i] {
-				inner := h
-				h = http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/v2/coverage" {
-						http.NotFound(rw, r)
-						return
-					}
-					inner.ServeHTTP(rw, r)
-				})
-			}
-			s := httptest.NewServer(h)
+			s := httptest.NewServer(w.Handler())
 			f.servers = append(f.servers, s)
 			if j > 0 {
 				entry += "|"

@@ -24,7 +24,7 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	type outcome struct {
 		theory   string
 		counters map[string]int64
-		memoKeys []string
+		memoKeys [][2]string
 		builds   []bottom.BuildRecord
 	}
 	for _, pure := range []bool{false, true} {
@@ -37,12 +37,9 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 			got := outcome{
 				theory:   res.Definition.String(),
 				counters: res.Metrics.Counters,
+				memoKeys: res.engine.ExtractCarried().ARMGPairs(),
 				builds:   res.engine.Builder().BuildLog(),
 			}
-			for key := range res.engine.ExtractCarried().ARMG {
-				got.memoKeys = append(got.memoKeys, key)
-			}
-			slices.Sort(got.memoKeys)
 			if workers == 1 {
 				ref = got
 				if got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0 {

@@ -64,22 +64,49 @@ type Repair struct {
 	// InvalidatedClauses lists previously learned clauses whose coverage
 	// over the dirty examples actually changed.
 	InvalidatedClauses []string
-	// CarriedHits counts coverage tests answered from the previous run's
-	// carried verdicts — the work repair avoided.
+	// CarriedHits counts the distinct carried (clause, example) verdicts
+	// the replay consumed — each one a ground-BC fetch and subsumption
+	// test repair avoided. Clauses equal up to variable renaming share one
+	// store record, so a verdict read through several of them counts once.
 	CarriedHits int64
 	// BiasDrift reports that the refreshed INDs induced a different
 	// language bias, forcing the full re-learn path.
 	BiasDrift bool
 	// FullRelearn reports that the repair fell back to a from-scratch
-	// re-learn (bias drift, non-naive sampling, or a previous result
-	// without reusable coverage state).
+	// re-learn; FullRelearnReason names which of the six conditions
+	// forced it.
 	FullRelearn bool
+	// FullRelearnReason is empty on the repair path and otherwise one of
+	// the FullRelearn* constants, also counted by the
+	// ingest.full_relearn.<reason> gauge.
+	FullRelearnReason string
 	// Unchanged reports the fast path: no dirty examples and no bias
 	// drift, so the previous theory is returned as-is.
 	Unchanged bool
 	// Elapsed is the repair's wall-clock time, end to end.
 	Elapsed time.Duration
 }
+
+// Why a repair fell back to a full re-learn (Repair.FullRelearnReason),
+// in the order RepairCtx checks them.
+const (
+	// FullRelearnVersionSkew: other batches landed since this commit, so
+	// its change summary understates the real delta.
+	FullRelearnVersionSkew = "version_skew"
+	// FullRelearnNoSummary: the commit applied tuples but carries no
+	// change summary (e.g. a partially rehydrated wire commit).
+	FullRelearnNoSummary = "no_summary"
+	// FullRelearnNoPrevINDs: the previous result kept no INDs to refresh.
+	FullRelearnNoPrevINDs = "no_prev_inds"
+	// FullRelearnBiasDrift: the refreshed INDs induce a different bias.
+	FullRelearnBiasDrift = "bias_drift"
+	// FullRelearnNonNaiveSampling: the invalidation screen is only sound
+	// under naive sampling.
+	FullRelearnNonNaiveSampling = "non_naive_sampling"
+	// FullRelearnImpureEngine: the previous run has no pure-provenance
+	// coverage state to carry.
+	FullRelearnImpureEngine = "impure_engine"
+)
 
 // RepairCtx incrementally maintains a learned theory after a committed
 // mutation batch (DESIGN.md §16). prev must be the result of LearnCtx
@@ -123,7 +150,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return rep
 	}
 
-	fullRelearn := func(inds []IND, drift bool) (*Repair, error) {
+	fullRelearn := func(inds []IND, reason string) (*Repair, error) {
 		if inds != nil {
 			opts.INDs = inds
 		}
@@ -131,7 +158,8 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		if err != nil {
 			return nil, err
 		}
-		return finish(&Repair{Result: res, BiasDrift: drift, FullRelearn: true}), nil
+		mc.AddNamedGauge("ingest.full_relearn."+reason, 1)
+		return finish(&Repair{Result: res, BiasDrift: reason == FullRelearnBiasDrift, FullRelearn: true, FullRelearnReason: reason}), nil
 	}
 
 	// Defensive fallbacks for commits that cannot drive the invalidation
@@ -143,9 +171,11 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	// whatever state the database now holds. Commits observed through
 	// Ingestor.ApplyAndNotify never skew: the hook runs under the commit
 	// lock.
-	if task.DB.Version() != commit.Version ||
-		(commit.Inserted+commit.Deleted > 0 && (len(commit.Touched) == 0 || len(commit.Values) == 0)) {
-		return fullRelearn(nil, false)
+	if task.DB.Version() != commit.Version {
+		return fullRelearn(nil, FullRelearnVersionSkew)
+	}
+	if commit.Inserted+commit.Deleted > 0 && (len(commit.Touched) == 0 || len(commit.Values) == 0) {
+		return fullRelearn(nil, FullRelearnNoSummary)
 	}
 
 	// Refresh the INDs and re-induce the bias; a changed bias invalidates
@@ -154,7 +184,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	var inds []IND
 	if opts.method() == MethodAutoBias {
 		if prev.INDs == nil {
-			return fullRelearn(nil, false)
+			return fullRelearn(nil, FullRelearnNoPrevINDs)
 		}
 		ext, err := db.Extend(task.DB, task.Target, task.TargetAttrs, examplesToTuples(task.Pos))
 		if err != nil {
@@ -175,15 +205,18 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return nil, err
 	}
 	if prev.Bias == nil || b.String() != prev.Bias.String() {
-		return fullRelearn(inds, true)
+		return fullRelearn(inds, FullRelearnBiasDrift)
 	}
 
 	// The invalidation probe is only sound under naive sampling (the
 	// other strategies consult relation-wide statistics any mutation can
 	// shift), and carried verdicts only replay against pure-provenance
 	// BCs.
-	if opts.Sampling != SamplingNaive || prev.engine == nil || !prev.engine.PureGroundBCs() {
-		return fullRelearn(inds, false)
+	if opts.Sampling != SamplingNaive {
+		return fullRelearn(inds, FullRelearnNonNaiveSampling)
+	}
+	if prev.engine == nil || !prev.engine.PureGroundBCs() {
+		return fullRelearn(inds, FullRelearnImpureEngine)
 	}
 
 	candidates := prev.engine.AffectedExamples(commit.Values)
@@ -260,7 +293,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 			if !had {
 				continue
 			}
-			now, err := probe.CoversPooledCtx(ctx, c, e)
+			now, err := probe.Covers(ctx, c, e)
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +325,6 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 			Retries:              so.Retries,
 			HedgeDelay:           so.HedgeDelay,
 			DisableLocalFallback: so.DisableLocalFallback,
-			DisableBatch:         so.DisableBatch,
 			MaxBatchClauses:      so.BatchClauses,
 			JitterSeed:           opts.Seed,
 			Metrics:              mc,
@@ -318,7 +350,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	res.Clauses = stats.Clauses
 	res.Elapsed = time.Since(learnStart)
 	res.covers = func(d *Definition, e Example) (bool, error) {
-		return engine.DefinitionCovers(d, e)
+		return engine.DefinitionCovers(context.Background(), d, e)
 	}
 	res.engine = engine
 	rep.Result = res

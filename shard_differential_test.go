@@ -120,41 +120,6 @@ func TestShardDifferential(t *testing.T) {
 		}
 	})
 
-	t.Run("per-candidate-matches-batched", func(t *testing.T) {
-		// The batched frontier transport and the per-candidate transport
-		// (DisableBatch) must be indistinguishable on every deterministic
-		// surface: same theory as the pure reference, and an empty
-		// DeterministicDiff between the two distributed legs at every
-		// coordinator worker count.
-		for _, w := range []int{1, 4, 8} {
-			batched, err := testkit.Run(ctx, task, sharded(w, nil), fmt.Sprintf("sharded(batched,w=%d)", w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			perCand, err := testkit.Run(ctx, task, sharded(w, func(so *autobias.ShardOptions) { so.DisableBatch = true }),
-				fmt.Sprintf("sharded(per-candidate,w=%d)", w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range diffVsReference(ref, batched) {
-				t.Error(d)
-			}
-			for _, d := range diffVsReference(ref, perCand) {
-				t.Error(d)
-			}
-			if batched.Theory != perCand.Theory {
-				t.Errorf("w=%d: batched and per-candidate theories diverge", w)
-			}
-			for _, d := range batched.Snapshot.DeterministicDiff(perCand.Snapshot) {
-				t.Errorf("w=%d: batched vs per-candidate: %s", w, d)
-			}
-			if batched.Snapshot.Gauges["shard.rpc_sent"] >= perCand.Snapshot.Gauges["shard.rpc_sent"] {
-				t.Errorf("w=%d: batched transport sent %d RPCs, per-candidate %d; batching should send strictly fewer",
-					w, batched.Snapshot.Gauges["shard.rpc_sent"], perCand.Snapshot.Gauges["shard.rpc_sent"])
-			}
-		}
-	})
-
 	t.Run("batch-faults-retry", func(t *testing.T) {
 		defer faultpoint.Reset()
 		// Faults on the batch-specific wire site: the 2nd and 3rd batched
@@ -297,47 +262,6 @@ func TestShardDifferential(t *testing.T) {
 			t.Error("shard.lost gauge is zero")
 		}
 	})
-}
-
-// TestShardMixedFleetProto proves protocol negotiation on a mixed
-// fleet: shards 1 and 3 are pre-batching workers (no /v2/coverage
-// route), shards 0 and 2 speak wire v2. The coordinator must settle
-// each replica to its protocol — one 404-answered probe per legacy
-// replica, batched rounds everywhere else — and the theory must stay
-// bit-identical to the pure reference.
-func TestShardMixedFleetProto(t *testing.T) {
-	task := smallTask(t)
-	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}
-	ctx := context.Background()
-
-	ref := pureReference(t, ctx, task, base)
-
-	fleet, err := testkit.StartShardFleetLegacy(task, base,
-		[][]string{{"m0"}, {"m1"}, {"m2"}, {"m3"}}, map[int]bool{1: true, 3: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	opts := base
-	opts.Workers = 4
-	opts.Shard = &autobias.ShardOptions{Workers: fleet.URLs}
-	leg, err := testkit.Run(ctx, task, opts, "sharded(mixed-proto)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diffVsReference(ref, leg) {
-		t.Error(d)
-	}
-	if got := leg.Snapshot.Gauges["shard.proto_downgrades"]; got != 2 {
-		t.Errorf("proto_downgrades = %d, want 2 (one per legacy replica, settled once)", got)
-	}
-	if leg.Snapshot.Gauges["shard.dict_registers"] == 0 {
-		t.Error("no dictionary registered: the v2 shards never took a batched round")
-	}
-	if leg.Result.Degraded() {
-		t.Errorf("protocol downgrade must not degrade the run: %s", leg.Result.Report.Summary())
-	}
 }
 
 // TestShardHedging exercises the hedged-request path on a fleet with
