@@ -256,7 +256,9 @@ type Options struct {
 	EvalSampleCap int
 	// MinPrecision is the minimum-criterion precision (default 0.7).
 	MinPrecision float64
-	// SubsumeMaxNodes bounds each θ-subsumption test (default 100000).
+	// SubsumeMaxNodes bounds each θ-subsumption test (default 5000: the
+	// learners' own deliberately tight budget, see learn.Options — not
+	// the subsume package's standalone 100000).
 	SubsumeMaxNodes int
 	// Timeout bounds one learning run; 0 means unlimited. Timed-out runs
 	// return partial definitions with Result.TimedOut set (the paper's
@@ -281,14 +283,14 @@ type Options struct {
 	// across runs to aggregate, or poll Snapshot() live from another
 	// goroutine — all collector methods are concurrency-safe.
 	Collector *MetricsCollector
-	// PureGroundBCs forces derived-seed ("pure") ground-BC provenance:
-	// each example's BC becomes a pure function of (options, example)
-	// instead of a product of the builder's shared RNG stream. Distributed
-	// runs require it (Options.Shard implies it); set it on a
-	// single-process run to produce the reference a distributed run must
-	// match bit for bit. Pure and shared provenance sample different,
-	// equally valid BCs, so theories differ between the two modes — but
-	// are deterministic within each.
+	// PureGroundBCs is ignored.
+	//
+	// Deprecated: derived-seed ground-BC provenance is the only one there
+	// is (DESIGN.md §19), so there is nothing left to select. The field
+	// survives one PR only because bench/sharded.go:127 and
+	// bench/liveloop.go:170 still set it and the PR that removed the
+	// option could not edit bench/; the next benchmark PR deletes those
+	// two lines and this field with them.
 	PureGroundBCs bool
 	// Shard, when non-nil, distributes coverage testing — the learner's
 	// hot loop — across shard-worker processes; see ShardOptions,
@@ -371,6 +373,63 @@ func (o Options) subsumeOptions() subsume.Options {
 	return subsume.Options{MaxNodes: o.SubsumeMaxNodes, Seed: o.Seed}
 }
 
+// learnOptions assembles the bottom-up learner's options: the one place
+// the facade's Options become learn.Options, so a learning run, the
+// repair that follows it and the shard workers that serve both cannot
+// drift apart.
+func (o Options) learnOptions(mc *metrics.Collector) learn.Options {
+	return learn.Options{
+		Bottom:        o.bottomOptions(),
+		Subsume:       o.subsumeOptions(),
+		BeamWidth:     o.BeamWidth,
+		EvalSampleCap: o.EvalSampleCap,
+		MinPrecision:  o.MinPrecision,
+		Timeout:       o.Timeout,
+		Seed:          o.Seed,
+		Workers:       o.Workers,
+		Metrics:       mc,
+	}
+}
+
+// engineFingerprint is the config fingerprint a coordinator sends and a
+// shard worker checks on every RPC.
+func engineFingerprint(engine *learn.CoverageEngine, task Task, b *Bias) string {
+	return shard.EngineFingerprint(engine,
+		model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs), b.String())
+}
+
+// bindShards routes the engine's coverage counts through the run's shard
+// fleet, at the given data version, and returns the detach step the
+// caller defers: post-run queries (Covers, Evaluate) resolve locally
+// against the memo and cache, never over RPC. Without Options.Shard it
+// binds nothing.
+func (o Options) bindShards(engine *learn.CoverageEngine, task Task, b *Bias, mc *metrics.Collector, dataVersion uint64) (detach func(), err error) {
+	so := o.Shard
+	if so == nil {
+		return func() {}, nil
+	}
+	coord, err := shard.New(shard.Options{
+		Shards:               so.shardFleet(),
+		Fingerprint:          engineFingerprint(engine, task, b),
+		RequestTimeout:       so.RequestTimeout,
+		Retries:              so.Retries,
+		HedgeDelay:           so.HedgeDelay,
+		DisableLocalFallback: so.DisableLocalFallback,
+		MaxBatchClauses:      so.BatchClauses,
+		JitterSeed:           o.Seed,
+		Metrics:              mc,
+	})
+	if err != nil {
+		return nil, err
+	}
+	coord.SetDataVersion(dataVersion)
+	coord.Bind(engine)
+	return func() {
+		coord.Close()
+		engine.SetTransport(nil)
+	}, nil
+}
+
 // Result is the outcome of one learning run.
 type Result struct {
 	// Definition is the learned Horn definition (possibly empty).
@@ -413,10 +472,24 @@ type Result struct {
 	covers  eval.CoverFunc
 	db      *Database
 	metrics *metrics.Collector
-	// engine is the run's coverage engine, kept for model capture: its
-	// builder holds the build log and effective options an artifact must
-	// record for exact serve-time replay.
+	// engine is the run's coverage engine, kept for post-run queries,
+	// model capture (its effective options and intern table) and as the
+	// state an incremental repair carries forward.
 	engine *learn.CoverageEngine
+}
+
+// capture records a finished learner run on the result: the theory, how
+// the run ended, and the engine that answers for it from here on.
+func (r *Result) capture(engine *learn.CoverageEngine, def *Definition, clauses int, timedOut, cancelled bool, rep *Report) {
+	r.Definition = def
+	r.Clauses = clauses
+	r.TimedOut = timedOut
+	r.Cancelled = cancelled
+	r.Report = rep
+	r.covers = func(d *Definition, e Example) (bool, error) {
+		return engine.DefinitionCovers(context.Background(), d, e)
+	}
+	r.engine = engine
 }
 
 // Degraded reports whether the run was interrupted or lost work it could
@@ -428,14 +501,12 @@ func (r *Result) Degraded() bool { return r.Report.Degraded() }
 // BuildArtifact captures the run as a sealed model artifact: the learned
 // theory and bias plus everything a serving process needs to reproduce
 // this run's coverage verdicts exactly — the effective bottom-clause and
-// subsumption options, the interner symbol table, the schema
-// fingerprint, and the builder's complete build log (replayed at load
-// time to restore the training ground BCs; see internal/model). data
-// names the training database so the server can rebind it; pass the
-// zero value if the server will supply data itself.
-//
-// Call Covers/Evaluate before BuildArtifact, not after: post-capture
-// queries that build new ground BCs would be missing from the log.
+// subsumption options, the interner symbol table and the schema
+// fingerprint (see internal/model). data names the training database so
+// the server can rebind it; pass the zero value if the server will
+// supply data itself. Served verdicts equal Covers' whenever the
+// artifact is captured — before or after the queries they are compared
+// with, from a complete run or an interrupted one.
 func (r *Result) BuildArtifact(task Task, data ModelDataRef) (*ModelArtifact, error) {
 	if r.engine == nil {
 		return nil, fmt.Errorf("autobias: result has no coverage engine; only Learn results can be saved")
@@ -468,10 +539,7 @@ func (r *Result) BuildArtifact(task Task, data ModelDataRef) (*ModelArtifact, er
 		SchemaFingerprint: model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs),
 		Data:              data,
 		DataVersion:       task.DB.Version(),
-		BuildLog:          r.engine.Builder().BuildLog(),
-		// An interrupted run consumed RNG draws its log cannot replay
-		// (the abandoned build never completed), so the artifact carries
-		// the anytime theory without the exact-replay guarantee.
+		// An interrupted run's theory is its anytime partial result.
 		Degraded: r.TimedOut || r.Cancelled || r.Degraded(),
 	}
 	if err := art.Seal(); err != nil {
@@ -621,71 +689,23 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 			Workers:       opts.Workers,
 			Metrics:       mc,
 		})
-		if opts.PureGroundBCs {
-			l.Coverage().SetPureGroundBCs(true)
-		}
 		def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
 		if err != nil {
 			return nil, err
 		}
-		res.Definition = def
-		res.TimedOut = stats.TimedOut
-		res.Cancelled = stats.Cancelled
-		res.Report = stats.Report
-		res.Clauses = stats.Clauses
-		res.covers = func(d *Definition, e Example) (bool, error) {
-			return l.Coverage().DefinitionCovers(context.Background(), d, e)
-		}
-		res.engine = l.Coverage()
+		res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
 	} else {
-		l := learn.New(task.DB, compiled, learn.Options{
-			Bottom:        opts.bottomOptions(),
-			Subsume:       opts.subsumeOptions(),
-			BeamWidth:     opts.BeamWidth,
-			EvalSampleCap: opts.EvalSampleCap,
-			MinPrecision:  opts.MinPrecision,
-			Timeout:       opts.Timeout,
-			Seed:          opts.Seed,
-			Workers:       opts.Workers,
-			Metrics:       mc,
-			PureGroundBCs: opts.PureGroundBCs || opts.Shard != nil,
-		})
-		if so := opts.Shard; so != nil {
-			fp := shard.EngineFingerprint(l.Coverage(),
-				model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs), b.String())
-			coord, err := shard.New(shard.Options{
-				Shards:               so.shardFleet(),
-				Fingerprint:          fp,
-				RequestTimeout:       so.RequestTimeout,
-				Retries:              so.Retries,
-				HedgeDelay:           so.HedgeDelay,
-				DisableLocalFallback: so.DisableLocalFallback,
-				MaxBatchClauses:      so.BatchClauses,
-				JitterSeed:           opts.Seed,
-				Metrics:              mc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			coord.Bind(l.Coverage())
-			// Detach when the run ends: post-run queries (Covers, Evaluate)
-			// resolve locally against the memo and cache, never over RPC.
-			defer l.Coverage().SetTransport(nil)
-			defer coord.Close()
+		l := learn.New(task.DB, compiled, opts.learnOptions(mc))
+		detach, err := opts.bindShards(l.Coverage(), task, b, mc, 0)
+		if err != nil {
+			return nil, err
 		}
+		defer detach()
 		def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
 		if err != nil {
 			return nil, err
 		}
-		res.Definition = def
-		res.TimedOut = stats.TimedOut
-		res.Cancelled = stats.Cancelled
-		res.Report = stats.Report
-		res.Clauses = stats.Clauses
-		res.covers = func(d *Definition, e Example) (bool, error) {
-			return l.Coverage().DefinitionCovers(context.Background(), d, e)
-		}
-		res.engine = l.Coverage()
+		res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
 	}
 	res.Elapsed = time.Since(start)
 	if mc != nil {
@@ -698,10 +718,10 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 // NewShardWorker builds the shard-worker service for a distributed run:
 // a coverage engine constructed from the same task and options as the
 // coordinator's — same bias (induced or given), same effective
-// bottom-clause and subsumption options, pure ground-BC provenance —
-// plus the config fingerprint that proves the parity on every RPC. The
-// returned worker serves POST /v2/coverage (the batched frontier
-// protocol), GET /healthz, GET /readyz and GET /metrics; run it with (*ShardWorker).Serve or mount
+// bottom-clause and subsumption options — plus the config fingerprint
+// that proves the parity on every RPC. The returned worker serves POST
+// /v2/coverage (the batched frontier protocol), GET /healthz, GET
+// /readyz and GET /metrics; run it with (*ShardWorker).Serve or mount
 // (*ShardWorker).Handler yourself. See cmd/shardworker for the CLI.
 func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions) (*ShardWorker, error) {
 	if opts.method() == MethodAleph {
@@ -717,24 +737,11 @@ func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions
 	if err != nil {
 		return nil, err
 	}
-	l := learn.New(task.DB, compiled, learn.Options{
-		Bottom:        opts.bottomOptions(),
-		Subsume:       opts.subsumeOptions(),
-		BeamWidth:     opts.BeamWidth,
-		EvalSampleCap: opts.EvalSampleCap,
-		MinPrecision:  opts.MinPrecision,
-		Seed:          opts.Seed,
-		Workers:       opts.Workers,
-		Metrics:       mc,
-		PureGroundBCs: true,
-	})
-	engine := l.Coverage()
-	fp := shard.EngineFingerprint(engine,
-		model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs), b.String())
+	engine := learn.New(task.DB, compiled, opts.learnOptions(mc)).Coverage()
 	if wopts.Metrics == nil {
 		wopts.Metrics = mc
 	}
-	return shard.NewWorker(id, engine, fp, wopts), nil
+	return shard.NewWorker(id, engine, engineFingerprint(engine, task, b), wopts), nil
 }
 
 // DiscoverINDs runs Binder-style IND discovery over the database with

@@ -216,7 +216,6 @@ func newCoverageCell(b *testing.B, dataset string) *coverageCell {
 	}
 	builder := cell.newBuilder()
 	cell.warm = learn.NewCoverage(builder, subsume.Options{})
-	cell.warm.SetPureGroundBCs(true)
 	cand, err := builder.Construct(task.Pos[0])
 	if err != nil {
 		b.Fatal(err)

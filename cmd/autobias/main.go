@@ -17,7 +17,7 @@
 // processes that are allowed to fail: RPCs retry with backoff, lost
 // shards fail over to survivors, and a fully lost fleet degrades to
 // in-process computation — the learned theory is bit-identical to a
-// single-process -pure-bcs run throughout. See DESIGN.md §13.
+// single-process run throughout. See DESIGN.md §13.
 //
 // The -pos/-neg files hold one ground fact per line, e.g.
 // "advisedBy(juan,sarita)".
@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -36,6 +35,7 @@ import (
 	"time"
 
 	autobias "repro"
+	"repro/internal/bottom"
 	"repro/internal/cli"
 )
 
@@ -55,35 +55,33 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "learning budget (0 = unlimited)")
 	workers := flag.Int("workers", 0, "coverage-test worker pool size (0 = all CPUs, 1 = sequential; results are identical at any setting)")
 	metricsOut := flag.String("metrics", "", "write run instrumentation (counters, histograms, spans) to this JSON file")
-	saveModel := flag.String("save-model", "", "write the learned model as a serving artifact (theory, bias, replay log) to this file; serve it with cmd/serve")
+	saveModel := flag.String("save-model", "", "write the learned model as a serving artifact (theory, bias, engine configuration) to this file; serve it with cmd/serve")
 	shards := flag.String("shards", "", "distribute coverage testing across shard workers (cmd/shardworker): comma-separated base URLs, one per shard, replicas of a shard separated by '|'")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-RPC timeout with -shards (0 = 10s)")
 	shardRetries := flag.Int("shard-retries", 0, "RPC attempt budget per shard with -shards (0 = 3)")
 	shardHedge := flag.Duration("shard-hedge", 0, "duplicate straggling shard RPCs to a second replica after this delay (0 = off)")
 	shardNoFallback := flag.Bool("shard-no-fallback", false, "with -shards: abort to the partial theory instead of computing a lost shard's examples in-process")
 	shardBatchClauses := flag.Int("shard-batch-clauses", 0, "with -shards: max frontier clauses per wire batch (0 = 256)")
-	pure := flag.Bool("pure-bcs", false, "derived-seed ground-BC provenance (implied by -shards; set on a single-process run to produce the reference a sharded run matches bit for bit)")
 	flag.Parse()
 
-	task, err := buildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "autobias:", err)
 		os.Exit(1)
 	}
-	strat, err := parseSampling(*sampling)
+	strat, err := bottom.ParseStrategy(*sampling)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "autobias:", err)
+		fmt.Fprintf(os.Stderr, "autobias: unknown sampling %q\n", *sampling)
 		os.Exit(2)
 	}
 	opts := autobias.Options{
-		Method:        autobias.Method(*method),
-		Sampling:      strat,
-		Depth:         *depth,
-		SampleSize:    *sampleSize,
-		Timeout:       *timeout,
-		Seed:          *seed,
-		Workers:       *workers,
-		PureGroundBCs: *pure,
+		Method:     autobias.Method(*method),
+		Sampling:   strat,
+		Depth:      *depth,
+		SampleSize: *sampleSize,
+		Timeout:    *timeout,
+		Seed:       *seed,
+		Workers:    *workers,
 	}
 	if *shards != "" {
 		opts.Shard = &autobias.ShardOptions{
@@ -123,8 +121,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%% training metrics: precision=%.2f recall=%.2f f1=%.2f\n", m.Precision, m.Recall, m.F1)
-	// Capture the model after Evaluate: the artifact's replay log must
-	// include every build the coverage machinery ran.
 	if *saveModel != "" {
 		ref := autobias.ModelDataRef{CSVDir: *csvDir}
 		if *dataset != "" {
@@ -159,73 +155,4 @@ func reportDegradation(w *os.File, prog string, timedOut, cancelled bool, rep *a
 	}
 	fmt.Fprintf(w, "%s: %s; partial results above [%s]\n", prog, why, rep.Summary())
 	return 3
-}
-
-func buildTask(dataset string, scale float64, seed int64, csvDir, target, attrs, posFile, negFile string) (autobias.Task, error) {
-	if dataset != "" {
-		ds, err := autobias.GenerateDataset(dataset, scale, seed)
-		if err != nil {
-			return autobias.Task{}, err
-		}
-		return autobias.TaskFromDataset(ds), nil
-	}
-	if csvDir == "" {
-		return autobias.Task{}, fmt.Errorf("need -dataset or -csv (with -target, -attrs, -pos, -neg)")
-	}
-	if target == "" || attrs == "" || posFile == "" || negFile == "" {
-		return autobias.Task{}, fmt.Errorf("-csv needs -target, -attrs, -pos and -neg")
-	}
-	d, err := autobias.LoadCSVDir(csvDir)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	pos, err := readExamples(posFile)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	neg, err := readExamples(negFile)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	return autobias.Task{
-		DB:          d,
-		Target:      target,
-		TargetAttrs: strings.Split(attrs, ","),
-		Pos:         pos,
-		Neg:         neg,
-	}, nil
-}
-
-func readExamples(path string) ([]autobias.Example, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []autobias.Example
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		e, err := autobias.ParseExample(line)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
-func parseSampling(s string) (autobias.Sampling, error) {
-	switch s {
-	case "naive":
-		return autobias.SamplingNaive, nil
-	case "random":
-		return autobias.SamplingRandom, nil
-	case "stratified":
-		return autobias.SamplingStratified, nil
-	}
-	return autobias.SamplingNaive, fmt.Errorf("unknown sampling %q", s)
 }

@@ -105,13 +105,10 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 		os.Exit(2)
 	}
 
-	// Pure ground-BC provenance is the repair contract: carried verdicts
-	// only replay against BCs that are pure functions of the example.
 	opts := autobias.Options{
-		Seed:          *seed,
-		Workers:       *workers,
-		PureGroundBCs: true,
-		Collector:     mc,
+		Seed:      *seed,
+		Workers:   *workers,
+		Collector: mc,
 	}
 
 	fmt.Printf("ingest: learning initial theory for %s...\n", name)

@@ -56,7 +56,7 @@ func main() {
 	modelConcurrency := flag.Int("model-concurrency", 32, "per-model concurrent predict budget; excess is shed with 503 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "per-model byte budget for fresh-example ground-BC entries (size-aware LRU; replayed training BCs are pinned outside it)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "per-model byte budget for ground-BC entries (size-aware LRU)")
 	memoLimit := flag.Int("memo-limit", 0, "per-model verdict memo entries per generation (0 = default 65536)")
 	metricsOut := flag.String("metrics", "", "write the final metrics snapshot to this JSON file on shutdown")
 	flag.Parse()
@@ -90,10 +90,10 @@ func main() {
 		art := m.Artifact()
 		note := ""
 		if art.Degraded {
-			note = " [degraded: training run was interrupted; replay is best-effort]"
+			note = " [degraded: training run was interrupted; the theory is its partial result]"
 		}
-		fmt.Printf("loaded %s: %s(%s), %d clauses, %d replayed builds%s\n",
-			name, art.Target, strings.Join(art.TargetAttrs, ","), m.Definition().Len(), len(art.BuildLog), note)
+		fmt.Printf("loaded %s: %s(%s), %d clauses%s\n",
+			name, art.Target, strings.Join(art.TargetAttrs, ","), m.Definition().Len(), note)
 	}
 
 	// reload is shared by SIGHUP and POST /admin/reload; the mutex keeps

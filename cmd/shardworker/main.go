@@ -24,15 +24,14 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	autobias "repro"
+	"repro/internal/bottom"
 	"repro/internal/cli"
 )
 
@@ -60,14 +59,14 @@ func main() {
 	shardCount := flag.Int("shard-count", 0, "with -preload: total shard count of the fleet; 0 or 1 preloads every example")
 	flag.Parse()
 
-	task, err := buildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shardworker:", err)
 		os.Exit(1)
 	}
-	strat, err := parseSampling(*sampling)
+	strat, err := bottom.ParseStrategy(*sampling)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shardworker:", err)
+		fmt.Fprintf(os.Stderr, "shardworker: unknown sampling %q\n", *sampling)
 		os.Exit(2)
 	}
 	opts := autobias.Options{
@@ -119,73 +118,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shardworker:", err)
 		os.Exit(1)
 	}
-}
-
-func buildTask(dataset string, scale float64, seed int64, csvDir, target, attrs, posFile, negFile string) (autobias.Task, error) {
-	if dataset != "" {
-		ds, err := autobias.GenerateDataset(dataset, scale, seed)
-		if err != nil {
-			return autobias.Task{}, err
-		}
-		return autobias.TaskFromDataset(ds), nil
-	}
-	if csvDir == "" {
-		return autobias.Task{}, fmt.Errorf("need -dataset or -csv (with -target, -attrs, -pos, -neg)")
-	}
-	if target == "" || attrs == "" || posFile == "" || negFile == "" {
-		return autobias.Task{}, fmt.Errorf("-csv needs -target, -attrs, -pos and -neg")
-	}
-	d, err := autobias.LoadCSVDir(csvDir)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	pos, err := readExamples(posFile)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	neg, err := readExamples(negFile)
-	if err != nil {
-		return autobias.Task{}, err
-	}
-	return autobias.Task{
-		DB:          d,
-		Target:      target,
-		TargetAttrs: strings.Split(attrs, ","),
-		Pos:         pos,
-		Neg:         neg,
-	}, nil
-}
-
-func readExamples(path string) ([]autobias.Example, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []autobias.Example
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		e, err := autobias.ParseExample(line)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
-func parseSampling(s string) (autobias.Sampling, error) {
-	switch s {
-	case "naive":
-		return autobias.SamplingNaive, nil
-	case "random":
-		return autobias.SamplingRandom, nil
-	case "stratified":
-		return autobias.SamplingStratified, nil
-	}
-	return autobias.SamplingNaive, fmt.Errorf("unknown sampling %q", s)
 }

@@ -49,7 +49,7 @@ func TestGoldenTheories(t *testing.T) {
 			if len(task.Neg) > tc.maxNeg {
 				task.Neg = task.Neg[:tc.maxNeg]
 			}
-			res, err := Learn(task, Options{Method: MethodAutoBias, Seed: tc.seed, Workers: 1, PureGroundBCs: true})
+			res, err := Learn(task, Options{Method: MethodAutoBias, Seed: tc.seed, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

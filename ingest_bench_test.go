@@ -44,7 +44,7 @@ type ingestBenchFile struct {
 	Runs        []ingestBenchRun `json:"runs"`
 }
 
-const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the incremental path — not the drift fallback — handles it), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; both legs run pure ground-BC provenance and the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v ."
+const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the incremental path — not the drift fallback — handles it), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v ."
 
 // TestIngestBenchGate measures and gates the repair-vs-relearn speedup.
 func TestIngestBenchGate(t *testing.T) {
@@ -57,7 +57,7 @@ func TestIngestBenchGate(t *testing.T) {
 		trials  = 3
 	)
 	ctx := context.Background()
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}
 
 	freshTask := func() autobias.Task {
 		ds, err := autobias.GenerateDataset(dataset, scale, 1)

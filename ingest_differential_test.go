@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	autobias "repro"
@@ -126,7 +127,7 @@ func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers in
 	t.Helper()
 	ctx := context.Background()
 	task, heldOut := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: workers, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: workers}
 
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
@@ -210,7 +211,7 @@ func TestRepairEquivalenceMixedRandomized(t *testing.T) {
 func TestRepairFreshConstantsFastPath(t *testing.T) {
 	ctx := context.Background()
 	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestRepairFreshConstantsFastPath(t *testing.T) {
 // reference) bit for bit.
 func TestRepairShardedTransport(t *testing.T) {
 	ctx := context.Background()
-	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 2, PureGroundBCs: true}
+	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 2}
 
 	// Single-process reference: learn, commit, repair.
 	task, heldOut := liveTask(t)
@@ -318,7 +319,7 @@ func TestRepairShardedTransport(t *testing.T) {
 func TestRepairCrashMidRepairResumes(t *testing.T) {
 	ctx := context.Background()
 	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +362,7 @@ func TestRepairCrashMidRepairResumes(t *testing.T) {
 func TestRepairStaleCommitFallsBack(t *testing.T) {
 	ctx := context.Background()
 	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +414,7 @@ func TestRepairStaleCommitFallsBack(t *testing.T) {
 func TestRepairFullRelearnReasons(t *testing.T) {
 	ctx := context.Background()
 	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -427,12 +428,6 @@ func TestRepairFullRelearnReasons(t *testing.T) {
 	noINDs.INDs = nil
 	random := opts
 	random.Sampling = autobias.SamplingRandom
-	shared := opts
-	shared.PureGroundBCs = false
-	impure, err := autobias.LearnCtx(ctx, task, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, leg := range []struct {
 		reason string
 		prev   *autobias.Result
@@ -440,7 +435,6 @@ func TestRepairFullRelearnReasons(t *testing.T) {
 	}{
 		{autobias.FullRelearnNoPrevINDs, &noINDs, opts},
 		{autobias.FullRelearnNonNaiveSampling, prev, random},
-		{autobias.FullRelearnImpureEngine, impure, shared},
 	} {
 		leg.opts.Collector = autobias.NewMetricsCollector()
 		rep, err := autobias.RepairCtx(ctx, leg.prev, task, commit, leg.opts)
@@ -465,13 +459,71 @@ func TestRepairFullRelearnReasons(t *testing.T) {
 	}
 }
 
+// TestRepairProbeSearchesTheRunsBudget: the invalidation probe compares
+// fresh verdicts with the carried ones, so it must search under the node
+// budget the carried ones were searched under — the facade's effective
+// 5000 — whether the caller spelled that budget out or left it unset; a
+// probe on the bare engine's 10000 could name a clause invalidated only
+// because it looked longer. Each spelling repairs the same chain of the
+// suite's duplicate-row batches, the ones that reach the probe instead
+// of drifting the bias.
+func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
+	ctx := context.Background()
+	batches := []struct {
+		seed int64
+		n    int
+	}{{71, 4}, {77, 12}}
+	var chains [2][]*autobias.Repair
+	for i, nodes := range []int{0, 5000} {
+		task, _ := liveTask(t)
+		opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, SubsumeMaxNodes: nodes}
+		prev, err := autobias.LearnCtx(ctx, task, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ing := autobias.NewIngestor(task.DB, nil)
+		for _, b := range batches {
+			commit, err := ing.Apply(ctx, duplicateBatch(t, task, b.seed, b.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := autobias.RepairCtx(ctx, prev, task, commit, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FullRelearn {
+				t.Fatalf("duplicate batch %d fell back to a full re-learn (%s); the probe never ran", b.seed, rep.FullRelearnReason)
+			}
+			chains[i] = append(chains[i], rep)
+			prev = rep.Result
+		}
+	}
+	probed := 0
+	for k, unset := range chains[0] {
+		spelled := chains[1][k]
+		if !slices.Equal(unset.InvalidatedClauses, spelled.InvalidatedClauses) {
+			t.Errorf("batch %d: invalidated clauses differ between an unset budget and SubsumeMaxNodes 5000:\n%q\n%q",
+				batches[k].seed, unset.InvalidatedClauses, spelled.InvalidatedClauses)
+		}
+		if unset.DirtyExamples != spelled.DirtyExamples || unset.Result.Definition.String() != spelled.Result.Definition.String() {
+			t.Errorf("batch %d: the two spellings of one budget repaired differently (dirty %d vs %d)",
+				batches[k].seed, unset.DirtyExamples, spelled.DirtyExamples)
+		}
+		probed += unset.DirtyExamples
+		t.Logf("batch %d: %d dirty, %d invalidated", batches[k].seed, unset.DirtyExamples, len(unset.InvalidatedClauses))
+	}
+	if probed == 0 {
+		t.Fatal("no batch dirtied an example; the probe compared nothing")
+	}
+}
+
 // TestRepairCrashMidCommit proves commit atomicity end to end: a fault
 // at ingest.commit leaves the database, its version, and a subsequent
 // repair exactly as if the batch had never been submitted.
 func TestRepairCrashMidCommit(t *testing.T) {
 	ctx := context.Background()
 	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, PureGroundBCs: true}
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,14 @@
 // reachable from e's constants through joins permitted by the language
 // bias. Ground bottom clauses (constants kept) are used by coverage
 // testing (§5).
+//
+// Every sampled clause is a function of the builder's RNG. The coverage
+// engine draws each example's ground BC as its own sample: it builds on
+// CloneSeeded with a seed derived from the example, so a ground BC is a
+// pure function of (options, example) and never of which other builds
+// ran before it (DESIGN.md §19). Only the learner's variabilized seed
+// clauses are built on a NewBuilder builder directly, in covering-loop
+// order.
 package bottom
 
 import (
@@ -105,19 +113,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// BuildRecord is one completed construction on a recording builder: the
-// example that was built and whether the ground or variabilized form was
-// produced. The log exists so a learned model can be replayed at serving
-// time: construction consumes the builder's shared RNG in build order,
-// so reproducing a training run's ground bottom clauses exactly means
-// re-running the same sequence of builds against the same seed (see
-// internal/model). The JSON keys are deliberately terse — logs hold one
-// entry per build of a run.
-type BuildRecord struct {
-	Ground  bool   `json:"g"`
-	Example string `json:"e"`
-}
-
 // Builder constructs bottom clauses for examples of one target relation
 // over one database and compiled bias. A Builder is not safe for
 // concurrent use (it owns an RNG); worker pools must give each worker
@@ -127,11 +122,6 @@ type Builder struct {
 	bias *bias.Compiled
 	opts Options
 	rng  *rand.Rand
-	// record enables the build log on builders created by NewBuilder.
-	// Clones never record: their RNGs are derived per worker or per
-	// example, so their builds are order-independent and need no replay.
-	record bool
-	log    []BuildRecord
 	// intern, when non-nil, receives every predicate name and ground
 	// constant the builder emits, so ground bottom clauses arrive at the
 	// subsumption compiler (subsume.CompileGround) with their strings
@@ -173,7 +163,7 @@ func (b *Builder) interrupted() bool {
 // NewBuilder returns a builder for the database and compiled bias.
 func NewBuilder(d *db.Database, c *bias.Compiled, opts Options) *Builder {
 	opts = opts.normalized()
-	return &Builder{db: d, bias: c, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), record: true}
+	return &Builder{db: d, bias: c, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
 // Clone returns an independent builder sharing the (read-only) database
@@ -201,17 +191,6 @@ func (b *Builder) Database() *db.Database { return b.db }
 // the table (nil disables interning). Set before building, like the
 // engine-level Set* methods; clones made afterwards share the table.
 func (b *Builder) SetInterner(in *logic.Interner) { b.intern = in }
-
-// BuildLog returns a copy of the builds completed on this builder, in
-// order. Only builders created by NewBuilder record (see BuildRecord);
-// for clones the log is always empty. The log is what a model artifact
-// replays to restore the shared RNG's exact draw sequence, so it covers
-// every completed build — interrupted builds consumed RNG draws that
-// cannot be replayed, which is why artifacts saved from degraded runs
-// carry a Degraded flag instead of the exact-replay guarantee.
-func (b *Builder) BuildLog() []BuildRecord {
-	return append([]BuildRecord(nil), b.log...)
-}
 
 // Construct builds the (variabilized) bottom clause for the example,
 // which must be a ground literal of the target relation.
@@ -294,9 +273,6 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 		return nil, fmt.Errorf("bottom: construct %v interrupted: %w", example, err)
 	}
 	c := st.clause()
-	if b.record {
-		b.log = append(b.log, BuildRecord{Ground: ground, Example: example.String()})
-	}
 	if mc.Enabled() {
 		mc.Inc(metrics.BottomConstructions)
 		if ground {

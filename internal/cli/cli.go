@@ -1,9 +1,9 @@
-// Package cli holds the small pieces every command-line entry point in
-// cmd/* shares: signal-driven cancellation and the -metrics JSON dump.
-// Centralizing them keeps the binaries' shutdown semantics identical —
-// in particular, all of them drain gracefully on SIGTERM (what init
-// systems and container runtimes send) as well as SIGINT (what a
-// terminal sends).
+// Package cli holds the small pieces the command-line entry points in
+// cmd/* share: signal-driven cancellation, the -metrics JSON dump, and
+// the -dataset / -csv task loader (task.go). Centralizing them keeps the
+// binaries' shutdown semantics identical — in particular, all of them
+// drain gracefully on SIGTERM (what init systems and container runtimes
+// send) as well as SIGINT (what a terminal sends).
 package cli
 
 import (

@@ -65,32 +65,32 @@ func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts
 // clauses[i] generalized against examples[j], nil when there is none.
 //
 // The outcome for a pair is a pure function of (clause, example ground
-// BC, subsumption options): within a run the ground BC is fixed per
-// example (cached on first build), so the memo lives in the clause's
-// store record under (rendered clause, example key). Beam clauses recur
-// across rounds — the same (clause, example) pair is re-generalized
-// whenever a clause survives a round and the example is re-sampled — and
-// each application pays a per-literal subsumption pass, so the memo
-// removes a large share of learning cost without touching the decision
-// sequence: a hit returns exactly the clause a fresh pass would rebuild,
-// and the operator consumes no RNG.
-// In pure-provenance mode the memo also carries across runs
-// (CarriedState), which is what lets incremental repair skip the
-// generalization work of unperturbed examples; keying by the rendered
-// form (name-sensitive) rather than the canonical key is what keeps that
-// carry exact — a perturbed seed's bottom clause renumbers variables,
-// and its generalization chain must rebuild with the new names instead
-// of replaying a renamed twin's memo entry.
+// BC, subsumption options), and the ground BC is a function of the
+// example, so the memo lives in the clause's store record under
+// (rendered clause, example key). Beam clauses recur across rounds — the
+// same (clause, example) pair is re-generalized whenever a clause
+// survives a round and the example is re-sampled — and each application
+// pays a per-literal subsumption pass, so the memo removes a large share
+// of learning cost without touching the decision sequence: a hit returns
+// exactly the clause a fresh pass would rebuild, and the operator
+// consumes no RNG. The memo also carries across runs (CarriedState),
+// which is what lets incremental repair skip the generalization work of
+// unperturbed examples; keying by the rendered form (name-sensitive)
+// rather than the canonical key is what keeps that carry exact — a
+// perturbed seed's bottom clause renumbers variables, and its
+// generalization chain must rebuild with the new names instead of
+// replaying a renamed twin's memo entry.
 //
 // The pairs that miss the memo fan out across the worker pool. What
-// keeps the result, the memo and the builder's RNG stream identical at
-// every worker count is the order of the one step that is not pure: the
-// ground BCs of the missing pairs are fetched first, sequentially, in
-// pair order — the order a one-by-one loop first touches them — and only
-// then do the passes run, each a function of its own (clause, compiled
-// ground BC, options). A cancelled pass is truncated (remaining
-// subsumption tests report non-coverage), so a done ctx is returned as
-// an error and nothing of the round is memoized.
+// keeps the result, the memo, the intern table and the deterministic
+// counters identical at every worker count is the order of the one step
+// that touches shared state: the ground BCs of the missing pairs are
+// fetched first, sequentially, in pair order — the order a one-by-one
+// loop first touches them — and only then do the passes run, each a
+// function of its own (clause, compiled ground BC, options). A
+// cancelled pass is truncated (remaining subsumption tests report
+// non-coverage), so a done ctx is returned as an error and nothing of
+// the round is memoized.
 func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logic.Clause, examples []Example) ([]*logic.Clause, error) {
 	spanStart := ce.mc.StartSpan()
 	defer ce.mc.EndSpan(metrics.SpanARMG, spanStart)
@@ -129,7 +129,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 				jb.slots = append(jb.slots, slot)
 				continue
 			}
-			ent, err := ce.groundEntry(ctx, key.example, e, false)
+			ent, err := ce.groundEntry(ctx, key.example, e)
 			if err != nil {
 				return nil, err
 			}

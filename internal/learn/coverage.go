@@ -1,7 +1,11 @@
 // Package learn implements the relational learning core: the sequential
 // covering loop (Algorithm 1), bottom-up clause learning with the armg
 // generalization operator and beam search (§2.3.2), and coverage testing
-// against per-example ground bottom clauses via θ-subsumption (§5).
+// against per-example ground bottom clauses via θ-subsumption (§5). Each
+// example's ground bottom clause is its own sample, drawn from a seed
+// derived from the example: a coverage verdict is a pure function of
+// (options, clause, example), whoever computes it and in whatever order
+// (DESIGN.md §19).
 package learn
 
 import (
@@ -33,6 +37,12 @@ type Example = logic.Literal
 // engine; everything else the engine knows lives in one store of
 // per-clause records (store.go, DESIGN.md §18).
 //
+// Every ground BC has one provenance (DESIGN.md §19): it is built on a
+// clone of the engine's builder seeded from (seed, example), so it is a
+// pure function of (options, example) — the same clause in the learner,
+// a shard worker, a repair probe and a server, whatever was built before
+// it and whichever goroutine builds it.
+//
 // The verdict surface is four verbs: Covers and DefinitionCovers for one
 // example, CountMany for a candidate frontier (through the transport when
 // one is installed), and ResolveLocal, the in-process every-pair form
@@ -40,21 +50,17 @@ type Example = logic.Literal
 // safe for concurrent use and fans the (clause, example) tests out over a
 // bounded worker pool (SetWorkers). Coverage testing is the dominant cost
 // of learning (§5) and the tests are independent, so this is where
-// parallel hardware pays off. Three rules keep results bit-identical to
+// parallel hardware pays off. Two rules keep results bit-identical to
 // the sequential engine at every worker count:
 //
-//   - Subsumption tests are pure: each call owns its restart RNG
-//     (see the subsume package's concurrency contract), so an outcome
-//     depends only on (clause, ground BC, options), never on which
-//     worker runs it.
+//   - Verdicts are pure: a ground BC depends only on its example, and
+//     each subsumption test owns its restart RNG (see the subsume
+//     package's concurrency contract), so an outcome depends only on
+//     (clause, example, options), never on which worker runs it.
 //   - Ground BCs consumed by a resolve are prefetched sequentially, in
-//     slice order, through the one shared builder — exactly the order
-//     and RNG consumption of the sequential engine.
-//   - A worker that still misses the BC cache (possible only for
-//     callers invoking Covers concurrently from outside the pool) never
-//     touches the shared builder: it clones it with a seed derived from
-//     the example, so the constructed BC is a deterministic function of
-//     the example, not of goroutine scheduling.
+//     slice order — the order the sequential engine first touches them
+//     — so the intern table's ids (the artifact's symbol order) and the
+//     deterministic counters do not depend on the worker count either.
 //
 // Bounded execution: cancellation reaches into the running primitives —
 // the subsumption node-budget loop and BC construction — so a deadline
@@ -70,13 +76,8 @@ type CoverageEngine struct {
 	workers int
 
 	// transport, when non-nil, computes CountMany remotely (see
-	// transport.go); pureGround forces every ground-BC miss through the
-	// derived-seed clone path so BCs are order-independent pure
-	// functions of the example — required by transports, optional
-	// otherwise. Both are set before the engine runs (SetWorkers
-	// contract).
-	transport  CoverageTransport
-	pureGround bool
+	// transport.go). Set before the engine runs (SetWorkers contract).
+	transport CoverageTransport
 
 	// in is the engine's intern table: predicate names and ground
 	// constants mapped to dense int32 ids for the subsumption compiler.
@@ -87,13 +88,9 @@ type CoverageEngine struct {
 	in *logic.Interner
 
 	// mu guards cache and the clause store (records, byPtr and every
-	// record's maps). buildMu serializes the shared builder, whose RNG
-	// makes it unsafe for concurrent use (see bottom.Builder.Clone); it
-	// is separate from mu so cached reads never wait on a BC under
-	// construction.
-	mu      sync.RWMutex
-	buildMu sync.Mutex
-	cache   map[string]*GroundEntry
+	// record's maps). It is never held across a BC construction.
+	mu    sync.RWMutex
+	cache map[string]*GroundEntry
 	// records is the verdict store, keyed by clause canonical key; byPtr
 	// is its pointer fast path (see store.go).
 	records map[string]*clauseRecord
@@ -193,10 +190,11 @@ func (ce *CoverageEngine) SetWorkers(n int) {
 // Workers returns the configured pool bound.
 func (ce *CoverageEngine) Workers() int { return ce.workers }
 
-// Builder returns the engine's shared bottom-clause builder. Exposed so
-// model capture (internal/model via the facade) can read its options and
-// build log; callers must respect the builder's single-goroutine
-// contract.
+// Builder returns the engine's bottom-clause builder: the template every
+// ground build is cloned from, and the builder the learner constructs
+// its variabilized seed clauses on. Exposed so model capture and the
+// config fingerprint can read its effective options; callers must
+// respect the builder's single-goroutine contract.
 func (ce *CoverageEngine) Builder() *bottom.Builder { return ce.builder }
 
 // SubsumeOptions returns the engine's effective subsumption options (the
@@ -212,18 +210,6 @@ func (ce *CoverageEngine) CachedBCs() int {
 	ce.mu.RLock()
 	defer ce.mu.RUnlock()
 	return len(ce.cache)
-}
-
-// CachedEntry returns the engine's cached ground entry for the example
-// key, if any. A serving engine's cache holds exactly the BCs its model
-// replay restored — order-dependent products of the shared builder's RNG
-// that cannot be rebuilt on demand; fresh examples go through
-// BuildPooledEntry into the server's own byte-budgeted cache.
-func (ce *CoverageEngine) CachedEntry(key string) (*GroundEntry, bool) {
-	ce.mu.RLock()
-	defer ce.mu.RUnlock()
-	ent, ok := ce.cache[key]
-	return ent, ok
 }
 
 // SetMetrics directs the engine's instrumentation to mc; nil disables
@@ -274,12 +260,11 @@ func isCtxErr(err error) bool {
 }
 
 // GroundBCCtx returns the cached ground bottom clause for the example,
-// building it with the shared builder (serialized, so concurrent calls
-// never construct the same BC twice nor interleave RNG draws). ctx
-// interrupts an in-flight construction; a panic during construction is
-// converted to an error (the callers isolate it per example).
+// building it on a miss. ctx interrupts an in-flight construction; a
+// panic during construction is converted to an error (the callers
+// isolate it per example).
 func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Clause, error) {
-	ent, err := ce.groundEntry(ctx, e.String(), e, false)
+	ent, err := ce.groundEntry(ctx, e.String(), e)
 	if err != nil {
 		return nil, err
 	}
@@ -287,40 +272,28 @@ func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Cl
 }
 
 // groundEntry returns the cached (BC, compiled index) pair for the
-// example, building it on a miss. The sequential prefetch pass funnels
-// through the unpooled path — built and compiled on the shared builder
-// under buildMu, so intern-table growth and compilation order match the
-// sequential engine exactly. Pool workers pass pooled: their miss is
-// built on a clone of the builder seeded from the example key, so the
-// result is identical no matter which worker gets there first (resolve
-// prefetches, so that only fires for concurrent external Covers callers
-// — or when the prefetch itself was isolated). Pure ground-BC mode sends
-// every miss down the clone path: the shared builder's RNG stream is
-// never consumed, and the BC is the one any other process would build
-// for this example.
-func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example, pooled bool) (*GroundEntry, error) {
-	if ent, ok := ce.CachedEntry(key); ok {
+// example, building it on a miss. The build is a function of the example
+// alone (BuildEntry), so it runs outside every lock and the result is
+// the same no matter which goroutine gets there first; resolve and
+// GeneralizeManyCtx prefetch sequentially, so concurrent builds of one
+// example only happen for external callers of Covers — or when the
+// prefetch itself was isolated.
+func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example) (*GroundEntry, error) {
+	ce.mu.RLock()
+	ent, ok := ce.cache[key]
+	ce.mu.RUnlock()
+	if ok {
 		ce.mc.Inc(metrics.CoverageBCCacheHits)
 		return ent, nil
 	}
-	clone := pooled || ce.pureGround
-	if !clone {
-		ce.buildMu.Lock()
-		defer ce.buildMu.Unlock()
-		// Re-check: another goroutine may have built it while we waited.
-		if ent, ok := ce.CachedEntry(key); ok {
-			ce.mc.Inc(metrics.CoverageBCCacheHits)
-			return ent, nil
-		}
-	}
-	built, err := ce.buildEntry(ctx, key, e, clone)
+	built, err := ce.BuildEntry(ctx, e)
 	if err != nil {
 		return nil, err
 	}
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
-	// First build wins (clone builds can race), so every caller sees one
-	// canonical entry.
+	// First build wins (concurrent builds of one example are equal), so
+	// every caller sees one canonical entry.
 	if prev, ok := ce.cache[key]; ok {
 		ce.mc.Inc(metrics.CoverageBCRebuilt)
 		return prev, nil
@@ -331,17 +304,26 @@ func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example
 	return built, nil
 }
 
-// buildEntry constructs the example's ground BC — on the shared builder,
-// or with clone on a copy seeded from the example key — and compiles its
-// subsumption index, without touching the cache. A panic becomes an
-// error; an interrupted build is recorded as abandoned.
-func (ce *CoverageEngine) buildEntry(ctx context.Context, key string, e Example, clone bool) (ent *GroundEntry, err error) {
+// buildBC is the one place a ground BC is made: on a clone of the
+// engine's builder seeded from the example key, touching no engine
+// state. A panic becomes an error.
+func (ce *CoverageEngine) buildBC(ctx context.Context, key string, e Example) (bc *logic.Clause, err error) {
 	defer recoverToErr(&err)
-	b := ce.builder
-	if clone {
-		b = b.CloneSeeded(deriveSeed(ce.subOpts.Seed, key))
-	}
-	g, err := b.ConstructGroundCtx(ctx, e)
+	return ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key)).ConstructGroundCtx(ctx, e)
+}
+
+// BuildEntry builds the example's ground BC and compiles its subsumption
+// index, WITHOUT entering it into the engine cache. The result is a pure
+// function of (engine configuration, example) — independent of build
+// order, concurrency, and process restarts — which is what lets an
+// external cache (internal/serve's size-aware LRU) evict and rebuild
+// entries freely without ever changing a verdict, and unbounded serving
+// traffic never grows engine state. A panic becomes an error; an
+// interrupted build is recorded as abandoned.
+func (ce *CoverageEngine) BuildEntry(ctx context.Context, e Example) (ent *GroundEntry, err error) {
+	defer recoverToErr(&err)
+	key := e.String()
+	g, err := ce.buildBC(ctx, key, e)
 	if err != nil {
 		if isCtxErr(err) {
 			ce.RecordEvent(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: key})
@@ -351,23 +333,11 @@ func (ce *CoverageEngine) buildEntry(ctx context.Context, key string, e Example,
 	return NewGroundEntry(g, subsume.CompileGround(ce.in, g)), nil
 }
 
-// BuildPooledEntry constructs the example's ground BC on a builder clone
-// seeded from the example key and compiles its subsumption index,
-// WITHOUT entering it into the engine cache. The result is a pure
-// function of (engine configuration, example) — independent of request
-// order, concurrency, and process restarts — which is what lets an
-// external cache (internal/serve's size-aware LRU) evict and rebuild
-// entries freely without ever changing a verdict, and unbounded serving
-// traffic never grows engine state.
-func (ce *CoverageEngine) BuildPooledEntry(ctx context.Context, e Example) (*GroundEntry, error) {
-	return ce.buildEntry(ctx, e.String(), e, true)
-}
-
-// deriveSeed maps (base seed, example key) to a deterministic RNG seed
-// for order-independent BC construction off the pool's builder clones.
-// The mapping is pinned by TestDeriveSeedStable: golden theories depend
-// on it whenever the pooled fallback fires, so changing it is a
-// breaking change to learned-theory stability.
+// deriveSeed maps (base seed, example key) to the RNG seed of the
+// example's ground-BC build. The mapping is pinned by
+// TestDeriveSeedStable: every ground BC, and so every golden theory and
+// saved model's verdicts, depends on it, so changing it is a breaking
+// change to learned-theory stability.
 func deriveSeed(base int64, key string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -416,7 +386,7 @@ func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logi
 // example's ground entry and stored — including an isolated failure,
 // which is what keeps a panicking example from perturbing later
 // decisions. The outcome of an interrupted test is never stored.
-func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logic.Clause, e Example, key string, pooled bool) (bool, error) {
+func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logic.Clause, e Example, key string) (bool, error) {
 	if v, ok := ce.lookup(rec, key); ok {
 		return v, nil
 	}
@@ -436,7 +406,7 @@ func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logi
 				return nil, &panicErr{val: err}
 			}
 		}
-		return ce.groundEntry(ctx, key, e, pooled)
+		return ce.groundEntry(ctx, key, e)
 	})
 	if err != nil {
 		return false, err
@@ -450,7 +420,7 @@ func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logi
 // scoring revisit the same pairs many times. Safe for concurrent use; a
 // done ctx returns its error.
 func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(ctx, ce.record(c), c, e, e.String(), false)
+	return ce.covers(ctx, ce.record(c), c, e, e.String())
 }
 
 // DefinitionCovers reports whether any clause of the definition covers
@@ -567,13 +537,13 @@ func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, 
 	if !pooled {
 		limit = math.MaxInt // one worker scans every pair
 	}
-	// Prefetch missing ground BCs sequentially, in slice order, through
-	// the shared builder: bit-identical RNG consumption to the
-	// sequential engine, so parallelism cannot perturb sampled BCs. A
-	// prefetch isolated by a panic is skipped here — the per-example
-	// pooled fallback re-derives the same deterministic failure.
+	// Prefetch missing ground BCs sequentially, in slice order: the BCs
+	// themselves do not depend on it, but intern-table growth and the
+	// built/rebuilt counters then match the sequential engine. A prefetch
+	// isolated by a panic is skipped here — the pool worker's own fetch
+	// re-derives the same deterministic failure.
 	for j := 0; pooled && j < len(examples); j++ {
-		if _, err := ce.groundEntry(ctx, keys[j], examples[j], false); err != nil && !isPanic(err) {
+		if _, err := ce.groundEntry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
 			return nil, ce.abandoned(err, len(examples))
 		}
 	}
@@ -595,7 +565,7 @@ func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, 
 			if hits[i].Load() >= int64(limit) {
 				continue
 			}
-			v, err := ce.covers(ctx, recs[i], clauses[i], examples[j], keys[j], pooled)
+			v, err := ce.covers(ctx, recs[i], clauses[i], examples[j], keys[j])
 			if err != nil {
 				errs[w] = err
 				stop.Store(true)

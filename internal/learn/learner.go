@@ -58,11 +58,6 @@ type Options struct {
 	// threads it through the bottom builder, the coverage engine, and
 	// subsumption. Nil disables collection at zero cost.
 	Metrics *metrics.Collector
-	// PureGroundBCs forces derived-seed ground-BC provenance on the
-	// coverage engine (see CoverageEngine.SetPureGroundBCs). Distributed
-	// runs require it; single-process runs that will be compared against
-	// distributed ones must set it too.
-	PureGroundBCs bool
 }
 
 func (o Options) normalized() Options {
@@ -154,7 +149,6 @@ func New(d *db.Database, c *bias.Compiled, opts Options) *Learner {
 	builder := bottom.NewBuilder(d, c, opts.Bottom)
 	cover := NewCoverage(builder, opts.Subsume)
 	cover.SetWorkers(opts.Workers)
-	cover.SetPureGroundBCs(opts.PureGroundBCs)
 	if opts.Metrics != nil {
 		cover.SetMetrics(opts.Metrics)
 	}
@@ -318,6 +312,11 @@ func (l *Learner) noteStop(stats *Stats, where string) {
 // bottom clause, then beam-search over armg generalizations against
 // sampled positives, scoring by pos − neg coverage. A ctx error return
 // means the budget interrupted the search; the caller keeps its theory.
+//
+// The seed's variabilized clause is the one build that runs on the
+// engine's builder itself rather than a per-example clone: its sample
+// follows the covering loop's seed order, which is a function of the
+// verdicts alone, and no ground build ever draws from that RNG.
 func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Example, stats *Stats) (*logic.Clause, error) {
 	builder := l.cover.builder
 	bc, err := builder.ConstructCtx(ctx, seed)

@@ -52,7 +52,7 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 			t.Errorf("workers=%d: Count(all) = %d, want %d", workers, got, wantAll)
 		}
 		// The pool must have produced the same ground BCs as the
-		// sequential engine (prefetch order = sequential order).
+		// sequential engine.
 		for _, e := range all {
 			gs, err := seq.GroundBCCtx(context.Background(), e)
 			if err != nil {
@@ -112,7 +112,7 @@ func TestCountManyMatchesSequential(t *testing.T) {
 			}
 		}
 		// Batched evaluation must build the same ground BCs the
-		// sequential engine builds (prefetch order = example order).
+		// sequential engine builds.
 		for _, e := range all {
 			gs, err := ref.GroundBCCtx(context.Background(), e)
 			if err != nil {
@@ -131,14 +131,15 @@ func TestCountManyMatchesSequential(t *testing.T) {
 
 // TestGeneralizeManyMatchesSequential checks the armg fan-out: a round
 // resolved on 2, 4 and 8 workers returns, slot for slot, the clauses the
-// one-worker engine returns, stores the same memo, and leaves the shared
-// builder having built the same ground BCs in the same order. The round
+// one-worker engine returns, stores the same memo, and leaves the intern
+// table holding the same symbols in the same id order (the ground BCs
+// were fetched in the one-by-one loop's order). The round
 // holds a repeated pair (the bottom clause twice), which must share one
 // pass, and is resolved twice, the second time from the memo.
 func TestGeneralizeManyMatchesSequential(t *testing.T) {
 	d, pos, _ := uwWorld(t, 12, 8)
 	c := uwLearnBias(t, d)
-	round := func(workers int) ([]string, [][2]string, []bottom.BuildRecord) {
+	round := func(workers int) ([]string, [][2]string, []string) {
 		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
 		ce := NewCoverage(builder, subsume.Options{})
 		ce.SetWorkers(workers)
@@ -167,19 +168,19 @@ func TestGeneralizeManyMatchesSequential(t *testing.T) {
 				rendered = append(rendered, fmt.Sprint(cand))
 			}
 		}
-		return rendered, ce.ExtractCarried().ARMGPairs(), builder.BuildLog()
+		return rendered, ce.ExtractCarried().ARMGPairs(), ce.Interner().Symbols()
 	}
-	wantOut, wantKeys, wantLog := round(1)
+	wantOut, wantKeys, wantSyms := round(1)
 	for _, workers := range []int{2, 4, 8} {
-		out, keys, log := round(workers)
+		out, keys, syms := round(workers)
 		if !reflect.DeepEqual(out, wantOut) {
 			t.Errorf("workers=%d: generalizations diverge from workers=1", workers)
 		}
 		if !reflect.DeepEqual(keys, wantKeys) {
 			t.Errorf("workers=%d: armg memo keys diverge from workers=1", workers)
 		}
-		if !reflect.DeepEqual(log, wantLog) {
-			t.Errorf("workers=%d: builder ran %d builds, workers=1 ran %d (or in another order)", workers, len(log), len(wantLog))
+		if !reflect.DeepEqual(syms, wantSyms) {
+			t.Errorf("workers=%d: intern table holds %d symbols, workers=1 holds %d (or in another order)", workers, len(syms), len(wantSyms))
 		}
 	}
 }
@@ -219,10 +220,10 @@ func TestCountUpToDecisions(t *testing.T) {
 	}
 }
 
-// TestPooledColdCacheConcurrent drives the pool's cache-miss fallback:
-// concurrent Covers calls against a cold BC cache must agree, converge
-// on one canonical cached BC per example, and be race-free (checked
-// under -race in CI).
+// TestPooledColdCacheConcurrent drives cache misses from outside the
+// pool: concurrent Covers calls against a cold BC cache must agree,
+// converge on one canonical cached BC per example, and be race-free
+// (checked under -race in CI).
 func TestPooledColdCacheConcurrent(t *testing.T) {
 	d, pos, neg := uwWorld(t, 12, 8)
 	c := uwLearnBias(t, d)
@@ -233,12 +234,11 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 	ce := NewCoverage(builder, subsume.Options{})
 	ce.SetWorkers(8)
 
-	// The fallback builds BCs with per-example derived seeds, so the
-	// expected outcomes can be computed through the same pooled path one
-	// call at a time.
+	// Every BC is built with its example's derived seed, so the expected
+	// outcomes can be computed one call at a time.
 	want := make(map[string]bool)
 	for _, e := range all {
-		ok, err := ce.covers(context.Background(), ce.record(copub), copub, e, e.String(), true)
+		ok, err := ce.Covers(context.Background(), copub, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,13 +255,13 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(e Example) {
 				defer wg.Done()
-				ok, err := cold.covers(context.Background(), cold.record(copub), copub, e, e.String(), true)
+				ok, err := cold.Covers(context.Background(), copub, e)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if ok != want[e.String()] {
-					t.Errorf("concurrent pooled Covers(%v) = %v, want %v", e, ok, want[e.String()])
+					t.Errorf("concurrent Covers(%v) = %v, want %v", e, ok, want[e.String()])
 				}
 			}(e)
 		}

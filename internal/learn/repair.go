@@ -34,9 +34,9 @@ type CarriedState struct {
 	// engine must use it (ids never affect verdicts — see internal/model).
 	Interner *logic.Interner
 	// Entries maps example key → cached ground entry (BC + compiled
-	// index). Only pure-mode entries are carried: they are pure
-	// functions of (configuration, example) and remain valid for every
-	// example the batch did not touch.
+	// index). An entry is a pure function of (configuration, example,
+	// data), so it remains valid for every example the batch did not
+	// touch.
 	Entries map[string]*GroundEntry
 	// records is the previous run's clause store. Like a verdict, an armg
 	// outcome is a pure function of the clause and the example's ground
@@ -123,14 +123,10 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 // ground-entry cache and the clause store, marking every verdict carried
 // so its first use is counted. A carried verdict answers without
 // fetching the ground BC or running subsumption — the cost incremental
-// repair saves. Pure ground-BC mode is forced on — carried entries are
-// only reusable when cache misses build order-independent BCs, and
-// repair correctness requires both the original and repair runs to have
-// used pure mode.
+// repair saves.
 func (ce *CoverageEngine) AdoptCarried(cs *CarriedState) {
 	ce.in = cs.Interner
 	ce.builder.SetInterner(cs.Interner)
-	ce.pureGround = true
 	for _, rec := range cs.records {
 		for ek, v := range rec.verdicts {
 			rec.verdicts[ek] = v | vCarried
@@ -149,12 +145,12 @@ func (ce *CoverageEngine) CarriedHits() int64 { return ce.carriedHits.Load() }
 
 // StaleExamples narrows a candidate dirty set to the examples whose
 // ground BC actually changed on the post-batch database. For each
-// candidate it rebuilds the BC on a derived-seed builder clone (pure
-// mode, cache-free — the engine's own caches are untouched) and
-// compares it textually against the carried entry. A coverage verdict
-// is a pure function of (configuration, clause, ground BC), so a
-// bit-identical BC proves every carried verdict for that example is
-// still valid; only genuinely changed examples need recomputation. This
+// candidate it rebuilds the BC (cache-free — the engine's own caches are
+// untouched) and compares it textually against the carried entry. A
+// coverage verdict is a pure function of (configuration, clause, ground
+// BC), so a bit-identical BC proves every carried verdict for that
+// example is still valid; only genuinely changed examples need
+// recomputation. This
 // is the second, exact filter behind AffectedExamples' value-level
 // screen: common constant values can mark most of the corpus as
 // possibly-affected while the batch leaves almost every BC untouched
@@ -166,8 +162,7 @@ func (ce *CoverageEngine) CarriedHits() int64 { return ce.carriedHits.Load() }
 // are stale by definition. A construction error marks the example stale
 // (the replay reproduces the cold path's handling); context
 // cancellation aborts. Must be called on the repair engine before
-// AdoptCarried, with pure ground-BC provenance on — enforced by the
-// facade's repair gate.
+// AdoptCarried.
 func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, dirty []string, examples map[string]Example) ([]string, error) {
 	var stale []string
 	for _, key := range dirty {
@@ -177,7 +172,7 @@ func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, d
 			stale = append(stale, key)
 			continue
 		}
-		bc, err := ce.rebuildBC(ctx, key, e)
+		bc, err := ce.buildBC(ctx, key, e)
 		if err != nil {
 			if isCtxErr(err) {
 				return nil, err
@@ -191,15 +186,6 @@ func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, d
 	}
 	slices.Sort(stale)
 	return stale, nil
-}
-
-// rebuildBC constructs the example's ground BC on a derived-seed builder
-// clone without touching the engine caches; panics are isolated to an
-// error like the pooled build path does.
-func (ce *CoverageEngine) rebuildBC(ctx context.Context, key string, e Example) (bc *logic.Clause, err error) {
-	defer recoverToErr(&err)
-	b := ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key))
-	return b.ConstructGroundCtx(ctx, e)
 }
 
 // AffectedExamples returns, sorted, the keys of cached examples whose

@@ -3,10 +3,10 @@ package learn
 import "testing"
 
 // TestDeriveSeedStable pins the (base seed, example key) → clone seed
-// mapping to golden values. Pooled BC construction seeds builder clones
-// with these numbers, so any change here silently changes learned
-// theories whenever the pooled fallback fires. If this test fails you
-// have made a breaking change to theory stability: bump the golden
+// mapping to golden values. Every ground BC is built on a builder clone
+// seeded with these numbers, so any change here silently changes every
+// learned theory and every saved model's verdicts. If this test fails
+// you have made a breaking change to theory stability: bump the golden
 // theories deliberately, don't adjust the constants to match.
 func TestDeriveSeedStable(t *testing.T) {
 	cases := []struct {

@@ -111,7 +111,6 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 	d, pos, _ := uwWorld(t, 12, 8)
 	builder := bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1})
 	ce := NewCoverage(builder, subsume.Options{})
-	ce.SetPureGroundBCs(true)
 	clauses := []*logic.Clause{
 		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)."),
 		logic.MustParseClause("advisedBy(X,Y) :- student(X)."),

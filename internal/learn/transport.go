@@ -15,12 +15,11 @@ import (
 // Contract (what a transport must guarantee so the learner's results
 // stay bit-identical to a single-process run):
 //
-//   - Verdicts are pure. The transport answers for examples whose
-//     ground BCs are built with derived-seed provenance (the engine
-//     runs in pure ground-BC mode when a transport is installed), so
-//     "clause c covers example e" is a function of (configuration,
-//     clause, example) — independent of which process computes it, in
-//     what order, or how many times (retries, hedges).
+//   - Verdicts are pure. Every ground BC is built with derived-seed
+//     provenance (CoverageEngine.BuildEntry), here and on the remote
+//     side alike, so "clause c covers example e" is a function of
+//     (configuration, clause, example) — independent of which process
+//     computes it, in what order, or how many times (retries, hedges).
 //   - Every pair is resolved. A call must produce a verdict for every
 //     (clause, example) pair it is given (no early exit at limit), so
 //     the engine's store after the call does not depend on scheduling.
@@ -42,30 +41,10 @@ type CoverageTransport interface {
 }
 
 // SetTransport routes CountMany through t; nil restores the in-process
-// pool. Installing a transport switches the engine to pure ground-BC
-// provenance (SetPureGroundBCs) — remote workers cannot share this
-// process's builder RNG stream, so every BC must be a derived-seed
-// clone product for verdicts to agree across processes. Must be called
-// before the engine runs tests (same contract as SetWorkers).
-func (ce *CoverageEngine) SetTransport(t CoverageTransport) {
-	ce.transport = t
-	if t != nil {
-		ce.SetPureGroundBCs(true)
-	}
-}
-
-// SetPureGroundBCs forces every ground-BC cache miss through the
-// derived-seed clone path (the provenance BuildPooledEntry and the
-// serving layer already rely on): each BC becomes a pure function of
-// (options, example), independent of build order, instead of a product
-// of the shared builder's global RNG stream. Distributed runs require
-// it — and their single-process reference must set it too, since pure
-// and shared-builder provenance sample different (equally valid) BCs.
-// Must be set before any BC is built.
-func (ce *CoverageEngine) SetPureGroundBCs(on bool) { ce.pureGround = on }
-
-// PureGroundBCs reports whether pure ground-BC provenance is on.
-func (ce *CoverageEngine) PureGroundBCs() bool { return ce.pureGround }
+// pool. It changes where verdicts are computed, never what they are.
+// Must be called before the engine runs tests (same contract as
+// SetWorkers).
+func (ce *CoverageEngine) SetTransport(t CoverageTransport) { ce.transport = t }
 
 // MemoizedCovers returns the stored verdict for (c, example key), if the
 // pair has been resolved before — locally, by an earlier remote

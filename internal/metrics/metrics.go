@@ -118,7 +118,7 @@ const (
 	// CoverageBCCacheHits counts ground-BC cache hits. Gauge: the
 	// parallel prefetch probes the cache once per example per count.
 	CoverageBCCacheHits
-	// CoverageBCRebuilt counts pooled BC builds that lost the
+	// CoverageBCRebuilt counts ground-BC builds that lost the
 	// first-build-wins race (external concurrent callers only). Gauge.
 	CoverageBCRebuilt
 	// CoverageCGHits counts subsumption tests served from the compiled
@@ -154,7 +154,7 @@ const (
 	// registry. Deterministic: a pure function of the models directory.
 	ServeModelsLoaded
 	// ServeCacheHits counts serving BC-cache lookups answered from a
-	// model's admission cache (pinned replay entries included). Gauge.
+	// model's admission cache. Gauge.
 	ServeCacheHits
 	// ServeCacheMisses counts serving BC-cache lookups that had to build
 	// the entry. Gauge.
@@ -348,8 +348,6 @@ const (
 	SpanEval
 	// SpanDatagen covers benchmark dataset generation.
 	SpanDatagen
-	// SpanServeReplay covers one model's training-log replay at load.
-	SpanServeReplay
 	// SpanServePredict covers one predict request end to end.
 	SpanServePredict
 
@@ -365,7 +363,6 @@ var spanNames = [numSpans]string{
 	SpanARMG:            "learn.armg",
 	SpanEval:            "eval.evaluate",
 	SpanDatagen:         "datagen.generate",
-	SpanServeReplay:     "serve.replay",
 	SpanServePredict:    "serve.predict",
 }
 

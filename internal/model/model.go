@@ -2,20 +2,19 @@
 // a serving process consumes: the learned Horn theory together with
 // everything needed to answer coverage queries exactly as the learner
 // would — the language bias, the bottom-clause and subsumption
-// configuration, the interner symbol table, and the training build log.
+// configuration, and the interner symbol table.
 //
 // The artifact exists because the system's coverage semantics are
 // sampled (§5): "does clause C cover tuple t" is answered against t's
-// ground bottom clause, and ground BCs are a function of the builder's
-// RNG draw order. Shipping the theory alone would let a server agree
-// with the learner only by luck. The artifact therefore records the
-// complete build log of the training engine's shared builder; replaying
-// it at load time (internal/serve) restores byte-identical ground BCs
-// for every example the learner ever tested, which is what makes the
-// round-trip guarantee — serve-time verdicts on training examples equal
-// the learner's own, bit for bit — hold by construction rather than by
-// accident. Fresh examples take the engine's order-invariant derived-seed
-// path and need no replay.
+// ground bottom clause, and a ground BC is a sample. Shipping the theory
+// alone would let a server agree with the learner only by luck. Every
+// ground BC is drawn from an RNG seeded by (seed, example) and nothing
+// else (DESIGN.md §19), so the configuration is all a server needs: it
+// rebuilds, on demand, byte-identical ground BCs for any example —
+// training, held-out or never seen — and its verdicts equal the
+// learner's own, bit for bit, whether the artifact was saved before or
+// after the learner answered the same query, and whether or not the run
+// was cut short.
 //
 // Artifacts are versioned JSON with a SHA-256 checksum over their
 // payload, and carry a fingerprint of the schema they were trained
@@ -39,9 +38,12 @@ import (
 )
 
 // Version is the artifact format version this package writes. Load
-// rejects any other value: the format pins replay semantics, so a silent
-// cross-version read could serve wrong verdicts.
-const Version = 1
+// rejects any other value: the format pins verdict semantics, so a
+// silent cross-version read could serve wrong verdicts. A version 1
+// theory was learned against ground BCs that depended on build order
+// and came with a build log to replay them; this binary builds neither,
+// so such a model must be learned again.
+const Version = 2
 
 // DataRef names the database a model was trained over, so a serving
 // process can rebind it: either a generated benchmark dataset
@@ -118,14 +120,10 @@ type Artifact struct {
 	// downstream consumers compare when deciding whether a served model
 	// is stale. Zero (omitted) for artifacts from static loads.
 	DataVersion uint64 `json:"data_version,omitempty"`
-	// BuildLog is the training engine's complete shared-builder build
-	// sequence; replaying it restores the exact ground BCs the learner
-	// tested against (see the package comment).
-	BuildLog []bottom.BuildRecord `json:"build_log"`
 	// Degraded marks an artifact saved from an interrupted or
-	// fault-isolated run: the theory is the anytime partial result and
-	// the exact-replay guarantee is weakened (interrupted builds consumed
-	// RNG draws the log cannot reproduce).
+	// fault-isolated run: the theory is the anytime partial result. It
+	// says nothing about verdicts — a served verdict equals the learner's
+	// for this theory either way.
 	Degraded bool `json:"degraded,omitempty"`
 	// Checksum is the SHA-256 (hex) of the artifact's canonical JSON with
 	// this field empty; Seal computes it, Load verifies it.
@@ -180,13 +178,22 @@ func (a *Artifact) SubsumeOptions() subsume.Options {
 	}
 }
 
-// Validate checks internal consistency: version, target signature, and
-// that the embedded theory, bias, strategy, and build log parse. It does
-// not verify the checksum (Load does) so hand-built artifacts can be
-// validated before sealing.
-func (a *Artifact) Validate() error {
+// checkVersion rejects every format but the current one, telling the
+// holder of an older artifact what to do about it.
+func (a *Artifact) checkVersion() error {
 	if a.Version != Version {
-		return fmt.Errorf("model: artifact version %d, this binary reads %d", a.Version, Version)
+		return fmt.Errorf("artifact version %d, this binary reads %d: re-save the model from its learning run or retrain", a.Version, Version)
+	}
+	return nil
+}
+
+// Validate checks internal consistency: version, target signature, and
+// that the embedded theory, bias and strategy parse. It does not verify
+// the checksum (Load does) so hand-built artifacts can be validated
+// before sealing.
+func (a *Artifact) Validate() error {
+	if err := a.checkVersion(); err != nil {
+		return fmt.Errorf("model: %w", err)
 	}
 	if a.Target == "" || len(a.TargetAttrs) == 0 {
 		return fmt.Errorf("model: artifact missing target signature")
@@ -205,11 +212,6 @@ func (a *Artifact) Validate() error {
 	}
 	if _, err := a.BottomOptions(); err != nil {
 		return err
-	}
-	for i, rec := range a.BuildLog {
-		if _, err := ParseExample(rec.Example); err != nil {
-			return fmt.Errorf("model: build log entry %d: %w", i, err)
-		}
 	}
 	return nil
 }
@@ -285,8 +287,8 @@ func Load(path string) (*Artifact, error) {
 	if err := json.Unmarshal(data, a); err != nil {
 		return nil, fmt.Errorf("model: %s: %w", path, err)
 	}
-	if a.Version != Version {
-		return nil, fmt.Errorf("model: %s: artifact version %d, this binary reads %d", path, a.Version, Version)
+	if err := a.checkVersion(); err != nil {
+		return nil, fmt.Errorf("model: %s: %w", path, err)
 	}
 	if a.Checksum == "" {
 		return nil, fmt.Errorf("model: %s: artifact is unsealed (no checksum)", path)

@@ -37,11 +37,6 @@ func testArtifact(t *testing.T) *Artifact {
 		Symbols:           []string{"", "parent", "gp"},
 		SchemaFingerprint: Fingerprint(testSchema(t), "gp", []string{"x", "z"}),
 		Data:              DataRef{Dataset: "uw", Scale: 0.1, Seed: 1},
-		BuildLog: []bottom.BuildRecord{
-			{Ground: false, Example: "gp(a,c)"},
-			{Ground: true, Example: "gp(a,c)"},
-			{Ground: true, Example: "gp(b,d)"},
-		},
 	}
 }
 
@@ -60,9 +55,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.Theory != art.Theory || got.Bias != art.Bias || got.Target != art.Target {
 		t.Fatalf("round trip changed content: %+v", got)
-	}
-	if len(got.BuildLog) != len(art.BuildLog) || got.BuildLog[1] != art.BuildLog[1] {
-		t.Fatalf("round trip changed build log: %+v", got.BuildLog)
 	}
 
 	// The embedded theory and bias must survive parse → print → reparse.
@@ -150,7 +142,6 @@ func TestValidateCatchesBadContent(t *testing.T) {
 		{"no target", func(a *Artifact) { a.Target = "" }},
 		{"no fingerprint", func(a *Artifact) { a.SchemaFingerprint = "" }},
 		{"bad symbol table", func(a *Artifact) { a.Symbols = []string{"parent"} }},
-		{"non-ground log entry", func(a *Artifact) { a.BuildLog[0].Example = "gp(X,c)" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,6 +151,43 @@ func TestValidateCatchesBadContent(t *testing.T) {
 				t.Fatalf("Validate accepted %s", tc.name)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsVersion1: a version-1 artifact — the format that
+// carried a training build log, replayed at bind time — is refused, and
+// the error tells its holder what to do: those theories were learned
+// against order-dependent ground BCs this binary no longer builds.
+func TestLoadRejectsVersion1(t *testing.T) {
+	art := testArtifact(t)
+	path := filepath.Join(t.TempDir(), "gp.model")
+	if err := art.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := os.ReadFile(path)
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["version"] = 1
+	raw["build_log"] = []map[string]any{{"g": false, "e": "gp(a,c)"}, {"g": true, "e": "gp(a,c)"}}
+	v1, _ := json.Marshal(raw)
+	old := filepath.Join(t.TempDir(), "v1.model")
+	if err := os.WriteFile(old, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(old)
+	if err == nil {
+		t.Fatal("version-1 artifact loaded")
+	}
+	for _, want := range []string{"version 1", "re-save", "retrain"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	art.Version = 1
+	if err := art.Validate(); err == nil || !strings.Contains(err.Error(), "retrain") {
+		t.Errorf("Validate on a version-1 artifact: %v", err)
 	}
 }
 

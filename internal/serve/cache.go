@@ -18,7 +18,7 @@ import (
 //
 // Correctness rests on one property the engine guarantees: every entry
 // is a pure function of (engine configuration, example)
-// (learn.BuildPooledEntry), so evicting and rebuilding an entry can
+// (learn.CoverageEngine.BuildEntry), so evicting and rebuilding an entry can
 // never change a verdict — the cache only decides who pays the rebuild
 // cost, never what the answer is. The differential suite
 // (TestCachedUncachedDifferential) pins this against an uncached

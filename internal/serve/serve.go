@@ -5,24 +5,23 @@
 //
 // Binding a model is where the round-trip guarantee is enforced. The
 // artifact's schema fingerprint is checked against the live database
-// (stale model + changed schema fails loudly); the training engine is
+// (stale model + changed schema fails loudly) and the training engine is
 // reconstructed — same bias compilation, same bottom-clause options,
-// same subsumption options; and the training build log is replayed
-// through a fresh builder with the training seed, restoring the exact
-// ground bottom clauses the learner tested against. Replayed BCs are
-// pinned in the engine cache and each one's subsumption index is
-// compiled once (subsume.CompileGround), so steady-state prediction is
-// CheckCompiled against a warm index — the 0-alloc path.
+// same subsumption options. Binding builds no bottom clause: every
+// ground BC, in training and here, is built on a per-example
+// derived-seed builder clone (learn.CoverageEngine.BuildEntry, DESIGN.md
+// §19), so a verdict is a pure function of (model, example) — equal to
+// the learner's own for training, held-out and never-seen examples
+// alike, invariant under request order, concurrency, and process
+// restarts.
 //
-// Fresh examples (never seen in training) are built on per-example
-// derived-seed builder clones: their verdicts are a pure function of
-// (model, example), invariant under request order, concurrency, and
-// process restarts. Their entries live in a size-aware,
-// admission-controlled LRU (Options.CacheBytes) with singleflight
-// builds, and definition-level verdicts are memoized per example; both
-// layers only redistribute cost — purity means eviction and
-// memoization can never change an answer (see cache.go and the
-// differential suite).
+// Entries live in a size-aware, admission-controlled LRU
+// (Options.CacheBytes) with singleflight builds — each entry's
+// subsumption index is compiled once (subsume.CompileGround), so
+// steady-state prediction is a check against a warm index — and
+// definition-level verdicts are memoized per example; both layers only
+// redistribute cost — purity means eviction and memoization can never
+// change an answer (see cache.go and the differential suite).
 //
 // Multi-model tenancy: a Registry holds one tenant per model name, each
 // with a versioned current Model swapped atomically (Swap). In-flight
@@ -82,11 +81,10 @@ type Options struct {
 	// clamped to min(Workers, GOMAXPROCS, batch size) so oversubscription
 	// never costs throughput.
 	Workers int
-	// CacheBytes is the model's byte budget for fresh-example ground-BC
-	// entries (bottom clause + compiled subsumption index, charged at
-	// their estimated heap footprint); <=0 selects 64 MiB. Pinned
-	// (replayed) BCs never count against it. Eviction is size-aware LRU
-	// with doorkeeper admission; see cache.go.
+	// CacheBytes is the model's byte budget for ground-BC entries
+	// (bottom clause + compiled subsumption index, charged at their
+	// estimated heap footprint); <=0 selects 64 MiB. Eviction is
+	// size-aware LRU with doorkeeper admission; see cache.go.
 	CacheBytes int64
 	// MemoLimit bounds the per-model verdict memo (entries per
 	// generation; total residency ≈ 2×); <=0 selects 65536.
@@ -98,8 +96,7 @@ type Options struct {
 	// semaphore still applies).
 	ModelConcurrency int
 	// Uncached disables the BC cache and verdict memo: every prediction
-	// rebuilds its entry from scratch (pinned replay entries are still
-	// used — both modes share them). This is the reference engine the
+	// rebuilds its entry from scratch. This is the reference engine the
 	// differential suite compares cached models against, and the honest
 	// cold-path baseline in benchmarks.
 	Uncached bool
@@ -145,11 +142,12 @@ type Model struct {
 	drainOnce sync.Once
 }
 
-// Bind reconstructs a model's training engine over the database and
-// replays its build log; see the package comment for what that buys.
-// A schema fingerprint mismatch is a hard error: the database no longer
-// has the shape the model was trained on.
-func Bind(ctx context.Context, name string, art *model.Artifact, database *db.Database, opts Options) (*Model, error) {
+// Bind reconstructs a model's training engine over the database; see
+// the package comment for what that buys. A schema fingerprint mismatch
+// is a hard error: the database no longer has the shape the model was
+// trained on. ctx is unused — binding does no work worth interrupting —
+// and kept for the callers that pass one.
+func Bind(_ context.Context, name string, art *model.Artifact, database *db.Database, opts Options) (*Model, error) {
 	opts = opts.normalized()
 	if err := art.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
@@ -175,19 +173,14 @@ func Bind(ctx context.Context, name string, art *model.Artifact, database *db.Da
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
-	builder := bottom.NewBuilder(database, compiled, bopts)
-	engine := learn.NewCoverage(builder, art.SubsumeOptions())
+	engine := learn.NewCoverage(bottom.NewBuilder(database, compiled, bopts), art.SubsumeOptions())
 	engine.SetWorkers(opts.Workers)
 	engine.SetMetrics(opts.Metrics)
 	// Warm the intern table with the training table, in id order. Ids
-	// never affect verdicts, but replaying the table keeps the serving
+	// never affect verdicts, but installing the table keeps the serving
 	// engine's ids equal to training's, which makes artifacts and engine
 	// dumps directly comparable when debugging.
 	engine.Interner().InternAll(art.Symbols...)
-
-	if err := replay(ctx, art, builder, engine, opts.Metrics); err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
 
 	m := &Model{
 		name:    name,
@@ -210,42 +203,6 @@ func Bind(ctx context.Context, name string, art *model.Artifact, database *db.Da
 	return m, nil
 }
 
-// replay re-runs the training build log through the fresh builder. Every
-// logged build consumed shared-RNG draws in training, so every logged
-// build must run here, in order: ground builds land in the engine cache
-// (compiled, ready to serve), variabilized builds are discarded — they
-// exist only to advance the RNG to where the next ground build expects
-// it. A ground example logged twice (impossible via the engine, possible
-// in a hand-built log) is re-built directly on the builder the second
-// time, since the engine's cache hit would skip the RNG draws.
-func replay(ctx context.Context, art *model.Artifact, builder *bottom.Builder, engine *learn.CoverageEngine, mc *metrics.Collector) error {
-	span := mc.StartSpan()
-	defer mc.EndSpan(metrics.SpanServeReplay, span)
-	seen := make(map[string]bool, len(art.BuildLog))
-	for i, rec := range art.BuildLog {
-		ex, err := model.ParseExample(rec.Example)
-		if err != nil {
-			return fmt.Errorf("build log entry %d: %w", i, err)
-		}
-		switch {
-		case !rec.Ground:
-			if _, err := builder.ConstructCtx(ctx, ex); err != nil {
-				return fmt.Errorf("build log entry %d (replay %s): %w", i, rec.Example, err)
-			}
-		case seen[rec.Example]:
-			if _, err := builder.ConstructGroundCtx(ctx, ex); err != nil {
-				return fmt.Errorf("build log entry %d (replay %s): %w", i, rec.Example, err)
-			}
-		default:
-			if _, err := engine.GroundBCCtx(ctx, ex); err != nil {
-				return fmt.Errorf("build log entry %d (replay %s): %w", i, rec.Example, err)
-			}
-			seen[rec.Example] = true
-		}
-	}
-	return nil
-}
-
 // Name returns the model's registry name.
 func (m *Model) Name() string { return m.name }
 
@@ -264,19 +221,16 @@ func (m *Model) DataVersion() uint64 { return m.art.DataVersion }
 // Definition returns the learned theory.
 func (m *Model) Definition() *logic.Definition { return m.def }
 
-// CachedBCs reports how many ground-BC entries the model holds: pinned
-// replay entries in the engine cache plus admitted entries in the
+// CachedBCs reports how many ground-BC entries the model holds in the
 // serving LRU.
 func (m *Model) CachedBCs() int {
-	n := m.engine.CachedBCs()
-	if m.bc != nil {
-		n += m.bc.len()
+	if m.bc == nil {
+		return 0
 	}
-	return n
+	return m.bc.len()
 }
 
-// CacheBytesUsed reports the serving LRU's current byte occupancy
-// (pinned replay entries are unbudgeted and excluded).
+// CacheBytesUsed reports the serving LRU's current byte occupancy.
 func (m *Model) CacheBytesUsed() int64 {
 	if m.bc == nil {
 		return 0
@@ -363,10 +317,9 @@ func (m *Model) checkExample(e logic.Literal) error {
 }
 
 // predictOne is the serving hot path: verdict memo, then the entry
-// ladder (pinned replay cache → size-aware LRU with singleflight →
-// derived-seed build), then the compiled subsumption check. Every layer
-// only redistributes cost; the verdict is a pure function of (model,
-// example).
+// ladder (size-aware LRU with singleflight → derived-seed build), then
+// the compiled subsumption check. Every layer only redistributes cost;
+// the verdict is a pure function of (model, example).
 func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 	key := e.String()
 	if m.memo != nil {
@@ -389,19 +342,14 @@ func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 	return v, nil
 }
 
-// entryFor resolves the example's ground entry: pinned replay entries
-// first (free and irreplaceable), then the LRU/singleflight path, then
-// a direct build when uncached.
+// entryFor resolves the example's ground entry through the
+// LRU/singleflight path, or by a direct build when uncached.
 func (m *Model) entryFor(ctx context.Context, key string, e Example) (*learn.GroundEntry, error) {
-	if ent, ok := m.engine.CachedEntry(key); ok {
-		m.mc.Inc(metrics.ServeCacheHits)
-		return ent, nil
-	}
 	if m.bc == nil {
-		return m.engine.BuildPooledEntry(ctx, e)
+		return m.engine.BuildEntry(ctx, e)
 	}
 	return m.bc.get(ctx, key, func() (*learn.GroundEntry, error) {
-		return m.engine.BuildPooledEntry(ctx, e)
+		return m.engine.BuildEntry(ctx, e)
 	})
 }
 
@@ -935,7 +883,7 @@ type ReloadReport struct {
 
 // ReloadDir re-scans a models directory and hot-swaps changed models
 // into the registry with zero downtime: each changed artifact is fully
-// bound (replay and all) BEFORE its swap, the swap is atomic, and the
+// bound BEFORE its swap, the swap is atomic, and the
 // replaced version drains in-flight requests on its own. Unchanged
 // artifacts (same checksum as the serving version) are skipped;
 // per-model failures are reported but never interrupt serving — unlike

@@ -160,8 +160,7 @@ func TestEvictionKeepsVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing fit the budget, and no pinned BCs exist (the artifact has
-	// no build log): the cache must be empty.
+	// Nothing fit the budget: the cache must be empty.
 	if n := m.CachedBCs(); n != 0 {
 		t.Fatalf("cache holds %d BCs under a 1-byte budget", n)
 	}

@@ -107,7 +107,6 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 
 	// Ground truth from an identically configured engine.
 	truth := tinyEngine(t, 1)
-	truth.SetPureGroundBCs(true)
 	want := make([][]bool, len(clauses))
 	for i, cs := range clauses {
 		for _, es := range examples {

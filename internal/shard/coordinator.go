@@ -253,9 +253,7 @@ func New(opts Options) (*Coordinator, error) {
 	}, nil
 }
 
-// Bind installs the coordinator as engine's coverage transport. The
-// engine switches to pure ground-BC provenance (SetTransport does it),
-// which is what makes every verdict location-independent.
+// Bind installs the coordinator as engine's coverage transport.
 func (co *Coordinator) Bind(e *learn.CoverageEngine) {
 	co.engine = e
 	e.SetTransport(co)
@@ -330,8 +328,7 @@ const (
 // and per-clause counts clamp at limit. Because workers resolve every
 // (clause, example) pair they are sent and verdicts are pure, the memo
 // state and counts are identical under any interleaving of retries,
-// hedges, and failovers — and identical to a single-process pure-mode
-// run.
+// hedges, and failovers — and identical to a single-process run.
 //
 // The shard fan-out runs under a per-count cancellable context: the
 // first shard to return an error (its ladder already exhausted — the

@@ -9,19 +9,20 @@
 // internal/httpx substrate: concurrency caps, timeouts, structured
 // errors, graceful drain) wrapping a coverage engine configured
 // identically to the coordinator's — identical bias, bottom-clause
-// options, subsumption options, and derived-seed ("pure") ground-BC
-// provenance, enforced by a config fingerprint on every request.
+// options and subsumption options, enforced by a config fingerprint on
+// every request.
 //
-// The merge contract: because every BC is a derived-seed clone product
-// and every subsumption test is pure, a verdict is a function of
+// The merge contract: because every ground BC is a function of its
+// example alone (derived-seed provenance, DESIGN.md §19) and every
+// subsumption test is pure, a verdict is a function of
 // (configuration, clause, example) — independent of which process
 // computes it, in what order, or how many times. Workers resolve every
 // example of a request (no early exit at the count limit), the
 // coordinator memoizes every verdict it receives, and per-shard counts
 // merge by summation with a final clamp — min(Σcᵢ, limit) — so
 // theories and decision-driving counters are bit-identical to a
-// single-process pure-mode run under any interleaving of retries,
-// hedges, and failovers. See DESIGN.md §13.
+// single-process run under any interleaving of retries, hedges, and
+// failovers. See DESIGN.md §13.
 //
 // Failure model: per-attempt timeouts with exponential backoff + jitter
 // honoring Retry-After; hedged requests for stragglers; passive replica
@@ -153,17 +154,16 @@ func UnpackBits(bs []byte, n int) ([]bool, bool) {
 // verdict — the schema fingerprint, the bias text, and the engine's
 // effective bottom-clause and subsumption options (post-normalization,
 // read back from the engine so coordinator and worker hash the values
-// actually in force) plus the BC provenance mode. Two engines with
-// equal fingerprints return equal verdicts for every (clause, example).
+// actually in force). Two engines with equal fingerprints return equal
+// verdicts for every (clause, example).
 func EngineFingerprint(e *learn.CoverageEngine, schemaFingerprint, biasText string) string {
 	b := e.Builder().Options()
 	s := e.SubsumeOptions()
 	h := sha256.New()
-	fmt.Fprintf(h, "schema=%s\nbias=%s\nbottom=%s/%d/%d/%d/%d\nsubsume=%d/%d/%d\npure=%v\n",
+	fmt.Fprintf(h, "schema=%s\nbias=%s\nbottom=%s/%d/%d/%d/%d\nsubsume=%d/%d/%d\n",
 		schemaFingerprint, biasText,
 		b.Strategy, b.Depth, b.SampleSize, b.MaxLiterals, b.Seed,
-		s.MaxNodes, s.Restarts, s.Seed,
-		e.PureGroundBCs())
+		s.MaxNodes, s.Restarts, s.Seed)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 

@@ -93,10 +93,8 @@ type Worker struct {
 
 // NewWorker wraps engine as shard worker id. The engine must be built
 // from the same task and options as the coordinator's (fingerprint fp
-// proves it) and must be in pure ground-BC mode — NewWorker enforces
-// the latter itself.
+// proves it).
 func NewWorker(id string, engine *learn.CoverageEngine, fp string, opts WorkerOptions) *Worker {
-	engine.SetPureGroundBCs(true)
 	w := &Worker{
 		id:       id,
 		engine:   engine,

@@ -71,14 +71,13 @@ var errShardCrash = errors.New("testkit: injected shard crash")
 // that partial theory left uncovered must stitch to the uninterrupted
 // reference bit for bit.
 //
-// The reference is a single-process pure-mode run: that is what a
-// distributed run is bit-identical to (shared-builder provenance
-// samples different BCs). The fleet dies deterministically: the
+// The reference is a single-process run: that is what a distributed
+// run is bit-identical to. The fleet dies deterministically: the
 // crashAfter-th coverage RPC send — and every send after it — fails, so
 // wherever the covering loop is at that point, its next coverage count
 // walks the whole (dead) failover ladder and aborts the run.
 //
-// ref, when non-nil, is a previously-computed pure-mode reference leg of
+// ref, when non-nil, is a previously-computed reference leg of
 // the same (task, opts) — callers scanning several crash points pass it
 // to avoid re-learning the reference each time.
 //
@@ -96,13 +95,11 @@ func ShardCrashResume(ctx context.Context, task autobias.Task, opts autobias.Opt
 	}
 
 	rep := CancelResumeReport{}
-	refOpts := opts
-	refOpts.PureGroundBCs = true
 	var err error
 	if ref != nil {
 		rep.Reference = *ref
 	} else {
-		rep.Reference, err = Run(ctx, task, refOpts, "reference(pure)")
+		rep.Reference, err = Run(ctx, task, opts, "reference")
 		if err != nil {
 			return rep, err
 		}
@@ -147,8 +144,8 @@ func ShardCrashResume(ctx context.Context, task autobias.Task, opts autobias.Opt
 		rep.Diffs = append(rep.Diffs, "crash leg does not report Degraded despite losing its shards")
 	}
 
-	// Resume single-process (the fleet is "gone") in pure mode, over the
-	// positives the partial theory left uncovered.
+	// Resume single-process (the fleet is "gone"), over the positives the
+	// partial theory left uncovered.
 	var remaining []autobias.Example
 	for _, e := range task.Pos {
 		ok, err := rep.Partial.Result.Covers(e)
@@ -164,7 +161,7 @@ func ShardCrashResume(ctx context.Context, task autobias.Task, opts autobias.Opt
 	if len(remaining) == 0 {
 		rep.Resumed = Leg{Label: "resumed", Snapshot: autobias.MetricsSnapshot{}}
 	} else {
-		rep.Resumed, err = Run(ctx, resumeTask, refOpts, "resumed")
+		rep.Resumed, err = Run(ctx, resumeTask, opts, "resumed")
 		if err != nil {
 			return rep, err
 		}

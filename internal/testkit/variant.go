@@ -66,16 +66,12 @@ type VariantReport struct {
 //
 // Theories on different schemas mention different predicates, so no
 // textual comparison is possible across variants; held-out coverage is
-// the semantic equivalence check. opts must have PureGroundBCs set
-// (sharded runs are bit-identical only to pure-mode local runs) and
-// MethodManual (variants carry their bias in Task.Manual; any other
-// method would silently ignore the rewrite and test nothing).
+// the semantic equivalence check. opts must have MethodManual (variants
+// carry their bias in Task.Manual; any other method would silently
+// ignore the rewrite and test nothing).
 func CrossVariantDifferential(ctx context.Context, task autobias.Task, opts autobias.Options, cfg VariantConfig) (*VariantReport, error) {
 	if opts.Method != autobias.MethodManual {
 		return nil, fmt.Errorf("testkit: cross-variant differential requires MethodManual, got %q", opts.Method)
-	}
-	if !opts.PureGroundBCs {
-		return nil, fmt.Errorf("testkit: cross-variant differential requires PureGroundBCs (the sharded leg is only bit-identical to pure-mode local runs)")
 	}
 	if len(cfg.HeldOut) == 0 {
 		return nil, fmt.Errorf("testkit: cross-variant differential needs held-out examples")

@@ -5,61 +5,56 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-
-	"repro/internal/bottom"
 )
 
 // TestLearnDeterministicAcrossWorkers: the facade-level guarantee that
 // the Workers knob changes wall-clock only. Neither the coverage pool
 // nor the armg fan-out may leave a trace of the worker count: at 1 (the
-// exact sequential engine), 2, 4 and 8 workers, with shared-builder and
-// with pure ground-BC provenance, a run must end with the same theory,
-// the same deterministic counters (candidates scored, armg.* among
-// them), the same armg memo (the pairs the rounds planned and stored),
-// and the shared builder's RNG in the same position — its build log, the
-// sequence of draw-consuming builds, is what a model replay restores
-// that position from.
+// exact sequential engine), 2, 4 and 8 workers a run must end with the
+// same theory, the same deterministic counters (candidates scored,
+// armg.* among them), the same armg memo (the pairs the rounds planned
+// and stored), and the same intern table in the same id order — the
+// symbol table a model artifact records, which the sequential ground-BC
+// prefetch exists to keep stable.
 func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	task := uwTask(t, 0.15)
 	type outcome struct {
 		theory   string
 		counters map[string]int64
 		memoKeys [][2]string
-		builds   []bottom.BuildRecord
+		symbols  []string
 	}
-	for _, pure := range []bool{false, true} {
-		var ref outcome
-		for _, workers := range []int{1, 2, 4, 8} {
-			res, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: workers, PureGroundBCs: pure, Metrics: true})
-			if err != nil {
-				t.Fatal(err)
+	var ref outcome
+	for _, workers := range []int{1, 2, 4, 8} {
+		res, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: workers, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outcome{
+			theory:   res.Definition.String(),
+			counters: res.Metrics.Counters,
+			memoKeys: res.engine.ExtractCarried().ARMGPairs(),
+			symbols:  res.engine.Interner().Symbols(),
+		}
+		if workers == 1 {
+			ref = got
+			if got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0 {
+				t.Fatalf("the run exercised no armg pass or no refutation: %v", got.counters)
 			}
-			got := outcome{
-				theory:   res.Definition.String(),
-				counters: res.Metrics.Counters,
-				memoKeys: res.engine.ExtractCarried().ARMGPairs(),
-				builds:   res.engine.Builder().BuildLog(),
-			}
-			if workers == 1 {
-				ref = got
-				if got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0 {
-					t.Fatalf("pure=%v: the run exercised no armg pass or no refutation: %v", pure, got.counters)
-				}
-				continue
-			}
-			label := fmt.Sprintf("pure=%v workers=%d", pure, workers)
-			if got.theory != ref.theory {
-				t.Errorf("%s: theory diverges from workers=1:\n%s\nwant:\n%s", label, got.theory, ref.theory)
-			}
-			if !reflect.DeepEqual(got.counters, ref.counters) {
-				t.Errorf("%s: deterministic counters diverge from workers=1:\n%v\nwant:\n%v", label, got.counters, ref.counters)
-			}
-			if !slices.Equal(got.memoKeys, ref.memoKeys) {
-				t.Errorf("%s: armg memo holds %d keys, workers=1 holds %d (or different ones)", label, len(got.memoKeys), len(ref.memoKeys))
-			}
-			if !reflect.DeepEqual(got.builds, ref.builds) {
-				t.Errorf("%s: the shared builder ran %d builds, workers=1 ran %d (or in another order)", label, len(got.builds), len(ref.builds))
-			}
+			continue
+		}
+		label := fmt.Sprintf("workers=%d", workers)
+		if got.theory != ref.theory {
+			t.Errorf("%s: theory diverges from workers=1:\n%s\nwant:\n%s", label, got.theory, ref.theory)
+		}
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("%s: deterministic counters diverge from workers=1:\n%v\nwant:\n%v", label, got.counters, ref.counters)
+		}
+		if !slices.Equal(got.memoKeys, ref.memoKeys) {
+			t.Errorf("%s: armg memo holds %d keys, workers=1 holds %d (or different ones)", label, len(got.memoKeys), len(ref.memoKeys))
+		}
+		if !slices.Equal(got.symbols, ref.symbols) {
+			t.Errorf("%s: intern table holds %d symbols, workers=1 holds %d (or in another order)", label, len(got.symbols), len(ref.symbols))
 		}
 	}
 }

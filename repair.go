@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bottom"
 	"repro/internal/db"
 	"repro/internal/faultpoint"
 	"repro/internal/ind"
 	"repro/internal/ingest"
 	"repro/internal/learn"
 	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/shard"
 )
 
 // Ingest-layer re-exports, so live-learner binaries need only this
@@ -73,7 +70,7 @@ type Repair struct {
 	// language bias, forcing the full re-learn path.
 	BiasDrift bool
 	// FullRelearn reports that the repair fell back to a from-scratch
-	// re-learn; FullRelearnReason names which of the six conditions
+	// re-learn; FullRelearnReason names which of the five conditions
 	// forced it.
 	FullRelearn bool
 	// FullRelearnReason is empty on the repair path and otherwise one of
@@ -103,17 +100,14 @@ const (
 	// FullRelearnNonNaiveSampling: the invalidation screen is only sound
 	// under naive sampling.
 	FullRelearnNonNaiveSampling = "non_naive_sampling"
-	// FullRelearnImpureEngine: the previous run has no pure-provenance
-	// coverage state to carry.
-	FullRelearnImpureEngine = "impure_engine"
 )
 
 // RepairCtx incrementally maintains a learned theory after a committed
 // mutation batch (DESIGN.md §16). prev must be the result of LearnCtx
 // (or a previous RepairCtx) over the pre-batch database with these same
-// opts and PureGroundBCs set; task must carry the same examples, with
-// task.DB now in its post-batch state; commit is the batch's change
-// summary from Ingestor.Apply.
+// opts; task must carry the same examples, with task.DB now in its
+// post-batch state; commit is the batch's change summary from
+// Ingestor.Apply.
 //
 // Contract (pinned by the repair differential suite): the returned
 // result is semantically equivalent to LearnCtx on the post-batch
@@ -131,7 +125,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	opts.Collector = mc
 	mc.Inc(metrics.IngestRepairs)
 
-	if prev == nil || prev.Definition == nil {
+	if prev == nil || prev.Definition == nil || prev.engine == nil {
 		return nil, fmt.Errorf("autobias: repair needs a previous Learn result")
 	}
 	if opts.method() == MethodAleph {
@@ -210,13 +204,9 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 
 	// The invalidation probe is only sound under naive sampling (the
 	// other strategies consult relation-wide statistics any mutation can
-	// shift), and carried verdicts only replay against pure-provenance
-	// BCs.
+	// shift).
 	if opts.Sampling != SamplingNaive {
 		return fullRelearn(inds, FullRelearnNonNaiveSampling)
-	}
-	if prev.engine == nil || !prev.engine.PureGroundBCs() {
-		return fullRelearn(inds, FullRelearnImpureEngine)
 	}
 
 	candidates := prev.engine.AffectedExamples(commit.Values)
@@ -236,18 +226,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return nil, err
 	}
 	res := &Result{Bias: b, Graph: graph, INDs: inds, db: task.DB, metrics: mc}
-	l := learn.New(task.DB, compiled, learn.Options{
-		Bottom:        opts.bottomOptions(),
-		Subsume:       opts.subsumeOptions(),
-		BeamWidth:     opts.BeamWidth,
-		EvalSampleCap: opts.EvalSampleCap,
-		MinPrecision:  opts.MinPrecision,
-		Timeout:       opts.Timeout,
-		Seed:          opts.Seed,
-		Workers:       opts.Workers,
-		Metrics:       mc,
-		PureGroundBCs: true,
-	})
+	l := learn.New(task.DB, compiled, opts.learnOptions(mc))
 	engine := l.Coverage()
 
 	// Narrow the value-level candidate set to the examples whose ground
@@ -273,11 +252,13 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 
 	// Detect which previously learned clauses the batch actually
 	// invalidated: re-test each against the dirty examples on the
-	// post-batch database (pooled builds — pure, no shared-builder RNG)
-	// and compare to the carried verdicts before they are dropped.
-	probe := learn.NewCoverage(bottom.NewBuilder(task.DB, compiled, opts.bottomOptions()), opts.subsumeOptions())
-	probe.SetPureGroundBCs(true)
-	probe.SetWorkers(opts.Workers)
+	// post-batch database and compare to the carried verdicts before they
+	// are dropped. The probe is a second engine assembled exactly like the
+	// repair engine — the same effective node budget the carried verdicts
+	// were searched under, so a verdict can only differ because the data
+	// did — minus the collector: probe tests are not part of the run the
+	// counters describe.
+	probe := learn.New(task.DB, compiled, opts.learnOptions(nil)).Coverage()
 	for _, c := range prev.Definition.Clauses {
 		ck := c.Key()
 		if err := faultpoint.Inject(ctx, "ingest.repair:"+ck); err != nil {
@@ -310,49 +291,25 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	// Drop everything the batch actually perturbed, install the rest on
 	// the fresh engine, and replay the learner. Every carried verdict
 	// reproduces a decision input the cold run would recompute, so the
-	// replay's decision sequence — and therefore its shared-builder RNG
-	// consumption and its theory — is the cold run's, bit for bit.
+	// replay's decision sequence — and therefore the order its seed
+	// clauses are built in and its theory — is the cold run's, bit for
+	// bit.
 	cs.DropExamples(dirty)
 	engine.AdoptCarried(cs)
 
-	if so := opts.Shard; so != nil {
-		fp := shard.EngineFingerprint(engine,
-			model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs), b.String())
-		coord, err := shard.New(shard.Options{
-			Shards:               so.shardFleet(),
-			Fingerprint:          fp,
-			RequestTimeout:       so.RequestTimeout,
-			Retries:              so.Retries,
-			HedgeDelay:           so.HedgeDelay,
-			DisableLocalFallback: so.DisableLocalFallback,
-			MaxBatchClauses:      so.BatchClauses,
-			JitterSeed:           opts.Seed,
-			Metrics:              mc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		coord.SetDataVersion(commit.Version)
-		coord.Bind(engine)
-		defer engine.SetTransport(nil)
-		defer coord.Close()
+	detach, err := opts.bindShards(engine, task, b, mc, commit.Version)
+	if err != nil {
+		return nil, err
 	}
+	defer detach()
 
 	learnStart := time.Now()
 	def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
 	if err != nil {
 		return nil, err
 	}
-	res.Definition = def
-	res.TimedOut = stats.TimedOut
-	res.Cancelled = stats.Cancelled
-	res.Report = stats.Report
-	res.Clauses = stats.Clauses
+	res.capture(engine, def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
 	res.Elapsed = time.Since(learnStart)
-	res.covers = func(d *Definition, e Example) (bool, error) {
-		return engine.DefinitionCovers(context.Background(), d, e)
-	}
-	res.engine = engine
 	rep.Result = res
 	rep.CarriedHits = engine.CarriedHits()
 	mc.SetNamedGauge("ingest.carried_hits", rep.CarriedHits)

@@ -64,11 +64,10 @@ func TestSchemaVariantDifferential(t *testing.T) {
 				// indirection hop (fragment deref, dictionary resolve) to
 				// the depth-2 base concepts, so 3 gives each variant the
 				// same semantic reach.
-				Depth:         3,
-				MaxLiterals:   tc.maxLiterals,
-				BeamWidth:     tc.beamWidth,
-				Seed:          1,
-				PureGroundBCs: true,
+				Depth:       3,
+				MaxLiterals: tc.maxLiterals,
+				BeamWidth:   tc.beamWidth,
+				Seed:        1,
 			}
 			rep, err := testkit.CrossVariantDifferential(context.Background(), task, opts, testkit.VariantConfig{
 				Transforms:  transforms,

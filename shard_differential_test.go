@@ -1,7 +1,7 @@
 // Chaos differential tests for distributed coverage: a sharded run —
 // under retries, hedges, dead replicas, and a fully lost fleet — must
 // produce the same theory and the same decision-driving deterministic
-// counters as a single-process pure-mode run. Faults are injected at
+// counters as a single-process run. Faults are injected at
 // exact, named hit windows (internal/faultpoint), so every leg is
 // reproducible; the multi-process variant (real processes, real kill -9)
 // lives in shard_smoke_test.go.
@@ -25,13 +25,12 @@ import (
 	"repro/internal/testkit"
 )
 
-// pureReference learns the task single-process in pure ground-BC mode —
-// the provenance a distributed run is bit-identical to.
-func pureReference(t *testing.T, ctx context.Context, task autobias.Task, opts autobias.Options) testkit.Leg {
+// localReference learns the task single-process, sequentially — what a
+// distributed run is bit-identical to.
+func localReference(t *testing.T, ctx context.Context, task autobias.Task, opts autobias.Options) testkit.Leg {
 	t.Helper()
-	opts.PureGroundBCs = true
 	opts.Workers = 1
-	ref, err := testkit.Run(ctx, task, opts, "reference(pure,w=1)")
+	ref, err := testkit.Run(ctx, task, opts, "reference(w=1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,7 @@ func pureReference(t *testing.T, ctx context.Context, task autobias.Task, opts a
 	return ref
 }
 
-// diffVsReference compares a distributed leg against the pure reference:
+// diffVsReference compares a distributed leg against the local reference:
 // bit-identical theory, and exact agreement on every learner-decision
 // counter (learn.*, ind.*, eval.*).
 func diffVsReference(ref, leg testkit.Leg) []string {
@@ -64,7 +63,7 @@ func diffVsReference(ref, leg testkit.Leg) []string {
 // TestShardDifferential is the acceptance check for the distributed
 // merge contract (DESIGN.md §13): a 4-shard run under injected RPC
 // failures, dead workers, and hedged requests learns a theory
-// bit-identical to the single-process pure-mode reference, at every
+// bit-identical to the single-process reference, at every
 // coordinator worker count, with every recovery recorded in
 // Result.Report and none of the exact recoveries marking the run
 // degraded.
@@ -73,7 +72,7 @@ func TestShardDifferential(t *testing.T) {
 	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}
 	ctx := context.Background()
 
-	ref := pureReference(t, ctx, task, base)
+	ref := localReference(t, ctx, task, base)
 
 	fleet, err := testkit.StartShardFleet(task, base, [][]string{{"s0"}, {"s1"}, {"s2"}, {"s3"}})
 	if err != nil {
@@ -273,7 +272,7 @@ func TestShardHedging(t *testing.T) {
 	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}
 	ctx := context.Background()
 
-	ref := pureReference(t, ctx, task, base)
+	ref := localReference(t, ctx, task, base)
 
 	fleet, err := testkit.StartShardFleet(task, base, [][]string{{"h0a", "h0b"}, {"h1a", "h1b"}})
 	if err != nil {
@@ -305,16 +304,14 @@ func TestShardHedging(t *testing.T) {
 // TestShardCrashResume verifies the distributed anytime contract end to
 // end (see testkit.ShardCrashResume): the fleet dies mid-run with
 // fallback disabled, the partial theory plus a resumed run stitches to
-// the uninterrupted pure-mode reference bit for bit.
+// the uninterrupted reference bit for bit.
 func TestShardCrashResume(t *testing.T) {
 	task := smallTask(t)
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
 	ctx := context.Background()
 	layout := [][]string{{"c0"}, {"c1"}}
 
-	refOpts := opts
-	refOpts.PureGroundBCs = true
-	ref, err := testkit.Run(ctx, task, refOpts, "reference(pure)")
+	ref, err := testkit.Run(ctx, task, opts, "reference")
 	if err != nil {
 		t.Fatal(err)
 	}

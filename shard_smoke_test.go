@@ -2,7 +2,7 @@
 // cmd/shardworker binary, boots three worker processes, runs a
 // coordinated learning job against them, kills one worker with SIGKILL
 // mid-run, and requires the learned theory to be bit-identical to a
-// single-process pure-mode reference. This is the only test that
+// single-process reference. This is the only test that
 // crosses a real process boundary; the in-process chaos suite
 // (shard_differential_test.go) covers the fault-injection matrix.
 package autobias_test
@@ -89,10 +89,8 @@ func TestShardWorkerProcessSmoke(t *testing.T) {
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 4, Metrics: true}
 	ctx := context.Background()
 
-	refOpts := opts
-	refOpts.PureGroundBCs = true
 	refStart := time.Now()
-	ref, err := autobias.LearnCtx(ctx, task, refOpts)
+	ref, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func TestStressStreamedIngest(t *testing.T) {
 // TestStressShardCoordinator drives the shard coordinator against an
 // in-process fleet of four single-replica workers over a scaled-up FLT
 // dataset and requires the distributed theory to be bit-identical to
-// the pure-mode local reference — the determinism contract under
+// the local reference — the determinism contract under
 // volume, not just under the unit-test toy sizes.
 func TestStressShardCoordinator(t *testing.T) {
 	mult := stressScale(t)
@@ -256,12 +256,11 @@ func TestStressShardCoordinator(t *testing.T) {
 		task.Neg = task.Neg[:60]
 	}
 	opts := autobias.Options{
-		Method:        autobias.MethodManual,
-		Seed:          1,
-		PureGroundBCs: true,
+		Method: autobias.MethodManual,
+		Seed:   1,
 	}
 	ctx := context.Background()
-	local, err := testkit.Run(ctx, task, opts, "local(pure)")
+	local, err := testkit.Run(ctx, task, opts, "local")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +280,7 @@ func TestStressShardCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sharded.Theory != local.Theory {
-		t.Errorf("sharded theory diverges from pure local reference:\n--- local\n%s\n--- sharded\n%s",
+		t.Errorf("sharded theory diverges from local reference:\n--- local\n%s\n--- sharded\n%s",
 			local.Theory, sharded.Theory)
 	}
 }
