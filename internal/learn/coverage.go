@@ -345,10 +345,13 @@ func deriveSeed(base int64, key string) int64 {
 }
 
 // settle produces one verdict: fetch the ground entry, bind the record's
-// compiled clause to it and search. It is the one place a test is
-// counted, a panic (in the fetch or the test) is isolated to the pair as
-// "not covered", and an exhausted node budget — a sound-negative answer,
-// §5's approximation — is reported. A done ctx returns its error.
+// compiled clause to it and run subsume's one test procedure — the
+// search, stopping once for the whole-clause refuter (DESIGN.md §20).
+// It is the one place a test is counted, a panic (in the fetch or the
+// test) is isolated to the pair as "not covered", and an exhausted node
+// budget — a sound-negative answer, §5's approximation — is reported; a
+// test the refuter answers is a complete "not covered" and reports
+// nothing. A done ctx returns its error.
 func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*GroundEntry, error)) (bool, error) {
 	v, complete, err := func() (v, complete bool, err error) {
 		defer recoverToErr(&err)

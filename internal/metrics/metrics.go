@@ -89,7 +89,7 @@ const (
 	// without a subsumption search (subsume.ForwardPass's refuter).
 	ARMGLiteralsRefuted
 	// ARMGFastPathSkipped counts passes whose whole-clause test was
-	// refuted instead of searched.
+	// answered by the refuter instead of the rest of its search.
 	ARMGFastPathSkipped
 	// EvalExamples counts held-out examples scored by Evaluate.
 	// Deterministic.
@@ -135,6 +135,15 @@ const (
 	// SubsumeBudgetExhausted counts tests that gave up their node budget
 	// and answered sound-negative (§5's approximation). Gauge.
 	SubsumeBudgetExhausted
+	// SubsumeProbeDecided counts tests (of those whose budget lets the
+	// search stop for the refuter at all) that the search answered before
+	// it got that far. Gauge.
+	SubsumeProbeDecided
+	// SubsumeRefuted counts tests the refuter answered "does not
+	// subsume" at the stop, in place of the rest of the search — tests
+	// that would otherwise have run on to a complete or budget-exhausted
+	// "no" (DESIGN.md §20). Gauge.
+	SubsumeRefuted
 	// ServeRequests counts predict requests accepted by the inference
 	// server. Gauge: a function of traffic, not of the learning run.
 	ServeRequests
@@ -253,6 +262,8 @@ var counterDefs = [numCounters]counterDef{
 	SubsumeTests:              {"subsume.tests", false, kindSum},
 	SubsumeNodes:              {"subsume.nodes", false, kindSum},
 	SubsumeBudgetExhausted:    {"subsume.budget_exhausted", false, kindSum},
+	SubsumeProbeDecided:       {"subsume.probe_decided", false, kindSum},
+	SubsumeRefuted:            {"subsume.refuted", false, kindSum},
 	ServeRequests:             {"serve.requests", false, kindSum},
 	ServePredictions:          {"serve.predictions", false, kindSum},
 	ServeCovered:              {"serve.predictions_covered", false, kindSum},

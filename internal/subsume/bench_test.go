@@ -1,6 +1,7 @@
 package subsume
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,4 +89,60 @@ func BenchmarkSubsume(b *testing.B) {
 			CheckCompiled(neg, cg, opts)
 		}
 	})
+}
+
+// BenchmarkSubsumeEscalation has one cell per way a coverage test at the
+// learner's budget ends: decided by the search before its stop (a
+// cover), answered by the refuter at the stop (a negative the legacy
+// matcher spends its whole budget on), and carried past the stop to an
+// exhausted budget (a negative no arc-consistency sweep can refute, where
+// the sweep is pure overhead). Clause and ground are compiled ahead, as
+// in the coverage engine.
+func BenchmarkSubsumeEscalation(b *testing.B) {
+	ctx := context.Background()
+	opts := Options{MaxNodes: 5000, Restarts: 0}
+	pos, _, ground := benchWorkload(7, 300, 60)
+	refC, refG := chainNegative(b, 7, 6)
+	hardC, hardG := hardInstance(b, 7)
+	for _, cell := range []struct {
+		name string
+		c, g *logic.Clause
+		want Result
+		how  stage
+	}{
+		{"probe-decided-cover", pos, ground, Result{Subsumes: true, Complete: true}, byProbe},
+		{"refutable-exhausted-negative", refC, refG, Result{Complete: true, Nodes: probeNodes}, byRefuter},
+		{"ac-consistent-hard-negative", hardC, hardG, Result{Nodes: 5000}, bySearch},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			if got, how := checkHow(ctx, cell.c, cell.g, opts); how != cell.how ||
+				got.Subsumes != cell.want.Subsumes || got.Complete != cell.want.Complete ||
+				(cell.want.Nodes != 0 && got.Nodes != cell.want.Nodes) {
+				b.Fatalf("%+v by %d, want %+v by %d", got, how, cell.want, cell.how)
+			}
+			in := logic.NewInterner()
+			cc, cg := CompileClause(in, cell.c), CompileGround(in, cell.g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				CheckClauseCtx(ctx, cc, cg, opts)
+			}
+		})
+	}
+}
+
+// BenchmarkSubsumeCompileGround is the cost of one CompiledGround over a
+// bottom-clause-sized ground clause and a warm intern table — what a
+// cold prediction pays once per example.
+func BenchmarkSubsumeCompileGround(b *testing.B) {
+	_, _, g := benchWorkload(7, 300, 60)
+	in := logic.NewInterner()
+	if cg := CompileGround(in, g); cg.BodyLen() != len(g.Body) {
+		b.Fatalf("compiled %d of %d literals", cg.BodyLen(), len(g.Body))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CompileGround(in, g)
+	}
 }

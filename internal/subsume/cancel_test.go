@@ -16,7 +16,7 @@ import (
 // a generous node budget keeps a single deterministic pass running for
 // seconds — the worst case the ctx poll inside the budget loop exists
 // for.
-func hardInstance(t *testing.T, k int) (c, g *logic.Clause) {
+func hardInstance(t testing.TB, k int) (c, g *logic.Clause) {
 	t.Helper()
 	names := func(i int) string { return string(rune('a' + i)) }
 	var gb, cb []string

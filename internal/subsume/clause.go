@@ -109,11 +109,7 @@ func (cc *CompiledClause) resolve(id int32, name string) int32 {
 // extent returns the ground extent body literal i must match in, nil
 // when the ground clause has no literal of that predicate.
 func (cc *CompiledClause) extent(i int, cg *CompiledGround) *groundExtent {
-	ext := cg.preds[cc.resolve(cc.lits[i].pred, cc.src.Body[i].Predicate)]
-	if ext == nil || len(ext.rows) == 0 {
-		return nil
-	}
-	return ext
+	return cg.extent(cc.resolve(cc.lits[i].pred, cc.src.Body[i].Predicate))
 }
 
 // CheckClauseCtx tests a pre-compiled candidate against a pre-compiled
@@ -124,8 +120,7 @@ func CheckClauseCtx(ctx context.Context, cc *CompiledClause, cg *CompiledGround,
 		// Ids of different tables do not compare.
 		return CheckCompiledCtx(ctx, cc.src, cg, opts)
 	}
-	opts = opts.normalized()
-	res := checkClauseCtx(ctx, cc, cg, opts)
-	record(opts, res)
-	return res
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	return m.check(ctx, cc, cg, opts.normalized())
 }

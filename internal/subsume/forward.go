@@ -2,7 +2,6 @@ package subsume
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/logic"
 )
@@ -19,8 +18,9 @@ type Forward struct {
 	// kept.
 	Kept []int
 	// Refuted counts the literals dropped without a search, and
-	// WholeRefuted reports that the whole-clause test was: both are
-	// functions of (clause, ground clause) alone.
+	// WholeRefuted reports that the whole-clause test was answered by the
+	// refuter: both are functions of (clause, ground clause, budget)
+	// alone.
 	Refuted      int
 	WholeRefuted bool
 }
@@ -35,34 +35,37 @@ type Forward struct {
 //
 // Two things make it cheaper than len(c.Body)+1 independent checks. The
 // clause is compiled once and the bound prefix grows and shrinks by one
-// literal per step. And a refuter runs ahead of every search: it keeps,
-// for each variable of the kept prefix, the set of ground values that
-// the rows supporting the prefix's literals allow — narrowed once per
-// kept literal — and a literal with no ground row consistent with its
-// constants, the head bindings and those sets is dropped without a
+// literal per step. And a refuter runs ahead of every prefix search: it
+// keeps, for each variable of the kept prefix, the set of ground values
+// that the rows supporting the prefix's literals allow — narrowed once
+// per kept literal — and a literal with no ground row consistent with
+// its constants, the head bindings and those sets is dropped without a
 // search. The sets over-approximate the values a variable takes in any
 // substitution the search could find for the prefix, so a refuted
 // prefix is one every search answers "does not subsume": a refutation
-// only ever replaces an answer that was already no, never a yes.
+// only ever replaces an answer that was already no, never a yes. (The
+// whole-clause test and every prefix search are the package's one test
+// procedure, so each also stops once for the same sweep over all its
+// literals — see escalate.)
 func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Forward {
 	opts = opts.normalized()
-	f := newForward(c, cg, opts)
-	defer f.m.release()
-	if !f.m.bindHead(&f.cc, cg) {
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	cc := &m.cc
+	cc.compile(cg.in, c)
+	if !m.bindHead(cc, cg) {
 		return Forward{}
 	}
 	out := Forward{HeadMatches: true}
-	if out.WholeRefuted = f.refutesWhole(); !out.WholeRefuted {
-		res := f.m.check(ctx, &f.cc, cg, opts)
-		record(opts, res)
-		if res.Subsumes {
-			out.Covers = true
-			return out
-		}
-		f.m.bindHead(&f.cc, cg)
+	if m.check(ctx, cc, cg, opts).Subsumes {
+		out.Covers = true
+		return out
 	}
-	for i := range f.cc.lits {
-		kept, refuted := f.extend(ctx, i)
+	out.WholeRefuted = m.how == byRefuter
+	m.bindHead(cc, cg)
+	m.kept.reset(m.nVars, m.nLocal)
+	for i := range cc.lits {
+		kept, refuted := m.extend(ctx, cg, opts, i)
 		if kept {
 			out.Kept = append(out.Kept, i)
 		}
@@ -73,89 +76,102 @@ func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts 
 	return out
 }
 
-// forward is one pass's state: the compiled clause, the matcher holding
-// the kept prefix, and the refuter's value sets for it.
-type forward struct {
-	cc   CompiledClause
-	cg   *CompiledGround
-	opts Options
-	m    *matcher
-	kept domains
-	// next[p] collects, for the literal under test, the values its
-	// supporting rows give the variable at term position p.
-	next [][]int32
-}
-
 // domains maps each variable that occurs in a set of literals to the
-// sorted ground values the rows supporting those literals allow it.
+// set of ground values the rows supporting those literals allow it: one
+// bitset over the ground clause's local ids per variable, with the set's
+// size and a member of it (the member, when there is one) on the side.
+// The next* fields collect the same, per term position, for the literal
+// under test. All of it is matcher scratch: reset keeps every capacity.
 type domains struct {
-	seen []bool
-	vals [][]int32
+	words int // bitset length, in uint64s
+	seen  []bool
+	size  []int32
+	one   []int32
+	bits  []uint64 // variable v's set is bits[v*words:][:words]
+
+	nextSize []int32
+	nextOne  []int32
+	nextBits []uint64 // position p's set is nextBits[p*words:][:words]
 }
 
-func newDomains(nVars int) domains {
-	return domains{seen: make([]bool, nVars), vals: make([][]int32, nVars)}
+// reset empties d for a clause of nVars variables over a ground clause
+// of nLocal values. A variable's bitset is written whole when it is first
+// narrowed, so only seen needs clearing.
+func (d *domains) reset(nVars int, nLocal int32) {
+	d.words = (int(nLocal) + 63) / 64
+	d.seen = resizeBools(d.seen, nVars)
+	clear(d.seen)
+	d.size = resizeInt32(d.size, nVars)
+	d.one = resizeInt32(d.one, nVars)
+	d.bits = resizeUint64(d.bits, nVars*d.words)
 }
 
-func newForward(c *logic.Clause, cg *CompiledGround, opts Options) *forward {
-	f := &forward{cg: cg, opts: opts, m: matcherPool.Get().(*matcher)}
-	// Compiled after cg, so a symbol still unresolved is in no row of it.
-	f.cc.compile(cg.in, c)
-	f.kept = newDomains(f.cc.nVars)
-	return f
+// has reports whether value v is in variable id's set.
+func (d *domains) has(id, v int32) bool {
+	return d.bits[int(id)*d.words+int(v>>6)]&(1<<(v&63)) != 0
 }
 
-// extend decides body literal i against the kept prefix: refuted without
-// a search, or kept iff the search finds the prefix plus the literal
-// subsuming.
-func (f *forward) extend(ctx context.Context, i int) (kept, refuted bool) {
-	terms := f.cc.lits[i].terms
-	ext := f.cc.extent(i, f.cg)
-	if !f.supported(terms, ext, &f.kept) {
+// extend is one step of ForwardPass over the clause in m.cc: it decides
+// body literal i against the kept prefix the matcher holds — refuted
+// without a search against the prefix's sets (m.kept), or kept iff the
+// search finds the prefix plus the literal subsuming.
+func (m *matcher) extend(ctx context.Context, cg *CompiledGround, opts Options, i int) (kept, refuted bool) {
+	ext := m.cc.extent(i, cg)
+	held := len(m.terms)
+	terms := m.litTerms(&m.cc, i, cg)
+	if !m.supported(terms, ext, &m.kept) {
+		m.terms = m.terms[:held]
 		return false, true
 	}
-	f.m.pushLit(terms, ext)
-	f.m.sizeSearch()
-	res := f.m.search(ctx, f.opts)
-	record(f.opts, res)
+	m.pushLit(terms, ext)
+	m.sizeSearch()
+	res := m.search(ctx, opts)
+	m.record(opts, res)
 	if !res.Subsumes {
-		f.m.popLit()
+		m.popLit()
+		m.terms = m.terms[:held]
 		return false, false
 	}
-	f.narrow(terms, &f.kept)
+	m.narrow(terms, &m.kept)
 	return true, false
 }
 
-// refutesWhole reports whether the whole clause is refuted: the body is
-// swept once in order, every literal narrowing the sets as if kept, and
-// a literal left without a supporting row means no substitution exists
-// for the clause.
-func (f *forward) refutesWhole() bool {
-	d := newDomains(f.cc.nVars)
-	for i := range f.cc.lits {
-		terms := f.cc.lits[i].terms
-		if !f.supported(terms, f.cc.extent(i, f.cg), &d) {
+// refutes reports whether the clause the matcher holds is refuted: the
+// body is swept once in order, every literal narrowing the sets as if
+// kept, and a literal left without a supporting row means no
+// substitution exists for the clause. It reads the bound literals — terms
+// already in the ground clause's ids, constants re-resolved — and the
+// head bindings, and polls the context once per literal; a cancelled
+// sweep refutes nothing and sets m.cancelled.
+func (m *matcher) refutes() bool {
+	m.whole.reset(m.nVars, m.nLocal)
+	for i := range m.lits {
+		if m.interrupted() {
+			return false
+		}
+		cl := &m.lits[i]
+		if !m.supported(cl.terms, cl.ext, &m.whole) {
 			return true
 		}
-		f.narrow(terms, &d)
+		m.narrow(cl.terms, &m.whole)
 	}
 	return false
 }
 
 // supported reports whether some row of ext is consistent with the
-// literal's constants, the head bindings and d, leaving in f.next the
+// literal's constants, the head bindings and d, leaving in d.next* the
 // values those rows give each of the literal's free variables. It
 // mirrors what the search accepts: a head variable bound to the reserved
 // id 0 counts as free, and a literal whose arity differs from its
 // extent's matches nothing.
-func (f *forward) supported(terms []cTerm, ext *groundExtent, d *domains) bool {
+func (m *matcher) supported(terms []cTerm, ext *groundExtent, d *domains) bool {
 	if ext == nil || ext.arity != len(terms) {
 		return false
 	}
-	initial := f.m.initial
-	for len(f.next) < len(terms) {
-		f.next = append(f.next, nil)
-	}
+	initial, w := m.initial, d.words
+	d.nextSize = resizeInt32(d.nextSize, len(terms))
+	d.nextOne = resizeInt32(d.nextOne, len(terms))
+	d.nextBits = resizeUint64(d.nextBits, len(terms)*w)
 	// Scan the shortest posting list among the positions holding one
 	// known value, or every row when there is none.
 	var list []int32
@@ -167,35 +183,41 @@ func (f *forward) supported(terms []cTerm, ext *groundExtent, d *domains) bool {
 			want = t.val
 		case initial[t.varID] != 0:
 			want = initial[t.varID]
-		case d.seen[t.varID] && len(d.vals[t.varID]) == 1:
-			want = d.vals[t.varID][0]
+		case d.seen[t.varID] && d.size[t.varID] == 1:
+			want = d.one[t.varID]
 		default:
 			continue
 		}
-		if l := ext.index[p][want]; !indexed || len(l) < len(list) {
+		if l := ext.posting(p, want); !indexed || len(l) < len(list) {
 			list, indexed = l, true
 		}
 	}
-	for p := range terms {
-		f.next[p] = f.next[p][:0]
-	}
+	clear(d.nextSize)
+	clear(d.nextBits)
 	any := false
-	n := len(ext.rows)
+	n := ext.n
 	if indexed {
 		n = len(list)
 	}
 	for k := 0; k < n; k++ {
-		row := ext.rows[k]
+		gi := int32(k)
 		if indexed {
-			row = ext.rows[list[k]]
+			gi = list[k]
 		}
+		row := ext.row(gi)
 		if !consistent(terms, row, initial, d) {
 			continue
 		}
 		any = true
 		for p, t := range terms {
-			if t.varID >= 0 && initial[t.varID] == 0 {
-				f.next[p] = append(f.next[p], row[p])
+			if t.varID < 0 || initial[t.varID] != 0 {
+				continue
+			}
+			v := row[p]
+			if word, bit := &d.nextBits[p*w+int(v>>6)], uint64(1)<<(v&63); *word&bit == 0 {
+				*word |= bit
+				d.nextSize[p]++
+				d.nextOne[p] = v
 			}
 		}
 	}
@@ -205,9 +227,6 @@ func (f *forward) supported(terms []cTerm, ext *groundExtent, d *domains) bool {
 // consistent reports whether the ground row agrees with the literal's
 // constants, the head bindings, its own repeated variables and d.
 func consistent(terms []cTerm, row, initial []int32, d *domains) bool {
-	if len(row) < len(terms) {
-		return false
-	}
 	for p, t := range terms {
 		v := row[p]
 		if t.varID < 0 {
@@ -222,15 +241,16 @@ func consistent(terms []cTerm, row, initial []int32, d *domains) bool {
 			}
 			continue
 		}
+		if v == noValue {
+			return false // a ground literal too short to have this slot
+		}
 		for q := 0; q < p; q++ {
 			if terms[q].varID == t.varID && row[q] != v {
 				return false
 			}
 		}
-		if d.seen[t.varID] {
-			if _, ok := slices.BinarySearch(d.vals[t.varID], v); !ok {
-				return false
-			}
+		if d.seen[t.varID] && !d.has(t.varID, v) {
+			return false
 		}
 	}
 	return true
@@ -239,9 +259,10 @@ func consistent(terms []cTerm, row, initial []int32, d *domains) bool {
 // narrow replaces the sets of the literal's free variables in d by the
 // values supported just collected for them — subsets of the old sets,
 // since a supporting row already lies within them.
-func (f *forward) narrow(terms []cTerm, d *domains) {
+func (m *matcher) narrow(terms []cTerm, d *domains) {
+	w := d.words
 	for p, t := range terms {
-		if t.varID < 0 || f.m.initial[t.varID] != 0 {
+		if t.varID < 0 || m.initial[t.varID] != 0 {
 			continue
 		}
 		first := true
@@ -253,10 +274,8 @@ func (f *forward) narrow(terms []cTerm, d *domains) {
 		if !first {
 			continue
 		}
-		vals := f.next[p]
-		slices.Sort(vals)
-		vals = slices.Compact(vals)
-		d.vals[t.varID] = append(d.vals[t.varID][:0], vals...)
+		copy(d.bits[int(t.varID)*w:][:w], d.nextBits[p*w:][:w])
+		d.size[t.varID], d.one[t.varID] = d.nextSize[p], d.nextOne[p]
 		d.seen[t.varID] = true
 	}
 }

@@ -15,25 +15,38 @@
 // layer and the CLIs passes Restarts: 0, so what runs there is the
 // single deterministic pass.
 //
+// A test escalates. Most are decided by the search within a few dozen
+// nodes, while the few that exhaust a budget of thousands own most of
+// the nodes — and most of those have no substitution at all. So the
+// deterministic pass stops once, at probeNodes, for the whole-clause
+// refuter (forward.go: one directional arc-consistency sweep over the
+// bound literals): a refuted test is answered "does not subsume,
+// complete" there and then, anything else carries on as the same pass,
+// node for node. A test the pass decides before the stop is the legacy
+// test; a refutation only replaces an answer that was "no" already
+// (exhausted or not); the rest is the legacy pass with a pause in it. No
+// verdict changes — only fewer tests report an exhausted budget.
+//
 // Bottom clauses routinely hold hundreds of literals and coverage
 // testing dominates learning time, so matching is split into two
 // compilation phases. CompileGround builds an immutable index of the
 // ground side — per-predicate extents and per-(predicate, position)
-// value→row postings over interned int32 ids (see logic.Interner) — that
-// callers cache and share: the coverage engine compiles each ground
-// bottom clause once and tests hundreds of beam-search candidates
-// against it. CompileClause does the same for the candidate side (the
-// engine keeps one per clause; CheckCompiled compiles one per call for
-// callers that test a clause once): variables become dense integer ids
-// (the substitution is an array, not a map), constants resolve to
-// interned ids by lookup, each literal's "constrained degree" (term
-// slots held by a constant or a bound variable) is maintained
-// incrementally as variables bind and unbind, and candidate sets are
-// retrieved through the most selective bound position. The inner loop
-// compares int32s only — no string hashing or comparison survives past
-// compilation. Per-check search state (substitution, trail, degree
-// buckets, candidate buffers) is recycled through a sync.Pool, so a
-// steady-state check allocates nothing.
+// posting arrays over ground-local dense ids — that callers cache and
+// share: the coverage engine compiles each ground bottom clause once and
+// tests hundreds of beam-search candidates against it. CompileClause
+// does the same for the candidate side (the engine keeps one per clause;
+// CheckCompiled compiles one per call for callers that test a clause
+// once): variables become dense integer ids (the substitution is an
+// array, not a map), constants resolve to interned ids by lookup (see
+// logic.Interner) and to the ground clause's local ids when the clause
+// is bound to it, each literal's "constrained degree" (term slots held
+// by a constant or a bound variable) is maintained incrementally as
+// variables bind and unbind, and candidate sets are retrieved through
+// the most selective bound position. The inner loop indexes arrays and
+// compares int32s only — no hashing of strings or ids survives past
+// binding. Per-check state (substitution, trail, degree buckets,
+// candidate buffers, the refuter's value sets) is recycled through a
+// sync.Pool, so a steady-state check allocates nothing.
 //
 // Concurrency contract: CheckCompiled(Ctx), CheckClauseCtx and
 // ForwardPass are pure with respect to shared state — every call binds
@@ -115,53 +128,65 @@ func CheckCompiled(c *logic.Clause, cg *CompiledGround, opts Options) Result {
 // within a few hundred binding attempts of ctx being done — timeouts
 // interrupt mid-test rather than waiting out the node budget.
 func CheckCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Result {
-	opts = opts.normalized()
-	res := checkCompiledCtx(ctx, c, cg, opts)
-	record(opts, res)
-	return res
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.cc.compile(cg.in, c)
+	return m.check(ctx, &m.cc, cg, opts.normalized())
 }
 
+// probeNodes is where the deterministic pass stops for the refuter. It
+// is a constant of the procedure, not a tuning knob: high enough that
+// the ~95 % of coverage tests the search answers in a few dozen nodes
+// never pay for a sweep, low enough that a test bound for a budget of
+// thousands has spent a twentieth of it. A budget not above it leaves no
+// test to rescue, so such a search never stops.
+const probeNodes = 256
+
+// stage names what answered a test.
+type stage uint8
+
+const (
+	bySearch  stage = iota // the search under the caller's budget (or the bind)
+	byProbe                // the search, before it reached probeNodes
+	byRefuter              // the refuter, at probeNodes
+)
+
 // record applies per-test instrumentation on every exit path.
-func record(opts Options, res Result) {
+func (m *matcher) record(opts Options, res Result) {
 	if mc := opts.Metrics; mc.Enabled() {
 		mc.Inc(metrics.SubsumeTests)
 		mc.Add(metrics.SubsumeNodes, int64(res.Nodes))
 		mc.Observe(metrics.HistSubsumeNodes, int64(res.Nodes))
-		if !res.Complete && !res.Cancelled {
+		switch {
+		case res.Cancelled:
+		case !res.Complete:
 			mc.Inc(metrics.SubsumeBudgetExhausted)
+		case m.how == byProbe:
+			mc.Inc(metrics.SubsumeProbeDecided)
+		case m.how == byRefuter:
+			mc.Inc(metrics.SubsumeRefuted)
 		}
 	}
 }
 
-// checkCompiledCtx is CheckCompiledCtx with opts already normalized and
-// instrumentation applied by the caller.
-func checkCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Result {
-	m := matcherPool.Get().(*matcher)
-	defer m.release()
-	m.cc.compile(cg.in, c)
-	return m.check(ctx, &m.cc, cg, opts)
-}
-
-// checkClauseCtx is checkCompiledCtx for a candidate compiled ahead of
-// the call.
-func checkClauseCtx(ctx context.Context, cc *CompiledClause, cg *CompiledGround, opts Options) Result {
-	m := matcherPool.Get().(*matcher)
-	defer m.release()
-	return m.check(ctx, cc, cg, opts)
-}
-
-// check binds cc over the ground clause and searches.
+// check is the one test procedure: bind cc over the ground clause,
+// search, count. opts are normalized.
 func (m *matcher) check(ctx context.Context, cc *CompiledClause, cg *CompiledGround, opts Options) Result {
-	if !m.bind(cc, cg) {
-		// Head mismatch, or a body predicate absent from g.
-		return Result{Subsumes: false, Complete: true}
+	// Head mismatch, or a body predicate absent from g.
+	res := Result{Subsumes: false, Complete: true}
+	m.how = bySearch
+	if m.bind(cc, cg) {
+		res = m.search(ctx, opts)
 	}
-	return m.search(ctx, opts)
+	m.record(opts, res)
+	return res
 }
 
-// search runs the deterministic pass and, when it exhausts its budget,
-// the restarts over the clause the matcher currently holds.
+// search runs the deterministic pass — with its one stop for the refuter
+// when the budget is above probeNodes — and, when it exhausts its
+// budget, the restarts over the clause the matcher currently holds.
 func (m *matcher) search(ctx context.Context, opts Options) Result {
+	m.how = bySearch
 	if faultpoint.Enabled() {
 		if err := faultpoint.Inject(ctx, "subsume.check"); err != nil {
 			// An injected error (or a cancelled injected delay) aborts the
@@ -174,16 +199,22 @@ func (m *matcher) search(ctx context.Context, opts Options) Result {
 	m.done = ctx.Done()
 
 	total := 0
-	m.maxNodes = opts.MaxNodes
+	m.budget = opts.MaxNodes
+	m.maxNodes = min(opts.MaxNodes, probeNodes)
+	m.probing = opts.MaxNodes > probeNodes
 	found, exhausted := m.run(nil)
 	total += m.nodes
+	if m.probing {
+		// The pass ended short of the stop: it is the legacy pass.
+		m.probing, m.how = false, byProbe
+	}
 	if found {
 		return Result{Subsumes: true, Complete: true, Nodes: total}
 	}
 	if m.cancelled {
 		return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: total}
 	}
-	if !exhausted {
+	if !exhausted || m.how == byRefuter {
 		return Result{Subsumes: false, Complete: true, Nodes: total}
 	}
 	if opts.Restarts == 0 {
@@ -231,16 +262,19 @@ type varOcc struct {
 // nothing.
 type matcher struct {
 	lits []cLit
-	// initial[v] is the interned ground value the head fixes for
-	// variable v (0, the empty-string id, when the head leaves it free —
-	// the same sentinel the legacy string matcher used).
+	// initial[v] is the ground value (a local id of the ground clause, as
+	// every value below is) the head fixes for variable v: 0, the
+	// empty-string id, when the head leaves it free — the same sentinel
+	// the legacy string matcher used.
 	initial []int32
 	varOccs [][]varOcc
 	nVars   int
+	nLocal  int32 // the ground clause's value count: the refuter's set width
 
-	// cc is the one-shot path's clause scratch (CheckCompiledCtx compiles
-	// into it and binds it in the same call); terms is the private copy
-	// of literals whose constants had to be re-resolved at bind time.
+	// cc is the one-shot paths' clause scratch (CheckCompiledCtx and
+	// ForwardPass compile into it and bind it in the same call); terms
+	// holds the private copies of the literals that carry constants,
+	// translated to the ground clause's ids at bind time.
 	cc    CompiledClause
 	terms []cTerm
 
@@ -256,6 +290,11 @@ type matcher struct {
 	nodes     int
 	maxNodes  int
 	rng       *rand.Rand
+	// The escalation: while probing, maxNodes is probeNodes and budget
+	// holds the caller's; how names what answered the test.
+	budget  int
+	probing bool
+	how     stage
 	// done is the context's cancellation channel (nil = uncancellable);
 	// polled alongside the node-budget check so cancellation interrupts
 	// the search mid-pass. cancelled records that it fired.
@@ -272,6 +311,10 @@ type matcher struct {
 	// cands[d] is the candidate-row buffer for search depth d, reused
 	// across backtracking siblings so the inner loop never allocates.
 	cands [][]int32
+
+	// The refuter's value sets (forward.go): whole for the sweep over
+	// every bound literal at the stop, kept for ForwardPass's prefix.
+	whole, kept domains
 }
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
@@ -295,7 +338,7 @@ func (m *matcher) bindHead(cc *CompiledClause, cg *CompiledGround) bool {
 	if hp := cc.resolve(cc.headPred, cc.src.Head.Predicate); hp != cg.headPred || len(cc.head) != len(cg.headVals) {
 		return false
 	}
-	m.nVars = cc.nVars
+	m.nVars, m.nLocal = cc.nVars, cg.nLocal
 	clear(m.lits) // nothing past len may pin a ground clause or a candidate
 	m.lits = m.lits[:0]
 	m.baseDeg = m.baseDeg[:0]
@@ -306,7 +349,7 @@ func (m *matcher) bindHead(cc *CompiledClause, cg *CompiledGround) bool {
 	for i, t := range cc.head {
 		gv := cg.headVals[i]
 		if t.varID < 0 {
-			if cc.resolve(t.val, cc.src.Head.Terms[i].Name) != gv {
+			if cg.localOf(cc.resolve(t.val, cc.src.Head.Terms[i].Name)) != gv {
 				return false
 			}
 			continue
@@ -333,24 +376,23 @@ func (m *matcher) bind(cc *CompiledClause, cg *CompiledGround) bool {
 		if ext == nil {
 			return false
 		}
-		m.pushLit(m.litTerms(cc, i), ext)
+		m.pushLit(m.litTerms(cc, i, cg), ext)
 	}
 	m.sizeSearch()
 	return true
 }
 
-// litTerms returns body literal i's compiled terms: the clause's own
-// (shared, read-only) unless a constant was absent from the intern table
-// when the clause was compiled, in which case it is looked up again —
-// the table grows while ground clauses are compiled — into a copy
-// private to this binding.
-func (m *matcher) litTerms(cc *CompiledClause, i int) []cTerm {
+// litTerms returns body literal i's terms as the search reads them: the
+// clause's own (shared, read-only) when it holds variables only,
+// otherwise a copy private to this binding whose constants are the
+// ground clause's local ids. A constant absent from the intern table
+// when the clause was compiled is looked up again first — the table
+// grows while ground clauses are compiled — so nothing downstream of a
+// binding, the refuter included, ever reads a stale id.
+func (m *matcher) litTerms(cc *CompiledClause, i int, cg *CompiledGround) []cTerm {
 	terms := cc.lits[i].terms
-	if !cc.stale {
-		return terms
-	}
 	for p, t := range terms {
-		if t.varID >= 0 || t.val >= 0 {
+		if t.varID >= 0 {
 			continue
 		}
 		from := len(m.terms)
@@ -358,7 +400,7 @@ func (m *matcher) litTerms(cc *CompiledClause, i int) []cTerm {
 		own := m.terms[from:len(m.terms):len(m.terms)]
 		for q := p; q < len(own); q++ {
 			if own[q].varID < 0 {
-				own[q].val = cc.resolve(own[q].val, cc.src.Body[i].Terms[q].Name)
+				own[q].val = cg.localOf(cc.resolve(own[q].val, cc.src.Body[i].Terms[q].Name))
 			}
 		}
 		return own
@@ -440,6 +482,13 @@ func resizeInts(s []int, n int) []int {
 func resizeBools(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+func resizeUint64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
 	return s[:n]
 }
@@ -547,7 +596,7 @@ func (m *matcher) pickLiteral() int {
 // literal li (the extent size when nothing is bound).
 func (m *matcher) candidateBound(li int) int {
 	cl := &m.lits[li]
-	best := len(cl.ext.rows)
+	best := cl.ext.n
 	if cl.ext.arity != len(cl.terms) {
 		return 0 // arity mismatch with the ground extent
 	}
@@ -560,7 +609,7 @@ func (m *matcher) candidateBound(li int) int {
 		} else {
 			continue
 		}
-		if n := len(cl.ext.index[p][want]); n < best {
+		if n := cl.ext.postingLen(p, want); n < best {
 			best = n
 			if best == 0 {
 				return 0
@@ -588,7 +637,7 @@ func (m *matcher) candidates(li, depth int) []int32 {
 		} else {
 			continue
 		}
-		list := cl.ext.index[p][want]
+		list := cl.ext.posting(p, want)
 		if !haveBound || len(list) < len(bestList) {
 			bestList, haveBound = list, true
 			if len(list) == 0 {
@@ -605,8 +654,12 @@ func (m *matcher) candidates(li, depth int) []int32 {
 				}
 				continue
 			}
-			if m.bound[t.varID] && m.vals[t.varID] != row[p] {
-				return false
+			if m.bound[t.varID] {
+				if m.vals[t.varID] != row[p] {
+					return false
+				}
+			} else if row[p] == noValue {
+				return false // a ground literal too short to have this slot
 			}
 		}
 		return true
@@ -615,14 +668,14 @@ func (m *matcher) candidates(li, depth int) []int32 {
 	out := m.cands[depth][:0]
 	if haveBound {
 		for _, gi := range bestList {
-			if check(cl.ext.rows[gi]) {
+			if check(cl.ext.row(gi)) {
 				out = append(out, gi)
 			}
 		}
 	} else {
-		for gi := range cl.ext.rows {
-			if check(cl.ext.rows[gi]) {
-				out = append(out, int32(gi))
+		for gi := int32(0); int(gi) < cl.ext.n; gi++ {
+			if check(cl.ext.row(gi)) {
+				out = append(out, gi)
 			}
 		}
 	}
@@ -663,20 +716,43 @@ func (m *matcher) unbindVar(v int32) {
 // the context was cancelled (polled every 256 nodes, so an in-flight
 // test notices a deadline within microseconds, not after its full
 // budget). A cancelled search is reported upward as "exhausted", which
-// the callers already treat as inconclusive/not-subsumed.
+// the callers already treat as inconclusive/not-subsumed. The first time
+// a probing pass gets here it has reached probeNodes, not its budget:
+// escalate decides whether it goes on.
 func (m *matcher) over() bool {
-	if m.nodes >= m.maxNodes {
+	if m.nodes >= m.maxNodes && (!m.probing || m.escalate()) {
 		return true
 	}
-	if m.done != nil && m.nodes&0xff == 0 {
-		select {
-		case <-m.done:
-			m.cancelled = true
-			return true
-		default:
-		}
+	return m.nodes&0xff == 0 && m.interrupted()
+}
+
+// interrupted polls the context, recording that it is done.
+func (m *matcher) interrupted() bool {
+	if m.done == nil {
+		return false
 	}
-	return false
+	select {
+	case <-m.done:
+		m.cancelled = true
+		return true
+	default:
+		return false
+	}
+}
+
+// escalate is the pass's one stop, at probeNodes: the refuter sweeps the
+// bound literals and either ends the test (true: refuted, or cancelled
+// mid-sweep) or hands the pass the caller's budget to carry on under.
+// The sweep reads the bound clause and the head bindings only — never the
+// search state — so the pass resumes exactly where it paused.
+func (m *matcher) escalate() bool {
+	m.probing = false
+	m.maxNodes = m.budget
+	if m.refutes() {
+		m.how = byRefuter
+		return true
+	}
+	return m.cancelled
 }
 
 // solve matches every unmatched literal. It returns (matched,
@@ -716,7 +792,7 @@ func (m *matcher) solve() (bool, bool) {
 		if m.over() {
 			return false, true
 		}
-		row := cl.ext.rows[gi]
+		row := cl.ext.row(gi)
 		// Bind with undo. Repeated variables within the literal (p(X,X))
 		// bind on first occurrence and re-verify equality on later ones:
 		// candidates() checks slots against bindings made before the call.
