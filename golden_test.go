@@ -18,26 +18,36 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.pl with
 // byte-level diff against the checked-in theory.
 var goldenCases = []struct {
 	dataset string
+	method  Method
 	scale   float64
 	seed    int64
 	maxPos  int
 	maxNeg  int
 }{
-	{dataset: "uw", scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
-	{dataset: "hiv", scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
-	{dataset: "imdb", scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
-	{dataset: "flt", scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
-	{dataset: "sys", scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "uw", method: MethodAutoBias, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "hiv", method: MethodAutoBias, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "imdb", method: MethodAutoBias, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "flt", method: MethodAutoBias, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "sys", method: MethodAutoBias, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	// The top-down search under the same covering loop (DESIGN.md §21).
+	{dataset: "uw", method: MethodAleph, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "hiv", method: MethodAleph, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
+	{dataset: "imdb", method: MethodAleph, scale: 0.1, seed: 1, maxPos: 12, maxNeg: 60},
 }
 
 // TestGoldenTheories learns each pinned configuration sequentially (the
 // differential harness separately guarantees worker counts don't matter)
 // and compares the rendered theory byte-for-byte against
-// testdata/golden/<dataset>.pl. Run with -update to accept new output —
-// then review the .pl diff like any other code change.
+// testdata/golden/<dataset>.pl (<dataset>-aleph.pl for the FOIL search).
+// Run with -update to accept new output — then review the .pl diff like
+// any other code change.
 func TestGoldenTheories(t *testing.T) {
 	for _, tc := range goldenCases {
-		t.Run(tc.dataset, func(t *testing.T) {
+		name := tc.dataset
+		if tc.method != MethodAutoBias {
+			name += "-" + string(tc.method)
+		}
+		t.Run(name, func(t *testing.T) {
 			ds, err := GenerateDataset(tc.dataset, tc.scale, tc.seed)
 			if err != nil {
 				t.Fatal(err)
@@ -49,7 +59,7 @@ func TestGoldenTheories(t *testing.T) {
 			if len(task.Neg) > tc.maxNeg {
 				task.Neg = task.Neg[:tc.maxNeg]
 			}
-			res, err := Learn(task, Options{Method: MethodAutoBias, Seed: tc.seed, Workers: 1})
+			res, err := Learn(task, Options{Method: tc.method, Seed: tc.seed, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +71,10 @@ func TestGoldenTheories(t *testing.T) {
 			if theory == "" {
 				theory = "% (no definition learned)"
 			}
-			got := fmt.Sprintf("%% golden learned theory — regenerate with: go test -run TestGoldenTheories -update\n%%%% dataset=%s scale=%g seed=%d method=autobias workers=1 pos=%d neg=%d\n%s\n",
-				tc.dataset, tc.scale, tc.seed, len(task.Pos), len(task.Neg), theory)
+			got := fmt.Sprintf("%% golden learned theory — regenerate with: go test -run TestGoldenTheories -update\n%%%% dataset=%s scale=%g seed=%d method=%s workers=1 pos=%d neg=%d\n%s\n",
+				tc.dataset, tc.scale, tc.seed, tc.method, len(task.Pos), len(task.Neg), theory)
 
-			path := filepath.Join("testdata", "golden", tc.dataset+".pl")
+			path := filepath.Join("testdata", "golden", name+".pl")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
