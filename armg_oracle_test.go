@@ -12,12 +12,21 @@ import (
 	"repro/internal/subsume"
 )
 
+// armgOracleBudgets are the subsumption budgets TestARMGOracle runs at:
+// a starved one and the learner's. The subsumption default (0 = 100000
+// nodes, where one reference pass over an induced-bias pair runs for
+// seconds and the leg for most of a minute) is added under the `slow`
+// build tag, which CI's differential job sets.
+var armgOracleBudgets = []int{50, 5000}
+
 // referenceARMG is the armg forward pass as it ran before
 // subsume.ForwardPass existed, kept as the oracle: one from-scratch
 // subsumption test for the head, one for the whole clause, and one per
 // body literal over the kept prefix plus that literal. No refuter, no
 // incremental compilation — every decision is an independent
-// CheckCompiledCtx.
+// CheckCompiledCtx. It is internal/subsume/oracle_test.go's
+// referenceForward with armg's pruning around it, restated here because
+// this is the one oracle test that needs the bundled datasets.
 func referenceARMG(ctx context.Context, c, ground *logic.Clause, opts subsume.Options) *logic.Clause {
 	cg := subsume.CompileGround(nil, ground)
 	head := &logic.Clause{Head: c.Head}
@@ -41,14 +50,12 @@ func referenceARMG(ctx context.Context, c, ground *logic.Clause, opts subsume.Op
 // TestARMGOracle: learn.ARMGCtx must return the clause the reference
 // pass returns for every (bottom clause, ground BC) pair of the first 10
 // positives of every bundled dataset, under the expert and the induced
-// bias, at a starved budget and the learner's budget, and at the
-// subsumption default (100000 nodes, where one reference pass over an
-// induced-bias pair runs for seconds) for the first 3 positives' pairs —
-// and so must the pass over a ground BC compiled into a shared intern
+// bias, at a starved budget and the learner's budget, and (under -tags
+// slow) at the subsumption default for the first 3 positives' pairs — and
+// so must the pass over a ground BC compiled into a shared intern
 // table, the form the coverage engine hands armg.
 func TestARMGOracle(t *testing.T) {
 	ctx := context.Background()
-	budgets := []int{50, 5000, 0}
 	for _, name := range DatasetNames() {
 		for _, method := range []Method{MethodManual, MethodAutoBias} {
 			t.Run(fmt.Sprintf("%s/%s", name, method), func(t *testing.T) {
@@ -85,7 +92,7 @@ func TestARMGOracle(t *testing.T) {
 					}
 					shared[i] = subsume.CompileGround(in, grounds[i])
 				}
-				for _, budget := range budgets {
+				for _, budget := range armgOracleBudgets {
 					sopts := subsume.Options{MaxNodes: budget, Seed: 1}
 					for i, bc := range bcs {
 						for j, g := range grounds {

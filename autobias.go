@@ -175,8 +175,9 @@ func GenerateDataset(name string, scale float64, seed int64) (*Dataset, error) {
 // DatasetNames lists the generated datasets in Table 5 order.
 func DatasetNames() []string { return datagen.Names() }
 
-// Method selects how the language bias is obtained and which learner
-// runs — the five columns of the paper's Table 5.
+// Method selects how the language bias is obtained and which clause
+// search the covering loop runs — the five columns of the paper's
+// Table 5.
 type Method string
 
 const (
@@ -186,13 +187,14 @@ const (
 	// MethodNoConst is the baseline without constants.
 	MethodNoConst Method = "noconst"
 	// MethodManual uses the expert-written bias with the bottom-up
-	// learner.
+	// search.
 	MethodManual Method = "manual"
-	// MethodAleph uses the expert-written bias with the top-down FOIL
-	// learner (Aleph emulating FOIL, §6.1).
+	// MethodAleph uses the expert-written bias with top-down FOIL clause
+	// growth (Aleph emulating FOIL, §6.1) under the same covering loop as
+	// every other method, so it shards, serves and repairs like them.
 	MethodAleph Method = "aleph"
 	// MethodAutoBias induces the bias automatically (§3) and runs the
-	// bottom-up learner.
+	// bottom-up search.
 	MethodAutoBias Method = "autobias"
 )
 
@@ -250,9 +252,10 @@ type Options struct {
 	ApproxINDError float64
 	// INDs, when non-nil, skips IND discovery (e.g. reuse across folds).
 	INDs []IND
-	// BeamWidth for the bottom-up learner's generalization (default 3).
+	// BeamWidth for the bottom-up search's generalization (default 3).
 	BeamWidth int
-	// EvalSampleCap bounds per-candidate scoring work (default 200).
+	// EvalSampleCap bounds per-candidate scoring work (default 200; 150
+	// under MethodAleph, whose growth steps score far more candidates).
 	EvalSampleCap int
 	// MinPrecision is the minimum-criterion precision (default 0.7).
 	MinPrecision float64
@@ -294,14 +297,18 @@ type Options struct {
 	PureGroundBCs bool
 	// Shard, when non-nil, distributes coverage testing — the learner's
 	// hot loop — across shard-worker processes; see ShardOptions,
-	// NewShardWorker and DESIGN.md §13. Not supported with MethodAleph.
+	// NewShardWorker and DESIGN.md §13. Every Method shards: a worker
+	// serves coverage, so its fingerprint covers the bias the Method
+	// selects, not the clause search.
 	Shard *ShardOptions
 }
 
 // ShardOptions configures a distributed coverage run: the worker fleet
 // plus the knobs of the failover ladder (timeouts, retries, hedging,
 // local fallback). The zero value of every field selects a sane
-// default; only Workers is required.
+// default; only Workers is required. It applies to every Method alike:
+// the covering loop and both clause searches reach coverage through one
+// bulk count, which is what the fleet serves.
 type ShardOptions struct {
 	// Workers lists the fleet, one entry per shard; replicas of the same
 	// shard are separated by '|', e.g.
@@ -369,18 +376,14 @@ func (o Options) bottomOptions() bottom.Options {
 	}
 }
 
-func (o Options) subsumeOptions() subsume.Options {
-	return subsume.Options{MaxNodes: o.SubsumeMaxNodes, Seed: o.Seed}
-}
-
-// learnOptions assembles the bottom-up learner's options: the one place
-// the facade's Options become learn.Options, so a learning run, the
-// repair that follows it and the shard workers that serve both cannot
-// drift apart.
-func (o Options) learnOptions(mc *metrics.Collector) learn.Options {
-	return learn.Options{
+// newLearner assembles the run's learner: the one place the facade's
+// Options become learn.Options and Method picks the clause search, so a
+// learning run, the repair that follows it and the shard workers that
+// serve both cannot drift apart.
+func (o Options) newLearner(d *Database, c *bias.Compiled, mc *metrics.Collector) *learn.Learner {
+	lo := learn.Options{
 		Bottom:        o.bottomOptions(),
-		Subsume:       o.subsumeOptions(),
+		Subsume:       subsume.Options{MaxNodes: o.SubsumeMaxNodes, Seed: o.Seed},
 		BeamWidth:     o.BeamWidth,
 		EvalSampleCap: o.EvalSampleCap,
 		MinPrecision:  o.MinPrecision,
@@ -389,6 +392,10 @@ func (o Options) learnOptions(mc *metrics.Collector) learn.Options {
 		Workers:       o.Workers,
 		Metrics:       mc,
 	}
+	if o.method() == MethodAleph {
+		return foil.New(d, c, lo, foil.Options{})
+	}
+	return learn.New(d, c, lo)
 }
 
 // engineFingerprint is the config fingerprint a coordinator sends and a
@@ -532,7 +539,6 @@ func (r *Result) BuildArtifact(task Task, data ModelDataRef) (*ModelArtifact, er
 		},
 		Subsume: model.SubsumeConfig{
 			MaxNodes: sopts.MaxNodes,
-			Restarts: sopts.Restarts,
 			Seed:     sopts.Seed,
 		},
 		Symbols:           r.engine.Interner().Symbols(),
@@ -675,38 +681,17 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 
 	res := &Result{Bias: b, Graph: graph, INDs: inds, BiasTime: biasTime, db: task.DB, metrics: mc}
 	start := time.Now()
-	if opts.method() == MethodAleph {
-		if opts.Shard != nil {
-			return nil, fmt.Errorf("autobias: Options.Shard is not supported with MethodAleph (the FOIL loop does not route coverage through the engine's count path)")
-		}
-		l := foil.New(task.DB, compiled, foil.Options{
-			Bottom:        opts.bottomOptions(),
-			Subsume:       opts.subsumeOptions(),
-			EvalSampleCap: opts.EvalSampleCap,
-			MinPrecision:  opts.MinPrecision,
-			Timeout:       opts.Timeout,
-			Seed:          opts.Seed,
-			Workers:       opts.Workers,
-			Metrics:       mc,
-		})
-		def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
-		if err != nil {
-			return nil, err
-		}
-		res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
-	} else {
-		l := learn.New(task.DB, compiled, opts.learnOptions(mc))
-		detach, err := opts.bindShards(l.Coverage(), task, b, mc, 0)
-		if err != nil {
-			return nil, err
-		}
-		defer detach()
-		def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
-		if err != nil {
-			return nil, err
-		}
-		res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
+	l := opts.newLearner(task.DB, compiled, mc)
+	detach, err := opts.bindShards(l.Coverage(), task, b, mc, 0)
+	if err != nil {
+		return nil, err
 	}
+	defer detach()
+	def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
+	if err != nil {
+		return nil, err
+	}
+	res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
 	res.Elapsed = time.Since(start)
 	if mc != nil {
 		snap := mc.Snapshot()
@@ -715,18 +700,16 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// NewShardWorker builds the shard-worker service for a distributed run:
-// a coverage engine constructed from the same task and options as the
-// coordinator's — same bias (induced or given), same effective
-// bottom-clause and subsumption options — plus the config fingerprint
-// that proves the parity on every RPC. The returned worker serves POST
-// /v2/coverage (the batched frontier protocol), GET /healthz, GET
-// /readyz and GET /metrics; run it with (*ShardWorker).Serve or mount
+// NewShardWorker builds the shard-worker service for a distributed run
+// under any Method: a coverage engine constructed from the same task and
+// options as the coordinator's — same bias (induced or given), same
+// effective bottom-clause and subsumption options — plus the config
+// fingerprint that proves the parity on every RPC. The returned worker
+// serves POST /v2/coverage (the batched frontier protocol) and the
+// shared admin surface (GET /healthz, /readyz, /metrics, /debug/pprof/);
+// run it with (*ShardWorker).Serve or mount
 // (*ShardWorker).Handler yourself. See cmd/shardworker for the CLI.
 func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions) (*ShardWorker, error) {
-	if opts.method() == MethodAleph {
-		return nil, fmt.Errorf("autobias: shard workers are not supported with MethodAleph")
-	}
 	mc := opts.collector()
 	opts.Collector = mc
 	b, _, err := BuildBias(task, opts)
@@ -737,7 +720,7 @@ func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions
 	if err != nil {
 		return nil, err
 	}
-	engine := learn.New(task.DB, compiled, opts.learnOptions(mc)).Coverage()
+	engine := opts.newLearner(task.DB, compiled, mc).Coverage()
 	if wopts.Metrics == nil {
 		wopts.Metrics = mc
 	}

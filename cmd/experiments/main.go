@@ -18,7 +18,7 @@
 //	experiments -table 6 -quick
 //	experiments -table all -md EXPERIMENTS_DATA.md
 //	experiments -quick -metrics run-metrics.json
-//	experiments -http localhost:6060     # live /metrics JSON + /debug/pprof/
+//	experiments -http localhost:6060     # live /metrics JSON, /healthz, /debug/pprof/
 //
 // Exit codes: 0 success, 1 error, 3 interrupted (Ctrl-C) — the rows
 // produced so far were printed; per-fold budget exhaustion is part of
@@ -27,18 +27,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/ on the default mux
 	"os"
 	"strings"
 	"time"
 
 	autobias "repro"
 	"repro/internal/cli"
+	"repro/internal/httpx"
 )
 
 type config struct {
@@ -49,7 +49,8 @@ type config struct {
 	timeout time.Duration
 	workers int // coverage + CV fold parallelism (0 = all CPUs)
 	// shard, when non-nil, distributes coverage testing across shard
-	// workers (skipped for MethodAleph, which cannot shard).
+	// workers (Table 5's AutoBias column and Table 6: the fleet is
+	// started from one bias, and the config fingerprint covers it).
 	shard *autobias.ShardOptions
 	// mc, when non-nil, accumulates instrumentation across every cell of
 	// the sweep (one collector for the whole run; concurrent folds record
@@ -83,8 +84,12 @@ func main() {
 	if *metricsOut != "" || *httpAddr != "" {
 		cfg.mc = autobias.NewMetricsCollector()
 	}
+	// Ctrl-C or SIGTERM interrupts the sweep mid-primitive; in-flight
+	// folds return their partial theories, completed rows stay printed.
+	ctx, stop := cli.NotifyContext()
+	defer stop()
 	if *httpAddr != "" {
-		serveDebug(*httpAddr, cfg.mc)
+		serveDebug(ctx, *httpAddr, cfg.mc)
 	}
 
 	names := autobias.DatasetNames()
@@ -103,10 +108,6 @@ func main() {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
-	// Ctrl-C or SIGTERM interrupts the sweep mid-primitive; in-flight
-	// folds return their partial theories, completed rows stay printed.
-	ctx, stop := cli.NotifyContext()
-	defer stop()
 	if *table == "5" || *table == "all" {
 		if err := runTable5(ctx, out, names, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -129,22 +130,20 @@ func main() {
 	}
 }
 
-// serveDebug exposes the live collector and the pprof handlers on addr in
-// a background goroutine. /metrics renders a point-in-time snapshot as
-// indented JSON; /debug/pprof/ comes from net/http/pprof on the default
-// mux. The server is best-effort observability: a bind failure warns and
-// the sweep proceeds.
-func serveDebug(addr string, mc *autobias.MetricsCollector) {
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(mc.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+// serveDebug exposes the shared admin surface (httpx.MountAdmin: the
+// live collector as /metrics, /healthz, /readyz, /debug/pprof/) on addr
+// in a background goroutine until ctx ends. The server is best-effort
+// observability: a bind failure warns and the sweep proceeds.
+func serveDebug(ctx context.Context, addr string, mc *autobias.MetricsCollector) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: debug server:", err)
+		return
+	}
+	mux := http.NewServeMux()
+	httpx.MountAdmin(mux, mc, nil, nil)
 	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := httpx.Serve(ctx, ln, mux, 0, nil); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: debug server:", err)
 		}
 	}()

@@ -14,8 +14,8 @@
 // Endpoints: POST /ingest (one JSON batch, committed atomically),
 // POST /ingest/stream (NDJSON mutations, committed in bounded batches),
 // GET /version (current data version), GET /status (data version,
-// theory size, repair history), GET /metrics (JSON snapshot),
-// GET /healthz — all on one port. Every commit triggers an incremental
+// theory size, repair history) and the shared admin surface (GET
+// /metrics, /healthz, /readyz, /debug/pprof/) — all on one port. Every commit triggers an incremental
 // repair (full re-learn when the refreshed bias drifted), so /status
 // and the artifact on disk always reflect the latest committed data.
 //
@@ -170,12 +170,7 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		httpx.WriteJSON(w, http.StatusOK, mc.Snapshot())
-	})
+	httpx.MountAdmin(mux, mc, nil, nil)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		live.Lock()
 		defer live.Unlock()

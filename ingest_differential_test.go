@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	autobias "repro"
@@ -120,14 +121,24 @@ func verdicts(t *testing.T, res *autobias.Result, heldOut []autobias.Example) []
 }
 
 // repairVsRelearn runs the full contract check for one (batch, workers)
-// configuration: learn → commit → repair, against a from-scratch
-// re-learn on the post-batch database. Returns the repair outcome and
-// the repaired theory for cross-leg comparison.
+// configuration of the induced-bias learner over a randomized batch.
 func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers int) (*autobias.Repair, string) {
+	t.Helper()
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: workers}
+	return repairVsRelearnBatch(t, opts, fmt.Sprintf("seed=%d", batchSeed), func(task autobias.Task) autobias.IngestBatch {
+		return randomBatch(t, task, batchSeed, inserts, deletes)
+	})
+}
+
+// repairVsRelearnBatch is the contract check itself: learn → commit →
+// repair, against a from-scratch re-learn on the post-batch database.
+// Returns the repair outcome and the repaired theory for cross-leg
+// comparison.
+func repairVsRelearnBatch(t *testing.T, opts autobias.Options, label string, mkBatch func(autobias.Task) autobias.IngestBatch) (*autobias.Repair, string) {
 	t.Helper()
 	ctx := context.Background()
 	task, heldOut := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: workers}
+	workers := opts.Workers
 
 	prev, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
@@ -138,7 +149,7 @@ func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers in
 	}
 
 	ing := autobias.NewIngestor(task.DB, nil)
-	commit, err := ing.Apply(ctx, randomBatch(t, task, batchSeed, inserts, deletes))
+	commit, err := ing.Apply(ctx, mkBatch(task))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +167,15 @@ func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers in
 	}
 
 	if got, want := rep.Result.Definition.String(), relearn.Definition.String(); got != want {
-		t.Errorf("workers=%d seed=%d: repaired theory diverges from re-learn:\n--- repair\n%s\n--- relearn\n%s",
-			workers, batchSeed, got, want)
+		t.Errorf("workers=%d %s: repaired theory diverges from re-learn:\n--- repair\n%s\n--- relearn\n%s",
+			workers, label, got, want)
 	}
 	gotV := verdicts(t, rep.Result, heldOut)
 	wantV := verdicts(t, relearn, heldOut)
 	for i := range gotV {
 		if gotV[i] != wantV[i] {
-			t.Errorf("workers=%d seed=%d: held-out verdict %d (%s): repair=%v relearn=%v",
-				workers, batchSeed, i, heldOut[i].String(), gotV[i], wantV[i])
+			t.Errorf("workers=%d %s: held-out verdict %d (%s): repair=%v relearn=%v",
+				workers, label, i, heldOut[i].String(), gotV[i], wantV[i])
 		}
 	}
 	return rep, rep.Result.Definition.String()
@@ -182,6 +193,51 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 	if theories[4] != theories[1] || theories[8] != theories[1] {
 		t.Error("repaired theories diverge across worker counts")
 	}
+
+	// The top-down search under the same covering loop (DESIGN.md §21)
+	// repairs like the bottom-up one: new facts about one person, the
+	// expert bias cannot drift, so the replay over carried verdicts — not
+	// a fallback — must reproduce the re-learn.
+	opts := autobias.Options{Method: autobias.MethodAleph, Seed: 1, Workers: 1}
+	rep, _ := repairVsRelearnBatch(t, opts, "aleph entity-local", func(task autobias.Task) autobias.IngestBatch {
+		return entityLocalBatch(t, task, 6)
+	})
+	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+		t.Errorf("aleph repair did not take the replay path: fullRelearn=%v (%s) unchanged=%v dirty=%d carriedHits=%d",
+			rep.FullRelearn, rep.FullRelearnReason, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
+	}
+
+	// The top-down search also reads the database directly: the ten most
+	// frequent values of a # attribute. Ten new phases, each more frequent
+	// than any real one and held only by new students, touch no example's
+	// BC yet push every real phase out of inPhase(+,#)'s reach — so the
+	// previous theory, which tests phases, is not what a re-learn finds,
+	// and the Unchanged shortcut would be wrong.
+	rep, theory := repairVsRelearnBatch(t, opts, "aleph constant-displacing", displacePhasesBatch)
+	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples != 0 {
+		t.Errorf("aleph repair over a BC-disjoint batch: fullRelearn=%v (%s) unchanged=%v dirty=%d, want a replay with nothing dirty",
+			rep.FullRelearn, rep.FullRelearnReason, rep.Unchanged, rep.DirtyExamples)
+	}
+	if strings.Contains(theory, "inPhase(") {
+		t.Errorf("the batch displaced no constant the theory uses; the leg proves nothing:\n%s", theory)
+	}
+}
+
+// displacePhasesBatch gives ten new phases more students each — all of
+// them new too — than the most common real phase has.
+func displacePhasesBatch(task autobias.Task) autobias.IngestBatch {
+	rel := task.DB.Relation("inPhase")
+	var muts []autobias.IngestMutation
+	for p := 0; p < 10; p++ {
+		for s := 0; s <= rel.MaxFrequency(1); s++ {
+			muts = append(muts, autobias.IngestMutation{
+				Op:       autobias.IngestInsert,
+				Relation: "inPhase",
+				Tuple:    []string{fmt.Sprintf("stud_live_%d_%d", p, s), fmt.Sprintf("phase_live_%d", p)},
+			})
+		}
+	}
+	return autobias.IngestBatch{Mutations: muts}
 }
 
 // TestRepairEquivalenceDeletes pins the contract for delete batches.

@@ -1,39 +1,30 @@
-// Package foil implements the top-down relational learner the paper uses
-// as its Aleph baseline (§6.1): Aleph configured to emulate FOIL
-// [Quinlan 1990; QuickFOIL]. It shares the sequential covering loop of
-// Algorithm 1 with the bottom-up learner, but LearnClause grows a clause
-// top-down, greedily adding the mode-compatible literal with the best
-// FOIL information gain until the clause rejects all negatives (or no
-// literal helps). Like the systems in the paper it is biased toward
-// short clauses: fast, but less accurate on concepts that need long
-// join chains.
+// Package foil implements the top-down clause search the paper uses as
+// its Aleph baseline (§6.1): Aleph configured to emulate FOIL [Quinlan
+// 1990; QuickFOIL]. The sequential covering loop of Algorithm 1 is
+// learn.Learner's; this package is its LearnClause step grown top-down,
+// greedily adding the mode-compatible literal with the best FOIL
+// information gain until the clause rejects all negatives (or no literal
+// helps). Like the systems in the paper it is biased toward short
+// clauses: fast, but less accurate on concepts that need long join
+// chains.
 package foil
 
 import (
 	"context"
-	"errors"
 	"math"
-	"math/rand"
-	"runtime"
 	"sort"
-	"time"
+	"strconv"
 
 	"repro/internal/bias"
-	"repro/internal/bottom"
 	"repro/internal/db"
 	"repro/internal/learn"
 	"repro/internal/logic"
-	"repro/internal/metrics"
-	"repro/internal/report"
-	"repro/internal/subsume"
 )
 
-// Options configures the FOIL learner.
+// Options are the limits of the FOIL search itself. Everything else a run
+// is configured by — coverage budgets, the minimum criterion, timeout,
+// seed, workers, metrics — is the covering loop's, in learn.Options.
 type Options struct {
-	// Bottom configures ground-BC construction for coverage testing.
-	Bottom bottom.Options
-	// Subsume bounds coverage tests.
-	Subsume subsume.Options
 	// MaxClauseLen caps body length; <=0 defaults to 5.
 	MaxClauseLen int
 	// MaxCandidates caps candidate literals evaluated per growth step;
@@ -42,22 +33,6 @@ type Options struct {
 	// MaxConstants caps the constants tried per # position (most frequent
 	// first); <=0 defaults to 10.
 	MaxConstants int
-	// EvalSampleCap bounds scoring sample sizes; <=0 defaults to 150.
-	EvalSampleCap int
-	// MinPositives and MinPrecision form the minimum criterion, as in the
-	// bottom-up learner; defaults 2 (1 for <10 positives) and 0.7.
-	MinPositives int
-	MinPrecision float64
-	// Timeout bounds total learning time; 0 = unlimited.
-	Timeout time.Duration
-	// Seed drives sampling; 0 selects a fixed default.
-	Seed int64
-	// Workers bounds the coverage engine's worker pool, as in the
-	// bottom-up learner; <=0 defaults to runtime.GOMAXPROCS(0).
-	Workers int
-	// Metrics, when non-nil, collects the run's instrumentation, as in
-	// the bottom-up learner. Nil disables collection at zero cost.
-	Metrics *metrics.Collector
 }
 
 func (o Options) normalized() Options {
@@ -70,258 +45,87 @@ func (o Options) normalized() Options {
 	if o.MaxConstants <= 0 {
 		o.MaxConstants = 10
 	}
-	if o.EvalSampleCap <= 0 {
-		o.EvalSampleCap = 150
-	}
-	if o.MinPrecision <= 0 {
-		o.MinPrecision = 0.7
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Subsume.MaxNodes <= 0 {
-		// Same rationale as the bottom-up learner: coverage testing
-		// dominates, and non-coverage proofs consume the whole budget.
-		o.Subsume.MaxNodes = 5000
-	}
 	return o
 }
 
-// Stats summarizes a FOIL run.
-type Stats struct {
-	Clauses        int
-	CandidatesSeen int
-	Elapsed        time.Duration
-	// TimedOut / Cancelled mirror the bottom-up learner: the run was
-	// interrupted by a deadline or explicit cancellation and the returned
-	// definition holds the clauses learned so far.
-	TimedOut  bool
-	Cancelled bool
-	// Report records the run's degradation events. Never nil.
-	Report *report.Report
+// evalSampleCap is the scoring-sample default under this search: each
+// growth step scores up to 300 candidates, against the beam's handful,
+// so its samples are smaller than the bottom-up default of 200.
+const evalSampleCap = 150
+
+// New returns the covering-loop learner with FOIL-gain growth plugged in
+// as its clause search: lo configures the loop (an unset EvalSampleCap
+// selects this search's 150), opts the search.
+func New(d *db.Database, c *bias.Compiled, lo learn.Options, opts Options) *learn.Learner {
+	if lo.EvalSampleCap <= 0 {
+		lo.EvalSampleCap = evalSampleCap
+	}
+	lo.Search = &search{db: d, bias: c, opts: opts.normalized()}
+	return learn.New(d, c, lo)
 }
 
-// Learner is the top-down learner.
-type Learner struct {
-	db    *db.Database
-	bias  *bias.Compiled
-	opts  Options
-	cover *learn.CoverageEngine
-	rng   *rand.Rand
+// search is the top-down learn.ClauseSearch.
+type search struct {
+	db   *db.Database
+	bias *bias.Compiled
+	opts Options
 }
 
-// New creates a FOIL learner over a database and compiled bias.
-func New(d *db.Database, c *bias.Compiled, opts Options) *Learner {
-	opts = opts.normalized()
-	if opts.Metrics != nil {
-		opts.Bottom.Metrics = opts.Metrics
-		opts.Subsume.Metrics = opts.Metrics
-	}
-	builder := bottom.NewBuilder(d, c, opts.Bottom)
-	cover := learn.NewCoverage(builder, opts.Subsume)
-	cover.SetWorkers(opts.Workers)
-	if opts.Metrics != nil {
-		cover.SetMetrics(opts.Metrics)
-	}
-	return &Learner{
-		db:    d,
-		bias:  c,
-		opts:  opts,
-		cover: cover,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-	}
-}
-
-// Coverage exposes the coverage engine for evaluation.
-func (l *Learner) Coverage() *learn.CoverageEngine { return l.cover }
-
-// Learn runs sequential covering under Options.Timeout alone.
-func (l *Learner) Learn(pos, neg []learn.Example) (*logic.Definition, *Stats, error) {
-	return l.LearnCtx(context.Background(), pos, neg)
-}
-
-// isCtxErr reports a context cancellation or deadline error.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// LearnCtx runs sequential covering with top-down clause construction.
-// Cancellation semantics match the bottom-up learner: the run stops
-// mid-primitive, returns the theory learned so far, and records the
-// interruption in Stats (TimedOut/Cancelled + Report).
-func (l *Learner) LearnCtx(ctx context.Context, pos, neg []learn.Example) (*logic.Definition, *Stats, error) {
-	start := time.Now()
-	spanStart := l.opts.Metrics.StartSpan()
-	defer l.opts.Metrics.EndSpan(metrics.SpanLearn, spanStart)
-	if l.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, l.opts.Timeout)
-		defer cancel()
-	}
-	rep := report.New()
-	l.cover.SetReport(rep)
-	stats := &Stats{Report: rep}
-	def := &logic.Definition{Target: l.bias.Target()}
-	noteStop := func(where string) {
-		if ctx.Err() == context.DeadlineExceeded {
-			stats.TimedOut = true
-		} else {
-			stats.Cancelled = true
-		}
-		if rep.Count(report.DeadlineHit) == 0 {
-			rep.Add(report.Event{
-				Kind:   report.DeadlineHit,
-				Site:   "foil.Learn",
-				Detail: "interrupted during " + where + "; returning clauses learned so far",
-			})
-		}
-	}
-
-	minPos := l.opts.MinPositives
-	if minPos <= 0 {
-		minPos = 2
-		if len(pos) < 10 {
-			minPos = 1
-		}
-	}
-
-	uncovered := append([]learn.Example(nil), pos...)
-	for len(uncovered) > 0 {
-		if ctx.Err() != nil {
-			noteStop("covering loop")
-			break
-		}
-		clause, err := l.learnClause(ctx, uncovered, neg, stats)
-		if err != nil {
-			if isCtxErr(err) {
-				noteStop("learnClause")
-				break
-			}
-			return nil, nil, err
-		}
-		keep := false
-		if clause != nil && len(clause.Body) > 0 {
-			p, err := l.count(ctx, clause, sample(l.rng, uncovered, l.opts.EvalSampleCap))
-			if err == nil {
-				var n int
-				n, err = l.count(ctx, clause, sample(l.rng, neg, l.opts.EvalSampleCap))
-				if err == nil {
-					prec := 1.0
-					if p+n > 0 {
-						prec = float64(p) / float64(p+n)
-					}
-					keep = p >= minPos && prec >= l.opts.MinPrecision
-				}
-			}
-			if err != nil {
-				if isCtxErr(err) {
-					noteStop("minimum-criterion scoring")
-					break
-				}
-				return nil, nil, err
-			}
-		}
-		if !keep {
-			uncovered = uncovered[1:]
-			continue
-		}
-		def.Add(clause)
-		stats.Clauses++
-		l.opts.Metrics.Inc(metrics.LearnClauses)
-		var still []learn.Example
-		interrupted := false
-		for _, e := range uncovered {
-			ok, err := l.cover.Covers(ctx, clause, e)
-			if err != nil {
-				if isCtxErr(err) {
-					interrupted = true
-					break
-				}
-				return nil, nil, err
-			}
-			if !ok {
-				still = append(still, e)
-			}
-		}
-		if interrupted {
-			noteStop("covered-positive removal")
-			break
-		}
-		if len(still) == len(uncovered) {
-			// No progress; avoid looping forever.
-			uncovered = uncovered[1:]
-		} else {
-			uncovered = still
-		}
-	}
-	stats.Elapsed = time.Since(start)
-	return def, stats, nil
-}
-
-// learnClause grows one clause top-down by FOIL gain. A ctx error return
-// means the budget interrupted the growth; the caller keeps its theory.
-func (l *Learner) learnClause(ctx context.Context, pos, neg []learn.Example, stats *Stats) (*logic.Clause, error) {
-	head, varTypes, next := l.headLiteral()
+// LearnClause grows one clause top-down by FOIL gain. Each growth step
+// scores its whole candidate frontier through the learner's evaluator:
+// positives for every candidate, negatives only for those that still
+// cover a positive.
+func (s *search) LearnClause(ctx context.Context, l *learn.Learner, pos, neg []learn.Example) (*logic.Clause, error) {
+	head, varTypes, next := s.headLiteral()
 	clause := &logic.Clause{Head: head}
 
-	posSample := sample(l.rng, pos, l.opts.EvalSampleCap)
-	negSample := sample(l.rng, neg, l.opts.EvalSampleCap)
+	posSample, negSample := l.ScoringSamples(pos, neg)
 
 	p0, n0 := len(posSample), len(negSample)
-	for len(clause.Body) < l.opts.MaxClauseLen && n0 > 0 {
-		if ctx.Err() != nil {
+	for len(clause.Body) < s.opts.MaxClauseLen && n0 > 0 {
+		l.NoteRound()
+		cands := s.candidateLiterals(varTypes, &next)
+		if len(cands) > s.opts.MaxCandidates {
+			l.Rand().Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			cands = cands[:s.opts.MaxCandidates]
+		}
+		// Two modes of one relation can propose the same literal, or the
+		// same up to the name of a fresh variable; the later twin can never
+		// win (its gain ties), so only the first is scored — which also
+		// keeps pool workers from racing on one store record.
+		var trials []*logic.Clause
+		seen := make(map[string]bool, len(cands))
+		for _, cand := range cands {
+			trial := &logic.Clause{Head: clause.Head, Body: append(append([]logic.Literal(nil), clause.Body...), cand)}
+			if key := trial.Key(); !seen[key] {
+				seen[key] = true
+				trials = append(trials, trial)
+			}
+		}
+		ps, ns, err := l.Evaluate(ctx, trials, posSample, negSample, 1)
+		if err != nil {
+			return nil, err
+		}
+		best, bestGain := -1, 0.0
+		for i := range trials {
+			if gain := foilGain(p0, n0, ps[i], ns[i]); gain > bestGain {
+				best, bestGain = i, gain
+			}
+		}
+		if best < 0 {
 			break
 		}
-		l.opts.Metrics.Inc(metrics.LearnRounds)
-		cands := l.candidateLiterals(varTypes, &next)
-		if len(cands) > l.opts.MaxCandidates {
-			l.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			cands = cands[:l.opts.MaxCandidates]
-		}
-		var bestLit *logic.Literal
-		bestGain := 0.0
-		bestP, bestN := 0, 0
-		for i := range cands {
-			if ctx.Err() != nil {
-				break
-			}
-			stats.CandidatesSeen++
-			l.opts.Metrics.Inc(metrics.LearnCandidates)
-			trial := &logic.Clause{Head: clause.Head, Body: append(append([]logic.Literal(nil), clause.Body...), cands[i])}
-			p1, err := l.count(ctx, trial, posSample)
-			if err != nil {
-				return nil, err
-			}
-			if p1 == 0 {
-				continue
-			}
-			n1, err := l.count(ctx, trial, negSample)
-			if err != nil {
-				return nil, err
-			}
-			gain := foilGain(p0, n0, p1, n1)
-			if gain > bestGain {
-				bestGain = gain
-				bestLit = &cands[i]
-				bestP, bestN = p1, n1
-			}
-		}
-		if bestLit == nil {
-			break
-		}
-		clause.Body = append(clause.Body, *bestLit)
+		clause = trials[best]
 		// Register the new literal's fresh variables with their types.
-		for i, t := range bestLit.Terms {
+		lit := clause.Body[len(clause.Body)-1]
+		for i, t := range lit.Terms {
 			if t.IsVar() {
 				if _, ok := varTypes[t.Name]; !ok {
-					varTypes[t.Name] = typeSet(l.bias.TypesOf(bestLit.Predicate, i))
+					varTypes[t.Name] = typeSet(s.bias.TypesOf(lit.Predicate, i))
 				}
 			}
 		}
-		p0, n0 = bestP, bestN
+		p0, n0 = ps[best], ns[best]
 	}
 	if len(clause.Body) == 0 {
 		return nil, nil
@@ -342,13 +146,13 @@ func foilGain(p0, n0, p1, n1 int) float64 {
 
 // headLiteral builds the target head with one variable per attribute,
 // returning the variable-type table and the next fresh-variable counter.
-func (l *Learner) headLiteral() (logic.Literal, map[string]map[string]bool, int) {
-	target := l.bias.Target()
+func (s *search) headLiteral() (logic.Literal, map[string]map[string]bool, int) {
+	target := s.bias.Target()
 	varTypes := make(map[string]map[string]bool)
 	var terms []logic.Term
 	i := 0
 	for {
-		types := l.bias.TypesOf(target, i)
+		types := s.bias.TypesOf(target, i)
 		if types == nil {
 			break
 		}
@@ -360,21 +164,7 @@ func (l *Learner) headLiteral() (logic.Literal, map[string]map[string]bool, int)
 	return logic.Literal{Predicate: target, Terms: terms}, varTypes, i
 }
 
-func varName(i int) string { return "V" + itoa(i) }
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	p := len(buf)
-	for i > 0 {
-		p--
-		buf[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[p:])
-}
+func varName(i int) string { return "V" + strconv.Itoa(i) }
 
 func typeSet(types []string) map[string]bool {
 	s := make(map[string]bool, len(types))
@@ -388,7 +178,7 @@ func typeSet(types []string) map[string]bool {
 // variables: + positions take existing variables of a shared type, −
 // positions take existing compatible variables or one fresh variable, #
 // positions take the attribute's most frequent constants.
-func (l *Learner) candidateLiterals(varTypes map[string]map[string]bool, next *int) []logic.Literal {
+func (s *search) candidateLiterals(varTypes map[string]map[string]bool, next *int) []logic.Literal {
 	varNames := make([]string, 0, len(varTypes))
 	for v := range varTypes {
 		varNames = append(varNames, v)
@@ -396,14 +186,14 @@ func (l *Learner) candidateLiterals(varTypes map[string]map[string]bool, next *i
 	sort.Strings(varNames)
 
 	var out []logic.Literal
-	for _, rel := range l.bias.Relations() {
-		for _, m := range l.bias.ModesFor(rel) {
+	for _, rel := range s.bias.Relations() {
+		for _, m := range s.bias.ModesFor(rel) {
 			// Per-position term choices.
 			choices := make([][]logic.Term, len(m.Symbols))
 			feasible := true
 			freshUsed := 0
 			for i, sym := range m.Symbols {
-				attrTypes := typeSet(l.bias.TypesOf(rel, i))
+				attrTypes := typeSet(s.bias.TypesOf(rel, i))
 				switch sym {
 				case bias.Input:
 					for _, v := range varNames {
@@ -424,7 +214,7 @@ func (l *Learner) candidateLiterals(varTypes map[string]map[string]bool, next *i
 					choices[i] = append(choices[i], logic.Var(varName(*next+freshUsed)))
 					freshUsed++
 				case bias.Constant:
-					for _, c := range l.topConstants(rel, i) {
+					for _, c := range s.topConstants(rel, i) {
 						choices[i] = append(choices[i], logic.Const(c))
 					}
 					if len(choices[i]) == 0 {
@@ -447,7 +237,7 @@ func (l *Learner) candidateLiterals(varTypes map[string]map[string]bool, next *i
 					terms[i] = choices[i][j]
 				}
 				out = append(out, logic.Literal{Predicate: rel, Terms: terms})
-				if len(out) >= l.opts.MaxCandidates*4 {
+				if len(out) >= s.opts.MaxCandidates*4 {
 					// Hard cap: the caller samples down to MaxCandidates.
 					*next += freshUsed
 					return out
@@ -472,8 +262,8 @@ func (l *Learner) candidateLiterals(varTypes map[string]map[string]bool, next *i
 
 // topConstants returns the most frequent values of the attribute, capped
 // at MaxConstants.
-func (l *Learner) topConstants(rel string, attr int) []string {
-	r := l.db.Relation(rel)
+func (s *search) topConstants(rel string, attr int) []string {
+	r := s.db.Relation(rel)
 	if r == nil {
 		return nil
 	}
@@ -485,8 +275,8 @@ func (l *Learner) topConstants(rel string, attr int) []string {
 		}
 		return vals[i] < vals[j]
 	})
-	if len(vals) > l.opts.MaxConstants {
-		vals = vals[:l.opts.MaxConstants]
+	if len(vals) > s.opts.MaxConstants {
+		vals = vals[:s.opts.MaxConstants]
 	}
 	return vals
 }
@@ -498,26 +288,4 @@ func intersects(a, b map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// count is the exact number of examples the clause covers.
-func (l *Learner) count(ctx context.Context, c *logic.Clause, examples []learn.Example) (int, error) {
-	ns, err := l.cover.CountMany(ctx, []*logic.Clause{c}, examples, len(examples)+1)
-	if err != nil {
-		return 0, err
-	}
-	return ns[0], nil
-}
-
-// sample draws up to n examples without replacement.
-func sample(rng *rand.Rand, xs []learn.Example, n int) []learn.Example {
-	if len(xs) <= n {
-		return xs
-	}
-	idx := rng.Perm(len(xs))[:n]
-	out := make([]learn.Example, n)
-	for i, j := range idx {
-		out[i] = xs[j]
-	}
-	return out
 }

@@ -53,7 +53,7 @@ func parentWorld(t testing.TB) (*db.Database, *bias.Compiled, []learn.Example, [
 
 func TestFOILLearnsGrandparent(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 2}, Seed: 2})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2}, Options{})
 	def, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestFOILGain(t *testing.T) {
 
 func TestFOILTimeout(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, Options{Timeout: time.Nanosecond})
+	l := New(d, c, learn.Options{Timeout: time.Nanosecond}, Options{})
 	def, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +138,9 @@ func TestCandidateLiteralsRespectTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(d, c, Options{})
-	_, varTypes, next := l.headLiteral()
-	cands := l.candidateLiterals(varTypes, &next)
+	fs := &search{db: d, bias: c, opts: Options{}.normalized()}
+	_, varTypes, next := fs.headLiteral()
+	cands := fs.candidateLiterals(varTypes, &next)
 	for _, cand := range cands {
 		if cand.Predicate == "q" {
 			t.Fatalf("q must be unreachable: no variable of type T9 exists; got %v", cands)
@@ -174,8 +174,8 @@ func TestTopConstantsOrderAndCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(d, c, Options{MaxConstants: 1})
-	got := l.topConstants("r", 0)
+	fs := &search{db: d, bias: c, opts: Options{MaxConstants: 1}.normalized()}
+	got := fs.topConstants("r", 0)
 	if len(got) != 1 || got[0] != "common" {
 		t.Fatalf("topConstants = %v, want [common]", got)
 	}
@@ -184,7 +184,7 @@ func TestTopConstantsOrderAndCap(t *testing.T) {
 func TestFOILShortClauseBias(t *testing.T) {
 	// FOIL must respect MaxClauseLen.
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 2}, MaxClauseLen: 1, Seed: 2})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2}, Options{MaxClauseLen: 1})
 	def, _, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)

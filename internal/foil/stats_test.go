@@ -10,7 +10,7 @@ import (
 
 func TestFOILStatsPopulated(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 2}})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}}, Options{})
 	_, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -18,24 +18,47 @@ func TestFOILStatsPopulated(t *testing.T) {
 	if stats.CandidatesSeen == 0 || stats.Elapsed <= 0 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
+	// The one learn.Stats: the covering loop's accounting comes with it.
+	if stats.RoundsTotal == 0 || stats.CoverageTests == 0 || stats.PositivesCovered == 0 || stats.Report == nil {
+		t.Fatalf("covering-loop stats not populated: %+v", stats)
+	}
 }
 
+// TestFOILOptionsNormalization pins the search's own defaults (5/300/10)
+// and the one loop default it overrides: 150 scoring examples per class,
+// where the bottom-up search's 200 stands. The loop's other defaults
+// (precision 0.7, seed 1, 5000 subsumption nodes) are learn.Options' and
+// reach both searches alike.
 func TestFOILOptionsNormalization(t *testing.T) {
 	o := Options{}.normalized()
 	if o.MaxClauseLen != 5 || o.MaxCandidates != 300 || o.MaxConstants != 10 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.EvalSampleCap != 150 || o.MinPrecision != 0.7 || o.Seed != 1 {
-		t.Fatalf("defaults = %+v", o)
+	d, c, pos, neg := parentWorld(t)
+	many := func(xs []learn.Example) []learn.Example {
+		var out []learn.Example
+		for len(out) < 400 {
+			out = append(out, xs...)
+		}
+		return out
 	}
-	if o.Subsume.MaxNodes != 5000 {
-		t.Fatalf("subsume default = %+v", o.Subsume)
+	l := New(d, c, learn.Options{}, Options{})
+	ps, ns := l.ScoringSamples(many(pos), many(neg))
+	if len(ps) != 150 || len(ns) != 150 {
+		t.Fatalf("default scoring samples = %d/%d, want 150/150", len(ps), len(ns))
+	}
+	l = New(d, c, learn.Options{EvalSampleCap: 40}, Options{})
+	if ps, _ = l.ScoringSamples(many(pos), nil); len(ps) != 40 {
+		t.Fatalf("explicit EvalSampleCap ignored: %d", len(ps))
+	}
+	if so := l.Coverage().SubsumeOptions(); so.MaxNodes != 5000 {
+		t.Fatalf("subsume default = %+v", so)
 	}
 }
 
 func TestFOILEmptyPositives(t *testing.T) {
 	d, c, _, neg := parentWorld(t)
-	l := New(d, c, Options{})
+	l := New(d, c, learn.Options{}, Options{})
 	def, stats, err := l.Learn(nil, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +73,7 @@ func TestFOILMinPrecisionRejects(t *testing.T) {
 	// MinPrecision 1.0 nothing can be kept.
 	d, c, pos, _ := parentWorld(t)
 	neg := append([]learn.Example(nil), pos...) // identical examples as negatives
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 2}, MinPrecision: 1.0})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, MinPrecision: 1.0}, Options{})
 	def, _, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +84,8 @@ func TestFOILMinPrecisionRejects(t *testing.T) {
 }
 
 func TestVarNameAndItoa(t *testing.T) {
-	if varName(0) != "V0" || varName(12) != "V12" {
-		t.Fatalf("varName: %s %s", varName(0), varName(12))
-	}
-	if itoa(0) != "0" || itoa(907) != "907" {
-		t.Fatalf("itoa: %s %s", itoa(0), itoa(907))
+	if varName(0) != "V0" || varName(12) != "V12" || varName(907) != "V907" {
+		t.Fatalf("varName: %s %s %s", varName(0), varName(12), varName(907))
 	}
 }
 
@@ -80,8 +100,8 @@ func TestIntersects(t *testing.T) {
 
 func TestHeadLiteralTypes(t *testing.T) {
 	d, c, _, _ := parentWorld(t)
-	l := New(d, c, Options{})
-	head, varTypes, next := l.headLiteral()
+	fs := &search{db: d, bias: c, opts: Options{}.normalized()}
+	head, varTypes, next := fs.headLiteral()
 	if head.Predicate != "grandparent" || len(head.Terms) != 2 {
 		t.Fatalf("head = %v", head)
 	}

@@ -3,9 +3,10 @@
 // JSON error envelopes with stable machine-readable codes, a semaphore
 // concurrency limiter whose overflow answer is 503 + Retry-After, the
 // ctx-error → status mapping that turns a blown per-request deadline
-// into 504, and graceful listener drain. It holds the conventions every
-// HTTP surface of the system shares, so a client that understands one
-// service's failure modes understands them all.
+// into 504, graceful listener drain, and the one admin surface
+// (MountAdmin: liveness, readiness, metrics, pprof). It holds the
+// conventions every HTTP surface of the system shares, so a client that
+// understands one service's failure modes understands them all.
 package httpx
 
 import (
@@ -15,7 +16,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Error codes carried in structured error bodies. Stable strings:
@@ -126,16 +130,51 @@ func (l *Limiter) Release() { <-l.sem }
 // Cap returns the limiter's slot count.
 func (l *Limiter) Cap() int { return cap(l.sem) }
 
+// MountAdmin registers the admin surface every daemon serves on its one
+// port: GET /healthz (liveness), GET /readyz (readiness), GET /metrics
+// (mc's snapshot as JSON; a nil collector snapshots empty) and the
+// standard /debug/pprof/ handlers. health and ready may be nil: the
+// default liveness answer is {"status":"ok"}, and a service with no
+// not-ready state is ready whenever it is alive.
+func MountAdmin(mux *http.ServeMux, mc *metrics.Collector, health, ready http.HandlerFunc) {
+	if health == nil {
+		health = func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		}
+	}
+	if ready == nil {
+		ready = health
+	}
+	mux.HandleFunc("GET /healthz", health)
+	mux.HandleFunc("GET /readyz", ready)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, mc.Snapshot())
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// readHeaderTimeout bounds how long an accepted connection may take to
+// finish its request headers before the server closes it.
+const readHeaderTimeout = 10 * time.Second
+
 // Serve accepts on ln until ctx is cancelled, then drains gracefully:
 // in-flight requests get drainTimeout to finish before the listener's
 // error is returned. A clean drain returns nil. onDrain, when non-nil,
 // runs as soon as the drain begins (readiness endpoints flip to 503
 // while in-flight work completes).
 func Serve(ctx context.Context, ln net.Listener, h http.Handler, drainTimeout time.Duration, onDrain func()) error {
+	return serve(ctx, ln, h, drainTimeout, onDrain, readHeaderTimeout)
+}
+
+func serve(ctx context.Context, ln net.Listener, h http.Handler, drainTimeout time.Duration, onDrain func(), headerTimeout time.Duration) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 10 * time.Second
 	}
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	select {

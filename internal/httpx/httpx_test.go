@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestFailWritesEnvelopeAndRetryAfter(t *testing.T) {
@@ -147,5 +150,91 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	var out map[string]int
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["n"] != 3 {
 		t.Errorf("body %q err %v", rec.Body.String(), err)
+	}
+}
+
+// TestMountAdmin: the one admin surface answers liveness, readiness,
+// metrics and pprof; a service's own health and readiness handlers are
+// served as given, a service without any is ready whenever it is alive,
+// and a nil collector snapshots empty instead of failing.
+func TestMountAdmin(t *testing.T) {
+	get := func(mux *http.ServeMux, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	bare := http.NewServeMux()
+	MountAdmin(bare, nil, nil, nil)
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if rec := get(bare, path); rec.Code != http.StatusOK || rec.Body.String() != "{\"status\":\"ok\"}\n" {
+			t.Errorf("default %s: %d %q", path, rec.Code, rec.Body.String())
+		}
+	}
+	var snap metrics.Snapshot
+	if rec := get(bare, "/metrics"); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &snap) != nil || snap.Counters == nil {
+		t.Errorf("/metrics over a nil collector: %d %q", rec.Code, rec.Body.String())
+	}
+	if rec := get(bare, "/debug/pprof/cmdline"); rec.Code != http.StatusOK {
+		t.Errorf("/debug/pprof/cmdline: %d", rec.Code)
+	}
+	rec := httptest.NewRecorder()
+	bare.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/healthz", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /healthz: %d, want 405", rec.Code)
+	}
+
+	mc := metrics.New()
+	mc.Inc(metrics.LearnClauses)
+	own := http.NewServeMux()
+	MountAdmin(own, mc,
+		func(w http.ResponseWriter, _ *http.Request) {
+			WriteJSON(w, http.StatusOK, map[string]string{"shard": "s1"})
+		},
+		func(w http.ResponseWriter, _ *http.Request) {
+			Fail(w, http.StatusServiceUnavailable, ErrCodeNotReady, errors.New("draining"))
+		})
+	if rec := get(own, "/healthz"); rec.Body.String() != "{\"shard\":\"s1\"}\n" {
+		t.Errorf("own /healthz: %q", rec.Body.String())
+	}
+	if rec := get(own, "/readyz"); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("own /readyz: %d", rec.Code)
+	}
+	if rec := get(own, "/metrics"); json.Unmarshal(rec.Body.Bytes(), &snap) != nil || snap.Counters["learn.clauses"] != 1 {
+		t.Errorf("/metrics: %q", rec.Body.String())
+	}
+}
+
+// TestServeClosesStalledHeader: a connection that never finishes its
+// request headers is closed by the server once the header timeout
+// passes, instead of being held open for as long as the peer likes.
+func TestServeClosesStalledHeader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln, http.NewServeMux(), time.Second, nil, 50*time.Millisecond) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil { // no terminating blank line
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// The server may answer 408 before closing; either way the read ends
+	// in EOF long before the read deadline.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+	cancel()
+	if err := <-served; err != nil {
+		t.Errorf("Serve returned %v", err)
 	}
 }

@@ -17,12 +17,30 @@ import (
 	"repro/internal/subsume"
 )
 
+// ClauseSearch is LearnClause of Algorithm 1 (§2.3), the covering loop's
+// one pluggable step: propose a clause from the uncovered positives, or
+// nil when none can be built. Everything around it — the budget and its
+// classification, the minimum criterion, covered-positive removal, the
+// final accounting — is the Learner's, and a search reaches coverage
+// only through the Learner (ScoringSamples, Evaluate), so sharding, the
+// repair replay and the worker pool treat every search alike. A ctx
+// error return means the budget interrupted the search: every
+// interruption reaches LearnCtx as an error, never as a quietly
+// shortened clause.
+type ClauseSearch interface {
+	LearnClause(ctx context.Context, l *Learner, uncovered, neg []Example) (*logic.Clause, error)
+}
+
 // Options configures the learner.
 type Options struct {
 	// Bottom configures BC construction (strategy, depth, sample size).
 	Bottom bottom.Options
 	// Subsume bounds coverage tests.
 	Subsume subsume.Options
+	// Search is the clause search the covering loop runs; nil selects the
+	// bottom-up armg beam with negative reduction (Castor's, §2.3), the
+	// only search BeamWidth, GeneralizeSample and MaxRounds apply to.
+	Search ClauseSearch
 	// BeamWidth is the number of clauses kept per generalization round;
 	// <=0 defaults to 3.
 	BeamWidth int
@@ -61,6 +79,9 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
+	if o.Search == nil {
+		o.Search = beamSearch{}
+	}
 	if o.BeamWidth <= 0 {
 		o.BeamWidth = 3
 	}
@@ -110,33 +131,23 @@ type Stats struct {
 	// budgets). Never nil.
 	Report *report.Report
 	// PositivesCovered is how many training positives the final
-	// definition covers.
+	// definition covers, counted once the loop has ended; an interrupted
+	// run reports what it had counted by then.
 	PositivesCovered int
 }
 
 // Learner learns Horn definitions of one target relation with the
-// bottom-up sequential covering algorithm the paper builds on (Castor's
-// algorithm, §2.3).
+// sequential covering algorithm the paper builds on (Algorithm 1, §2.3):
+// the one covering loop, whichever clause search Options.Search plugs
+// into it.
 type Learner struct {
-	db    *db.Database
 	bias  *bias.Compiled
 	opts  Options
 	cover *CoverageEngine
 	rng   *rand.Rand
-	// ctx is the current Learn call's context; checked in every
-	// expensive inner loop and threaded through coverage, BC
-	// construction, and subsumption, so a budget overrun is bounded by a
-	// few hundred subsumption nodes, not by one coverage test or beam
-	// round (§6's ">10h" budgets need faithful enforcement).
-	ctx context.Context
-	rep *report.Report
-	// stopNoted dedupes the deadline-hit report event for the run.
-	stopNoted bool
-}
-
-// expired reports whether the current run's budget is exhausted.
-func (l *Learner) expired() bool {
-	return l.ctx != nil && l.ctx.Err() != nil
+	// stats is the current run's; a clause search adds to it through
+	// NoteRound and Evaluate.
+	stats *Stats
 }
 
 // New creates a learner over a database and compiled language bias.
@@ -153,7 +164,6 @@ func New(d *db.Database, c *bias.Compiled, opts Options) *Learner {
 		cover.SetMetrics(opts.Metrics)
 	}
 	return &Learner{
-		db:    d,
 		bias:  c,
 		opts:  opts,
 		cover: cover,
@@ -175,12 +185,13 @@ func (l *Learner) Learn(pos, neg []Example) (*logic.Definition, *Stats, error) {
 // remove the positives it covers. Seeds whose clauses fail the criterion
 // are set aside so the loop always progresses.
 //
-// ctx (tightened by Options.Timeout when set) cancels the run
-// mid-primitive: an in-flight subsumption test, BC construction, or
-// coverage fan-out is interrupted within microseconds, and the clauses
-// learned so far are returned with Stats.TimedOut/Cancelled set and the
-// degradation recorded in Stats.Report. Cancellation is graceful, not an
-// error.
+// ctx (tightened by Options.Timeout when set) is threaded through
+// coverage, BC construction and subsumption and cancels the run
+// mid-primitive — a budget overrun is bounded by a few hundred
+// subsumption nodes, not by a coverage test or a beam round (§6's ">10h"
+// budgets need faithful enforcement). The clauses learned so far are
+// returned with Stats.TimedOut/Cancelled set and the degradation
+// recorded in Stats.Report: cancellation is graceful, not an error.
 func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Definition, *Stats, error) {
 	start := time.Now()
 	spanStart := l.opts.Metrics.StartSpan()
@@ -190,13 +201,27 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 		ctx, cancel = context.WithTimeout(ctx, l.opts.Timeout)
 		defer cancel()
 	}
-	l.ctx = ctx
-	l.rep = report.New()
-	l.stopNoted = false
-	l.cover.SetReport(l.rep)
-	stats := &Stats{Report: l.rep}
+	l.stats = &Stats{Report: report.New()}
+	l.cover.SetReport(l.stats.Report)
 	def := &logic.Definition{Target: l.bias.Target()}
 
+	where, err := l.covering(ctx, def, pos, neg)
+	if err != nil && !isCtxErr(err) {
+		return nil, nil, err
+	}
+	if err != nil {
+		l.noteStop(ctx, where)
+	}
+	l.stats.CoverageTests = l.cover.TestCount()
+	l.stats.Elapsed = time.Since(start)
+	return def, l.stats, nil
+}
+
+// covering is the loop of Algorithm 1 and the accounting after it, adding
+// kept clauses to def. An error — the budget's (a ctx error: the caller
+// keeps the theory so far) or a real one — comes back with the phase it
+// stopped.
+func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg []Example) (where string, err error) {
 	minPos := l.opts.MinPositives
 	if minPos <= 0 {
 		minPos = 2
@@ -204,37 +229,27 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 			minPos = 1
 		}
 	}
-
 	uncovered := append([]Example(nil), pos...)
 	for len(uncovered) > 0 {
-		if l.expired() {
-			l.noteStop(stats, "covering loop")
-			break
+		if err := ctx.Err(); err != nil {
+			return "covering loop", err
 		}
-		seed := uncovered[0]
-		clause, err := l.learnClause(ctx, seed, uncovered, neg, stats)
+		clause, err := l.opts.Search.LearnClause(ctx, l, uncovered, neg)
 		if err != nil {
-			if isCtxErr(err) {
-				l.noteStop(stats, "learnClause")
-				break
-			}
-			return nil, nil, err
+			return "learnClause", err
 		}
 		keep := false
 		if clause != nil {
-			posCov, negCov, err := l.scoreCounts(ctx, clause, uncovered, neg)
+			posSample, negSample := l.ScoringSamples(uncovered, neg)
+			ps, ns, err := l.counts(ctx, []*logic.Clause{clause}, posSample, negSample, 0)
 			if err != nil {
-				if isCtxErr(err) {
-					l.noteStop(stats, "minimum-criterion scoring")
-					break
-				}
-				return nil, nil, err
+				return "minimum-criterion scoring", err
 			}
 			prec := 1.0
-			if posCov+negCov > 0 {
-				prec = float64(posCov) / float64(posCov+negCov)
+			if ps[0]+ns[0] > 0 {
+				prec = float64(ps[0]) / float64(ps[0]+ns[0])
 			}
-			keep = posCov >= minPos && prec >= l.opts.MinPrecision
+			keep = ps[0] >= minPos && prec >= l.opts.MinPrecision
 		}
 		if !keep {
 			// Set the seed aside and try the next one.
@@ -242,113 +257,76 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 			continue
 		}
 		def.Add(clause)
-		stats.Clauses++
+		l.stats.Clauses++
 		l.opts.Metrics.Inc(metrics.LearnClauses)
 		// Remove every positive the definition now covers.
 		var still []Example
-		interrupted := false
 		for _, e := range uncovered {
 			ok, err := l.cover.Covers(ctx, clause, e)
 			if err != nil {
-				if isCtxErr(err) {
-					interrupted = true
-					break
-				}
-				return nil, nil, err
+				return "covered-positive removal", err
 			}
 			if !ok {
 				still = append(still, e)
 			}
 		}
-		if interrupted {
-			l.noteStop(stats, "covered-positive removal")
-			break
-		}
 		uncovered = still
 	}
-
-	// Final accounting runs under the same ctx: on a timed-out run the
-	// partial theory is returned immediately rather than paying for one
-	// more full coverage pass.
-	covered := 0
 	for _, e := range pos {
 		ok, err := l.cover.DefinitionCovers(ctx, def, e)
 		if err != nil {
-			if isCtxErr(err) {
-				l.noteStop(stats, "final coverage accounting")
-				break
-			}
-			return nil, nil, err
+			return "final coverage accounting", err
 		}
 		if ok {
-			covered++
+			l.stats.PositivesCovered++
 		}
 	}
-	stats.PositivesCovered = covered
-	stats.CoverageTests = l.cover.TestCount()
-	stats.Elapsed = time.Since(start)
-	return def, stats, nil
+	return "final coverage accounting", nil
 }
 
-// noteStop classifies the cancellation (deadline vs explicit cancel),
-// sets the matching stat flag, and records one deadline-hit event.
-func (l *Learner) noteStop(stats *Stats, where string) {
-	if l.ctx.Err() == context.DeadlineExceeded {
-		stats.TimedOut = true
+// noteStop is the one place an interrupted run is classified — deadline
+// or explicit cancel — and its one deadline-hit event recorded.
+func (l *Learner) noteStop(ctx context.Context, where string) {
+	if ctx.Err() == context.DeadlineExceeded {
+		l.stats.TimedOut = true
 	} else {
-		stats.Cancelled = true
+		l.stats.Cancelled = true
 	}
-	if !l.stopNoted {
-		l.stopNoted = true
-		l.rep.Add(report.Event{
-			Kind:   report.DeadlineHit,
-			Site:   "learn.Learn",
-			Detail: fmt.Sprintf("interrupted during %s (%v); returning %d clause(s) learned so far", where, l.ctx.Err(), stats.Clauses),
-		})
-	}
+	l.stats.Report.Add(report.Event{
+		Kind:   report.DeadlineHit,
+		Site:   "learn.Learn",
+		Detail: fmt.Sprintf("interrupted during %s (%v); returning %d clause(s) learned so far", where, ctx.Err(), l.stats.Clauses),
+	})
 }
 
-// learnClause is the bottom-up LearnClause of §2.3: build the seed's
-// bottom clause, then beam-search over armg generalizations against
-// sampled positives, scoring by pos − neg coverage. A ctx error return
-// means the budget interrupted the search; the caller keeps its theory.
+// beamSearch is the bottom-up LearnClause of §2.3: build the bottom
+// clause of the first uncovered positive, then beam-search over armg
+// generalizations against sampled positives, scoring by pos − neg
+// coverage, and reduce the winner against the negatives.
 //
 // The seed's variabilized clause is the one build that runs on the
 // engine's builder itself rather than a per-example clone: its sample
 // follows the covering loop's seed order, which is a function of the
 // verdicts alone, and no ground build ever draws from that RNG.
-func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Example, stats *Stats) (*logic.Clause, error) {
+type beamSearch struct{}
+
+func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Example) (*logic.Clause, error) {
+	seed := pos[0]
 	builder := l.cover.builder
 	bc, err := builder.ConstructCtx(ctx, seed)
 	if err != nil {
 		if isCtxErr(err) {
-			l.rep.Add(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: seed.String()})
+			l.stats.Report.Add(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: seed.String()})
 			return nil, err
 		}
 		return nil, fmt.Errorf("learn: %w", err)
 	}
 	bc = bc.PruneNotHeadConnected()
 
-	posSample := l.sampleExamples(pos, l.opts.EvalSampleCap)
-	negSample := l.sampleExamples(neg, l.opts.EvalSampleCap)
+	posSample, negSample := l.ScoringSamples(pos, neg)
 
-	// evaluate scores a frontier of candidates through the bulk coverage
-	// path: two CountMany calls — the whole frontier against the
-	// positive sample, then the negative sample — instead of 2·N
-	// individual counts. Through the shard transport this collapses a
-	// refinement step's RPC rounds from O(candidates · shards) to
-	// O(shards); in-process it fans the candidates across the worker
-	// pool. Scores are bit-identical to per-candidate evaluation.
 	evaluate := func(cs []*logic.Clause) ([]scored, error) {
-		for range cs {
-			stats.CandidatesSeen++
-			l.opts.Metrics.Inc(metrics.LearnCandidates)
-		}
-		ps, err := l.cover.CountMany(ctx, cs, posSample, len(posSample)+1)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := l.cover.CountMany(ctx, cs, negSample, len(negSample)+1)
+		ps, ns, err := l.Evaluate(ctx, cs, posSample, negSample, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -369,12 +347,10 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 
 	stale := 0
 	for round := 0; round < l.opts.MaxRounds; round++ {
-		if l.expired() {
-			stats.TimedOut = true
-			break
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		stats.RoundsTotal++
-		l.opts.Metrics.Inc(metrics.LearnRounds)
+		l.NoteRound()
 		sample := l.sampleExamples(pos, l.opts.GeneralizeSample)
 		// Generate the round's whole candidate frontier first — the beam ×
 		// sample armg applications, fanned across the engine's pool —
@@ -429,11 +405,7 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 			}
 		}
 	}
-	reduced, err := l.reduceClause(ctx, best.clause, negSample)
-	if err != nil {
-		return nil, err
-	}
-	return reduced, nil
+	return l.reduceClause(ctx, best.clause, negSample)
 }
 
 // reduceClause performs negative-based reduction (Castor [44]): drop
@@ -441,23 +413,20 @@ func (l *Learner) learnClause(ctx context.Context, seed Example, pos, neg []Exam
 // negatives. Removal only generalizes, so positive coverage never drops;
 // the surviving literals are the ones actually needed to keep the
 // negatives out, which keeps learned clauses short and able to
-// generalize past the training seeds.
+// generalize past the training seeds. A ctx error return means the
+// budget interrupted the reduction, like the search before it.
 func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample []Example) (*logic.Clause, error) {
 	if len(c.Body) <= 1 {
 		return c, nil
 	}
 	baseNeg, err := l.count(ctx, c, negSample, len(negSample)+1)
 	if err != nil {
-		if isCtxErr(err) {
-			// Anytime: an un-reduced clause is still correct, just longer.
-			return c, nil
-		}
 		return nil, err
 	}
 	body := append([]logic.Literal(nil), c.Body...)
 	for i := len(body) - 1; i >= 0 && len(body) > 1; i-- {
-		if l.expired() {
-			break
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		trialBody := make([]logic.Literal, 0, len(body)-1)
 		trialBody = append(trialBody, body[:i]...)
@@ -471,9 +440,6 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 		// extra covered negative instead of the whole sample.
 		n, err := l.count(ctx, trial, negSample, baseNeg+1)
 		if err != nil {
-			if isCtxErr(err) {
-				break
-			}
 			return nil, err
 		}
 		if n <= baseNeg {
@@ -487,21 +453,66 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 	return (&logic.Clause{Head: c.Head, Body: body}).PruneNotHeadConnected(), nil
 }
 
-// scoreCounts counts clause coverage over (samples of) the positive and
-// negative examples.
-func (l *Learner) scoreCounts(ctx context.Context, c *logic.Clause, pos, neg []Example) (int, int, error) {
-	posSample := l.sampleExamples(pos, l.opts.EvalSampleCap)
-	negSample := l.sampleExamples(neg, l.opts.EvalSampleCap)
-	p, err := l.count(ctx, c, posSample, len(posSample)+1)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, err := l.count(ctx, c, negSample, len(negSample)+1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return p, n, nil
+// ScoringSamples draws the scoring samples of a clause search or a
+// minimum-criterion check: up to Options.EvalSampleCap of each class,
+// positives first.
+func (l *Learner) ScoringSamples(pos, neg []Example) (posSample, negSample []Example) {
+	return l.sampleExamples(pos, l.opts.EvalSampleCap), l.sampleExamples(neg, l.opts.EvalSampleCap)
 }
+
+// Evaluate is the frontier evaluator every clause search scores through:
+// two CountMany calls — the whole frontier against the positive sample,
+// then every candidate covering at least minPos positives against the
+// negative sample (the rest report zero negatives) — instead of 2·N
+// individual counts. Through the shard transport this collapses a
+// refinement step's RPC rounds from O(candidates · shards) to O(shards);
+// in-process it fans the candidates across the worker pool. Counts are
+// bit-identical to per-candidate evaluation.
+func (l *Learner) Evaluate(ctx context.Context, cs []*logic.Clause, posSample, negSample []Example, minPos int) (ps, ns []int, err error) {
+	l.stats.CandidatesSeen += len(cs)
+	l.opts.Metrics.Add(metrics.LearnCandidates, int64(len(cs)))
+	return l.counts(ctx, cs, posSample, negSample, minPos)
+}
+
+// counts is Evaluate without the candidate accounting, which the
+// minimum-criterion check of an already-counted clause goes through too.
+func (l *Learner) counts(ctx context.Context, cs []*logic.Clause, posSample, negSample []Example, minPos int) (ps, ns []int, err error) {
+	ps, err = l.cover.CountMany(ctx, cs, posSample, len(posSample)+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	live := make([]*logic.Clause, 0, len(cs))
+	for i, c := range cs {
+		if ps[i] >= minPos {
+			live = append(live, c)
+		}
+	}
+	counts, err := l.cover.CountMany(ctx, live, negSample, len(negSample)+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	ns = make([]int, len(cs))
+	for i, k := 0, 0; i < len(cs); i++ {
+		if ps[i] >= minPos {
+			ns[i] = counts[k]
+			k++
+		}
+	}
+	return ps, ns, nil
+}
+
+// NoteRound records one round of a clause search — a beam round or a
+// growth step — on the run's stats and metrics.
+func (l *Learner) NoteRound() {
+	l.stats.RoundsTotal++
+	l.opts.Metrics.Inc(metrics.LearnRounds)
+}
+
+// Rand is the run's one RNG: every draw a search makes (example samples,
+// candidate shuffles) comes from it, in a fixed order, so a run is a
+// function of its seed, its coverage verdicts and whatever else its
+// search reads (FOIL growth: the database's value frequencies).
+func (l *Learner) Rand() *rand.Rand { return l.rng }
 
 // count is CountMany for one clause: min(covered, limit), where
 // len(examples)+1 asks for the exact count.

@@ -13,11 +13,12 @@ import (
 // Incremental theory repair (DESIGN.md §16) re-runs the learner on the
 // post-batch database while replaying every coverage verdict that a data
 // batch provably could not have changed. The learner's decisions are a
-// pure function of its coverage verdicts (given fixed options and seed),
-// so replaying all unchanged verdicts forces the re-run down exactly the
-// path a cold re-learn would take — bit-identical theories by
-// construction — while skipping the ground-BC construction and
-// subsumption work that dominates learning cost.
+// pure function of its coverage verdicts (given fixed options and seed;
+// the FOIL search adds the database's value frequencies, which the
+// re-run reads afresh), so replaying all unchanged verdicts forces the
+// re-run down exactly the path a cold re-learn would take —
+// bit-identical theories by construction — while skipping the ground-BC
+// construction and subsumption work that dominates learning cost.
 
 // CarriedState is the portable coverage state extracted from a previous
 // run's engine, to be adopted by a fresh engine over the post-batch

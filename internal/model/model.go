@@ -42,8 +42,9 @@ import (
 // silent cross-version read could serve wrong verdicts. A version 1
 // theory was learned against ground BCs that depended on build order
 // and came with a build log to replay them; this binary builds neither,
-// so such a model must be learned again.
-const Version = 2
+// so such a model must be learned again. Version 2 recorded a
+// subsumption restart count that was always zero and is no longer read.
+const Version = 3
 
 // DataRef names the database a model was trained over, so a serving
 // process can rebind it: either a generated benchmark dataset
@@ -84,7 +85,6 @@ type BottomConfig struct {
 // a serving engine normalizes to identical effective values.
 type SubsumeConfig struct {
 	MaxNodes int   `json:"max_nodes"`
-	Restarts int   `json:"restarts"`
 	Seed     int64 `json:"seed"`
 }
 
@@ -173,7 +173,6 @@ func (a *Artifact) BottomOptions() (bottom.Options, error) {
 func (a *Artifact) SubsumeOptions() subsume.Options {
 	return subsume.Options{
 		MaxNodes: a.Subsume.MaxNodes,
-		Restarts: a.Subsume.Restarts,
 		Seed:     a.Subsume.Seed,
 	}
 }

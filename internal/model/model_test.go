@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,7 +158,9 @@ func TestValidateCatchesBadContent(t *testing.T) {
 // TestLoadRejectsVersion1: a version-1 artifact — the format that
 // carried a training build log, replayed at bind time — is refused, and
 // the error tells its holder what to do: those theories were learned
-// against order-dependent ground BCs this binary no longer builds.
+// against order-dependent ground BCs this binary no longer builds. So is
+// a version-2 artifact, whose subsumption config still named a restart
+// count.
 func TestLoadRejectsVersion1(t *testing.T) {
 	art := testArtifact(t)
 	path := filepath.Join(t.TempDir(), "gp.model")
@@ -165,29 +168,37 @@ func TestLoadRejectsVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = 1
-	raw["build_log"] = []map[string]any{{"g": false, "e": "gp(a,c)"}, {"g": true, "e": "gp(a,c)"}}
-	v1, _ := json.Marshal(raw)
-	old := filepath.Join(t.TempDir(), "v1.model")
-	if err := os.WriteFile(old, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(old)
-	if err == nil {
-		t.Fatal("version-1 artifact loaded")
-	}
-	for _, want := range []string{"version 1", "re-save", "retrain"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not say %q", err, want)
+	for version, mutate := range map[int]func(raw map[string]any){
+		1: func(raw map[string]any) {
+			raw["build_log"] = []map[string]any{{"g": false, "e": "gp(a,c)"}, {"g": true, "e": "gp(a,c)"}}
+		},
+		2: func(raw map[string]any) { raw["subsume"].(map[string]any)["restarts"] = 0 },
+	} {
+		var raw map[string]any
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
 		}
-	}
-	art.Version = 1
-	if err := art.Validate(); err == nil || !strings.Contains(err.Error(), "retrain") {
-		t.Errorf("Validate on a version-1 artifact: %v", err)
+		raw["version"] = version
+		mutate(raw)
+		stale, _ := json.Marshal(raw)
+		old := filepath.Join(t.TempDir(), "old.model")
+		if err := os.WriteFile(old, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(old)
+		if err == nil {
+			t.Fatalf("version-%d artifact loaded", version)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "re-save", "retrain"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		}
+		stamped := *art
+		stamped.Version = version
+		if err := stamped.Validate(); err == nil || !strings.Contains(err.Error(), "retrain") {
+			t.Errorf("Validate on a version-%d artifact: %v", version, err)
+		}
 	}
 }
 

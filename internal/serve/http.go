@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
@@ -85,18 +84,11 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		lim:  httpx.NewLimiter(opts.MaxConcurrent),
 		mux:  http.NewServeMux(),
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	httpx.MountAdmin(s.mux, opts.Metrics, s.handleHealth, s.handleReady)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("GET /v1/models/{name}", s.handleModel)
 	s.mux.HandleFunc("POST /v1/models/{name}/predict", s.handlePredict)
 	s.mux.HandleFunc("POST /admin/reload", s.handleReload)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
 
@@ -192,10 +184,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		body["status"] = "ready"
 		s.writeJSON(w, http.StatusOK, body)
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.opts.Metrics.Snapshot())
 }
 
 // modelInfo is the public description of one bound model.

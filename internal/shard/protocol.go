@@ -160,10 +160,10 @@ func EngineFingerprint(e *learn.CoverageEngine, schemaFingerprint, biasText stri
 	b := e.Builder().Options()
 	s := e.SubsumeOptions()
 	h := sha256.New()
-	fmt.Fprintf(h, "schema=%s\nbias=%s\nbottom=%s/%d/%d/%d/%d\nsubsume=%d/%d/%d\n",
+	fmt.Fprintf(h, "schema=%s\nbias=%s\nbottom=%s/%d/%d/%d/%d\nsubsume=%d/%d\n",
 		schemaFingerprint, biasText,
 		b.Strategy, b.Depth, b.SampleSize, b.MaxLiterals, b.Seed,
-		s.MaxNodes, s.Restarts, s.Seed)
+		s.MaxNodes, s.Seed)
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 

@@ -67,7 +67,7 @@ func (o WorkerOptions) normalized() WorkerOptions {
 // (liveness: the process is up), GET /readyz (readiness: not draining
 // and not mid-preload; reports fingerprint, cache heat, and wire
 // protocol so the coordinator's revival probe can check config parity),
-// and GET /metrics.
+// GET /metrics and /debug/pprof/ (httpx.MountAdmin).
 type Worker struct {
 	id     string
 	engine *learn.CoverageEngine
@@ -107,9 +107,7 @@ func NewWorker(id string, engine *learn.CoverageEngine, fp string, opts WorkerOp
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/coverage", w.handleBatchCoverage)
-	mux.HandleFunc("GET /healthz", w.handleHealth)
-	mux.HandleFunc("GET /readyz", w.handleReady)
-	mux.HandleFunc("GET /metrics", w.handleMetrics)
+	httpx.MountAdmin(mux, w.opts.Metrics, w.handleHealth, w.handleReady)
 	w.mux = mux
 	return w
 }
@@ -386,12 +384,4 @@ func (w *Worker) handleReady(rw http.ResponseWriter, r *http.Request) {
 		"preloaded":   w.preloaded.Load(),
 		"proto":       2,
 	})
-}
-
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	if w.opts.Metrics == nil {
-		httpx.WriteJSON(rw, http.StatusOK, map[string]any{})
-		return
-	}
-	httpx.WriteJSON(rw, http.StatusOK, w.opts.Metrics.Snapshot())
 }

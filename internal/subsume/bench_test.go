@@ -100,7 +100,7 @@ func BenchmarkSubsume(b *testing.B) {
 // in the coverage engine.
 func BenchmarkSubsumeEscalation(b *testing.B) {
 	ctx := context.Background()
-	opts := Options{MaxNodes: 5000, Restarts: 0}
+	opts := Options{MaxNodes: 5000}
 	pos, _, ground := benchWorkload(7, 300, 60)
 	refC, refG := chainNegative(b, 7, 6)
 	hardC, hardG := hardInstance(b, 7)

@@ -35,10 +35,9 @@ func TestDeepBacktrackingBucketsConsistent(t *testing.T) {
 	}
 }
 
-// TestRunReusableAcrossPasses ensures the matcher's state reset is
-// complete: a deterministic failure followed by randomized restarts must
-// not corrupt buckets or degrees (this is implicitly exercised by any
-// restart, made explicit here with several sequential Checks).
+// TestRunReusableAcrossPasses ensures the pooled matcher's state reset is
+// complete: a pass must not leave buckets or degrees behind that corrupt
+// the next one, shown with several sequential Checks.
 func TestRunReusableAcrossPasses(t *testing.T) {
 	g := logic.MustParseClause("h(a) :- p(a,b), p(b,c), p(c,d).")
 	c := logic.MustParseClause("h(X) :- p(X,Y), p(Y,Z), p(Z,W).")

@@ -221,7 +221,7 @@ func TestCheckCompiledEquivalenceOddArity(t *testing.T) {
 		c := clause(g)
 		opts := Options{}
 		if trial%2 == 1 {
-			opts = Options{MaxNodes: 1 + r.Intn(6), Restarts: r.Intn(3), Seed: int64(trial)}
+			opts = Options{MaxNodes: 1 + r.Intn(6)}
 		}
 		requireEquiv(t, "longer-rows", c, g, opts)
 	}

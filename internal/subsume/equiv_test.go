@@ -11,7 +11,7 @@ import (
 // requireEquiv checks that the compiled matcher is bit-identical to the
 // legacy string matcher on one (clause, ground, opts) input: same
 // Subsumes/Complete/Cancelled flags and the same node count, which pins
-// candidate ordering, restart RNG consumption, and budget accounting.
+// candidate ordering and budget accounting.
 func requireEquiv(t *testing.T, name string, c, g *logic.Clause, opts Options) {
 	t.Helper()
 	ctx := context.Background()
@@ -129,15 +129,15 @@ func TestCheckCompiledEquivalenceTable(t *testing.T) {
 		{"shared-var-chain", "h(X) :- p(X,Y), q(Y,Z), p(Z,X).", "h(a) :- p(a,b), q(b,c), p(c,a), p(a,c)."},
 		{"backtracking", "h(X) :- p(X,Y), q(Y).", "h(a) :- p(a,b), p(a,c), q(c)."},
 		{"const-in-body", "h(X) :- p(X,b), q(b,X).", "h(a) :- p(a,b), q(b,a), p(a,c)."},
-		{"restart-chain", "h(X) :- p(X,Y1), p(Y1,Y2), p(Y2,Y3), p(Y3,Y4), q(Y4).",
+		{"chain", "h(X) :- p(X,Y1), p(Y1,Y2), p(Y2,Y3), p(Y3,Y4), q(Y4).",
 			"h(a) :- p(a,b), p(b,c), p(c,d), p(d,e), q(e)."},
 	}
 	optVariants := []Options{
 		{},
 		{MaxNodes: 1},
-		{MaxNodes: 2, Restarts: 3, Seed: 7},
-		{MaxNodes: 5, Restarts: 10, Seed: 42},
-		{MaxNodes: 100000, Restarts: 3, Seed: 1},
+		{MaxNodes: 2},
+		{MaxNodes: 5},
+		{MaxNodes: 100000},
 	}
 	for _, tc := range cases {
 		c := mustClause(t, tc.clause)
@@ -147,14 +147,12 @@ func TestCheckCompiledEquivalenceTable(t *testing.T) {
 		}
 	}
 
-	// Budget exhaustion on a hard negative, including restart passes that
-	// also exhaust: the node totals across every pass must agree.
+	// Budget exhaustion on a hard negative: the node totals must agree.
 	c, g := hard(t)
 	for _, opts := range []Options{
 		{MaxNodes: 50},
-		{MaxNodes: 50, Restarts: 1},
-		{MaxNodes: 200, Restarts: 4, Seed: 9},
-		{MaxNodes: 1000, Restarts: 2, Seed: 3},
+		{MaxNodes: 200},
+		{MaxNodes: 1000},
 	} {
 		requireEquiv(t, "pigeonhole", c, g, opts)
 	}
@@ -190,7 +188,7 @@ func TestCheckCompiledEquivalenceCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := Options{MaxNodes: 100000, Restarts: 3}
+	opts := Options{MaxNodes: 100000}
 	want := legacyCheck(ctx, c, g, opts)
 	if !want.Cancelled {
 		t.Fatalf("legacy reference must observe cancellation, got %+v", want)
@@ -205,8 +203,8 @@ func TestCheckCompiledEquivalenceCancellation(t *testing.T) {
 
 // TestCheckCompiledEquivalenceRandom drives both matchers over random
 // instances (the TestPropMatchesBruteForce generator, widened with body
-// constants and repeated variables) under plain, budget-starved, and
-// restart-heavy options.
+// constants and repeated variables) under plain and budget-starved
+// options.
 func TestCheckCompiledEquivalenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	preds := []string{"p", "q"}
@@ -231,9 +229,9 @@ func TestCheckCompiledEquivalenceRandom(t *testing.T) {
 		opts := Options{}
 		switch trial % 3 {
 		case 1:
-			opts = Options{MaxNodes: 1 + r.Intn(4), Restarts: r.Intn(4), Seed: int64(r.Intn(100))}
+			opts = Options{MaxNodes: 1 + r.Intn(4)}
 		case 2:
-			opts = Options{MaxNodes: 1 + r.Intn(50), Restarts: 1 + r.Intn(3), Seed: int64(trial)}
+			opts = Options{MaxNodes: 1 + r.Intn(50)}
 		}
 		requireEquiv(t, "random", c, g, opts)
 		requireRenamingInvariant(t, "random", c, g)
@@ -285,9 +283,9 @@ func FuzzCheckCompiledEquivalence(f *testing.F) {
 			}
 			c.Body = append(c.Body, logic.NewLiteral(preds[take(3)], mk(), mk()))
 		}
-		opts := Options{MaxNodes: 1 + take(64), Restarts: take(4), Seed: int64(take(16))}
+		opts := Options{MaxNodes: 1 + take(64)}
 		if take(2) == 0 {
-			opts = Options{Restarts: take(3), Seed: int64(take(16))}
+			opts = Options{}
 		}
 		requireEquiv(t, "fuzz", c, g, opts)
 		requireForwardSound(t, "fuzz", c, g, opts)

@@ -78,7 +78,7 @@ var escalationBudgets = []int{1, probeNodes - 1, probeNodes, probeNodes + 1, 50,
 type tally struct{ probe, refuted, search int }
 
 // requireEscalation holds one (clause, ground) input to the escalation's
-// contract at every budget × restart combination: Subsumes equals the
+// contract at every budget: Subsumes equals the
 // legacy matcher's; a test the refuter did not answer returns the legacy
 // Result whole, node count included; a refuted test is one the legacy
 // matcher answers "no" having spent at least the stop's nodes, is
@@ -90,42 +90,40 @@ func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally)
 	ctx := context.Background()
 	confirmed := false
 	for _, budget := range escalationBudgets {
-		for _, restarts := range []int{0, 2} {
-			opts := Options{MaxNodes: budget, Restarts: restarts, Seed: 3}
-			want := legacyCheck(ctx, c, g, opts)
-			got, how := checkHow(ctx, c, g, opts)
-			at := fmt.Sprintf("%s budget %d restarts %d", name, budget, restarts)
-			if got.Subsumes != want.Subsumes || got.Cancelled || (!got.Complete && want.Complete) {
-				t.Fatalf("%s: got %+v legacy %+v (clause %v vs %v)", at, got, want, c, g)
+		opts := Options{MaxNodes: budget}
+		want := legacyCheck(ctx, c, g, opts)
+		got, how := checkHow(ctx, c, g, opts)
+		at := fmt.Sprintf("%s budget %d", name, budget)
+		if got.Subsumes != want.Subsumes || got.Cancelled || (!got.Complete && want.Complete) {
+			t.Fatalf("%s: got %+v legacy %+v (clause %v vs %v)", at, got, want, c, g)
+		}
+		if shared := CheckCompiled(c, CompileGround(nil, g), opts); shared != got {
+			t.Fatalf("%s: CheckCompiled %+v, CheckClauseCtx %+v", at, shared, got)
+		}
+		switch how {
+		case byRefuter:
+			tl.refuted++
+			if budget <= probeNodes {
+				t.Fatalf("%s: refuted under a budget with no stop in it", at)
 			}
-			if shared := CheckCompiled(c, CompileGround(nil, g), opts); shared != got {
-				t.Fatalf("%s: CheckCompiled %+v, CheckClauseCtx %+v", at, shared, got)
+			if got != (Result{Complete: true, Nodes: probeNodes}) || want.Nodes < probeNodes {
+				t.Fatalf("%s: refuted %+v, legacy %+v", at, got, want)
 			}
-			switch how {
-			case byRefuter:
-				tl.refuted++
-				if budget <= probeNodes {
-					t.Fatalf("%s: refuted under a budget with no stop in it", at)
+			if !confirmed {
+				confirmed = true
+				if legacyCheck(ctx, c, g, exhaustive).Subsumes {
+					t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", at, c, g)
 				}
-				if got != (Result{Complete: true, Nodes: probeNodes}) || want.Nodes < probeNodes {
-					t.Fatalf("%s: refuted %+v, legacy %+v", at, got, want)
-				}
-				if !confirmed {
-					confirmed = true
-					if legacyCheck(ctx, c, g, exhaustive).Subsumes {
-						t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", at, c, g)
-					}
-				}
-			case byProbe:
-				tl.probe++
-				if got != want || budget <= probeNodes || got.Nodes > probeNodes {
-					t.Fatalf("%s: probe-decided %+v, legacy %+v", at, got, want)
-				}
-			default:
-				tl.search++
-				if got != want {
-					t.Fatalf("%s: searched %+v, legacy %+v", at, got, want)
-				}
+			}
+		case byProbe:
+			tl.probe++
+			if got != want || budget <= probeNodes || got.Nodes > probeNodes {
+				t.Fatalf("%s: probe-decided %+v, legacy %+v", at, got, want)
+			}
+		default:
+			tl.search++
+			if got != want {
+				t.Fatalf("%s: searched %+v, legacy %+v", at, got, want)
 			}
 		}
 	}
@@ -148,19 +146,19 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 	before := tl
 	c, g := chainNegative(t, 7, 6)
 	requireEscalation(t, "chain-negative", c, g, &tl)
-	if tl.refuted-before.refuted != 4 {
-		t.Fatalf("the refutable negative must be refuted at both budgets above the stop, with and without restarts: %+v", tl)
+	if tl.refuted-before.refuted != 2 {
+		t.Fatalf("the refutable negative must be refuted at both budgets above the stop: %+v", tl)
 	}
 	// What the change is for: the legacy answer is an exhausted budget,
 	// the escalation's a complete "no" twenty times cheaper.
-	if want := legacyCheck(context.Background(), c, g, Options{MaxNodes: 5000, Restarts: 0}); want.Complete || want.Nodes != 5000 {
+	if want := legacyCheck(context.Background(), c, g, Options{MaxNodes: 5000}); want.Complete || want.Nodes != 5000 {
 		t.Fatalf("chain-negative no longer exhausts the legacy matcher: %+v", want)
 	}
 
 	before = tl
 	c, g = chainLatePositive(t, 6)
 	requireEscalation(t, "chain-late-positive", c, g, &tl)
-	res, how := checkHow(context.Background(), c, g, Options{MaxNodes: 1 << 30, Restarts: 0})
+	res, how := checkHow(context.Background(), c, g, Options{MaxNodes: 1 << 30})
 	if !res.Subsumes || res.Nodes <= probeNodes || how != bySearch {
 		t.Fatalf("the late positive must be found past the stop: %+v by %d", res, how)
 	}
@@ -173,7 +171,7 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 	if tl.refuted != before.refuted {
 		t.Fatalf("pigeonhole refuted: the sweep is claiming more than arc consistency")
 	}
-	if res, _ := checkHow(context.Background(), c, g, Options{MaxNodes: 5000, Restarts: 0}); res.Complete || res.Nodes != 5000 {
+	if res, _ := checkHow(context.Background(), c, g, Options{MaxNodes: 5000}); res.Complete || res.Nodes != 5000 {
 		t.Fatalf("pigeonhole must still exhaust its budget: %+v", res)
 	}
 }
@@ -241,7 +239,7 @@ func escalationInstance(take func(n int) int) (c, g *logic.Clause) {
 func TestCheckClauseEscalationRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var tl tally
-	for trial := 0; trial < 1600; trial++ {
+	for trial := 0; trial < 3200; trial++ {
 		c, g := escalationInstance(r.Intn)
 		requireEscalation(t, fmt.Sprintf("random-%d", trial), c, g, &tl)
 	}
@@ -278,7 +276,7 @@ func FuzzCheckClauseEscalation(f *testing.F) {
 // never as a refutation, never as a complete answer.
 func TestEscalationCancellation(t *testing.T) {
 	c, g := chainNegative(t, 7, 6)
-	opts := Options{MaxNodes: 5000, Restarts: 0}.normalized()
+	opts := Options{MaxNodes: 5000}.normalized()
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -312,7 +310,7 @@ func TestEscalationCancellation(t *testing.T) {
 	hc, hg := hardInstance(t, 9)
 	ctx, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer stop()
-	res, how := checkHow(ctx, hc, hg, Options{MaxNodes: 1 << 30, Restarts: 0})
+	res, how := checkHow(ctx, hc, hg, Options{MaxNodes: 1 << 30})
 	if !res.Cancelled || res.Subsumes || res.Complete || res.Nodes <= probeNodes || how != bySearch {
 		t.Fatalf("cancelled past the stop: %+v by %d", res, how)
 	}
@@ -323,7 +321,7 @@ func TestEscalationCancellation(t *testing.T) {
 // exactly the literals independent checks keep.
 func TestForwardPassWholeRefuted(t *testing.T) {
 	c, g := chainNegative(t, 7, 6)
-	opts := Options{MaxNodes: 5000, Restarts: 0}
+	opts := Options{MaxNodes: 5000}
 	got := ForwardPass(context.Background(), c, CompileGround(nil, g), opts)
 	if !got.HeadMatches || got.Covers || !got.WholeRefuted {
 		t.Fatalf("expected the whole clause refuted at the stop, got %+v", got)
@@ -357,7 +355,7 @@ func TestCheckClauseStaleSymbolsPastTheStop(t *testing.T) {
 		t.Fatal("the clause must hold a symbol unresolved at compile time")
 	}
 	cg := CompileGround(in, g)
-	opts := Options{MaxNodes: 1 << 30, Restarts: 0}
+	opts := Options{MaxNodes: 1 << 30}
 	want := legacyCheck(context.Background(), c, g, opts)
 	got := CheckClauseCtx(context.Background(), cc, cg, opts)
 	if got != want || !got.Subsumes || got.Nodes <= probeNodes {
@@ -391,7 +389,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	posCC, posCG := CompileClause(in, pos), CompileGround(in, bg)
 	nc, ng := chainNegative(t, 7, 6)
 	negCC, negCG := CompileClause(in, nc), CompileGround(in, ng)
-	opts := Options{MaxNodes: 5000, Restarts: 0}
+	opts := Options{MaxNodes: 5000}
 
 	if res, how := checkHow(ctx, pos, bg, opts); !res.Subsumes || how != byProbe {
 		t.Fatalf("positive must be probe-decided: %+v by %d", res, how)

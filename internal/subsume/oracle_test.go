@@ -1,16 +1,24 @@
 package subsume
 
-// This file preserves the pre-interning, string-keyed matcher verbatim
-// (modulo renames and dropped instrumentation) as a reference
-// implementation. equiv_test.go asserts that CheckCompiled returns
-// bit-identical Results — same Subsumes/Complete/Cancelled and the same
-// node counts on every pass, including restart and budget-exhaustion
-// paths — so the compiled representation can never drift from the
-// legacy semantics unnoticed.
+// The package's reference implementations, in one place.
+//
+// legacyCheck preserves the pre-interning, string-keyed matcher verbatim
+// (modulo renames, dropped instrumentation and the randomized retry
+// loop, which left with its option). equiv_test.go asserts that CheckCompiled
+// returns bit-identical Results — same Subsumes/Complete/Cancelled and
+// the same node count, budget exhaustion included — so the compiled
+// representation can never drift from the legacy semantics unnoticed;
+// escalation_test.go holds the escalating test procedure to it.
+//
+// referenceForward is the armg forward pass as it ran before ForwardPass
+// existed: one from-scratch test for the head, one for the whole clause,
+// one per body literal over the kept prefix plus that literal — no
+// refuter, no incremental compilation. forward_test.go holds ForwardPass
+// to it on synthetic instances; the root TestARMGOracle does the same
+// over every bundled dataset's bottom clauses.
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/logic"
 )
@@ -33,6 +41,30 @@ func CheckCtx(ctx context.Context, c, g *logic.Clause, opts Options) Result {
 	return CheckCompiledCtx(ctx, c, CompileGround(nil, g), opts)
 }
 
+// referenceForward decides what ForwardPass decides with one independent
+// CheckCompiled per decision.
+func referenceForward(c *logic.Clause, cg *CompiledGround, opts Options) Forward {
+	var want Forward
+	if !CheckCompiled(&logic.Clause{Head: c.Head}, cg, opts).Subsumes {
+		return want
+	}
+	want.HeadMatches = true
+	if CheckCompiled(c, cg, opts).Subsumes {
+		want.Covers = true
+		return want
+	}
+	trial := &logic.Clause{Head: c.Head}
+	for i, lit := range c.Body {
+		trial.Body = append(trial.Body, lit)
+		if CheckCompiled(trial, cg, opts).Subsumes {
+			want.Kept = append(want.Kept, i)
+		} else {
+			trial.Body = trial.Body[:len(trial.Body)-1]
+		}
+	}
+	return want
+}
+
 func legacyCheck(ctx context.Context, c, g *logic.Clause, opts Options) Result {
 	opts = opts.normalized()
 	m, ok := newLegacyMatcher(c, g)
@@ -41,34 +73,15 @@ func legacyCheck(ctx context.Context, c, g *logic.Clause, opts Options) Result {
 	}
 	m.done = ctx.Done()
 
-	total := 0
 	m.maxNodes = opts.MaxNodes
-	found, exhausted := m.run(nil)
-	total += m.nodes
+	found, exhausted := m.run()
 	if found {
-		return Result{Subsumes: true, Complete: true, Nodes: total}
+		return Result{Subsumes: true, Complete: true, Nodes: m.nodes}
 	}
 	if m.cancelled {
-		return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: total}
+		return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: m.nodes}
 	}
-	if !exhausted {
-		return Result{Subsumes: false, Complete: true, Nodes: total}
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for r := 0; r < opts.Restarts; r++ {
-		found, exhausted = m.run(rng)
-		total += m.nodes
-		if found {
-			return Result{Subsumes: true, Complete: true, Nodes: total}
-		}
-		if m.cancelled {
-			return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: total}
-		}
-		if !exhausted {
-			return Result{Subsumes: false, Complete: true, Nodes: total}
-		}
-	}
-	return Result{Subsumes: false, Complete: false, Nodes: total}
+	return Result{Subsumes: false, Complete: !exhausted, Nodes: m.nodes}
 }
 
 type legacyCTerm struct {
@@ -95,7 +108,6 @@ type legacyMatcher struct {
 	remaining int
 	nodes     int
 	maxNodes  int
-	rng       *rand.Rand
 	done      <-chan struct{}
 	cancelled bool
 	buckets   [][]int
@@ -229,9 +241,8 @@ func (m *legacyMatcher) bucketRemove(li int) {
 	m.buckets[d] = b[:last]
 }
 
-func (m *legacyMatcher) run(rng *rand.Rand) (bool, bool) {
+func (m *legacyMatcher) run() (bool, bool) {
 	m.nodes = 0
-	m.rng = rng
 	m.remaining = len(m.lits)
 	for d := range m.buckets {
 		m.buckets[d] = m.buckets[d][:0]
@@ -420,9 +431,6 @@ func (m *legacyMatcher) solve() (bool, bool) {
 	cands := m.candidates(li)
 	if len(cands) == 0 {
 		return false, false
-	}
-	if m.rng != nil {
-		m.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	}
 
 	cl := &m.lits[li]

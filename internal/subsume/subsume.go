@@ -9,11 +9,9 @@
 // deterministic backtracking search with fail-first literal ordering
 // runs under a node budget, and an inconclusive outcome is reported as
 // "does not subsume", matching the paper's use of approximate coverage.
-// The randomized restarts of Kuzelka and Zelezny [29] (shuffled value
-// orderings after an exhausted pass) are implemented behind
-// Options.Restarts, but every path through the learner, the serving
-// layer and the CLIs passes Restarts: 0, so what runs there is the
-// single deterministic pass.
+// There is one deterministic pass per test: the randomized restarts of
+// Kuzelka and Zelezny [29] were never switched on by any caller and are
+// gone (DESIGN.md §21).
 //
 // A test escalates. Most are decided by the search within a few dozen
 // nodes, while the few that exhaust a budget of thousands own most of
@@ -50,8 +48,7 @@
 //
 // Concurrency contract: CheckCompiled(Ctx), CheckClauseCtx and
 // ForwardPass are pure with respect to shared state — every call binds
-// into search state of its own and, when restarts are needed,
-// seeds its own *rand.Rand from Options.Seed. A CompiledGround and a
+// into search state of its own. A CompiledGround and a
 // CompiledClause are immutable and safe to share. The outcome of a test
 // therefore depends only on (c, g, opts), never on which worker runs it
 // or in what order, which is what lets the parallel coverage engine in
@@ -60,7 +57,6 @@ package subsume
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 
 	"repro/internal/faultpoint"
@@ -70,14 +66,14 @@ import (
 
 // Options bounds the search.
 type Options struct {
-	// MaxNodes is the binding-attempt budget for the deterministic pass
-	// (and for each restart). <=0 selects a default of 100000.
+	// MaxNodes is the binding-attempt budget of a test. <=0 selects a
+	// default of 100000.
 	MaxNodes int
-	// Restarts is the number of randomized retries after an exhausted
-	// deterministic pass. <0 selects a default of 3; 0 disables restarts.
-	Restarts int
-	// Seed seeds the restart shuffles; 0 selects a fixed default so runs
-	// are reproducible.
+	// Seed is not read by subsumption, which draws nothing. It is the
+	// run seed a coverage engine carries beside its budget: the engine
+	// derives every ground bottom clause's RNG seed from this exact value
+	// (learn's deriveSeed, un-defaulted — golden theories depend on it),
+	// and artifacts and shard fingerprints record it.
 	Seed int64
 	// Metrics, when non-nil, receives per-test counters (tests run, nodes
 	// expanded, budget exhaustions). Subsumption totals are gauges: the
@@ -90,12 +86,6 @@ type Options struct {
 func (o Options) normalized() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 100000
-	}
-	if o.Restarts < 0 {
-		o.Restarts = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	return o
 }
@@ -183,8 +173,8 @@ func (m *matcher) check(ctx context.Context, cc *CompiledClause, cg *CompiledGro
 }
 
 // search runs the deterministic pass — with its one stop for the refuter
-// when the budget is above probeNodes — and, when it exhausts its
-// budget, the restarts over the clause the matcher currently holds.
+// when the budget is above probeNodes — over the clause the matcher
+// currently holds.
 func (m *matcher) search(ctx context.Context, opts Options) Result {
 	m.how = bySearch
 	if faultpoint.Enabled() {
@@ -198,43 +188,21 @@ func (m *matcher) search(ctx context.Context, opts Options) Result {
 	m.cancelled = false
 	m.done = ctx.Done()
 
-	total := 0
 	m.budget = opts.MaxNodes
 	m.maxNodes = min(opts.MaxNodes, probeNodes)
 	m.probing = opts.MaxNodes > probeNodes
-	found, exhausted := m.run(nil)
-	total += m.nodes
+	found, exhausted := m.run()
 	if m.probing {
 		// The pass ended short of the stop: it is the legacy pass.
 		m.probing, m.how = false, byProbe
 	}
-	if found {
-		return Result{Subsumes: true, Complete: true, Nodes: total}
+	switch {
+	case found:
+		return Result{Subsumes: true, Complete: true, Nodes: m.nodes}
+	case m.cancelled:
+		return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: m.nodes}
 	}
-	if m.cancelled {
-		return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: total}
-	}
-	if !exhausted || m.how == byRefuter {
-		return Result{Subsumes: false, Complete: true, Nodes: total}
-	}
-	if opts.Restarts == 0 {
-		return Result{Subsumes: false, Complete: false, Nodes: total}
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for r := 0; r < opts.Restarts; r++ {
-		found, exhausted = m.run(rng)
-		total += m.nodes
-		if found {
-			return Result{Subsumes: true, Complete: true, Nodes: total}
-		}
-		if m.cancelled {
-			return Result{Subsumes: false, Complete: false, Cancelled: true, Nodes: total}
-		}
-		if !exhausted {
-			return Result{Subsumes: false, Complete: true, Nodes: total}
-		}
-	}
-	return Result{Subsumes: false, Complete: false, Nodes: total}
+	return Result{Subsumes: false, Complete: !exhausted || m.how == byRefuter, Nodes: m.nodes}
 }
 
 // cTerm is a compiled candidate term: an interned constant value, or a
@@ -289,7 +257,6 @@ type matcher struct {
 	remaining int
 	nodes     int
 	maxNodes  int
-	rng       *rand.Rand
 	// The escalation: while probing, maxNodes is probeNodes and budget
 	// holds the caller's; how names what answered the test.
 	budget  int
@@ -325,7 +292,6 @@ var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 func (m *matcher) release() {
 	clear(m.lits)
 	m.cc.src = nil
-	m.rng = nil
 	m.done = nil
 	matcherPool.Put(m)
 }
@@ -534,10 +500,9 @@ func (m *matcher) bucketRemove(li int) {
 	m.buckets[d] = b[:last]
 }
 
-// run performs one (deterministic or randomized) search pass.
-func (m *matcher) run(rng *rand.Rand) (bool, bool) {
+// run performs one search pass.
+func (m *matcher) run() (bool, bool) {
 	m.nodes = 0
-	m.rng = rng
 	m.remaining = len(m.lits)
 	for d := range m.buckets {
 		m.buckets[d] = m.buckets[d][:0]
@@ -770,9 +735,6 @@ func (m *matcher) solve() (bool, bool) {
 	cands := m.candidates(li, depth)
 	if len(cands) == 0 {
 		return false, false
-	}
-	if m.rng != nil {
-		m.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 	}
 
 	cl := &m.lits[li]

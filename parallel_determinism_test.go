@@ -15,8 +15,15 @@ import (
 // armg.* among them), the same armg memo (the pairs the rounds planned
 // and stored), and the same intern table in the same id order — the
 // symbol table a model artifact records, which the sequential ground-BC
-// prefetch exists to keep stable.
+// prefetch exists to keep stable. The top-down search is held to the
+// same: its growth steps score whole frontiers through the pool, under
+// a scoring cap small enough that the run draws its samples.
 func TestLearnDeterministicAcrossWorkers(t *testing.T) {
+	learnDeterministicAcrossWorkers(t, Options{Method: MethodAutoBias, Seed: 2, Metrics: true})
+	learnDeterministicAcrossWorkers(t, Options{Method: MethodAleph, Seed: 2, Metrics: true, EvalSampleCap: 20})
+}
+
+func learnDeterministicAcrossWorkers(t *testing.T, opts Options) {
 	task := uwTask(t, 0.15)
 	type outcome struct {
 		theory   string
@@ -26,7 +33,8 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref outcome
 	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := Learn(task, Options{Method: MethodAutoBias, Seed: 2, Workers: workers, Metrics: true})
+		opts.Workers = workers
+		res, err := Learn(task, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,12 +46,15 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if workers == 1 {
 			ref = got
-			if got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0 {
+			if opts.Method == MethodAutoBias && (got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0) {
 				t.Fatalf("the run exercised no armg pass or no refutation: %v", got.counters)
+			}
+			if got.counters["learn.candidates"] == 0 || res.Clauses == 0 {
+				t.Fatalf("%s: the run scored no candidate or kept no clause: %v", opts.Method, got.counters)
 			}
 			continue
 		}
-		label := fmt.Sprintf("workers=%d", workers)
+		label := fmt.Sprintf("%s workers=%d", opts.Method, workers)
 		if got.theory != ref.theory {
 			t.Errorf("%s: theory diverges from workers=1:\n%s\nwant:\n%s", label, got.theory, ref.theory)
 		}

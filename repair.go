@@ -9,7 +9,6 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/ind"
 	"repro/internal/ingest"
-	"repro/internal/learn"
 	"repro/internal/metrics"
 )
 
@@ -78,7 +77,9 @@ type Repair struct {
 	// ingest.full_relearn.<reason> gauge.
 	FullRelearnReason string
 	// Unchanged reports the fast path: no dirty examples and no bias
-	// drift, so the previous theory is returned as-is.
+	// drift, so the previous theory is returned as-is. Never set under
+	// MethodAleph, whose search also reads the database's value
+	// frequencies: it replays instead.
 	Unchanged bool
 	// Elapsed is the repair's wall-clock time, end to end.
 	Elapsed time.Duration
@@ -103,7 +104,9 @@ const (
 )
 
 // RepairCtx incrementally maintains a learned theory after a committed
-// mutation batch (DESIGN.md §16). prev must be the result of LearnCtx
+// mutation batch (DESIGN.md §16), under any Method: the replay is the one
+// covering loop over carried verdicts, whichever clause search runs in
+// it. prev must be the result of LearnCtx
 // (or a previous RepairCtx) over the pre-batch database with these same
 // opts; task must carry the same examples, with task.DB now in its
 // post-batch state; commit is the batch's change summary from
@@ -116,9 +119,11 @@ const (
 // INDs incrementally, re-induce the bias and compare; when the bias is
 // stable, re-run the learner with the previous run's interner, ground
 // entries, and coverage verdicts carried over, minus the examples the
-// batch could have perturbed. The learner's decisions are a pure
-// function of its coverage verdicts, so the replay takes exactly the
-// cold run's path while skipping its dominant cost.
+// batch could have perturbed. The covering loop and the bottom-up search
+// decide on coverage verdicts alone, and the top-down search on verdicts
+// plus value frequencies it re-reads from the post-batch database, so
+// the replay takes exactly the cold run's path while skipping its
+// dominant cost.
 func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit, opts Options) (*Repair, error) {
 	start := time.Now()
 	mc := opts.collector()
@@ -127,9 +132,6 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 
 	if prev == nil || prev.Definition == nil || prev.engine == nil {
 		return nil, fmt.Errorf("autobias: repair needs a previous Learn result")
-	}
-	if opts.method() == MethodAleph {
-		return nil, fmt.Errorf("autobias: repair is not supported with MethodAleph")
 	}
 
 	finish := func(rep *Repair) *Repair {
@@ -211,7 +213,12 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 
 	candidates := prev.engine.AffectedExamples(commit.Values)
 	rep := &Repair{}
-	if len(candidates) == 0 {
+	// The FOIL search reads the live database besides its verdicts — the
+	// most frequent values of every # attribute, which a tuple in no
+	// example's BC can reorder or displace — so under MethodAleph an empty
+	// candidate set still replays: every verdict carried, the search re-run
+	// on the post-batch data.
+	if len(candidates) == 0 && opts.method() != MethodAleph {
 		// Fast path: no cached example's BC can differ, no bias drift —
 		// the previous theory is exactly what a re-learn would produce.
 		rep.Result = prev
@@ -226,7 +233,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return nil, err
 	}
 	res := &Result{Bias: b, Graph: graph, INDs: inds, db: task.DB, metrics: mc}
-	l := learn.New(task.DB, compiled, opts.learnOptions(mc))
+	l := opts.newLearner(task.DB, compiled, mc)
 	engine := l.Coverage()
 
 	// Narrow the value-level candidate set to the examples whose ground
@@ -258,7 +265,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	// were searched under, so a verdict can only differ because the data
 	// did — minus the collector: probe tests are not part of the run the
 	// counters describe.
-	probe := learn.New(task.DB, compiled, opts.learnOptions(nil)).Coverage()
+	probe := opts.newLearner(task.DB, compiled, nil).Coverage()
 	for _, c := range prev.Definition.Clauses {
 		ck := c.Key()
 		if err := faultpoint.Inject(ctx, "ingest.repair:"+ck); err != nil {

@@ -119,6 +119,52 @@ func TestShardDifferential(t *testing.T) {
 		}
 	})
 
+	t.Run("aleph-at-workers-1-4", func(t *testing.T) {
+		// The top-down search runs under the same covering loop (DESIGN.md
+		// §21), so it shards like the bottom-up one: a fleet built for
+		// MethodAleph, a scoring cap small enough that the run draws its
+		// samples from the RNG, and the sharded theory and held-out
+		// verdicts must be the local run's.
+		ds, err := autobias.GenerateDataset("uw", 0.1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := autobias.TaskFromDataset(ds)
+		heldPos, heldNeg := task.Pos[24:], task.Neg[60:]
+		task.Pos, task.Neg = task.Pos[:24], task.Neg[:60]
+		opts := autobias.Options{Method: autobias.MethodAleph, Seed: 1, EvalSampleCap: 20}
+		ref := localReference(t, ctx, task, opts)
+		fleet, err := testkit.StartShardFleet(task, opts, [][]string{{"a0"}, {"a1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		for _, w := range []int{1, 4} {
+			o := opts
+			o.Workers = w
+			o.Shard = &autobias.ShardOptions{Workers: fleet.URLs}
+			leg, err := testkit.Run(ctx, task, o, fmt.Sprintf("sharded-aleph(w=%d)", w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range diffVsReference(ref, leg) {
+				t.Error(d)
+			}
+			if leg.Snapshot.Gauges["shard.rpc_sent"] == 0 {
+				t.Errorf("%s sent no coverage RPC: the fleet was not used", leg.Label)
+			}
+			for _, e := range append(append([]autobias.Example(nil), heldPos...), heldNeg...) {
+				want, err := ref.Result.Covers(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := leg.Result.Covers(e); err != nil || got != want {
+					t.Errorf("%s: held-out %v: covered=%v err=%v, local run says %v", leg.Label, e, got, err, want)
+				}
+			}
+		}
+	})
+
 	t.Run("batch-faults-retry", func(t *testing.T) {
 		defer faultpoint.Reset()
 		// Faults on the batch-specific wire site: the 2nd and 3rd batched
