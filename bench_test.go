@@ -234,7 +234,9 @@ func (c *coverageCell) run(b *testing.B, workers int) {
 	count := func() int {
 		ce := learn.NewCoverage(c.newBuilder(), subsume.Options{})
 		ce.SetWorkers(workers)
-		ce.AdoptCarried(c.warm.ExtractCarried())
+		if _, _, err := ce.AdoptCarried(context.Background(), c.warm.ExtractCarried(), nil, nil); err != nil {
+			b.Fatal(err)
+		}
 		ns, err := ce.CountMany(context.Background(), []*logic.Clause{c.cand}, c.examples, len(c.examples)+1)
 		if err != nil {
 			b.Fatal(err)

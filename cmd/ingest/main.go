@@ -204,7 +204,7 @@ func repairNote(rep *autobias.Repair) string {
 	case rep.Unchanged:
 		return " (unchanged)"
 	case rep.FullRelearn:
-		return " (full re-learn: " + rep.FullRelearnReason + ")"
+		return " (full re-learn: bias drift)"
 	}
 	return ""
 }

@@ -11,7 +11,6 @@ package autobias_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -173,14 +172,5 @@ func entityLocalBatch(t *testing.T, task autobias.Task, n int) autobias.IngestBa
 	if rel == nil || rel.Len() == 0 {
 		t.Fatal("uw dataset is missing the publication relation")
 	}
-	person := rel.Snapshot()[0][1]
-	var muts []autobias.IngestMutation
-	for i := 0; i < n; i++ {
-		muts = append(muts, autobias.IngestMutation{
-			Op:       autobias.IngestInsert,
-			Relation: "publication",
-			Tuple:    []string{fmt.Sprintf("title_live_%03d", i), person},
-		})
-	}
-	return autobias.IngestBatch{Mutations: muts}
+	return entityBatch(rel.Snapshot()[0][1], n)
 }

@@ -1,9 +1,9 @@
 // Differential tests for the incremental-repair contract (DESIGN.md
 // §16): repair(theory, batch) must be semantically equivalent to a full
 // from-scratch re-learn on the post-batch database — bit-identical
-// theories when the repair path runs, identical held-out verdicts
-// always — for insert and delete batches, at workers 1/4/8, and across
-// the sharded transport. Chaos legs crash the commit and the repair at
+// theories, identical held-out verdicts — for insert and delete batches,
+// under every sampler, for commits repair cannot trust, at workers
+// 1/4/8, and across the sharded transport. Chaos legs crash the commit and the repair at
 // injected faultpoints and prove the retry stitches to the reference.
 package autobias_test
 
@@ -83,8 +83,10 @@ func randomBatch(t *testing.T, task autobias.Task, seed int64, inserts, deletes 
 
 // duplicateBatch re-inserts existing rows. Duplicates change tuple
 // multiplicities (and therefore lookup frontiers) without adding
-// distinct values, so the refreshed bias is guaranteed stable and the
-// incremental-repair path — not the drift fallback — handles the batch.
+// distinct values, so the INDs cannot move — but the induced bias still
+// can: multiplicities are what the constant threshold's frequencies are
+// made of, and seed 62, for one, drifts it. Legs that need the replay
+// path pin a seed that does not and say so through replayed.
 func duplicateBatch(t *testing.T, task autobias.Task, seed int64, n int) autobias.IngestBatch {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -103,6 +105,32 @@ func duplicateBatch(t *testing.T, task autobias.Task, seed int64, n int) autobia
 		t.Fatal("duplicateBatch produced no mutations")
 	}
 	return autobias.IngestBatch{Mutations: muts}
+}
+
+// entityBatch gives one person n new publications under fresh titles —
+// live-loop's commit shape. Fresh constants in the near-unique title
+// attribute leave the induced bias alone, and only the examples whose
+// bottom clauses reach the person can change.
+func entityBatch(person string, n int) autobias.IngestBatch {
+	var muts []autobias.IngestMutation
+	for i := 0; i < n; i++ {
+		muts = append(muts, autobias.IngestMutation{
+			Op:       autobias.IngestInsert,
+			Relation: "publication",
+			Tuple:    []string{fmt.Sprintf("title_live_%03d", i), person},
+		})
+	}
+	return autobias.IngestBatch{Mutations: muts}
+}
+
+// replayed fails the leg, naming the cause, when a fixture batch that was
+// chosen to exercise the repair path drifted the bias into the re-learn
+// instead — where every equivalence assertion holds vacuously.
+func replayed(t *testing.T, rep *autobias.Repair, label string) {
+	t.Helper()
+	if rep.FullRelearn {
+		t.Fatalf("%s: the fixture batch forced a full re-learn (BiasDrift=%v); the leg compared a re-learn with a re-learn", label, rep.BiasDrift)
+	}
 }
 
 // verdicts scores the held-out examples through a result's own coverage
@@ -130,11 +158,20 @@ func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers in
 	})
 }
 
+// repairFixture is the state between the commit and the repair, handed to
+// a leg's spoil hooks so they can make the commit one repair cannot trust.
+type repairFixture struct {
+	task   autobias.Task
+	ing    *autobias.Ingestor
+	prev   *autobias.Result
+	commit autobias.IngestCommit
+}
+
 // repairVsRelearnBatch is the contract check itself: learn → commit →
-// repair, against a from-scratch re-learn on the post-batch database.
-// Returns the repair outcome and the repaired theory for cross-leg
-// comparison.
-func repairVsRelearnBatch(t *testing.T, opts autobias.Options, label string, mkBatch func(autobias.Task) autobias.IngestBatch) (*autobias.Repair, string) {
+// (spoil) → repair, against a from-scratch re-learn on the database as
+// the repair found it. Returns the repair outcome and the repaired theory
+// for cross-leg comparison.
+func repairVsRelearnBatch(t *testing.T, opts autobias.Options, label string, mkBatch func(autobias.Task) autobias.IngestBatch, spoil ...func(*repairFixture)) (*autobias.Repair, string) {
 	t.Helper()
 	ctx := context.Background()
 	task, heldOut := liveTask(t)
@@ -148,19 +185,23 @@ func repairVsRelearnBatch(t *testing.T, opts autobias.Options, label string, mkB
 		t.Fatal("initial learn produced no clauses; the comparison is vacuous")
 	}
 
-	ing := autobias.NewIngestor(task.DB, nil)
-	commit, err := ing.Apply(ctx, mkBatch(task))
+	f := &repairFixture{task: task, ing: autobias.NewIngestor(task.DB, nil), prev: prev}
+	f.commit, err = f.ing.Apply(ctx, mkBatch(task))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if commit.Version != 1 {
-		t.Fatalf("commit version = %d, want 1", commit.Version)
+	if f.commit.Version != 1 {
+		t.Fatalf("commit version = %d, want 1", f.commit.Version)
+	}
+	for _, fn := range spoil {
+		fn(f)
 	}
 
-	rep, err := autobias.RepairCtx(ctx, prev, task, commit, opts)
+	rep, err := autobias.RepairCtx(ctx, f.prev, task, f.commit, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts.Collector = nil // the reference run is not part of what a leg measures
 	relearn, err := autobias.LearnCtx(ctx, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +244,8 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 		return entityLocalBatch(t, task, 6)
 	})
 	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
-		t.Errorf("aleph repair did not take the replay path: fullRelearn=%v (%s) unchanged=%v dirty=%d carriedHits=%d",
-			rep.FullRelearn, rep.FullRelearnReason, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
+		t.Errorf("aleph repair did not take the replay path: fullRelearn=%v unchanged=%v dirty=%d carriedHits=%d",
+			rep.FullRelearn, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
 	}
 
 	// The top-down search also reads the database directly: the ten most
@@ -215,11 +256,63 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 	// and the Unchanged shortcut would be wrong.
 	rep, theory := repairVsRelearnBatch(t, opts, "aleph constant-displacing", displacePhasesBatch)
 	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples != 0 {
-		t.Errorf("aleph repair over a BC-disjoint batch: fullRelearn=%v (%s) unchanged=%v dirty=%d, want a replay with nothing dirty",
-			rep.FullRelearn, rep.FullRelearnReason, rep.Unchanged, rep.DirtyExamples)
+		t.Errorf("aleph repair over a BC-disjoint batch: fullRelearn=%v unchanged=%v dirty=%d, want a replay with nothing dirty",
+			rep.FullRelearn, rep.Unchanged, rep.DirtyExamples)
 	}
 	if strings.Contains(theory, "inPhase(") {
 		t.Errorf("the batch displaced no constant the theory uses; the leg proves nothing:\n%s", theory)
+	}
+}
+
+// TestRepairEquivalenceSamplers: the exact check decides under every
+// sampler. Random and stratified sampling read relation-wide statistics
+// no value screen can bound, so every cached example is rebuilt — once —
+// and the ones a live-loop-shaped commit (new publications for a person
+// in a training example) really changed are replayed over everything
+// else, carried.
+func TestRepairEquivalenceSamplers(t *testing.T) {
+	for _, sampling := range []autobias.Sampling{autobias.SamplingRandom, autobias.SamplingStratified} {
+		theories := map[int]string{}
+		for _, w := range []int{1, 4} {
+			label := fmt.Sprintf("%v entity-local", sampling)
+			mc := autobias.NewMetricsCollector()
+			opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: w, Sampling: sampling, Collector: mc}
+			var learned map[string]int64
+			rep, theory := repairVsRelearnBatch(t, opts, label, func(task autobias.Task) autobias.IngestBatch {
+				return entityBatch(task.Pos[len(task.Pos)-1].Terms[0].Name, 6)
+			}, func(f *repairFixture) { learned = f.prev.Metrics.Counters })
+			theories[w] = theory
+			replayed(t, rep, label)
+			if rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+				t.Errorf("workers=%d %s: unchanged=%v dirty=%d carriedHits=%d, want a replay over carried verdicts",
+					w, label, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
+			}
+
+			// One ground-BC build per example per repair: every cached example
+			// checked, plus whatever the replay touches for the first time. A
+			// dirty example's rebuilt entry is installed by the check, so it is
+			// in entered but was built there, not again.
+			now := rep.Result.Metrics.Counters
+			cached, entered := learned["coverage.bc_built"], now["coverage.bc_built"]-learned["coverage.bc_built"]
+			checked := rep.Result.Metrics.Gauges["ingest.examples_checked"]
+			if checked != cached {
+				t.Errorf("workers=%d %s: checked %d of %d cached examples, want all of them", w, label, checked, cached)
+			}
+			built := now["bottom.ground_constructions"] - learned["bottom.ground_constructions"]
+			if want := checked + entered - int64(rep.DirtyExamples); built != want {
+				t.Errorf("workers=%d %s: %d ground BCs built, want %d (%d checked + %d entered - %d dirty)",
+					w, label, built, want, checked, entered, rep.DirtyExamples)
+			}
+			// Both phases are spans of their own, one of each per repair.
+			for _, name := range []string{"repair.check", "repair.replay"} {
+				if sp := rep.Result.Metrics.Spans[name]; sp.Count != 1 || sp.TotalNS <= 0 {
+					t.Errorf("workers=%d %s: span %s = %+v, want one timed span", w, label, name, sp)
+				}
+			}
+		}
+		if theories[4] != theories[1] {
+			t.Errorf("%v: repaired theories diverge across worker counts", sampling)
+		}
 	}
 }
 
@@ -302,6 +395,23 @@ func TestRepairFreshConstantsFastPath(t *testing.T) {
 	if rep.Result.Definition.String() != prev.Definition.String() {
 		t.Fatal("fast path returned a different theory")
 	}
+
+	// The same holds for a commit repair cannot trust: a second net-zero
+	// batch lands, the first commit now understates the delta, and the
+	// check over every cached example still finds nothing changed.
+	if _, err := ing.Apply(ctx, autobias.IngestBatch{Mutations: []autobias.IngestMutation{
+		{Op: autobias.IngestInsert, Relation: name, Tuple: tuple},
+		{Op: autobias.IngestDelete, Relation: name, Tuple: append([]string(nil), tuple...)},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = autobias.RepairCtx(ctx, prev, task, commit, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FullRelearn || !rep.Unchanged || rep.DirtyExamples != 0 || rep.Result != prev {
+		t.Fatalf("version-skewed net-zero commit: expected unchanged, got %+v", rep)
+	}
 }
 
 // TestRepairShardedTransport runs the repair leg over a live shard
@@ -328,9 +438,7 @@ func TestRepairShardedTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refRep.FullRelearn {
-		t.Fatal("duplicate-row batch must take the repair path, not the full-relearn fallback")
-	}
+	replayed(t, refRep, "duplicate batch 77")
 
 	// Sharded leg: identical problem, fleet workers built over the
 	// post-batch database.
@@ -410,119 +518,77 @@ func TestRepairCrashMidRepairResumes(t *testing.T) {
 	}
 }
 
-// TestRepairStaleCommitFallsBack pins the defensive fallbacks: a
-// commit whose version no longer matches the database (later batches
-// landed before repair ran), or one stripped of its change summary,
-// cannot drive the invalidation probe soundly and must degrade to a
-// full re-learn rather than replaying stale carried verdicts.
-func TestRepairStaleCommitFallsBack(t *testing.T) {
-	ctx := context.Background()
-	task, _ := liveTask(t)
+// TestRepairUntrustedCommitReplays: a commit whose version no longer
+// matches the database (later batches landed before repair ran), one
+// stripped of its change summary (a hand-built wire commit) and a
+// previous result that kept no INDs cannot drive the cheap paths — the
+// incremental IND refresh, the value screen — but none of them is a
+// reason to re-learn: repair rediscovers the INDs, checks every cached
+// example and replays, equal to the re-learn on the database as it
+// stands. Seeds 71 and 77 are pinned: their duplicate batches, alone and
+// one after the other, leave the induced bias alone, and 77's changes
+// ground BCs.
+func TestRepairUntrustedCommitReplays(t *testing.T) {
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
-	prev, err := autobias.LearnCtx(ctx, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing := autobias.NewIngestor(task.DB, nil)
-	commit, err := ing.Apply(ctx, duplicateBatch(t, task, 61, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second batch lands before repair runs with the first commit.
-	if _, err := ing.Apply(ctx, duplicateBatch(t, task, 62, 4)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := autobias.RepairCtx(ctx, prev, task, commit, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.FullRelearn || rep.FullRelearnReason != autobias.FullRelearnVersionSkew {
-		t.Fatalf("stale-version commit: FullRelearn=%v reason=%q, want a %s re-learn", rep.FullRelearn, rep.FullRelearnReason, autobias.FullRelearnVersionSkew)
-	}
-	relearn, err := autobias.LearnCtx(ctx, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Result.Definition.String() != relearn.Definition.String() {
-		t.Error("fallback theory diverges from re-learn")
-	}
-
-	// A commit that applied tuples but lost its change summary (a
-	// hand-built wire commit) must also fall back.
-	commit3, err := ing.Apply(ctx, duplicateBatch(t, task, 63, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit3.Values = nil
-	rep3, err := autobias.RepairCtx(ctx, relearn, task, commit3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep3.FullRelearn || rep3.FullRelearnReason != autobias.FullRelearnNoSummary {
-		t.Fatalf("summary-less commit: FullRelearn=%v reason=%q, want a %s re-learn", rep3.FullRelearn, rep3.FullRelearnReason, autobias.FullRelearnNoSummary)
-	}
-}
-
-// TestRepairFullRelearnReasons drives the fallbacks that depend on the
-// previous result and the options rather than on the commit, and checks
-// each is named on the Repair and counted under its own gauge. (The two
-// commit conditions are TestRepairStaleCommitFallsBack's.)
-func TestRepairFullRelearnReasons(t *testing.T) {
-	ctx := context.Background()
-	task, _ := liveTask(t)
-	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
-	prev, err := autobias.LearnCtx(ctx, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit, err := autobias.NewIngestor(task.DB, nil).Apply(ctx, duplicateBatch(t, task, 71, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	noINDs := *prev
-	noINDs.INDs = nil
-	random := opts
-	random.Sampling = autobias.SamplingRandom
 	for _, leg := range []struct {
-		reason string
-		prev   *autobias.Result
-		opts   autobias.Options
+		label string
+		seed  int64
+		spoil func(*repairFixture)
 	}{
-		{autobias.FullRelearnNoPrevINDs, &noINDs, opts},
-		{autobias.FullRelearnNonNaiveSampling, prev, random},
+		{"version-skewed commit", 71, func(f *repairFixture) {
+			if _, err := f.ing.Apply(context.Background(), duplicateBatch(t, f.task, 77, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"summary-less commit", 77, func(f *repairFixture) { f.commit.Values = nil }},
+		{"previous result without INDs", 77, func(f *repairFixture) {
+			noINDs := *f.prev
+			noINDs.INDs = nil
+			f.prev = &noINDs
+		}},
 	} {
-		leg.opts.Collector = autobias.NewMetricsCollector()
-		rep, err := autobias.RepairCtx(ctx, leg.prev, task, commit, leg.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", leg.reason, err)
+		rep, _ := repairVsRelearnBatch(t, opts, leg.label, func(task autobias.Task) autobias.IngestBatch {
+			return duplicateBatch(t, task, leg.seed, 4)
+		}, leg.spoil)
+		replayed(t, rep, leg.label)
+		if rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+			t.Errorf("%s: dirty=%d carriedHits=%d, want a replay over carried verdicts", leg.label, rep.DirtyExamples, rep.CarriedHits)
 		}
-		if !rep.FullRelearn || rep.FullRelearnReason != leg.reason || rep.BiasDrift || rep.Unchanged {
-			t.Errorf("%s: got FullRelearn=%v reason=%q drift=%v unchanged=%v", leg.reason, rep.FullRelearn, rep.FullRelearnReason, rep.BiasDrift, rep.Unchanged)
-		}
-		if got := leg.opts.Collector.Snapshot().Gauges["ingest.full_relearn."+leg.reason]; got != 1 {
-			t.Errorf("%s: gauge ingest.full_relearn.%s = %d, want 1", leg.reason, leg.reason, got)
-		}
-	}
-
-	// The repair path proper names no reason.
-	rep, err := autobias.RepairCtx(ctx, prev, task, commit, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullRelearn || rep.FullRelearnReason != "" {
-		t.Errorf("repair path: FullRelearn=%v reason=%q, want neither", rep.FullRelearn, rep.FullRelearnReason)
 	}
 }
 
-// TestRepairProbeSearchesTheRunsBudget: the invalidation probe compares
-// fresh verdicts with the carried ones, so it must search under the node
-// budget the carried ones were searched under — the facade's effective
-// 5000 — whether the caller spelled that budget out or left it unset; a
-// probe on the bare engine's 10000 could name a clause invalidated only
-// because it looked longer. Each spelling repairs the same chain of the
-// suite's duplicate-row batches, the ones that reach the probe instead
-// of drifting the bias.
+// TestRepairBiasDriftRelearns pins the one fallback left: a batch that
+// changes the induced bias invalidates every mode the learner searched
+// under, so repair re-learns from scratch, says so and counts it; the
+// repair path proper counts nothing. Seed 62's duplicate batch drifts the
+// bias (see duplicateBatch), seed 71's does not.
+func TestRepairBiasDriftRelearns(t *testing.T) {
+	for _, leg := range []struct {
+		seed     int64
+		relearns int64
+	}{{62, 1}, {71, 0}} {
+		mc := autobias.NewMetricsCollector()
+		opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, Collector: mc}
+		rep, _ := repairVsRelearnBatch(t, opts, fmt.Sprintf("seed=%d", leg.seed), func(task autobias.Task) autobias.IngestBatch {
+			return duplicateBatch(t, task, leg.seed, 4)
+		})
+		if drift := leg.relearns == 1; rep.FullRelearn != drift || rep.BiasDrift != drift {
+			t.Errorf("seed %d: FullRelearn=%v BiasDrift=%v, want both %v", leg.seed, rep.FullRelearn, rep.BiasDrift, drift)
+		}
+		if got := mc.Snapshot().Gauges["ingest.full_relearn.bias_drift"]; got != leg.relearns {
+			t.Errorf("seed %d: gauge ingest.full_relearn.bias_drift = %d, want %d", leg.seed, got, leg.relearns)
+		}
+	}
+}
+
+// TestRepairProbeSearchesTheRunsBudget: the check re-tests the previous
+// clauses on each changed example and compares with the carried verdicts,
+// so it must search under the node budget the carried ones were searched
+// under — the facade's effective 5000 — whether the caller spelled that
+// budget out or left it unset; a re-test on the bare engine's 10000 could
+// name a clause invalidated only because it looked longer. Each spelling
+// repairs the same chain of the suite's duplicate-row batches, the ones
+// that reach the re-test instead of drifting the bias.
 func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
 	ctx := context.Background()
 	batches := []struct {
@@ -547,9 +613,7 @@ func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.FullRelearn {
-				t.Fatalf("duplicate batch %d fell back to a full re-learn (%s); the probe never ran", b.seed, rep.FullRelearnReason)
-			}
+			replayed(t, rep, fmt.Sprintf("duplicate batch %d", b.seed))
 			chains[i] = append(chains[i], rep)
 			prev = rep.Result
 		}
@@ -569,7 +633,7 @@ func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
 		t.Logf("batch %d: %d dirty, %d invalidated", batches[k].seed, unset.DirtyExamples, len(unset.InvalidatedClauses))
 	}
 	if probed == 0 {
-		t.Fatal("no batch dirtied an example; the probe compared nothing")
+		t.Fatal("no batch dirtied an example; the check compared nothing")
 	}
 }
 

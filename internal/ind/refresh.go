@@ -2,6 +2,7 @@ package ind
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -26,7 +27,7 @@ import (
 // prior must come from a Discover (or Refresh) on the pre-batch
 // database under the same Options; passing a set computed under
 // different MaxError/MinDistinct breaks the carry step's soundness.
-func Refresh(ctx context.Context, d *db.Database, prior []IND, touched map[string]bool, opts Options) ([]IND, error) {
+func Refresh(ctx context.Context, d *db.Database, prior []IND, touched []string, opts Options) ([]IND, error) {
 	opts.normalize()
 	mc := opts.Metrics
 	spanStart := mc.StartSpan()
@@ -51,7 +52,7 @@ func Refresh(ctx context.Context, d *db.Database, prior []IND, touched map[strin
 				return nil, err
 			}
 			mc.Inc(metrics.INDCandidates)
-			if !touched[from.Relation] && !touched[to.Relation] {
+			if !slices.Contains(touched, from.Relation) && !slices.Contains(touched, to.Relation) {
 				// Untouched endpoints: the pre-batch verdict stands. A pair
 				// absent from prior was pruned (or its LHS filtered) then,
 				// and its inputs have not changed.

@@ -34,7 +34,7 @@ func TestRefreshMatchesDiscover(t *testing.T) {
 		prior := Discover(d, opts)
 
 		// Mutate one or two relations; leave the rest untouched.
-		touched := map[string]bool{"visit": true}
+		touched := []string{"visit"}
 		vr := d.Relation("visit")
 		for i := 0; i < 10; i++ {
 			if err := vr.Insert(db.Tuple{fmt.Sprintf("p%d", r.Intn(50)), fmt.Sprintf("c%d", r.Intn(12))}); err != nil {
@@ -46,7 +46,7 @@ func TestRefreshMatchesDiscover(t *testing.T) {
 			vr.DeleteBatch([]db.Tuple{append(db.Tuple(nil), snap[r.Intn(len(snap))]...)})
 		}
 		if trial%4 == 0 {
-			touched["person"] = true
+			touched = append(touched, "person")
 			if err := d.Insert("person", fmt.Sprintf("p%d", 100+trial), "c0"); err != nil {
 				t.Fatal(err)
 			}

@@ -20,14 +20,14 @@
 // polling: the ApplyAndNotify hook runs while the commit lock is still
 // held, so it observes the database holding exactly the batches up to
 // and including its own, in version order. The commit returns the
-// distinct constant values the batch touched, which is exactly the
-// input the repairer's invalidation probe needs.
+// relations and the distinct constant values the batch touched, the
+// inputs of the repairer's incremental IND refresh and value screen.
 package ingest
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,35 +69,14 @@ type Commit struct {
 	// delete count).
 	Inserted int `json:"inserted"`
 	Deleted  int `json:"deleted"`
-	// Touched names the relations the batch mutated.
-	Touched map[string]bool `json:"-"`
-	// Relations is Touched in sorted order, for wire responses.
+	// Relations names the relations the batch mutated, sorted.
 	Relations []string `json:"relations"`
 	// Values lists the distinct constant values appearing in mutated
-	// tuples, sorted — the invalidation probe input for incremental
-	// repair (learn.CoverageEngine.AffectedExamples). Serialized so a
-	// commit rehydrated from an HTTP response can still drive repair.
+	// tuples, sorted — the input of incremental repair's value screen
+	// (learn.CarriedState.AffectedExamples). Serialized, like
+	// Relations, so a commit rehydrated from an HTTP response drives
+	// repair exactly as the one Apply returned.
 	Values []string `json:"values"`
-}
-
-// UnmarshalJSON rehydrates a commit from its wire form, rebuilding the
-// Touched set (not serialized; Relations carries the same information)
-// so a commit decoded from an HTTP response is interchangeable with
-// the one Apply returned.
-func (c *Commit) UnmarshalJSON(data []byte) error {
-	type wire Commit
-	var w wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*c = Commit(w)
-	if c.Touched == nil && len(c.Relations) > 0 {
-		c.Touched = make(map[string]bool, len(c.Relations))
-		for _, name := range c.Relations {
-			c.Touched[name] = true
-		}
-	}
-	return nil
 }
 
 // Ingestor applies mutation batches to a database. Safe for concurrent
@@ -221,24 +200,22 @@ func (ing *Ingestor) ApplyAndNotify(ctx context.Context, b Batch, onCommit func(
 		return Commit{}, err
 	}
 
-	c := Commit{Touched: make(map[string]bool)}
+	var c Commit
 	for name, ts := range inserts {
 		if err := ing.d.Relation(name).InsertBatch(ts); err != nil {
 			// Unreachable after validation; surface rather than hide.
 			return Commit{}, fmt.Errorf("ingest: commit: %w", err)
 		}
 		c.Inserted += len(ts)
-		c.Touched[name] = true
+		c.Relations = append(c.Relations, name)
 	}
 	for name, ts := range deletes {
 		c.Deleted += ing.d.Relation(name).DeleteBatch(ts)
-		c.Touched[name] = true
-	}
-	c.Version = ing.d.AdvanceVersion()
-	for name := range c.Touched {
 		c.Relations = append(c.Relations, name)
 	}
+	c.Version = ing.d.AdvanceVersion()
 	sort.Strings(c.Relations)
+	c.Relations = slices.Compact(c.Relations)
 	for v := range values {
 		c.Values = append(c.Values, v)
 	}

@@ -46,8 +46,8 @@ func TestApplyCommitsAtomically(t *testing.T) {
 	if fmt.Sprint(c.Values) != fmt.Sprint(wantVals) {
 		t.Fatalf("Values = %v, want %v", c.Values, wantVals)
 	}
-	if !c.Touched["edge"] || !c.Touched["label"] {
-		t.Fatalf("Touched = %v", c.Touched)
+	if fmt.Sprint(c.Relations) != "[edge label]" {
+		t.Fatalf("Relations = %v, want each mutated relation once, sorted", c.Relations)
 	}
 	if d.Relation("edge").Count(db.Tuple{"n0", "n1"}) != 0 {
 		t.Fatal("delete not applied")
@@ -141,9 +141,9 @@ func TestApplyDeleteBeforeInsertOrderIndependent(t *testing.T) {
 	}
 }
 
-// A commit must survive the wire: Values serialized, Touched rebuilt
-// from Relations on rehydration — otherwise a client-side repair sees
-// an empty change summary and silently keeps a stale theory.
+// A commit must survive the wire whole — Values and Relations both
+// serialized — so a client-side repair is driven by the same change
+// summary as one run beside the ingestor.
 func TestCommitJSONRoundTrip(t *testing.T) {
 	d := testDB()
 	ing := New(d, nil)
@@ -165,8 +165,8 @@ func TestCommitJSONRoundTrip(t *testing.T) {
 	if fmt.Sprint(back.Values) != fmt.Sprint(c.Values) {
 		t.Fatalf("Values did not survive the wire: %v != %v", back.Values, c.Values)
 	}
-	if !back.Touched["edge"] || !back.Touched["label"] || len(back.Touched) != 2 {
-		t.Fatalf("Touched not rebuilt from Relations: %v", back.Touched)
+	if fmt.Sprint(back.Relations) != "[edge label]" {
+		t.Fatalf("Relations did not survive the wire: %v", back.Relations)
 	}
 	if back.Version != c.Version || back.Inserted != c.Inserted || back.Deleted != c.Deleted {
 		t.Fatalf("round-trip commit = %+v, want %+v", back, c)

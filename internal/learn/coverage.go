@@ -40,7 +40,7 @@ type Example = logic.Literal
 // Every ground BC has one provenance (DESIGN.md §19): it is built on a
 // clone of the engine's builder seeded from (seed, example), so it is a
 // pure function of (options, example) — the same clause in the learner,
-// a shard worker, a repair probe and a server, whatever was built before
+// a shard worker, a repair check and a server, whatever was built before
 // it and whichever goroutine builds it.
 //
 // The verdict surface is four verbs: Covers and DefinitionCovers for one

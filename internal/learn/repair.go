@@ -7,7 +7,10 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/faultpoint"
 	"repro/internal/logic"
+	"repro/internal/metrics"
+	"repro/internal/subsume"
 )
 
 // Incremental theory repair (DESIGN.md §16) re-runs the learner on the
@@ -23,12 +26,10 @@ import (
 // CarriedState is the portable coverage state extracted from a previous
 // run's engine, to be adopted by a fresh engine over the post-batch
 // database: a copy of the engine's clause store and ground-entry cache
-// plus its intern table. Dirty examples — those whose ground BC could
-// differ on the new database — are dropped from it before the replay, so
-// their verdicts are recomputed from scratch. It is only valid for a
-// repair run with identical learning options and seed: the store keys
-// clauses by canonical form, and a changed configuration would pair old
-// verdicts with clauses that mean something different.
+// plus its intern table. It is only valid for a repair run with identical
+// learning options and seed: the store keys clauses by canonical form,
+// and a changed configuration would pair old verdicts with clauses that
+// mean something different.
 type CarriedState struct {
 	// Interner is the previous engine's intern table. Carried compiled
 	// grounds and clauses hold ids from this table, so the adopting
@@ -49,7 +50,7 @@ type CarriedState struct {
 }
 
 // ExtractCarried snapshots the engine's coverage state for a repair run.
-// The maps are fresh copies; mutating them (DropExamples) does not
+// The maps are fresh copies; what AdoptCarried forgets from them does not
 // disturb the source engine, which may still be serving.
 func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 	ce.mu.RLock()
@@ -73,33 +74,6 @@ func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 	return cs
 }
 
-// DropExamples removes the given example keys from the carried state —
-// their ground entries and, in every record, their verdicts and armg
-// results — so the repair run recomputes them against the post-batch
-// database.
-func (cs *CarriedState) DropExamples(keys []string) {
-	for _, k := range keys {
-		delete(cs.Entries, k)
-		for _, rec := range cs.records {
-			delete(rec.verdicts, k)
-			for _, byEx := range rec.armg {
-				delete(byEx, k)
-			}
-		}
-	}
-}
-
-// Verdict reads one carried verdict by (clause canonical key, example
-// key); ok is false if the pair was dropped or never tested.
-func (cs *CarriedState) Verdict(clauseKey, exampleKey string) (v, ok bool) {
-	rec := cs.records[clauseKey]
-	if rec == nil {
-		return false, false
-	}
-	st, ok := rec.verdicts[exampleKey]
-	return st&vCovered != 0, ok
-}
-
 // ARMGPairs lists the (rendered clause, example key) pairs the carried
 // armg memo holds, sorted — the determinism suites compare it across
 // worker counts.
@@ -119,13 +93,32 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 }
 
 // AdoptCarried installs a previous run's coverage state on this engine,
-// which takes ownership of it. Must be called before the engine runs
-// (the SetWorkers contract): it replaces the intern table, the
-// ground-entry cache and the clause store, marking every verdict carried
-// so its first use is counted. A carried verdict answers without
-// fetching the ground BC or running subsumption — the cost incremental
-// repair saves.
-func (ce *CoverageEngine) AdoptCarried(cs *CarriedState) {
+// which takes ownership of it, minus what the batch invalidated — repair's
+// one invalidation step. Must be called before the engine runs (the
+// SetWorkers contract): it replaces the intern table, the ground-entry
+// cache and the clause store, marking every verdict carried so its first
+// use is counted. A carried verdict answers without fetching the ground
+// BC or running subsumption — the cost incremental repair saves.
+//
+// Each candidate (a key of cs.Entries; the example is its entry's head)
+// has its ground BC rebuilt once, on this engine's post-batch database,
+// and compared textually with the carried one. A ground BC is a pure
+// function of (options, example, data) under every sampler (DESIGN.md
+// §19), and a verdict or armg result of (options, clause, ground BC), so
+// an identical BC proves everything carried for the example still holds,
+// whatever the batch did. A changed one makes the example dirty: the
+// rebuilt entry takes the carried one's place, so the replay does not
+// build it again, and the example's verdicts and armg results leave
+// every record. A build that fails leaves the example without an entry —
+// the replay meets the failure where the cold run would; cancellation
+// aborts.
+//
+// flipped lists the keys of the prev clauses whose carried verdict on a
+// dirty example no longer holds. The re-tests run under this engine's
+// options — the budget the carried verdicts were searched under, so a
+// verdict can only differ because the data did — and are stored like any
+// other test of the run.
+func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, candidates []string, prev []*logic.Clause) (dirty, flipped []string, err error) {
 	ce.in = cs.Interner
 	ce.builder.SetInterner(cs.Interner)
 	for _, rec := range cs.records {
@@ -136,6 +129,60 @@ func (ce *CoverageEngine) AdoptCarried(cs *CarriedState) {
 	ce.mu.Lock()
 	ce.cache, ce.records = cs.Entries, cs.records
 	ce.mu.Unlock()
+
+	for _, key := range candidates {
+		old := ce.cache[key]
+		bc, err := ce.buildBC(ctx, key, old.bc.Head)
+		switch {
+		case isCtxErr(err):
+			return nil, nil, err
+		case err != nil:
+			delete(ce.cache, key)
+		case bc.String() == old.bc.String():
+			continue
+		default:
+			ce.cache[key] = NewGroundEntry(bc, subsume.CompileGround(ce.in, bc))
+			ce.mc.Inc(metrics.CoverageBCBuilt)
+			ce.mc.Inc(metrics.CoverageCGBuilt)
+		}
+		dirty = append(dirty, key)
+	}
+
+	// Re-test before forgetting: the comparison needs the carried verdict,
+	// and the fresh one, stored unmarked, is what the sweep below spares.
+	for _, c := range prev {
+		ck := c.Key()
+		if err := faultpoint.Inject(ctx, "ingest.repair:"+ck); err != nil {
+			return nil, nil, err
+		}
+		rec, changed := ce.record(c), false
+		for _, key := range dirty {
+			old, ent := rec.verdicts[key], ce.cache[key]
+			if old&vCarried == 0 || ent == nil {
+				continue
+			}
+			now, err := ce.settle(ctx, rec, c, key, func() (*GroundEntry, error) { return ent, nil })
+			if err != nil {
+				return nil, nil, err
+			}
+			ce.memoize(rec, key, now)
+			changed = changed || now != (old&vCovered != 0)
+		}
+		if changed {
+			flipped = append(flipped, ck)
+		}
+	}
+	for _, rec := range ce.records {
+		for _, key := range dirty {
+			if rec.verdicts[key]&vCarried != 0 {
+				delete(rec.verdicts, key)
+			}
+			for _, byEx := range rec.armg {
+				delete(byEx, key)
+			}
+		}
+	}
+	return dirty, flipped, nil
 }
 
 // CarriedHits reports how many distinct carried (clause, example)
@@ -144,82 +191,38 @@ func (ce *CoverageEngine) AdoptCarried(cs *CarriedState) {
 // share a record, so a verdict read through several of them counts once.
 func (ce *CoverageEngine) CarriedHits() int64 { return ce.carriedHits.Load() }
 
-// StaleExamples narrows a candidate dirty set to the examples whose
-// ground BC actually changed on the post-batch database. For each
-// candidate it rebuilds the BC (cache-free — the engine's own caches are
-// untouched) and compares it textually against the carried entry. A
-// coverage verdict is a pure function of (configuration, clause, ground
-// BC), so a bit-identical BC proves every carried verdict for that
-// example is still valid; only genuinely changed examples need
-// recomputation. This
-// is the second, exact filter behind AffectedExamples' value-level
-// screen: common constant values can mark most of the corpus as
-// possibly-affected while the batch leaves almost every BC untouched
-// (duplicate tuples, values in un-sampled rows), and a BC rebuild costs
-// microseconds against the seconds of subsumption work a dropped
-// example forces the replay to redo.
+// AffectedExamples returns, sorted, the keys of the carried examples whose
+// ground BC could differ after a data batch — the candidates AdoptCarried
+// checks exactly. Without screen that is every one of them. With it,
+// only those whose BC holds one of the given constant values, the values
+// of the batch's inserted and deleted tuples: an optimisation that spares
+// the rebuild of BCs the batch cannot have reached, sound under naive
+// sampling only and only when values is the whole delta.
 //
-// Candidates without a carried entry or without a known example object
-// are stale by definition. A construction error marks the example stale
-// (the replay reproduces the cold path's handling); context
-// cancellation aborts. Must be called on the repair engine before
-// AdoptCarried.
-func (ce *CoverageEngine) StaleExamples(ctx context.Context, cs *CarriedState, dirty []string, examples map[string]Example) ([]string, error) {
-	var stale []string
-	for _, key := range dirty {
-		old, haveOld := cs.Entries[key]
-		e, haveEx := examples[key]
-		if !haveOld || !haveEx {
-			stale = append(stale, key)
-			continue
-		}
-		bc, err := ce.buildBC(ctx, key, e)
-		if err != nil {
-			if isCtxErr(err) {
-				return nil, err
-			}
-			stale = append(stale, key)
-			continue
-		}
-		if bc.String() != old.bc.String() {
-			stale = append(stale, key)
-		}
-	}
-	slices.Sort(stale)
-	return stale, nil
-}
-
-// AffectedExamples returns, sorted, the keys of cached examples whose
-// ground BC could change after a data batch that inserted or deleted
-// tuples containing the given constant values.
-//
-// The invalidation argument (DESIGN.md §16): under naive sampling, BC
+// The screen's argument (DESIGN.md §16): under naive sampling, BC
 // construction grows each depth's frontier via rel.Lookup(attr, c) for
 // constants c already in the clause, so a tuple joins an example's BC
 // only if one of its values matches a constant already among the BC's
 // literals (the head contributes the example's own arguments). A tuple
 // sharing no value with the BC can never be a lookup candidate — it
 // neither adds literals nor perturbs the per-depth sample — so the BC
-// is unchanged. Values absent from the intern table appear in no cached
-// BC and are skipped outright. Callers using non-naive sampling
-// strategies must treat every example as affected (the relation-wide
-// MaxFrequency those strategies consult can shift under any mutation);
-// the facade enforces that fallback.
-func (ce *CoverageEngine) AffectedExamples(values []string) []string {
+// is unchanged. Values absent from the intern table appear in no carried
+// BC and are skipped outright. The other samplers consult relation-wide
+// statistics (MaxFrequency) any mutation can shift, so they get no
+// screen.
+func (cs *CarriedState) AffectedExamples(values []string, screen bool) []string {
 	ids := make(map[int32]bool, len(values))
 	for _, v := range values {
-		if id, ok := ce.in.Lookup(v); ok {
+		if id, ok := cs.Interner.Lookup(v); ok {
 			ids[id] = true
 		}
 	}
 	var keys []string
-	ce.mu.RLock()
-	for k, ent := range ce.cache {
-		if ent.cg.HasAnySymbol(ids) {
+	for k, ent := range cs.Entries {
+		if !screen || ent.cg.HasAnySymbol(ids) {
 			keys = append(keys, k)
 		}
 	}
-	ce.mu.RUnlock()
 	slices.Sort(keys)
 	return keys
 }

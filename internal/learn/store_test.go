@@ -2,9 +2,11 @@ package learn
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bottom"
+	"repro/internal/db"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/subsume"
@@ -103,10 +105,11 @@ func TestARMGMemoNotServedToRenamedTwin(t *testing.T) {
 	}
 }
 
-// TestDropExamplesReachesEveryRecord: dropping a dirty example removes
-// its ground entry and, in every record, its verdicts and armg results;
-// everything about the other examples is carried, and consuming a
-// carried verdict is counted once however many twins read it.
+// TestDropExamplesReachesEveryRecord: AdoptCarried's check finds the one
+// example whose ground BC the data change reached, installs its rebuilt
+// entry and removes, in every record, its carried verdicts and armg
+// results; everything about the other examples is carried, and consuming
+// a carried verdict is counted once however many twins read it.
 func TestDropExamplesReachesEveryRecord(t *testing.T) {
 	d, pos, _ := uwWorld(t, 12, 8)
 	builder := bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1})
@@ -128,47 +131,79 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dirty := pos[1].String()
 	cs := ce.ExtractCarried()
 	if pairs := cs.ARMGPairs(); len(pairs) != len(pos) {
 		t.Fatalf("carried armg memo holds %d pairs, want %d", len(pairs), len(pos))
 	}
-	cs.DropExamples([]string{dirty})
-	if _, ok := cs.Entries[dirty]; ok {
-		t.Error("dirty example's ground entry survived")
+	// The batch: p01 loses the paper it shares with s01, which changes the
+	// ground BC of advisedBy(s01,p01) alone and un-covers it for the
+	// co-publication clause.
+	dirty := pos[1].String()
+	if n := d.Relation("publication").DeleteBatch([]db.Tuple{{"t01", "p01"}}); n != 1 {
+		t.Fatalf("deleted %d tuples, want 1", n)
 	}
-	for _, c := range clauses {
-		if _, ok := cs.Verdict(c.Key(), dirty); ok {
-			t.Errorf("dirty example's verdict survived for %s", c.Key())
+	keys := make([]string, len(pos))
+	for i, e := range pos {
+		keys[i] = e.String()
+	}
+	repair := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	gotDirty, flipped, err := repair.AdoptCarried(ctx, cs, keys, clauses[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotDirty, []string{dirty}) {
+		t.Fatalf("dirty = %v, want just %s", gotDirty, dirty)
+	}
+	if !slices.Equal(flipped, []string{clauses[0].Key()}) {
+		t.Errorf("flipped = %q, want the co-publication clause alone", flipped)
+	}
+	rebuilt := repair.cache[dirty]
+	if rebuilt == nil || rebuilt == ce.cache[dirty] || rebuilt.bc.String() == ce.cache[dirty].bc.String() {
+		t.Error("the changed example's rebuilt ground entry was not installed")
+	}
+	if clean := pos[0].String(); repair.cache[clean] != ce.cache[clean] {
+		t.Error("an unchanged example's carried ground entry was replaced")
+	}
+	for i, c := range clauses {
+		rec := repair.record(c)
+		// The previous theory's clauses were re-tested on the rebuilt entry;
+		// any other clause's verdict on it is simply gone.
+		if v, ok := rec.verdicts[dirty]; ok != (i < 2) || v&vCarried != 0 {
+			t.Errorf("changed example's carried verdict survived for %s", c.Key())
 		}
-		if _, ok := cs.Verdict(c.Key(), pos[0].String()); !ok {
-			t.Errorf("clean example's verdict was dropped for %s", c.Key())
+		if v, ok := rec.verdicts[pos[0].String()]; !ok || v&vCarried == 0 {
+			t.Errorf("unchanged example's verdict was not carried for %s", c.Key())
 		}
 	}
 	for _, p := range cs.ARMGPairs() {
 		if p[1] == dirty {
-			t.Errorf("dirty example's armg result survived under %q", p[0])
+			t.Errorf("changed example's armg result survived under %q", p[0])
 		}
 	}
 	if got := len(cs.ARMGPairs()); got != len(pos)-1 {
-		t.Errorf("%d armg pairs after the drop, want %d", got, len(pos)-1)
+		t.Errorf("%d armg pairs after the check, want %d", got, len(pos)-1)
 	}
-	if _, ok := ce.lookup(ce.record(clauses[0]), dirty); !ok {
-		t.Error("dropping from the carried copy disturbed the source engine")
+	if covered, ok := ce.lookup(ce.record(clauses[0]), dirty); !ok || !covered {
+		t.Error("the check disturbed the source engine")
 	}
 
-	repair := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
-	repair.AdoptCarried(cs)
+	checked := repair.TestCount()
+	if checked != 2 {
+		t.Errorf("the check ran %d subsumption tests, want 2 (each previous clause on the changed example)", checked)
+	}
 	twin := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B).")
-	for _, c := range []*logic.Clause{clauses[0], twin} {
+	for _, c := range []*logic.Clause{clauses[0], twin, clauses[2]} {
 		if _, err := count(repair, c, pos); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if repair.TestCount() != 1 {
-		t.Errorf("replay ran %d subsumption tests, want 1 (the dirty example, once)", repair.TestCount())
+	if got := repair.TestCount() - checked; got != 1 {
+		t.Errorf("replay ran %d subsumption tests, want 1 (the one forgotten verdict)", got)
 	}
-	if hits := repair.CarriedHits(); hits != int64(len(pos)-1) {
-		t.Errorf("carried hits %d, want %d distinct verdicts consumed", hits, len(pos)-1)
+	if repair.cache[dirty] != rebuilt {
+		t.Error("the replay built the changed example's ground BC a second time")
+	}
+	if hits := repair.CarriedHits(); hits != int64(2*(len(pos)-1)) {
+		t.Errorf("carried hits %d, want %d distinct verdicts consumed", hits, 2*(len(pos)-1))
 	}
 }

@@ -361,6 +361,12 @@ const (
 	SpanDatagen
 	// SpanServePredict covers one predict request end to end.
 	SpanServePredict
+	// SpanRepairCheck covers an incremental repair's example check: the
+	// screen, the carried-state copy and the ground-BC rebuilds and
+	// re-tests of AdoptCarried. SpanRepairReplay covers the replay that
+	// follows (a learn.run span nests inside it).
+	SpanRepairCheck
+	SpanRepairReplay
 
 	numSpans
 )
@@ -375,6 +381,8 @@ var spanNames = [numSpans]string{
 	SpanEval:            "eval.evaluate",
 	SpanDatagen:         "datagen.generate",
 	SpanServePredict:    "serve.predict",
+	SpanRepairCheck:     "repair.check",
+	SpanRepairReplay:    "repair.replay",
 }
 
 type histState struct {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -210,6 +211,55 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorkerParseCachesAreBounded: a worker that has been sent more
+// distinct clause texts than its parse cache holds drops the cache and
+// carries on — the verdicts do not notice, and neither map outgrows its
+// bound.
+func TestWorkerParseCachesAreBounded(t *testing.T) {
+	w := NewWorker("b1", tinyEngine(t, 1), "deadbeef", WorkerOptions{})
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+
+	// One clause under maxCachedClauses+10 spellings: distinct texts to the
+	// parse cache, one record to the engine's store.
+	examples := []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)"}
+	want := []bool{true, false}
+	for from := 0; from < maxCachedClauses+10; from += w.opts.MaxBatchClauses {
+		var clauses []string
+		for i := from; i < from+w.opts.MaxBatchClauses; i++ {
+			clauses = append(clauses, fmt.Sprintf("advisedBy(A,B) :- publication(C%d,A), publication(C%d,B)", i, i))
+		}
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV2)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var br BatchCoverageResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		for i, bs := range br.Covered {
+			if got, ok := UnpackBits(bs, len(examples)); !ok || !slices.Equal(got, want) {
+				t.Fatalf("clause %d: verdicts %v, want %v", from+i, got, want)
+			}
+		}
+		if n := len(w.clauses); n > maxCachedClauses {
+			t.Fatalf("clause cache holds %d texts after %d distinct ones, bound %d", n, from+len(clauses), maxCachedClauses)
+		}
+	}
+	if n := len(w.clauses); n == 0 || n >= maxCachedClauses {
+		t.Errorf("clause cache holds %d texts; it was never reset and refilled", n)
+	}
+
+	for i := 0; i < maxCachedExamples+10; i++ {
+		if _, err := w.parseExample(fmt.Sprintf("advisedBy(s%d,p%d)", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(w.examples); n == 0 || n > maxCachedExamples {
+		t.Errorf("example cache holds %d texts, bound %d", n, maxCachedExamples)
+	}
 }
 
 // countLocal is the exact number of examples c covers on a local engine.

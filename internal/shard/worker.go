@@ -59,6 +59,16 @@ func (o WorkerOptions) normalized() WorkerOptions {
 	return o
 }
 
+// Bounds on a worker's parse caches. A long-lived worker sees a new
+// multi-KB clause text for every candidate any run ever sends it; past
+// the bound a cache is dropped wholesale and refills from the traffic at
+// hand, the way serve's doorkeeper resets. Constants, not options: the
+// caches only save parsing.
+const (
+	maxCachedClauses  = 4096
+	maxCachedExamples = 1 << 16
+)
+
 // Worker is one shard-worker service: a coverage engine behind the
 // httpx substrate. It answers POST /v2/coverage (a whole candidate
 // frontier with dictionary-referenced example sets and packed bitset
@@ -179,6 +189,9 @@ func (w *Worker) parseClause(s string) (*logic.Clause, error) {
 	if prev, ok := w.clauses[s]; ok {
 		c = prev // first parse wins: one pointer per text
 	} else {
+		if len(w.clauses) >= maxCachedClauses {
+			w.clauses = make(map[string]*logic.Clause)
+		}
 		w.clauses[s] = c
 	}
 	w.mu.Unlock()
@@ -197,6 +210,9 @@ func (w *Worker) parseExample(s string) (learn.Example, error) {
 		return learn.Example{}, err
 	}
 	w.mu.Lock()
+	if len(w.examples) >= maxCachedExamples {
+		w.examples = make(map[string]learn.Example)
+	}
 	w.examples[s] = e
 	w.mu.Unlock()
 	return e, nil
