@@ -138,6 +138,9 @@ type Builder struct {
 	// tree level) that contributed tuples to the build in progress;
 	// per-build state like done.
 	depthReached int
+	// snap is the database state the build in progress reads, pinned
+	// once per build so a concurrent commit is seen whole or not at all.
+	snap *db.Snapshot
 }
 
 // noteDepth raises the current build's reached-depth watermark.
@@ -237,7 +240,8 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 	}
 	b.done = ctx.Done()
 	b.depthReached = 0
-	defer func() { b.done = nil }()
+	b.snap = b.db.Snapshot()
+	defer func() { b.done, b.snap = nil, nil }()
 	mc := b.opts.Metrics
 	spanStart := mc.StartSpan()
 
@@ -465,7 +469,7 @@ func (b *Builder) naiveTuples(st *state, example logic.Literal) []foundTuple {
 				if st.full() {
 					break
 				}
-				rel := b.db.Relation(ra.Relation)
+				rel := b.snap.Relation(ra.Relation)
 				if rel == nil {
 					continue
 				}

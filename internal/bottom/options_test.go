@@ -70,7 +70,7 @@ func TestSampleUniformExactWhenFits(t *testing.T) {
 	d := table4(t)
 	c := table3Bias(t, d.Schema())
 	b := NewBuilder(d, c, Options{SampleSize: 100})
-	tuples := d.Relation("publication").Tuples
+	tuples := d.Relation("publication").Snapshot()
 	got := b.sampleUniform(tuples)
 	if len(got) != len(tuples) {
 		t.Fatalf("sample of undersized input must be identity: %d vs %d", len(got), len(tuples))
@@ -81,7 +81,7 @@ func TestSampleUniformNoDuplicates(t *testing.T) {
 	d := table4(t)
 	c := table3Bias(t, d.Schema())
 	b := NewBuilder(d, c, Options{SampleSize: 3})
-	tuples := d.Relation("publication").Tuples // 4 tuples
+	tuples := d.Relation("publication").Snapshot() // 4 tuples
 	for trial := 0; trial < 50; trial++ {
 		got := b.sampleUniform(tuples)
 		if len(got) != 3 {

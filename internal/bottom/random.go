@@ -35,7 +35,7 @@ func (b *Builder) expandRandom(values, types []string, depth int, out *[]foundTu
 		if *budget <= 0 || b.interrupted() {
 			return
 		}
-		rel := b.db.Relation(ra.Relation)
+		rel := b.snap.Relation(ra.Relation)
 		if rel == nil || rel.Len() == 0 {
 			continue
 		}

@@ -39,7 +39,7 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 	if *budget <= 0 || b.interrupted() {
 		return nil
 	}
-	rel := b.db.Relation(relName)
+	rel := b.snap.Relation(relName)
 	if rel == nil || rel.Len() == 0 {
 		return nil
 	}
@@ -106,7 +106,7 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 // constant-able attribute, or a single stratum holding everything when
 // the relation has no constant-able attribute (§4.3.2).
 func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, budget *int) []foundTuple {
-	rel := b.db.Relation(relName)
+	rel := b.snap.Relation(relName)
 	var constAttrs []int
 	for i := 0; i < rel.Schema.Arity(); i++ {
 		if b.bias.CanBeConstant(relName, i) {

@@ -119,16 +119,35 @@ type Dataset struct {
 // TargetArity returns the arity of the target relation.
 func (d *Dataset) TargetArity() int { return len(d.TargetAttrs) }
 
+// rowBuffer collects generated rows per relation, so Generate loads each
+// relation with one batch insert — one published version — rather than
+// one per tuple.
+type rowBuffer map[string][]db.Tuple
+
+func (b rowBuffer) MustInsert(relation string, values ...string) {
+	b[relation] = append(b[relation], values)
+}
+
 // Generate builds the named dataset ("uw", "hiv", "imdb", "flt", "sys")
 // in memory.
 func Generate(name string, cfg Config) (*Dataset, error) {
 	var d *db.Database
+	rows := rowBuffer{}
 	ds, err := GenerateTo(name, cfg, func(s *db.Schema) (TupleSink, error) {
 		d = db.New(s)
-		return d, nil
+		return rows, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for rel, ts := range rows {
+		r := d.Relation(rel)
+		if r == nil {
+			return nil, fmt.Errorf("datagen: %s: unknown relation %q", name, rel)
+		}
+		if err := r.InsertBatch(ts); err != nil {
+			return nil, fmt.Errorf("datagen: %s: %w", name, err)
+		}
 	}
 	ds.DB = d
 	return ds, nil

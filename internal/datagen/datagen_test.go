@@ -75,7 +75,7 @@ func TestPrefixConsistencyAcrossScales(t *testing.T) {
 		}
 		ids := make(map[string]map[int]bool)
 		for _, rel := range ds.DB.Schema().Names() {
-			for _, tuple := range ds.DB.Relation(rel).Tuples {
+			for _, tuple := range ds.DB.Relation(rel).Snapshot() {
 				for _, v := range tuple {
 					m := idPattern.FindStringSubmatch(v)
 					if m == nil {
@@ -234,7 +234,7 @@ func hivHasMotif(d *db.Database, comp string) bool {
 	for _, t := range atm.Lookup(1, comp) {
 		elemOf[t[0]] = t[2]
 	}
-	for _, b := range bnd.Tuples {
+	for _, b := range bnd.Snapshot() {
 		if b[3] != "double" {
 			continue
 		}
@@ -275,7 +275,7 @@ func TestHIVConcept(t *testing.T) {
 	for _, e := range ds.Neg {
 		negSet[e.Terms[0].Name] = true
 	}
-	for _, tp := range atm.Tuples {
+	for _, tp := range atm.Snapshot() {
 		if negSet[tp[1]] && tp[2] == "n" {
 			nInNeg = true
 			break

@@ -17,8 +17,8 @@ func (d *Database) WriteCSVDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("db: write csv dir: %w", err)
 	}
-	for _, name := range d.schema.Names() {
-		r := d.relations[name]
+	for _, r := range d.rels {
+		name := r.Schema.Name
 		f, err := os.Create(filepath.Join(dir, name+".csv"))
 		if err != nil {
 			return fmt.Errorf("db: write csv for %s: %w", name, err)
@@ -39,7 +39,7 @@ func writeRelationCSV(w io.Writer, r *Relation) error {
 	if err := cw.Write(r.Schema.Attributes); err != nil {
 		return err
 	}
-	for _, t := range r.Tuples {
+	for _, t := range r.Snapshot() {
 		if err := cw.Write(t); err != nil {
 			return err
 		}
@@ -90,6 +90,7 @@ func LoadCSVDir(dir string) (*Database, error) {
 		// separator), which cannot round-trip through our own writer and
 		// is vanishingly unlikely in hand-made data.
 		seen := make(map[string]int, len(l.rows))
+		ts := make([]Tuple, len(l.rows))
 		for i, row := range l.rows {
 			key := strings.Join(row, "\x1f")
 			if first, dup := seen[key]; dup {
@@ -97,14 +98,15 @@ func LoadCSVDir(dir string) (*Database, error) {
 					l.name, l.lines[i], strings.Join(row, ","), first)
 			}
 			seen[key] = l.lines[i]
-			if err := d.Insert(l.name, row...); err != nil {
-				return nil, fmt.Errorf("db: load %s.csv: line %d: %w", l.name, l.lines[i], err)
-			}
+			ts[i] = row
+		}
+		if err := d.Relation(l.name).InsertBatch(ts); err != nil {
+			return nil, fmt.Errorf("db: load %s.csv: %w", l.name, err)
 		}
 	}
 	// Pre-build every index while still single-threaded: loading is a
 	// one-time cost, and it keeps the concurrent learning phase from
-	// paying first-touch index construction under the relation locks.
+	// paying first-touch index construction.
 	d.BuildIndexes()
 	return d, nil
 }

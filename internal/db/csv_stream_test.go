@@ -102,13 +102,13 @@ func TestCSVStreamWriterMatchesWriteCSVDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range s.Names() {
-		want, got := d.Relation(name), back.Relation(name)
-		if want.Len() != got.Len() {
-			t.Fatalf("%s: %d tuples loaded, want %d", name, got.Len(), want.Len())
+		want, got := d.Relation(name).Snapshot(), back.Relation(name).Snapshot()
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d tuples loaded, want %d", name, len(got), len(want))
 		}
-		for i := range want.Tuples {
-			if !want.Tuples[i].Equal(got.Tuples[i]) {
-				t.Fatalf("%s: tuple %d = %v, want %v", name, i, got.Tuples[i], want.Tuples[i])
+		for i := range want {
+			if !want[i].Equal(got[i]) {
+				t.Fatalf("%s: tuple %d = %v, want %v", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -5,33 +5,21 @@
 // value frequencies for Olken-style sampling), all of which this engine
 // provides with per-attribute hash indexes.
 //
-// A Database is safe for concurrent readers: the per-attribute hash
-// indexes are built lazily on first use behind a reader/writer lock
-// (double-checked), so parallel coverage workers and concurrent
-// cross-validation folds can read the same relations without a
-// happens-before handoff.
-//
-// Mutation is synchronized with readers through the same lock: every
-// accessor captures a consistent (tuples, index) view under the read
-// lock, and a published index map is never mutated again — Insert
-// copy-on-writes already-built indexes under the write lock (appends
-// are position-stable, so the maintained index is byte-identical to a
-// cold rebuild, and the updated map is a fresh one published alongside
-// the grown tuple slice), while deletes copy-on-write the tuple slice
-// and invalidate the affected indexes for lazy rebuild — a reader that
-// captured the previous view keeps a consistent, immutable snapshot.
-// The explicit Invalidate/Rebuild entry points expose the same
-// machinery to callers that mutate Tuples directly (the load-phase
-// idiom some transforms use). Direct iteration of the exported Tuples
-// field remains safe only when no concurrent mutation is possible;
-// live-mutation deployments (internal/ingest) must go through the
-// accessors or Snapshot.
+// Storage is versioned and readers never lock (DESIGN.md §6): a
+// relation's state at one version is immutable and published through an
+// atomic pointer, Database.Snapshot pins every relation at one version,
+// and Database.Commit publishes every relation a batch touches at once,
+// with the advanced data version. An insert costs O(batch); a delete
+// rebuilds the relation it touches.
 package db
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -53,6 +41,21 @@ func (t Tuple) Equal(o Tuple) bool {
 		}
 	}
 	return true
+}
+
+// Key flattens a tuple into a map key ('\x00' cannot appear in CSV
+// values, so the join is unambiguous).
+func (t Tuple) Key() string {
+	n := 0
+	for _, v := range t {
+		n += len(v) + 1
+	}
+	b := make([]byte, 0, n)
+	for _, v := range t {
+		b = append(b, v...)
+		b = append(b, 0)
+	}
+	return string(b)
 }
 
 // RelationSchema names a relation and its attributes.
@@ -122,281 +125,219 @@ func (s *Schema) Names() []string { return append([]string(nil), s.order...) }
 // Len returns the number of relations.
 func (s *Schema) Len() int { return len(s.order) }
 
-// Relation is a stored relation instance with lazily built per-attribute
-// hash indexes and sampling statistics.
-type Relation struct {
-	Schema *RelationSchema
-	Tuples []Tuple
+// mergeDivisor: an attribute's delta is merged into a fresh base once it
+// holds more than 1/mergeDivisor as many values as the base. That bounds
+// what a commit copies by an eighth of the directory while a merge, which
+// copies the whole directory, stays amortized O(1) per inserted value.
+const mergeDivisor = 8
 
-	// mu guards the lazy index structures below. Reads take the read
-	// lock only until the index is known to exist; once published, an
-	// index map is never mutated again — inserts copy-on-write it,
-	// deletes invalidate it — so returning it and reading it outside
-	// the lock is safe even during concurrent mutation.
-	mu sync.RWMutex
-	// indexes[i] maps a value of attribute i to the positions of the
-	// tuples holding it. Built by buildIndex on first use.
-	indexes []map[string][]int
-	// maxFreq[i] is M_{R.B}: an upper bound (here: the exact maximum) on
-	// the frequency of any value in attribute i. Used by Olken sampling.
-	maxFreq []int
+// index is one attribute's value → postings directory at one version.
+// base holds the postings as of the last merge; delta, copy-on-write,
+// the complete postings of every value changed since, shadowing base.
+// A postings list is ascending and append-only: its backing array is
+// shared with later versions, which only write past its length.
+type index struct {
+	base, delta       map[string][]int
+	distinct, maxFreq int
 }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int {
-	r.mu.RLock()
-	n := len(r.Tuples)
-	r.mu.RUnlock()
-	return n
-}
-
-// Snapshot returns the current tuple slice under the read lock. The
-// returned slice is a consistent point-in-time view: mutations either
-// replace the slice (deletes) or append past its length (inserts), so
-// iterating it concurrently with mutation is safe.
-func (r *Relation) Snapshot() []Tuple {
-	r.mu.RLock()
-	ts := r.Tuples
-	r.mu.RUnlock()
-	return ts
-}
-
-// Insert appends a tuple, validating arity. Already-built indexes and
-// statistics are maintained incrementally — an append is
-// position-stable, so the maintained postings lists and max-frequency
-// values are byte-identical to a cold rebuild. Safe to run concurrently
-// with readers: the maintained indexes are copy-on-write (see
-// cloneIndexesLocked), so a reader holding the previously published
-// (tuples, index) pair keeps an immutable, consistent snapshot.
-func (r *Relation) Insert(t Tuple) error {
-	if len(t) != r.Schema.Arity() {
-		return fmt.Errorf("db: %s: tuple arity %d, want %d", r.Schema.Name, len(t), r.Schema.Arity())
+func buildIndex(ts []Tuple, attr int) *index {
+	x := &index{base: make(map[string][]int)}
+	for pos, t := range ts {
+		ps := append(x.base[t[attr]], pos)
+		x.base[t[attr]] = ps
+		x.maxFreq = max(x.maxFreq, len(ps))
 	}
-	r.mu.Lock()
-	r.cloneIndexesLocked()
-	r.insertLocked(t)
-	r.mu.Unlock()
-	return nil
+	x.distinct = len(x.base)
+	return x
 }
 
-// cloneIndexesLocked replaces every built attribute index with a fresh
-// shallow copy, so the maps already handed to readers by view() are
-// never mutated again (a concurrent read of a map being written is a
-// fatal runtime race). The postings slices are shared: an insert
-// appends past the old slice's length, which readers of the previous
-// snapshot never access — the same position-stability argument that
-// makes the shared Tuples append safe. Caller holds mu; call once per
-// locked mutation batch, before the first insertLocked.
-func (r *Relation) cloneIndexesLocked() {
-	for i, idx := range r.indexes {
-		if idx == nil {
-			continue
-		}
-		clone := make(map[string][]int, len(idx))
-		for v, ps := range idx {
-			clone[v] = ps
-		}
-		r.indexes[i] = clone
+func (x *index) postings(v string) []int {
+	if ps, ok := x.delta[v]; ok {
+		return ps
 	}
+	return x.base[v]
 }
 
-// insertLocked appends t and incrementally maintains whatever indexes
-// are already built. Caller holds mu and has already copy-on-written
-// the built indexes for this batch (cloneIndexesLocked).
-func (r *Relation) insertLocked(t Tuple) {
-	pos := len(r.Tuples)
-	r.Tuples = append(r.Tuples, t)
-	if r.indexes == nil {
-		return
-	}
-	for i := range r.indexes {
-		idx := r.indexes[i]
-		if idx == nil {
-			continue
+// appended returns the index after ts were appended at positions start,
+// start+1, …: byte-identical postings to a cold build over the grown
+// tuples, at a cost of O(len(ts) + len(x.delta)) between merges.
+func (x *index) appended(ts []Tuple, attr, start int) *index {
+	next := &index{base: x.base, delta: make(map[string][]int, len(x.delta)+len(ts)), distinct: x.distinct, maxFreq: x.maxFreq}
+	maps.Copy(next.delta, x.delta)
+	for i, t := range ts {
+		ps := next.postings(t[attr])
+		if len(ps) == 0 {
+			next.distinct++
 		}
-		ps := append(idx[t[i]], pos)
-		idx[t[i]] = ps
-		if len(ps) > r.maxFreq[i] {
-			r.maxFreq[i] = len(ps)
+		ps = append(ps, start+i)
+		next.delta[t[attr]] = ps
+		next.maxFreq = max(next.maxFreq, len(ps))
+	}
+	if len(next.delta) > len(next.base)/mergeDivisor {
+		base := make(map[string][]int, len(next.base)+len(next.delta))
+		maps.Copy(base, next.base)
+		maps.Copy(base, next.delta)
+		next.base, next.delta = base, nil
+	}
+	return next
+}
+
+// state is one relation at one version: an immutable prefix of the
+// relation's tuples and the attribute indexes over it. A missing index is
+// built on first use and filled in atomically, at most once per state.
+type state struct {
+	tuples []Tuple
+	idx    []atomic.Pointer[index]
+}
+
+func newState(arity int, ts []Tuple) *state {
+	return &state{tuples: ts, idx: make([]atomic.Pointer[index], arity)}
+}
+
+func (v *state) index(attr int) *index {
+	if x := v.idx[attr].Load(); x != nil {
+		return x
+	}
+	v.idx[attr].CompareAndSwap(nil, buildIndex(v.tuples, attr))
+	return v.idx[attr].Load()
+}
+
+// appended returns the next version with ts appended, maintaining every
+// index v has built.
+func (v *state) appended(ts []Tuple) *state {
+	next := newState(len(v.idx), append(v.tuples, ts...))
+	for i := range v.idx {
+		if x := v.idx[i].Load(); x != nil {
+			next.idx[i].Store(x.appended(ts, i, len(v.tuples)))
 		}
 	}
+	return next
 }
 
-// InsertBatch appends tuples under one lock acquisition, validating
-// every arity first so the batch applies completely or not at all.
-func (r *Relation) InsertBatch(ts []Tuple) error {
-	for _, t := range ts {
-		if len(t) != r.Schema.Arity() {
-			return fmt.Errorf("db: %s: tuple arity %d, want %d", r.Schema.Name, len(t), r.Schema.Arity())
-		}
-	}
-	r.mu.Lock()
-	r.cloneIndexesLocked()
-	for _, t := range ts {
-		r.insertLocked(t)
-	}
-	r.mu.Unlock()
-	return nil
-}
-
-// tupleKey flattens a tuple into a map key ('\x00' cannot appear in CSV
-// values, so the join is unambiguous).
-func tupleKey(t Tuple) string {
-	n := 0
-	for _, v := range t {
-		n += len(v) + 1
-	}
-	b := make([]byte, 0, n)
-	for _, v := range t {
-		b = append(b, v...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
-// Delete removes the first occurrence of t and reports whether one was
-// found. See DeleteBatch for the concurrency and index semantics.
-func (r *Relation) Delete(t Tuple) bool {
-	return r.DeleteBatch([]Tuple{t}) == 1
-}
-
-// DeleteBatch removes one occurrence per given tuple (bag semantics: a
-// tuple listed twice removes two occurrences) and returns how many were
-// removed. The surviving tuples are copied into a fresh slice — readers
-// holding the previous Snapshot keep a consistent view — and the
-// positional indexes are invalidated for lazy rebuild, since deletion
-// shifts positions.
-func (r *Relation) DeleteBatch(ts []Tuple) int {
-	if len(ts) == 0 {
-		return 0
-	}
+// without returns the next version with the first occurrence of each of
+// ts removed (bag semantics: a tuple listed twice removes two), and how
+// many were removed. Removal shifts positions, so every index v has built
+// is rebuilt.
+func (v *state) without(ts []Tuple) (*state, int) {
 	want := make(map[string]int, len(ts))
 	for _, t := range ts {
-		if len(t) == r.Schema.Arity() {
-			want[tupleKey(t)]++
-		}
+		want[t.Key()]++
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	removed := 0
-	kept := make([]Tuple, 0, len(r.Tuples))
-	for _, t := range r.Tuples {
-		if k := tupleKey(t); want[k] > 0 {
+	kept := make([]Tuple, 0, len(v.tuples))
+	for _, t := range v.tuples {
+		if k := t.Key(); want[k] > 0 {
 			want[k]--
-			removed++
 			continue
 		}
 		kept = append(kept, t)
 	}
+	removed := len(v.tuples) - len(kept)
 	if removed == 0 {
-		return 0
+		return v, 0
 	}
-	r.Tuples = kept
-	r.indexes = nil
-	r.maxFreq = nil
-	return removed
-}
-
-// Count returns how many occurrences of t the relation holds (the bag
-// multiplicity), via the first attribute's index.
-func (r *Relation) Count(t Tuple) int {
-	if len(t) != r.Schema.Arity() || len(t) == 0 {
-		return 0
-	}
-	n := 0
-	for _, cand := range r.Lookup(0, t[0]) {
-		if cand.Equal(t) {
-			n++
+	next := newState(len(v.idx), kept)
+	for i := range v.idx {
+		if v.idx[i].Load() != nil {
+			next.index(i)
 		}
 	}
-	return n
+	return next, removed
 }
 
-// Invalidate drops every built index and statistic so the next reader
-// rebuilds them lazily from the current tuples. It is the explicit
-// entry point for callers that mutate Tuples directly (transforms,
-// loaders); the batch mutation paths call it implicitly when needed.
-func (r *Relation) Invalidate() {
-	r.mu.Lock()
-	r.indexes = nil
-	r.maxFreq = nil
-	r.mu.Unlock()
+// next returns the version after ins are appended and then del removed,
+// and how many del removed.
+func (v *state) next(ins, del []Tuple) (*state, int) {
+	if len(ins) > 0 {
+		v = v.appended(ins)
+	}
+	if len(del) > 0 {
+		return v.without(del)
+	}
+	return v, 0
 }
 
-// Rebuild is Invalidate followed by an eager rebuild of every index —
-// the explicit counterpart of the lazy path, for callers that want the
-// rebuild cost paid at a known point instead of on first read.
-func (r *Relation) Rebuild() {
-	r.Invalidate()
-	r.BuildIndexes()
-}
-
-// buildIndexLocked materializes the index of attribute i from the
-// current tuples. Caller holds mu.
-func (r *Relation) buildIndexLocked(i int) {
-	if r.indexes == nil {
-		r.indexes = make([]map[string][]int, r.Schema.Arity())
-		r.maxFreq = make([]int, r.Schema.Arity())
+// values returns the distinct values of attribute attr, sorted.
+func (v *state) values(attr int) []string {
+	x := v.index(attr)
+	out := make([]string, 0, x.distinct)
+	for val := range x.base {
+		out = append(out, val)
 	}
-	if r.indexes[i] != nil {
-		return
-	}
-	idx := make(map[string][]int)
-	for pos, t := range r.Tuples {
-		idx[t[i]] = append(idx[t[i]], pos)
-	}
-	max := 0
-	for _, ps := range idx {
-		if len(ps) > max {
-			max = len(ps)
+	for val := range x.delta {
+		if _, ok := x.base[val]; !ok {
+			out = append(out, val)
 		}
 	}
-	r.indexes[i] = idx
-	r.maxFreq[i] = max
+	sort.Strings(out)
+	return out
 }
 
-// view returns, under one lock acquisition, the current tuple slice
-// together with the index and max frequency of attribute i, building
-// the index first if needed (double-checked: the fast path takes only
-// the read lock). The pair is consistent — the postings positions are
-// valid for exactly the returned slice — and the returned map is
-// immutable (mutation paths copy-on-write or replace it), which is
-// what keeps readers correct during concurrent mutation.
-func (r *Relation) view(i int) ([]Tuple, map[string][]int, int) {
-	r.mu.RLock()
-	if r.indexes != nil && r.indexes[i] != nil {
-		ts, idx, max := r.Tuples, r.indexes[i], r.maxFreq[i]
-		r.mu.RUnlock()
-		return ts, idx, max
-	}
-	r.mu.RUnlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buildIndexLocked(i)
-	return r.Tuples, r.indexes[i], r.maxFreq[i]
+// writer serializes one database's mutations. seq is odd while a
+// publication is in progress; Snapshot reads every relation's state
+// between two equal, even values of it.
+type writer struct {
+	mu      sync.Mutex
+	seq     atomic.Uint64
+	version atomic.Uint64
 }
 
-// BuildIndexes eagerly builds every attribute index. Call once after
-// loading so later concurrent readers never pay lazy construction.
-func (r *Relation) BuildIndexes() {
-	r.mu.Lock()
-	for i := 0; i < r.Schema.Arity(); i++ {
-		r.buildIndexLocked(i)
+type step struct {
+	r *Relation
+	v *state
+}
+
+// publish makes every step's state current at once, advancing the data
+// version if asked, and returns the version. Caller holds mu.
+func (w *writer) publish(steps []step, advance bool) uint64 {
+	w.seq.Add(1)
+	for _, s := range steps {
+		s.r.cur.Store(s.v)
 	}
-	r.mu.Unlock()
+	if advance {
+		w.version.Add(1)
+	}
+	w.seq.Add(1)
+	return w.version.Load()
+}
+
+// Relation is a stored relation. One from Database.Relation is a live
+// handle: every method call reads or publishes one version, so a handle
+// held across commits sees the latest data. One from Snapshot.Relation is
+// pinned to the snapshot's version and read-only. Every method is safe
+// for concurrent use.
+type Relation struct {
+	Schema *RelationSchema
+	w      *writer // nil when pinned
+	cur    atomic.Pointer[state]
+}
+
+func newRelation(rs *RelationSchema, w *writer) *Relation {
+	r := &Relation{Schema: rs, w: w}
+	r.cur.Store(newState(rs.Arity(), nil))
+	return r
+}
+
+// Len returns the number of tuples.
+func (r *Relation) Len() int { return len(r.cur.Load().tuples) }
+
+// Snapshot returns the current tuples, which callers must not modify.
+// The slice is capped at its length, so appending to it copies.
+func (r *Relation) Snapshot() []Tuple {
+	ts := r.cur.Load().tuples
+	return ts[:len(ts):len(ts)]
 }
 
 // Lookup returns the tuples whose attribute attr equals value.
 func (r *Relation) Lookup(attr int, value string) []Tuple {
-	ts, idx, _ := r.view(attr)
-	positions := idx[value]
-	if len(positions) == 0 {
+	v := r.cur.Load()
+	ps := v.index(attr).postings(value)
+	if len(ps) == 0 {
 		return nil
 	}
-	out := make([]Tuple, len(positions))
-	for i, p := range positions {
-		out[i] = ts[p]
+	out := make([]Tuple, len(ps))
+	for i, p := range ps {
+		out[i] = v.tuples[p]
 	}
 	return out
 }
@@ -404,96 +345,50 @@ func (r *Relation) Lookup(attr int, value string) []Tuple {
 // Frequency returns m_{R.attr}(value): how many tuples hold value in
 // attribute attr.
 func (r *Relation) Frequency(attr int, value string) int {
-	_, idx, _ := r.view(attr)
-	return len(idx[value])
+	return len(r.cur.Load().index(attr).postings(value))
 }
 
 // MaxFrequency returns M_{R.attr}: the maximum frequency of any value in
 // attribute attr (0 for an empty relation).
-func (r *Relation) MaxFrequency(attr int) int {
-	_, _, max := r.view(attr)
-	return max
-}
+func (r *Relation) MaxFrequency(attr int) int { return r.cur.Load().index(attr).maxFreq }
 
 // DistinctCount returns the number of distinct values in attribute attr.
-func (r *Relation) DistinctCount(attr int) int {
-	_, idx, _ := r.view(attr)
-	return len(idx)
-}
+func (r *Relation) DistinctCount(attr int) int { return r.cur.Load().index(attr).distinct }
 
 // DistinctValues returns the distinct values of attribute attr in sorted
 // order (sorted for determinism).
-func (r *Relation) DistinctValues(attr int) []string {
-	_, idx, _ := r.view(attr)
-	out := make([]string, 0, len(idx))
-	for v := range idx {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r *Relation) DistinctValues(attr int) []string { return r.cur.Load().values(attr) }
 
 // Contains reports whether value appears in attribute attr.
-func (r *Relation) Contains(attr int, value string) bool {
-	_, idx, _ := r.view(attr)
-	return len(idx[value]) > 0
-}
+func (r *Relation) Contains(attr int, value string) bool { return r.Frequency(attr, value) > 0 }
 
 // SelectIn returns σ_{attr ∈ values}(R): every tuple whose attribute attr
 // takes a value in the given set. This is the selection primitive used by
 // bottom-clause construction (paper Algorithm 2, line 7).
 func (r *Relation) SelectIn(attr int, values map[string]bool) []Tuple {
-	ts, idx, _ := r.view(attr)
+	v := r.cur.Load()
+	x := v.index(attr)
 	var out []Tuple
 	// Iterate the smaller side for efficiency on large relations.
-	if len(values) <= len(idx) {
+	if len(values) <= x.distinct {
 		keys := make([]string, 0, len(values))
-		for v := range values {
-			keys = append(keys, v)
+		for val := range values {
+			keys = append(keys, val)
 		}
 		sort.Strings(keys) // deterministic output order
-		for _, v := range keys {
-			for _, p := range idx[v] {
-				out = append(out, ts[p])
+		for _, k := range keys {
+			for _, p := range x.postings(k) {
+				out = append(out, v.tuples[p])
 			}
 		}
 		return out
 	}
-	for _, t := range ts {
+	for _, t := range v.tuples {
 		if values[t[attr]] {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// IndexDigest hashes the relation's complete index and statistics state
-// — every attribute's postings lists (values in sorted order, positions
-// in postings order) plus its max frequency — building missing indexes
-// first. Two relations whose streamed-mutation and cold-load index
-// states are byte-identical produce the same digest; the stress suite
-// pins that equivalence.
-func (r *Relation) IndexDigest() string {
-	h := sha256.New()
-	for i := 0; i < r.Schema.Arity(); i++ {
-		_, idx, max := r.view(i)
-		vals := make([]string, 0, len(idx))
-		for v := range idx {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		fmt.Fprintf(h, "attr %d max %d\n", i, max)
-		for _, v := range vals {
-			h.Write([]byte(v))
-			h.Write([]byte{0})
-			for _, p := range idx[v] {
-				h.Write([]byte(strconv.Itoa(p)))
-				h.Write([]byte{1})
-			}
-			h.Write([]byte{'\n'})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // SemiJoinValues computes the right semi-join primitive used in §4.2:
@@ -504,25 +399,119 @@ func (r *Relation) SemiJoinValues(attr int, leftValues map[string]bool) []Tuple 
 	return r.SelectIn(attr, leftValues)
 }
 
+// Count returns how many occurrences of t the relation holds (the bag
+// multiplicity), via the first attribute's index.
+func (r *Relation) Count(t Tuple) int {
+	v := r.cur.Load()
+	if len(t) != len(v.idx) || len(t) == 0 {
+		return 0
+	}
+	n := 0
+	for _, p := range v.index(0).postings(t[0]) {
+		if v.tuples[p].Equal(t) {
+			n++
+		}
+	}
+	return n
+}
+
+// IndexDigest hashes the relation's complete index and statistics state
+// — every attribute's postings lists (values in sorted order, positions
+// in postings order) plus its max frequency — building missing indexes
+// first. Streamed mutation and a cold load of the same tuples produce the
+// same digest; the stress suite and the merge-boundary test pin that.
+func (r *Relation) IndexDigest() string {
+	v := r.cur.Load()
+	h := sha256.New()
+	for i := range v.idx {
+		x := v.index(i)
+		fmt.Fprintf(h, "attr %d max %d\n", i, x.maxFreq)
+		for _, val := range v.values(i) {
+			h.Write([]byte(val))
+			h.Write([]byte{0})
+			for _, p := range x.postings(val) {
+				h.Write([]byte(strconv.Itoa(p)))
+				h.Write([]byte{1})
+			}
+			h.Write([]byte{'\n'})
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func (r *Relation) checkArity(ts []Tuple) error {
+	for _, t := range ts {
+		if len(t) != r.Schema.Arity() {
+			return fmt.Errorf("db: %s: tuple arity %d, want %d", r.Schema.Name, len(t), r.Schema.Arity())
+		}
+	}
+	return nil
+}
+
+// write publishes r's next version: ins appended, then del removed. It
+// returns how many del removed.
+func (r *Relation) write(ins, del []Tuple) int {
+	if r.w == nil {
+		panic("db: " + r.Schema.Name + ": a snapshot's relation is read-only")
+	}
+	r.w.mu.Lock()
+	defer r.w.mu.Unlock()
+	next, n := r.cur.Load().next(ins, del)
+	r.w.publish([]step{{r, next}}, false)
+	return n
+}
+
+// Insert appends a tuple, validating arity; see InsertBatch.
+func (r *Relation) Insert(t Tuple) error { return r.InsertBatch([]Tuple{t}) }
+
+// InsertBatch appends tuples as one new version, validating every arity
+// first so the batch applies completely or not at all. Built indexes and
+// statistics are maintained incrementally — appends are position-stable,
+// so they stay byte-identical to a cold build — at O(batch) cost.
+func (r *Relation) InsertBatch(ts []Tuple) error {
+	if err := r.checkArity(ts); err != nil {
+		return err
+	}
+	r.write(ts, nil)
+	return nil
+}
+
+// DeleteBatch removes one occurrence per given tuple (bag semantics: a
+// tuple listed twice removes two occurrences) as one new version and
+// returns how many were removed. The relation is rebuilt: its surviving
+// tuples are copied and its built indexes rebuilt over them.
+func (r *Relation) DeleteBatch(ts []Tuple) int { return r.write(nil, ts) }
+
+// BuildIndexes eagerly builds every attribute index of the current
+// version; every later version maintains them. Call once after loading,
+// before any concurrent write, so readers never pay lazy construction.
+func (r *Relation) BuildIndexes() {
+	v := r.cur.Load()
+	for i := range v.idx {
+		v.index(i)
+	}
+}
+
 // Database is a collection of relation instances over a schema.
 type Database struct {
-	schema    *Schema
-	relations map[string]*Relation
-
-	// version is the database's monotonically increasing data version:
-	// 0 for the loaded snapshot, advanced once per committed mutation
-	// batch (internal/ingest). Every downstream consumer — repair,
-	// model artifacts, the shard dictionary protocol — names the
+	schema *Schema
+	rels   []*Relation // schema order
+	pos    map[string]int
+	// w is shared with the databases Extend derives, whose relations are
+	// d's own; version lives in it. The version is 0 for the loaded
+	// snapshot and advances once per Commit; every downstream consumer —
+	// repair, model artifacts, the shard dictionary protocol — names the
 	// snapshot it computed against by this number.
-	version atomic.Uint64
+	w *writer
 }
 
 // New creates a database with empty instances for every relation in the
 // schema.
 func New(schema *Schema) *Database {
-	d := &Database{schema: schema, relations: make(map[string]*Relation, schema.Len())}
+	d := &Database{schema: schema, pos: make(map[string]int, schema.Len()), w: &writer{}}
 	for _, name := range schema.Names() {
-		d.relations[name] = &Relation{Schema: schema.Relation(name)}
+		d.pos[name] = len(d.rels)
+		d.rels = append(d.rels, newRelation(schema.Relation(name), d.w))
 	}
 	return d
 }
@@ -531,11 +520,16 @@ func New(schema *Schema) *Database {
 func (d *Database) Schema() *Schema { return d.schema }
 
 // Relation returns the named relation instance, or nil.
-func (d *Database) Relation(name string) *Relation { return d.relations[name] }
+func (d *Database) Relation(name string) *Relation {
+	if i, ok := d.pos[name]; ok {
+		return d.rels[i]
+	}
+	return nil
+}
 
 // Insert adds a tuple to the named relation.
 func (d *Database) Insert(relation string, values ...string) error {
-	r := d.relations[relation]
+	r := d.Relation(relation)
 	if r == nil {
 		return fmt.Errorf("db: unknown relation %q", relation)
 	}
@@ -551,73 +545,125 @@ func (d *Database) MustInsert(relation string, values ...string) {
 
 // TotalTuples returns the number of tuples across all relations.
 func (d *Database) TotalTuples() int {
-	n := 0
-	for _, r := range d.relations {
-		n += r.Len()
+	s, n := d.Snapshot(), 0
+	for i := range s.rels {
+		n += s.rels[i].Len()
 	}
 	return n
 }
 
 // BuildIndexes eagerly indexes every relation.
 func (d *Database) BuildIndexes() {
-	for _, name := range d.schema.Names() {
-		d.relations[name].BuildIndexes()
-	}
-}
-
-// InvalidateAll drops every relation's built indexes and statistics for
-// lazy rebuild — the database-wide explicit invalidation entry point.
-func (d *Database) InvalidateAll() {
-	for _, name := range d.schema.Names() {
-		d.relations[name].Invalidate()
+	for _, r := range d.rels {
+		r.BuildIndexes()
 	}
 }
 
 // Version returns the database's current data version (0 = the loaded
 // snapshot, before any committed mutation batch).
-func (d *Database) Version() uint64 { return d.version.Load() }
-
-// AdvanceVersion atomically increments the data version and returns the
-// new value. Called once per committed mutation batch by the ingestion
-// layer; the returned number names the post-batch snapshot.
-func (d *Database) AdvanceVersion() uint64 { return d.version.Add(1) }
+func (d *Database) Version() uint64 { return d.w.version.Load() }
 
 // IndexDigest hashes every relation's index and statistics state in
-// schema order; see Relation.IndexDigest.
+// schema order, from one snapshot; see Relation.IndexDigest.
 func (d *Database) IndexDigest() string {
-	h := sha256.New()
-	for _, name := range d.schema.Names() {
-		fmt.Fprintf(h, "rel %s %s\n", name, d.relations[name].IndexDigest())
+	s, h := d.Snapshot(), sha256.New()
+	for i := range s.rels {
+		fmt.Fprintf(h, "rel %s %s\n", s.rels[i].Schema.Name, s.rels[i].IndexDigest())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// Commit applies one batch — every insert, then every delete, per
+// relation, with InsertBatch's and DeleteBatch's semantics — and
+// publishes all the relations it touches at once with the data version
+// advanced by one, which it returns. An unknown relation or a wrong arity
+// is an error before anything is applied.
+func (d *Database) Commit(inserts, deletes map[string][]Tuple) (uint64, error) {
+	for _, batch := range []map[string][]Tuple{inserts, deletes} {
+		for name, ts := range batch {
+			r := d.Relation(name)
+			if r == nil {
+				return 0, fmt.Errorf("db: unknown relation %q", name)
+			}
+			if err := r.checkArity(ts); err != nil {
+				return 0, err
+			}
+		}
+	}
+	d.w.mu.Lock()
+	defer d.w.mu.Unlock()
+	var steps []step
+	for _, r := range d.rels {
+		if ins, del := inserts[r.Schema.Name], deletes[r.Schema.Name]; len(ins)+len(del) > 0 {
+			next, _ := r.cur.Load().next(ins, del)
+			steps = append(steps, step{r, next})
+		}
+	}
+	return d.w.publish(steps, true), nil
+}
+
+// Snapshot is one published state of a database: every relation pinned
+// at one version, and the data version they make up. It never changes;
+// pin one to read a consistent state across many calls while commits go
+// on.
+type Snapshot struct {
+	d       *Database
+	version uint64
+	rels    []Relation
+}
+
+// Snapshot returns the database's current state. It never waits for a
+// lock: it reads every relation's state between two equal, even values of
+// the writer's sequence, and reads again if a publication overlapped.
+func (d *Database) Snapshot() *Snapshot {
+	for {
+		if seq := d.w.seq.Load(); seq&1 == 0 {
+			s := &Snapshot{d: d, version: d.w.version.Load(), rels: make([]Relation, len(d.rels))}
+			for i, r := range d.rels {
+				s.rels[i].Schema = r.Schema
+				s.rels[i].cur.Store(r.cur.Load())
+			}
+			if d.w.seq.Load() == seq {
+				return s
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// Version returns the data version the snapshot holds.
+func (s *Snapshot) Version() uint64 { return s.version }
+
+// Relation returns the named relation pinned at the snapshot's version,
+// or nil.
+func (s *Snapshot) Relation(name string) *Relation {
+	if i, ok := s.d.pos[name]; ok {
+		return &s.rels[i]
+	}
+	return nil
+}
+
 // Extend returns a new database view that shares every relation instance
-// of d (no tuple copying) and adds one extra relation with the given
-// tuples. It is used to treat the training examples of the target
-// relation as a pseudo-relation during IND discovery and bias induction.
+// of d (no tuple copying), its writer and its version, and adds one extra
+// relation with the given tuples. It is used to treat the training
+// examples of the target relation as a pseudo-relation during IND
+// discovery and bias induction.
 func Extend(d *Database, name string, attributes []string, tuples []Tuple) (*Database, error) {
 	schema := NewSchema()
-	for _, n := range d.schema.Names() {
-		rs := d.schema.Relation(n)
-		if err := schema.Add(n, rs.Attributes...); err != nil {
+	for _, r := range d.rels {
+		if err := schema.Add(r.Schema.Name, r.Schema.Attributes...); err != nil {
 			return nil, err
 		}
 	}
 	if err := schema.Add(name, attributes...); err != nil {
 		return nil, err
 	}
-	ext := &Database{schema: schema, relations: make(map[string]*Relation, schema.Len())}
-	for _, n := range d.schema.Names() {
-		ext.relations[n] = d.relations[n]
-	}
-	extra := &Relation{Schema: schema.Relation(name)}
-	for _, t := range tuples {
-		if err := extra.Insert(t); err != nil {
-			return nil, err
-		}
+	extra := newRelation(schema.Relation(name), d.w)
+	if err := extra.InsertBatch(tuples); err != nil {
+		return nil, err
 	}
 	extra.BuildIndexes()
-	ext.relations[name] = extra
+	ext := &Database{schema: schema, rels: append(slices.Clone(d.rels), extra), pos: maps.Clone(d.pos), w: d.w}
+	ext.pos[name] = len(d.rels)
 	return ext, nil
 }

@@ -200,12 +200,13 @@ func TestCSVRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(a.Schema.Attributes, b.Schema.Attributes) {
 			t.Fatalf("%s attributes differ", name)
 		}
-		if len(a.Tuples) != len(b.Tuples) {
+		at, bt := a.Snapshot(), b.Snapshot()
+		if len(at) != len(bt) {
 			t.Fatalf("%s tuple count differs", name)
 		}
-		for i := range a.Tuples {
-			if !a.Tuples[i].Equal(b.Tuples[i]) {
-				t.Fatalf("%s tuple %d differs: %v vs %v", name, i, a.Tuples[i], b.Tuples[i])
+		for i := range at {
+			if !at[i].Equal(bt[i]) {
+				t.Fatalf("%s tuple %d differs: %v vs %v", name, i, at[i], bt[i])
 			}
 		}
 	}
@@ -223,11 +224,14 @@ func TestLoadCSVDirErrors(t *testing.T) {
 // --- property-based tests -------------------------------------------------
 
 func randomRelation(r *rand.Rand, nTuples int) *Relation {
-	rs := &RelationSchema{Name: "r", Attributes: []string{"a", "b"}}
-	rel := &Relation{Schema: rs}
+	s := NewSchema()
+	s.MustAdd("r", "a", "b")
+	rel := New(s).Relation("r")
 	vals := []string{"v0", "v1", "v2", "v3", "v4", "v5"}
 	for i := 0; i < nTuples; i++ {
-		rel.Tuples = append(rel.Tuples, Tuple{vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]})
+		if err := rel.Insert(Tuple{vals[r.Intn(len(vals))], vals[r.Intn(len(vals))]}); err != nil {
+			panic(err)
+		}
 	}
 	return rel
 }
@@ -239,7 +243,7 @@ func TestPropIndexMatchesScan(t *testing.T) {
 		rel := randomRelation(r, r.Intn(50))
 		for attr := 0; attr < 2; attr++ {
 			freq := map[string]int{}
-			for _, tp := range rel.Tuples {
+			for _, tp := range rel.Snapshot() {
 				freq[tp[attr]]++
 			}
 			for v, want := range freq {

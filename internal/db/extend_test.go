@@ -21,8 +21,8 @@ func TestExtendSharesRelations(t *testing.T) {
 	if adv == nil || adv.Len() != 2 {
 		t.Fatalf("advisedBy = %v", adv)
 	}
-	if !adv.Tuples[0].Equal(Tuple{"juan", "sarita"}) {
-		t.Fatalf("tuple 0 = %v", adv.Tuples[0])
+	if got := adv.Snapshot()[0]; !got.Equal(Tuple{"juan", "sarita"}) {
+		t.Fatalf("tuple 0 = %v", got)
 	}
 	// The original database is untouched.
 	if d.Relation("advisedBy") != nil {

@@ -40,7 +40,7 @@ func TestInsertMaintainsIndexesIncrementally(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cold.Relation("edge").Invalidate() // cold: rebuild lazily from scratch
+	// cold never built an index: its digest builds them from scratch.
 	if got, want := inc.IndexDigest(), cold.IndexDigest(); got != want {
 		t.Fatalf("incremental index digest %s != cold rebuild digest %s", got, want)
 	}
@@ -61,8 +61,8 @@ func TestDeleteBatchBagSemantics(t *testing.T) {
 	if got := rel.Count(Tuple{"a", "b"}); got != 1 {
 		t.Fatalf("after delete Count = %d, want 1", got)
 	}
-	if rel.Delete(Tuple{"z", "z"}) {
-		t.Fatal("Delete of absent tuple reported true")
+	if n := rel.DeleteBatch([]Tuple{{"z", "z"}}); n != 0 {
+		t.Fatalf("DeleteBatch of an absent tuple removed %d", n)
 	}
 	if n := rel.DeleteBatch([]Tuple{{"a", "b"}, {"a", "b"}}); n != 1 {
 		t.Fatalf("over-delete removed %d, want 1", n)
@@ -76,36 +76,22 @@ func TestDeleteBatchBagSemantics(t *testing.T) {
 	}
 }
 
-func TestInvalidateRebuildEntryPoints(t *testing.T) {
-	d := seedMutDB(t)
-	rel := d.Relation("edge")
-	before := rel.IndexDigest()
-	// Direct tuple mutation (the transform/loader idiom) followed by the
-	// explicit invalidation entry point must be equivalent to a cold load.
-	rel.Tuples = append(rel.Tuples, Tuple{"x", "y"})
-	rel.Invalidate()
-	if !rel.Contains(0, "x") {
-		t.Fatal("invalidated index did not pick up the direct mutation")
-	}
-	if rel.IndexDigest() == before {
-		t.Fatal("digest unchanged after mutation + invalidate")
-	}
-	rel.Rebuild()
-	if !rel.Contains(1, "y") {
-		t.Fatal("rebuilt index lost the mutation")
-	}
-}
-
 func TestDatabaseVersionMonotonic(t *testing.T) {
 	d := seedMutDB(t)
 	if d.Version() != 0 {
 		t.Fatalf("fresh database version = %d, want 0", d.Version())
 	}
-	if v := d.AdvanceVersion(); v != 1 {
-		t.Fatalf("AdvanceVersion = %d, want 1", v)
+	if v, err := d.Commit(map[string][]Tuple{"edge": {{"a", "b"}}}, nil); err != nil || v != 1 {
+		t.Fatalf("Commit = %d, %v; want 1", v, err)
 	}
-	if v := d.AdvanceVersion(); v != 2 {
-		t.Fatalf("AdvanceVersion = %d, want 2", v)
+	if v, err := d.Commit(nil, map[string][]Tuple{"edge": {{"a", "b"}}}); err != nil || v != 2 {
+		t.Fatalf("Commit = %d, %v; want 2", v, err)
+	}
+	if _, err := d.Commit(map[string][]Tuple{"nosuch": {{"a"}}}, nil); err == nil {
+		t.Fatal("Commit into an unknown relation succeeded")
+	}
+	if _, err := d.Commit(map[string][]Tuple{"edge": {{"a"}}}, nil); err == nil {
+		t.Fatal("Commit of a wrong-arity tuple succeeded")
 	}
 	if d.Version() != 2 {
 		t.Fatalf("Version = %d, want 2", d.Version())
@@ -165,7 +151,7 @@ func TestConcurrentReadDuringMutation(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			ins = append(ins, Tuple{fmt.Sprintf("n%d", r.Intn(25)), fmt.Sprintf("n%d", r.Intn(25))})
 		}
-		if err := rel.InsertBatch(ins); err != nil {
+		if _, err := d.Commit(map[string][]Tuple{"edge": ins}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
@@ -174,7 +160,6 @@ func TestConcurrentReadDuringMutation(t *testing.T) {
 				rel.DeleteBatch([]Tuple{append(Tuple(nil), snap[r.Intn(len(snap))]...)})
 			}
 		}
-		d.AdvanceVersion()
 	}
 	close(stop)
 	wg.Wait()

@@ -1,34 +1,30 @@
 // Package ingest is the live-data mutation subsystem (DESIGN.md §16): it
 // accepts batched and streamed tuple inserts/deletes against an
-// internal/db database, applies each batch all-or-nothing under the
-// database's RWMutex discipline (per-attribute indexes and
-// distinct-value statistics are maintained incrementally or invalidated
-// for lazy rebuild), and assigns every committed batch a monotonically
-// increasing data version so downstream consumers — the incremental
-// theory repairer, model artifacts, shard worker dictionaries — can name
-// the snapshot they computed against.
+// internal/db database, commits each batch all-or-nothing as one
+// db.Database.Commit (per-attribute indexes and distinct-value statistics
+// are maintained incrementally), and assigns every committed batch a
+// monotonically increasing data version so downstream consumers — the
+// incremental theory repairer, model artifacts, shard worker
+// dictionaries — can name the snapshot they computed against.
 //
-// Commit semantics are all-or-nothing with respect to failure: a batch
-// is validated in full (schema membership, arity, delete existence
-// under bag semantics) before any tuple is touched, so a rejected
-// batch leaves the database and its version unchanged. One batch
-// commits at a time, but application is per-relation under each
-// relation's own lock — a concurrent reader may briefly observe a
-// batch mid-application (all inserts land before any delete, relation
-// by relation, with the version advancing last). Consumers that need a
-// batch-consistent view serialize behind the commit instead of
-// polling: the ApplyAndNotify hook runs while the commit lock is still
-// held, so it observes the database holding exactly the batches up to
-// and including its own, in version order. The commit returns the
-// relations and the distinct constant values the batch touched, the
-// inputs of the repairer's incremental IND refresh and value screen.
+// A batch is validated in full (schema membership, arity, delete
+// existence under bag semantics) before any tuple is touched, so a
+// rejected batch leaves the database and its version unchanged. A
+// committed batch is atomic to readers too: the database publishes every
+// relation the batch touches together with the new version, so a reader
+// pinning db.Database.Snapshot sees the whole batch or none of it.
+// Commits serialize, and the ApplyAndNotify hook runs while the commit
+// lock is still held, so it observes the database holding exactly the
+// batches up to and including its own, in version order. The commit
+// returns the relations and the distinct constant values the batch
+// touched, the inputs of the repairer's incremental IND refresh and
+// value screen.
 package ingest
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/db"
@@ -54,7 +50,7 @@ type Mutation struct {
 }
 
 // Batch is an ordered set of mutations committed all-or-nothing under
-// one data version (see the package doc for the visibility scope).
+// one data version.
 type Batch struct {
 	Mutations []Mutation `json:"mutations"`
 }
@@ -81,8 +77,7 @@ type Commit struct {
 
 // Ingestor applies mutation batches to a database. Safe for concurrent
 // use: commits serialize on an internal mutex, so version assignment is
-// atomic with respect to the data it names; readers proceed under the
-// database's own snapshot discipline throughout.
+// atomic with respect to the data it names; readers never wait for it.
 type Ingestor struct {
 	d  *db.Database
 	mu sync.Mutex
@@ -93,9 +88,6 @@ type Ingestor struct {
 func New(d *db.Database, mc *metrics.Collector) *Ingestor {
 	return &Ingestor{d: d, mc: mc}
 }
-
-// DB returns the ingestor's database.
-func (ing *Ingestor) DB() *db.Database { return ing.d }
 
 // Version returns the current data version.
 func (ing *Ingestor) Version() uint64 { return ing.d.Version() }
@@ -127,21 +119,26 @@ func (ing *Ingestor) ApplyAndNotify(ctx context.Context, b Batch, onCommit func(
 	if err := ctx.Err(); err != nil {
 		return Commit{}, err
 	}
+	start := ing.mc.StartSpan()
+	c, err := ing.commit(ctx, b)
+	if err != nil {
+		return Commit{}, err
+	}
+	ing.mc.EndSpan(metrics.SpanIngestCommit, start)
+	ing.mc.Inc(metrics.IngestBatches)
+	ing.mc.Add(metrics.IngestTuplesApplied, int64(c.Inserted+c.Deleted))
+	if onCommit != nil {
+		onCommit(c)
+	}
+	return c, nil
+}
 
-	// Validate everything before touching anything. Deletes are checked
-	// under bag semantics against the pre-batch multiplicity plus every
-	// same-batch insert of the same tuple, independent of mutation order
-	// — the commit applies all inserts before any delete, so
-	// [delete t, insert t] is exactly as valid as [insert t, delete t].
+// commit validates b and applies it as one database commit. Caller holds
+// ing.mu.
+func (ing *Ingestor) commit(ctx context.Context, b Batch) (Commit, error) {
+	var c Commit
 	inserts := make(map[string][]db.Tuple)
 	deletes := make(map[string][]db.Tuple)
-	type pending struct {
-		t        db.Tuple
-		ins, del int
-		checked  bool
-	}
-	counts := make(map[string]map[string]*pending)
-	values := make(map[string]bool)
 	for i, m := range b.Mutations {
 		rel := ing.d.Relation(m.Relation)
 		if rel == nil {
@@ -151,95 +148,81 @@ func (ing *Ingestor) ApplyAndNotify(ctx context.Context, b Batch, onCommit func(
 			return Commit{}, fmt.Errorf("ingest: mutation %d: relation %q expects arity %d, got %d",
 				i, m.Relation, len(rel.Schema.Attributes), len(m.Tuple))
 		}
-		t := db.Tuple(m.Tuple)
-		key := tupleKey(t)
-		byKey := counts[m.Relation]
-		if byKey == nil {
-			byKey = make(map[string]*pending)
-			counts[m.Relation] = byKey
-		}
-		p := byKey[key]
-		if p == nil {
-			p = &pending{t: t}
-			byKey[key] = p
-		}
 		switch m.Op {
 		case OpInsert:
-			p.ins++
-			inserts[m.Relation] = append(inserts[m.Relation], t)
+			inserts[m.Relation] = append(inserts[m.Relation], m.Tuple)
+			c.Inserted++
 		case OpDelete:
-			p.del++
-			deletes[m.Relation] = append(deletes[m.Relation], t)
+			deletes[m.Relation] = append(deletes[m.Relation], m.Tuple)
+			c.Deleted++
 		default:
 			return Commit{}, fmt.Errorf("ingest: mutation %d: unknown op %q", i, m.Op)
 		}
-		for _, v := range t {
-			values[v] = true
-		}
+		c.Relations = append(c.Relations, m.Relation)
+		c.Values = append(c.Values, m.Tuple...)
 	}
-	// Second pass: with the batch's full insert counts known, check each
-	// deleted tuple's multiplicity once, at its first delete mutation —
-	// iterating the mutations (not the maps) keeps the reported failure
-	// deterministic.
-	for i, m := range b.Mutations {
-		if m.Op != OpDelete {
-			continue
-		}
-		p := counts[m.Relation][tupleKey(db.Tuple(m.Tuple))]
-		if p.checked {
-			continue
-		}
-		p.checked = true
-		if have := ing.d.Relation(m.Relation).Count(p.t) + p.ins; p.del > have {
-			return Commit{}, fmt.Errorf("ingest: mutation %d: delete of %q%v exceeds multiplicity %d",
-				i, m.Relation, []string(p.t), have)
+	if len(deletes) > 0 {
+		if err := ing.checkDeletes(b); err != nil {
+			return Commit{}, err
 		}
 	}
 
 	if err := faultpoint.Inject(ctx, "ingest.commit"); err != nil {
 		return Commit{}, err
 	}
-
-	var c Commit
-	for name, ts := range inserts {
-		if err := ing.d.Relation(name).InsertBatch(ts); err != nil {
-			// Unreachable after validation; surface rather than hide.
-			return Commit{}, fmt.Errorf("ingest: commit: %w", err)
-		}
-		c.Inserted += len(ts)
-		c.Relations = append(c.Relations, name)
+	var err error
+	if c.Version, err = ing.d.Commit(inserts, deletes); err != nil {
+		// Unreachable after validation; surface rather than hide.
+		return Commit{}, fmt.Errorf("ingest: commit: %w", err)
 	}
-	for name, ts := range deletes {
-		c.Deleted += ing.d.Relation(name).DeleteBatch(ts)
-		c.Relations = append(c.Relations, name)
-	}
-	c.Version = ing.d.AdvanceVersion()
-	sort.Strings(c.Relations)
+	slices.Sort(c.Relations)
 	c.Relations = slices.Compact(c.Relations)
-	for v := range values {
-		c.Values = append(c.Values, v)
-	}
-	sort.Strings(c.Values)
-
-	ing.mc.Inc(metrics.IngestBatches)
-	ing.mc.Add(metrics.IngestTuplesApplied, int64(c.Inserted+c.Deleted))
-	if onCommit != nil {
-		onCommit(c)
-	}
+	slices.Sort(c.Values)
+	c.Values = slices.Compact(c.Values)
 	return c, nil
 }
 
-// tupleKey mirrors internal/db's multiset key: values joined by NUL,
-// which cannot appear in CSV-loaded values.
-func tupleKey(t db.Tuple) string {
-	k := ""
-	for i, v := range t {
-		if i > 0 {
-			k += "\x00"
+// checkDeletes checks every deleted tuple under bag semantics against
+// the pre-batch multiplicity plus every same-batch insert of the same
+// tuple, independent of mutation order — the commit applies all inserts
+// before any delete, so [delete t, insert t] is exactly as valid as
+// [insert t, delete t]. Only deleted tuples are counted, so an
+// insert-only batch never gets here.
+func (ing *Ingestor) checkDeletes(b Batch) error {
+	type pending struct{ ins, del int }
+	counts := make(map[[2]string]*pending) // (relation, tuple key)
+	key := func(m Mutation) [2]string { return [2]string{m.Relation, db.Tuple(m.Tuple).Key()} }
+	for _, m := range b.Mutations {
+		if m.Op == OpDelete {
+			counts[key(m)] = &pending{}
 		}
-		k += v
 	}
-	return k
+	for _, m := range b.Mutations {
+		if p := counts[key(m)]; p != nil && m.Op == OpInsert {
+			p.ins++
+		} else if p != nil {
+			p.del++
+		}
+	}
+	// Check each deleted tuple once, at its first delete mutation:
+	// iterating the mutations (not the map) keeps the reported failure
+	// deterministic.
+	for i, m := range b.Mutations {
+		if m.Op != OpDelete {
+			continue
+		}
+		k := key(m)
+		p := counts[k]
+		if p == nil {
+			continue
+		}
+		delete(counts, k)
+		if have := ing.d.Relation(m.Relation).Count(m.Tuple) + p.ins; p.del > have {
+			return fmt.Errorf("ingest: mutation %d: delete of %q%v exceeds multiplicity %d",
+				i, m.Relation, m.Tuple, have)
+		}
+	}
+	return nil
 }
 
 // Stream accumulates mutations and commits them in bounded batches —

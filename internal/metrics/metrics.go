@@ -367,6 +367,9 @@ const (
 	// follows (a learn.run span nests inside it).
 	SpanRepairCheck
 	SpanRepairReplay
+	// SpanIngestCommit covers one accepted ingest batch: validation and
+	// the database commit that publishes it (not the commit hook).
+	SpanIngestCommit
 
 	numSpans
 )
@@ -383,6 +386,7 @@ var spanNames = [numSpans]string{
 	SpanServePredict:    "serve.predict",
 	SpanRepairCheck:     "repair.check",
 	SpanRepairReplay:    "repair.replay",
+	SpanIngestCommit:    "ingest.commit",
 }
 
 type histState struct {

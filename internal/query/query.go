@@ -160,9 +160,12 @@ func (e *Engine) compile(c *logic.Clause, example logic.Literal) (*evaluator, er
 		headVal[id] = gv
 	}
 
+	// One pinned snapshot per evaluation: every body literal reads the
+	// same committed state.
+	snap := e.db.Snapshot()
 	ev := &evaluator{lits: make([]evalLit, len(c.Body)), maxNodes: e.opts.MaxNodes}
 	for i, l := range c.Body {
-		rel := e.db.Relation(l.Predicate)
+		rel := snap.Relation(l.Predicate)
 		if rel == nil || rel.Len() == 0 {
 			return nil, nil
 		}
@@ -331,7 +334,7 @@ func (ev *evaluator) candidates(li int) []db.Tuple {
 		}
 		return out
 	}
-	for _, t := range el.rel.Tuples {
+	for _, t := range el.rel.Snapshot() {
 		if check(t) {
 			out = append(out, t)
 		}

@@ -299,7 +299,7 @@ func bruteForce(d *db.Database, c *logic.Clause, example logic.Literal, consts [
 		if r == nil {
 			return false
 		}
-		for _, t := range r.Tuples {
+		for _, t := range r.Snapshot() {
 			if t.Equal(db.Tuple(vals)) {
 				return true
 			}

@@ -67,14 +67,14 @@ func (t Denormalize) Apply(src Source) (*Variant, error) {
 	// The FD premise: Right's key is unique and Left's join column is
 	// contained in it. Checked against the data, not assumed.
 	byKey := make(map[string]db.Tuple, base.Relation(t.Right).Len())
-	for _, tp := range base.Relation(t.Right).Tuples {
+	for _, tp := range base.Relation(t.Right).Snapshot() {
 		if _, dup := byKey[tp[0]]; dup {
 			return nil, fmt.Errorf("schematx: %s: %s.%s is not a key: value %q repeats",
 				t.Name(), t.Right, rsch.Attributes[0], tp[0])
 		}
 		byKey[tp[0]] = tp
 	}
-	for _, tp := range base.Relation(t.Left).Tuples {
+	for _, tp := range base.Relation(t.Left).Snapshot() {
 		if _, ok := byKey[tp[t.On]]; !ok {
 			return nil, fmt.Errorf("schematx: %s: %s.%s value %q has no %s row (inclusion violated)",
 				t.Name(), t.Left, ls.Attributes[t.On], tp[t.On], t.Right)
@@ -101,7 +101,7 @@ func (t Denormalize) Apply(src Source) (*Variant, error) {
 			shareRelation(vdb, base, name)
 		}
 	}
-	for _, tp := range base.Relation(t.Left).Tuples {
+	for _, tp := range base.Relation(t.Left).Snapshot() {
 		row := make([]string, 0, len(wideAttrs))
 		row = append(row, tp...)
 		row = append(row, byKey[tp[t.On]][1:]...)
@@ -121,7 +121,7 @@ func (t Denormalize) Apply(src Source) (*Variant, error) {
 				shareRelation(out, vdb, name)
 			}
 		}
-		for _, tp := range vdb.Relation(wide).Tuples {
+		for _, tp := range vdb.Relation(wide).Snapshot() {
 			out.MustInsert(t.Left, tp[:leftArity]...)
 		}
 		return out, nil

@@ -78,7 +78,7 @@ func (t JoinDecompose) Apply(src Source) (*Variant, error) {
 		}
 	}
 	refs := make(map[string]string)
-	for _, tp := range base.Relation(t.Relation).Tuples {
+	for _, tp := range base.Relation(t.Relation).Snapshot() {
 		v := tp[t.Attr]
 		ref, ok := refs[v]
 		if !ok {
@@ -104,13 +104,13 @@ func (t JoinDecompose) Apply(src Source) (*Variant, error) {
 			}
 		}
 		values := make(map[string]string, vdb.Relation(dict).Len())
-		for _, tp := range vdb.Relation(dict).Tuples {
+		for _, tp := range vdb.Relation(dict).Snapshot() {
 			if _, dup := values[tp[0]]; dup {
 				return nil, fmt.Errorf("reference %q appears twice in %s", tp[0], dict)
 			}
 			values[tp[0]] = tp[1]
 		}
-		for _, tp := range vdb.Relation(main).Tuples {
+		for _, tp := range vdb.Relation(main).Snapshot() {
 			v, ok := values[tp[t.Attr]]
 			if !ok {
 				return nil, fmt.Errorf("reference %q in %s has no %s row", tp[t.Attr], main, dict)

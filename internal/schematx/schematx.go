@@ -79,7 +79,7 @@ func Dump(d *db.Database) []byte {
 		b.WriteByte('(')
 		b.WriteString(strings.Join(r.Schema.Attributes, ","))
 		b.WriteString(")\n")
-		for _, t := range r.Tuples {
+		for _, t := range r.Snapshot() {
 			b.WriteString(strings.Join(t, "\x1f"))
 			b.WriteByte('\n')
 		}
@@ -178,12 +178,12 @@ func freshRelation(s *db.Schema, name string) error {
 	return nil
 }
 
-// shareRelation copies the tuple slice reference of a relation from one
-// database into another. Both sides are read-only during learning and
-// lazy indexes live on the Relation instance, so sharing the backing
-// array is safe and keeps variants cheap.
+// shareRelation copies a relation from one database into another. The
+// tuples themselves are shared, not copied, which keeps variants cheap.
 func shareRelation(dst, src *db.Database, name string) {
-	dst.Relation(name).Tuples = src.Relation(name).Tuples
+	if err := dst.Relation(name).InsertBatch(src.Relation(name).Snapshot()); err != nil {
+		panic(err) // both sides hold the relation under the same schema
+	}
 }
 
 // baseSchemaSpec records a schema's shape so Invert can rebuild it in

@@ -84,7 +84,7 @@ func TestRoundTripCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.DB.Relation("taughtBy_vp2").Tuples[0][1] = "prof_corrupted"
+	v.DB.Relation("taughtBy_vp2").Snapshot()[0][1] = "prof_corrupted"
 	back, err := v.Invert()
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func (t VerticalPartition) Apply(src Source) (*Variant, error) {
 			shareRelation(vdb, base, name)
 		}
 	}
-	for i, tp := range base.Relation(t.Relation).Tuples {
+	for i, tp := range base.Relation(t.Relation).Snapshot() {
 		rid := fmt.Sprintf("%s_rid_%07d", t.Relation, i)
 		vdb.MustInsert(frag1, append([]string{rid}, tp[:t.Split]...)...)
 		vdb.MustInsert(frag2, append([]string{rid}, tp[t.Split:]...)...)
@@ -96,14 +96,14 @@ func (t VerticalPartition) Apply(src Source) (*Variant, error) {
 				shareRelation(out, vdb, name)
 			}
 		}
-		r2 := make(map[string]db.Tuple, len(vdb.Relation(frag2).Tuples))
-		for _, tp := range vdb.Relation(frag2).Tuples {
+		r2 := make(map[string]db.Tuple, vdb.Relation(frag2).Len())
+		for _, tp := range vdb.Relation(frag2).Snapshot() {
 			if _, dup := r2[tp[0]]; dup {
 				return nil, fmt.Errorf("surrogate %q appears twice in %s", tp[0], frag2)
 			}
 			r2[tp[0]] = tp
 		}
-		for _, tp := range vdb.Relation(frag1).Tuples {
+		for _, tp := range vdb.Relation(frag1).Snapshot() {
 			half, ok := r2[tp[0]]
 			if !ok {
 				return nil, fmt.Errorf("surrogate %q in %s has no %s row", tp[0], frag1, frag2)

@@ -174,11 +174,11 @@ func TestStressSamplersAtVolume(t *testing.T) {
 }
 
 // TestStressStreamedIngest replays a million-tuple dataset through the
-// ingestion subsystem in bounded batches into an initially empty
-// database and requires the destination's index and statistics digest
-// to be byte-identical to the cold-loaded reference — incremental index
-// maintenance at volume must converge to exactly the state a bulk load
-// produces, with the data version counting the committed batches.
+// ingestion subsystem in bounded batches into an initially empty,
+// indexed database and requires the destination's index and statistics
+// digest to be byte-identical to the cold-loaded reference — incremental
+// index maintenance at volume must converge to exactly the state a bulk
+// load produces, with the data version counting the committed batches.
 func TestStressStreamedIngest(t *testing.T) {
 	mult := stressScale(t)
 	scale := 26.0 * mult // IMDb yields ~40k tuples per unit scale.
@@ -194,7 +194,10 @@ func TestStressStreamedIngest(t *testing.T) {
 		t.Errorf("full-scale run generated %d tuples, want >= 1M", total)
 	}
 
+	// Indexes built before the first commit, as a live store's are: every
+	// batch then maintains them incrementally (base + delta, with merges).
 	live := db.New(cold.Schema())
+	live.BuildIndexes()
 	ing := autobias.NewIngestor(live, autobias.NewMetricsCollector())
 	ctx := context.Background()
 	const batchSize = 1 << 16
