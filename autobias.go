@@ -304,8 +304,10 @@ type Options struct {
 }
 
 // ShardOptions configures a distributed coverage run: the worker fleet
-// plus the knobs of the failover ladder (timeouts, retries, hedging,
-// local fallback). The zero value of every field selects a sane
+// plus the knobs of its one failure rule — each count makes up to
+// Retries attempts across a shard's replicas, then resolves that
+// shard's examples in-process for the rest of the run (or aborts, with
+// DisableLocalFallback). The zero value of every field selects a sane
 // default; only Workers is required. It applies to every Method alike:
 // the covering loop and both clause searches reach coverage through one
 // bulk count, which is what the fleet serves.
@@ -319,16 +321,11 @@ type ShardOptions struct {
 	Workers []string
 	// RequestTimeout bounds one RPC attempt; <=0 selects 10s.
 	RequestTimeout time.Duration
-	// Retries is the attempt budget per shard; <=0 selects 3.
+	// Retries is the attempt budget per shard per count; <=0 selects 3.
 	Retries int
-	// HedgeDelay, when >0, duplicates a straggling request to a second
-	// replica after this long; first answer wins. 0 disables hedging.
-	HedgeDelay time.Duration
 	// DisableLocalFallback aborts (anytime, partial theory) instead of
 	// computing a lost shard's examples in-process.
 	DisableLocalFallback bool
-	// BatchClauses caps frontier clauses per wire batch; <=0 selects 256.
-	BatchClauses int
 }
 
 // shardFleet parses the "url1|url2" replica syntax into per-shard
@@ -409,7 +406,8 @@ func engineFingerprint(engine *learn.CoverageEngine, task Task, b *Bias) string 
 // fleet, at the given data version, and returns the detach step the
 // caller defers: post-run queries (Covers, Evaluate) resolve locally
 // against the memo and cache, never over RPC. Without Options.Shard it
-// binds nothing.
+// binds nothing. Every call builds a fresh coordinator, so a shard that
+// fell back to local computation in one run is tried again in the next.
 func (o Options) bindShards(engine *learn.CoverageEngine, task Task, b *Bias, mc *metrics.Collector, dataVersion uint64) (detach func(), err error) {
 	so := o.Shard
 	if so == nil {
@@ -420,10 +418,7 @@ func (o Options) bindShards(engine *learn.CoverageEngine, task Task, b *Bias, mc
 		Fingerprint:          engineFingerprint(engine, task, b),
 		RequestTimeout:       so.RequestTimeout,
 		Retries:              so.Retries,
-		HedgeDelay:           so.HedgeDelay,
 		DisableLocalFallback: so.DisableLocalFallback,
-		MaxBatchClauses:      so.BatchClauses,
-		JitterSeed:           o.Seed,
 		Metrics:              mc,
 	})
 	if err != nil {

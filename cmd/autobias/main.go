@@ -14,10 +14,10 @@
 //	                                             # coverage on shard workers
 //
 // With -shards, the hot loop (coverage testing) runs on cmd/shardworker
-// processes that are allowed to fail: RPCs retry with backoff, lost
-// shards fail over to survivors, and a fully lost fleet degrades to
-// in-process computation — the learned theory is bit-identical to a
-// single-process run throughout. See DESIGN.md §13.
+// processes that are allowed to fail: RPCs retry with backoff across a
+// shard's replicas, and a shard whose retries run out is computed
+// in-process for the rest of the run — the learned theory is
+// bit-identical to a single-process run throughout. See DESIGN.md §13.
 //
 // The -pos/-neg files hold one ground fact per line, e.g.
 // "advisedBy(juan,sarita)".
@@ -58,10 +58,8 @@ func main() {
 	saveModel := flag.String("save-model", "", "write the learned model as a serving artifact (theory, bias, engine configuration) to this file; serve it with cmd/serve")
 	shards := flag.String("shards", "", "distribute coverage testing across shard workers (cmd/shardworker): comma-separated base URLs, one per shard, replicas of a shard separated by '|'")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-RPC timeout with -shards (0 = 10s)")
-	shardRetries := flag.Int("shard-retries", 0, "RPC attempt budget per shard with -shards (0 = 3)")
-	shardHedge := flag.Duration("shard-hedge", 0, "duplicate straggling shard RPCs to a second replica after this delay (0 = off)")
+	shardRetries := flag.Int("shard-retries", 0, "RPC attempt budget per shard per count with -shards, across its replicas (0 = 3)")
 	shardNoFallback := flag.Bool("shard-no-fallback", false, "with -shards: abort to the partial theory instead of computing a lost shard's examples in-process")
-	shardBatchClauses := flag.Int("shard-batch-clauses", 0, "with -shards: max frontier clauses per wire batch (0 = 256)")
 	flag.Parse()
 
 	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
@@ -88,9 +86,7 @@ func main() {
 			Workers:              strings.Split(*shards, ","),
 			RequestTimeout:       *shardTimeout,
 			Retries:              *shardRetries,
-			HedgeDelay:           *shardHedge,
 			DisableLocalFallback: *shardNoFallback,
-			BatchClauses:         *shardBatchClauses,
 		}
 	}
 	var mc *autobias.MetricsCollector

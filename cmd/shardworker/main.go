@@ -2,15 +2,15 @@
 // learning run: a coverage engine behind HTTP, answering the
 // coordinator's coverage RPCs (POST /v2/coverage, one batched candidate
 // frontier per request) plus /healthz (liveness), /readyz
-// (readiness, used by the coordinator's revival probes; 503 while a
-// -preload warm-up is compiling ground BCs) and /metrics.
+// (readiness, for operators and load balancers; 503 while a -preload
+// warm-up is compiling ground BCs) and /metrics.
 //
 // Every worker must be started from the same task and learning options
 // as the coordinating run — it rebuilds the same bias and engine
 // configuration from them, and a config fingerprint on every RPC
 // enforces the parity (mismatch answers 409). Workers are stateless
-// apart from warm caches: killing one mid-run costs retries and
-// failovers, never correctness.
+// apart from warm caches: killing one mid-run costs retries and local
+// computation, never correctness.
 //
 // Usage:
 //

@@ -226,7 +226,7 @@ func (ce *CoverageEngine) SetMetrics(mc *metrics.Collector) {
 func (ce *CoverageEngine) SetReport(r *report.Report) { ce.rep.Store(r) }
 
 // RecordEvent records a degradation event on the engine's report —
-// exported so transports report shard retries, failovers, and losses
+// exported so transports report shard retries, local fallbacks and losses
 // into the same Result.Report the rest of the run uses.
 func (ce *CoverageEngine) RecordEvent(e report.Event) { ce.rep.Load().Add(e) }
 

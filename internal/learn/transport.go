@@ -19,7 +19,7 @@ import (
 //     provenance (CoverageEngine.BuildEntry), here and on the remote
 //     side alike, so "clause c covers example e" is a function of
 //     (configuration, clause, example) — independent of which process
-//     computes it, in what order, or how many times (retries, hedges).
+//     computes it, in what order, or how many times (retries).
 //   - Every pair is resolved. A call must produce a verdict for every
 //     (clause, example) pair it is given (no early exit at limit), so
 //     the engine's store after the call does not depend on scheduling.
@@ -56,8 +56,9 @@ func (ce *CoverageEngine) MemoizedCovers(c *logic.Clause, key string) (v, ok boo
 
 // MemoizeRemote records a remotely computed verdict for (c, example
 // key). Remote verdicts are pure (see CoverageTransport), so a
-// duplicate arrival — a retry and its hedge both landing — writes the
-// same value and the store stays deterministic under any interleaving.
+// duplicate arrival — a retry re-delivering a verdict, or a local
+// fallback recomputing one — writes the same value and the store stays
+// deterministic under any interleaving.
 func (ce *CoverageEngine) MemoizeRemote(c *logic.Clause, key string, v bool) {
 	ce.memoize(ce.record(c), key, v)
 }

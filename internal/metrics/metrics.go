@@ -303,8 +303,8 @@ const (
 	// HistServeBatch distributes predict-request batch sizes. Gauge-class.
 	HistServeBatch
 	// HistShardBatchClauses distributes how many frontier clauses each
-	// batched shard RPC carried. Gauge-class: retries, failovers, and
-	// memo state decide how many wire batches a run issues.
+	// batched shard RPC carried. Gauge-class: retries, local fallback
+	// and memo state decide how many wire batches a run issues.
 	HistShardBatchClauses
 	// HistShardBatchExamples distributes how many examples each batched
 	// shard RPC covered (the shard group size). Gauge-class.

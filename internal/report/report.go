@@ -39,12 +39,12 @@ const (
 	// §5 approximation working as designed, counted for observability.
 	SubsumeBudget Kind = "subsume-budget-exhausted"
 	// ShardRetried: a coverage RPC to a shard worker failed and was
-	// retried (with backoff) or hedged. The retry succeeded somewhere, so
-	// the result is exact; recorded for observability.
+	// retried (with backoff) on the shard's next replica. Verdicts are
+	// pure, so the result is exact; recorded for observability.
 	ShardRetried Kind = "shard-rpc-retried"
-	// ShardFellBackLocal: every replica of a shard was unreachable, so
-	// its portion of a coverage count was computed in-process. The result
-	// is exact — only the distribution degraded.
+	// ShardFellBackLocal: a shard's attempts ran out, so its examples
+	// are computed in-process for the rest of the run. The result is
+	// exact — only the distribution degraded.
 	ShardFellBackLocal Kind = "shard-fell-back-local"
 	// ShardLost: a shard (all replicas) died and local fallback was
 	// disabled; its example range could not be evaluated and the run was

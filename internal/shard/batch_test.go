@@ -49,20 +49,24 @@ func TestPackUnpackBits(t *testing.T) {
 }
 
 func TestDictFingerprint(t *testing.T) {
-	a := DictFingerprint([]string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"})
+	a := DictFingerprint(0, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"})
 	if len(a) != 32 {
 		t.Fatalf("fingerprint length %d, want 32", len(a))
 	}
-	if b := DictFingerprint([]string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"}); b != a {
+	if b := DictFingerprint(0, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"}); b != a {
 		t.Error("identical key lists fingerprint differently")
 	}
 	// Order matters: verdict bitsets align positionally.
-	if b := DictFingerprint([]string{"advisedBy(s01,p01)", "advisedBy(s00,p00)"}); b == a {
+	if b := DictFingerprint(0, []string{"advisedBy(s01,p01)", "advisedBy(s00,p00)"}); b == a {
 		t.Error("reordered key list did not move the fingerprint")
 	}
 	// Length prefixes keep concatenation ambiguity out: ["ab","c"] vs ["a","bc"].
-	if DictFingerprint([]string{"ab", "c"}) == DictFingerprint([]string{"a", "bc"}) {
+	if DictFingerprint(0, []string{"ab", "c"}) == DictFingerprint(0, []string{"a", "bc"}) {
 		t.Error("length prefixing failed: concatenation-ambiguous lists collide")
+	}
+	// A committed batch retires every dictionary registered before it.
+	if b := DictFingerprint(1, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"}); b == a {
+		t.Error("data version change did not move the fingerprint")
 	}
 }
 
@@ -95,7 +99,7 @@ func postBatch(t *testing.T, url string, req BatchCoverageRequest, fp, proto str
 
 func TestWorkerBatchEndpoint(t *testing.T) {
 	engine := tinyEngine(t, 1)
-	w := NewWorker("b1", engine, "deadbeef", WorkerOptions{MaxBatchClauses: 3})
+	w := NewWorker("b1", engine, "deadbeef", WorkerOptions{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
@@ -104,7 +108,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 		"advisedBy(A,B) :- student(A)",
 	}
 	examples := []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)", "advisedBy(s01,p01)"}
-	dict := DictFingerprint(examples)
+	dict := DictFingerprint(0, examples)
 
 	// Ground truth from an identically configured engine.
 	truth := tinyEngine(t, 1)
@@ -193,7 +197,10 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	})
 
 	t.Run("too-many-clauses-413", func(t *testing.T) {
-		big := BatchCoverageRequest{Clauses: append(append([]string(nil), clauses...), clauses...), Examples: examples}
+		big := BatchCoverageRequest{Clauses: make([]string, MaxBatchClauses+1), Examples: examples}
+		for i := range big.Clauses {
+			big.Clauses[i] = clauses[i%len(clauses)]
+		}
 		resp, body := postBatch(t, srv.URL, big, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("status %d, want 413: %s", resp.StatusCode, body)
@@ -226,9 +233,9 @@ func TestWorkerParseCachesAreBounded(t *testing.T) {
 	// parse cache, one record to the engine's store.
 	examples := []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)"}
 	want := []bool{true, false}
-	for from := 0; from < maxCachedClauses+10; from += w.opts.MaxBatchClauses {
+	for from := 0; from < maxCachedClauses+10; from += MaxBatchClauses {
 		var clauses []string
-		for i := from; i < from+w.opts.MaxBatchClauses; i++ {
+		for i := from; i < from+MaxBatchClauses; i++ {
 			clauses = append(clauses, fmt.Sprintf("advisedBy(A,B) :- publication(C%d,A), publication(C%d,B)", i, i))
 		}
 		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV2)
@@ -377,6 +384,9 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 	if snap.Gauges["shard.dict_registers"] != 2 {
 		t.Errorf("dict_registers = %d, want 2 (initial + re-register after restart)", snap.Gauges["shard.dict_registers"])
 	}
+	if snap.Gauges["shard.dict_reregisters"] != 1 {
+		t.Errorf("dict_reregisters = %d, want 1 (the 410 after the restart)", snap.Gauges["shard.dict_reregisters"])
+	}
 }
 
 func TestCoordinatorFatalCancelsSiblingShards(t *testing.T) {
@@ -408,9 +418,8 @@ func TestCoordinatorFatalCancelsSiblingShards(t *testing.T) {
 	defer slowSrv.Close()
 
 	co, _ := bindCoordinator(t, Options{
-		Shards:       [][]string{{fatalSrv.URL}, {slowSrv.URL}},
-		Retries:      3,
-		RetryBackoff: 500 * time.Millisecond,
+		Shards:  [][]string{{fatalSrv.URL}, {slowSrv.URL}},
+		Retries: 3,
 	})
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	start := time.Now()

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,17 +22,17 @@ import (
 	"repro/internal/report"
 )
 
-// ErrShardsLost reports that a shard's examples could not be resolved
-// anywhere — every replica, every failover target, and (if enabled) the
-// local fallback are gone. It wraps context.Canceled so the learner's
-// anytime machinery treats total shard loss like a cancellation:
-// partial theory, degradation recorded, no hard failure.
+// ErrShardsLost reports that a shard's examples could not be resolved:
+// every attempt on its replicas failed and local fallback is disabled.
+// It wraps context.Canceled so the learner's anytime machinery treats
+// shard loss like a cancellation: partial theory, degradation recorded,
+// no hard failure.
 var ErrShardsLost = fmt.Errorf("shard: coverage shards lost: %w", context.Canceled)
 
-// downAfterFails is the consecutive-failure threshold before a replica
-// is benched: one transient blip retries in place, a dead process stops
-// receiving traffic after the second miss.
-const downAfterFails = 2
+// retryBackoff is the delay before a shard's first retry, doubled per
+// attempt with up to 50% jitter and raised to the server's Retry-After
+// when one was sent.
+const retryBackoff = 25 * time.Millisecond
 
 // maxResponseBytes bounds how much of a worker response the coordinator
 // will read.
@@ -41,8 +41,7 @@ const maxResponseBytes = 1 << 24
 // Options configures a Coordinator.
 type Options struct {
 	// Shards lists the worker fleet: Shards[i] holds the base URLs of
-	// shard i's replicas (any replica can answer for its shard; under
-	// failover any worker can answer for any shard — verdicts are pure).
+	// shard i's replicas, any of which can answer for the shard.
 	Shards [][]string
 	// Fingerprint is the coordinator engine's config fingerprint
 	// (EngineFingerprint); sent on every RPC so misconfigured workers
@@ -50,31 +49,14 @@ type Options struct {
 	Fingerprint string
 	// RequestTimeout bounds one RPC attempt; <=0 selects 10s.
 	RequestTimeout time.Duration
-	// Retries is the attempt budget per shard (first try included);
-	// <=0 selects 3.
+	// Retries is the attempt budget per shard per count (first try
+	// included), spread across the shard's replicas in order; <=0
+	// selects 3.
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubled per
-	// attempt with up to 50% jitter and raised to the server's
-	// Retry-After when one was sent; <=0 selects 25ms.
-	RetryBackoff time.Duration
-	// HedgeDelay, when >0 and a shard has a second replica, fires a
-	// hedged duplicate of a straggling first attempt after this long;
-	// first answer wins. 0 disables hedging.
-	HedgeDelay time.Duration
-	// ReplicaCooldown is how long a benched replica sits out before a
-	// /readyz probe may revive it; <=0 selects 2s.
-	ReplicaCooldown time.Duration
-	// DisableLocalFallback turns off the last rung of the failover
-	// ladder. With it set, losing every worker aborts the run (anytime:
-	// partial theory) instead of degrading to in-process computation.
+	// DisableLocalFallback makes a shard whose attempts ran out abort the
+	// run with ErrShardsLost (anytime: partial theory) instead of
+	// resolving its examples in-process.
 	DisableLocalFallback bool
-	// MaxBatchClauses chunks a candidate frontier into wire batches of
-	// at most this many clauses (workers enforce the same cap);
-	// <=0 selects 256.
-	MaxBatchClauses int
-	// JitterSeed seeds retry jitter; 0 selects 1. Jitter shifts
-	// wall-clock only — verdicts are pure, so results never depend on it.
-	JitterSeed int64
 	// Metrics, when non-nil, receives shard.* gauges.
 	Metrics *metrics.Collector
 	// Client, when non-nil, overrides the HTTP client (tests inject an
@@ -90,18 +72,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Retries <= 0 {
 		o.Retries = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	}
-	if o.ReplicaCooldown <= 0 {
-		o.ReplicaCooldown = 2 * time.Second
-	}
-	if o.MaxBatchClauses <= 0 {
-		o.MaxBatchClauses = 256
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
 	}
 	return o
 }
@@ -131,49 +101,16 @@ func newFleetClient(shards [][]string) *http.Client {
 	}
 }
 
-// replica tracks one worker process's passive health and which
-// example-set dictionaries it holds.
+// replica is one worker process and the example-set dictionaries it
+// holds.
 type replica struct {
 	url string
 
-	mu        sync.Mutex
-	fails     int
-	down      bool
-	downUntil time.Time
+	mu sync.Mutex
 	// dicts records the example-set fingerprints this replica has
 	// registered; a 410 dict_unknown (worker restarted, dictionary gone)
 	// forgets the entry and the next send re-registers inline.
 	dicts map[string]bool
-}
-
-// noteFailure records a connection-level miss; downAfterFails
-// consecutive misses bench the replica for cooldown.
-func (r *replica) noteFailure(cooldown time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fails++
-	if r.fails >= downAfterFails {
-		r.down = true
-		r.downUntil = time.Now().Add(cooldown)
-	}
-}
-
-func (r *replica) noteSuccess() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fails = 0
-	r.down = false
-}
-
-// state reports whether the replica may receive traffic now, and — when
-// benched past its cooldown — whether a revival probe is due.
-func (r *replica) state(now time.Time) (available, probeDue bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.down {
-		return true, false
-	}
-	return false, now.After(r.downUntil)
 }
 
 func (r *replica) hasDict(fp string) bool {
@@ -197,28 +134,37 @@ func (r *replica) forgetDict(fp string) {
 	delete(r.dicts, fp)
 }
 
+// shardState is one shard's replicas and where its next count goes.
+type shardState struct {
+	replicas []*replica
+	// last indexes the replica that last answered; a count's first
+	// attempt goes there.
+	last atomic.Int32
+	// local is set when a count runs out of attempts: the shard resolves
+	// in-process for the rest of the coordinator's life.
+	local atomic.Bool
+}
+
 // Coordinator partitions coverage counts across the worker fleet and
 // implements learn.CoverageTransport: CountMany ships a whole candidate
 // frontier per shard in one wire round. One coordinator serves one
-// learning run's engine (Bind).
+// learning run's engine (Bind), so a shard that fell back to local
+// computation stays local only until the run ends.
 type Coordinator struct {
 	opts   Options
 	client *http.Client
-	shards [][]*replica
+	shards []*shardState
 	engine *learn.CoverageEngine
 	mc     *metrics.Collector
 
 	// dataVersion is the ingest data version (internal/ingest) the
 	// engine's database is at. Mixed into every example-set dictionary
-	// fingerprint (DictFingerprintV), so a committed batch retires all
+	// fingerprint (DictFingerprint), so a committed batch retires all
 	// previously registered worker-side dictionaries: the next RPC's
 	// fingerprint is new, the coordinator sends the set inline, and the
 	// worker re-registers — the same flow as the 410 dict_unknown
 	// recovery, with no wire-protocol change.
 	dataVersion atomic.Uint64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New validates the fleet layout and returns a coordinator. Call Bind
@@ -237,11 +183,11 @@ func New(opts Options) (*Coordinator, error) {
 	if client == nil {
 		client = newFleetClient(opts.Shards)
 	}
-	shards := make([][]*replica, len(opts.Shards))
-	for i, reps := range opts.Shards {
-		shards[i] = make([]*replica, len(reps))
-		for j, u := range reps {
-			shards[i][j] = &replica{url: u}
+	shards := make([]*shardState, len(opts.Shards))
+	for i, urls := range opts.Shards {
+		shards[i] = &shardState{replicas: make([]*replica, len(urls))}
+		for j, u := range urls {
+			shards[i].replicas[j] = &replica{url: u}
 		}
 	}
 	return &Coordinator{
@@ -249,7 +195,6 @@ func New(opts Options) (*Coordinator, error) {
 		client: client,
 		shards: shards,
 		mc:     opts.Metrics,
-		rng:    rand.New(rand.NewSource(opts.JitterSeed)),
 	}, nil
 }
 
@@ -301,8 +246,8 @@ type batchReq struct {
 // MaxBatchClauses).
 func (co *Coordinator) CountMany(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
 	counts := make([]int, 0, len(clauses))
-	for start := 0; start < len(clauses); start += co.opts.MaxBatchClauses {
-		end := min(start+co.opts.MaxBatchClauses, len(clauses))
+	for start := 0; start < len(clauses); start += MaxBatchClauses {
+		end := min(start+MaxBatchClauses, len(clauses))
 		ns, err := co.countMany(ctx, clauses[start:end], examples, limit)
 		if err != nil {
 			return nil, err
@@ -324,14 +269,14 @@ const (
 // frontier; each shard whose example group has unresolved work receives
 // the whole frontier — and its FULL example group, memoized pairs
 // included, so the group's dictionary fingerprint stays stable across
-// rounds — in one resolveShard walk. Every returned verdict is memoized on the engine
-// and per-clause counts clamp at limit. Because workers resolve every
-// (clause, example) pair they are sent and verdicts are pure, the memo
-// state and counts are identical under any interleaving of retries,
-// hedges, and failovers — and identical to a single-process run.
+// rounds — in one resolveShard call. Every returned verdict is memoized
+// on the engine and per-clause counts clamp at limit. Because workers
+// resolve every (clause, example) pair they are sent and verdicts are
+// pure, the memo state and counts are identical under any interleaving
+// of retries and local fallback — and identical to a single-process run.
 //
 // The shard fan-out runs under a per-count cancellable context: the
-// first shard to return an error (its ladder already exhausted — the
+// first shard to return an error (its attempts already exhausted — the
 // count is doomed) cancels its siblings immediately instead of letting
 // survivors burn their full retry/backoff budgets on a dead run.
 func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
@@ -408,7 +353,7 @@ func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, e
 			for j, it := range grp {
 				gkeys[j] = it.key
 			}
-			req := batchReq{clauses: texts, keys: gkeys, dict: DictFingerprintV(co.dataVersion.Load(), gkeys)}
+			req := batchReq{clauses: texts, keys: gkeys, dict: DictFingerprint(co.dataVersion.Load(), gkeys)}
 			wg.Add(1)
 			go func(s int, grp []item, req batchReq) {
 				defer wg.Done()
@@ -418,8 +363,8 @@ func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, e
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
-						// The ladder is exhausted: the whole count fails.
-						// Cancel sibling shards' in-flight retries now.
+						// The count is doomed: cancel sibling shards'
+						// in-flight retries now.
 						cancel()
 					}
 					return
@@ -459,104 +404,15 @@ func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, e
 	return counts, nil
 }
 
-// resolveShard walks the failover ladder for one shard's frontier:
-// home replicas (with retries and hedging) → surviving shards in
-// deterministic rotation → local in-process fallback → ErrShardsLost.
-// The returned matrix is clauses × grp, positionally aligned.
+// resolveShard applies the failure rule to one shard's frontier: up to
+// Retries attempts across the shard's replicas; once they run out, the
+// shard's examples resolve in-process for the rest of the run — or,
+// under DisableLocalFallback, the run aborts with ErrShardsLost. The
+// returned matrix is clauses × grp, positionally aligned.
 func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req batchReq, grp []item) ([][]bool, error) {
-	verdicts, err := co.tryShard(ctx, s, req)
-	if err == nil {
-		return verdicts, nil
-	}
-	if isFatal(err) {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-
-	// The home shard is gone; its range re-assigns to survivors. Any
-	// worker can answer for any shard — verdicts are pure functions of
-	// (config, clause, example) — the home shard was only a cache
-	// affinity.
-	for d := 1; d < len(co.shards); d++ {
-		t := (s + d) % len(co.shards)
-		verdicts, ferr := co.tryShard(ctx, t, req)
-		if ferr == nil {
-			co.mc.AddNamedGauge("shard.failover", 1)
-			co.engine.RecordEvent(report.Event{
-				Kind:   report.ShardRetried,
-				Site:   fmt.Sprintf("shard.failover:%d->%d", s, t),
-				Detail: err.Error(),
-			})
-			return verdicts, nil
-		}
-		if isFatal(ferr) {
-			return nil, ferr
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-	}
-
-	if !co.opts.DisableLocalFallback {
-		co.mc.AddNamedGauge("shard.fallback_local", 1)
-		co.engine.RecordEvent(report.Event{
-			Kind:   report.ShardFellBackLocal,
-			Site:   fmt.Sprintf("shard:%d", s),
-			Detail: fmt.Sprintf("%d examples computed in-process: %v", len(grp), err),
-		})
-		exs := make([]learn.Example, len(grp))
-		for j, it := range grp {
-			exs[j] = it.e
-		}
-		return co.engine.ResolveLocal(ctx, clauses, exs)
-	}
-
-	co.mc.AddNamedGauge("shard.lost", 1)
-	co.engine.RecordEvent(report.Event{
-		Kind:   report.ShardLost,
-		Site:   fmt.Sprintf("shard:%d", s),
-		Detail: fmt.Sprintf("%d examples unresolvable: %v", len(grp), err),
-	})
-	return nil, fmt.Errorf("shard %d: every replica and failover target unreachable (%v): %w", s, err, ErrShardsLost)
-}
-
-// tryShard exhausts one shard's replicas: first attempt (hedged when
-// configured), then retries with exponential backoff + jitter, honoring
-// Retry-After from load-shedding workers. Returns the last error when
-// the attempt budget runs out.
-func (co *Coordinator) tryShard(ctx context.Context, target int, req batchReq) ([][]bool, error) {
-	reps := co.healthy(target)
-	if len(reps) == 0 {
-		return nil, fmt.Errorf("shard %d: no healthy replicas", target)
-	}
-	var (
-		lastErr    error
-		retryAfter time.Duration
-	)
-	for a := 0; a < co.opts.Retries; a++ {
-		if a > 0 {
-			co.mc.AddNamedGauge("shard.rpc_retried", 1)
-			co.engine.RecordEvent(report.Event{
-				Kind:   report.ShardRetried,
-				Site:   fmt.Sprintf("shard.rpc:%d", target),
-				Detail: lastErr.Error(),
-			})
-			if err := co.sleep(ctx, co.backoffDelay(a-1, retryAfter)); err != nil {
-				return nil, err
-			}
-		}
-		rep := reps[a%len(reps)]
-		var (
-			verdicts [][]bool
-			err      error
-		)
-		if a == 0 && co.opts.HedgeDelay > 0 && len(reps) > 1 {
-			verdicts, retryAfter, err = co.sendHedged(ctx, target, rep, reps[1], req)
-		} else {
-			verdicts, retryAfter, err = co.send(ctx, target, rep, req, false)
-		}
+	sh := co.shards[s]
+	if !sh.local.Load() {
+		verdicts, err := co.tryShard(ctx, s, req)
 		if err == nil {
 			return verdicts, nil
 		}
@@ -566,64 +422,73 @@ func (co *Coordinator) tryShard(ctx context.Context, target int, req batchReq) (
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		lastErr = err
+		if co.opts.DisableLocalFallback {
+			co.mc.AddNamedGauge("shard.lost", 1)
+			co.engine.RecordEvent(report.Event{
+				Kind:   report.ShardLost,
+				Site:   fmt.Sprintf("shard:%d", s),
+				Detail: fmt.Sprintf("%d examples unresolvable: %v", len(grp), err),
+			})
+			return nil, fmt.Errorf("shard %d: every replica unreachable (%v): %w", s, err, ErrShardsLost)
+		}
+		if sh.local.CompareAndSwap(false, true) {
+			co.mc.AddNamedGauge("shard.fallback_local", 1)
+			co.engine.RecordEvent(report.Event{
+				Kind:   report.ShardFellBackLocal,
+				Site:   fmt.Sprintf("shard:%d", s),
+				Detail: fmt.Sprintf("computed in-process for the rest of the run: %v", err),
+			})
+		}
+	}
+	exs := make([]learn.Example, len(grp))
+	for j, it := range grp {
+		exs[j] = it.e
+	}
+	return co.engine.ResolveLocal(ctx, clauses, exs)
+}
+
+// tryShard makes up to Retries attempts on shard s, walking its
+// replicas in order from the one that last answered, with backoff
+// between attempts. Returns the last error when the budget runs out.
+func (co *Coordinator) tryShard(ctx context.Context, s int, req batchReq) ([][]bool, error) {
+	sh := co.shards[s]
+	first := int(sh.last.Load())
+	var (
+		lastErr    error
+		retryAfter time.Duration
+	)
+	for a := 0; a < co.opts.Retries; a++ {
+		if a > 0 {
+			co.mc.AddNamedGauge("shard.rpc_retried", 1)
+			co.engine.RecordEvent(report.Event{
+				Kind:   report.ShardRetried,
+				Site:   fmt.Sprintf("shard.rpc:%d", s),
+				Detail: lastErr.Error(),
+			})
+			if err := sleep(ctx, backoffDelay(a-1, retryAfter)); err != nil {
+				return nil, err
+			}
+		}
+		i := (first + a) % len(sh.replicas)
+		verdicts, ra, err := co.send(ctx, s, sh.replicas[i], req)
+		if err == nil {
+			sh.last.Store(int32(i))
+			return verdicts, nil
+		}
+		if isFatal(err) {
+			return nil, err
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		lastErr, retryAfter = err, ra
 	}
 	return nil, lastErr
 }
 
-// healthy returns the shard's replicas currently eligible for traffic.
-// A benched replica whose cooldown expired gets a /readyz probe first —
-// traffic only returns to processes that claim readiness (and whose
-// fingerprint still matches).
-func (co *Coordinator) healthy(target int) []*replica {
-	now := time.Now()
-	var out []*replica
-	for _, r := range co.shards[target] {
-		available, probeDue := r.state(now)
-		switch {
-		case available:
-			out = append(out, r)
-		case probeDue && co.probeReady(r):
-			r.noteSuccess()
-			out = append(out, r)
-		default:
-			// still benched
-		}
-	}
-	return out
-}
-
-// probeReady asks a benched replica's /readyz whether it may rejoin.
-func (co *Coordinator) probeReady(r *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), co.opts.RequestTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := co.client.Do(hreq)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	if co.opts.Fingerprint != "" {
-		var ready struct {
-			Fingerprint string `json:"fingerprint"`
-		}
-		if err := json.Unmarshal(data, &ready); err != nil || ready.Fingerprint != co.opts.Fingerprint {
-			return false
-		}
-	}
-	return true
-}
-
 // fatalError marks failures that retrying cannot fix (409: the worker was
 // built from a different configuration, or does not speak this wire
-// protocol); they abort the run instead of walking the failover ladder.
+// protocol); they abort the run instead of retrying or falling back.
 type fatalError struct{ error }
 
 func isFatal(err error) bool {
@@ -635,24 +500,10 @@ func isFatal(err error) bool {
 // dictionary-referenced examples, bitset verdicts. The example set
 // travels by dictionary reference once the replica has registered it; a
 // 410 dict_unknown (the worker restarted and lost its dictionaries)
-// forgets the registration and re-sends inline in the same attempt. The
-// hedge flag selects the faultpoint site family — hedges fire on
-// wall-clock timers, so they must never consume hit windows tests arm on
-// the deterministic primary-send sites.
-func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req batchReq, hedge bool) ([][]bool, time.Duration, error) {
-	if faultpoint.Enabled() {
-		sites := []string{"shard.rpc.send", "shard.rpc.batch"}
-		if hedge {
-			sites = []string{"shard.rpc.hedge"}
-		}
-		for _, site := range sites {
-			for _, name := range []string{site, fmt.Sprintf("%s:%d", site, target)} {
-				if err := faultpoint.Inject(ctx, name); err != nil {
-					rep.noteFailure(co.opts.ReplicaCooldown)
-					return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
-				}
-			}
-		}
+// forgets the registration and re-sends inline in the same attempt.
+func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req batchReq) ([][]bool, time.Duration, error) {
+	if err := inject(ctx, target, "shard.rpc.send", "shard.rpc.batch"); err != nil {
+		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
 	}
 	inline := req.dict == "" || !rep.hasDict(req.dict)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -681,7 +532,6 @@ func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req b
 				}
 				m[i] = row
 			}
-			rep.noteSuccess()
 			if req.dict != "" {
 				if inline {
 					rep.noteDict(req.dict)
@@ -699,6 +549,7 @@ func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req b
 			detail, _ := httpx.DecodeError(data)
 			rep.forgetDict(req.dict)
 			if detail.Code == httpx.ErrCodeDictUnknown && !inline {
+				co.mc.AddNamedGauge("shard.dict_reregisters", 1)
 				inline = true
 				continue
 			}
@@ -712,7 +563,6 @@ func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req b
 			detail, _ := httpx.DecodeError(data)
 			return nil, retryAfter, fmt.Errorf("shard %d: %s overloaded: %s", target, rep.url, detail.Message)
 		default:
-			rep.noteFailure(co.opts.ReplicaCooldown)
 			if detail, ok := httpx.DecodeError(data); ok {
 				return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message)
 			}
@@ -725,9 +575,8 @@ func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req b
 // postJSON performs one HTTP POST attempt: marshal (wire-bytes
 // accounting on both directions), per-attempt timeout, fingerprint and
 // protocol-version headers, the shard.rpc.recv faultpoint sites, and a
-// bounded body read. Connection-level failures bench the replica;
-// status handling is the caller's. retryAfter carries a 503 response's
-// Retry-After hint, when one was sent.
+// bounded body read. Status handling is the caller's. retryAfter
+// carries a 503 response's Retry-After hint, when one was sent.
 func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, payload BatchCoverageRequest) (status int, retryAfter time.Duration, data []byte, err error) {
 	co.mc.AddNamedGauge("shard.rpc_sent", 1)
 	body, err := json.Marshal(payload)
@@ -751,21 +600,14 @@ func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, p
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, 0, nil, cerr
 		}
-		rep.noteFailure(co.opts.ReplicaCooldown)
 		return 0, 0, nil, fmt.Errorf("shard %d: %s: %w", target, rep.url, err)
 	}
 	defer resp.Body.Close()
-	if err := faultpoint.Inject(ctx, "shard.rpc.recv"); err != nil {
-		rep.noteFailure(co.opts.ReplicaCooldown)
-		return 0, 0, nil, fmt.Errorf("shard %d: recv %s: %w", target, rep.url, err)
-	}
-	if err := faultpoint.Inject(ctx, fmt.Sprintf("shard.rpc.recv:%d", target)); err != nil {
-		rep.noteFailure(co.opts.ReplicaCooldown)
+	if err := inject(ctx, target, "shard.rpc.recv"); err != nil {
 		return 0, 0, nil, fmt.Errorf("shard %d: recv %s: %w", target, rep.url, err)
 	}
 	data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
-		rep.noteFailure(co.opts.ReplicaCooldown)
 		return 0, 0, nil, fmt.Errorf("shard %d: read %s: %w", target, rep.url, err)
 	}
 	co.mc.AddNamedGauge("shard.wire_bytes_recv", int64(len(data)))
@@ -777,77 +619,32 @@ func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, p
 	return resp.StatusCode, retryAfter, data, nil
 }
 
-// sendHedged races a primary attempt against a hedge fired after
-// HedgeDelay: first answer wins, the loser's context is cancelled. A
-// primary failure before the timer returns immediately — the retry
-// ladder, not the hedge, handles hard failures.
-func (co *Coordinator) sendHedged(ctx context.Context, target int, primary, secondary *replica, req batchReq) ([][]bool, time.Duration, error) {
-	type result struct {
-		v   [][]bool
-		ra  time.Duration
-		err error
+// inject fires the faultpoint sites <family> and <family>:<target> of
+// each family in order.
+func inject(ctx context.Context, target int, families ...string) error {
+	if !faultpoint.Enabled() {
+		return nil
 	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	go func() {
-		v, ra, err := co.send(hctx, target, primary, req, false)
-		ch <- result{v, ra, err}
-	}()
-	timer := time.NewTimer(co.opts.HedgeDelay)
-	defer timer.Stop()
-	outstanding := 1
-	launched := false
-	var (
-		firstErr   error
-		retryAfter time.Duration
-	)
-	for outstanding > 0 {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				return r.v, r.ra, nil
+	for _, f := range families {
+		for _, name := range []string{f, fmt.Sprintf("%s:%d", f, target)} {
+			if err := faultpoint.Inject(ctx, name); err != nil {
+				return err
 			}
-			if isFatal(r.err) {
-				return nil, 0, r.err
-			}
-			if firstErr == nil {
-				firstErr = r.err
-				retryAfter = r.ra
-			}
-		case <-timer.C:
-			if !launched {
-				launched = true
-				outstanding++
-				co.mc.AddNamedGauge("shard.rpc_hedged", 1)
-				go func() {
-					v, ra, err := co.send(hctx, target, secondary, req, true)
-					ch <- result{v, ra, err}
-				}()
-			}
-		case <-ctx.Done():
-			return nil, 0, ctx.Err()
 		}
 	}
-	return nil, retryAfter, firstErr
+	return nil
 }
 
-// backoffDelay computes the nth retry's wait: base·2ⁿ plus up to 50%
-// jitter, raised to the server's Retry-After when one was sent.
-func (co *Coordinator) backoffDelay(n int, retryAfter time.Duration) time.Duration {
-	d := co.opts.RetryBackoff << uint(n)
-	co.rngMu.Lock()
-	jitter := time.Duration(co.rng.Int63n(int64(d)/2 + 1))
-	co.rngMu.Unlock()
-	d += jitter
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
+// backoffDelay computes the nth retry's wait: retryBackoff·2ⁿ plus up to
+// 50% jitter, raised to the server's Retry-After when one was sent.
+// Jitter shifts wall-clock only; verdicts never depend on it.
+func backoffDelay(n int, retryAfter time.Duration) time.Duration {
+	d := retryBackoff << uint(n)
+	d += rand.N(d/2 + 1)
+	return max(d, retryAfter)
 }
 
-func (co *Coordinator) sleep(ctx context.Context, d time.Duration) error {
+func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -21,20 +21,21 @@
 // coordinator memoizes every verdict it receives, and per-shard counts
 // merge by summation with a final clamp — min(Σcᵢ, limit) — so
 // theories and decision-driving counters are bit-identical to a
-// single-process run under any interleaving of retries, hedges, and
-// failovers. See DESIGN.md §13.
+// single-process run under any interleaving of retries and local
+// fallback. See DESIGN.md §13.
 //
-// Failure model: per-attempt timeouts with exponential backoff + jitter
-// honoring Retry-After; hedged requests for stragglers; passive replica
-// health tracking with /readyz revival probes; automatic re-assignment
-// of a dead shard's example range to surviving shards; and graceful
-// degradation to in-process computation when every worker is gone.
+// Failure model: one rule per shard, per count. Up to Options.Retries
+// attempts (per-attempt timeout, exponential backoff + jitter honoring
+// Retry-After) walk the shard's replicas in order, starting at the one
+// that last answered. When they run out, the shard's examples resolve
+// in-process, and the shard stays local for the rest of the run; with
+// DisableLocalFallback the run aborts with ErrShardsLost instead.
 // Every recovery is recorded in the run's Result.Report
 // (ShardRetried / ShardFellBackLocal / ShardLost) and surfaced as
-// shard.* metrics. Fault injection sites: shard.rpc.send[:<shard>],
-// shard.rpc.batch[:<shard>] (both on every primary send),
-// shard.rpc.recv[:<shard>] and shard.rpc.hedge[:<shard>] on the
-// coordinator, shard.crash[:<id>] in the worker handler.
+// shard.* metrics. Fault injection sites: shard.rpc.send[:<shard>] and
+// shard.rpc.batch[:<shard>] (both on every send) and
+// shard.rpc.recv[:<shard>] on the coordinator, shard.crash[:<id>] in
+// the worker handler.
 package shard
 
 import (
@@ -63,6 +64,11 @@ const (
 	ProtoHeader = "X-Shard-Proto"
 	ProtoV2     = "2"
 )
+
+// MaxBatchClauses caps the clauses of one BatchCoverageRequest: the
+// coordinator chunks a frontier at it and a worker answers a larger
+// batch 413.
+const MaxBatchClauses = 256
 
 // BatchCoverageRequest is one shard RPC: the whole candidate frontier
 // for a shard in one round. The count limit deliberately does not
@@ -97,26 +103,18 @@ type BatchCoverageResponse struct {
 }
 
 // DictFingerprint fingerprints an ordered example-key list for the
-// wire-v2 example-set dictionary. Order matters — verdict bitsets align
-// positionally — so the hash is over the length-prefixed keys in
-// sequence. SHA-256 (truncated like EngineFingerprint) keeps accidental
-// collisions out of the question: a collision would silently misalign
-// verdicts, so the cheap-hash shortcut is not taken here.
-func DictFingerprint(keys []string) string {
-	return DictFingerprintV(0, keys)
-}
-
-// DictFingerprintV is DictFingerprint salted with the ingest data
-// version the coordinator's database is at. Version 0 (static loads)
-// reproduces the unsalted legacy fingerprint byte for byte, so old
-// coordinators and workers interoperate unchanged; any committed batch
-// moves the fingerprint, retiring every dictionary registered under
-// earlier versions through the ordinary re-registration flow.
-func DictFingerprintV(version uint64, keys []string) string {
+// wire-v2 example-set dictionary, salted with the ingest data version
+// the coordinator's database is at: a committed batch moves the
+// fingerprint, retiring every dictionary registered under earlier
+// versions through the ordinary re-registration flow. Order matters —
+// verdict bitsets align positionally — so the hash is over the
+// length-prefixed keys in sequence. SHA-256 (truncated like
+// EngineFingerprint) keeps accidental collisions out of the question: a
+// collision would silently misalign verdicts, so the cheap-hash
+// shortcut is not taken here.
+func DictFingerprint(version uint64, keys []string) string {
 	h := sha256.New()
-	if version != 0 {
-		fmt.Fprintf(h, "v%d;", version)
-	}
+	fmt.Fprintf(h, "v%d;", version)
 	for _, k := range keys {
 		fmt.Fprintf(h, "%d:", len(k))
 		h.Write([]byte(k))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -333,7 +334,7 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 		return false
 	})
 	defer srv.Close()
-	co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Retries: 2, RetryBackoff: time.Millisecond})
+	co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Retries: 2})
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
@@ -355,8 +356,8 @@ func TestCoordinatorConfigMismatchIsFatal(t *testing.T) {
 		return true
 	})
 	defer srv.Close()
-	// Two shards: a fatal answer must abort without walking the failover
-	// ladder or falling back locally.
+	// Two shards: a fatal answer must abort without retrying or falling
+	// back locally.
 	co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}, {srv.URL}}, Retries: 3})
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
@@ -376,7 +377,7 @@ func TestCoordinatorConfigMismatchIsFatal(t *testing.T) {
 // TestCoordinatorUnsupportedProtoIsFatal: a worker that rejects the
 // coordinator's wire version answers 409 unsupported_proto, and that is
 // a fleet built for another run — fatal on the first answer, with no
-// downgrade, no retry, no failover and no local fallback.
+// downgrade, no retry and no local fallback.
 func TestCoordinatorUnsupportedProtoIsFatal(t *testing.T) {
 	srv, calls := stubWorker(func(w http.ResponseWriter, r *http.Request, n int64) bool {
 		httpx.Fail(w, http.StatusConflict, httpx.ErrCodeUnsupportedProto, errors.New("this worker speaks wire v3"))
@@ -410,7 +411,7 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 		return true
 	})
 	defer srv.Close()
-	co, engine := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Retries: 1, RetryBackoff: time.Millisecond})
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Retries: 1})
 
 	c := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	_, pos, neg := tinyWorld(t)
@@ -433,7 +434,6 @@ func TestCoordinatorShardsLost(t *testing.T) {
 	co, _ := bindCoordinator(t, Options{
 		Shards:               [][]string{{srv.URL}},
 		Retries:              1,
-		RetryBackoff:         time.Millisecond,
 		DisableLocalFallback: true,
 	})
 
@@ -448,5 +448,112 @@ func TestCoordinatorShardsLost(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("ErrShardsLost must look like a cancellation to the learner, got %v", err)
+	}
+}
+
+// crashedWorker is a stub whose every answer is a 500: a replica that is
+// gone for the whole run.
+func crashedWorker() (*httptest.Server, *atomic.Int64) {
+	return stubWorker(func(w http.ResponseWriter, r *http.Request, n int64) bool {
+		httpx.WriteJSON(w, http.StatusInternalServerError, httpx.ErrorBody{Error: httpx.ErrorDetail{Code: httpx.ErrCodeInternal, Message: "crashed"}})
+		return true
+	})
+}
+
+// TestCoordinatorStartsAtLastAnsweringReplica: a shard whose first
+// replica is dead costs one failed RPC on the first count, whose retry
+// lands on the live replica; every later count starts there.
+func TestCoordinatorStartsAtLastAnsweringReplica(t *testing.T) {
+	dead, deadCalls := crashedWorker()
+	defer dead.Close()
+	live, _ := stubWorker(nil)
+	defer live.Close()
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{dead.URL, live.URL}}})
+	rep := report.New()
+	engine.SetReport(rep)
+
+	_, pos, _ := tinyWorld(t)
+	for i, body := range []string{"student(A)", "professor(B)", "publication(C,A)", "publication(C,B)"} {
+		if _, err := countOne(co, logic.MustParseClause("advisedBy(A,B) :- "+body), pos, len(pos)); err != nil {
+			t.Fatalf("count %d: %v", i, err)
+		}
+		if n := deadCalls.Load(); n != 1 {
+			t.Fatalf("after count %d the dead replica has had %d RPCs, want exactly 1", i, n)
+		}
+	}
+	if n := rep.Count(report.ShardRetried); n != 1 {
+		t.Errorf("%d ShardRetried events, want 1: %s", n, rep.Summary())
+	}
+	if n := rep.Count(report.ShardFellBackLocal); n != 0 {
+		t.Errorf("a shard with a live replica fell back locally: %s", rep.Summary())
+	}
+}
+
+// TestCoordinatorLostShardStaysLocal: once a count runs out of attempts,
+// the shard resolves in-process for the rest of the run — no further RPC
+// to the dead replica, one recorded fallback, exact counts throughout.
+func TestCoordinatorLostShardStaysLocal(t *testing.T) {
+	dead, calls := crashedWorker()
+	defer dead.Close()
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{dead.URL}}, Retries: 1})
+	rep := report.New()
+	engine.SetReport(rep)
+
+	truth := tinyEngine(t, 1)
+	_, pos, neg := tinyWorld(t)
+	all := append(append([]learn.Example(nil), pos...), neg...)
+	for _, body := range []string{"student(A)", "professor(B)", "publication(C,A)", "publication(C,A), publication(C,B)"} {
+		c := logic.MustParseClause("advisedBy(A,B) :- " + body)
+		got, err := countOne(co, c, all, len(all)+1)
+		if err != nil {
+			t.Fatalf("%v: local fallback should have absorbed the dead worker: %v", c, err)
+		}
+		want, err := countLocal(truth, c, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%v: count %d, want %d", c, got, want)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("dead replica got %d RPCs over four counts, want 1", n)
+	}
+	if n := rep.Count(report.ShardFellBackLocal); n != 1 {
+		t.Errorf("%d ShardFellBackLocal events over four counts, want 1: %s", n, rep.Summary())
+	}
+}
+
+// TestCoordinatorConcurrentCountsFallBackOnce: counts racing on a dead
+// shard all get exact answers, and the shard's switch to in-process
+// computation is recorded once.
+func TestCoordinatorConcurrentCountsFallBackOnce(t *testing.T) {
+	dead, _ := crashedWorker()
+	defer dead.Close()
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{dead.URL}}, Retries: 1})
+	rep := report.New()
+	engine.SetReport(rep)
+
+	truth := tinyEngine(t, 1)
+	_, pos, neg := tinyWorld(t)
+	all := append(append([]learn.Example(nil), pos...), neg...)
+	var wg sync.WaitGroup
+	for _, body := range []string{"student(A)", "professor(B)", "publication(C,A)", "publication(C,B)", "publication(C,A), publication(C,B)", "student(A), professor(B)"} {
+		c := logic.MustParseClause("advisedBy(A,B) :- " + body)
+		want, err := countLocal(truth, c, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := countOne(co, c, all, len(all)+1); err != nil || got != want {
+				t.Errorf("%v: count %d (err %v), want %d", c, got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := rep.Count(report.ShardFellBackLocal); n != 1 {
+		t.Errorf("%d ShardFellBackLocal events, want 1: %s", n, rep.Summary())
 	}
 }

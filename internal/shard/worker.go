@@ -26,9 +26,6 @@ type WorkerOptions struct {
 	MaxConcurrent int
 	// MaxBatch caps examples per request; <=0 selects 4096.
 	MaxBatch int
-	// MaxBatchClauses caps frontier clauses per wire-v2 batch request;
-	// <=0 selects 256 (the coordinator chunks at the same default).
-	MaxBatchClauses int
 	// MaxDicts bounds registered example-set dictionaries; the oldest
 	// registration is evicted first (a coordinator whose dict was
 	// evicted simply re-registers on the 410). <=0 selects 128.
@@ -46,9 +43,6 @@ type WorkerOptions struct {
 func (o WorkerOptions) normalized() WorkerOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 4096
-	}
-	if o.MaxBatchClauses <= 0 {
-		o.MaxBatchClauses = 256
 	}
 	if o.MaxDicts <= 0 {
 		o.MaxDicts = 128
@@ -74,10 +68,10 @@ const (
 // frontier with dictionary-referenced example sets and packed bitset
 // verdicts) with pure per-example verdicts — every example resolved, no count limit;
 // see the package comment's merge contract — plus GET /healthz
-// (liveness: the process is up), GET /readyz (readiness: not draining
-// and not mid-preload; reports fingerprint, cache heat, and wire
-// protocol so the coordinator's revival probe can check config parity),
-// GET /metrics and /debug/pprof/ (httpx.MountAdmin).
+// (liveness: the process is up), GET /readyz (readiness for operators
+// and load balancers: not draining and not mid-preload; reports
+// fingerprint, cache heat, and wire protocol), GET /metrics and
+// /debug/pprof/ (httpx.MountAdmin).
 type Worker struct {
 	id     string
 	engine *learn.CoverageEngine
@@ -137,7 +131,7 @@ func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // BeginPreload flips the worker not-ready before Serve starts, so a
-// coordinator probing /readyz during warm-up waits instead of routing
+// load balancer probing /readyz during warm-up waits instead of routing
 // cold-cache traffic. Preload clears it when the warm-up finishes.
 func (w *Worker) BeginPreload() { w.preloading.Store(true) }
 
@@ -245,8 +239,8 @@ func (w *Worker) lookupDict(fp string) ([]learn.Example, bool) {
 
 // crashFault fires the worker's chaos faultpoints; they stand in for a
 // worker that dies mid-request (the multi-process smoke test kills for
-// real). The error answer is 500, which coordinators treat as "this
-// replica is gone" — retry, fail over, or fall back.
+// real). The error answer is 500, which coordinators treat as a failed
+// attempt — retry on the next replica, or fall back.
 func (w *Worker) crashFault(rw http.ResponseWriter, r *http.Request) bool {
 	if err := faultpoint.Inject(r.Context(), "shard.crash"); err != nil {
 		httpx.Fail(rw, http.StatusInternalServerError, httpx.ErrCodeInternal, err)
@@ -296,9 +290,9 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 		httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, errors.New("batch has no clauses"))
 		return
 	}
-	if len(req.Clauses) > w.opts.MaxBatchClauses {
+	if len(req.Clauses) > MaxBatchClauses {
 		httpx.Fail(rw, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
-			fmt.Errorf("%d clauses exceeds max batch %d", len(req.Clauses), w.opts.MaxBatchClauses))
+			fmt.Errorf("%d clauses exceeds max batch %d", len(req.Clauses), MaxBatchClauses))
 		return
 	}
 

@@ -75,7 +75,7 @@ var errShardCrash = errors.New("testkit: injected shard crash")
 // run is bit-identical to. The fleet dies deterministically: the
 // crashAfter-th coverage RPC send — and every send after it — fails, so
 // wherever the covering loop is at that point, its next coverage count
-// walks the whole (dead) failover ladder and aborts the run.
+// runs out of attempts and aborts the run.
 //
 // ref, when non-nil, is a previously-computed reference leg of
 // the same (task, opts) — callers scanning several crash points pass it

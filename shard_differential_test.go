@@ -1,5 +1,5 @@
 // Chaos differential tests for distributed coverage: a sharded run —
-// under retries, hedges, dead replicas, and a fully lost fleet — must
+// under retries, dead replicas, and a fully lost fleet — must
 // produce the same theory and the same decision-driving deterministic
 // counters as a single-process run. Faults are injected at
 // exact, named hit windows (internal/faultpoint), so every leg is
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	autobias "repro"
 	"repro/internal/faultpoint"
@@ -62,7 +61,7 @@ func diffVsReference(ref, leg testkit.Leg) []string {
 
 // TestShardDifferential is the acceptance check for the distributed
 // merge contract (DESIGN.md §13): a 4-shard run under injected RPC
-// failures, dead workers, and hedged requests learns a theory
+// failures and dead workers learns a theory
 // bit-identical to the single-process reference, at every
 // coordinator worker count, with every recovery recorded in
 // Result.Report and none of the exact recoveries marking the run
@@ -229,10 +228,10 @@ func TestShardDifferential(t *testing.T) {
 		}
 	})
 
-	t.Run("dead-shard-fails-over", func(t *testing.T) {
+	t.Run("dead-shard-resolves-locally", func(t *testing.T) {
 		defer faultpoint.Reset()
-		// Shard 1's only replica dies for the whole run; its example range
-		// must re-assign to survivors with no effect on the result.
+		// Shard 1's only replica dies for the whole run; its examples
+		// resolve in-process with no effect on the result.
 		faultpoint.Enable("shard.crash:s1", faultpoint.Fault{Err: fmt.Errorf("injected worker crash")})
 		leg, err := testkit.Run(ctx, task, sharded(4, func(so *autobias.ShardOptions) { so.Retries = 1 }), "sharded(dead-shard)")
 		if err != nil {
@@ -241,15 +240,43 @@ func TestShardDifferential(t *testing.T) {
 		for _, d := range diffVsReference(ref, leg) {
 			t.Error(d)
 		}
-		rep := leg.Result.Report
-		if rep.Count(autobias.DegradationShardRetried) == 0 {
-			t.Error("no failover recorded for the dead shard")
+		if leg.Result.Degraded() {
+			t.Errorf("local fallback must not degrade the run: %s", leg.Result.Report.Summary())
+		}
+		if leg.Snapshot.Gauges["shard.fallback_local"] == 0 {
+			t.Error("shard.fallback_local gauge is zero")
+		}
+	})
+
+	t.Run("dead-first-replica", func(t *testing.T) {
+		defer faultpoint.Reset()
+		// Shard 0's first replica dies for the whole run: the first count's
+		// retry lands on the second replica, and every later count starts
+		// there — one retry in the whole run, no local fallback.
+		fleet, err := testkit.StartShardFleet(task, base, [][]string{{"h0a", "h0b"}, {"h1a", "h1b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fleet.Close()
+		faultpoint.Enable("shard.crash:h0a", faultpoint.Fault{Err: fmt.Errorf("injected replica crash")})
+		o := base
+		o.Workers = 4
+		o.Shard = &autobias.ShardOptions{Workers: fleet.URLs}
+		leg, err := testkit.Run(ctx, task, o, "sharded(dead-first-replica)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diffVsReference(ref, leg) {
+			t.Error(d)
+		}
+		if n := leg.Snapshot.Gauges["shard.fallback_local"]; n != 0 {
+			t.Errorf("shard.fallback_local = %d, want 0: the second replica was alive", n)
+		}
+		if n := leg.Snapshot.Gauges["shard.rpc_retried"]; n != 1 {
+			t.Errorf("shard.rpc_retried = %d, want exactly 1", n)
 		}
 		if leg.Result.Degraded() {
-			t.Errorf("failover must not degrade the run: %s", rep.Summary())
-		}
-		if leg.Snapshot.Gauges["shard.failover"] == 0 {
-			t.Error("shard.failover gauge is zero")
+			t.Errorf("a retried RPC must not degrade the run: %s", leg.Result.Report.Summary())
 		}
 	})
 
@@ -307,44 +334,6 @@ func TestShardDifferential(t *testing.T) {
 			t.Error("shard.lost gauge is zero")
 		}
 	})
-}
-
-// TestShardHedging exercises the hedged-request path on a fleet with
-// two replicas per shard: a delay fault on shard 0's primary sends
-// makes every first attempt a straggler, the hedge wins, and the result
-// is — as the purity contract requires — unchanged.
-func TestShardHedging(t *testing.T) {
-	task := smallTask(t)
-	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}
-	ctx := context.Background()
-
-	ref := localReference(t, ctx, task, base)
-
-	fleet, err := testkit.StartShardFleet(task, base, [][]string{{"h0a", "h0b"}, {"h1a", "h1b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	defer faultpoint.Reset()
-	faultpoint.Enable("shard.rpc.send:0", faultpoint.Fault{Delay: 50 * time.Millisecond})
-
-	opts := base
-	opts.Workers = 4
-	opts.Shard = &autobias.ShardOptions{Workers: fleet.URLs, HedgeDelay: 2 * time.Millisecond}
-	leg, err := testkit.Run(ctx, task, opts, "sharded(hedged)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diffVsReference(ref, leg) {
-		t.Error(d)
-	}
-	if leg.Snapshot.Gauges["shard.rpc_hedged"] == 0 {
-		t.Error("shard.rpc_hedged gauge is zero: no hedge ever fired")
-	}
-	if leg.Result.Degraded() {
-		t.Errorf("hedging must not degrade the run: %s", leg.Result.Report.Summary())
-	}
 }
 
 // TestShardCrashResume verifies the distributed anytime contract end to
