@@ -373,11 +373,24 @@ func (o Options) bottomOptions() bottom.Options {
 	}
 }
 
-// newLearner assembles the run's learner: the one place the facade's
-// Options become learn.Options and Method picks the clause search, so a
-// learning run, the repair that follows it and the shard workers that
-// serve both cannot drift apart.
-func (o Options) newLearner(d *Database, c *bias.Compiled, mc *metrics.Collector) *learn.Learner {
+// assemble builds a run's learner, for a learning run, the repair that
+// follows it and the shard workers that serve both alike, so the three
+// cannot drift apart: the bias the task and options select (built or
+// induced), compiled, under a learner that is the one place the facade's
+// Options become learn.Options and Method picks the clause search. The
+// returned result holds the bias, its provenance and BiasTime; run
+// completes it.
+func (o Options) assemble(task Task, mc *metrics.Collector) (*Result, *learn.Learner, error) {
+	biasStart := time.Now()
+	b, graph, inds, err := buildBiasFull(task, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Bias: b, Graph: graph, INDs: inds, BiasTime: time.Since(biasStart), db: task.DB, metrics: mc}
+	compiled, err := b.Compile(task.DB.Schema(), task.Target, len(task.TargetAttrs))
+	if err != nil {
+		return nil, nil, err
+	}
 	lo := learn.Options{
 		Bottom:        o.bottomOptions(),
 		Subsume:       subsume.Options{MaxNodes: o.SubsumeMaxNodes, Seed: o.Seed},
@@ -390,9 +403,9 @@ func (o Options) newLearner(d *Database, c *bias.Compiled, mc *metrics.Collector
 		Metrics:       mc,
 	}
 	if o.method() == MethodAleph {
-		return foil.New(d, c, lo, foil.Options{})
+		return res, foil.New(task.DB, compiled, lo, foil.Options{}), nil
 	}
-	return learn.New(d, c, lo)
+	return res, learn.New(task.DB, compiled, lo), nil
 }
 
 // engineFingerprint is the config fingerprint a coordinator sends and a
@@ -402,34 +415,42 @@ func engineFingerprint(engine *learn.CoverageEngine, task Task, b *Bias) string 
 		model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs), b.String())
 }
 
-// bindShards routes the engine's coverage counts through the run's shard
-// fleet, at the given data version, and returns the detach step the
-// caller defers: post-run queries (Covers, Evaluate) resolve locally
-// against the memo and cache, never over RPC. Without Options.Shard it
-// binds nothing. Every call builds a fresh coordinator, so a shard that
-// fell back to local computation in one run is tried again in the next.
-func (o Options) bindShards(engine *learn.CoverageEngine, task Task, b *Bias, mc *metrics.Collector, dataVersion uint64) (detach func(), err error) {
-	so := o.Shard
-	if so == nil {
-		return func() {}, nil
+// run is the second half of a learning run or a repair: the covering
+// loop of an assembled learner, captured on res with its wall-clock.
+// With Options.Shard its coverage counts go through the fleet, at the
+// database's data version, over a fresh coordinator (so a shard that fell
+// back to local computation in one run is tried again in the next) that
+// is detached before run returns, so post-run queries (Covers, Evaluate)
+// resolve locally against the memo and cache, never over RPC.
+func (o Options) run(ctx context.Context, task Task, res *Result, l *learn.Learner) error {
+	start := time.Now()
+	engine := l.Coverage()
+	if so := o.Shard; so != nil {
+		coord, err := shard.New(shard.Options{
+			Shards:               so.shardFleet(),
+			Fingerprint:          engineFingerprint(engine, task, res.Bias),
+			RequestTimeout:       so.RequestTimeout,
+			Retries:              so.Retries,
+			DisableLocalFallback: so.DisableLocalFallback,
+			Metrics:              res.metrics,
+		})
+		if err != nil {
+			return err
+		}
+		coord.SetDataVersion(task.DB.Version())
+		coord.Bind(engine)
+		defer func() {
+			coord.Close()
+			engine.SetTransport(nil)
+		}()
 	}
-	coord, err := shard.New(shard.Options{
-		Shards:               so.shardFleet(),
-		Fingerprint:          engineFingerprint(engine, task, b),
-		RequestTimeout:       so.RequestTimeout,
-		Retries:              so.Retries,
-		DisableLocalFallback: so.DisableLocalFallback,
-		Metrics:              mc,
-	})
+	def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	coord.SetDataVersion(dataVersion)
-	coord.Bind(engine)
-	return func() {
-		coord.Close()
-		engine.SetTransport(nil)
-	}, nil
+	res.capture(engine, def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
+	res.Elapsed = time.Since(start)
+	return nil
 }
 
 // Result is the outcome of one learning run.
@@ -661,33 +682,13 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 	// The bias-induction path reads Options.Collector, so a run enabled
 	// via the Metrics flag alone still lands its IND counters in mc.
 	opts.Collector = mc
-
-	biasStart := time.Now()
-	b, graph, inds, err := buildBiasFull(task, opts)
+	res, l, err := opts.assemble(task, mc)
 	if err != nil {
 		return nil, err
 	}
-	biasTime := time.Since(biasStart)
-
-	compiled, err := b.Compile(task.DB.Schema(), task.Target, len(task.TargetAttrs))
-	if err != nil {
+	if err := opts.run(ctx, task, res, l); err != nil {
 		return nil, err
 	}
-
-	res := &Result{Bias: b, Graph: graph, INDs: inds, BiasTime: biasTime, db: task.DB, metrics: mc}
-	start := time.Now()
-	l := opts.newLearner(task.DB, compiled, mc)
-	detach, err := opts.bindShards(l.Coverage(), task, b, mc, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer detach()
-	def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
-	if err != nil {
-		return nil, err
-	}
-	res.capture(l.Coverage(), def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
-	res.Elapsed = time.Since(start)
 	if mc != nil {
 		snap := mc.Snapshot()
 		res.Metrics = &snap
@@ -707,19 +708,15 @@ func LearnCtx(ctx context.Context, task Task, opts Options) (*Result, error) {
 func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions) (*ShardWorker, error) {
 	mc := opts.collector()
 	opts.Collector = mc
-	b, _, err := BuildBias(task, opts)
+	res, l, err := opts.assemble(task, mc)
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := b.Compile(task.DB.Schema(), task.Target, len(task.TargetAttrs))
-	if err != nil {
-		return nil, err
-	}
-	engine := opts.newLearner(task.DB, compiled, mc).Coverage()
+	engine := l.Coverage()
 	if wopts.Metrics == nil {
 		wopts.Metrics = mc
 	}
-	return shard.NewWorker(id, engine, engineFingerprint(engine, task, b), wopts), nil
+	return shard.NewWorker(id, engine, engineFingerprint(engine, task, res.Bias), wopts), nil
 }
 
 // DiscoverINDs runs Binder-style IND discovery over the database with
@@ -747,16 +744,8 @@ func DiscoverINDsCollect(ctx context.Context, d *Database, maxError float64, mc 
 // contribution) and returns the induced bias together with the type
 // graph and the INDs it was built from.
 func InduceBias(task Task, opts Options) (*Bias, *TypeGraph, []IND, error) {
-	res, err := bias.Induce(task.DB, task.Target, task.TargetAttrs, examplesToTuples(task.Pos), bias.InduceOptions{
-		INDs:        opts.INDs,
-		ApproxError: opts.ApproxINDError,
-		Threshold:   constantThreshold(opts),
-		Metrics:     opts.collector(),
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res.Bias, res.Graph, res.INDs, nil
+	opts.Method = MethodAutoBias
+	return buildBiasFull(task, opts)
 }
 
 // RenderTypeGraph prints a type graph in the style of the paper's

@@ -16,8 +16,9 @@
 // GET /version (current data version), GET /status (data version,
 // theory size, repair history) and the shared admin surface (GET
 // /metrics, /healthz, /readyz, /debug/pprof/) — all on one port. Every commit triggers an incremental
-// repair (full re-learn when the refreshed bias drifted), so /status
-// and the artifact on disk always reflect the latest committed data.
+// repair (a replay under the new bias when the refreshed bias drifted),
+// so /status and the artifact on disk always reflect the latest
+// committed data.
 //
 // Exit codes: 0 clean shutdown, 1 error, 2 usage error.
 package main
@@ -125,7 +126,6 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 		sync.Mutex
 		res     *autobias.Result
 		repairs int
-		full    int
 		lastErr string
 	}
 	live.res = res
@@ -157,9 +157,6 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 		}
 		live.res = rep.Result
 		live.repairs++
-		if rep.FullRelearn {
-			live.full++
-		}
 		fmt.Printf("ingest: v%d: %d dirty, %d invalidated, %d carried hits, %s%s\n",
 			c.Version, rep.DirtyExamples, len(rep.InvalidatedClauses), rep.CarriedHits,
 			rep.Elapsed.Round(time.Millisecond), repairNote(rep))
@@ -178,7 +175,6 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 			"data_version": task.DB.Version(),
 			"clauses":      live.res.Clauses,
 			"repairs":      live.repairs,
-			"full_relearn": live.full,
 			"last_error":   live.lastErr,
 		})
 	})
@@ -203,8 +199,8 @@ func repairNote(rep *autobias.Repair) string {
 	switch {
 	case rep.Unchanged:
 		return " (unchanged)"
-	case rep.FullRelearn:
-		return " (full re-learn: bias drift)"
+	case rep.BiasDrift:
+		return " (bias drift)"
 	}
 	return ""
 }

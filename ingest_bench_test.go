@@ -38,12 +38,15 @@ type ingestBenchRun struct {
 	Note          string  `json:"note,omitempty"`
 }
 
+// ingestBenchFile keeps every run as raw JSON, so rewriting the file to
+// append one cannot drop the fields of entries with another shape (the
+// interleaved benchmark pairs).
 type ingestBenchFile struct {
-	Description string           `json:"description"`
-	Runs        []ingestBenchRun `json:"runs"`
+	Description string            `json:"description"`
+	Runs        []json.RawMessage `json:"runs"`
 }
 
-const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the incremental path — not the drift fallback — handles it), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v ."
+const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the value screen applies), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v . Entries with a \"workload\" field are interleaved parent/change pairs of the repo benchmark (bench/run.sh), not repair-gate runs; their note says what they measure."
 
 // TestIngestBenchGate measures and gates the repair-vs-relearn speedup.
 func TestIngestBenchGate(t *testing.T) {
@@ -95,9 +98,9 @@ func TestIngestBenchGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.FullRelearn || rep.Unchanged {
-			t.Fatalf("batch did not exercise the repair path (drift=%v full=%v unchanged=%v); the measurement is meaningless",
-				rep.BiasDrift, rep.FullRelearn, rep.Unchanged)
+		if rep.BiasDrift || rep.Unchanged {
+			t.Fatalf("batch did not exercise the screened replay (drift=%v unchanged=%v); the measurement is meaningless",
+				rep.BiasDrift, rep.Unchanged)
 		}
 		start := time.Now()
 		relearn, err := autobias.LearnCtx(ctx, task, opts)
@@ -143,7 +146,11 @@ func TestIngestBenchGate(t *testing.T) {
 		}
 		file.Description = ingestBenchDescription
 	}
-	file.Runs = append(file.Runs, run)
+	raw, err := json.Marshal(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.Runs = append(file.Runs, raw)
 	out, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +171,7 @@ func TestIngestBenchGate(t *testing.T) {
 // repair is built for: new facts arriving about a few entities perturb
 // only the examples whose bottom clauses reach those entities, and
 // fresh constants in the already-near-unique title attribute leave the
-// induced bias stable, so the repair path (not the drift fallback)
-// handles the batch.
+// induced bias stable, so the repair screens by the batch's values.
 func entityLocalBatch(t *testing.T, task autobias.Task, n int) autobias.IngestBatch {
 	t.Helper()
 	rel := task.DB.Relation("publication")

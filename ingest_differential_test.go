@@ -85,8 +85,7 @@ func randomBatch(t *testing.T, task autobias.Task, seed int64, inserts, deletes 
 // multiplicities (and therefore lookup frontiers) without adding
 // distinct values, so the INDs cannot move — but the induced bias still
 // can: multiplicities are what the constant threshold's frequencies are
-// made of, and seed 62, for one, drifts it. Legs that need the replay
-// path pin a seed that does not and say so through replayed.
+// made of, and seed 62, for one, drifts it.
 func duplicateBatch(t *testing.T, task autobias.Task, seed int64, n int) autobias.IngestBatch {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -123,16 +122,6 @@ func entityBatch(person string, n int) autobias.IngestBatch {
 	return autobias.IngestBatch{Mutations: muts}
 }
 
-// replayed fails the leg, naming the cause, when a fixture batch that was
-// chosen to exercise the repair path drifted the bias into the re-learn
-// instead — where every equivalence assertion holds vacuously.
-func replayed(t *testing.T, rep *autobias.Repair, label string) {
-	t.Helper()
-	if rep.FullRelearn {
-		t.Fatalf("%s: the fixture batch forced a full re-learn (BiasDrift=%v); the leg compared a re-learn with a re-learn", label, rep.BiasDrift)
-	}
-}
-
 // verdicts scores the held-out examples through a result's own coverage
 // machinery.
 func verdicts(t *testing.T, res *autobias.Result, heldOut []autobias.Example) []bool {
@@ -149,13 +138,19 @@ func verdicts(t *testing.T, res *autobias.Result, heldOut []autobias.Example) []
 }
 
 // repairVsRelearn runs the full contract check for one (batch, workers)
-// configuration of the induced-bias learner over a randomized batch.
+// configuration of the induced-bias learner over a randomized batch. The
+// suite's random batches recombine existing constants and all drift the
+// induced bias, so each leg is a replay under a new bias.
 func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers int) (*autobias.Repair, string) {
 	t.Helper()
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: workers}
-	return repairVsRelearnBatch(t, opts, fmt.Sprintf("seed=%d", batchSeed), func(task autobias.Task) autobias.IngestBatch {
+	rep, theory := repairVsRelearnBatch(t, opts, fmt.Sprintf("seed=%d", batchSeed), func(task autobias.Task) autobias.IngestBatch {
 		return randomBatch(t, task, batchSeed, inserts, deletes)
 	})
+	if !rep.BiasDrift || rep.Unchanged {
+		t.Errorf("workers=%d seed=%d: BiasDrift=%v Unchanged=%v, want a replay under a drifted bias", workers, batchSeed, rep.BiasDrift, rep.Unchanged)
+	}
+	return rep, theory
 }
 
 // repairFixture is the state between the commit and the repair, handed to
@@ -237,15 +232,15 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 
 	// The top-down search under the same covering loop (DESIGN.md §21)
 	// repairs like the bottom-up one: new facts about one person, the
-	// expert bias cannot drift, so the replay over carried verdicts — not
-	// a fallback — must reproduce the re-learn.
+	// expert bias cannot drift, so the replay over carried verdicts must
+	// reproduce the re-learn.
 	opts := autobias.Options{Method: autobias.MethodAleph, Seed: 1, Workers: 1}
 	rep, _ := repairVsRelearnBatch(t, opts, "aleph entity-local", func(task autobias.Task) autobias.IngestBatch {
 		return entityLocalBatch(t, task, 6)
 	})
-	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
-		t.Errorf("aleph repair did not take the replay path: fullRelearn=%v unchanged=%v dirty=%d carriedHits=%d",
-			rep.FullRelearn, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
+	if rep.BiasDrift || rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+		t.Errorf("aleph repair did not take the replay path: biasDrift=%v unchanged=%v dirty=%d carriedHits=%d",
+			rep.BiasDrift, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
 	}
 
 	// The top-down search also reads the database directly: the ten most
@@ -255,9 +250,9 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 	// previous theory, which tests phases, is not what a re-learn finds,
 	// and the Unchanged shortcut would be wrong.
 	rep, theory := repairVsRelearnBatch(t, opts, "aleph constant-displacing", displacePhasesBatch)
-	if rep.FullRelearn || rep.Unchanged || rep.DirtyExamples != 0 {
-		t.Errorf("aleph repair over a BC-disjoint batch: fullRelearn=%v unchanged=%v dirty=%d, want a replay with nothing dirty",
-			rep.FullRelearn, rep.Unchanged, rep.DirtyExamples)
+	if rep.BiasDrift || rep.Unchanged || rep.DirtyExamples != 0 {
+		t.Errorf("aleph repair over a BC-disjoint batch: biasDrift=%v unchanged=%v dirty=%d, want a replay with nothing dirty",
+			rep.BiasDrift, rep.Unchanged, rep.DirtyExamples)
 	}
 	if strings.Contains(theory, "inPhase(") {
 		t.Errorf("the batch displaced no constant the theory uses; the leg proves nothing:\n%s", theory)
@@ -282,7 +277,6 @@ func TestRepairEquivalenceSamplers(t *testing.T) {
 				return entityBatch(task.Pos[len(task.Pos)-1].Terms[0].Name, 6)
 			}, func(f *repairFixture) { learned = f.prev.Metrics.Counters })
 			theories[w] = theory
-			replayed(t, rep, label)
 			if rep.Unchanged || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
 				t.Errorf("workers=%d %s: unchanged=%v dirty=%d carriedHits=%d, want a replay over carried verdicts",
 					w, label, rep.Unchanged, rep.DirtyExamples, rep.CarriedHits)
@@ -386,7 +380,7 @@ func TestRepairFreshConstantsFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.BiasDrift || rep.FullRelearn {
+	if rep.BiasDrift {
 		t.Fatalf("net-zero batch must not drift the bias: %+v", rep)
 	}
 	if !rep.Unchanged || rep.DirtyExamples != 0 {
@@ -409,18 +403,29 @@ func TestRepairFreshConstantsFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FullRelearn || !rep.Unchanged || rep.DirtyExamples != 0 || rep.Result != prev {
+	if !rep.Unchanged || rep.DirtyExamples != 0 || rep.Result != prev {
 		t.Fatalf("version-skewed net-zero commit: expected unchanged, got %+v", rep)
 	}
 }
 
-// TestRepairShardedTransport runs the repair leg over a live shard
-// fleet started on the post-batch database: the repaired theory must
-// match the single-process repair (and therefore the re-learn
-// reference) bit for bit.
+// TestRepairShardedTransport runs the repair leg end to end over the
+// sharded transport: the previous theory is learned through one fleet,
+// the batch commits, and the repair runs through a fleet started on the
+// post-batch database. A coordinator stores the verdicts its workers
+// resolved without ever building those examples' ground BCs, so only its
+// own examples' verdicts can be checked and carried. The repaired theory
+// and held-out verdicts must equal both the single-process repair and a
+// cold re-learn, and a later commit the check finds nothing dirty in
+// must still replay.
 func TestRepairShardedTransport(t *testing.T) {
 	ctx := context.Background()
 	base := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 2}
+	layout := [][]string{{"i0"}, {"i1"}}
+	sharded := func(fleet *testkit.ShardFleet) autobias.Options {
+		o := base
+		o.Shard = &autobias.ShardOptions{Workers: fleet.URLs}
+		return o
+	}
 
 	// Single-process reference: learn, commit, repair.
 	task, heldOut := liveTask(t)
@@ -429,8 +434,7 @@ func TestRepairShardedTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := duplicateBatch(t, task, 77, 12)
-	ing := autobias.NewIngestor(task.DB, nil)
-	commit, err := ing.Apply(ctx, batch)
+	commit, err := autobias.NewIngestor(task.DB, nil).Apply(ctx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,12 +442,20 @@ func TestRepairShardedTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed(t, refRep, "duplicate batch 77")
+	relearn, err := autobias.LearnCtx(ctx, task, base)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Sharded leg: identical problem, fleet workers built over the
-	// post-batch database.
+	// Sharded leg: identical problem, each phase through a fleet built over
+	// the database as that phase sees it.
 	task2, _ := liveTask(t)
-	prev2, err := autobias.LearnCtx(ctx, task2, base)
+	before, err := testkit.StartShardFleet(task2, base, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev2, err := autobias.LearnCtx(ctx, task2, sharded(before))
+	before.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,26 +464,55 @@ func TestRepairShardedTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := testkit.StartShardFleet(task2, base, [][]string{{"i0"}, {"i1"}})
+	after, err := testkit.StartShardFleet(task2, base, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
-	shardOpts := base
-	shardOpts.Shard = &autobias.ShardOptions{Workers: fleet.URLs}
-	shardRep, err := autobias.RepairCtx(ctx, prev2, task2, commit2, shardOpts)
+	defer after.Close()
+	shardRep, err := autobias.RepairCtx(ctx, prev2, task2, commit2, sharded(after))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := shardRep.Result.Definition.String(), refRep.Result.Definition.String(); got != want {
-		t.Errorf("sharded repair diverges from single-process repair:\n--- sharded\n%s\n--- reference\n%s", got, want)
+	if shardRep.BiasDrift || shardRep.Unchanged {
+		t.Errorf("BiasDrift=%v Unchanged=%v, want duplicate batch 77 replayed under a stable bias", shardRep.BiasDrift, shardRep.Unchanged)
 	}
 	gotV := verdicts(t, shardRep.Result, heldOut)
-	wantV := verdicts(t, refRep.Result, heldOut)
-	for i := range gotV {
-		if gotV[i] != wantV[i] {
-			t.Errorf("held-out verdict %d: sharded=%v reference=%v", i, gotV[i], wantV[i])
+	for _, ref := range []struct {
+		label string
+		res   *autobias.Result
+	}{{"single-process repair", refRep.Result}, {"cold re-learn", relearn}} {
+		if got, want := shardRep.Result.Definition.String(), ref.res.Definition.String(); got != want {
+			t.Errorf("sharded repair diverges from the %s:\n--- sharded\n%s\n--- %s\n%s", ref.label, got, ref.label, want)
 		}
+		wantV := verdicts(t, ref.res, heldOut)
+		for i := range gotV {
+			if gotV[i] != wantV[i] {
+				t.Errorf("held-out verdict %d: sharded=%v %s=%v", i, gotV[i], ref.label, wantV[i])
+			}
+		}
+	}
+
+	// A second commit reaches only a student of a negative example, whose
+	// verdicts the workers resolved: the check finds nothing dirty among
+	// the examples it can see, but it never saw that one, so the repair
+	// must replay instead of returning the previous theory.
+	commit3, err := ing2.Apply(ctx, entityBatch("stud_0057", 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep3, err := autobias.RepairCtx(ctx, shardRep.Result, task2, commit3, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.DirtyExamples != 0 || rep3.Unchanged {
+		t.Errorf("dirty=%d Unchanged=%v, want a replay with nothing dirty: unchecked verdicts rule out the shortcut", rep3.DirtyExamples, rep3.Unchanged)
+	}
+	relearn3, err := autobias.LearnCtx(ctx, task2, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep3.Result.Definition.String(), relearn3.Definition.String(); got != want {
+		t.Errorf("repair over a fleet-learned theory diverges from re-learn:\n--- repair\n%s\n--- relearn\n%s", got, want)
 	}
 }
 
@@ -550,33 +591,46 @@ func TestRepairUntrustedCommitReplays(t *testing.T) {
 		rep, _ := repairVsRelearnBatch(t, opts, leg.label, func(task autobias.Task) autobias.IngestBatch {
 			return duplicateBatch(t, task, leg.seed, 4)
 		}, leg.spoil)
-		replayed(t, rep, leg.label)
-		if rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
-			t.Errorf("%s: dirty=%d carriedHits=%d, want a replay over carried verdicts", leg.label, rep.DirtyExamples, rep.CarriedHits)
+		if rep.BiasDrift || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+			t.Errorf("%s: biasDrift=%v dirty=%d carriedHits=%d, want a replay over carried verdicts under a stable bias",
+				leg.label, rep.BiasDrift, rep.DirtyExamples, rep.CarriedHits)
 		}
 	}
 }
 
-// TestRepairBiasDriftRelearns pins the one fallback left: a batch that
-// changes the induced bias invalidates every mode the learner searched
-// under, so repair re-learns from scratch, says so and counts it; the
-// repair path proper counts nothing. Seed 62's duplicate batch drifts the
-// bias (see duplicateBatch), seed 71's does not.
-func TestRepairBiasDriftRelearns(t *testing.T) {
+// TestRepairBiasDriftReplays: a batch that changes the induced bias is
+// repaired like any other — the learner assembled on the new bias, every
+// cached example checked (no value screen), the replay over whatever
+// verdicts the new modes left standing — and says so through BiasDrift
+// alone. Seed 62's duplicate batch drifts the bias (see duplicateBatch),
+// seed 71's does not.
+func TestRepairBiasDriftReplays(t *testing.T) {
 	for _, leg := range []struct {
-		seed     int64
-		relearns int64
-	}{{62, 1}, {71, 0}} {
+		seed  int64
+		drift bool
+	}{{62, true}, {71, false}} {
 		mc := autobias.NewMetricsCollector()
 		opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, Collector: mc}
 		rep, _ := repairVsRelearnBatch(t, opts, fmt.Sprintf("seed=%d", leg.seed), func(task autobias.Task) autobias.IngestBatch {
 			return duplicateBatch(t, task, leg.seed, 4)
 		})
-		if drift := leg.relearns == 1; rep.FullRelearn != drift || rep.BiasDrift != drift {
-			t.Errorf("seed %d: FullRelearn=%v BiasDrift=%v, want both %v", leg.seed, rep.FullRelearn, rep.BiasDrift, drift)
+		if rep.BiasDrift != leg.drift {
+			t.Errorf("seed %d: BiasDrift=%v, want %v", leg.seed, rep.BiasDrift, leg.drift)
 		}
-		if got := mc.Snapshot().Gauges["ingest.full_relearn.bias_drift"]; got != leg.relearns {
-			t.Errorf("seed %d: gauge ingest.full_relearn.bias_drift = %d, want %d", leg.seed, got, leg.relearns)
+		if !leg.drift {
+			continue
+		}
+		snap := mc.Snapshot()
+		if rep.Unchanged || rep.CarriedHits == 0 {
+			t.Errorf("seed %d: Unchanged=%v carriedHits=%d, want a replay over carried verdicts", leg.seed, rep.Unchanged, rep.CarriedHits)
+		}
+		if sp := snap.Spans["repair.replay"]; sp.Count != 1 {
+			t.Errorf("seed %d: %d repair.replay spans, want 1", leg.seed, sp.Count)
+		}
+		for name := range snap.Gauges {
+			if strings.HasPrefix(name, "ingest.full_relearn.") {
+				t.Errorf("seed %d: gauge %s is set; repair has no re-learn to count", leg.seed, name)
+			}
 		}
 	}
 }
@@ -588,7 +642,7 @@ func TestRepairBiasDriftRelearns(t *testing.T) {
 // budget out or left it unset; a re-test on the bare engine's 10000 could
 // name a clause invalidated only because it looked longer. Each spelling
 // repairs the same chain of the suite's duplicate-row batches, the ones
-// that reach the re-test instead of drifting the bias.
+// that dirty examples without drifting the bias.
 func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
 	ctx := context.Background()
 	batches := []struct {
@@ -613,7 +667,6 @@ func TestRepairProbeSearchesTheRunsBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed(t, rep, fmt.Sprintf("duplicate batch %d", b.seed))
 			chains[i] = append(chains[i], rep)
 			prev = rep.Result
 		}
@@ -676,5 +729,8 @@ func TestRepairCrashMidCommit(t *testing.T) {
 	}
 	if rep.Result.Definition.String() != relearn.Definition.String() {
 		t.Error("repair after commit retry diverges from re-learn")
+	}
+	if !rep.BiasDrift || rep.Unchanged {
+		t.Errorf("BiasDrift=%v Unchanged=%v, want random batch 93's replay under a drifted bias", rep.BiasDrift, rep.Unchanged)
 	}
 }

@@ -35,14 +35,17 @@ func (ct ConstantThreshold) allows(rel *db.Relation, attr int) bool {
 	return float64(distinct) <= ct.Value
 }
 
+// DefaultApproxError is the paper's approximate-IND error cutoff (§3.1).
+const DefaultApproxError = 0.5
+
 // InduceOptions configures AutoBias induction.
 type InduceOptions struct {
 	// INDs are precomputed unary INDs over the database extended with the
 	// target pseudo-relation. When nil, Induce discovers them with
 	// ApproxError as the cutoff.
 	INDs []ind.IND
-	// ApproxError is the approximate-IND error rate; the paper uses 0.5.
-	// Values <= 0 default to 0.5.
+	// ApproxError is the approximate-IND error rate. Values <= 0 select
+	// DefaultApproxError.
 	ApproxError float64
 	// Threshold is the constant-threshold; the zero value selects
 	// DefaultConstantThreshold.
@@ -61,7 +64,7 @@ type InduceOptions struct {
 
 func (o *InduceOptions) normalize() {
 	if o.ApproxError <= 0 {
-		o.ApproxError = 0.5
+		o.ApproxError = DefaultApproxError
 	}
 	if o.Threshold == (ConstantThreshold{}) {
 		o.Threshold = DefaultConstantThreshold

@@ -47,11 +47,20 @@ type CarriedState struct {
 	// seed's renamed generalization chain miss and rebuild instead of
 	// replaying stale variable names.
 	records map[string]*clauseRecord
+	// Unchecked counts the examples whose verdicts were left behind
+	// because the previous engine held no ground entry for them — a
+	// coordinator's remotely resolved examples, a panic-isolated one. The
+	// check cannot see them, so a repair over this state must replay even
+	// when nothing it checked is dirty.
+	Unchecked int
 }
 
-// ExtractCarried snapshots the engine's coverage state for a repair run.
-// The maps are fresh copies; what AdoptCarried forgets from them does not
-// disturb the source engine, which may still be serving.
+// ExtractCarried snapshots the engine's coverage state for a repair run:
+// every ground entry, and the verdicts and armg results of exactly those
+// examples, because AdoptCarried's check can only vouch for an example
+// whose carried BC it can compare. The maps are fresh copies; what
+// AdoptCarried forgets from them does not disturb the source engine,
+// which may still be serving.
 func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 	ce.mu.RLock()
 	defer ce.mu.RUnlock()
@@ -60,17 +69,27 @@ func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 		Entries:  maps.Clone(ce.cache),
 		records:  make(map[string]*clauseRecord, len(ce.records)),
 	}
+	unchecked := make(map[string]bool)
 	for ck, rec := range ce.records {
 		cp := &clauseRecord{
 			verdicts: maps.Clone(rec.verdicts),
 			armg:     make(map[string]map[string]*logic.Clause, len(rec.armg)),
 		}
+		maps.DeleteFunc(cp.verdicts, func(ek string, _ verdict) bool {
+			if ce.cache[ek] != nil {
+				return false
+			}
+			unchecked[ek] = true
+			return true
+		})
 		for rendered, byEx := range rec.armg {
 			cp.armg[rendered] = maps.Clone(byEx)
+			maps.DeleteFunc(cp.armg[rendered], func(ek string, _ *logic.Clause) bool { return ce.cache[ek] == nil })
 		}
 		cp.cc.Store(rec.cc.Load())
 		cs.records[ck] = cp
 	}
+	cs.Unchecked = len(unchecked)
 	return cs
 }
 

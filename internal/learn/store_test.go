@@ -105,6 +105,52 @@ func TestARMGMemoNotServedToRenamedTwin(t *testing.T) {
 	}
 }
 
+// TestCarriedVerdictsNeedAGroundEntry: the check vouches for an example
+// only by comparing its carried ground BC with a rebuilt one, so a
+// verdict the previous engine holds without an entry — a coordinator's
+// remotely resolved verdict, stored by MemoizeRemote — is not carried.
+// After a batch that un-covers that example, the adopting engine must
+// answer like a cold one.
+func TestCarriedVerdictsNeedAGroundEntry(t *testing.T) {
+	d, pos, _ := uwWorld(t, 12, 8)
+	engine := func() *CoverageEngine {
+		return NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	}
+	ctx := context.Background()
+	copub := logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).")
+	ce := engine()
+	if _, err := count(ce, copub, pos[:1]); err != nil {
+		t.Fatal(err)
+	}
+	ce.MemoizeRemote(copub, pos[1].String(), true)
+
+	cs := ce.ExtractCarried()
+	if cs.Unchecked != 1 {
+		t.Errorf("Unchecked = %d, want 1 (the remotely resolved example)", cs.Unchecked)
+	}
+	if n := d.Relation("publication").DeleteBatch([]db.Tuple{{"t01", "p01"}}); n != 1 {
+		t.Fatalf("deleted %d tuples, want 1", n)
+	}
+	repair := engine()
+	dirty, _, err := repair.AdoptCarried(ctx, cs, cs.AffectedExamples(nil, false), []*logic.Clause{copub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirty) != 0 {
+		t.Fatalf("dirty = %v, want none: the batch reached no example with a ground entry", dirty)
+	}
+	want, err := engine().Covers(ctx, copub, pos[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want {
+		t.Fatal("fixture: without t01, s01 and p01 share no paper")
+	}
+	if got, err := repair.Covers(ctx, copub, pos[1]); err != nil || got != want {
+		t.Errorf("adopting engine says covered=%v (err %v), a cold engine %v: an unchecked verdict was carried", got, err, want)
+	}
+}
+
 // TestDropExamplesReachesEveryRecord: AdoptCarried's check finds the one
 // example whose ground BC the data change reached, installs its rebuilt
 // entry and removes, in every record, its carried verdicts and armg

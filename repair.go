@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bias"
 	"repro/internal/db"
 	"repro/internal/ind"
 	"repro/internal/ingest"
@@ -47,9 +48,9 @@ func NewIngestServer(ing *Ingestor, maxInflight int) *IngestServer {
 // Repair is the outcome of one incremental theory maintenance step.
 type Repair struct {
 	// Result is the post-batch learning result: bit-identical (theory and
-	// held-out verdicts) to a full re-learn over the post-batch database
-	// with the same options. When Unchanged is set it is the previous
-	// result, still valid at the new data version.
+	// held-out verdicts) to LearnCtx over the post-batch database with the
+	// same options. When Unchanged is set it is the previous result, still
+	// valid at the new data version.
 	Result *Result
 	// DirtyExamples counts cached examples whose ground bottom clause
 	// actually changed on the post-batch database (the exact rebuild
@@ -63,48 +64,56 @@ type Repair struct {
 	// test repair avoided. Clauses equal up to variable renaming share one
 	// store record, so a verdict read through several of them counts once.
 	CarriedHits int64
-	// BiasDrift reports that the post-batch INDs induce a different
-	// language bias — the one condition repair answers with a
-	// from-scratch re-learn, counted by the ingest.full_relearn.bias_drift
-	// gauge.
+	// BiasDrift reports that the post-batch data induce a different
+	// language bias. Repair replays under the new bias like any other
+	// commit; drift only turns off the value screen (a changed mode can
+	// reach a BC whatever values the batch touched) and the Unchanged
+	// shortcut.
 	BiasDrift bool
-	// FullRelearn reports that the repair re-learned from scratch. Bias
-	// drift is the only cause, so it equals BiasDrift.
+	// FullRelearn is always false.
+	//
+	// Deprecated: repair never re-learns (DESIGN.md §16). The field stays
+	// only while bench/liveloop.go reads it; the next benchmark PR deletes
+	// that read and this field.
 	FullRelearn bool
-	// Unchanged reports that the check found no dirty example under a
-	// stable bias, so the previous theory is returned as-is. Never set
-	// under MethodAleph, whose search also reads the database's value
-	// frequencies: it replays instead.
+	// Unchanged reports that, under a stable bias, the check found no
+	// dirty example and every verdict of the previous run belonged to an
+	// example it checked (a verdict a shard worker resolved has no local
+	// ground BC to compare), so the previous theory is returned as-is.
+	// Never set under MethodAleph, whose search also reads the database's
+	// value frequencies: it replays instead.
 	Unchanged bool
 	// Elapsed is the repair's wall-clock time, end to end.
 	Elapsed time.Duration
 }
 
 // RepairCtx incrementally maintains a learned theory after a committed
-// mutation batch (DESIGN.md §16), under any Method and any Sampling: the
-// replay is the one covering loop over carried verdicts, whichever clause
-// search runs in it. prev must be the result of LearnCtx (or a previous
-// RepairCtx) over an earlier state of task.DB with these same opts; task
-// must carry the same examples, with task.DB now in its post-batch
-// state; commit is the batch's change summary from Ingestor.Apply.
+// mutation batch (DESIGN.md §16), under any Method and any Sampling: it is
+// LearnCtx plus carried state, the one covering loop replayed over the
+// previous run's verdicts, whichever clause search runs in it. prev must
+// be the result of LearnCtx (or a previous RepairCtx) over an earlier
+// state of task.DB with these same opts; task must carry the same
+// examples, with task.DB now in its post-batch state; commit is the
+// batch's change summary from Ingestor.Apply.
 //
 // Contract (pinned by the repair differential suite): the returned
 // result is semantically equivalent to LearnCtx on the database as it now
 // stands — identical held-out verdicts, and a bit-identical theory.
-// The mechanism: re-induce the bias and compare; when it is stable,
-// re-run the learner with the previous run's interner, ground entries
-// and coverage verdicts carried over, minus the examples whose ground
-// bottom clause, rebuilt on the new data, differs from the carried one.
-// That check is exact under every sampler and for any delta, so commit
-// only selects optimisations: one that is trusted — at the database's
-// version, with its change summary, prev holding INDs to refresh —
-// refreshes the INDs incrementally and, under naive sampling, screens
+// The mechanism: assemble the learner as LearnCtx does, on the bias
+// re-induced from the post-batch data, and re-run it with the previous
+// run's interner, ground entries and coverage verdicts carried over,
+// minus the examples whose ground bottom clause, rebuilt now, differs
+// from the carried one. A verdict depends on the clause and the ground
+// BC, never on the bias, so that check is exact under every sampler, for
+// any delta and across bias drift; commit only selects optimisations.
+// One that is trusted — at the database's version, with its change
+// summary, prev holding INDs to refresh — refreshes the INDs
+// incrementally and, under naive sampling and a stable bias, screens
 // which examples need the check at all; anything else rediscovers the
-// INDs and checks every cached example. The covering loop and the
-// bottom-up search decide on coverage verdicts alone, and the top-down
-// search on verdicts plus value frequencies it re-reads from the
-// post-batch database, so the replay takes exactly the cold run's path
-// while skipping its dominant cost.
+// INDs and checks every cached example. The learner decides on coverage
+// verdicts alone (the top-down search also re-reads value frequencies
+// from the post-batch database), so the replay takes exactly the cold
+// run's path while skipping its dominant cost.
 func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit, opts Options) (*Repair, error) {
 	start := time.Now()
 	mc := opts.collector()
@@ -115,18 +124,6 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return nil, fmt.Errorf("autobias: repair needs a previous Learn result")
 	}
 
-	finish := func(rep *Repair) *Repair {
-		rep.Elapsed = time.Since(start)
-		if prev.Elapsed > rep.Elapsed {
-			mc.SetNamedGauge("ingest.repair_saved_ns", int64(prev.Elapsed-rep.Elapsed))
-		}
-		if mc != nil && rep.Result != nil {
-			snap := mc.Snapshot()
-			rep.Result.Metrics = &snap
-		}
-		return rep
-	}
-
 	// Commits observed through Ingestor.ApplyAndNotify are always at the
 	// database's version: the hook runs under the commit lock.
 	induced := opts.method() == MethodAutoBias
@@ -135,8 +132,8 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		(!induced || prev.INDs != nil)
 
 	// Re-induce the bias — over incrementally refreshed INDs when the
-	// commit says which relations to re-validate — and compare; a changed
-	// bias invalidates every mode the learner searched under.
+	// commit says which relations to re-validate — and assemble the
+	// learner on it.
 	if induced && trusted {
 		ext, err := db.Extend(task.DB, task.Target, task.TargetAttrs, examplesToTuples(task.Pos))
 		if err != nil {
@@ -144,42 +141,29 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		}
 		approx := opts.ApproxINDError
 		if approx <= 0 {
-			approx = 0.5 // bias.InduceOptions' default cutoff
+			approx = bias.DefaultApproxError
 		}
 		opts.INDs, err = ind.Refresh(ctx, ext, prev.INDs, commit.Relations, ind.Options{MaxError: approx, Metrics: mc})
 		if err != nil {
 			return nil, err
 		}
 	}
-	b, graph, inds, err := buildBiasFull(task, opts)
+	res, l, err := opts.assemble(task, mc)
 	if err != nil {
 		return nil, err
 	}
-	if prev.Bias == nil || b.String() != prev.Bias.String() {
-		opts.INDs = inds
-		res, err := LearnCtx(ctx, task, opts)
-		if err != nil {
-			return nil, err
-		}
-		mc.AddNamedGauge("ingest.full_relearn.bias_drift", 1)
-		return finish(&Repair{Result: res, BiasDrift: true, FullRelearn: true}), nil
-	}
-
-	compiled, err := b.Compile(task.DB.Schema(), task.Target, len(task.TargetAttrs))
-	if err != nil {
-		return nil, err
-	}
-	l := opts.newLearner(task.DB, compiled, mc)
+	drift := res.Bias.String() != prev.Bias.String()
 	engine := l.Coverage()
 
 	// The one invalidation mechanism: adopt the previous run's coverage
 	// state, minus what the rebuild check finds changed. Common constant
 	// values can pass most of the corpus through the screen while the
 	// batch changes almost nothing; the check is what keeps a repair's
-	// cost proportional to the batch's real blast radius.
+	// cost proportional to the batch's real blast radius. A changed mode
+	// reaches BCs whatever values the batch touched: drift gets no screen.
 	checkStart := mc.StartSpan()
 	cs := prev.engine.ExtractCarried()
-	candidates := cs.AffectedExamples(commit.Values, trusted && opts.Sampling == SamplingNaive)
+	candidates := cs.AffectedExamples(commit.Values, !drift && trusted && opts.Sampling == SamplingNaive)
 	dirty, flipped, err := engine.AdoptCarried(ctx, cs, candidates, prev.Definition.Clauses)
 	mc.EndSpan(metrics.SpanRepairCheck, checkStart)
 	if err != nil {
@@ -188,39 +172,35 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	mc.AddNamedGauge("ingest.examples_checked", int64(len(candidates)))
 	mc.Add(metrics.IngestExamplesDirty, int64(len(dirty)))
 	mc.Add(metrics.IngestClausesInvalidated, int64(len(flipped)))
-	rep := &Repair{DirtyExamples: len(dirty), InvalidatedClauses: flipped}
-	// The FOIL search reads the live database besides its verdicts — the
-	// most frequent values of every # attribute, which a tuple in no
-	// example's BC can reorder or displace — so under MethodAleph a clean
-	// check still replays: every verdict carried, the search re-run on the
-	// post-batch data.
-	if len(dirty) == 0 && opts.method() != MethodAleph {
+	rep := &Repair{DirtyExamples: len(dirty), InvalidatedClauses: flipped, BiasDrift: drift}
+	// The previous theory is what a re-learn finds only when the check saw
+	// every verdict it rests on, unchanged, under the modes it was learned
+	// with. The FOIL search also reads the live database besides its
+	// verdicts — the most frequent values of every # attribute, which a
+	// tuple in no example's BC can reorder or displace — so under
+	// MethodAleph a clean check still replays: every verdict carried, the
+	// search re-run on the post-batch data.
+	rep.Unchanged = len(dirty) == 0 && cs.Unchecked == 0 && !drift && opts.method() != MethodAleph
+	if rep.Unchanged {
 		rep.Result = prev
-		rep.Unchanged = true
-		return finish(rep), nil
+	} else {
+		// Every carried verdict reproduces a decision input the cold run
+		// would recompute, so the replay's decision sequence — and therefore
+		// the order its seed clauses are built in and its theory — is the
+		// cold run's, bit for bit.
+		replayStart := mc.StartSpan()
+		if err := opts.run(ctx, task, res, l); err != nil {
+			return nil, err
+		}
+		mc.EndSpan(metrics.SpanRepairReplay, replayStart)
+		rep.Result = res
+		rep.CarriedHits = engine.CarriedHits()
+		mc.SetNamedGauge("ingest.carried_hits", rep.CarriedHits)
 	}
-
-	// Every carried verdict reproduces a decision input the cold run would
-	// recompute, so the replay's decision sequence — and therefore the
-	// order its seed clauses are built in and its theory — is the cold
-	// run's, bit for bit.
-	detach, err := opts.bindShards(engine, task, b, mc, task.DB.Version())
-	if err != nil {
-		return nil, err
+	rep.Elapsed = time.Since(start)
+	if mc != nil {
+		snap := mc.Snapshot()
+		rep.Result.Metrics = &snap
 	}
-	defer detach()
-
-	replayStart := time.Now()
-	def, stats, err := l.LearnCtx(ctx, task.Pos, task.Neg)
-	if err != nil {
-		return nil, err
-	}
-	mc.EndSpan(metrics.SpanRepairReplay, replayStart)
-	res := &Result{Bias: b, Graph: graph, INDs: inds, db: task.DB, metrics: mc}
-	res.capture(engine, def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
-	res.Elapsed = time.Since(replayStart)
-	rep.Result = res
-	rep.CarriedHits = engine.CarriedHits()
-	mc.SetNamedGauge("ingest.carried_hits", rep.CarriedHits)
-	return finish(rep), nil
+	return rep, nil
 }
