@@ -24,6 +24,11 @@
 // artifacts are skipped by checksum; a bad artifact keeps its last good
 // version serving.
 //
+// Memory: each model keeps one cache, its verdict memo (-memo-limit). A
+// memo miss builds the example's ground bottom clause, checks the theory
+// against it and drops it, so a model's memory does not grow with the
+// examples it has served.
+//
 // SIGINT/SIGTERM drains gracefully: in-flight requests finish (bounded
 // by -drain-timeout), then the process exits 0.
 //
@@ -56,7 +61,6 @@ func main() {
 	modelConcurrency := flag.Int("model-concurrency", 32, "per-model concurrent predict budget; excess is shed with 503 (0 = unlimited)")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "per-model byte budget for ground-BC entries (size-aware LRU)")
 	memoLimit := flag.Int("memo-limit", 0, "per-model verdict memo entries per generation (0 = default 65536)")
 	metricsOut := flag.String("metrics", "", "write the final metrics snapshot to this JSON file on shutdown")
 	flag.Parse()
@@ -74,7 +78,6 @@ func main() {
 
 	opts := serve.Options{
 		Workers:          *workers,
-		CacheBytes:       *cacheBytes,
 		MemoLimit:        *memoLimit,
 		ModelConcurrency: *modelConcurrency,
 		Metrics:          mc,

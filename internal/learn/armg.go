@@ -129,7 +129,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 				jb.slots = append(jb.slots, slot)
 				continue
 			}
-			ent, err := ce.groundEntry(ctx, key.example, e)
+			ent, err := ce.entry(ctx, key.example, e)
 			if err != nil {
 				return nil, err
 			}

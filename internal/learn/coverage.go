@@ -90,7 +90,7 @@ type CoverageEngine struct {
 	// mu guards cache and the clause store (records, byPtr and every
 	// record's maps). It is never held across a BC construction.
 	mu    sync.RWMutex
-	cache map[string]*GroundEntry
+	cache map[string]*groundEntry
 	// records is the verdict store, keyed by clause canonical key; byPtr
 	// is its pointer fast path (see store.go).
 	records map[string]*clauseRecord
@@ -142,39 +142,22 @@ func NewCoverage(builder *bottom.Builder, subOpts subsume.Options) *CoverageEngi
 		subOpts: subOpts,
 		workers: 1,
 		in:      in,
-		cache:   make(map[string]*GroundEntry),
+		cache:   make(map[string]*groundEntry),
 		records: make(map[string]*clauseRecord),
 		byPtr:   make(map[*logic.Clause]*clauseRecord),
 	}
 }
 
-// GroundEntry pairs a cached ground BC with its compiled subsumption
+// groundEntry pairs a cached ground BC with its compiled subsumption
 // index. The compiled form is a pure function of the BC (see
 // subsume.CompileGround), and the two are stored together under one
 // lock, so "BC cached ⇒ index cached" holds everywhere and parallelism
 // cannot perturb either. Entries are immutable once built and safe to
-// share across goroutines; the serving layer (internal/serve) holds
-// them in its own size-aware cache, charged at SizeBytes.
-type GroundEntry struct {
-	bc   *logic.Clause
-	cg   *subsume.CompiledGround
-	size int64
+// share across goroutines.
+type groundEntry struct {
+	bc *logic.Clause
+	cg *subsume.CompiledGround
 }
-
-// NewGroundEntry pairs a ground bottom clause with its compiled index.
-func NewGroundEntry(bc *logic.Clause, cg *subsume.CompiledGround) *GroundEntry {
-	return &GroundEntry{bc: bc, cg: cg, size: bc.SizeBytes() + cg.SizeBytes()}
-}
-
-// BC returns the entry's ground bottom clause.
-func (g *GroundEntry) BC() *logic.Clause { return g.bc }
-
-// Compiled returns the entry's compiled subsumption index.
-func (g *GroundEntry) Compiled() *subsume.CompiledGround { return g.cg }
-
-// SizeBytes is the entry's estimated heap footprint (BC plus compiled
-// index), the cost serving caches charge against their byte budgets.
-func (g *GroundEntry) SizeBytes() int64 { return g.size }
 
 // SetWorkers bounds the coverage worker pool; n <= 0 selects
 // runtime.GOMAXPROCS(0). At 1 worker the engine runs the exact
@@ -264,21 +247,21 @@ func isCtxErr(err error) bool {
 // panic during construction is converted to an error (the callers
 // isolate it per example).
 func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Clause, error) {
-	ent, err := ce.groundEntry(ctx, e.String(), e)
+	ent, err := ce.entry(ctx, e.String(), e)
 	if err != nil {
 		return nil, err
 	}
 	return ent.bc, nil
 }
 
-// groundEntry returns the cached (BC, compiled index) pair for the
-// example, building it on a miss. The build is a function of the example
-// alone (BuildEntry), so it runs outside every lock and the result is
-// the same no matter which goroutine gets there first; resolve and
+// entry returns the cached (BC, compiled index) pair for the example,
+// building it on a miss. The build is a function of the example alone
+// (buildEntry), so it runs outside every lock and the result is the same
+// no matter which goroutine gets there first; resolve and
 // GeneralizeManyCtx prefetch sequentially, so concurrent builds of one
 // example only happen for external callers of Covers — or when the
 // prefetch itself was isolated.
-func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example) (*GroundEntry, error) {
+func (ce *CoverageEngine) entry(ctx context.Context, key string, e Example) (*groundEntry, error) {
 	ce.mu.RLock()
 	ent, ok := ce.cache[key]
 	ce.mu.RUnlock()
@@ -286,7 +269,7 @@ func (ce *CoverageEngine) groundEntry(ctx context.Context, key string, e Example
 		ce.mc.Inc(metrics.CoverageBCCacheHits)
 		return ent, nil
 	}
-	built, err := ce.BuildEntry(ctx, e)
+	built, err := ce.buildEntry(ctx, key, e)
 	if err != nil {
 		return nil, err
 	}
@@ -312,17 +295,13 @@ func (ce *CoverageEngine) buildBC(ctx context.Context, key string, e Example) (b
 	return ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key)).ConstructGroundCtx(ctx, e)
 }
 
-// BuildEntry builds the example's ground BC and compiles its subsumption
-// index, WITHOUT entering it into the engine cache. The result is a pure
-// function of (engine configuration, example) — independent of build
-// order, concurrency, and process restarts — which is what lets an
-// external cache (internal/serve's size-aware LRU) evict and rebuild
-// entries freely without ever changing a verdict, and unbounded serving
-// traffic never grows engine state. A panic becomes an error; an
+// buildEntry builds the example's ground BC and compiles its subsumption
+// index, without entering it into the engine cache: a pure function of
+// (engine configuration, example), independent of build order,
+// concurrency and process restarts. A panic becomes an error; an
 // interrupted build is recorded as abandoned.
-func (ce *CoverageEngine) BuildEntry(ctx context.Context, e Example) (ent *GroundEntry, err error) {
+func (ce *CoverageEngine) buildEntry(ctx context.Context, key string, e Example) (ent *groundEntry, err error) {
 	defer recoverToErr(&err)
-	key := e.String()
 	g, err := ce.buildBC(ctx, key, e)
 	if err != nil {
 		if isCtxErr(err) {
@@ -330,7 +309,7 @@ func (ce *CoverageEngine) BuildEntry(ctx context.Context, e Example) (ent *Groun
 		}
 		return nil, fmt.Errorf("learn: ground BC for %v: %w", e, err)
 	}
-	return NewGroundEntry(g, subsume.CompileGround(ce.in, g)), nil
+	return &groundEntry{bc: g, cg: subsume.CompileGround(ce.in, g)}, nil
 }
 
 // deriveSeed maps (base seed, example key) to the RNG seed of the
@@ -352,7 +331,7 @@ func deriveSeed(base int64, key string) int64 {
 // budget — a sound-negative answer, §5's approximation — is reported; a
 // test the refuter answers is a complete "not covered" and reports
 // nothing. A done ctx returns its error.
-func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*GroundEntry, error)) (bool, error) {
+func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*groundEntry, error)) (bool, error) {
 	v, complete, err := func() (v, complete bool, err error) {
 		defer recoverToErr(&err)
 		ent, err := fetch()
@@ -396,7 +375,7 @@ func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logi
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	v, err := ce.settle(ctx, rec, c, key, func() (*GroundEntry, error) {
+	v, err := ce.settle(ctx, rec, c, key, func() (*groundEntry, error) {
 		if faultpoint.Enabled() {
 			// Per-example site, so injected worker failures are a
 			// deterministic function of the example — the hit order across
@@ -409,7 +388,7 @@ func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logi
 				return nil, &panicErr{val: err}
 			}
 		}
-		return ce.groundEntry(ctx, key, e)
+		return ce.entry(ctx, key, e)
 	})
 	if err != nil {
 		return false, err
@@ -439,14 +418,21 @@ func (ce *CoverageEngine) DefinitionCovers(ctx context.Context, d *logic.Definit
 	return false, nil
 }
 
-// CheckDefinitionEntryCtx reports whether any clause of the definition
-// subsumes the entry's ground BC, in clause order with early exit — the
-// same semantics as DefinitionCovers over the same BC, for callers that
-// manage ground entries and verdict memos of their own (internal/serve).
-// Nothing is stored, but each clause is compiled once, in its record.
-func (ce *CoverageEngine) CheckDefinitionEntryCtx(ctx context.Context, d *logic.Definition, ent *GroundEntry) (bool, error) {
+// CheckDefinitionCtx reports whether any clause of the definition covers
+// the example — the semantics of DefinitionCovers, in clause order with
+// early exit — while keeping nothing but the clauses' records: the
+// example's ground entry is built for this call and dropped after it,
+// and no verdict is stored. It is the serving path's one engine verb
+// (internal/serve memoizes verdicts of its own), so unbounded traffic
+// never grows engine state.
+func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
+	key := e.String()
+	ent, err := ce.buildEntry(ctx, key, e)
+	if err != nil {
+		return false, err
+	}
 	for _, c := range d.Clauses {
-		ok, err := ce.settle(ctx, ce.record(c), c, "", func() (*GroundEntry, error) { return ent, nil })
+		ok, err := ce.settle(ctx, ce.record(c), c, key, func() (*groundEntry, error) { return ent, nil })
 		if ok || err != nil {
 			return ok, err
 		}
@@ -546,7 +532,7 @@ func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, 
 	// isolated by a panic is skipped here — the pool worker's own fetch
 	// re-derives the same deterministic failure.
 	for j := 0; pooled && j < len(examples); j++ {
-		if _, err := ce.groundEntry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
+		if _, err := ce.entry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
 			return nil, ce.abandoned(err, len(examples))
 		}
 	}

@@ -35,11 +35,11 @@ type CarriedState struct {
 	// grounds and clauses hold ids from this table, so the adopting
 	// engine must use it (ids never affect verdicts — see internal/model).
 	Interner *logic.Interner
-	// Entries maps example key → cached ground entry (BC + compiled
+	// entries maps example key → cached ground entry (BC + compiled
 	// index). An entry is a pure function of (configuration, example,
 	// data), so it remains valid for every example the batch did not
 	// touch.
-	Entries map[string]*GroundEntry
+	entries map[string]*groundEntry
 	// records is the previous run's clause store. Like a verdict, an armg
 	// outcome is a pure function of the clause and the example's ground
 	// BC, so both stay valid for every example the batch did not
@@ -66,7 +66,7 @@ func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 	defer ce.mu.RUnlock()
 	cs := &CarriedState{
 		Interner: ce.in,
-		Entries:  maps.Clone(ce.cache),
+		entries:  maps.Clone(ce.cache),
 		records:  make(map[string]*clauseRecord, len(ce.records)),
 	}
 	unchecked := make(map[string]bool)
@@ -119,7 +119,7 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 // use is counted. A carried verdict answers without fetching the ground
 // BC or running subsumption — the cost incremental repair saves.
 //
-// Each candidate (a key of cs.Entries; the example is its entry's head)
+// Each candidate (a key of cs.entries; the example is its entry's head)
 // has its ground BC rebuilt once, on this engine's post-batch database,
 // and compared textually with the carried one. A ground BC is a pure
 // function of (options, example, data) under every sampler (DESIGN.md
@@ -146,7 +146,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, ca
 		}
 	}
 	ce.mu.Lock()
-	ce.cache, ce.records = cs.Entries, cs.records
+	ce.cache, ce.records = cs.entries, cs.records
 	ce.mu.Unlock()
 
 	for _, key := range candidates {
@@ -160,7 +160,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, ca
 		case bc.String() == old.bc.String():
 			continue
 		default:
-			ce.cache[key] = NewGroundEntry(bc, subsume.CompileGround(ce.in, bc))
+			ce.cache[key] = &groundEntry{bc: bc, cg: subsume.CompileGround(ce.in, bc)}
 			ce.mc.Inc(metrics.CoverageBCBuilt)
 			ce.mc.Inc(metrics.CoverageCGBuilt)
 		}
@@ -180,7 +180,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, ca
 			if old&vCarried == 0 || ent == nil {
 				continue
 			}
-			now, err := ce.settle(ctx, rec, c, key, func() (*GroundEntry, error) { return ent, nil })
+			now, err := ce.settle(ctx, rec, c, key, func() (*groundEntry, error) { return ent, nil })
 			if err != nil {
 				return nil, nil, err
 			}
@@ -237,7 +237,7 @@ func (cs *CarriedState) AffectedExamples(values []string, screen bool) []string 
 		}
 	}
 	var keys []string
-	for k, ent := range cs.Entries {
+	for k, ent := range cs.entries {
 		if !screen || ent.cg.HasAnySymbol(ids) {
 			keys = append(keys, k)
 		}

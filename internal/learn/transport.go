@@ -16,7 +16,7 @@ import (
 // stay bit-identical to a single-process run):
 //
 //   - Verdicts are pure. Every ground BC is built with derived-seed
-//     provenance (CoverageEngine.BuildEntry), here and on the remote
+//     provenance (CoverageEngine.buildBC), here and on the remote
 //     side alike, so "clause c covers example e" is a function of
 //     (configuration, clause, example) — independent of which process
 //     computes it, in what order, or how many times (retries).

@@ -51,21 +51,6 @@ func (c *Clause) Variables() []string {
 // Length returns the number of body literals.
 func (c *Clause) Length() int { return len(c.Body) }
 
-// SizeBytes estimates the clause's resident heap footprint: struct and
-// slice headers plus the bytes of every predicate name and term value.
-// It is an accounting estimate (string interning and allocator rounding
-// make exact numbers unknowable), used by serving caches to charge
-// entries against byte budgets; the estimate is deterministic for a
-// given clause.
-func (c *Clause) SizeBytes() int64 {
-	const sliceHeader = 24
-	size := int64(sliceHeader) + c.Head.sizeBytes()
-	for _, l := range c.Body {
-		size += l.sizeBytes()
-	}
-	return size
-}
-
 // IsGround reports whether the clause contains no variables.
 func (c *Clause) IsGround() bool {
 	if !c.Head.IsGround() {

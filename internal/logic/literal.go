@@ -17,21 +17,6 @@ func NewLiteral(pred string, terms ...Term) Literal {
 // Arity returns the number of terms.
 func (l Literal) Arity() int { return len(l.Terms) }
 
-// sizeBytes estimates the literal's heap footprint for cache accounting;
-// see Clause.SizeBytes.
-func (l Literal) sizeBytes() int64 {
-	const (
-		sliceHeader  = 24
-		stringHeader = 16
-		termOverhead = stringHeader + 8 // Term: padded Kind + Name header
-	)
-	size := int64(stringHeader+sliceHeader) + int64(len(l.Predicate))
-	for _, t := range l.Terms {
-		size += termOverhead + int64(len(t.Name))
-	}
-	return size
-}
-
 // Apply returns the literal with substitution s applied to every term.
 func (l Literal) Apply(s Substitution) Literal {
 	out := Literal{Predicate: l.Predicate, Terms: make([]Term, len(l.Terms))}

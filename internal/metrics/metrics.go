@@ -156,32 +156,16 @@ const (
 	// ServeErrors counts predict requests that failed (bad input, unknown
 	// model, timeout). Gauge.
 	ServeErrors
-	// ServeBCEvictions counts ground-BC cache entries evicted from serving
-	// models' size-aware LRUs under their byte budgets. Gauge.
-	ServeBCEvictions
 	// ServeModelsLoaded counts model artifacts loaded into the serving
 	// registry. Deterministic: a pure function of the models directory.
 	ServeModelsLoaded
-	// ServeCacheHits counts serving BC-cache lookups answered from a
-	// model's admission cache. Gauge.
-	ServeCacheHits
-	// ServeCacheMisses counts serving BC-cache lookups that had to build
-	// the entry. Gauge.
+	// ServeCacheMisses counts cold builds: predictions the verdict memo
+	// did not answer, each one a ground-entry build and a definition
+	// check. Gauge.
 	ServeCacheMisses
-	// ServeCacheAdmits counts built entries admitted into a serving
-	// model's size-aware LRU. Gauge.
-	ServeCacheAdmits
-	// ServeCacheRejects counts built entries the admission policy kept out
-	// (first sighting in the doorkeeper, or larger than the budget allows).
-	// Gauge.
-	ServeCacheRejects
 	// ServeMemoHits counts predictions answered from a model's verdict
 	// memo without touching the engine. Gauge.
 	ServeMemoHits
-	// ServeSingleflightShared counts concurrent requests that waited on
-	// another request's in-flight build of the same entry instead of
-	// building their own. Gauge.
-	ServeSingleflightShared
 	// ServeLoadShed counts predict requests shed because a model's
 	// concurrency budget was exhausted. Gauge.
 	ServeLoadShed
@@ -190,12 +174,6 @@ const (
 	ServeModelSwaps
 	// ServeReloads counts reload sweeps over the models directory. Gauge.
 	ServeReloads
-	// ServeShadowChecks counts predictions replayed against a shadow model
-	// version for comparison. Gauge.
-	ServeShadowChecks
-	// ServeShadowMismatches counts shadow-compared predictions whose
-	// shadow verdict differed from the primary's. Gauge.
-	ServeShadowMismatches
 	// IngestBatches counts mutation batches committed by the ingest
 	// subsystem. Deterministic: a pure function of the applied stream.
 	IngestBatches
@@ -268,19 +246,12 @@ var counterDefs = [numCounters]counterDef{
 	ServePredictions:          {"serve.predictions", false, kindSum},
 	ServeCovered:              {"serve.predictions_covered", false, kindSum},
 	ServeErrors:               {"serve.request_errors", false, kindSum},
-	ServeBCEvictions:          {"serve.bc_evictions", false, kindSum},
 	ServeModelsLoaded:         {"serve.models_loaded", true, kindSum},
-	ServeCacheHits:            {"serve.cache_hits", false, kindSum},
 	ServeCacheMisses:          {"serve.cache_misses", false, kindSum},
-	ServeCacheAdmits:          {"serve.cache_admits", false, kindSum},
-	ServeCacheRejects:         {"serve.cache_rejects", false, kindSum},
 	ServeMemoHits:             {"serve.memo_hits", false, kindSum},
-	ServeSingleflightShared:   {"serve.singleflight_shared", false, kindSum},
 	ServeLoadShed:             {"serve.load_shed", false, kindSum},
 	ServeModelSwaps:           {"serve.model_swaps", false, kindSum},
 	ServeReloads:              {"serve.reloads", false, kindSum},
-	ServeShadowChecks:         {"serve.shadow_checks", false, kindSum},
-	ServeShadowMismatches:     {"serve.shadow_mismatches", false, kindSum},
 	IngestBatches:             {"ingest.batches", true, kindSum},
 	IngestTuplesApplied:       {"ingest.tuples_applied", true, kindSum},
 	IngestExamplesDirty:       {"ingest.examples_dirty", true, kindSum},

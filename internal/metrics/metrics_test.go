@@ -230,23 +230,23 @@ func TestWriteFileRoundTrip(t *testing.T) {
 
 func TestNamedGauges(t *testing.T) {
 	var nilC *Collector
-	// Nil-safety: the serving layer publishes per-model gauges
-	// unconditionally.
-	nilC.SetNamedGauge("serve.model.gp.cache_bytes", 42)
-	nilC.AddNamedGauge("serve.model.gp.cache_bytes", 1)
-	if got := nilC.NamedGauge("serve.model.gp.cache_bytes"); got != 0 {
+	// Nil-safety: the serving layer and the shard coordinator publish
+	// named gauges unconditionally.
+	nilC.SetNamedGauge("shard.wire_bytes_sent", 42)
+	nilC.AddNamedGauge("shard.wire_bytes_sent", 1)
+	if got := nilC.NamedGauge("shard.wire_bytes_sent"); got != 0 {
 		t.Fatalf("nil named gauge = %d", got)
 	}
 
 	c := New()
-	c.SetNamedGauge("serve.model.gp.cache_bytes", 1024)
+	c.SetNamedGauge("shard.wire_bytes_sent", 1024)
 	c.SetNamedGauge("serve.model.gp.version", 2)
-	c.AddNamedGauge("serve.model.gp.cache_bytes", -24)
-	if got := c.NamedGauge("serve.model.gp.cache_bytes"); got != 1000 {
+	c.AddNamedGauge("shard.wire_bytes_sent", -24)
+	if got := c.NamedGauge("shard.wire_bytes_sent"); got != 1000 {
 		t.Fatalf("named gauge = %d, want 1000", got)
 	}
 	s := c.Snapshot()
-	if s.Gauges["serve.model.gp.cache_bytes"] != 1000 || s.Gauges["serve.model.gp.version"] != 2 {
+	if s.Gauges["shard.wire_bytes_sent"] != 1000 || s.Gauges["serve.model.gp.version"] != 2 {
 		t.Fatalf("snapshot gauges %+v", s.Gauges)
 	}
 }

@@ -24,15 +24,13 @@ func benchExamples(batch int) []Example {
 
 // BenchmarkPredictBatch measures batch-inference throughput
 // (predictions per second) at several worker counts, in two modes that
-// bracket the serving cost spectrum at the SAME tiny memory budget:
+// bracket the serving cost spectrum:
 //
-//   - hot: the production path — a 4 KiB BC budget (too small to hold
-//     even one compiled entry of this workload, i.e. no more BC memory
-//     than the old single-entry cache) plus the verdict memo. Repeated
-//     traffic converges to memo hits: a string render and a map probe.
+//   - hot: the production path, the verdict memo. Repeated traffic
+//     converges to memo hits: a string render and a map probe.
 //   - cold: Options.Uncached — every prediction rebuilds its BC on a
 //     derived-seed clone, compiles it, and runs the subsumption check.
-//     This is the floor the caches rescue us from, and the reference
+//     This is the floor the memo rescues us from, and the reference
 //     engine of the differential suite.
 //
 // The committed baseline (BENCH_serve.json, 2026-08-05) ran the old
@@ -48,7 +46,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"hot", Options{CacheBytes: 4096}},
+		{"hot", Options{}},
 		{"cold", Options{Uncached: true}},
 	} {
 		for _, workers := range []int{1, 4, 8} {
@@ -79,14 +77,14 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkRegistryPredict measures the full tenancy path (acquire,
-// concurrency budget, routing) on the hot cache, quantifying the
-// per-request overhead the registry adds over Model.PredictBatch.
+// concurrency budget) on the hot memo, quantifying the per-request
+// overhead the registry adds over Model.PredictBatch.
 func BenchmarkRegistryPredict(b *testing.B) {
 	const people = 200
 	const batch = 64
 	d, art := chainWorld(b, people)
 	examples := benchExamples(batch)
-	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1, CacheBytes: 4096, ModelConcurrency: 8})
+	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1, ModelConcurrency: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

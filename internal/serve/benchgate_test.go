@@ -24,7 +24,7 @@ type benchBaseline struct {
 // BenchmarkPredictBatch and fails if throughput fell more than 30%
 // below the latest committed BENCH_serve.json run. CI machines are
 // noisy, so the tolerance is wide — the gate exists to catch
-// order-of-magnitude regressions (a broken memo or cache path turns
+// order-of-magnitude regressions (a broken memo path turns
 // 8M predictions/sec into 40k, far outside any noise band), not
 // single-digit drift.
 func TestServeBenchGate(t *testing.T) {
@@ -56,7 +56,7 @@ func TestServeBenchGate(t *testing.T) {
 	const batch = 64
 	d, art := chainWorld(t, 200)
 	examples := benchExamples(batch)
-	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1, CacheBytes: 4096})
+	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,8 +195,6 @@ type modelInfo struct {
 	Clauses     int      `json:"clauses"`
 	Theory      string   `json:"theory,omitempty"`
 	Degraded    bool     `json:"degraded,omitempty"`
-	CachedBCs   int      `json:"cached_bcs"`
-	CacheBytes  int64    `json:"cache_bytes"`
 	InFlight    int      `json:"in_flight"`
 }
 
@@ -208,8 +206,6 @@ func (s *Server) info(m *Model, full bool) modelInfo {
 		TargetAttrs: m.art.TargetAttrs,
 		Clauses:     m.def.Len(),
 		Degraded:    m.art.Degraded,
-		CachedBCs:   m.CachedBCs(),
-		CacheBytes:  m.CacheBytesUsed(),
 		InFlight:    m.InFlight(),
 	}
 	if full {
@@ -267,8 +263,8 @@ type predictRequest struct {
 type prediction struct {
 	Input   string `json:"input"`
 	Covered bool   `json:"covered"`
-	// Version is the model version that served this example (A/B splits
-	// can mix versions within one batch).
+	// Version is the model version that served this example (one per
+	// request: a request resolves one version).
 	Version int `json:"version"`
 }
 

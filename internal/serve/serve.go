@@ -9,28 +9,23 @@
 // reconstructed — same bias compilation, same bottom-clause options,
 // same subsumption options. Binding builds no bottom clause: every
 // ground BC, in training and here, is built on a per-example
-// derived-seed builder clone (learn.CoverageEngine.BuildEntry, DESIGN.md
-// §19), so a verdict is a pure function of (model, example) — equal to
-// the learner's own for training, held-out and never-seen examples
-// alike, invariant under request order, concurrency, and process
-// restarts.
+// derived-seed builder clone (DESIGN.md §19), so a verdict is a pure
+// function of (model, example) — equal to the learner's own for
+// training, held-out and never-seen examples alike, invariant under
+// request order, concurrency, and process restarts.
 //
-// Entries live in a size-aware, admission-controlled LRU
-// (Options.CacheBytes) with singleflight builds — each entry's
-// subsumption index is compiled once (subsume.CompileGround), so
-// steady-state prediction is a check against a warm index — and
-// definition-level verdicts are memoized per example; both layers only
-// redistribute cost — purity means eviction and memoization can never
-// change an answer (see cache.go and the differential suite).
+// A model keeps one cache: a verdict memo per example (memo.go). A memo
+// miss is one cold build, learn.CoverageEngine.CheckDefinitionCtx, which
+// builds the example's ground entry, tests the definition against it
+// and keeps nothing. Purity means the memo can only redistribute cost,
+// never change an answer (see the differential suite).
 //
 // Multi-model tenancy: a Registry holds one tenant per model name, each
 // with a versioned current Model swapped atomically (Swap). In-flight
 // requests hold a reference to the version they resolved; a replaced
 // version serves them to completion and then drains (Retire/Drain) —
-// zero-downtime rollout. Tenants can shadow traffic against another
-// bound version (compare verdicts, count mismatches) or A/B-split it
-// deterministically by example hash, and each model carries its own
-// concurrency budget so one hot model cannot starve the rest.
+// zero-downtime rollout. Each model carries its own concurrency budget
+// so one hot model cannot starve the rest.
 package serve
 
 import (
@@ -68,12 +63,6 @@ var ErrNoModel = errors.New("serve: no such model")
 // budget was exhausted. HTTP maps it to 503 with Retry-After.
 var ErrOverloaded = errors.New("serve: model concurrency budget exhausted")
 
-// isCtxErr reports whether err is a context cancellation or deadline,
-// possibly wrapped.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // Options configures model binding.
 type Options struct {
 	// Workers bounds per-request coverage parallelism; <=0 selects
@@ -81,10 +70,11 @@ type Options struct {
 	// clamped to min(Workers, GOMAXPROCS, batch size) so oversubscription
 	// never costs throughput.
 	Workers int
-	// CacheBytes is the model's byte budget for ground-BC entries
-	// (bottom clause + compiled subsumption index, charged at their
-	// estimated heap footprint); <=0 selects 64 MiB. Eviction is
-	// size-aware LRU with doorkeeper admission; see cache.go.
+	// CacheBytes is ignored: a model caches verdicts, not ground
+	// entries (see the package comment).
+	//
+	// Deprecated: kept only so existing callers compile; it will be
+	// removed.
 	CacheBytes int64
 	// MemoLimit bounds the per-model verdict memo (entries per
 	// generation; total residency ≈ 2×); <=0 selects 65536.
@@ -95,10 +85,10 @@ type Options struct {
 	// the registry. <=0 means unlimited (the HTTP layer's global
 	// semaphore still applies).
 	ModelConcurrency int
-	// Uncached disables the BC cache and verdict memo: every prediction
-	// rebuilds its entry from scratch. This is the reference engine the
-	// differential suite compares cached models against, and the honest
-	// cold-path baseline in benchmarks.
+	// Uncached disables the verdict memo: every prediction is a cold
+	// build. This is the reference engine the differential suite
+	// compares memoized models against, and the honest cold-path
+	// baseline in benchmarks.
 	Uncached bool
 	// Metrics, when non-nil, receives serve counters and engine
 	// instrumentation.
@@ -106,9 +96,6 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 64 << 20
-	}
 	if o.MemoLimit <= 0 {
 		o.MemoLimit = 65536
 	}
@@ -116,20 +103,16 @@ func (o Options) normalized() Options {
 }
 
 // Model is one bound model version: an artifact, its database, a warmed
-// coverage engine, and the serving caches. Safe for concurrent use.
+// coverage engine, and the verdict memo. Safe for concurrent use.
 type Model struct {
 	name    string
 	version int
 	art     *model.Artifact
 	def     *logic.Definition
 	engine  *learn.CoverageEngine
-	db      *db.Database
 	mc      *metrics.Collector
-	opts    Options
 
-	// bc caches fresh-example ground entries under the byte budget; memo
-	// caches definition-level verdicts. Both nil in Uncached mode.
-	bc   *entryCache
+	// memo caches definition-level verdicts; nil in Uncached mode.
 	memo *verdictMemo
 	// slots is the model's concurrency budget (nil = unlimited).
 	slots chan struct{}
@@ -188,13 +171,10 @@ func Bind(_ context.Context, name string, art *model.Artifact, database *db.Data
 		art:     art,
 		def:     def,
 		engine:  engine,
-		db:      database,
 		mc:      opts.Metrics,
-		opts:    opts,
 		drained: make(chan struct{}),
 	}
 	if !opts.Uncached {
-		m.bc = newEntryCache(opts.CacheBytes, opts.Metrics, "serve.model."+name)
 		m.memo = newVerdictMemo(opts.MemoLimit)
 	}
 	if opts.ModelConcurrency > 0 {
@@ -220,23 +200,6 @@ func (m *Model) DataVersion() uint64 { return m.art.DataVersion }
 
 // Definition returns the learned theory.
 func (m *Model) Definition() *logic.Definition { return m.def }
-
-// CachedBCs reports how many ground-BC entries the model holds in the
-// serving LRU.
-func (m *Model) CachedBCs() int {
-	if m.bc == nil {
-		return 0
-	}
-	return m.bc.len()
-}
-
-// CacheBytesUsed reports the serving LRU's current byte occupancy.
-func (m *Model) CacheBytesUsed() int64 {
-	if m.bc == nil {
-		return 0
-	}
-	return m.bc.bytes()
-}
 
 // InFlight reports how many acquired requests currently hold this
 // version.
@@ -316,10 +279,9 @@ func (m *Model) checkExample(e logic.Literal) error {
 	return nil
 }
 
-// predictOne is the serving hot path: verdict memo, then the entry
-// ladder (size-aware LRU with singleflight → derived-seed build), then
-// the compiled subsumption check. Every layer only redistributes cost;
-// the verdict is a pure function of (model, example).
+// predictOne is the serving hot path: the verdict memo, then one cold
+// build (CheckDefinitionCtx). The memo only redistributes cost; the
+// verdict is a pure function of (model, example).
 func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 	key := e.String()
 	if m.memo != nil {
@@ -328,11 +290,8 @@ func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 			return v, nil
 		}
 	}
-	ent, err := m.entryFor(ctx, key, e)
-	if err != nil {
-		return false, err
-	}
-	v, err := m.engine.CheckDefinitionEntryCtx(ctx, m.def, ent)
+	m.mc.Inc(metrics.ServeCacheMisses)
+	v, err := m.engine.CheckDefinitionCtx(ctx, m.def, e)
 	if err != nil {
 		return false, err
 	}
@@ -340,17 +299,6 @@ func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 		m.memo.put(key, v)
 	}
 	return v, nil
-}
-
-// entryFor resolves the example's ground entry through the
-// LRU/singleflight path, or by a direct build when uncached.
-func (m *Model) entryFor(ctx context.Context, key string, e Example) (*learn.GroundEntry, error) {
-	if m.bc == nil {
-		return m.engine.BuildEntry(ctx, e)
-	}
-	return m.bc.get(ctx, key, func() (*learn.GroundEntry, error) {
-		return m.engine.BuildEntry(ctx, e)
-	})
 }
 
 // PredictExample reports whether the learned theory covers the ground
@@ -462,51 +410,12 @@ func (m *Model) PredictBatch(ctx context.Context, examples []logic.Literal) ([]b
 	return out, nil
 }
 
-// ShadowMode selects how a tenant's shadow route treats traffic.
-type ShadowMode int
-
-const (
-	// ShadowCompare serves every prediction from the primary and replays
-	// a deterministic Percent of examples against the shadow version,
-	// counting verdict mismatches (serve.shadow_mismatches). Shadow
-	// errors and sheds never affect the primary response.
-	ShadowCompare ShadowMode = iota
-	// ShadowSplit A/B-routes: examples whose key hashes below Percent are
-	// served BY the shadow version, the rest by the primary. Routing is a
-	// pure function of the example, so repeated requests are sticky.
-	ShadowSplit
-)
-
-// ShadowRoute directs a tenant's traffic at a second bound version.
-type ShadowRoute struct {
-	Model   *Model
-	Mode    ShadowMode
-	Percent int // 0..100; 0 means 100 for ShadowCompare, no-op for ShadowSplit
-}
-
-func (sr *ShadowRoute) normalized() *ShadowRoute {
-	cp := *sr
-	if cp.Percent <= 0 {
-		if cp.Mode == ShadowCompare {
-			cp.Percent = 100
-		} else {
-			cp.Percent = 0
-		}
-	}
-	if cp.Percent > 100 {
-		cp.Percent = 100
-	}
-	return &cp
-}
-
-// tenant is one model name's serving state: the current version plus an
-// optional shadow route. cur is swapped atomically; swapMu serializes
-// writers (version numbering).
+// tenant is one model name's serving state: its current version. cur is
+// swapped atomically; swapMu serializes writers (version numbering).
 type tenant struct {
 	name   string
 	swapMu sync.Mutex
 	cur    atomic.Pointer[Model]
-	shadow atomic.Pointer[ShadowRoute]
 }
 
 // acquire returns the tenant's current model with a reference held. The
@@ -600,38 +509,11 @@ func (r *Registry) Acquire(name string) (m *Model, release func(), ok bool) {
 	return m, release, true
 }
 
-// SetShadow directs the named tenant's traffic through route (nil
-// clears). The shadow model must be bound but need not be registered.
-func (r *Registry) SetShadow(name string, route *ShadowRoute) error {
-	t := r.tenant(name)
-	if t == nil {
-		return fmt.Errorf("%w: %q", ErrNoModel, name)
-	}
-	if route == nil {
-		t.shadow.Store(nil)
-		return nil
-	}
-	if route.Model == nil {
-		return fmt.Errorf("serve: shadow route for %q has no model", name)
-	}
-	t.shadow.Store(route.normalized())
-	return nil
-}
-
-// Shadow returns the tenant's current shadow route (nil when off).
-func (r *Registry) Shadow(name string) *ShadowRoute {
-	t := r.tenant(name)
-	if t == nil {
-		return nil
-	}
-	return t.shadow.Load()
-}
-
 // Predict classifies the batch through the full tenancy path: acquire
 // the tenant's current version, claim its concurrency budget (shedding
-// with ErrOverloaded when exhausted), apply shadow/A-B routing, and
-// return positionally aligned verdicts plus the version that served
-// each example.
+// with ErrOverloaded when exhausted), and return positionally aligned
+// verdicts plus the version that served each example — one version for
+// the whole batch.
 func (r *Registry) Predict(ctx context.Context, name string, examples []Example) (verdicts []bool, versions []int, err error) {
 	m, release, ok := r.Acquire(name)
 	if !ok {
@@ -643,116 +525,13 @@ func (r *Registry) Predict(ctx context.Context, name string, examples []Example)
 		return nil, nil, fmt.Errorf("%w: model %q at %d in-flight predicts", ErrOverloaded, name, cap(m.slots))
 	}
 	defer m.releaseSlot()
-
-	route := r.Shadow(name)
-	if route == nil {
-		verdicts, err = m.PredictBatch(ctx, examples)
-		if err != nil {
-			return nil, nil, err
-		}
-		return verdicts, uniformVersions(m.version, len(examples)), nil
-	}
-
-	switch route.Mode {
-	case ShadowSplit:
-		return predictSplit(ctx, m, route, examples)
-	default:
-		return predictCompared(ctx, m, route, examples)
-	}
-}
-
-func uniformVersions(v, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-// predictCompared serves from the primary and replays a deterministic
-// sample against the shadow, counting mismatches. The shadow leg is
-// best-effort: its errors and sheds are recorded, never surfaced.
-func predictCompared(ctx context.Context, m *Model, route *ShadowRoute, examples []Example) ([]bool, []int, error) {
-	verdicts, err := m.PredictBatch(ctx, examples)
+	verdicts, err = m.PredictBatch(ctx, examples)
 	if err != nil {
 		return nil, nil, err
 	}
-	sh := route.Model
-	sample := make([]Example, 0, len(examples))
-	sampleIdx := make([]int, 0, len(examples))
-	for i, e := range examples {
-		if abHash(e.String()) < route.Percent {
-			sample = append(sample, e)
-			sampleIdx = append(sampleIdx, i)
-		}
-	}
-	if len(sample) > 0 && sh.tryAcquireSlot() {
-		sh.ref()
-		shadowVerdicts, serr := sh.PredictBatch(ctx, sample)
-		sh.unref()
-		sh.releaseSlot()
-		if serr == nil {
-			mismatches := 0
-			for j, v := range shadowVerdicts {
-				if v != verdicts[sampleIdx[j]] {
-					mismatches++
-				}
-			}
-			m.mc.Add(metrics.ServeShadowChecks, int64(len(sample)))
-			m.mc.Add(metrics.ServeShadowMismatches, int64(mismatches))
-		}
-	}
-	return verdicts, uniformVersions(m.version, len(examples)), nil
-}
-
-// predictSplit A/B-routes the batch: examples hashing below Percent are
-// served by the shadow version, the rest by the primary. A shed shadow
-// falls back to the primary for its share (counted as load shed) so the
-// request still succeeds.
-func predictSplit(ctx context.Context, m *Model, route *ShadowRoute, examples []Example) ([]bool, []int, error) {
-	sh := route.Model
-	var primary, shadow []Example
-	var primaryIdx, shadowIdx []int
-	for i, e := range examples {
-		if abHash(e.String()) < route.Percent {
-			shadow = append(shadow, e)
-			shadowIdx = append(shadowIdx, i)
-		} else {
-			primary = append(primary, e)
-			primaryIdx = append(primaryIdx, i)
-		}
-	}
-	verdicts := make([]bool, len(examples))
-	versions := make([]int, len(examples))
-	if len(shadow) > 0 {
-		if sh.tryAcquireSlot() {
-			sh.ref()
-			got, err := sh.PredictBatch(ctx, shadow)
-			sh.unref()
-			sh.releaseSlot()
-			if err != nil {
-				return nil, nil, err
-			}
-			for j, i := range shadowIdx {
-				verdicts[i] = got[j]
-				versions[i] = sh.version
-			}
-		} else {
-			// Shadow saturated: its share rides the primary this request.
-			m.mc.Inc(metrics.ServeLoadShed)
-			primary = append(primary, shadow...)
-			primaryIdx = append(primaryIdx, shadowIdx...)
-		}
-	}
-	if len(primary) > 0 {
-		got, err := m.PredictBatch(ctx, primary)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, i := range primaryIdx {
-			verdicts[i] = got[j]
-			versions[i] = m.version
-		}
+	versions = make([]int, len(examples))
+	for i := range versions {
+		versions[i] = m.version
 	}
 	return verdicts, versions, nil
 }

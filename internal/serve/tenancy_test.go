@@ -188,107 +188,6 @@ func TestLoadSheddingPerModel(t *testing.T) {
 	}
 }
 
-// TestShadowCompare mirrors traffic to a candidate version and counts
-// verdict mismatches without ever affecting the served response.
-func TestShadowCompare(t *testing.T) {
-	d, art := testWorld(t)
-	mc := metrics.New()
-	primary, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1, Metrics: mc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	art2 := *art
-	art2.Theory = flippedTheory
-	shadow, err := Bind(context.Background(), "gp-candidate", &art2, d, Options{Workers: 1, Metrics: mc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	reg.Add(primary)
-	if err := reg.SetShadow("gp", &ShadowRoute{Model: shadow, Mode: ShadowCompare}); err != nil {
-		t.Fatal(err)
-	}
-
-	// gp(p1,p3): primary true, shadow false (mismatch).
-	// gp(p1,p4): both false (agreement).
-	examples := mustExamples(t, "gp(p1,p3)", "gp(p1,p4)")
-	verdicts, versions, err := reg.Predict(context.Background(), "gp", examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !verdicts[0] || verdicts[1] {
-		t.Fatalf("shadowing changed served verdicts: %v", verdicts)
-	}
-	for _, v := range versions {
-		if v != primary.Version() {
-			t.Fatalf("compare mode served from version %d", v)
-		}
-	}
-	if got := mc.Counter(metrics.ServeShadowChecks); got != 2 {
-		t.Fatalf("shadow checks = %d, want 2", got)
-	}
-	if got := mc.Counter(metrics.ServeShadowMismatches); got != 1 {
-		t.Fatalf("shadow mismatches = %d, want 1", got)
-	}
-
-	// Clearing the route stops the mirroring.
-	if err := reg.SetShadow("gp", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := reg.Predict(context.Background(), "gp", examples); err != nil {
-		t.Fatal(err)
-	}
-	if got := mc.Counter(metrics.ServeShadowChecks); got != 2 {
-		t.Fatalf("cleared shadow still checked: %d", got)
-	}
-}
-
-// TestShadowSplitDeterministic pins A/B routing: each example routes by
-// its hash, stickily, and the response reports which version served it.
-func TestShadowSplitDeterministic(t *testing.T) {
-	d, art := testWorld(t)
-	primary, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	art2 := *art
-	art2.Theory = flippedTheory
-	shadow, err := Bind(context.Background(), "gp-b", &art2, d, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	reg.Add(primary)
-	if err := reg.SetShadow("gp", &ShadowRoute{Model: shadow, Mode: ShadowSplit, Percent: 50}); err != nil {
-		t.Fatal(err)
-	}
-
-	examples := mustExamples(t, "gp(p1,p3)", "gp(p2,p4)", "gp(p1,p2)", "gp(q1,q2)", "gp(p3,p4)")
-	wantPrimary, err := primary.PredictBatch(context.Background(), examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShadow, err := shadow.PredictBatch(context.Background(), examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		verdicts, versions, err := reg.Predict(context.Background(), "gp", examples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range examples {
-			toShadow := abHash(e.String()) < 50
-			if toShadow && (versions[i] != shadow.Version() || verdicts[i] != wantShadow[i]) {
-				t.Fatalf("round %d: %s should ride shadow: version=%d verdict=%v", round, e.String(), versions[i], verdicts[i])
-			}
-			if !toShadow && (versions[i] != primary.Version() || verdicts[i] != wantPrimary[i]) {
-				t.Fatalf("round %d: %s should ride primary: version=%d verdict=%v", round, e.String(), versions[i], verdicts[i])
-			}
-		}
-	}
-}
-
 // TestReloadDir covers the hot-reload sweep: unchanged checksums are
 // skipped, changed artifacts swap with the old version draining, and a
 // corrupt artifact keeps the previous version serving.

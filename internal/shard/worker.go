@@ -56,8 +56,7 @@ func (o WorkerOptions) normalized() WorkerOptions {
 // Bounds on a worker's parse caches. A long-lived worker sees a new
 // multi-KB clause text for every candidate any run ever sends it; past
 // the bound a cache is dropped wholesale and refills from the traffic at
-// hand, the way serve's doorkeeper resets. Constants, not options: the
-// caches only save parsing.
+// hand. Constants, not options: the caches only save parsing.
 const (
 	maxCachedClauses  = 4096
 	maxCachedExamples = 1 << 16

@@ -3,7 +3,6 @@ package subsume
 import (
 	"slices"
 	"sync"
-	"unsafe"
 
 	"repro/internal/logic"
 )
@@ -282,18 +281,6 @@ func (cg *CompiledGround) extent(pred int32) *groundExtent {
 		return &cg.exts[i]
 	}
 	return nil
-}
-
-// SizeBytes is the compiled index's resident heap footprint: the struct,
-// the arena and the extent headers (the shared interner is excluded — it
-// is owned by the engine, not the entry). Serving caches charge entries
-// against byte budgets with it; it is exact and deterministic for a
-// given compiled ground.
-func (cg *CompiledGround) SizeBytes() int64 {
-	return int64(unsafe.Sizeof(*cg)) +
-		4*int64(cap(cg.arena)) +
-		4*int64(cap(cg.predIDs)) +
-		int64(unsafe.Sizeof(groundExtent{}))*int64(cap(cg.exts))
 }
 
 // BodyLen returns the number of ground body literals compiled.
