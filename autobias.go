@@ -91,7 +91,7 @@ type (
 	// NewShardWorker, Options.Shard, and cmd/shardworker.
 	ShardWorker = shard.Worker
 	// ShardWorkerOptions tunes a shard worker's HTTP substrate (request
-	// cap, batch cap, timeouts); the zero value selects defaults.
+	// cap, timeouts); the zero value selects defaults.
 	ShardWorkerOptions = shard.WorkerOptions
 )
 
@@ -417,11 +417,11 @@ func engineFingerprint(engine *learn.CoverageEngine, task Task, b *Bias) string 
 
 // run is the second half of a learning run or a repair: the covering
 // loop of an assembled learner, captured on res with its wall-clock.
-// With Options.Shard its coverage counts go through the fleet, at the
-// database's data version, over a fresh coordinator (so a shard that fell
-// back to local computation in one run is tried again in the next) that
-// is detached before run returns, so post-run queries (Covers, Evaluate)
-// resolve locally against the memo and cache, never over RPC.
+// With Options.Shard its coverage counts go through the fleet over a
+// fresh coordinator (so a shard that fell back to local computation in
+// one run is tried again in the next) that is detached before run
+// returns, so post-run queries (Covers, Evaluate) resolve locally
+// against the memo and cache, never over RPC.
 func (o Options) run(ctx context.Context, task Task, res *Result, l *learn.Learner) error {
 	start := time.Now()
 	engine := l.Coverage()
@@ -437,7 +437,6 @@ func (o Options) run(ctx context.Context, task Task, res *Result, l *learn.Learn
 		if err != nil {
 			return err
 		}
-		coord.SetDataVersion(task.DB.Version())
 		coord.Bind(engine)
 		defer func() {
 			coord.Close()
@@ -557,7 +556,6 @@ func (r *Result) BuildArtifact(task Task, data ModelDataRef) (*ModelArtifact, er
 			MaxNodes: sopts.MaxNodes,
 			Seed:     sopts.Seed,
 		},
-		Symbols:           r.engine.Interner().Symbols(),
 		SchemaFingerprint: model.Fingerprint(task.DB.Schema(), task.Target, task.TargetAttrs),
 		Data:              data,
 		DataVersion:       task.DB.Version(),
@@ -590,7 +588,7 @@ func (r *Result) Covers(e Example) (bool, error) {
 // evaluation protocol. When the run was instrumented, the scoring is
 // recorded too and Result.Metrics is refreshed.
 func (r *Result) Evaluate(testPos, testNeg []Example) (Metrics, error) {
-	m, err := eval.EvaluateCollect(r.metrics, r.covers, r.Definition, testPos, testNeg)
+	m, err := eval.Evaluate(r.metrics, r.covers, r.Definition, testPos, testNeg)
 	if r.metrics != nil {
 		snap := r.metrics.Snapshot()
 		r.Metrics = &snap
@@ -612,7 +610,7 @@ func (r *Result) EvaluateExact(testPos, testNeg []Example) (Metrics, error) {
 		}
 		return ok, err
 	}
-	return eval.Evaluate(covers, r.Definition, testPos, testNeg)
+	return eval.Evaluate(nil, covers, r.Definition, testPos, testNeg)
 }
 
 // ExecuteClause runs one clause as a query over a database, returning up
@@ -781,7 +779,7 @@ func CrossValidateCtx(ctx context.Context, task Task, opts Options, k int) (CVRe
 		out := eval.FoldOutcome{Elapsed: res.Elapsed + res.BiasTime, TimedOut: res.TimedOut, Cancelled: res.Cancelled, Clauses: res.Clauses}
 		return res.Definition, res.covers, out, nil
 	}
-	return eval.CrossValidateCollect(ctx, folds, trainer, opts.Workers, opts.collector())
+	return eval.CrossValidate(ctx, folds, trainer, opts.Workers, opts.collector())
 }
 
 func examplesToTuples(examples []Example) []Tuple {

@@ -499,9 +499,9 @@ type Database struct {
 	pos    map[string]int
 	// w is shared with the databases Extend derives, whose relations are
 	// d's own; version lives in it. The version is 0 for the loaded
-	// snapshot and advances once per Commit; every downstream consumer —
-	// repair, model artifacts, the shard dictionary protocol — names the
-	// snapshot it computed against by this number.
+	// snapshot and advances once per Commit; downstream consumers —
+	// repair, model artifacts — name the snapshot they computed against
+	// by this number.
 	w *writer
 }
 

@@ -47,14 +47,10 @@ func Compute(tp, fp, fn int) Metrics {
 // CoverFunc answers whether a definition covers an example.
 type CoverFunc func(*logic.Definition, logic.Literal) (bool, error)
 
-// Evaluate scores a definition against held-out positives and negatives.
-func Evaluate(covers CoverFunc, def *logic.Definition, testPos, testNeg []logic.Literal) (Metrics, error) {
-	return EvaluateCollect(nil, covers, def, testPos, testNeg)
-}
-
-// EvaluateCollect is Evaluate with instrumentation: mc (nil = disabled)
-// receives eval.examples_scored and the eval.evaluate span.
-func EvaluateCollect(mc *metrics.Collector, covers CoverFunc, def *logic.Definition, testPos, testNeg []logic.Literal) (Metrics, error) {
+// Evaluate scores a definition against held-out positives and
+// negatives. mc (nil = disabled) receives eval.examples_scored and the
+// eval.evaluate span.
+func Evaluate(mc *metrics.Collector, covers CoverFunc, def *logic.Definition, testPos, testNeg []logic.Literal) (Metrics, error) {
 	spanStart := mc.StartSpan()
 	defer mc.EndSpan(metrics.SpanEval, spanStart)
 	tp, fp := 0, 0
@@ -151,7 +147,7 @@ type CVResult struct {
 
 // Trainer learns a definition from one fold's training data and returns
 // it with a cover function for scoring and run metadata. Trainers passed
-// to CrossValidateParallel with more than one worker must be safe to
+// to CrossValidate with more than one worker must be safe to
 // call concurrently (independent learner state per call, shared inputs
 // read-only). The context carries the caller's cancellation: a cancelled
 // trainer should return its partial theory with the outcome's
@@ -159,37 +155,22 @@ type CVResult struct {
 // still scores.
 type Trainer func(ctx context.Context, fold Fold) (*logic.Definition, CoverFunc, FoldOutcome, error)
 
-// CrossValidate runs the trainer over every fold sequentially and
-// averages.
-func CrossValidate(folds []Fold, train Trainer) (CVResult, error) {
-	return CrossValidateParallelCtx(context.Background(), folds, train, 1)
-}
-
-// CrossValidateParallel trains up to workers folds concurrently
-// (workers <= 0 selects runtime.GOMAXPROCS(0)). Folds are independent
-// learning problems — each trainer call builds its own learner over the
-// shared read-only database — and outcomes are aggregated in fold
-// order, so the result is identical at every worker count; the paper's
-// per-fold seeds derive from the fold index through KFold, not from
-// scheduling. On error the first failing fold (lowest index) wins and
-// no new folds are started.
-func CrossValidateParallel(folds []Fold, train Trainer, workers int) (CVResult, error) {
-	return CrossValidateParallelCtx(context.Background(), folds, train, workers)
-}
-
-// CrossValidateParallelCtx is CrossValidateParallel under a context. The
-// ctx is handed to every trainer call; cancellation therefore interrupts
-// in-flight folds mid-primitive (they return partial theories, flagged in
-// their outcomes) and no new folds start once ctx is done.
-func CrossValidateParallelCtx(ctx context.Context, folds []Fold, train Trainer, workers int) (CVResult, error) {
-	return CrossValidateCollect(ctx, folds, train, workers, nil)
-}
-
-// CrossValidateCollect is CrossValidateParallelCtx with instrumentation:
-// fold scoring counts into mc (nil = disabled). The eval totals stay
-// deterministic at any worker count — every started fold scores its
+// CrossValidate trains up to workers folds concurrently (workers <= 0
+// selects runtime.GOMAXPROCS(0); 1 runs them in order) and averages.
+// Folds are independent learning problems — each trainer call builds its
+// own learner over the shared read-only database — and outcomes are
+// aggregated in fold order, so the result is identical at every worker
+// count; the paper's per-fold seeds derive from the fold index through
+// KFold, not from scheduling. On error the first failing fold (lowest
+// index) wins and no new folds are started.
+//
+// The ctx is handed to every trainer call; cancellation therefore
+// interrupts in-flight folds mid-primitive (they return partial
+// theories, flagged in their outcomes) and no new folds start once ctx
+// is done. Fold scoring counts into mc (nil = disabled); the eval totals
+// stay deterministic at any worker count — every started fold scores its
 // whole test split, so the sum is a function of the folds alone.
-func CrossValidateCollect(ctx context.Context, folds []Fold, train Trainer, workers int, mc *metrics.Collector) (CVResult, error) {
+func CrossValidate(ctx context.Context, folds []Fold, train Trainer, workers int, mc *metrics.Collector) (CVResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -216,7 +197,7 @@ func CrossValidateCollect(ctx context.Context, folds []Fold, train Trainer, work
 				def, covers, outcome, err := train(ctx, folds[i])
 				if err == nil {
 					var m Metrics
-					m, err = EvaluateCollect(mc, covers, def, folds[i].TestPos, folds[i].TestNeg)
+					m, err = Evaluate(mc, covers, def, folds[i].TestPos, folds[i].TestNeg)
 					outcome.Metrics = m
 				}
 				if err != nil {

@@ -135,7 +135,7 @@ func TestEvaluate(t *testing.T) {
 		logic.NewLiteral("t", logic.Const("g3")),
 		logic.NewLiteral("t", logic.Const("b2")),
 	}
-	m, err := Evaluate(covers, def, pos, neg)
+	m, err := Evaluate(nil, covers, def, pos, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCrossValidate(t *testing.T) {
 		}
 		return def, covers, FoldOutcome{Elapsed: time.Second, Clauses: 1}, nil
 	}
-	res, err := CrossValidate(folds, trainer)
+	res, err := CrossValidate(context.Background(), folds, trainer, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCrossValidateTimeoutPropagates(t *testing.T) {
 		covers := func(d *logic.Definition, e logic.Literal) (bool, error) { return false, nil }
 		return &logic.Definition{}, covers, FoldOutcome{TimedOut: true}, nil
 	}
-	res, err := CrossValidate(folds, trainer)
+	res, err := CrossValidate(context.Background(), folds, trainer, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,12 @@ func TestCrossValidateParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CrossValidate(folds, fakeTrainer(0))
+	want, err := CrossValidate(context.Background(), folds, fakeTrainer(0), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := CrossValidateParallel(folds, fakeTrainer(time.Millisecond), workers)
+		got, err := CrossValidate(context.Background(), folds, fakeTrainer(time.Millisecond), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestCrossValidateParallelError(t *testing.T) {
 		}
 		return fakeTrainer(0)(context.Background(), fold)
 	}
-	if _, err := CrossValidateParallel(folds, trainer, 2); err == nil {
+	if _, err := CrossValidate(context.Background(), folds, trainer, 2, nil); err == nil {
 		t.Fatal("expected the failing fold's error to surface")
 	}
 }

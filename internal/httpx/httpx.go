@@ -40,10 +40,6 @@ const (
 	// version header the server does not speak (409): the client must
 	// renegotiate, not retry.
 	ErrCodeUnsupportedProto = "unsupported_proto"
-	// ErrCodeDictUnknown answers a request referencing an example-set
-	// dictionary id the server does not hold (410 — typically lost to a
-	// restart): the client re-sends the set inline to re-register it.
-	ErrCodeDictUnknown = "dict_unknown"
 )
 
 // ErrorBody is the structured error envelope every service writes:

@@ -4,8 +4,8 @@
 // db.Database.Commit (per-attribute indexes and distinct-value statistics
 // are maintained incrementally), and assigns every committed batch a
 // monotonically increasing data version so downstream consumers — the
-// incremental theory repairer, model artifacts, shard worker
-// dictionaries — can name the snapshot they computed against.
+// incremental theory repairer, model artifacts — can name the snapshot
+// they computed against.
 //
 // A batch is validated in full (schema membership, arity, delete
 // existence under bag semantics) before any tuple is touched, so a

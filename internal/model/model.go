@@ -1,8 +1,8 @@
 // Package model defines the durable artifact a learning run produces and
 // a serving process consumes: the learned Horn theory together with
 // everything needed to answer coverage queries exactly as the learner
-// would — the language bias, the bottom-clause and subsumption
-// configuration, and the interner symbol table.
+// would — the language bias and the bottom-clause and subsumption
+// configuration.
 //
 // The artifact exists because the system's coverage semantics are
 // sampled (§5): "does clause C cover tuple t" is answered against t's
@@ -44,7 +44,9 @@ import (
 // and came with a build log to replay them; this binary builds neither,
 // so such a model must be learned again. Version 2 recorded a
 // subsumption restart count that was always zero and is no longer read.
-const Version = 3
+// Version 3 carried the training interner's symbol table, which never
+// affected a verdict.
+const Version = 4
 
 // DataRef names the database a model was trained over, so a serving
 // process can rebind it: either a generated benchmark dataset
@@ -105,10 +107,6 @@ type Artifact struct {
 	// Bottom and Subsume reproduce the training engine's configuration.
 	Bottom  BottomConfig  `json:"bottom"`
 	Subsume SubsumeConfig `json:"subsume"`
-	// Symbols is the training interner's table in id order ([0] is the
-	// reserved empty string). Ids never affect verdicts; the table is
-	// carried for inspection and to warm the serving engine.
-	Symbols []string `json:"symbols"`
 	// SchemaFingerprint hashes the training schema plus target signature;
 	// see Fingerprint. Binding against a database with a different
 	// fingerprint fails loudly.
@@ -199,9 +197,6 @@ func (a *Artifact) Validate() error {
 	}
 	if a.SchemaFingerprint == "" {
 		return fmt.Errorf("model: artifact missing schema fingerprint")
-	}
-	if len(a.Symbols) > 0 && a.Symbols[0] != "" {
-		return fmt.Errorf("model: symbol table does not reserve id 0 for the empty string")
 	}
 	if _, err := a.Definition(); err != nil {
 		return err

@@ -35,7 +35,6 @@ func testArtifact(t *testing.T) *Artifact {
 		Bias:              "parent(T1,T1)\ngp(T1,T1)\nparent(+,-)\n",
 		Bottom:            BottomConfig{Strategy: "Naive", Depth: 2, SampleSize: 20, MaxLiterals: 400, Seed: 1},
 		Subsume:           SubsumeConfig{MaxNodes: 5000, Seed: 1},
-		Symbols:           []string{"", "parent", "gp"},
 		SchemaFingerprint: Fingerprint(testSchema(t), "gp", []string{"x", "z"}),
 		Data:              DataRef{Dataset: "uw", Scale: 0.1, Seed: 1},
 	}
@@ -142,7 +141,6 @@ func TestValidateCatchesBadContent(t *testing.T) {
 		{"bad strategy", func(a *Artifact) { a.Bottom.Strategy = "quantum" }},
 		{"no target", func(a *Artifact) { a.Target = "" }},
 		{"no fingerprint", func(a *Artifact) { a.SchemaFingerprint = "" }},
-		{"bad symbol table", func(a *Artifact) { a.Symbols = []string{"parent"} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +158,7 @@ func TestValidateCatchesBadContent(t *testing.T) {
 // the error tells its holder what to do: those theories were learned
 // against order-dependent ground BCs this binary no longer builds. So is
 // a version-2 artifact, whose subsumption config still named a restart
-// count.
+// count, and a version-3 artifact, which carried the interner table.
 func TestLoadRejectsVersion1(t *testing.T) {
 	art := testArtifact(t)
 	path := filepath.Join(t.TempDir(), "gp.model")
@@ -173,6 +171,7 @@ func TestLoadRejectsVersion1(t *testing.T) {
 			raw["build_log"] = []map[string]any{{"g": false, "e": "gp(a,c)"}, {"g": true, "e": "gp(a,c)"}}
 		},
 		2: func(raw map[string]any) { raw["subsume"].(map[string]any)["restarts"] = 0 },
+		3: func(raw map[string]any) { raw["symbols"] = []string{"", "parent", "gp"} },
 	} {
 		var raw map[string]any
 		if err := json.Unmarshal(data, &raw); err != nil {

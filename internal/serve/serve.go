@@ -159,11 +159,6 @@ func Bind(_ context.Context, name string, art *model.Artifact, database *db.Data
 	engine := learn.NewCoverage(bottom.NewBuilder(database, compiled, bopts), art.SubsumeOptions())
 	engine.SetWorkers(opts.Workers)
 	engine.SetMetrics(opts.Metrics)
-	// Warm the intern table with the training table, in id order. Ids
-	// never affect verdicts, but installing the table keeps the serving
-	// engine's ids equal to training's, which makes artifacts and engine
-	// dumps directly comparable when debugging.
-	engine.Interner().InternAll(art.Symbols...)
 
 	m := &Model{
 		name:    name,

@@ -18,6 +18,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/report"
 )
 
 func TestPackUnpackBits(t *testing.T) {
@@ -45,28 +46,6 @@ func TestPackUnpackBits(t *testing.T) {
 	}
 	if _, ok := UnpackBits(make([]byte, 4), 20); ok {
 		t.Error("unpack accepted a bitset longer than its example count")
-	}
-}
-
-func TestDictFingerprint(t *testing.T) {
-	a := DictFingerprint(0, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"})
-	if len(a) != 32 {
-		t.Fatalf("fingerprint length %d, want 32", len(a))
-	}
-	if b := DictFingerprint(0, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"}); b != a {
-		t.Error("identical key lists fingerprint differently")
-	}
-	// Order matters: verdict bitsets align positionally.
-	if b := DictFingerprint(0, []string{"advisedBy(s01,p01)", "advisedBy(s00,p00)"}); b == a {
-		t.Error("reordered key list did not move the fingerprint")
-	}
-	// Length prefixes keep concatenation ambiguity out: ["ab","c"] vs ["a","bc"].
-	if DictFingerprint(0, []string{"ab", "c"}) == DictFingerprint(0, []string{"a", "bc"}) {
-		t.Error("length prefixing failed: concatenation-ambiguous lists collide")
-	}
-	// A committed batch retires every dictionary registered before it.
-	if b := DictFingerprint(1, []string{"advisedBy(s00,p00)", "advisedBy(s01,p01)"}); b == a {
-		t.Error("data version change did not move the fingerprint")
 	}
 }
 
@@ -108,7 +87,6 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 		"advisedBy(A,B) :- student(A)",
 	}
 	examples := []string{"advisedBy(s00,p00)", "advisedBy(s00,p01)", "advisedBy(s01,p01)"}
-	dict := DictFingerprint(0, examples)
 
 	// Ground truth from an identically configured engine.
 	truth := tinyEngine(t, 1)
@@ -128,7 +106,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	}
 
 	t.Run("inline-registers-and-answers", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Dict: dict, Examples: examples}, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
@@ -152,37 +130,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 		}
 	})
 
-	t.Run("dict-reference-answers", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses[:1], Dict: dict}, "deadbeef", ProtoV2)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("dict-only request status %d: %s", resp.StatusCode, body)
-		}
-		var br BatchCoverageResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := UnpackBits(br.Covered[0], len(examples))
-		if !ok {
-			t.Fatal("bitset length mismatch on dict-referenced request")
-		}
-		for j := range got {
-			if got[j] != want[0][j] {
-				t.Errorf("example %d: dict-referenced verdict %v, want %v", j, got[j], want[0][j])
-			}
-		}
-	})
-
-	t.Run("unknown-dict-410", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses[:1], Dict: "feedfacefeedfacefeedfacefeedface"}, "deadbeef", ProtoV2)
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("status %d, want 410: %s", resp.StatusCode, body)
-		}
-		if detail, ok := httpx.DecodeError(body); !ok || detail.Code != httpx.ErrCodeDictUnknown {
-			t.Errorf("error body %s, want code %s", body, httpx.ErrCodeDictUnknown)
-		}
-	})
-
-	t.Run("no-examples-no-dict-400", func(t *testing.T) {
+	t.Run("no-examples-400", func(t *testing.T) {
 		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses[:1]}, "deadbeef", ProtoV2)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400: %s", resp.StatusCode, body)
@@ -324,9 +272,6 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	if rpcs := snap.Gauges["shard.rpc_sent"]; rpcs != 1 {
 		t.Errorf("3-clause frontier on 1 shard took %d RPCs, want 1 batched round", rpcs)
 	}
-	if snap.Gauges["shard.dict_registers"] != 1 {
-		t.Errorf("dict_registers = %d, want 1", snap.Gauges["shard.dict_registers"])
-	}
 	if snap.Gauges["shard.wire_bytes_sent"] == 0 || snap.Gauges["shard.wire_bytes_recv"] == 0 {
 		t.Error("wire-byte counters did not move")
 	}
@@ -340,10 +285,11 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	}
 }
 
-func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
-	// A swappable worker behind a stable URL models a process restart:
-	// the replacement holds no dictionaries, so the coordinator's
-	// dict-referenced batch gets 410 and must re-register inline.
+// TestCoordinatorSurvivesWorkerRestart: a swappable worker behind a
+// stable URL models a process restart. Every request is self-contained,
+// so the fresh worker answers the next count exactly, in one RPC, with
+// no retry and no fallback.
+func TestCoordinatorSurvivesWorkerRestart(t *testing.T) {
 	var cur atomic.Pointer[Worker]
 	cur.Store(NewWorker("r1", tinyEngine(t, 1), "fp1", WorkerOptions{}))
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
@@ -351,7 +297,9 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 	}))
 	defer srv.Close()
 	mc := metrics.New()
-	co, _ := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Fingerprint: "fp1", Metrics: mc})
+	co, engine := bindCoordinator(t, Options{Shards: [][]string{{srv.URL}}, Fingerprint: "fp1", Metrics: mc})
+	rep := report.New()
+	engine.SetReport(rep)
 
 	_, pos, neg := tinyWorld(t)
 	all := append(append([]learn.Example(nil), pos...), neg...)
@@ -362,16 +310,14 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 	if _, err := co.CountMany(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
 		t.Fatal(err)
 	}
-	if mc.Snapshot().Gauges["shard.dict_registers"] != 1 {
-		t.Fatalf("first count did not register the example-set dictionary")
-	}
+	before := mc.Snapshot().Gauges["shard.rpc_sent"]
 
-	// "Restart" the worker: fresh engine, empty dictionary store.
+	// "Restart" the worker: fresh engine, empty caches.
 	cur.Store(NewWorker("r2", tinyEngine(t, 1), "fp1", WorkerOptions{}))
 
 	got, err := co.CountMany(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
 	if err != nil {
-		t.Fatalf("dict invalidation must recover transparently: %v", err)
+		t.Fatalf("a restarted worker must answer the next count: %v", err)
 	}
 	want, err := countLocal(truth, c2, all)
 	if err != nil {
@@ -381,11 +327,14 @@ func TestCoordinatorDictReRegisterAfterRestart(t *testing.T) {
 		t.Errorf("post-restart count %d, want %d", got[0], want)
 	}
 	snap := mc.Snapshot()
-	if snap.Gauges["shard.dict_registers"] != 2 {
-		t.Errorf("dict_registers = %d, want 2 (initial + re-register after restart)", snap.Gauges["shard.dict_registers"])
+	if n := snap.Gauges["shard.rpc_sent"] - before; n != 1 {
+		t.Errorf("post-restart count took %d RPCs, want 1", n)
 	}
-	if snap.Gauges["shard.dict_reregisters"] != 1 {
-		t.Errorf("dict_reregisters = %d, want 1 (the 410 after the restart)", snap.Gauges["shard.dict_reregisters"])
+	if n := snap.Gauges["shard.rpc_retried"] + snap.Gauges["shard.fallback_local"]; n != 0 {
+		t.Errorf("post-restart count recorded %d retries/fallbacks, want 0", n)
+	}
+	if n := rep.Count(report.ShardRetried) + rep.Count(report.ShardFellBackLocal); n != 0 {
+		t.Errorf("post-restart count recorded %d recoveries: %s", n, rep.Summary())
 	}
 }
 

@@ -195,8 +195,8 @@ func BenchmarkCoordinatorRPC(b *testing.B) {
 }
 
 // BenchmarkCoordinatorBatchRPC measures the batched frontier path: an
-// 8-clause frontier resolved by CountMany in one wire round —
-// dictionary-referenced examples, packed-bitset verdicts. A fresh
+// 8-clause frontier resolved by CountMany in one wire round — inline
+// examples, packed-bitset verdicts. A fresh
 // coordinator engine per iteration keeps the coordinator's store cold
 // (the worker's parse cache and store are hot, like
 // BenchmarkCoordinatorRPC), so verdicts/sec here vs

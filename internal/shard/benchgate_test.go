@@ -27,9 +27,8 @@ type benchBaseline struct {
 // fails if per-verdict throughput fell more than 30% below the latest
 // committed BENCH_shard.json run. CI machines are noisy, so the
 // tolerance is wide — the gate exists to catch structural regressions
-// (a lost dictionary that re-ships examples every round, a batch path
-// that quietly degrades to per-candidate RPCs, a broken memo), not
-// single-digit drift.
+// (a batch path that quietly degrades to per-candidate RPCs, a broken
+// memo), not single-digit drift.
 func TestShardBenchGate(t *testing.T) {
 	if os.Getenv("SHARD_BENCH_GATE") != "1" {
 		t.Skip("set SHARD_BENCH_GATE=1 to run the RPC-cost gate")
@@ -65,8 +64,8 @@ func TestShardBenchGate(t *testing.T) {
 	fresh := coldEngines(t)
 	texts := benchFrontierTexts(8)
 	examples := benchExamples()
-	// Warm the worker's parse cache, verdict store, and the replica's
-	// example dictionary: the gate measures steady-state transport cost,
+	// Warm the worker's parse caches and verdict store: the gate
+	// measures steady-state transport cost,
 	// not first-contact subsumption. Every round binds a fresh
 	// coordinator engine, so no round is answered from the coordinator's
 	// own store.

@@ -101,42 +101,9 @@ func newFleetClient(shards [][]string) *http.Client {
 	}
 }
 
-// replica is one worker process and the example-set dictionaries it
-// holds.
-type replica struct {
-	url string
-
-	mu sync.Mutex
-	// dicts records the example-set fingerprints this replica has
-	// registered; a 410 dict_unknown (worker restarted, dictionary gone)
-	// forgets the entry and the next send re-registers inline.
-	dicts map[string]bool
-}
-
-func (r *replica) hasDict(fp string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dicts[fp]
-}
-
-func (r *replica) noteDict(fp string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dicts == nil {
-		r.dicts = make(map[string]bool)
-	}
-	r.dicts[fp] = true
-}
-
-func (r *replica) forgetDict(fp string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.dicts, fp)
-}
-
-// shardState is one shard's replicas and where its next count goes.
+// shardState is one shard's replica URLs and where its next count goes.
 type shardState struct {
-	replicas []*replica
+	replicas []string
 	// last indexes the replica that last answered; a count's first
 	// attempt goes there.
 	last atomic.Int32
@@ -156,15 +123,6 @@ type Coordinator struct {
 	shards []*shardState
 	engine *learn.CoverageEngine
 	mc     *metrics.Collector
-
-	// dataVersion is the ingest data version (internal/ingest) the
-	// engine's database is at. Mixed into every example-set dictionary
-	// fingerprint (DictFingerprint), so a committed batch retires all
-	// previously registered worker-side dictionaries: the next RPC's
-	// fingerprint is new, the coordinator sends the set inline, and the
-	// worker re-registers — the same flow as the 410 dict_unknown
-	// recovery, with no wire-protocol change.
-	dataVersion atomic.Uint64
 }
 
 // New validates the fleet layout and returns a coordinator. Call Bind
@@ -185,10 +143,7 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	shards := make([]*shardState, len(opts.Shards))
 	for i, urls := range opts.Shards {
-		shards[i] = &shardState{replicas: make([]*replica, len(urls))}
-		for j, u := range urls {
-			shards[i].replicas[j] = &replica{url: u}
-		}
+		shards[i] = &shardState{replicas: urls}
 	}
 	return &Coordinator{
 		opts:   opts,
@@ -204,25 +159,6 @@ func (co *Coordinator) Bind(e *learn.CoverageEngine) {
 	e.SetTransport(co)
 }
 
-// Shards returns the fleet's shard count.
-func (co *Coordinator) Shards() int { return len(co.shards) }
-
-// SetDataVersion records the data version of the coordinator engine's
-// database. A version change moves every dictionary fingerprint the
-// coordinator computes from here on, which invalidates all worker-side
-// example dictionaries registered under earlier versions — stale
-// workers simply see an unknown fingerprint and are re-registered
-// inline, the 410 dict_unknown recovery path. Safe to call between
-// runs; the gauge shard.dict_invalidations counts actual changes.
-func (co *Coordinator) SetDataVersion(v uint64) {
-	if co.dataVersion.Swap(v) != v {
-		co.mc.AddNamedGauge("shard.dict_invalidations", 1)
-	}
-}
-
-// DataVersion returns the coordinator's current data version.
-func (co *Coordinator) DataVersion() uint64 { return co.dataVersion.Load() }
-
 // Close releases idle connections. Safe after a failed run.
 func (co *Coordinator) Close() { co.client.CloseIdleConnections() }
 
@@ -230,15 +166,6 @@ type item struct {
 	e   learn.Example
 	key string
 	pos int // index into the count's examples slice
-}
-
-// batchReq is one shard's RPC work order: the active frontier's clause
-// texts and the shard group's ordered example keys, with the group's
-// precomputed dictionary fingerprint.
-type batchReq struct {
-	clauses []string
-	keys    []string
-	dict    string
 }
 
 // CountMany implements learn.CoverageTransport: the whole candidate
@@ -267,9 +194,9 @@ const (
 // countMany is the merge core: memo-resolved (clause, example) pairs
 // are settled locally; clauses with any unresolved pair form the active
 // frontier; each shard whose example group has unresolved work receives
-// the whole frontier — and its FULL example group, memoized pairs
-// included, so the group's dictionary fingerprint stays stable across
-// rounds — in one resolveShard call. Every returned verdict is memoized
+// the whole frontier and its FULL example group, memoized pairs
+// included (the worker answers those from its own store), in one
+// self-contained resolveShard call. Every returned verdict is memoized
 // on the engine and per-clause counts clamp at limit. Because workers
 // resolve every (clause, example) pair they are sent and verdicts are
 // pure, the memo state and counts are identical under any interleaving
@@ -353,9 +280,9 @@ func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, e
 			for j, it := range grp {
 				gkeys[j] = it.key
 			}
-			req := batchReq{clauses: texts, keys: gkeys, dict: DictFingerprint(co.dataVersion.Load(), gkeys)}
+			req := BatchCoverageRequest{Clauses: texts, Examples: gkeys}
 			wg.Add(1)
-			go func(s int, grp []item, req batchReq) {
+			go func(s int, grp []item, req BatchCoverageRequest) {
 				defer wg.Done()
 				verdicts, err := co.resolveShard(cctx, activeClauses, s, req, grp)
 				mu.Lock()
@@ -409,7 +336,7 @@ func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, e
 // shard's examples resolve in-process for the rest of the run — or,
 // under DisableLocalFallback, the run aborts with ErrShardsLost. The
 // returned matrix is clauses × grp, positionally aligned.
-func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req batchReq, grp []item) ([][]bool, error) {
+func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req BatchCoverageRequest, grp []item) ([][]bool, error) {
 	sh := co.shards[s]
 	if !sh.local.Load() {
 		verdicts, err := co.tryShard(ctx, s, req)
@@ -450,7 +377,7 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 // tryShard makes up to Retries attempts on shard s, walking its
 // replicas in order from the one that last answered, with backoff
 // between attempts. Returns the last error when the budget runs out.
-func (co *Coordinator) tryShard(ctx context.Context, s int, req batchReq) ([][]bool, error) {
+func (co *Coordinator) tryShard(ctx context.Context, s int, req BatchCoverageRequest) ([][]bool, error) {
 	sh := co.shards[s]
 	first := int(sh.last.Load())
 	var (
@@ -496,99 +423,26 @@ func isFatal(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// send performs one RPC attempt against one replica: one batched round,
-// dictionary-referenced examples, bitset verdicts. The example set
-// travels by dictionary reference once the replica has registered it; a
-// 410 dict_unknown (the worker restarted and lost its dictionaries)
-// forgets the registration and re-sends inline in the same attempt.
-func (co *Coordinator) send(ctx context.Context, target int, rep *replica, req batchReq) ([][]bool, time.Duration, error) {
+// send performs one RPC attempt — one HTTP POST — against one replica:
+// the self-contained batched request out (wire bytes counted both
+// ways), packed bitset verdicts back. The attempt is bounded by
+// RequestTimeout and fires the shard.rpc.* faultpoint sites; a 503's
+// Retry-After hint is returned with its error.
+func (co *Coordinator) send(ctx context.Context, target int, url string, req BatchCoverageRequest) ([][]bool, time.Duration, error) {
 	if err := inject(ctx, target, "shard.rpc.send", "shard.rpc.batch"); err != nil {
-		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, rep.url, err)
+		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, url, err)
 	}
-	inline := req.dict == "" || !rep.hasDict(req.dict)
-	for attempt := 0; attempt < 2; attempt++ {
-		wire := BatchCoverageRequest{Clauses: req.clauses, Dict: req.dict}
-		if inline {
-			wire.Examples = req.keys
-		}
-		status, retryAfter, data, err := co.postJSON(ctx, target, rep, wire)
-		if err != nil {
-			return nil, 0, err
-		}
-		switch status {
-		case http.StatusOK:
-			var br BatchCoverageResponse
-			if err := json.Unmarshal(data, &br); err != nil {
-				return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, rep.url, err)
-			}
-			if len(br.Covered) != len(req.clauses) {
-				return nil, 0, fmt.Errorf("shard %d: %s answered %d bitsets for %d clauses", target, rep.url, len(br.Covered), len(req.clauses))
-			}
-			m := make([][]bool, len(br.Covered))
-			for i, bs := range br.Covered {
-				row, ok := UnpackBits(bs, len(req.keys))
-				if !ok {
-					return nil, 0, fmt.Errorf("shard %d: %s clause %d bitset is %d bytes for %d examples", target, rep.url, i, len(bs), len(req.keys))
-				}
-				m[i] = row
-			}
-			if req.dict != "" {
-				if inline {
-					rep.noteDict(req.dict)
-					co.mc.AddNamedGauge("shard.dict_registers", 1)
-				} else {
-					co.mc.AddNamedGauge("shard.dict_hits", 1)
-				}
-			}
-			co.mc.Observe(metrics.HistShardBatchClauses, int64(len(req.clauses)))
-			co.mc.Observe(metrics.HistShardBatchExamples, int64(len(req.keys)))
-			return m, 0, nil
-		case http.StatusGone:
-			// The worker lost the dictionary (restart). Re-register inline
-			// in the next loop iteration; a second 410 is a real error.
-			detail, _ := httpx.DecodeError(data)
-			rep.forgetDict(req.dict)
-			if detail.Code == httpx.ErrCodeDictUnknown && !inline {
-				co.mc.AddNamedGauge("shard.dict_reregisters", 1)
-				inline = true
-				continue
-			}
-			return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message)
-		case http.StatusConflict:
-			// config_mismatch or unsupported_proto: either way this worker
-			// answers for a different universe than the run's.
-			detail, _ := httpx.DecodeError(data)
-			return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch (%s): %s", target, rep.url, detail.Code, detail.Message)}
-		case http.StatusServiceUnavailable:
-			detail, _ := httpx.DecodeError(data)
-			return nil, retryAfter, fmt.Errorf("shard %d: %s overloaded: %s", target, rep.url, detail.Message)
-		default:
-			if detail, ok := httpx.DecodeError(data); ok {
-				return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, rep.url, detail.Code, detail.Message)
-			}
-			return nil, 0, fmt.Errorf("shard %d: %s: status %d", target, rep.url, status)
-		}
-	}
-	return nil, 0, fmt.Errorf("shard %d: %s: dictionary re-registration looped", target, rep.url)
-}
-
-// postJSON performs one HTTP POST attempt: marshal (wire-bytes
-// accounting on both directions), per-attempt timeout, fingerprint and
-// protocol-version headers, the shard.rpc.recv faultpoint sites, and a
-// bounded body read. Status handling is the caller's. retryAfter
-// carries a 503 response's Retry-After hint, when one was sent.
-func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, payload BatchCoverageRequest) (status int, retryAfter time.Duration, data []byte, err error) {
 	co.mc.AddNamedGauge("shard.rpc_sent", 1)
-	body, err := json.Marshal(payload)
+	body, err := json.Marshal(req)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("shard %d: marshal: %w", target, err)
+		return nil, 0, fmt.Errorf("shard %d: marshal: %w", target, err)
 	}
 	co.mc.AddNamedGauge("shard.wire_bytes_sent", int64(len(body)))
 	attemptCtx, cancel := context.WithTimeout(ctx, co.opts.RequestTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, rep.url+"/v2/coverage", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, url+"/v2/coverage", bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("shard %d: request: %w", target, err)
+		return nil, 0, fmt.Errorf("shard %d: request: %w", target, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(ProtoHeader, ProtoV2)
@@ -598,25 +452,57 @@ func (co *Coordinator) postJSON(ctx context.Context, target int, rep *replica, p
 	resp, err := co.client.Do(hreq)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return 0, 0, nil, cerr
+			return nil, 0, cerr
 		}
-		return 0, 0, nil, fmt.Errorf("shard %d: %s: %w", target, rep.url, err)
+		return nil, 0, fmt.Errorf("shard %d: %s: %w", target, url, err)
 	}
 	defer resp.Body.Close()
 	if err := inject(ctx, target, "shard.rpc.recv"); err != nil {
-		return 0, 0, nil, fmt.Errorf("shard %d: recv %s: %w", target, rep.url, err)
+		return nil, 0, fmt.Errorf("shard %d: recv %s: %w", target, url, err)
 	}
-	data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("shard %d: read %s: %w", target, rep.url, err)
+		return nil, 0, fmt.Errorf("shard %d: read %s: %w", target, url, err)
 	}
 	co.mc.AddNamedGauge("shard.wire_bytes_recv", int64(len(data)))
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusConflict:
+		// config_mismatch or unsupported_proto: either way this worker
+		// answers for a different universe than the run's.
+		detail, _ := httpx.DecodeError(data)
+		return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch (%s): %s", target, url, detail.Code, detail.Message)}
+	case http.StatusServiceUnavailable:
+		var retryAfter time.Duration
 		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
 			retryAfter = time.Duration(secs) * time.Second
 		}
+		detail, _ := httpx.DecodeError(data)
+		return nil, retryAfter, fmt.Errorf("shard %d: %s overloaded: %s", target, url, detail.Message)
+	default:
+		if detail, ok := httpx.DecodeError(data); ok {
+			return nil, 0, fmt.Errorf("shard %d: %s: %s: %s", target, url, detail.Code, detail.Message)
+		}
+		return nil, 0, fmt.Errorf("shard %d: %s: status %d", target, url, resp.StatusCode)
 	}
-	return resp.StatusCode, retryAfter, data, nil
+	var br BatchCoverageResponse
+	if err := json.Unmarshal(data, &br); err != nil {
+		return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, url, err)
+	}
+	if len(br.Covered) != len(req.Clauses) {
+		return nil, 0, fmt.Errorf("shard %d: %s answered %d bitsets for %d clauses", target, url, len(br.Covered), len(req.Clauses))
+	}
+	m := make([][]bool, len(br.Covered))
+	for i, bs := range br.Covered {
+		row, ok := UnpackBits(bs, len(req.Examples))
+		if !ok {
+			return nil, 0, fmt.Errorf("shard %d: %s clause %d bitset is %d bytes for %d examples", target, url, i, len(bs), len(req.Examples))
+		}
+		m[i] = row
+	}
+	co.mc.Observe(metrics.HistShardBatchClauses, int64(len(req.Clauses)))
+	co.mc.Observe(metrics.HistShardBatchExamples, int64(len(req.Examples)))
+	return m, 0, nil
 }
 
 // inject fires the faultpoint sites <family> and <family>:<target> of

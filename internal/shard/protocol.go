@@ -55,8 +55,8 @@ const FingerprintHeader = "X-Shard-Fingerprint"
 
 // ProtoHeader carries the wire-protocol version on every coverage RPC.
 // There is one protocol, ProtoV2: the batched frontier protocol
-// (BatchCoverageRequest) with dictionary-referenced example sets and
-// packed bitset verdicts. A worker that sees any other declared version
+// (BatchCoverageRequest) with inline example sets and packed bitset
+// verdicts. A worker that sees any other declared version
 // answers a structured 409 (httpx.ErrCodeUnsupportedProto) instead of
 // guessing, and the coordinator treats that like a config mismatch: the
 // fleet was not built for this run.
@@ -65,29 +65,23 @@ const (
 	ProtoV2     = "2"
 )
 
-// MaxBatchClauses caps the clauses of one BatchCoverageRequest: the
-// coordinator chunks a frontier at it and a worker answers a larger
-// batch 413.
-const MaxBatchClauses = 256
+// Batch bounds of one BatchCoverageRequest: the coordinator chunks a
+// frontier at MaxBatchClauses, and a worker answers a request over
+// either bound 413.
+const (
+	MaxBatchClauses  = 256
+	MaxBatchExamples = 4096
+)
 
 // BatchCoverageRequest is one shard RPC: the whole candidate frontier
-// for a shard in one round. The count limit deliberately does not
-// travel: workers resolve every pair so the coordinator's store is
-// interleaving-independent. The example set travels either
-// inline (Examples) or by reference (Dict alone): the coordinator
-// registers a shard's stable example range once — keyed by the set's
-// fingerprint — and subsequent frontiers reference it by id instead of
-// re-shipping up to 10⁶ example-key strings per evaluation. When both
-// are present the worker (re-)registers the set under Dict and answers
-// in the same round; a Dict the worker does not hold (it restarted)
-// answers 410 dict_unknown and the coordinator re-sends inline.
+// for a shard in one round, self-contained. The count limit
+// deliberately does not travel: workers resolve every pair so the
+// coordinator's store is interleaving-independent. The shard group's
+// ordered example keys travel inline on every request, so a worker
+// holds no per-coordinator state and a restarted worker answers the
+// next request as it is.
 type BatchCoverageRequest struct {
-	Clauses []string `json:"clauses"`
-	// Dict is the example set's fingerprint (DictFingerprint over the
-	// ordered keys). Optional: empty means the set travels inline only.
-	Dict string `json:"dict,omitempty"`
-	// Examples carries the ordered example keys inline; empty references
-	// a previously registered Dict.
+	Clauses  []string `json:"clauses"`
 	Examples []string `json:"examples,omitempty"`
 }
 
@@ -95,31 +89,11 @@ type BatchCoverageRequest struct {
 // clause — bit j of Covered[i] (LSB-first) is clause i's verdict on
 // example j of the request's example set — plus the worker's
 // subsumption-test count (observability only). Bitsets ride JSON as
-// base64, so a 10⁶-example set costs ~167KB per clause instead of a
-// multi-megabyte JSON []bool array.
+// base64: a full MaxBatchExamples set costs ~700 bytes per clause
+// instead of a 20KB JSON []bool array.
 type BatchCoverageResponse struct {
 	Covered [][]byte `json:"covered"`
 	Tests   int64    `json:"tests"`
-}
-
-// DictFingerprint fingerprints an ordered example-key list for the
-// wire-v2 example-set dictionary, salted with the ingest data version
-// the coordinator's database is at: a committed batch moves the
-// fingerprint, retiring every dictionary registered under earlier
-// versions through the ordinary re-registration flow. Order matters —
-// verdict bitsets align positionally — so the hash is over the
-// length-prefixed keys in sequence. SHA-256 (truncated like
-// EngineFingerprint) keeps accidental collisions out of the question: a
-// collision would silently misalign verdicts, so the cheap-hash
-// shortcut is not taken here.
-func DictFingerprint(version uint64, keys []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d;", version)
-	for _, k := range keys {
-		fmt.Fprintf(h, "%d:", len(k))
-		h.Write([]byte(k))
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // PackBits packs verdicts into an LSB-first bitset of ⌈n/8⌉ bytes.

@@ -139,7 +139,7 @@ func TestEngineFingerprint(t *testing.T) {
 
 func TestWorkerEndpoints(t *testing.T) {
 	engine := tinyEngine(t, 1)
-	w := NewWorker("w1", engine, "deadbeef", WorkerOptions{MaxBatch: 4})
+	w := NewWorker("w1", engine, "deadbeef", WorkerOptions{})
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
@@ -182,7 +182,7 @@ func TestWorkerEndpoints(t *testing.T) {
 	})
 
 	t.Run("batch-too-large-413", func(t *testing.T) {
-		big := BatchCoverageRequest{Clauses: []string{clause}, Examples: make([]string, 5)}
+		big := BatchCoverageRequest{Clauses: []string{clause}, Examples: make([]string, MaxBatchExamples+1)}
 		for i := range big.Examples {
 			big.Examples[i] = "advisedBy(s00,p00)"
 		}
@@ -253,8 +253,8 @@ func TestWorkerEndpoints(t *testing.T) {
 }
 
 // stubWorker answers coverage RPCs with canned all-false verdicts via
-// fn (nil fn = default behavior), counting requests: batches get zero
-// bitsets, dict-only requests the honest 410.
+// fn (nil fn = default behavior), counting requests: every batch gets
+// zero bitsets.
 func stubWorker(fn func(w http.ResponseWriter, r *http.Request, calls int64) bool) (*httptest.Server, *atomic.Int64) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -264,10 +264,6 @@ func stubWorker(fn func(w http.ResponseWriter, r *http.Request, calls int64) boo
 		}
 		var req BatchCoverageRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		if len(req.Examples) == 0 {
-			httpx.Fail(w, http.StatusGone, httpx.ErrCodeDictUnknown, errors.New("stub holds no dictionaries"))
-			return
-		}
 		covered := make([][]byte, len(req.Clauses))
 		for i := range covered {
 			covered[i] = PackBits(make([]bool, len(req.Examples)))

@@ -24,12 +24,6 @@ type WorkerOptions struct {
 	// MaxConcurrent bounds in-flight coverage requests; <=0 selects the
 	// httpx limiter default (64).
 	MaxConcurrent int
-	// MaxBatch caps examples per request; <=0 selects 4096.
-	MaxBatch int
-	// MaxDicts bounds registered example-set dictionaries; the oldest
-	// registration is evicted first (a coordinator whose dict was
-	// evicted simply re-registers on the 410). <=0 selects 128.
-	MaxDicts int
 	// RequestTimeout bounds one coverage request's work; <=0 selects 30s.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown; <=0 selects the httpx
@@ -41,12 +35,6 @@ type WorkerOptions struct {
 }
 
 func (o WorkerOptions) normalized() WorkerOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4096
-	}
-	if o.MaxDicts <= 0 {
-		o.MaxDicts = 128
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
@@ -64,9 +52,9 @@ const (
 
 // Worker is one shard-worker service: a coverage engine behind the
 // httpx substrate. It answers POST /v2/coverage (a whole candidate
-// frontier with dictionary-referenced example sets and packed bitset
-// verdicts) with pure per-example verdicts — every example resolved, no count limit;
-// see the package comment's merge contract — plus GET /healthz
+// frontier over an inline example set) with pure per-example verdicts
+// as packed bitsets — every example resolved, no count limit; see the
+// package comment's merge contract — plus GET /healthz
 // (liveness: the process is up), GET /readyz (readiness for operators
 // and load balancers: not draining and not mid-preload; reports
 // fingerprint, cache heat, and wire protocol), GET /metrics and
@@ -83,15 +71,12 @@ type Worker struct {
 	preloading atomic.Bool
 	preloaded  atomic.Int64
 
+	// The parse caches are the worker's only request-derived state: pure
+	// and bounded, so a restarted worker answers the next request as it
+	// is.
 	mu       sync.Mutex
 	clauses  map[string]*logic.Clause
 	examples map[string]learn.Example
-	// dicts holds registered example sets keyed by DictFingerprint;
-	// dictOrder tracks registration order for FIFO eviction at MaxDicts.
-	// Lost dictionaries are only a performance event: the coordinator
-	// re-sends the set inline on the 410.
-	dicts     map[string][]learn.Example
-	dictOrder []string
 }
 
 // NewWorker wraps engine as shard worker id. The engine must be built
@@ -106,7 +91,6 @@ func NewWorker(id string, engine *learn.CoverageEngine, fp string, opts WorkerOp
 		lim:      httpx.NewLimiter(opts.MaxConcurrent),
 		clauses:  make(map[string]*logic.Clause),
 		examples: make(map[string]learn.Example),
-		dicts:    make(map[string][]learn.Example),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/coverage", w.handleBatchCoverage)
@@ -211,31 +195,6 @@ func (w *Worker) parseExample(s string) (learn.Example, error) {
 	return e, nil
 }
 
-// storeDict registers an example set under its fingerprint, evicting
-// the oldest registration beyond MaxDicts.
-func (w *Worker) storeDict(fp string, exs []learn.Example) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.dicts[fp]; ok {
-		w.dicts[fp] = exs
-		return
-	}
-	w.dicts[fp] = exs
-	w.dictOrder = append(w.dictOrder, fp)
-	for len(w.dictOrder) > w.opts.MaxDicts {
-		evict := w.dictOrder[0]
-		w.dictOrder = w.dictOrder[1:]
-		delete(w.dicts, evict)
-	}
-}
-
-func (w *Worker) lookupDict(fp string) ([]learn.Example, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	exs, ok := w.dicts[fp]
-	return exs, ok
-}
-
 // crashFault fires the worker's chaos faultpoints; they stand in for a
 // worker that dies mid-request (the multi-process smoke test kills for
 // real). The error answer is 500, which coordinators treat as a failed
@@ -253,8 +212,8 @@ func (w *Worker) crashFault(rw http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleBatchCoverage answers wire v2: the shard's whole candidate
-// frontier in one request, the example set inline or by dictionary
-// reference, verdicts as one packed bitset per clause.
+// frontier and its example set in one self-contained request, verdicts
+// as one packed bitset per clause.
 func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	if !w.crashFault(rw, r) {
 		return
@@ -295,40 +254,23 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var exs []learn.Example
-	switch {
-	case len(req.Examples) > 0:
-		if len(req.Examples) > w.opts.MaxBatch {
-			httpx.Fail(rw, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
-				fmt.Errorf("%d examples exceeds max batch %d", len(req.Examples), w.opts.MaxBatch))
-			return
-		}
-		exs = make([]learn.Example, len(req.Examples))
-		for i, es := range req.Examples {
-			e, err := w.parseExample(es)
-			if err != nil {
-				httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, fmt.Errorf("example %d: %w", i, err))
-				return
-			}
-			exs[i] = e
-		}
-		if req.Dict != "" {
-			w.storeDict(req.Dict, exs)
-			w.opts.Metrics.AddNamedGauge("shard.worker.dict_registers", 1)
-		}
-	case req.Dict != "":
-		var ok bool
-		exs, ok = w.lookupDict(req.Dict)
-		if !ok {
-			// Typically: this process restarted and its dictionaries died
-			// with it. 410 tells the coordinator to re-send inline.
-			httpx.Fail(rw, http.StatusGone, httpx.ErrCodeDictUnknown,
-				fmt.Errorf("shard %s: example-set dictionary %s not registered", w.id, req.Dict))
-			return
-		}
-	default:
-		httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, errors.New("batch has neither examples nor dict"))
+	if len(req.Examples) == 0 {
+		httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, errors.New("batch has no examples"))
 		return
+	}
+	if len(req.Examples) > MaxBatchExamples {
+		httpx.Fail(rw, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
+			fmt.Errorf("%d examples exceeds max batch %d", len(req.Examples), MaxBatchExamples))
+		return
+	}
+	exs := make([]learn.Example, len(req.Examples))
+	for i, es := range req.Examples {
+		e, err := w.parseExample(es)
+		if err != nil {
+			httpx.Fail(rw, http.StatusBadRequest, httpx.ErrCodeBadRequest, fmt.Errorf("example %d: %w", i, err))
+			return
+		}
+		exs[i] = e
 	}
 
 	clauses := make([]*logic.Clause, len(req.Clauses))
