@@ -382,11 +382,11 @@ func (o Options) bottomOptions() bottom.Options {
 // completes it.
 func (o Options) assemble(task Task, mc *metrics.Collector) (*Result, *learn.Learner, error) {
 	biasStart := time.Now()
-	b, graph, inds, err := buildBiasFull(task, o)
+	b, graph, err := BuildBias(task, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Bias: b, Graph: graph, INDs: inds, BiasTime: time.Since(biasStart), db: task.DB, metrics: mc}
+	res := &Result{Bias: b, Graph: graph, BiasTime: time.Since(biasStart), db: task.DB, metrics: mc}
 	compiled, err := b.Compile(task.DB.Schema(), task.Target, len(task.TargetAttrs))
 	if err != nil {
 		return nil, nil, err
@@ -403,7 +403,7 @@ func (o Options) assemble(task Task, mc *metrics.Collector) (*Result, *learn.Lea
 		Metrics:       mc,
 	}
 	if o.method() == MethodAleph {
-		return res, foil.New(task.DB, compiled, lo, foil.Options{}), nil
+		return res, foil.New(task.DB, compiled, lo), nil
 	}
 	return res, learn.New(task.DB, compiled, lo), nil
 }
@@ -462,11 +462,6 @@ type Result struct {
 	// Graph is the type graph behind an induced bias (MethodAutoBias
 	// only).
 	Graph *TypeGraph
-	// INDs are the inclusion dependencies the induced bias was built from
-	// (MethodAutoBias only; nil otherwise). Kept so incremental theory
-	// repair (RepairCtx) can refresh them after a data batch instead of
-	// rediscovering from scratch.
-	INDs []IND
 	// Elapsed is the learning wall-clock (excluding bias induction,
 	// reported separately as BiasTime to mirror §6.1's preprocessing
 	// accounting).
@@ -628,7 +623,7 @@ func BuildBias(task Task, opts Options) (*Bias, *TypeGraph, error) {
 }
 
 // buildBiasFull is BuildBias keeping the INDs an induced bias was built
-// from, so learning results can carry them for incremental repair.
+// from, for InduceBias.
 func buildBiasFull(task Task, opts Options) (*Bias, *TypeGraph, []IND, error) {
 	switch opts.method() {
 	case MethodCastor:
@@ -719,22 +714,11 @@ func NewShardWorker(task Task, opts Options, id string, wopts ShardWorkerOptions
 
 // DiscoverINDs runs Binder-style IND discovery over the database with
 // the given approximate-error cutoff (§3.1); maxError 0 keeps only exact
-// INDs.
-func DiscoverINDs(d *Database, maxError float64) []IND {
-	return ind.Discover(d, ind.Options{MaxError: maxError})
-}
-
-// DiscoverINDsCtx is DiscoverINDs under a context. Cancellation aborts
-// discovery with ctx's error and no partial result — half-validated
-// inclusion counts would admit spurious INDs.
-func DiscoverINDsCtx(ctx context.Context, d *Database, maxError float64) ([]IND, error) {
-	return ind.DiscoverCtx(ctx, d, ind.Options{MaxError: maxError})
-}
-
-// DiscoverINDsCollect is DiscoverINDsCtx with instrumentation: mc (nil =
-// disabled) receives the candidate/validated/pruned counters, the
+// INDs. Cancellation aborts discovery with ctx's error and no partial
+// result — half-validated inclusion counts would admit spurious INDs. mc
+// (nil = disabled) receives the candidate/validated/pruned counters, the
 // error-rate histogram, and the ind.discover span.
-func DiscoverINDsCollect(ctx context.Context, d *Database, maxError float64, mc *MetricsCollector) ([]IND, error) {
+func DiscoverINDs(ctx context.Context, d *Database, maxError float64, mc *MetricsCollector) ([]IND, error) {
 	return ind.DiscoverCtx(ctx, d, ind.Options{MaxError: maxError, Metrics: mc})
 }
 

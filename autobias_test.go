@@ -1,6 +1,7 @@
 package autobias
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -203,7 +204,10 @@ func TestExecuteClause(t *testing.T) {
 
 func TestDiscoverINDsAndRenderGraph(t *testing.T) {
 	task := uwTask(t, 0.2)
-	inds := DiscoverINDs(task.DB, 0.5)
+	inds, err := DiscoverINDs(context.Background(), task.DB, 0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(inds) == 0 {
 		t.Fatal("no INDs discovered on UW")
 	}

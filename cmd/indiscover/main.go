@@ -64,7 +64,7 @@ func main() {
 	ctx, stop := cli.NotifyContext()
 	defer stop()
 	start := time.Now()
-	inds, err := autobias.DiscoverINDsCollect(ctx, d, *approx, mc)
+	inds, err := autobias.DiscoverINDs(ctx, d, *approx, mc)
 	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -16,7 +16,7 @@
 // GET /version (current data version), GET /status (data version,
 // theory size, repair history) and the shared admin surface (GET
 // /metrics, /healthz, /readyz, /debug/pprof/) — all on one port. Every commit triggers an incremental
-// repair (a replay under the new bias when the refreshed bias drifted),
+// repair (a replay under the new bias when the re-induced bias drifted),
 // so /status and the artifact on disk always reflect the latest
 // committed data.
 //

@@ -46,7 +46,7 @@ type ingestBenchFile struct {
 	Runs        []json.RawMessage `json:"runs"`
 }
 
-const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the value screen applies), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v . Entries with a \"workload\" field are interleaved parent/change pairs of the repo benchmark (bench/run.sh), not repair-gate runs; their note says what they measure."
+const ingestBenchDescription = "Perf trajectory for incremental theory repair (RepairCtx) versus full re-learn after a small committed ingest batch. Each run learns a theory over the uw dataset, commits an entity-local batch touching <=1% of tuples (new publication tuples about one existing person — the live-data shape where fresh facts arrive about a few entities, perturbing only the examples whose bottom clauses reach them while the induced bias stays stable, so the repair replays under an unchanged bias; every cached example's ground BC is rebuilt and checked, and runs before 2026-10-17 screened out, unchecked, those holding none of the batch's values), then measures min-of-trials wall clock for RepairCtx against a from-scratch LearnCtx on the post-batch database; the repaired theory is asserted bit-identical to the re-learn before timing counts. speedup = relearn_ns / repair_ns; the CI gate (INGEST_BENCH=1, TestIngestBenchGate) fails below 5x. dirty_examples and carried_hits record how much of the previous run's coverage state the repair reused; carried_hits is informational, not gated: the distinct carried (clause, example) verdicts the replay consumed (runs before 2026-09-27 counted a replay per clause pointer, so their figure is higher for the same work). Every entry records the full benchenv.Capture() block. Regenerate with: INGEST_BENCH=1 go test -run TestIngestBenchGate -v . Entries with a \"workload\" field are interleaved parent/change pairs of the repo benchmark (bench/run.sh), not repair-gate runs; their note says what they measure."
 
 // TestIngestBenchGate measures and gates the repair-vs-relearn speedup.
 func TestIngestBenchGate(t *testing.T) {
@@ -99,7 +99,7 @@ func TestIngestBenchGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.BiasDrift || rep.Unchanged {
-			t.Fatalf("batch did not exercise the screened replay (drift=%v unchanged=%v); the measurement is meaningless",
+			t.Fatalf("batch did not exercise the replay under a stable bias (drift=%v unchanged=%v); the measurement is meaningless",
 				rep.BiasDrift, rep.Unchanged)
 		}
 		start := time.Now()
@@ -171,7 +171,7 @@ func TestIngestBenchGate(t *testing.T) {
 // repair is built for: new facts arriving about a few entities perturb
 // only the examples whose bottom clauses reach those entities, and
 // fresh constants in the already-near-unique title attribute leave the
-// induced bias stable, so the repair screens by the batch's values.
+// induced bias stable, so the repair replays under the same bias.
 func entityLocalBatch(t *testing.T, task autobias.Task, n int) autobias.IngestBatch {
 	t.Helper()
 	rel := task.DB.Relation("publication")

@@ -2,7 +2,7 @@
 // §16): repair(theory, batch) must be semantically equivalent to a full
 // from-scratch re-learn on the post-batch database — bit-identical
 // theories, identical held-out verdicts — for insert and delete batches,
-// under every sampler, for commits repair cannot trust, at workers
+// under every sampler, whatever commit repair is handed, at workers
 // 1/4/8, and across the sharded transport. Chaos legs crash the commit and the repair at
 // injected faultpoints and prove the retry stitches to the reference.
 package autobias_test
@@ -154,7 +154,7 @@ func repairVsRelearn(t *testing.T, batchSeed int64, inserts, deletes, workers in
 }
 
 // repairFixture is the state between the commit and the repair, handed to
-// a leg's spoil hooks so they can make the commit one repair cannot trust.
+// a leg's spoil hooks so they can land more batches before repair runs.
 type repairFixture struct {
 	task   autobias.Task
 	ing    *autobias.Ingestor
@@ -260,11 +260,11 @@ func TestRepairEquivalenceInserts(t *testing.T) {
 }
 
 // TestRepairEquivalenceSamplers: the exact check decides under every
-// sampler. Random and stratified sampling read relation-wide statistics
-// no value screen can bound, so every cached example is rebuilt — once —
-// and the ones a live-loop-shaped commit (new publications for a person
-// in a training example) really changed are replayed over everything
-// else, carried.
+// sampler. Random and stratified sampling read relation-wide statistics;
+// every cached example is rebuilt — once — as under any sampler, and the
+// ones a live-loop-shaped commit (new publications for a person in a
+// training example) really changed are replayed over everything else,
+// carried.
 func TestRepairEquivalenceSamplers(t *testing.T) {
 	for _, sampling := range []autobias.Sampling{autobias.SamplingRandom, autobias.SamplingStratified} {
 		theories := map[int]string{}
@@ -390,9 +390,9 @@ func TestRepairFreshConstantsFastPath(t *testing.T) {
 		t.Fatal("fast path returned a different theory")
 	}
 
-	// The same holds for a commit repair cannot trust: a second net-zero
-	// batch lands, the first commit now understates the delta, and the
-	// check over every cached example still finds nothing changed.
+	// The same holds for a version-skewed commit: a second net-zero batch
+	// lands, the first commit now names an older version, and the check
+	// over every cached example still finds nothing changed.
 	if _, err := ing.Apply(ctx, autobias.IngestBatch{Mutations: []autobias.IngestMutation{
 		{Op: autobias.IngestInsert, Relation: name, Tuple: tuple},
 		{Op: autobias.IngestDelete, Relation: name, Tuple: append([]string(nil), tuple...)},
@@ -559,48 +559,86 @@ func TestRepairCrashMidRepairResumes(t *testing.T) {
 	}
 }
 
-// TestRepairUntrustedCommitReplays: a commit whose version no longer
-// matches the database (later batches landed before repair ran), one
-// stripped of its change summary (a hand-built wire commit) and a
-// previous result that kept no INDs cannot drive the cheap paths — the
-// incremental IND refresh, the value screen — but none of them is a
-// reason to re-learn: repair rediscovers the INDs, checks every cached
-// example and replays, equal to the re-learn on the database as it
-// stands. Seeds 71 and 77 are pinned: their duplicate batches, alone and
-// one after the other, leave the induced bias alone, and 77's changes
-// ground BCs.
-func TestRepairUntrustedCommitReplays(t *testing.T) {
+// TestRepairSkewedCommitReplays: a commit whose version no longer
+// matches the database (a later batch landed before repair ran) repairs
+// like any other, because repair never reads the commit: it checks every
+// cached example against the database as it stands and replays, equal to
+// the re-learn. Seeds 71 and 77 are pinned: their duplicate batches,
+// alone and one after the other, leave the induced bias alone, and 77's
+// changes ground BCs.
+func TestRepairSkewedCommitReplays(t *testing.T) {
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1}
-	for _, leg := range []struct {
-		label string
-		seed  int64
-		spoil func(*repairFixture)
-	}{
-		{"version-skewed commit", 71, func(f *repairFixture) {
-			if _, err := f.ing.Apply(context.Background(), duplicateBatch(t, f.task, 77, 4)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"summary-less commit", 77, func(f *repairFixture) { f.commit.Values = nil }},
-		{"previous result without INDs", 77, func(f *repairFixture) {
-			noINDs := *f.prev
-			noINDs.INDs = nil
-			f.prev = &noINDs
-		}},
-	} {
-		rep, _ := repairVsRelearnBatch(t, opts, leg.label, func(task autobias.Task) autobias.IngestBatch {
-			return duplicateBatch(t, task, leg.seed, 4)
-		}, leg.spoil)
-		if rep.BiasDrift || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
-			t.Errorf("%s: biasDrift=%v dirty=%d carriedHits=%d, want a replay over carried verdicts under a stable bias",
-				leg.label, rep.BiasDrift, rep.DirtyExamples, rep.CarriedHits)
+	rep, _ := repairVsRelearnBatch(t, opts, "version-skewed commit", func(task autobias.Task) autobias.IngestBatch {
+		return duplicateBatch(t, task, 71, 4)
+	}, func(f *repairFixture) {
+		if _, err := f.ing.Apply(context.Background(), duplicateBatch(t, f.task, 77, 4)); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if rep.BiasDrift || rep.DirtyExamples == 0 || rep.CarriedHits == 0 {
+		t.Errorf("biasDrift=%v dirty=%d carriedHits=%d, want a replay over carried verdicts under a stable bias",
+			rep.BiasDrift, rep.DirtyExamples, rep.CarriedHits)
+	}
+}
+
+// TestRepairChecksTheDatabaseNotTheCommit: a commit from another copy of
+// the database — the same version, other values — must repair exactly
+// as the honest one, because repair reads nothing from the commit. The
+// check rebuilds every cached example against the database as it stands,
+// finds the examples the real batch changed and replays.
+func TestRepairChecksTheDatabaseNotTheCommit(t *testing.T) {
+	ctx := context.Background()
+	task, _ := liveTask(t)
+	learnMC := autobias.NewMetricsCollector()
+	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1, Workers: 1, Collector: learnMC}
+	prev, err := autobias.LearnCtx(ctx, task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := prev.Metrics.Counters["coverage.bc_built"]
+
+	honest, err := autobias.NewIngestor(task.DB, nil).Apply(ctx, entityBatch(task.Pos[len(task.Pos)-1].Terms[0].Name, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := liveTask(t)
+	foreign, err := autobias.NewIngestor(other.DB, nil).Apply(ctx, entityBatch("stud_elsewhere", 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.Version != honest.Version {
+		t.Fatalf("fixture: foreign commit at version %d, honest at %d", foreign.Version, honest.Version)
+	}
+
+	opts.Collector = nil
+	want, err := autobias.RepairCtx(ctx, prev, task, honest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DirtyExamples == 0 || want.Unchanged {
+		t.Fatalf("fixture: the honest commit left dirty=%d Unchanged=%v, want a replay", want.DirtyExamples, want.Unchanged)
+	}
+	opts.Collector = autobias.NewMetricsCollector()
+	got, err := autobias.RepairCtx(ctx, prev, task, foreign, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DirtyExamples != want.DirtyExamples || got.Unchanged {
+		t.Errorf("foreign commit: dirty=%d Unchanged=%v, want the honest commit's dirty=%d and a replay",
+			got.DirtyExamples, got.Unchanged, want.DirtyExamples)
+	}
+	if checked := got.Result.Metrics.Gauges["ingest.examples_checked"]; checked != cached {
+		t.Errorf("foreign commit: checked %d of %d cached examples, want all of them", checked, cached)
+	}
+	if got.Result.Definition.String() != want.Result.Definition.String() {
+		t.Errorf("foreign commit repaired to another theory:\n--- foreign\n%s\n--- honest\n%s",
+			got.Result.Definition.String(), want.Result.Definition.String())
 	}
 }
 
 // TestRepairBiasDriftReplays: a batch that changes the induced bias is
 // repaired like any other — the learner assembled on the new bias, every
-// cached example checked (no value screen), the replay over whatever
+// cached example checked, the replay over whatever
 // verdicts the new modes left standing — and says so through BiasDrift
 // alone. Seed 62's duplicate batch drifts the bias (see duplicateBatch),
 // seed 71's does not.

@@ -38,6 +38,17 @@ func (ct ConstantThreshold) allows(rel *db.Relation, attr int) bool {
 // DefaultApproxError is the paper's approximate-IND error cutoff (§3.1).
 const DefaultApproxError = 0.5
 
+// The induced bias's size caps: this repository's, not the paper's.
+const (
+	// maxConstantAttrs caps how many constant-able attributes per
+	// relation enter the powerset of §3.2 (the attributes with the fewest
+	// distinct values win).
+	maxConstantAttrs = 8
+	// maxPredicateDefs caps the Cartesian product of attribute types per
+	// relation.
+	maxPredicateDefs = 64
+)
+
 // InduceOptions configures AutoBias induction.
 type InduceOptions struct {
 	// INDs are precomputed unary INDs over the database extended with the
@@ -50,13 +61,6 @@ type InduceOptions struct {
 	// Threshold is the constant-threshold; the zero value selects
 	// DefaultConstantThreshold.
 	Threshold ConstantThreshold
-	// MaxConstantAttrs caps how many constant-able attributes per
-	// relation enter the powerset of §3.2 (the attributes with the fewest
-	// distinct values win). <=0 defaults to 8.
-	MaxConstantAttrs int
-	// MaxPredicateDefs caps the Cartesian product of attribute types per
-	// relation. <=0 defaults to 64.
-	MaxPredicateDefs int
 	// Metrics, when non-nil, receives the bias.induce span and the IND
 	// discovery counters (when INDs are not precomputed).
 	Metrics *metrics.Collector
@@ -68,12 +72,6 @@ func (o *InduceOptions) normalize() {
 	}
 	if o.Threshold == (ConstantThreshold{}) {
 		o.Threshold = DefaultConstantThreshold
-	}
-	if o.MaxConstantAttrs <= 0 {
-		o.MaxConstantAttrs = 8
-	}
-	if o.MaxPredicateDefs <= 0 {
-		o.MaxPredicateDefs = 64
 	}
 }
 
@@ -121,12 +119,12 @@ func Induce(d *db.Database, target string, targetAttrs []string, positives []db.
 				return nil, fmt.Errorf("bias: internal: attribute %s[%d] has no type", relName, i)
 			}
 		}
-		b.Predicates = append(b.Predicates, cartesianPredicates(relName, typesPer, opts.MaxPredicateDefs)...)
+		b.Predicates = append(b.Predicates, cartesianPredicates(relName, typesPer, maxPredicateDefs)...)
 	}
 
 	for _, relName := range d.Schema().Names() {
 		rel := d.Relation(relName)
-		b.Modes = append(b.Modes, generateModes(rel, opts.Threshold, opts.MaxConstantAttrs)...)
+		b.Modes = append(b.Modes, generateModes(rel, opts.Threshold, maxConstantAttrs)...)
 	}
 	return &Result{Bias: b, Graph: graph, INDs: inds}, nil
 }

@@ -21,32 +21,18 @@ import (
 	"repro/internal/logic"
 )
 
-// Options are the limits of the FOIL search itself. Everything else a run
-// is configured by — coverage budgets, the minimum criterion, timeout,
-// seed, workers, metrics — is the covering loop's, in learn.Options.
-type Options struct {
-	// MaxClauseLen caps body length; <=0 defaults to 5.
-	MaxClauseLen int
-	// MaxCandidates caps candidate literals evaluated per growth step;
-	// <=0 defaults to 300.
-	MaxCandidates int
-	// MaxConstants caps the constants tried per # position (most frequent
-	// first); <=0 defaults to 10.
-	MaxConstants int
-}
-
-func (o Options) normalized() Options {
-	if o.MaxClauseLen <= 0 {
-		o.MaxClauseLen = 5
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 300
-	}
-	if o.MaxConstants <= 0 {
-		o.MaxConstants = 10
-	}
-	return o
-}
+// The limits of the FOIL search itself. Everything else a run is
+// configured by — coverage budgets, the minimum criterion, timeout, seed,
+// workers, metrics — is the covering loop's, in learn.Options.
+const (
+	// maxClauseLen caps body length.
+	maxClauseLen = 5
+	// maxCandidates caps candidate literals evaluated per growth step.
+	maxCandidates = 300
+	// maxConstants caps the constants tried per # position (most frequent
+	// first).
+	maxConstants = 10
+)
 
 // evalSampleCap is the scoring-sample default under this search: each
 // growth step scores up to 300 candidates, against the beam's handful,
@@ -55,20 +41,22 @@ const evalSampleCap = 150
 
 // New returns the covering-loop learner with FOIL-gain growth plugged in
 // as its clause search: lo configures the loop (an unset EvalSampleCap
-// selects this search's 150), opts the search.
-func New(d *db.Database, c *bias.Compiled, lo learn.Options, opts Options) *learn.Learner {
+// selects this search's 150).
+func New(d *db.Database, c *bias.Compiled, lo learn.Options) *learn.Learner {
 	if lo.EvalSampleCap <= 0 {
 		lo.EvalSampleCap = evalSampleCap
 	}
-	lo.Search = &search{db: d, bias: c, opts: opts.normalized()}
+	lo.Search = &search{db: d, bias: c, maxClauseLen: maxClauseLen, maxConstants: maxConstants}
 	return learn.New(d, c, lo)
 }
 
-// search is the top-down learn.ClauseSearch.
+// search is the top-down learn.ClauseSearch. Its two limits are fields
+// only so the tests can tighten them.
 type search struct {
-	db   *db.Database
-	bias *bias.Compiled
-	opts Options
+	db           *db.Database
+	bias         *bias.Compiled
+	maxClauseLen int
+	maxConstants int
 }
 
 // LearnClause grows one clause top-down by FOIL gain. Each growth step
@@ -82,12 +70,12 @@ func (s *search) LearnClause(ctx context.Context, l *learn.Learner, pos, neg []l
 	posSample, negSample := l.ScoringSamples(pos, neg)
 
 	p0, n0 := len(posSample), len(negSample)
-	for len(clause.Body) < s.opts.MaxClauseLen && n0 > 0 {
+	for len(clause.Body) < s.maxClauseLen && n0 > 0 {
 		l.NoteRound()
 		cands := s.candidateLiterals(varTypes, &next)
-		if len(cands) > s.opts.MaxCandidates {
+		if len(cands) > maxCandidates {
 			l.Rand().Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			cands = cands[:s.opts.MaxCandidates]
+			cands = cands[:maxCandidates]
 		}
 		// Two modes of one relation can propose the same literal, or the
 		// same up to the name of a fresh variable; the later twin can never
@@ -228,7 +216,7 @@ func (s *search) candidateLiterals(varTypes map[string]map[string]bool, next *in
 			if !feasible {
 				continue
 			}
-			// Enumerate the Cartesian product (bounded by MaxCandidates
+			// Enumerate the Cartesian product (bounded by maxCandidates
 			// overall; individual products are small in practice).
 			idx := make([]int, len(choices))
 			for {
@@ -237,8 +225,8 @@ func (s *search) candidateLiterals(varTypes map[string]map[string]bool, next *in
 					terms[i] = choices[i][j]
 				}
 				out = append(out, logic.Literal{Predicate: rel, Terms: terms})
-				if len(out) >= s.opts.MaxCandidates*4 {
-					// Hard cap: the caller samples down to MaxCandidates.
+				if len(out) >= maxCandidates*4 {
+					// Hard cap: the caller samples down to maxCandidates.
 					*next += freshUsed
 					return out
 				}
@@ -261,7 +249,7 @@ func (s *search) candidateLiterals(varTypes map[string]map[string]bool, next *in
 }
 
 // topConstants returns the most frequent values of the attribute, capped
-// at MaxConstants.
+// at s.maxConstants.
 func (s *search) topConstants(rel string, attr int) []string {
 	r := s.db.Relation(rel)
 	if r == nil {
@@ -275,8 +263,8 @@ func (s *search) topConstants(rel string, attr int) []string {
 		}
 		return vals[i] < vals[j]
 	})
-	if len(vals) > s.opts.MaxConstants {
-		vals = vals[:s.opts.MaxConstants]
+	if len(vals) > s.maxConstants {
+		vals = vals[:s.maxConstants]
 	}
 	return vals
 }

@@ -53,7 +53,7 @@ func parentWorld(t testing.TB) (*db.Database, *bias.Compiled, []learn.Example, [
 
 func TestFOILLearnsGrandparent(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2}, Options{})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2})
 	def, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestFOILGain(t *testing.T) {
 
 func TestFOILTimeout(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, learn.Options{Timeout: time.Nanosecond}, Options{})
+	l := New(d, c, learn.Options{Timeout: time.Nanosecond})
 	def, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestCandidateLiteralsRespectTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &search{db: d, bias: c, opts: Options{}.normalized()}
+	fs := &search{db: d, bias: c, maxClauseLen: maxClauseLen, maxConstants: maxConstants}
 	_, varTypes, next := fs.headLiteral()
 	cands := fs.candidateLiterals(varTypes, &next)
 	for _, cand := range cands {
@@ -174,7 +174,7 @@ func TestTopConstantsOrderAndCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &search{db: d, bias: c, opts: Options{MaxConstants: 1}.normalized()}
+	fs := &search{db: d, bias: c, maxClauseLen: maxClauseLen, maxConstants: 1}
 	got := fs.topConstants("r", 0)
 	if len(got) != 1 || got[0] != "common" {
 		t.Fatalf("topConstants = %v, want [common]", got)
@@ -182,9 +182,10 @@ func TestTopConstantsOrderAndCap(t *testing.T) {
 }
 
 func TestFOILShortClauseBias(t *testing.T) {
-	// FOIL must respect MaxClauseLen.
+	// FOIL must respect its clause-length cap.
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2}, Options{MaxClauseLen: 1})
+	short := &search{db: d, bias: c, maxClauseLen: 1, maxConstants: maxConstants}
+	l := learn.New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Seed: 2, EvalSampleCap: evalSampleCap, Search: short})
 	def, _, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)

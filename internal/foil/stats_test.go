@@ -10,7 +10,7 @@ import (
 
 func TestFOILStatsPopulated(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}}, Options{})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}})
 	_, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -24,15 +24,14 @@ func TestFOILStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestFOILOptionsNormalization pins the search's own defaults (5/300/10)
+// TestFOILOptionsNormalization pins the search's own limits (5/300/10)
 // and the one loop default it overrides: 150 scoring examples per class,
 // where the bottom-up search's 200 stands. The loop's other defaults
 // (precision 0.7, seed 1, 5000 subsumption nodes) are learn.Options' and
 // reach both searches alike.
 func TestFOILOptionsNormalization(t *testing.T) {
-	o := Options{}.normalized()
-	if o.MaxClauseLen != 5 || o.MaxCandidates != 300 || o.MaxConstants != 10 {
-		t.Fatalf("defaults = %+v", o)
+	if maxClauseLen != 5 || maxCandidates != 300 || maxConstants != 10 {
+		t.Fatalf("limits = %d/%d/%d", maxClauseLen, maxCandidates, maxConstants)
 	}
 	d, c, pos, neg := parentWorld(t)
 	many := func(xs []learn.Example) []learn.Example {
@@ -42,12 +41,12 @@ func TestFOILOptionsNormalization(t *testing.T) {
 		}
 		return out
 	}
-	l := New(d, c, learn.Options{}, Options{})
+	l := New(d, c, learn.Options{})
 	ps, ns := l.ScoringSamples(many(pos), many(neg))
 	if len(ps) != 150 || len(ns) != 150 {
 		t.Fatalf("default scoring samples = %d/%d, want 150/150", len(ps), len(ns))
 	}
-	l = New(d, c, learn.Options{EvalSampleCap: 40}, Options{})
+	l = New(d, c, learn.Options{EvalSampleCap: 40})
 	if ps, _ = l.ScoringSamples(many(pos), nil); len(ps) != 40 {
 		t.Fatalf("explicit EvalSampleCap ignored: %d", len(ps))
 	}
@@ -58,7 +57,7 @@ func TestFOILOptionsNormalization(t *testing.T) {
 
 func TestFOILEmptyPositives(t *testing.T) {
 	d, c, _, neg := parentWorld(t)
-	l := New(d, c, learn.Options{}, Options{})
+	l := New(d, c, learn.Options{})
 	def, stats, err := l.Learn(nil, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestFOILMinPrecisionRejects(t *testing.T) {
 	// MinPrecision 1.0 nothing can be kept.
 	d, c, pos, _ := parentWorld(t)
 	neg := append([]learn.Example(nil), pos...) // identical examples as negatives
-	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, MinPrecision: 1.0}, Options{})
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, MinPrecision: 1.0})
 	def, _, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,7 @@ func TestIntersects(t *testing.T) {
 
 func TestHeadLiteralTypes(t *testing.T) {
 	d, c, _, _ := parentWorld(t)
-	fs := &search{db: d, bias: c, opts: Options{}.normalized()}
+	fs := &search{db: d, bias: c, maxClauseLen: maxClauseLen, maxConstants: maxConstants}
 	head, varTypes, next := fs.headLiteral()
 	if head.Predicate != "grandparent" || len(head.Terms) != 2 {
 		t.Fatalf("head = %v", head)

@@ -52,16 +52,6 @@ type Options struct {
 	// MaxError is the highest approximate-IND error rate to keep.
 	// 0 keeps only exact INDs. The paper uses 0.5 (§3.1).
 	MaxError float64
-	// Buckets is the number of hash partitions Binder validates
-	// independently; <=0 selects a default of 16.
-	Buckets int
-	// MinDistinct skips attributes with fewer distinct values than this
-	// as IND left-hand sides; <=0 means 1 (skip only empty attributes).
-	// NULLs (empty-string values) never count as distinct values: an
-	// all-NULL column is treated like an empty one and excluded, and a
-	// NULL on the left-hand side never counts against an IND (standard
-	// SQL inclusion-dependency semantics, as in Binder).
-	MinDistinct int
 	// Metrics, when non-nil, receives discovery counters (candidates
 	// checked, validated, pruned), the ind.discover span, and the
 	// error-rate histogram of validated INDs. All deterministic:
@@ -69,17 +59,17 @@ type Options struct {
 	Metrics *metrics.Collector
 }
 
-func (o *Options) normalize() {
-	if o.Buckets <= 0 {
-		o.Buckets = 16
-	}
-	if o.MinDistinct <= 0 {
-		o.MinDistinct = 1
-	}
-	if o.MaxError < 0 {
-		o.MaxError = 0
-	}
-}
+// buckets is the number of hash partitions Binder validates
+// independently.
+const buckets = 16
+
+// minDistinct is the fewest distinct values an IND left-hand side may
+// have: only empty attributes are skipped. NULLs (empty-string values)
+// never count as distinct values: an all-NULL column is treated like an
+// empty one and excluded, and a NULL on the left-hand side never counts
+// against an IND (standard SQL inclusion-dependency semantics, as in
+// Binder).
+const minDistinct = 1
 
 // Discover returns every unary IND with error ≤ opts.MaxError between
 // distinct attributes of the database, sorted deterministically
@@ -98,12 +88,19 @@ func Discover(d *db.Database, opts Options) []IND {
 // missing values and admit spurious INDs, so no partial result is
 // offered.
 func DiscoverCtx(ctx context.Context, d *db.Database, opts Options) ([]IND, error) {
-	opts.normalize()
+	return discover(ctx, d, opts, buckets, minDistinct)
+}
+
+// discover is DiscoverCtx over nBuckets hash partitions, skipping
+// left-hand sides with fewer than minLHS distinct values; the tests vary
+// both.
+func discover(ctx context.Context, d *db.Database, opts Options, nBuckets, minLHS int) ([]IND, error) {
+	opts.MaxError = max(opts.MaxError, 0)
 	mc := opts.Metrics
 	spanStart := mc.StartSpan()
 	defer mc.EndSpan(metrics.SpanINDDiscover, spanStart)
 
-	attrs, distinct := collectAttributes(d, opts.MinDistinct)
+	attrs, distinct := collectAttributes(d, minLHS)
 	n := len(attrs)
 	if n == 0 {
 		return nil, nil
@@ -119,7 +116,7 @@ func DiscoverCtx(ctx context.Context, d *db.Database, opts Options) ([]IND, erro
 	// within each bucket independently. Only the current bucket's
 	// value→attribute-set map is held in memory at a time, mirroring
 	// Binder's main-memory partitioning.
-	for bucket := 0; bucket < opts.Buckets; bucket++ {
+	for bucket := 0; bucket < nBuckets; bucket++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -132,7 +129,7 @@ func DiscoverCtx(ctx context.Context, d *db.Database, opts Options) ([]IND, erro
 					// on the left never counts against an IND.
 					continue
 				}
-				if bucketOf(v, opts.Buckets) != bucket {
+				if bucketOf(v, nBuckets) != bucket {
 					continue
 				}
 				valueAttrs[v] = append(valueAttrs[v], ai)
@@ -194,8 +191,8 @@ func Exact(d *db.Database) []IND {
 }
 
 // Holds validates a single unary IND candidate directly (without the
-// bucketed pass) and returns its exact error rate. It exists for tests
-// and for callers that need to re-check one dependency cheaply.
+// bucketed pass) and returns its exact error rate: the brute-force
+// reference the tests hold Discover to.
 func Holds(d *db.Database, from, to AttrID) (float64, error) {
 	fr := d.Relation(from.Relation)
 	tr := d.Relation(to.Relation)

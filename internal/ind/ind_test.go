@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -128,11 +129,18 @@ func TestHoldsErrors(t *testing.T) {
 	}
 }
 
+// discoverWith is Discover over nBuckets hash partitions and a
+// left-hand-side floor of minLHS distinct values.
+func discoverWith(d *db.Database, opts Options, nBuckets, minLHS int) []IND {
+	out, _ := discover(context.Background(), d, opts, nBuckets, minLHS)
+	return out
+}
+
 func TestBucketCountInvariance(t *testing.T) {
 	d := uwLike(t)
-	base := Discover(d, Options{MaxError: 0.5, Buckets: 1})
+	base := discoverWith(d, Options{MaxError: 0.5}, 1, minDistinct)
 	for _, buckets := range []int{2, 7, 16, 64} {
-		got := Discover(d, Options{MaxError: 0.5, Buckets: buckets})
+		got := discoverWith(d, Options{MaxError: 0.5}, buckets, minDistinct)
 		if len(got) != len(base) {
 			t.Fatalf("buckets=%d: %d INDs, want %d", buckets, len(got), len(base))
 		}
@@ -146,7 +154,7 @@ func TestBucketCountInvariance(t *testing.T) {
 
 func TestMinDistinctSkipsSparseAttributes(t *testing.T) {
 	d := uwLike(t)
-	inds := Discover(d, Options{MaxError: 1.0, MinDistinct: 2})
+	inds := discoverWith(d, Options{MaxError: 1.0}, buckets, 2)
 	for _, i := range inds {
 		if i.From == (AttrID{"inPhase", 1}) {
 			t.Fatalf("inPhase[phase] has 1 distinct value; must be skipped: %v", i)
@@ -416,13 +424,13 @@ func TestPropOrderInvariance(t *testing.T) {
 			}
 			return d
 		}
-		opts := Options{MaxError: float64(r.Intn(11)) / 10, Buckets: 1 + r.Intn(8)}
-		base := Discover(build([]int{0, 1, 2}, nil), opts)
+		opts, nBuckets := Options{MaxError: float64(r.Intn(11)) / 10}, 1+r.Intn(8)
+		base := discoverWith(build([]int{0, 1, 2}, nil), opts, nBuckets, minDistinct)
 
 		// Shuffled declaration + insertion order: byte-for-byte equal.
 		order := []int{0, 1, 2}
 		r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-		shuffled := Discover(build(order, nil), opts)
+		shuffled := discoverWith(build(order, nil), opts, nBuckets, minDistinct)
 		if len(base) != len(shuffled) {
 			t.Fatalf("trial %d: %d INDs on base, %d after reorder", trial, len(base), len(shuffled))
 		}
@@ -446,7 +454,7 @@ func TestPropOrderInvariance(t *testing.T) {
 			}
 			return a
 		}
-		permuted := Discover(build([]int{0, 1, 2}, map[string][]int{"r3": perm}), opts)
+		permuted := discoverWith(build([]int{0, 1, 2}, map[string][]int{"r3": perm}), opts, nBuckets, minDistinct)
 		want := make(map[IND]bool, len(base))
 		for _, i := range base {
 			want[IND{From: remap(i.From), To: remap(i.To), Error: i.Error}] = true
@@ -482,7 +490,7 @@ func TestPropDiscoverCompleteAndSound(t *testing.T) {
 			d.MustInsert("r3", pick(), pick())
 		}
 		maxErr := float64(r.Intn(11)) / 10
-		got := Discover(d, Options{MaxError: maxErr, Buckets: 1 + r.Intn(8)})
+		got := discoverWith(d, Options{MaxError: maxErr}, 1+r.Intn(8), minDistinct)
 		seen := make(map[[2]AttrID]float64)
 		for _, i := range got {
 			brute, err := Holds(d, i.From, i.To)

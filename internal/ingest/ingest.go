@@ -16,15 +16,13 @@
 // Commits serialize, and the ApplyAndNotify hook runs while the commit
 // lock is still held, so it observes the database holding exactly the
 // batches up to and including its own, in version order. The commit
-// returns the relations and the distinct constant values the batch
-// touched, the inputs of the repairer's incremental IND refresh and
-// value screen.
+// returns the data version and the tuple counts; the repairer reads
+// nothing else from it, because it checks the database itself.
 package ingest
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/db"
@@ -56,7 +54,7 @@ type Batch struct {
 }
 
 // Commit describes one applied batch: the data version it created and
-// the change summary the theory repairer consumes.
+// how many tuples it inserted and deleted.
 type Commit struct {
 	// Version is the database's data version after the batch.
 	Version uint64 `json:"version"`
@@ -65,14 +63,6 @@ type Commit struct {
 	// delete count).
 	Inserted int `json:"inserted"`
 	Deleted  int `json:"deleted"`
-	// Relations names the relations the batch mutated, sorted.
-	Relations []string `json:"relations"`
-	// Values lists the distinct constant values appearing in mutated
-	// tuples, sorted — the input of incremental repair's value screen
-	// (learn.CarriedState.AffectedExamples). Serialized, like
-	// Relations, so a commit rehydrated from an HTTP response drives
-	// repair exactly as the one Apply returned.
-	Values []string `json:"values"`
 }
 
 // Ingestor applies mutation batches to a database. Safe for concurrent
@@ -93,7 +83,7 @@ func New(d *db.Database, mc *metrics.Collector) *Ingestor {
 func (ing *Ingestor) Version() uint64 { return ing.d.Version() }
 
 // Apply validates and commits one batch. On success the batch's data
-// version and change summary are returned; on any validation error the
+// version and tuple counts are returned; on any validation error the
 // database is untouched and the version unchanged. The faultpoint site
 // "ingest.commit" sits between validation and mutation, so an injected
 // crash models a process dying before the batch lands — the commit
@@ -106,10 +96,9 @@ func (ing *Ingestor) Apply(ctx context.Context, b Batch) (Commit, error) {
 // ingestor's commit lock is still held: no later batch can validate or
 // commit until the hook returns, so even with concurrent callers every
 // hook observes strictly increasing versions against a database
-// holding exactly the batches up to and including its own. That is the
-// property incremental repair (autobias.RepairCtx) needs — a repair
-// driven from the hook never sees data from a batch whose change
-// summary it was not handed.
+// holding exactly the batches up to and including its own. A repair
+// (autobias.RepairCtx) driven from the hook therefore repairs against the
+// database exactly as its own batch left it.
 func (ing *Ingestor) ApplyAndNotify(ctx context.Context, b Batch, onCommit func(Commit)) (Commit, error) {
 	if len(b.Mutations) == 0 {
 		return Commit{}, fmt.Errorf("ingest: empty batch")
@@ -158,8 +147,6 @@ func (ing *Ingestor) commit(ctx context.Context, b Batch) (Commit, error) {
 		default:
 			return Commit{}, fmt.Errorf("ingest: mutation %d: unknown op %q", i, m.Op)
 		}
-		c.Relations = append(c.Relations, m.Relation)
-		c.Values = append(c.Values, m.Tuple...)
 	}
 	if len(deletes) > 0 {
 		if err := ing.checkDeletes(b); err != nil {
@@ -175,10 +162,6 @@ func (ing *Ingestor) commit(ctx context.Context, b Batch) (Commit, error) {
 		// Unreachable after validation; surface rather than hide.
 		return Commit{}, fmt.Errorf("ingest: commit: %w", err)
 	}
-	slices.Sort(c.Relations)
-	c.Relations = slices.Compact(c.Relations)
-	slices.Sort(c.Values)
-	c.Values = slices.Compact(c.Values)
 	return c, nil
 }
 

@@ -31,6 +31,15 @@ type ClauseSearch interface {
 	LearnClause(ctx context.Context, l *Learner, uncovered, neg []Example) (*logic.Clause, error)
 }
 
+// The beam search's fixed limits.
+const (
+	// generalizeSample is |E+_S|: how many positive examples are drawn to
+	// generalize against per round.
+	generalizeSample = 10
+	// maxRounds caps beam-search rounds per clause.
+	maxRounds = 10
+)
+
 // Options configures the learner.
 type Options struct {
 	// Bottom configures BC construction (strategy, depth, sample size).
@@ -39,14 +48,11 @@ type Options struct {
 	Subsume subsume.Options
 	// Search is the clause search the covering loop runs; nil selects the
 	// bottom-up armg beam with negative reduction (Castor's, §2.3), the
-	// only search BeamWidth, GeneralizeSample and MaxRounds apply to.
+	// only search BeamWidth, generalizeSample and maxRounds apply to.
 	Search ClauseSearch
 	// BeamWidth is the number of clauses kept per generalization round;
 	// <=0 defaults to 3.
 	BeamWidth int
-	// GeneralizeSample is |E+_S|: how many positive examples are drawn to
-	// generalize against per round; <=0 defaults to 10.
-	GeneralizeSample int
 	// EvalSampleCap bounds how many positive and negative examples score
 	// each candidate clause (coverage testing dominates learning time,
 	// §5); <=0 defaults to 200 of each.
@@ -58,8 +64,6 @@ type Options struct {
 	// MinPrecision is the minimum clause precision pos/(pos+neg) on the
 	// scoring sample; <=0 defaults to 0.7.
 	MinPrecision float64
-	// MaxRounds caps beam-search rounds per clause; <=0 defaults to 10.
-	MaxRounds int
 	// Timeout bounds total learning wall-clock; 0 means no limit. A
 	// timed-out run returns the clauses learned so far with
 	// Stats.TimedOut set — this reproduces the paper's ">10h" rows.
@@ -85,17 +89,11 @@ func (o Options) normalized() Options {
 	if o.BeamWidth <= 0 {
 		o.BeamWidth = 3
 	}
-	if o.GeneralizeSample <= 0 {
-		o.GeneralizeSample = 10
-	}
 	if o.EvalSampleCap <= 0 {
 		o.EvalSampleCap = 200
 	}
 	if o.MinPrecision <= 0 {
 		o.MinPrecision = 0.7
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 10
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -346,12 +344,12 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 	seen := map[string]bool{bc.Key(): true}
 
 	stale := 0
-	for round := 0; round < l.opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		l.NoteRound()
-		sample := l.sampleExamples(pos, l.opts.GeneralizeSample)
+		sample := l.sampleExamples(pos, generalizeSample)
 		// Generate the round's whole candidate frontier first — the beam ×
 		// sample armg applications, fanned across the engine's pool —
 		// dedup by canonical key in (beam, sample) order, then score it in

@@ -119,9 +119,10 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 // use is counted. A carried verdict answers without fetching the ground
 // BC or running subsumption — the cost incremental repair saves.
 //
-// Each candidate (a key of cs.entries; the example is its entry's head)
-// has its ground BC rebuilt once, on this engine's post-batch database,
-// and compared textually with the carried one. A ground BC is a pure
+// Every carried example, in sorted key order (the example is its entry's
+// head), has its ground BC rebuilt once, on this engine's post-batch
+// database, and compared textually with the carried one; the
+// ingest.examples_checked gauge counts them. A ground BC is a pure
 // function of (options, example, data) under every sampler (DESIGN.md
 // §19), and a verdict or armg result of (options, clause, ground BC), so
 // an identical BC proves everything carried for the example still holds,
@@ -137,7 +138,7 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 // options — the budget the carried verdicts were searched under, so a
 // verdict can only differ because the data did — and are stored like any
 // other test of the run.
-func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, candidates []string, prev []*logic.Clause) (dirty, flipped []string, err error) {
+func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, prev []*logic.Clause) (dirty, flipped []string, err error) {
 	ce.in = cs.Interner
 	ce.builder.SetInterner(cs.Interner)
 	for _, rec := range cs.records {
@@ -149,7 +150,13 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, ca
 	ce.cache, ce.records = cs.entries, cs.records
 	ce.mu.Unlock()
 
-	for _, key := range candidates {
+	keys := make([]string, 0, len(ce.cache))
+	for key := range ce.cache {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	ce.mc.AddNamedGauge("ingest.examples_checked", int64(len(keys)))
+	for _, key := range keys {
 		old := ce.cache[key]
 		bc, err := ce.buildBC(ctx, key, old.bc.Head)
 		switch {
@@ -209,39 +216,3 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, ca
 // test incremental repair avoided. Clauses equal up to variable renaming
 // share a record, so a verdict read through several of them counts once.
 func (ce *CoverageEngine) CarriedHits() int64 { return ce.carriedHits.Load() }
-
-// AffectedExamples returns, sorted, the keys of the carried examples whose
-// ground BC could differ after a data batch — the candidates AdoptCarried
-// checks exactly. Without screen that is every one of them. With it,
-// only those whose BC holds one of the given constant values, the values
-// of the batch's inserted and deleted tuples: an optimisation that spares
-// the rebuild of BCs the batch cannot have reached, sound under naive
-// sampling only and only when values is the whole delta.
-//
-// The screen's argument (DESIGN.md §16): under naive sampling, BC
-// construction grows each depth's frontier via rel.Lookup(attr, c) for
-// constants c already in the clause, so a tuple joins an example's BC
-// only if one of its values matches a constant already among the BC's
-// literals (the head contributes the example's own arguments). A tuple
-// sharing no value with the BC can never be a lookup candidate — it
-// neither adds literals nor perturbs the per-depth sample — so the BC
-// is unchanged. Values absent from the intern table appear in no carried
-// BC and are skipped outright. The other samplers consult relation-wide
-// statistics (MaxFrequency) any mutation can shift, so they get no
-// screen.
-func (cs *CarriedState) AffectedExamples(values []string, screen bool) []string {
-	ids := make(map[int32]bool, len(values))
-	for _, v := range values {
-		if id, ok := cs.Interner.Lookup(v); ok {
-			ids[id] = true
-		}
-	}
-	var keys []string
-	for k, ent := range cs.entries {
-		if !screen || ent.cg.HasAnySymbol(ids) {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	return keys
-}

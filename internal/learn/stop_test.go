@@ -50,7 +50,7 @@ func TestStopClassifiedOnce(t *testing.T) {
 	searches := map[string]func(*db.Database, *bias.Compiled, learn.Options) *learn.Learner{
 		"beam": learn.New,
 		"foil": func(d *db.Database, c *bias.Compiled, o learn.Options) *learn.Learner {
-			return foil.New(d, c, o, foil.Options{})
+			return foil.New(d, c, o)
 		},
 	}
 	for name, newLearner := range searches {

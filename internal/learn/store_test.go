@@ -132,7 +132,7 @@ func TestCarriedVerdictsNeedAGroundEntry(t *testing.T) {
 		t.Fatalf("deleted %d tuples, want 1", n)
 	}
 	repair := engine()
-	dirty, _, err := repair.AdoptCarried(ctx, cs, cs.AffectedExamples(nil, false), []*logic.Clause{copub})
+	dirty, _, err := repair.AdoptCarried(ctx, cs, []*logic.Clause{copub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,8 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 	if n := d.Relation("publication").DeleteBatch([]db.Tuple{{"t01", "p01"}}); n != 1 {
 		t.Fatalf("deleted %d tuples, want 1", n)
 	}
-	keys := make([]string, len(pos))
-	for i, e := range pos {
-		keys[i] = e.String()
-	}
 	repair := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
-	gotDirty, flipped, err := repair.AdoptCarried(ctx, cs, keys, clauses[:2])
+	gotDirty, flipped, err := repair.AdoptCarried(ctx, cs, clauses[:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,8 +333,8 @@ const (
 	// SpanServePredict covers one predict request end to end.
 	SpanServePredict
 	// SpanRepairCheck covers an incremental repair's example check: the
-	// screen, the carried-state copy and the ground-BC rebuilds and
-	// re-tests of AdoptCarried. SpanRepairReplay covers the replay that
+	// carried-state copy and AdoptCarried's rebuild of every cached ground
+	// BC, with the re-tests of the changed ones. SpanRepairReplay covers the replay that
 	// follows (a learn.run span nests inside it).
 	SpanRepairCheck
 	SpanRepairReplay

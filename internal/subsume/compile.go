@@ -23,7 +23,7 @@ import (
 // the search neither hashes nor chases a pointer per row. The one
 // translation from the intern table's ids to local ones is the sorted
 // globals/locals pair, consulted when a candidate is bound (its
-// constants, the head) and by HasAnySymbol — never inside the search.
+// constants, the head) — never inside the search.
 // Everything but the extent headers lives in one []int32 arena.
 //
 // A CompiledGround is a pure function of (interner, clause) contents: it
@@ -40,9 +40,6 @@ type CompiledGround struct {
 	// every posting list of it is empty and no row contains it.
 	globals, locals []int32
 	nLocal          int32
-	// hasEmpty records that the empty string (whose local id exists
-	// regardless) occurs as a term value.
-	hasEmpty bool
 	// predIDs[i] is the interned predicate of exts[i], in first-occurrence
 	// order.
 	predIDs []int32
@@ -141,13 +138,7 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 
 	cg := &CompiledGround{in: in, headPred: in.Intern(g.Head.Predicate), bodyLen: len(g.Body)}
 	sc.local(0) // the empty string is local 0 whether or not it occurs
-	note := func(name string) int32 {
-		id := in.Intern(name)
-		if id == 0 {
-			cg.hasEmpty = true
-		}
-		return sc.local(id)
-	}
+	note := func(name string) int32 { return sc.local(in.Intern(name)) }
 
 	// Pass 1: number the values, find the extents and size them.
 	for _, t := range g.Head.Terms {
@@ -285,28 +276,3 @@ func (cg *CompiledGround) extent(pred int32) *groundExtent {
 
 // BodyLen returns the number of ground body literals compiled.
 func (cg *CompiledGround) BodyLen() int { return cg.bodyLen }
-
-// HasAnySymbol reports whether any of the given interned ids appears as
-// a term value of the compiled ground clause — in the head or any body
-// literal. It is the incremental-repair invalidation primitive
-// (internal/learn): a mutated tuple can change an example's ground BC
-// only if one of its values already appears among the BC's constants,
-// so a membership probe over the clause's value table decides whether
-// the cached entry survives a data batch.
-func (cg *CompiledGround) HasAnySymbol(ids map[int32]bool) bool {
-	for id, in := range ids {
-		if !in {
-			continue
-		}
-		if id == 0 {
-			if cg.hasEmpty {
-				return true
-			}
-			continue
-		}
-		if _, ok := slices.BinarySearch(cg.globals, id); ok {
-			return true
-		}
-	}
-	return false
-}

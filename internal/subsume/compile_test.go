@@ -65,10 +65,8 @@ func TestCompiledGroundLayout(t *testing.T) {
 		}
 		var order []string // first occurrence, head first, after ""
 		seen := map[string]bool{"": true}
-		held := map[string]bool{} // the term values, "" only if it occurs
 		note := func(ts []logic.Term) {
 			for _, tm := range ts {
-				held[tm.Name] = true
 				if !seen[tm.Name] {
 					seen[tm.Name] = true
 					order = append(order, tm.Name)
@@ -131,21 +129,6 @@ func TestCompiledGroundLayout(t *testing.T) {
 		}
 		if other, _ := in.Lookup("noise2"); cg.extent(other) != nil {
 			t.Fatal("extent for a predicate the clause does not hold")
-		}
-
-		// HasAnySymbol: exactly the term values, beyond-arity ones and the
-		// empty string (only when it occurs) included; never a predicate.
-		for _, s := range []string{"a", "b", "c", "d", "", "p", "q", "h", "noise1"} {
-			id, ok := in.Lookup(s)
-			if !ok {
-				continue
-			}
-			if got := cg.HasAnySymbol(map[int32]bool{id: true, -7: true}); got != held[s] {
-				t.Fatalf("HasAnySymbol(%q) = %v, want %v (ground %v)", s, got, held[s], g)
-			}
-		}
-		if cg.HasAnySymbol(nil) || cg.HasAnySymbol(map[int32]bool{}) {
-			t.Fatal("HasAnySymbol of nothing")
 		}
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bias"
-	"repro/internal/db"
-	"repro/internal/ind"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
 )
@@ -23,8 +20,8 @@ type (
 	IngestBatch = ingest.Batch
 	// IngestMutation is one tuple insert or delete.
 	IngestMutation = ingest.Mutation
-	// IngestCommit summarizes one applied batch: its data version and the
-	// change summary incremental repair consumes.
+	// IngestCommit summarizes one applied batch: its data version and
+	// tuple counts. Repair does not read it: it checks the database.
 	IngestCommit = ingest.Commit
 	// IngestServer is the ingest subsystem's HTTP surface.
 	IngestServer = ingest.Server
@@ -65,9 +62,8 @@ type Repair struct {
 	// store record, so a verdict read through several of them counts once.
 	CarriedHits int64
 	// BiasDrift reports that the post-batch data induce a different
-	// language bias. Repair replays under the new bias like any other
-	// commit; drift only turns off the value screen (a changed mode can
-	// reach a BC whatever values the batch touched) and the Unchanged
+	// language bias. Repair checks and replays under the new bias like
+	// after any other commit; drift only turns off the Unchanged
 	// shortcut.
 	BiasDrift bool
 	// FullRelearn is always false.
@@ -93,27 +89,25 @@ type Repair struct {
 // previous run's verdicts, whichever clause search runs in it. prev must
 // be the result of LearnCtx (or a previous RepairCtx) over an earlier
 // state of task.DB with these same opts; task must carry the same
-// examples, with task.DB now in its post-batch state; commit is the
-// batch's change summary from Ingestor.Apply.
+// examples, with task.DB now in its post-batch state. commit is unread
+// and deprecated — repair checks the database, not the commit — and
+// stays only while bench/liveloop.go passes one; the next benchmark PR
+// drops it.
 //
 // Contract (pinned by the repair differential suite): the returned
 // result is semantically equivalent to LearnCtx on the database as it now
 // stands — identical held-out verdicts, and a bit-identical theory.
-// The mechanism: assemble the learner as LearnCtx does, on the bias
-// re-induced from the post-batch data, and re-run it with the previous
-// run's interner, ground entries and coverage verdicts carried over,
-// minus the examples whose ground bottom clause, rebuilt now, differs
-// from the carried one. A verdict depends on the clause and the ground
-// BC, never on the bias, so that check is exact under every sampler, for
-// any delta and across bias drift; commit only selects optimisations.
-// One that is trusted — at the database's version, with its change
-// summary, prev holding INDs to refresh — refreshes the INDs
-// incrementally and, under naive sampling and a stable bias, screens
-// which examples need the check at all; anything else rediscovers the
-// INDs and checks every cached example. The learner decides on coverage
-// verdicts alone (the top-down search also re-reads value frequencies
-// from the post-batch database), so the replay takes exactly the cold
-// run's path while skipping its dominant cost.
+// The mechanism, one path for every commit: assemble the learner as
+// LearnCtx does, on the bias re-induced from scratch over the post-batch
+// data, and re-run it with the previous run's interner, ground entries
+// and coverage verdicts carried over, minus the examples whose ground
+// bottom clause, rebuilt now, differs from the carried one. Every cached
+// example is checked. A verdict depends on the clause and the ground BC,
+// never on the bias, so that check is exact under every sampler, for any
+// delta and across bias drift. The learner decides on coverage verdicts
+// alone (the top-down search also re-reads value frequencies from the
+// post-batch database), so the replay takes exactly the cold run's path
+// while skipping its dominant cost.
 func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit, opts Options) (*Repair, error) {
 	start := time.Now()
 	mc := opts.collector()
@@ -124,30 +118,6 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		return nil, fmt.Errorf("autobias: repair needs a previous Learn result")
 	}
 
-	// Commits observed through Ingestor.ApplyAndNotify are always at the
-	// database's version: the hook runs under the commit lock.
-	induced := opts.method() == MethodAutoBias
-	trusted := task.DB.Version() == commit.Version &&
-		(commit.Inserted+commit.Deleted == 0 || len(commit.Relations) > 0 && len(commit.Values) > 0) &&
-		(!induced || prev.INDs != nil)
-
-	// Re-induce the bias — over incrementally refreshed INDs when the
-	// commit says which relations to re-validate — and assemble the
-	// learner on it.
-	if induced && trusted {
-		ext, err := db.Extend(task.DB, task.Target, task.TargetAttrs, examplesToTuples(task.Pos))
-		if err != nil {
-			return nil, err
-		}
-		approx := opts.ApproxINDError
-		if approx <= 0 {
-			approx = bias.DefaultApproxError
-		}
-		opts.INDs, err = ind.Refresh(ctx, ext, prev.INDs, commit.Relations, ind.Options{MaxError: approx, Metrics: mc})
-		if err != nil {
-			return nil, err
-		}
-	}
 	res, l, err := opts.assemble(task, mc)
 	if err != nil {
 		return nil, err
@@ -156,20 +126,14 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	engine := l.Coverage()
 
 	// The one invalidation mechanism: adopt the previous run's coverage
-	// state, minus what the rebuild check finds changed. Common constant
-	// values can pass most of the corpus through the screen while the
-	// batch changes almost nothing; the check is what keeps a repair's
-	// cost proportional to the batch's real blast radius. A changed mode
-	// reaches BCs whatever values the batch touched: drift gets no screen.
+	// state, minus what the rebuild check finds changed in the database.
 	checkStart := mc.StartSpan()
 	cs := prev.engine.ExtractCarried()
-	candidates := cs.AffectedExamples(commit.Values, !drift && trusted && opts.Sampling == SamplingNaive)
-	dirty, flipped, err := engine.AdoptCarried(ctx, cs, candidates, prev.Definition.Clauses)
+	dirty, flipped, err := engine.AdoptCarried(ctx, cs, prev.Definition.Clauses)
 	mc.EndSpan(metrics.SpanRepairCheck, checkStart)
 	if err != nil {
 		return nil, err
 	}
-	mc.AddNamedGauge("ingest.examples_checked", int64(len(candidates)))
 	mc.Add(metrics.IngestExamplesDirty, int64(len(dirty)))
 	mc.Add(metrics.IngestClausesInvalidated, int64(len(flipped)))
 	rep := &Repair{DirtyExamples: len(dirty), InvalidatedClauses: flipped, BiasDrift: drift}
