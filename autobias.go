@@ -518,12 +518,12 @@ func (r *Result) Degraded() bool { return r.Report.Degraded() }
 // BuildArtifact captures the run as a sealed model artifact: the learned
 // theory and bias plus everything a serving process needs to reproduce
 // this run's coverage verdicts exactly — the effective bottom-clause and
-// subsumption options, the interner symbol table and the schema
-// fingerprint (see internal/model). data names the training database so
-// the server can rebind it; pass the zero value if the server will
-// supply data itself. Served verdicts equal Covers' whenever the
-// artifact is captured — before or after the queries they are compared
-// with, from a complete run or an interrupted one.
+// subsumption options and the schema fingerprint (see internal/model).
+// data names the training database so the server can rebind it; pass the
+// zero value if the server will supply data itself. Served verdicts
+// equal Covers' whenever the artifact is captured — before or after the
+// queries they are compared with, from a complete run or an interrupted
+// one.
 func (r *Result) BuildArtifact(task Task, data ModelDataRef) (*ModelArtifact, error) {
 	if r.engine == nil {
 		return nil, fmt.Errorf("autobias: result has no coverage engine; only Learn results can be saved")

@@ -2,9 +2,6 @@ package learn
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/logic"
 	"repro/internal/metrics"
@@ -139,44 +136,19 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 		}
 	}
 
-	var next atomic.Int64
-	run := func(w int) (err error) {
+	err := ce.fanOut(len(jobs), func(k int) (err error) {
 		defer recoverToErr(&err)
-		if ce.mc.Enabled() {
-			busyStart := time.Now()
-			defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(jobs) {
-				break
-			}
-			jobs[i].out, jobs[i].fw = armg(ctx, jobs[i].c, jobs[i].cg, ce.subOpts)
-		}
+		jobs[k].out, jobs[k].fw = armg(ctx, jobs[k].c, jobs[k].cg, ce.subOpts)
 		return nil
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
-	nw := min(ce.workers, len(jobs))
-	errs := make([]error, max(nw, 1))
-	if nw <= 1 {
-		errs[0] = run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = run(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	ce.mu.Lock()

@@ -44,23 +44,24 @@ type Example = logic.Literal
 // it and whichever goroutine builds it.
 //
 // The verdict surface is four verbs: Covers and DefinitionCovers for one
-// example, CountMany for a candidate frontier (through the transport when
-// one is installed), and ResolveLocal, the in-process every-pair form
-// transports fall back to. All of them reach the same resolver, which is
-// safe for concurrent use and fans the (clause, example) tests out over a
-// bounded worker pool (SetWorkers). Coverage testing is the dominant cost
-// of learning (§5) and the tests are independent, so this is where
-// parallel hardware pays off. Two rules keep results bit-identical to
-// the sequential engine at every worker count:
+// example, CountMany for a candidate frontier (its store misses through
+// the transport when one is installed), and ResolveLocal, the in-process
+// every-pair form transports fall back to. All of them reach the same
+// resolver, the one place verdicts are read from and written to the
+// store. It is safe for concurrent use and fans the (clause, example)
+// tests out over a bounded worker pool (SetWorkers). Coverage testing is
+// the dominant cost of learning (§5) and the tests are independent, so
+// this is where parallel hardware pays off. Two rules keep results
+// bit-identical to the sequential engine at every worker count:
 //
-//   - Verdicts are pure: a ground BC depends only on its example, and
-//     each subsumption test owns its restart RNG (see the subsume
-//     package's concurrency contract), so an outcome depends only on
-//     (clause, example, options), never on which worker runs it.
+//   - Verdicts are pure: a ground BC depends only on its example, and a
+//     subsumption test is a deterministic search over it (see the
+//     subsume package's concurrency contract), so an outcome depends
+//     only on (clause, example, options), never on which worker runs it.
 //   - Ground BCs consumed by a resolve are prefetched sequentially, in
-//     slice order — the order the sequential engine first touches them
-//     — so the intern table's ids (the artifact's symbol order) and the
-//     deterministic counters do not depend on the worker count either.
+//     the order the sequential engine first touches them, so the intern
+//     table's ids and the deterministic counters do not depend on the
+//     worker count either.
 //
 // Bounded execution: cancellation reaches into the running primitives —
 // the subsumption node-budget loop and BC construction — so a deadline
@@ -75,8 +76,9 @@ type CoverageEngine struct {
 	subOpts subsume.Options
 	workers int
 
-	// transport, when non-nil, computes CountMany remotely (see
-	// transport.go). Set before the engine runs (SetWorkers contract).
+	// transport, when non-nil, computes CountMany's store misses
+	// remotely (see transport.go). Set before the engine runs (SetWorkers
+	// contract).
 	transport CoverageTransport
 
 	// in is the engine's intern table: predicate names and ground
@@ -184,8 +186,8 @@ func (ce *CoverageEngine) Builder() *bottom.Builder { return ce.builder }
 // values every coverage test runs under, after NewCoverage's defaulting).
 func (ce *CoverageEngine) SubsumeOptions() subsume.Options { return ce.subOpts }
 
-// Interner returns the engine's intern table, for serializing its
-// symbols into a model artifact or warming a serving engine's table.
+// Interner returns the engine's intern table, for the determinism
+// suites that compare its symbol order across worker counts.
 func (ce *CoverageEngine) Interner() *logic.Interner { return ce.in }
 
 // CachedBCs returns the number of ground BCs currently cached.
@@ -283,7 +285,6 @@ func (ce *CoverageEngine) entry(ctx context.Context, key string, e Example) (*gr
 	}
 	ce.cache[key] = built
 	ce.mc.Inc(metrics.CoverageBCBuilt)
-	ce.mc.Inc(metrics.CoverageCGBuilt)
 	return built, nil
 }
 
@@ -340,7 +341,6 @@ func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logi
 		}
 		ce.tests.Add(1)
 		ce.mc.Inc(metrics.CoverageTests)
-		ce.mc.Inc(metrics.CoverageCGHits)
 		res := subsume.CheckClauseCtx(ctx, ce.compiled(rec, c), ent.cg, ce.subOpts)
 		if res.Cancelled {
 			// Cancelled without a done ctx: an injected subsume fault; treat
@@ -363,46 +363,14 @@ func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logi
 	return v, nil
 }
 
-// covers answers one (clause, example) pair through the store: a stored
-// verdict is returned as is, anything else is settled against the
-// example's ground entry and stored — including an isolated failure,
-// which is what keeps a panicking example from perturbing later
-// decisions. The outcome of an interrupted test is never stored.
-func (ce *CoverageEngine) covers(ctx context.Context, rec *clauseRecord, c *logic.Clause, e Example, key string) (bool, error) {
-	if v, ok := ce.lookup(rec, key); ok {
-		return v, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	v, err := ce.settle(ctx, rec, c, key, func() (*groundEntry, error) {
-		if faultpoint.Enabled() {
-			// Per-example site, so injected worker failures are a
-			// deterministic function of the example — the hit order across
-			// pool workers is not. Anything injected but a cancellation is
-			// isolated like a panic from the test proper.
-			if err := faultpoint.Inject(ctx, "coverage.test:"+key); err != nil {
-				if isCtxErr(err) {
-					return nil, err
-				}
-				return nil, &panicErr{val: err}
-			}
-		}
-		return ce.entry(ctx, key, e)
-	})
-	if err != nil {
-		return false, err
-	}
-	ce.memoize(rec, key, v)
-	return v, nil
-}
-
 // Covers reports whether the clause covers the example. Results are
 // stored per (canonical clause, example): the covering loop and beam
-// scoring revisit the same pairs many times. Safe for concurrent use; a
-// done ctx returns its error.
+// scoring revisit the same pairs many times. Covers stays in process
+// whatever transport is installed. Safe for concurrent use; a done ctx
+// returns its error.
 func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	return ce.covers(ctx, ce.record(c), c, e, e.String())
+	verdicts, err := ce.resolve(ctx, nil, []*logic.Clause{c}, []Example{e}, math.MaxInt)
+	return err == nil && verdicts[0][0], err
 }
 
 // DefinitionCovers reports whether any clause of the definition covers
@@ -445,10 +413,10 @@ func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Defin
 // need a threshold decision ("does this clause cover more than k
 // negatives?") pass a small limit and stop paying for subsumption tests
 // whose outcome cannot change the decision; len(examples)+1 asks for the
-// exact count. With a transport installed the frontier travels as one
-// bulk call (the coordinator turns it into one RPC round per shard
-// instead of one per candidate); without one it is resolved in process.
-// Counts are identical at every worker count.
+// exact count. With a transport installed the pairs the store cannot
+// answer travel as one bulk call (the coordinator turns it into one RPC
+// round per shard instead of one per candidate); without one they are
+// resolved in process. Counts are identical at every worker count.
 func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
 	if len(clauses) == 0 {
 		return nil, nil
@@ -459,19 +427,12 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 			return nil, err
 		}
 	}
-	if ce.transport != nil {
-		ns, err := ce.transport.CountMany(ctx, clauses, examples, limit)
-		if err != nil {
-			return nil, ce.abandoned(err, len(examples))
-		}
-		if len(ns) != len(clauses) {
-			return nil, fmt.Errorf("learn: transport answered %d counts for %d clauses", len(ns), len(clauses))
-		}
-		return ns, nil
+	if ce.transport == nil {
+		defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
 	}
-	verdicts, err := ce.resolve(ctx, clauses, examples, limit)
+	verdicts, err := ce.resolve(ctx, ce.transport, clauses, examples, limit)
 	if err != nil {
-		return nil, err
+		return nil, ce.abandoned(err, len(examples))
 	}
 	counts := make([]int, len(clauses))
 	for i, row := range verdicts {
@@ -480,9 +441,8 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 				counts[i]++
 			}
 		}
-		// Past the limit the pool stops testing, but workers already past
-		// their check may each add one more; clamp so the value returned
-		// is deterministic.
+		// Known verdicts, and pool workers racing past their check, can
+		// pass limit: clamp so the value returned is deterministic.
 		counts[i] = min(counts[i], limit)
 	}
 	return counts, nil
@@ -494,75 +454,163 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 // coordinator degrades to when a shard's workers are gone, so it must
 // never route back through the transport.
 func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
-	return ce.resolve(ctx, clauses, examples, math.MaxInt)
+	defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
+	verdicts, err := ce.resolve(ctx, nil, clauses, examples, math.MaxInt)
+	return verdicts, ce.abandoned(err, len(examples))
 }
 
-// resolve is the one loop that fans (clause, example) subsumption tests
-// out: it fills the clauses × examples verdict matrix, from the store
-// where it can. One worker runs the exact sequential path — clause by
-// clause, example by example, every pair, ground BCs built as first
-// touched. With more workers the examples' ground BCs are prefetched
-// sequentially ONCE for the whole matrix, then the flattened pair space
-// is strided across the pool; a clause that has reached limit covered
-// examples stops being tested (its remaining cells stay false), which
-// is purely a parallel-path saving — the sequential engine stays
-// byte-identical to the pre-pool implementation.
-func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([][]bool, error) {
-	spanStart := ce.mc.StartSpan()
-	defer ce.mc.EndSpan(metrics.SpanCoverageCount, spanStart)
-	recs := make([]*clauseRecord, len(clauses))
-	verdicts := make([][]bool, len(clauses))
-	for i, c := range clauses {
-		recs[i] = ce.record(c)
-		verdicts[i] = make([]bool, len(examples))
-	}
-	keys := make([]string, len(examples))
+// resolve is the one place verdicts are read and written for CountMany,
+// Covers, DefinitionCovers and ResolveLocal; verdicts[i][j] is clauses[i]
+// on examples[j]. (1) One lookup pass answers every pair the store holds,
+// consuming carried marks and counting memo hits. (2) The misses are
+// computed: t gets the clauses that have a miss against the examples
+// that have a miss, or, when t is nil, settleMisses works in process.
+// (3) Every computed verdict is stored, isolated failures included, so a
+// panicking example cannot perturb later decisions; when step 2 fails
+// nothing is stored.
+func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example, limit int) ([][]bool, error) {
+	n := len(examples)
+	keys := make([]string, n)
 	for j, e := range examples {
 		keys[j] = e.String()
 	}
-	pairs := len(clauses) * len(examples)
-	nw := max(min(ce.workers, pairs), 1)
-	pooled := nw > 1
-	if !pooled {
-		limit = math.MaxInt // one worker scans every pair
-	}
-	// Prefetch missing ground BCs sequentially, in slice order: the BCs
-	// themselves do not depend on it, but intern-table growth and the
-	// built/rebuilt counters then match the sequential engine. A prefetch
-	// isolated by a panic is skipped here — the pool worker's own fetch
-	// re-derives the same deterministic failure.
-	for j := 0; pooled && j < len(examples); j++ {
-		if _, err := ce.entry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
-			return nil, ce.abandoned(err, len(examples))
+	recs := make([]*clauseRecord, len(clauses))
+	verdicts := make([][]bool, len(clauses))
+	hits := make([]atomic.Int64, len(clauses))
+	var misses []int // pair i*n+j, in the order the sequential engine tests them
+	for i, c := range clauses {
+		recs[i], verdicts[i] = ce.record(c), make([]bool, n)
+		for j, key := range keys {
+			if v, ok := ce.lookup(recs[i], key); !ok {
+				misses = append(misses, i*n+j)
+			} else if v {
+				verdicts[i][j] = true
+				hits[i].Add(1)
+			}
 		}
 	}
+	if len(misses) == 0 {
+		return verdicts, nil
+	}
+	if t == nil {
+		if err := ce.settleMisses(ctx, recs, clauses, examples, keys, misses, verdicts, hits, limit); err != nil {
+			return nil, err
+		}
+	} else {
+		row, col := make([]int, len(clauses)), make([]int, n) // block position + 1; 0 = no miss
+		var cs []*logic.Clause
+		for _, p := range misses { // clause-major, so cs keeps clause order
+			if i := p / n; row[i] == 0 {
+				cs = append(cs, clauses[i])
+				row[i] = len(cs)
+			}
+			col[p%n] = 1
+		}
+		var exs []Example
+		for j := range col {
+			if col[j] > 0 {
+				exs = append(exs, examples[j])
+				col[j] = len(exs)
+			}
+		}
+		got, err := t.Resolve(ctx, cs, exs)
+		for a := 0; err == nil && a < len(cs); a++ {
+			if len(got) != len(cs) || len(got[a]) != len(exs) {
+				err = fmt.Errorf("learn: transport answered a %d-row block for %d clauses × %d examples", len(got), len(cs), len(exs))
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range misses {
+			verdicts[p/n][p%n] = got[row[p/n]-1][col[p%n]-1]
+		}
+	}
+	for _, p := range misses {
+		if p >= 0 {
+			ce.memoize(recs[p/n], keys[p%n], verdicts[p/n][p%n])
+		}
+	}
+	return verdicts, nil
+}
 
+// settleMisses settles resolve's misses in process. One worker tests
+// every miss in order, building ground BCs as first touched. More
+// workers first prefetch the missed examples' BCs sequentially in that
+// order, so intern-table growth and the built/rebuilt counters match (a
+// prefetch isolated by a panic is skipped: the pool's own fetch
+// re-derives the failure); then a clause whose covered count, seeded
+// from its known verdicts, reaches limit stops being tested — its
+// remaining misses stay false and are marked -1, not to be stored.
+func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord, clauses []*logic.Clause, examples []Example, keys []string, misses []int, verdicts [][]bool, hits []atomic.Int64, limit int) error {
+	n := len(examples)
+	pooled := min(ce.workers, len(misses)) > 1
+	if !pooled {
+		limit = math.MaxInt // one worker tests every miss
+	}
+	fetched := make([]bool, n)
+	for k := 0; pooled && k < len(misses); k++ {
+		if j := misses[k] % n; !fetched[j] {
+			fetched[j] = true
+			if _, err := ce.entry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
+				return err
+			}
+		}
+	}
+	return ce.fanOut(len(misses), func(k int) error {
+		i, j := misses[k]/n, misses[k]%n
+		if hits[i].Load() >= int64(limit) {
+			misses[k] = -1
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		v, err := ce.settle(ctx, recs[i], clauses[i], keys[j], func() (*groundEntry, error) {
+			if faultpoint.Enabled() {
+				// Per-example site: injected failures are a function of the
+				// example, not of pool order. Anything but a cancellation is
+				// isolated like a panic from the test proper.
+				if err := faultpoint.Inject(ctx, "coverage.test:"+keys[j]); err != nil {
+					if isCtxErr(err) {
+						return nil, err
+					}
+					return nil, &panicErr{val: err}
+				}
+			}
+			return ce.entry(ctx, keys[j], examples[j])
+		})
+		if err != nil {
+			return err
+		}
+		verdicts[i][j] = v
+		if v {
+			hits[i].Add(1)
+		}
+		return nil
+	})
+}
+
+// fanOut is the engine's one worker pool: job(k) for every k in [0, n),
+// handed out in order to up to SetWorkers goroutines (the calling one
+// included); the first error stops every worker and is returned.
+func (ce *CoverageEngine) fanOut(n int, job func(k int) error) error {
+	nw := max(min(ce.workers, n), 1)
 	var (
-		hits = make([]atomic.Int64, len(clauses))
-		errs = make([]error, nw)
-		stop atomic.Bool
-		wg   sync.WaitGroup
+		next  atomic.Int64
+		first atomic.Pointer[error]
+		wg    sync.WaitGroup
 	)
 	run := func(w int) {
 		defer wg.Done()
-		if pooled && ce.mc.Enabled() {
+		if nw > 1 && ce.mc.Enabled() {
 			busyStart := time.Now()
 			defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
 		}
-		for p := w; p < pairs && !stop.Load(); p += nw {
-			i, j := p/len(examples), p%len(examples)
-			if hits[i].Load() >= int64(limit) {
-				continue
-			}
-			v, err := ce.covers(ctx, recs[i], clauses[i], examples[j], keys[j])
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
+		for k := int(next.Add(1)) - 1; k < n && first.Load() == nil; k = int(next.Add(1)) - 1 {
+			if err := job(k); err != nil {
+				first.CompareAndSwap(nil, &err)
 				return
-			}
-			if v {
-				verdicts[i][j] = true
-				hits[i].Add(1)
 			}
 		}
 	}
@@ -572,12 +620,10 @@ func (ce *CoverageEngine) resolve(ctx context.Context, clauses []*logic.Clause, 
 	}
 	run(0)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, ce.abandoned(err, len(examples))
-		}
+	if err := first.Load(); err != nil {
+		return *err
 	}
-	return verdicts, nil
+	return nil
 }
 
 // abandoned records a coverage-abandoned event when the count died to

@@ -169,7 +169,6 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 		default:
 			ce.cache[key] = &groundEntry{bc: bc, cg: subsume.CompileGround(ce.in, bc)}
 			ce.mc.Inc(metrics.CoverageBCBuilt)
-			ce.mc.Inc(metrics.CoverageCGBuilt)
 		}
 		dirty = append(dirty, key)
 	}

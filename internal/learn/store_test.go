@@ -108,7 +108,7 @@ func TestARMGMemoNotServedToRenamedTwin(t *testing.T) {
 // TestCarriedVerdictsNeedAGroundEntry: the check vouches for an example
 // only by comparing its carried ground BC with a rebuilt one, so a
 // verdict the previous engine holds without an entry — a coordinator's
-// remotely resolved verdict, stored by MemoizeRemote — is not carried.
+// remotely resolved verdict, stored from its transport — is not carried.
 // After a batch that un-covers that example, the adopting engine must
 // answer like a cold one.
 func TestCarriedVerdictsNeedAGroundEntry(t *testing.T) {
@@ -122,7 +122,11 @@ func TestCarriedVerdictsNeedAGroundEntry(t *testing.T) {
 	if _, err := count(ce, copub, pos[:1]); err != nil {
 		t.Fatal(err)
 	}
-	ce.MemoizeRemote(copub, pos[1].String(), true)
+	ce.SetTransport(&fakeTransport{truth: engine()})
+	if _, err := count(ce, copub, pos[1:2]); err != nil {
+		t.Fatal(err)
+	}
+	ce.SetTransport(nil)
 
 	cs := ce.ExtractCarried()
 	if cs.Unchecked != 1 {

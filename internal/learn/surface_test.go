@@ -9,15 +9,15 @@ import (
 )
 
 // The engine's exported surface after the one-coverage-core (DESIGN.md
-// §18), one-provenance (§19) and one-invalidation-mechanism (§16)
-// refactors. It can only go down from here: a new entry point must
-// replace one, not join them.
-const maxEngineMethods = 23
+// §18), one-provenance (§19), one-invalidation-mechanism (§16) and
+// one-store-boundary (§13) refactors. It can only go down from here: a
+// new entry point must replace one, not join them.
+const maxEngineMethods = 21
 
 // TestEngineSurface fails when CoverageEngine grows an exported method,
 // gains a second exported counter or covers, regains a way to select or
-// observe ground-BC provenance, or when CoverageTransport grows past its
-// one bulk call.
+// observe ground-BC provenance or a verdict-store back door, or when
+// CoverageTransport grows past its one bulk call.
 func TestEngineSurface(t *testing.T) {
 	typ := reflect.TypeOf((*CoverageEngine)(nil))
 	if n := typ.NumMethod(); n > maxEngineMethods {
@@ -40,6 +40,13 @@ func TestEngineSurface(t *testing.T) {
 			t.Errorf("CoverageEngine.%s is back; CheckDefinitionCtx is serving's one verb (DESIGN.md §12)", name)
 		}
 	}
+	// Gone for good: the engine is the one store boundary, so no
+	// transport reads or writes verdicts through it (DESIGN.md §13).
+	for _, name := range []string{"MemoizedCovers", "MemoizeRemote"} {
+		if _, ok := typ.MethodByName(name); ok {
+			t.Errorf("CoverageEngine.%s is back; resolve alone reads and writes verdicts (DESIGN.md §13)", name)
+		}
+	}
 	for _, name := range []string{"CountMany", "Covers", "DefinitionCovers", "ResolveLocal"} {
 		if _, ok := typ.MethodByName(name); !ok {
 			t.Errorf("CoverageEngine lost its %s verb", name)
@@ -54,8 +61,12 @@ func TestEngineSurface(t *testing.T) {
 			t.Errorf("second exported covers %s; Covers is the one", name)
 		}
 	}
-	if n := reflect.TypeOf((*CoverageTransport)(nil)).Elem().NumMethod(); n != 1 {
+	tr := reflect.TypeOf((*CoverageTransport)(nil)).Elem()
+	if n := tr.NumMethod(); n != 1 {
 		t.Errorf("CoverageTransport has %d methods, want the one bulk call", n)
+	}
+	if _, ok := tr.MethodByName("Resolve"); !ok {
+		t.Error("CoverageTransport's one method must be Resolve, a pure pair computer")
 	}
 	maps := 0
 	fields := reflect.TypeOf(CoverageEngine{})

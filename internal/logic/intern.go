@@ -85,10 +85,9 @@ func (in *Interner) Value(id int32) string {
 }
 
 // Symbols returns a copy of the intern table in id order (index == id,
-// [0] is the reserved empty string). Model artifacts serialize this so
-// a serving process can rebuild the table a learner trained with; ids
-// never affect match outcomes, so the copy exists for inspection and
-// warm starts, not correctness.
+// [0] is the reserved empty string). Ids never affect match outcomes, so
+// the copy exists for inspection — the determinism suites compare it
+// across worker counts — not correctness.
 func (in *Interner) Symbols() []string {
 	in.mu.RLock()
 	out := append([]string(nil), in.strs...)

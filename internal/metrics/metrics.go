@@ -98,13 +98,6 @@ const (
 	// coverage engine's cache. Deterministic: the cached set is the set of
 	// distinct examples tested, regardless of worker count.
 	CoverageBCBuilt
-	// CoverageCGBuilt counts ground BCs compiled into shareable
-	// subsumption indexes (subsume.CompileGround) and entered into the
-	// coverage engine's compile cache. Deterministic: compilation is a
-	// pure function of the ground BC and happens exactly when the BC
-	// enters the cache (the sequential prefetch pass), so the total
-	// equals CoverageBCBuilt at every worker count.
-	CoverageCGBuilt
 
 	// --- gauges: totals below depend on scheduling ---
 
@@ -121,11 +114,6 @@ const (
 	// CoverageBCRebuilt counts ground-BC builds that lost the
 	// first-build-wins race (external concurrent callers only). Gauge.
 	CoverageBCRebuilt
-	// CoverageCGHits counts subsumption tests served from the compiled
-	// ground-index cache (compile-once-check-many, the hot path). Gauge:
-	// one per executed test, and the executed test set depends on
-	// scheduling (same early-exit reasoning as CoverageTests).
-	CoverageCGHits
 	// SubsumeTests counts θ-subsumption checks. Gauge (same early-exit
 	// reasoning as CoverageTests).
 	SubsumeTests
@@ -231,12 +219,10 @@ var counterDefs = [numCounters]counterDef{
 	ARMGFastPathSkipped:       {"armg.fastpath_skipped", true, kindSum},
 	EvalExamples:              {"eval.examples_scored", true, kindSum},
 	CoverageBCBuilt:           {"coverage.bc_built", true, kindSum},
-	CoverageCGBuilt:           {"coverage.compiled_ground_built", true, kindSum},
 	CoverageTests:             {"coverage.tests", false, kindSum},
 	CoverageMemoHits:          {"coverage.memo_hits", false, kindSum},
 	CoverageBCCacheHits:       {"coverage.bc_cache_hits", false, kindSum},
 	CoverageBCRebuilt:         {"coverage.bc_rebuilt", false, kindSum},
-	CoverageCGHits:            {"coverage.compiled_ground_hits", false, kindSum},
 	SubsumeTests:              {"subsume.tests", false, kindSum},
 	SubsumeNodes:              {"subsume.nodes", false, kindSum},
 	SubsumeBudgetExhausted:    {"subsume.budget_exhausted", false, kindSum},

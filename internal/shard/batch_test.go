@@ -259,7 +259,7 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 		want[i] = n
 	}
 
-	got, err := co.CountMany(context.Background(), frontier, all, len(all)+1)
+	got, err := co.engine.CountMany(context.Background(), frontier, all, len(all)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	}
 
 	// Every verdict memoized: the same frontier again costs zero RPCs.
-	if _, err := co.CountMany(context.Background(), frontier, all, len(all)+1); err != nil {
+	if _, err := co.engine.CountMany(context.Background(), frontier, all, len(all)+1); err != nil {
 		t.Fatal(err)
 	}
 	if rpcs := mc.Snapshot().Gauges["shard.rpc_sent"]; rpcs != 1 {
@@ -307,7 +307,7 @@ func TestCoordinatorSurvivesWorkerRestart(t *testing.T) {
 	c1 := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	c2 := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 
-	if _, err := co.CountMany(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
+	if _, err := co.engine.CountMany(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
 		t.Fatal(err)
 	}
 	before := mc.Snapshot().Gauges["shard.rpc_sent"]
@@ -315,7 +315,7 @@ func TestCoordinatorSurvivesWorkerRestart(t *testing.T) {
 	// "Restart" the worker: fresh engine, empty caches.
 	cur.Store(NewWorker("r2", tinyEngine(t, 1), "fp1", WorkerOptions{}))
 
-	got, err := co.CountMany(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
+	got, err := co.engine.CountMany(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
 	if err != nil {
 		t.Fatalf("a restarted worker must answer the next count: %v", err)
 	}
@@ -416,7 +416,7 @@ func TestCoordinatorKeepAliveSteadyState(t *testing.T) {
 		{logic.MustParseClause("advisedBy(A,B) :- professor(B)")},
 	}
 	for _, f := range frontiers {
-		if _, err := co.CountMany(context.Background(), f, all, len(all)+1); err != nil {
+		if _, err := co.engine.CountMany(context.Background(), f, all, len(all)+1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -214,7 +214,8 @@ func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 	examples := benchExamples()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		co.Bind(fresh())
+		e := fresh()
+		co.Bind(e)
 		frontier := make([]*logic.Clause, len(texts))
 		for j, txt := range texts {
 			c, err := logic.ParseClause(txt)
@@ -223,7 +224,7 @@ func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 			}
 			frontier[j] = c
 		}
-		counts, err := co.CountMany(context.Background(), frontier, examples, len(examples))
+		counts, err := e.CountMany(context.Background(), frontier, examples, len(examples))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,18 +70,20 @@ func TestShardBenchGate(t *testing.T) {
 	// coordinator engine, so no round is answered from the coordinator's
 	// own store.
 	{
-		co.Bind(fresh())
+		e := fresh()
+		co.Bind(e)
 		frontier := make([]*logic.Clause, len(texts))
 		for j, txt := range texts {
 			frontier[j] = logic.MustParseClause(txt)
 		}
-		if _, err := co.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
+		if _, err := e.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			co.Bind(fresh())
+			e := fresh()
+			co.Bind(e)
 			frontier := make([]*logic.Clause, len(texts))
 			for j, txt := range texts {
 				c, err := logic.ParseClause(txt)
@@ -90,7 +92,7 @@ func TestShardBenchGate(t *testing.T) {
 				}
 				frontier[j] = c
 			}
-			if _, err := co.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
+			if _, err := e.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,7 +49,7 @@ type Options struct {
 	Fingerprint string
 	// RequestTimeout bounds one RPC attempt; <=0 selects 10s.
 	RequestTimeout time.Duration
-	// Retries is the attempt budget per shard per count (first try
+	// Retries is the attempt budget per shard per request (first try
 	// included), spread across the shard's replicas in order; <=0
 	// selects 3.
 	Retries int
@@ -101,21 +101,21 @@ func newFleetClient(shards [][]string) *http.Client {
 	}
 }
 
-// shardState is one shard's replica URLs and where its next count goes.
+// shardState is one shard's replica URLs and where its next request goes.
 type shardState struct {
 	replicas []string
-	// last indexes the replica that last answered; a count's first
+	// last indexes the replica that last answered; a request's first
 	// attempt goes there.
 	last atomic.Int32
-	// local is set when a count runs out of attempts: the shard resolves
+	// local is set when a request runs out of attempts: the shard resolves
 	// in-process for the rest of the coordinator's life.
 	local atomic.Bool
 }
 
-// Coordinator partitions coverage counts across the worker fleet and
-// implements learn.CoverageTransport: CountMany ships a whole candidate
-// frontier per shard in one wire round. One coordinator serves one
-// learning run's engine (Bind), so a shard that fell back to local
+// Coordinator partitions coverage work across the worker fleet and
+// implements learn.CoverageTransport: Resolve ships a whole block of
+// candidate clauses per shard in one wire round. One coordinator serves
+// one learning run's engine (Bind), so a shard that fell back to local
 // computation stays local only until the run ends.
 type Coordinator struct {
 	opts   Options
@@ -162,181 +162,84 @@ func (co *Coordinator) Bind(e *learn.CoverageEngine) {
 // Close releases idle connections. Safe after a failed run.
 func (co *Coordinator) Close() { co.client.CloseIdleConnections() }
 
-type item struct {
-	e   learn.Example
-	key string
-	pos int // index into the count's examples slice
-}
-
-// CountMany implements learn.CoverageTransport: the whole candidate
-// frontier resolves in one RPC round per shard (chunked at
-// MaxBatchClauses).
-func (co *Coordinator) CountMany(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
-	counts := make([]int, 0, len(clauses))
-	for start := 0; start < len(clauses); start += MaxBatchClauses {
-		end := min(start+MaxBatchClauses, len(clauses))
-		ns, err := co.countMany(ctx, clauses[start:end], examples, limit)
-		if err != nil {
-			return nil, err
-		}
-		counts = append(counts, ns...)
+// Resolve implements learn.CoverageTransport: it computes every
+// (clause, example) pair it is given and touches no store — the engine
+// screened its store before the call and stores what comes back. The
+// examples are partitioned by shardFor and the clauses chunked at
+// MaxBatchClauses; each chunk fans out, in one wire round, one
+// self-contained request to every shard that has examples. The fan-out
+// runs under a per-chunk cancellable context: the first shard to return
+// an error (its attempts already exhausted — the count is doomed)
+// cancels its siblings immediately instead of letting survivors burn
+// their full retry/backoff budgets on a dead run.
+func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, examples []learn.Example) ([][]bool, error) {
+	type group struct {
+		keys []string
+		exs  []learn.Example
+		pos  []int // index into examples
 	}
-	return counts, nil
-}
-
-// Verdict states in countMany's resolution matrix.
-const (
-	vUnknown uint8 = 0
-	vFalse   uint8 = 1
-	vTrue    uint8 = 2
-)
-
-// countMany is the merge core: memo-resolved (clause, example) pairs
-// are settled locally; clauses with any unresolved pair form the active
-// frontier; each shard whose example group has unresolved work receives
-// the whole frontier and its FULL example group, memoized pairs
-// included (the worker answers those from its own store), in one
-// self-contained resolveShard call. Every returned verdict is memoized
-// on the engine and per-clause counts clamp at limit. Because workers
-// resolve every (clause, example) pair they are sent and verdicts are
-// pure, the memo state and counts are identical under any interleaving
-// of retries and local fallback — and identical to a single-process run.
-//
-// The shard fan-out runs under a per-count cancellable context: the
-// first shard to return an error (its attempts already exhausted — the
-// count is doomed) cancels its siblings immediately instead of letting
-// survivors burn their full retry/backoff budgets on a dead run.
-func (co *Coordinator) countMany(ctx context.Context, clauses []*logic.Clause, examples []learn.Example, limit int) ([]int, error) {
-	nShards := len(co.shards)
-	keys := make([]string, len(examples))
-	shardOf := make([]int, len(examples))
+	groups := make([]group, len(co.shards))
 	for j, e := range examples {
-		keys[j] = e.String()
-		shardOf[j] = shardFor(keys[j], nShards)
+		key := e.String()
+		g := &groups[shardFor(key, len(co.shards))]
+		g.keys, g.exs, g.pos = append(g.keys, key), append(g.exs, e), append(g.pos, j)
 	}
-
-	state := make([][]uint8, len(clauses))
-	var active []int
-	for i, c := range clauses {
-		row := make([]uint8, len(examples))
-		misses := false
-		for j, key := range keys {
-			if v, ok := co.engine.MemoizedCovers(c, key); ok {
-				co.mc.AddNamedGauge("shard.memo_hits", 1)
-				if v {
-					row[j] = vTrue
-				} else {
-					row[j] = vFalse
-				}
-			} else {
-				misses = true
-			}
-		}
-		state[i] = row
-		if misses {
-			active = append(active, i)
-		}
+	verdicts := make([][]bool, len(clauses))
+	for i := range verdicts {
+		verdicts[i] = make([]bool, len(examples))
 	}
-
-	if len(active) > 0 && len(examples) > 0 {
-		groups := make([][]item, nShards)
-		for j, e := range examples {
-			groups[shardOf[j]] = append(groups[shardOf[j]], item{e: e, key: keys[j], pos: j})
+	for start := 0; start < len(clauses); start += MaxBatchClauses {
+		chunk := clauses[start:min(start+MaxBatchClauses, len(clauses))]
+		texts := make([]string, len(chunk))
+		for i, c := range chunk {
+			texts[i] = c.String()
 		}
-		texts := make([]string, len(active))
-		activeClauses := make([]*logic.Clause, len(active))
-		for ai, i := range active {
-			texts[ai] = clauses[i].String()
-			activeClauses[ai] = clauses[i]
-		}
-
 		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
 		var (
 			wg       sync.WaitGroup
 			mu       sync.Mutex
 			firstErr error
 		)
-		for s, grp := range groups {
-			if len(grp) == 0 {
+		for s, g := range groups {
+			if len(g.keys) == 0 {
 				continue
 			}
-			// Skip shards whose whole group is already settled for every
-			// active clause (beam re-scoring answers entirely from memo).
-			unresolved := false
-		scan:
-			for _, i := range active {
-				for _, it := range grp {
-					if state[i][it.pos] == vUnknown {
-						unresolved = true
-						break scan
-					}
-				}
-			}
-			if !unresolved {
-				continue
-			}
-			gkeys := make([]string, len(grp))
-			for j, it := range grp {
-				gkeys[j] = it.key
-			}
-			req := BatchCoverageRequest{Clauses: texts, Examples: gkeys}
 			wg.Add(1)
-			go func(s int, grp []item, req BatchCoverageRequest) {
+			go func(s int, g group) {
 				defer wg.Done()
-				verdicts, err := co.resolveShard(cctx, activeClauses, s, req, grp)
-				mu.Lock()
-				defer mu.Unlock()
+				m, err := co.resolveShard(cctx, chunk, s, BatchCoverageRequest{Clauses: texts, Examples: g.keys}, g.exs)
 				if err != nil {
+					mu.Lock()
+					defer mu.Unlock()
 					if firstErr == nil {
 						firstErr = err
-						// The count is doomed: cancel sibling shards'
-						// in-flight retries now.
 						cancel()
 					}
 					return
 				}
-				for ai, i := range active {
-					for j, it := range grp {
-						v := verdicts[ai][j]
-						co.engine.MemoizeRemote(clauses[i], it.key, v)
-						if v {
-							state[i][it.pos] = vTrue
-						} else {
-							state[i][it.pos] = vFalse
-						}
+				// Shards own disjoint columns, so their writes never meet.
+				for i, row := range m {
+					for b, j := range g.pos {
+						verdicts[start+i][j] = row[b]
 					}
 				}
-			}(s, grp, req)
+			}(s, g)
 		}
 		wg.Wait()
+		cancel()
 		if firstErr != nil {
 			return nil, firstErr
 		}
 	}
-
-	counts := make([]int, len(clauses))
-	for i := range clauses {
-		n := 0
-		for _, st := range state[i] {
-			if st == vTrue {
-				n++
-			}
-		}
-		if n > limit {
-			n = limit
-		}
-		counts[i] = n
-	}
-	return counts, nil
+	return verdicts, nil
 }
 
-// resolveShard applies the failure rule to one shard's frontier: up to
+// resolveShard applies the failure rule to one shard's request: up to
 // Retries attempts across the shard's replicas; once they run out, the
 // shard's examples resolve in-process for the rest of the run — or,
 // under DisableLocalFallback, the run aborts with ErrShardsLost. The
-// returned matrix is clauses × grp, positionally aligned.
-func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req BatchCoverageRequest, grp []item) ([][]bool, error) {
+// returned matrix is clauses × exs, positionally aligned.
+func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req BatchCoverageRequest, exs []learn.Example) ([][]bool, error) {
 	sh := co.shards[s]
 	if !sh.local.Load() {
 		verdicts, err := co.tryShard(ctx, s, req)
@@ -354,7 +257,7 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 			co.engine.RecordEvent(report.Event{
 				Kind:   report.ShardLost,
 				Site:   fmt.Sprintf("shard:%d", s),
-				Detail: fmt.Sprintf("%d examples unresolvable: %v", len(grp), err),
+				Detail: fmt.Sprintf("%d examples unresolvable: %v", len(exs), err),
 			})
 			return nil, fmt.Errorf("shard %d: every replica unreachable (%v): %w", s, err, ErrShardsLost)
 		}
@@ -366,10 +269,6 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 				Detail: fmt.Sprintf("computed in-process for the rest of the run: %v", err),
 			})
 		}
-	}
-	exs := make([]learn.Example, len(grp))
-	for j, it := range grp {
-		exs[j] = it.e
 	}
 	return co.engine.ResolveLocal(ctx, clauses, exs)
 }

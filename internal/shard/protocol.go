@@ -3,9 +3,9 @@
 // §5) — across processes that are allowed to fail.
 //
 // A Coordinator installs itself as the engine's CoverageTransport and
-// partitions every coverage count's examples into N shards by stable
-// example-key hash, so each shard worker's ground-BC cache stays hot
-// for its own range. A Worker is an HTTP service (built on the
+// partitions the examples of every block the engine hands it into N
+// shards by stable example-key hash, so each shard worker's ground-BC
+// cache stays hot for its own range. A Worker is an HTTP service (built on the
 // internal/httpx substrate: concurrency caps, timeouts, structured
 // errors, graceful drain) wrapping a coverage engine configured
 // identically to the coordinator's — identical bias, bottom-clause
@@ -16,15 +16,16 @@
 // example alone (derived-seed provenance, DESIGN.md §19) and every
 // subsumption test is pure, a verdict is a function of
 // (configuration, clause, example) — independent of which process
-// computes it, in what order, or how many times. Workers resolve every
-// example of a request (no early exit at the count limit), the
-// coordinator memoizes every verdict it receives, and per-shard counts
-// merge by summation with a final clamp — min(Σcᵢ, limit) — so
-// theories and decision-driving counters are bit-identical to a
-// single-process run under any interleaving of retries and local
-// fallback. See DESIGN.md §13.
+// computes it, in what order, or how many times. The engine screens its
+// store and hands the transport only the clauses and examples that have
+// a miss; the coordinator computes every pair of that block (no limit,
+// no early exit) and reads and writes no store; the engine stores every
+// verdict that comes back and counts and clamps itself. So theories and
+// decision-driving counters are bit-identical to a single-process run
+// under any interleaving of retries and local fallback. See DESIGN.md
+// §13.
 //
-// Failure model: one rule per shard, per count. Up to Options.Retries
+// Failure model: one rule per shard, per request. Up to Options.Retries
 // attempts (per-attempt timeout, exponential backoff + jitter honoring
 // Retry-After) walk the shard's replicas in order, starting at the one
 // that last answered. When they run out, the shard's examples resolve
@@ -76,7 +77,7 @@ const (
 // BatchCoverageRequest is one shard RPC: the whole candidate frontier
 // for a shard in one round, self-contained. The count limit
 // deliberately does not travel: workers resolve every pair so the
-// coordinator's store is interleaving-independent. The shard group's
+// coordinator engine's store is interleaving-independent. The shard group's
 // ordered example keys travel inline on every request, so a worker
 // holds no per-coordinator state and a restarted worker answers the
 // next request as it is.
@@ -87,13 +88,11 @@ type BatchCoverageRequest struct {
 
 // BatchCoverageResponse carries one packed verdict bitset per requested
 // clause — bit j of Covered[i] (LSB-first) is clause i's verdict on
-// example j of the request's example set — plus the worker's
-// subsumption-test count (observability only). Bitsets ride JSON as
-// base64: a full MaxBatchExamples set costs ~700 bytes per clause
-// instead of a 20KB JSON []bool array.
+// example j of the request's example set. Bitsets ride JSON as base64:
+// a full MaxBatchExamples set costs ~700 bytes per clause instead of a
+// 20KB JSON []bool array.
 type BatchCoverageResponse struct {
 	Covered [][]byte `json:"covered"`
-	Tests   int64    `json:"tests"`
 }
 
 // PackBits packs verdicts into an LSB-first bitset of ⌈n/8⌉ bytes.
