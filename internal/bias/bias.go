@@ -229,6 +229,9 @@ type Compiled struct {
 
 	// attrTypes[rel][i] is the set of types of attribute i of rel.
 	attrTypes map[string][]map[string]bool
+	// typeLists[rel][i] is attrTypes[rel][i] as a sorted slice, built once
+	// so TypesOf neither allocates nor sorts.
+	typeLists map[string][][]string
 	// modes[rel] lists the mode definitions of rel.
 	modes map[string][]ModeDef
 	// plusByType[T] lists attributes that carry type T and appear with a
@@ -308,6 +311,18 @@ func (b *Bias) Compile(schema *db.Schema, target string, targetArity int) (*Comp
 			}
 		}
 	}
+	c.typeLists = make(map[string][][]string, len(c.attrTypes))
+	for rel, sets := range c.attrTypes {
+		lists := make([][]string, len(sets))
+		for i, set := range sets {
+			lists[i] = make([]string, 0, len(set))
+			for t := range set {
+				lists[i] = append(lists[i], t)
+			}
+			sort.Strings(lists[i])
+		}
+		c.typeLists[rel] = lists
+	}
 	for t := range c.plusByType {
 		sort.Slice(c.plusByType[t], func(i, j int) bool {
 			a, b := c.plusByType[t][i], c.plusByType[t][j]
@@ -327,18 +342,14 @@ func (c *Compiled) Target() string { return c.target }
 func (c *Compiled) Bias() *Bias { return c.bias }
 
 // TypesOf returns the (sorted) types of an attribute, or nil when the
-// relation has no predicate definition.
+// relation has no predicate definition. The slice is computed once by
+// Compile and shared by every caller: it is read-only.
 func (c *Compiled) TypesOf(rel string, attr int) []string {
-	sets := c.attrTypes[rel]
-	if sets == nil || attr >= len(sets) {
+	lists := c.typeLists[rel]
+	if attr >= len(lists) {
 		return nil
 	}
-	out := make([]string, 0, len(sets[attr]))
-	for t := range sets[attr] {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return lists[attr]
 }
 
 // SharesType reports whether two attributes share at least one type,

@@ -152,6 +152,24 @@ func TestCompile(t *testing.T) {
 	}
 }
 
+// TestTypesOfAllocatesNothing pins that TypesOf hands out the slice
+// Compile built: BC construction calls it once per noted constant.
+func TestTypesOfAllocatesNothing(t *testing.T) {
+	c, err := MustParse(uwBiasText()).Compile(uwSchema(), "advisedBy", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.TypesOf("publication", 1) }); n != 0 {
+		t.Errorf("TypesOf: %.0f allocations per call, want 0", n)
+	}
+	if got := c.TypesOf("nosuch", 0); got != nil {
+		t.Errorf("TypesOf(nosuch,0) = %v, want nil", got)
+	}
+	if got := c.TypesOf("publication", 2); got != nil {
+		t.Errorf("TypesOf(publication,2) = %v, want nil", got)
+	}
+}
+
 func TestCompileRequiresTargetPredicate(t *testing.T) {
 	s := uwSchema()
 	b := MustParse("student(T1)\nstudent(+)")

@@ -120,6 +120,7 @@ func (o Options) normalized() Options {
 type Builder struct {
 	db   *db.Database
 	bias *bias.Compiled
+	plan *plan
 	opts Options
 	rng  *rand.Rand
 	// intern, when non-nil, receives every predicate name and ground
@@ -163,16 +164,18 @@ func (b *Builder) interrupted() bool {
 	}
 }
 
-// NewBuilder returns a builder for the database and compiled bias.
+// NewBuilder returns a builder for the database and compiled bias. It
+// compiles the bias's construction plan once; clones share it.
 func NewBuilder(d *db.Database, c *bias.Compiled, opts Options) *Builder {
 	opts = opts.normalized()
-	return &Builder{db: d, bias: c, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	return &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
-// Clone returns an independent builder sharing the (read-only) database
-// and compiled bias but owning a fresh RNG re-seeded from the options
-// seed. This is the concurrency contract for worker pools: the database
-// and bias are safe to share, the RNG is not, so each worker clones.
+// Clone returns an independent builder sharing the (read-only) database,
+// compiled bias and construction plan but owning a fresh RNG re-seeded
+// from the options seed. This is the concurrency contract for worker
+// pools: the database, bias and plan are safe to share, the RNG is not,
+// so each worker clones.
 func (b *Builder) Clone() *Builder {
 	return b.CloneSeeded(b.opts.Seed)
 }
@@ -181,7 +184,7 @@ func (b *Builder) Clone() *Builder {
 // a deterministic per-worker or per-example seed so sampled clauses do
 // not depend on goroutine scheduling.
 func (b *Builder) CloneSeeded(seed int64) *Builder {
-	return &Builder{db: b.db, bias: b.bias, opts: b.opts, rng: rand.New(rand.NewSource(seed)), intern: b.intern}
+	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, rng: rand.New(rand.NewSource(seed)), intern: b.intern}
 }
 
 // Options returns the builder's normalized options.
@@ -386,7 +389,7 @@ func (st *state) seedHead(example logic.Literal) {
 		} else {
 			terms[i] = logic.Var(st.variable(t.Name))
 		}
-		st.noteConstant(t.Name, st.b.bias.TypesOf(st.b.bias.Target(), i))
+		st.noteConstant(t.Name, st.b.plan.targetTypes(i))
 	}
 	st.head = logic.Literal{Predicate: example.Predicate, Terms: terms}
 	st.internLiteral(st.head)
@@ -412,38 +415,70 @@ func (st *state) internLiteral(l logic.Literal) {
 // addTuple converts a discovered tuple into one literal per applicable
 // mode (modes of the relation with + at the discovery attribute),
 // deduplicates, and queues the tuple's constants at variable positions.
+// A ground build goes through addGroundTuple instead.
 func (st *state) addTuple(ft foundTuple) {
-	for _, m := range st.b.bias.ModesFor(ft.rel) {
-		if m.Symbols[ft.viaAttr] != bias.Input {
-			continue
-		}
+	rp := st.b.plan.rels[ft.rel]
+	if rp == nil {
+		return
+	}
+	if st.ground {
+		st.addGroundTuple(ft, rp)
+		return
+	}
+	for _, m := range rp.modes[ft.viaAttr] {
 		terms := make([]logic.Term, len(ft.tuple))
 		for i, v := range ft.tuple {
 			if m.Symbols[i] == bias.Constant {
 				terms[i] = logic.Const(v)
 				continue
 			}
-			// Variable position: in a ground BC the constant is kept, but
-			// it still joins the frontier so the traversal is identical.
-			if st.ground {
-				terms[i] = logic.Const(v)
-			} else {
-				terms[i] = logic.Var(st.variable(v))
-			}
-			st.noteConstant(v, st.b.bias.TypesOf(ft.rel, i))
+			terms[i] = logic.Var(st.variable(v))
+			st.noteConstant(v, rp.types[i])
 		}
-		l := logic.Literal{Predicate: ft.rel, Terms: terms}
-		key := l.Key()
-		if st.seen[key] {
-			continue
-		}
-		st.seen[key] = true
-		st.internLiteral(l)
-		st.body = append(st.body, l)
-		if st.full() {
+		if st.emit(logic.Literal{Predicate: ft.rel, Terms: terms}) && st.full() {
 			return
 		}
 	}
+}
+
+// addGroundTuple is addTuple for a ground build. Every applicable mode
+// yields the same literal — all its terms are the tuple's constants — so
+// the literal is emitted once, and the tuple's constants at variable
+// positions still join the frontier, so the traversal is the
+// variabilized build's. The plan orders the notes exactly as a per-mode
+// loop would make them take effect: the first mode's positions, the
+// literal, then the positions later modes add.
+func (st *state) addGroundTuple(ft foundTuple, rp *relPlan) {
+	first := rp.firstNotes[ft.viaAttr]
+	if len(first) == 0 {
+		return
+	}
+	for _, i := range first {
+		st.noteConstant(ft.tuple[i], rp.types[i])
+	}
+	terms := make([]logic.Term, len(ft.tuple))
+	for i, v := range ft.tuple {
+		terms[i] = logic.Const(v)
+	}
+	if st.emit(logic.Literal{Predicate: ft.rel, Terms: terms}) && st.full() {
+		return
+	}
+	for _, i := range rp.laterNotes[ft.viaAttr] {
+		st.noteConstant(ft.tuple[i], rp.types[i])
+	}
+}
+
+// emit appends the literal to the body unless an equal one is there,
+// reporting whether it did.
+func (st *state) emit(l logic.Literal) bool {
+	key := l.Key()
+	if st.seen[key] {
+		return false
+	}
+	st.seen[key] = true
+	st.internLiteral(l)
+	st.body = append(st.body, l)
+	return true
 }
 
 // clause assembles the final bottom clause.

@@ -1,6 +1,8 @@
 package bottom
 
 import (
+	"slices"
+
 	"repro/internal/db"
 	"repro/internal/logic"
 )
@@ -15,8 +17,7 @@ func (b *Builder) randomTuples(example logic.Literal) []foundTuple {
 	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		types := b.bias.TypesOf(b.bias.Target(), i)
-		b.expandRandom([]string{term.Name}, types, b.opts.Depth, &out, &budget)
+		b.expandRandom([]string{term.Name}, b.plan.targetTypes(i), b.opts.Depth, &out, &budget)
 		if budget <= 0 {
 			break
 		}
@@ -53,8 +54,7 @@ func (b *Builder) expandRandom(values, types []string, depth int, out *[]foundTu
 		}
 		// Recurse: the distinct values of each attribute of the sampled
 		// tuples seed the next level of semi-joins.
-		for j := 0; j < rel.Schema.Arity(); j++ {
-			childTypes := b.bias.TypesOf(ra.Relation, j)
+		for j, childTypes := range b.plan.rels[ra.Relation].types {
 			if len(childTypes) == 0 {
 				continue
 			}
@@ -90,12 +90,13 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 	maxAttempts := 20 * s
 	var out []db.Tuple
 	// Dedupe picks by (value, offset) so a sample never wastes a literal
-	// slot on an identical tuple.
+	// slot on an identical tuple. There are at most s picks, so a linear
+	// scan beats a map.
 	type pick struct {
 		value string
 		idx   int
 	}
-	picked := make(map[pick]bool)
+	var picked []pick
 	for attempts := 0; attempts < maxAttempts && len(out) < s; attempts++ {
 		a := values[b.rng.Intn(len(values))]
 		m := rel.Frequency(attr, a)
@@ -109,11 +110,11 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 			continue
 		}
 		key := pick{value: a, idx: i}
-		if picked[key] {
+		if slices.Contains(picked, key) {
 			continue
 		}
-		picked[key] = true
-		out = append(out, rel.Lookup(attr, a)[i])
+		picked = append(picked, key)
+		out = append(out, rel.LookupAt(attr, a, i))
 	}
 	return out
 }

@@ -21,8 +21,7 @@ func (b *Builder) stratifiedTuples(example logic.Literal) []foundTuple {
 	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		types := b.bias.TypesOf(b.bias.Target(), i)
-		for _, ra := range b.bias.PlusTargets(types) {
+		for _, ra := range b.bias.PlusTargets(b.plan.targetTypes(i)) {
 			sub := b.stratRec(ra.Relation, ra.Attr, map[string]bool{term.Name: true}, 1, &budget)
 			out = append(out, sub...)
 			if budget <= 0 {
@@ -54,8 +53,7 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 
 	var out []foundTuple
 	descended := false
-	for bAttr := 0; bAttr < rel.Schema.Arity(); bAttr++ {
-		childTypes := b.bias.TypesOf(relName, bAttr)
+	for bAttr, childTypes := range b.plan.rels[relName].types {
 		if len(childTypes) == 0 {
 			continue
 		}
@@ -106,13 +104,7 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 // constant-able attribute, or a single stratum holding everything when
 // the relation has no constant-able attribute (§4.3.2).
 func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, budget *int) []foundTuple {
-	rel := b.snap.Relation(relName)
-	var constAttrs []int
-	for i := 0; i < rel.Schema.Arity(); i++ {
-		if b.bias.CanBeConstant(relName, i) {
-			constAttrs = append(constAttrs, i)
-		}
-	}
+	constAttrs := b.plan.rels[relName].constAttrs
 	var out []foundTuple
 	emit := func(stratum []db.Tuple) {
 		for _, t := range b.sampleUniform(stratum) {

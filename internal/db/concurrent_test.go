@@ -59,8 +59,8 @@ func TestConcurrentReaders(t *testing.T) {
 					errs <- fmt.Errorf("Lookup = %d tuples, want %d", got, len(ref.Lookup(0, "n1")))
 					return
 				}
-				if got := len(r.SemiJoinValues(1, values)); got != len(ref.SemiJoinValues(1, values)) {
-					errs <- fmt.Errorf("SemiJoinValues = %d tuples, want %d", got, len(ref.SemiJoinValues(1, values)))
+				if got := len(r.SelectIn(1, values)); got != len(ref.SelectIn(1, values)) {
+					errs <- fmt.Errorf("SelectIn(1) = %d tuples, want %d", got, len(ref.SelectIn(1, values)))
 					return
 				}
 				if got := len(r.SelectIn(2, map[string]bool{"k3": true})); got != len(ref.SelectIn(2, map[string]bool{"k3": true})) {

@@ -342,6 +342,15 @@ func (r *Relation) Lookup(attr int, value string) []Tuple {
 	return out
 }
 
+// LookupAt returns Lookup(attr, value)[i] without copying the matches:
+// the i-th tuple, in postings order, whose attribute attr equals value.
+// i must be below Frequency(attr, value). It is the draw of §4.2's Olken
+// sampler, which reads one matching tuple per accepted attempt.
+func (r *Relation) LookupAt(attr int, value string, i int) Tuple {
+	v := r.cur.Load()
+	return v.tuples[v.index(attr).postings(value)[i]]
+}
+
 // Frequency returns m_{R.attr}(value): how many tuples hold value in
 // attribute attr.
 func (r *Relation) Frequency(attr int, value string) int {
@@ -389,14 +398,6 @@ func (r *Relation) SelectIn(attr int, values map[string]bool) []Tuple {
 		}
 	}
 	return out
-}
-
-// SemiJoinValues computes the right semi-join primitive used in §4.2:
-// given the set of values present on the left side's join attribute, it
-// returns the tuples of r whose attribute attr matches one of them. It is
-// equivalent to SelectIn and exists to name the operation the paper uses.
-func (r *Relation) SemiJoinValues(attr int, leftValues map[string]bool) []Tuple {
-	return r.SelectIn(attr, leftValues)
 }
 
 // Count returns how many occurrences of t the relation holds (the bag

@@ -1,9 +1,6 @@
 package db
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestExtendSharesRelations(t *testing.T) {
 	d := uwFragment(t)
@@ -53,15 +50,32 @@ func TestBuildIndexesEager(t *testing.T) {
 	}
 }
 
-func TestSemiJoinValuesNamesSelectIn(t *testing.T) {
+// TestLookupAtMatchesLookup pins LookupAt to Lookup's order, before and
+// after a commit appends to the postings.
+func TestLookupAtMatchesLookup(t *testing.T) {
 	d := uwFragment(t)
 	pub := d.Relation("publication")
-	set := map[string]bool{"juan": true, "mary": true}
-	a := pub.SemiJoinValues(1, set)
-	b := pub.SelectIn(1, set)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("SemiJoinValues must equal SelectIn")
+	check := func(when string) {
+		t.Helper()
+		for _, attr := range []int{0, 1} {
+			for _, v := range pub.DistinctValues(attr) {
+				want := pub.Lookup(attr, v)
+				if n := pub.Frequency(attr, v); n != len(want) {
+					t.Fatalf("%s: Frequency(%d,%s) = %d, Lookup holds %d", when, attr, v, n, len(want))
+				}
+				for i, w := range want {
+					if got := pub.LookupAt(attr, v, i); !got.Equal(w) {
+						t.Errorf("%s: LookupAt(%d,%s,%d) = %v, want %v", when, attr, v, i, got, w)
+					}
+				}
+			}
+		}
 	}
+	check("loaded")
+	if err := pub.InsertBatch([]Tuple{{"p3", "juan"}, {"p1", "mary"}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after insert")
 }
 
 func TestMustAddPanics(t *testing.T) {
