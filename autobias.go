@@ -147,16 +147,7 @@ func NewDatabase(s *Schema) *Database { return db.New(s) }
 func LoadCSVDir(dir string) (*Database, error) { return db.LoadCSVDir(dir) }
 
 // ParseExample parses a ground target literal like "advisedBy(juan,sarita)".
-func ParseExample(s string) (Example, error) {
-	c, err := logic.ParseClause(s)
-	if err != nil {
-		return Example{}, err
-	}
-	if len(c.Body) != 0 || !c.Head.IsGround() {
-		return Example{}, fmt.Errorf("autobias: %q is not a ground fact", s)
-	}
-	return c.Head, nil
-}
+func ParseExample(s string) (Example, error) { return model.ParseExample(s) }
 
 // ParseBias parses a language bias from its text form.
 func ParseBias(text string) (*Bias, error) { return bias.Parse(text) }

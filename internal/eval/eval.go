@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 )
 
 // Metrics are the quality measures of §6.1. Precision is TP over all
@@ -155,8 +154,9 @@ type CVResult struct {
 // still scores.
 type Trainer func(ctx context.Context, fold Fold) (*logic.Definition, CoverFunc, FoldOutcome, error)
 
-// CrossValidate trains up to workers folds concurrently (workers <= 0
-// selects runtime.GOMAXPROCS(0); 1 runs them in order) and averages.
+// CrossValidate trains folds through pool.Run on up to workers
+// goroutines (workers <= 0 selects runtime.GOMAXPROCS(0); 1 runs them in
+// order) and averages.
 // Folds are independent learning problems — each trainer call builds its
 // own learner over the shared read-only database — and outcomes are
 // aggregated in fold order, so the result is identical at every worker
@@ -174,42 +174,25 @@ func CrossValidate(ctx context.Context, folds []Fold, train Trainer, workers int
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(folds) {
-		workers = len(folds)
-	}
 
 	outcomes := make([]FoldOutcome, len(folds))
 	started := make([]bool, len(folds))
 	errs := make([]error, len(folds))
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(folds) || stop.Load() || ctx.Err() != nil {
-					return
-				}
-				started[i] = true
-				def, covers, outcome, err := train(ctx, folds[i])
-				if err == nil {
-					var m Metrics
-					m, err = Evaluate(mc, covers, def, folds[i].TestPos, folds[i].TestNeg)
-					outcome.Metrics = m
-				}
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				outcomes[i] = outcome
-			}
-		}()
-	}
-	wg.Wait()
+	// Run returns the error that failed first in time; the scan below
+	// reports the lowest-index one instead.
+	_ = pool.Run(len(folds), workers, func(_, i int) error {
+		if ctx.Err() != nil {
+			return nil
+		}
+		started[i] = true
+		def, covers, outcome, err := train(ctx, folds[i])
+		if err == nil {
+			outcome.Metrics, err = Evaluate(mc, covers, def, folds[i].TestPos, folds[i].TestNeg)
+		}
+		errs[i] = err
+		outcomes[i] = outcome
+		return err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return CVResult{}, err

@@ -84,3 +84,37 @@ func TestCrossValidateParallelError(t *testing.T) {
 		t.Fatal("expected the failing fold's error to surface")
 	}
 }
+
+// TestCrossValidateLowestIndexErrorWins pins the documented rule that
+// when several folds fail, the lowest-index fold's error is returned —
+// not the one that failed first in time.
+func TestCrossValidateLowestIndexErrorWins(t *testing.T) {
+	pos, neg := cvExamples(40)
+	folds, err := KFold(pos, neg, 5, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldIndex := func(fold Fold) int {
+		for i := range folds {
+			if &folds[i].TestPos[0] == &fold.TestPos[0] {
+				return i
+			}
+		}
+		t.Fatal("trainer got a fold CrossValidate was not given")
+		return -1
+	}
+	fail1, fail3 := fmt.Errorf("fold 1 failed"), fmt.Errorf("fold 3 failed")
+	trainer := func(_ context.Context, fold Fold) (*logic.Definition, CoverFunc, FoldOutcome, error) {
+		switch foldIndex(fold) {
+		case 1:
+			time.Sleep(50 * time.Millisecond)
+			return nil, nil, FoldOutcome{}, fail1
+		case 3:
+			return nil, nil, FoldOutcome{}, fail3
+		}
+		return fakeTrainer(0)(context.Background(), fold)
+	}
+	if _, err := CrossValidate(context.Background(), folds, trainer, 5, nil); err != fail1 {
+		t.Fatalf("CrossValidate = %v, want fold 1's error %v", err, fail1)
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/subsume"
 )
 
-// ARMG applies the asymmetric relative minimal generalization operator
+// ARMGCtx applies the asymmetric relative minimal generalization operator
 // (§2.3.2): given clause c (initially a bottom clause) and the ground
 // bottom clause of another positive example, it drops blocking atoms —
 // body literals whose addition first breaks coverage of the example —
@@ -23,15 +23,12 @@ import (
 // equivalent to scanning left to right and keeping each literal only if
 // the kept prefix plus that literal still covers the example — n
 // subsumption tests instead of O(k log n) restarted searches.
-func ARMG(c *logic.Clause, ground *logic.Clause, opts subsume.Options) *logic.Clause {
-	return ARMGCtx(context.Background(), c, ground, opts)
-}
-
-// ARMGCtx is ARMG under a context: a cancelled ctx makes the remaining
-// subsumption tests report non-coverage, so the pass degenerates to
-// dropping the literals it had not yet examined and returns quickly. The
-// caller observes the cancellation via ctx and discards the result, so
-// the truncation is harmless — it only bounds how much work is wasted.
+//
+// A cancelled ctx makes the remaining subsumption tests report
+// non-coverage, so the pass degenerates to dropping the literals it had
+// not yet examined and returns quickly. The caller observes the
+// cancellation via ctx and discards the result, so the truncation is
+// harmless — it only bounds how much work is wasted.
 func ARMGCtx(ctx context.Context, c *logic.Clause, ground *logic.Clause, opts subsume.Options) *logic.Clause {
 	out, _ := armg(ctx, c, subsume.CompileGround(nil, ground), opts)
 	return out

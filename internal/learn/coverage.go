@@ -23,6 +23,7 @@ import (
 	"repro/internal/faultpoint"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/report"
 	"repro/internal/subsume"
 )
@@ -591,39 +592,27 @@ func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord
 	})
 }
 
-// fanOut is the engine's one worker pool: job(k) for every k in [0, n),
-// handed out in order to up to SetWorkers goroutines (the calling one
-// included); the first error stops every worker and is returned.
+// fanOut runs job(k) for every k in [0, n) through pool.Run on up to
+// SetWorkers goroutines, the calling one included; the first error stops
+// the hand-out and is returned. With more than one worker and metrics on,
+// each worker's busy time is summed across its jobs and credited to the
+// coverage.worker_busy_ns gauges once the pool is done.
 func (ce *CoverageEngine) fanOut(n int, job func(k int) error) error {
 	nw := max(min(ce.workers, n), 1)
-	var (
-		next  atomic.Int64
-		first atomic.Pointer[error]
-		wg    sync.WaitGroup
-	)
-	run := func(w int) {
-		defer wg.Done()
-		if nw > 1 && ce.mc.Enabled() {
-			busyStart := time.Now()
-			defer func() { ce.mc.WorkerBusy(w, time.Since(busyStart)) }()
-		}
-		for k := int(next.Add(1)) - 1; k < n && first.Load() == nil; k = int(next.Add(1)) - 1 {
-			if err := job(k); err != nil {
-				first.CompareAndSwap(nil, &err)
-				return
-			}
-		}
+	if nw == 1 || !ce.mc.Enabled() {
+		return pool.Run(n, nw, func(_, k int) error { return job(k) })
 	}
-	wg.Add(nw)
-	for w := 1; w < nw; w++ {
-		go run(w)
+	busy := make([]time.Duration, nw)
+	err := pool.Run(n, nw, func(w, k int) error {
+		start := time.Now()
+		err := job(k)
+		busy[w] += time.Since(start)
+		return err
+	})
+	for w, d := range busy {
+		ce.mc.WorkerBusy(w, d)
 	}
-	run(0)
-	wg.Wait()
-	if err := first.Load(); err != nil {
-		return *err
-	}
-	return nil
+	return err
 }
 
 // abandoned records a coverage-abandoned event when the count died to

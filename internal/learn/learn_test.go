@@ -107,7 +107,7 @@ func TestARMGDropsBlockingAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ARMG(bc, g, subsume.Options{})
+	out := ARMGCtx(context.Background(), bc, g, subsume.Options{})
 	if out == nil {
 		t.Fatal("armg returned nil")
 	}
@@ -135,7 +135,7 @@ func TestARMGDropsBlockingAtom(t *testing.T) {
 func TestARMGNilOnHeadMismatch(t *testing.T) {
 	c := logic.MustParseClause("advisedBy(X,X) :- student(X).")
 	g := logic.MustParseClause("advisedBy(a,b) :- student(a).")
-	if out := ARMG(c, g, subsume.Options{}); out != nil {
+	if out := ARMGCtx(context.Background(), c, g, subsume.Options{}); out != nil {
 		t.Fatalf("head with repeated variable cannot cover distinct constants: %v", out)
 	}
 }
@@ -143,7 +143,7 @@ func TestARMGNilOnHeadMismatch(t *testing.T) {
 func TestARMGAlreadyCovering(t *testing.T) {
 	c := logic.MustParseClause("h(X) :- p(X,Y).")
 	g := logic.MustParseClause("h(a) :- p(a,b).")
-	out := ARMG(c, g, subsume.Options{})
+	out := ARMGCtx(context.Background(), c, g, subsume.Options{})
 	if out == nil || !out.Equal(c.PruneNotHeadConnected()) {
 		t.Fatalf("covering clause must be returned unchanged: %v", out)
 	}
@@ -153,7 +153,7 @@ func TestARMGSize(t *testing.T) {
 	// armg must never grow the clause (guaranteed by construction).
 	c := logic.MustParseClause("h(X) :- p(X,Y), q(Y,c1), r(Y).")
 	g := logic.MustParseClause("h(a) :- p(a,b), r(b).")
-	out := ARMG(c, g, subsume.Options{})
+	out := ARMGCtx(context.Background(), c, g, subsume.Options{})
 	if out == nil {
 		t.Fatal("nil")
 	}

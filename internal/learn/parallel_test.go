@@ -359,3 +359,18 @@ func TestBuilderCloneContract(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFanOutAllocationCeiling pins the pool's per-job cost: a successful
+// job allocates nothing, so fanOut over 1024 no-op jobs costs a fixed
+// handful of allocations at any worker count, not one per job.
+func TestFanOutAllocationCeiling(t *testing.T) {
+	noop := func(int) error { return nil }
+	for _, workers := range []int{1, 2} {
+		ce := &CoverageEngine{workers: workers}
+		a := testing.AllocsPerRun(20, func() { _ = ce.fanOut(1024, noop) })
+		t.Logf("workers=%d: %v allocations", workers, a)
+		if a > 16 {
+			t.Errorf("workers=%d: fanOut(1024, noop) made %v allocations, want <= 16", workers, a)
+		}
+	}
+}

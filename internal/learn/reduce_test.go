@@ -135,12 +135,12 @@ func TestARMGWithBudgetedSubsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiny := subsume.Options{MaxNodes: 50}
-	out := ARMG(bc, g, tiny)
+	out := ARMGCtx(context.Background(), bc, g, tiny)
 	if out == nil {
 		t.Fatal("armg returned nil")
 	}
 	// With a generous budget the result must cover the example.
-	full := ARMG(bc, g, subsume.Options{})
+	full := ARMGCtx(context.Background(), bc, g, subsume.Options{})
 	if full == nil || !subsume.CheckCompiled(full, subsume.CompileGround(nil, g), subsume.Options{}).Subsumes {
 		t.Fatalf("full-budget armg must cover: %v", full)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/benchenv"
+	"repro/internal/model"
 )
 
 func person(i int) string { return fmt.Sprintf("p%03d", i) }
@@ -14,9 +15,9 @@ func benchExamples(batch int) []Example {
 	examples := make([]Example, batch)
 	for i := range examples {
 		if i%2 == 0 {
-			examples[i], _ = parseGround(fmt.Sprintf("gp(%s,%s)", person(i), person(i+2)))
+			examples[i], _ = model.ParseExample(fmt.Sprintf("gp(%s,%s)", person(i), person(i+2)))
 		} else {
-			examples[i], _ = parseGround(fmt.Sprintf("gp(%s,%s)", person(i), person(i+3)))
+			examples[i], _ = model.ParseExample(fmt.Sprintf("gp(%s,%s)", person(i), person(i+3)))
 		}
 	}
 	return examples

@@ -51,7 +51,7 @@ func chainExamples(t testing.TB, rng *rand.Rand, people, count int) []Example {
 	for i := range out {
 		a := rng.Intn(people - 4)
 		hop := 1 + rng.Intn(4) // 1..4: parent, grandparent, and beyond
-		e, err := parseGround(fmt.Sprintf("gp(%s,%s)", person(a), person(a+hop)))
+		e, err := model.ParseExample(fmt.Sprintf("gp(%s,%s)", person(a), person(a+hop)))
 		if err != nil {
 			t.Fatal(err)
 		}

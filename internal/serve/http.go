@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/httpx"
 	"repro/internal/metrics"
+	"repro/internal/model"
 )
 
 // ServerOptions configures the HTTP layer.
@@ -111,25 +112,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, ln)
 }
 
-// Error codes carried in structured error bodies — aliases of the
-// shared httpx vocabulary, kept here so existing callers keep compiling.
-const (
-	ErrCodeBadRequest    = httpx.ErrCodeBadRequest
-	ErrCodeModelNotFound = httpx.ErrCodeModelNotFound
-	ErrCodeBatchTooLarge = httpx.ErrCodeBatchTooLarge
-	ErrCodeOverloaded    = httpx.ErrCodeOverloaded
-	ErrCodeTimeout       = httpx.ErrCodeTimeout
-	ErrCodeCancelled     = httpx.ErrCodeCancelled
-	ErrCodeInternal      = httpx.ErrCodeInternal
-	ErrCodeReload        = httpx.ErrCodeReload
-	ErrCodeUnsupported   = httpx.ErrCodeUnsupported
-	ErrCodeNotReady      = httpx.ErrCodeNotReady
-)
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	httpx.WriteJSON(w, status, v)
-}
-
 // fail writes a structured error and counts it.
 func (s *Server) fail(w http.ResponseWriter, status int, code string, err error) {
 	s.opts.Metrics.Inc(metrics.ServeErrors)
@@ -139,7 +121,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, code string, err error)
 // handleHealth is liveness: the process is up and can answer HTTP. It
 // stays 200 through reloads and drain — only process death fails it.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "models": s.reg.Len()})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "models": s.reg.Len()})
 }
 
 // modelBindState is one model's entry in the readiness report.
@@ -175,14 +157,14 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	case s.draining.Load():
 		body["status"] = "draining"
 		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusServiceUnavailable, body)
+		httpx.WriteJSON(w, http.StatusServiceUnavailable, body)
 	case s.reloading.Load() > 0:
 		body["status"] = "reloading"
 		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusServiceUnavailable, body)
+		httpx.WriteJSON(w, http.StatusServiceUnavailable, body)
 	default:
 		body["status"] = "ready"
-		s.writeJSON(w, http.StatusOK, body)
+		httpx.WriteJSON(w, http.StatusOK, body)
 	}
 }
 
@@ -220,16 +202,16 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 		m, _ := s.reg.Get(name)
 		out = append(out, s.info(m, false))
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"models": out})
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.reg.Get(r.PathValue("name"))
 	if !ok {
-		s.fail(w, http.StatusNotFound, ErrCodeModelNotFound, fmt.Errorf("no such model %q", r.PathValue("name")))
+		s.fail(w, http.StatusNotFound, httpx.ErrCodeModelNotFound, fmt.Errorf("no such model %q", r.PathValue("name")))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.info(m, true))
+	httpx.WriteJSON(w, http.StatusOK, s.info(m, true))
 }
 
 // handleReload triggers a hot model reload (ReloadDir via the
@@ -239,17 +221,17 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // rebind to finish before routing fresh traffic.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Reload == nil {
-		s.fail(w, http.StatusNotImplemented, ErrCodeUnsupported, errors.New("no reload hook configured"))
+		s.fail(w, http.StatusNotImplemented, httpx.ErrCodeUnsupported, errors.New("no reload hook configured"))
 		return
 	}
 	s.reloading.Add(1)
 	rep, err := s.opts.Reload(r.Context())
 	s.reloading.Add(-1)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, ErrCodeReload, err)
+		s.fail(w, http.StatusInternalServerError, httpx.ErrCodeReload, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, rep)
+	httpx.WriteJSON(w, http.StatusOK, rep)
 }
 
 // predictRequest carries one batch: tuples as attribute-value lists
@@ -278,7 +260,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	m, release, ok := s.reg.Acquire(name)
 	if !ok {
-		s.fail(w, http.StatusNotFound, ErrCodeModelNotFound, fmt.Errorf("no such model %q", name))
+		s.fail(w, http.StatusNotFound, httpx.ErrCodeModelNotFound, fmt.Errorf("no such model %q", name))
 		return
 	}
 	var req predictRequest
@@ -289,7 +271,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			err = errors.New("empty request: provide tuples and/or examples")
 		} else if n := len(req.Tuples) + len(req.Examples); n > s.opts.MaxBatch {
 			release()
-			s.fail(w, http.StatusRequestEntityTooLarge, ErrCodeBatchTooLarge,
+			s.fail(w, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
 				fmt.Errorf("batch of %d examples exceeds the limit of %d; split the request", n, s.opts.MaxBatch))
 			return
 		} else {
@@ -298,7 +280,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	release()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		s.fail(w, http.StatusBadRequest, httpx.ErrCodeBadRequest, err)
 		return
 	}
 
@@ -308,19 +290,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// does. Queued requests keep their full deadline — the timeout
 	// covers the work, the context covers the wait.
 	if !s.lim.Acquire(ctx) {
-		s.fail(w, http.StatusServiceUnavailable, ErrCodeOverloaded, fmt.Errorf("server at capacity: %w", ctx.Err()))
+		s.fail(w, http.StatusServiceUnavailable, httpx.ErrCodeOverloaded, fmt.Errorf("server at capacity: %w", ctx.Err()))
 		return
 	}
 	defer s.lim.Release()
 
 	verdicts, versions, err := s.reg.Predict(ctx, name, examples)
 	if err != nil {
-		status, code := http.StatusInternalServerError, ErrCodeInternal
+		status, code := http.StatusInternalServerError, httpx.ErrCodeInternal
 		switch {
 		case errors.Is(err, ErrNoModel):
-			status, code = http.StatusNotFound, ErrCodeModelNotFound
+			status, code = http.StatusNotFound, httpx.ErrCodeModelNotFound
 		case errors.Is(err, ErrOverloaded):
-			status, code = http.StatusServiceUnavailable, ErrCodeOverloaded
+			status, code = http.StatusServiceUnavailable, httpx.ErrCodeOverloaded
 		default:
 			if st, c, ok := httpx.CtxStatus(err); ok {
 				status, code = st, c
@@ -333,7 +315,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	for i, e := range examples {
 		resp.Predictions[i] = prediction{Input: e.String(), Covered: verdicts[i], Version: versions[i]}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // decodeBatch turns a predict request into ground literals, tuples
@@ -346,7 +328,7 @@ func (m *Model) decodeBatch(req predictRequest) ([]Example, error) {
 		out = append(out, m.TupleExample(vals))
 	}
 	for _, s := range req.Examples {
-		e, err := parseGround(s)
+		e, err := model.ParseExample(s)
 		if err != nil {
 			return nil, err
 		}

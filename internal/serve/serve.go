@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -46,14 +45,11 @@ import (
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/pool"
 )
 
 // Example is a ground literal of a model's target relation.
 type Example = logic.Literal
-
-// parseGround parses a ground target literal from its string form, e.g.
-// "advisedby(person_0001,person_0002)".
-func parseGround(s string) (Example, error) { return model.ParseExample(s) }
 
 // ErrNoModel reports a predict against a name the registry does not
 // hold.
@@ -66,9 +62,8 @@ var ErrOverloaded = errors.New("serve: model concurrency budget exhausted")
 // Options configures model binding.
 type Options struct {
 	// Workers bounds per-request coverage parallelism; <=0 selects
-	// GOMAXPROCS (the engine's convention). Batch fan-out is additionally
-	// clamped to min(Workers, GOMAXPROCS, batch size) so oversubscription
-	// never costs throughput.
+	// GOMAXPROCS (the engine's convention). A batch fans out on
+	// min(Workers, batch size) goroutines.
 	Workers int
 	// CacheBytes is ignored: a model caches verdicts, not ground
 	// entries (see the package comment).
@@ -333,11 +328,10 @@ func (m *Model) TupleExample(values []string) logic.Literal {
 }
 
 // PredictBatch classifies every example, fanning the independent
-// coverage tests across min(Workers, GOMAXPROCS, batch size) goroutines
-// with strided assignment — clamping to the hardware means
-// oversubscription never costs throughput on small hosts. Verdicts are
-// positionally aligned with the input and identical at every worker
-// count (each test is a pure function of the example).
+// coverage tests through pool.Run on min(Workers, batch size)
+// goroutines — the engine's rule. Verdicts are positionally aligned with
+// the input and identical at every worker count (each test is a pure
+// function of the example).
 func (m *Model) PredictBatch(ctx context.Context, examples []logic.Literal) ([]bool, error) {
 	for _, e := range examples {
 		if err := m.checkExample(e); err != nil {
@@ -349,48 +343,11 @@ func (m *Model) PredictBatch(ctx context.Context, examples []logic.Literal) ([]b
 	m.mc.Observe(metrics.HistServeBatch, int64(len(examples)))
 
 	out := make([]bool, len(examples))
-	nw := m.engine.Workers()
-	if p := runtime.GOMAXPROCS(0); nw > p {
-		nw = p
-	}
-	if nw > len(examples) {
-		nw = len(examples)
-	}
-	var err error
-	if nw <= 1 {
-		for i, e := range examples {
-			out[i], err = m.predictOne(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			wg       sync.WaitGroup
-			errMu    sync.Mutex
-			firstErr error
-		)
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(examples); i += nw {
-					ok, cerr := m.predictOne(ctx, examples[i])
-					if cerr != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = cerr
-						}
-						errMu.Unlock()
-						return
-					}
-					out[i] = ok
-				}
-			}(w)
-		}
-		wg.Wait()
-		err = firstErr
-	}
+	err := pool.Run(len(examples), m.engine.Workers(), func(_, i int) error {
+		ok, err := m.predictOne(ctx, examples[i])
+		out[i] = ok
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

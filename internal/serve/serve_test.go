@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/httpx"
 	"repro/internal/model"
 )
 
@@ -68,7 +69,7 @@ func TestBindAndPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range verdictCases {
-		e, err := parseGround(tc.example)
+		e, err := model.ParseExample(tc.example)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestPredictValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{"parent(p1,p2)", "gp(p1)", "gp(p1,p2,p3)"} {
-		e, err := parseGround(bad)
+		e, err := model.ParseExample(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestPredictValidation(t *testing.T) {
 			t.Errorf("%s: prediction accepted", bad)
 		}
 	}
-	if _, err := parseGround("gp(X,p2)"); err == nil {
+	if _, err := model.ParseExample("gp(X,p2)"); err == nil {
 		t.Error("non-ground example parsed")
 	}
 }
@@ -120,7 +121,7 @@ func TestPredictBatchWorkerInvariance(t *testing.T) {
 	examples := make([]Example, len(verdictCases))
 	want := make([]bool, len(verdictCases))
 	for i, tc := range verdictCases {
-		e, err := parseGround(tc.example)
+		e, err := model.ParseExample(tc.example)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestEvictionKeepsVerdicts(t *testing.T) {
 	}
 	examples := make([]Example, len(verdictCases))
 	for i, tc := range verdictCases {
-		examples[i], _ = parseGround(tc.example)
+		examples[i], _ = model.ParseExample(tc.example)
 	}
 	first, err := m.PredictBatch(context.Background(), examples)
 	if err != nil {
@@ -313,14 +314,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &eb); err != nil {
 		t.Fatalf("error body not structured JSON: %s", body)
 	}
-	if eb.Error.Code != ErrCodeModelNotFound || eb.Error.Message == "" {
+	if eb.Error.Code != httpx.ErrCodeModelNotFound || eb.Error.Message == "" {
 		t.Fatalf("404 error body %+v", eb)
 	}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/models/gp/predict", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: %s", resp.Status)
 	}
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != ErrCodeBadRequest {
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code != httpx.ErrCodeBadRequest {
 		t.Fatalf("400 error body %s (err %v)", body, err)
 	}
 	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/models/gp/predict", map[string]any{"examples": []string{"gp(X,b)"}})

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -50,7 +51,7 @@ func mustExamples(t *testing.T, strs ...string) []Example {
 	t.Helper()
 	out := make([]Example, len(strs))
 	for i, s := range strs {
-		e, err := parseGround(s)
+		e, err := model.ParseExample(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +294,7 @@ func TestHTTPTenancyBehaviors(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize batch: %s: %s", resp.Status, body)
 	}
-	if json.Unmarshal(body, &eb); eb.Error.Code != ErrCodeBatchTooLarge {
+	if json.Unmarshal(body, &eb); eb.Error.Code != httpx.ErrCodeBatchTooLarge {
 		t.Fatalf("413 body %s", body)
 	}
 
@@ -308,7 +309,7 @@ func TestHTTPTenancyBehaviors(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed 503 missing Retry-After")
 	}
-	if json.Unmarshal(body, &eb); eb.Error.Code != ErrCodeOverloaded {
+	if json.Unmarshal(body, &eb); eb.Error.Code != httpx.ErrCodeOverloaded {
 		t.Fatalf("503 body %s", body)
 	}
 	m.releaseSlot()

@@ -10,7 +10,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,6 +18,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/logic"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/report"
 )
 
@@ -167,7 +167,8 @@ func (co *Coordinator) Close() { co.client.CloseIdleConnections() }
 // screened its store before the call and stores what comes back. The
 // examples are partitioned by shardFor and the clauses chunked at
 // MaxBatchClauses; each chunk fans out, in one wire round, one
-// self-contained request to every shard that has examples. The fan-out
+// self-contained request to every shard that has examples — one
+// pool.Run job per such shard, all of them concurrent. The fan-out
 // runs under a per-chunk cancellable context: the first shard to return
 // an error (its attempts already exhausted — the count is doomed)
 // cancels its siblings immediately instead of letting survivors burn
@@ -184,6 +185,12 @@ func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, exa
 		g := &groups[shardFor(key, len(co.shards))]
 		g.keys, g.exs, g.pos = append(g.keys, key), append(g.exs, e), append(g.pos, j)
 	}
+	var owners []int // shards that own examples: one job each
+	for s, g := range groups {
+		if len(g.keys) > 0 {
+			owners = append(owners, s)
+		}
+	}
 	verdicts := make([][]bool, len(clauses))
 	for i := range verdicts {
 		verdicts[i] = make([]bool, len(examples))
@@ -194,41 +201,28 @@ func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, exa
 		for i, c := range chunk {
 			texts[i] = c.String()
 		}
-		cctx, cancel := context.WithCancel(ctx)
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
-		)
-		for s, g := range groups {
-			if len(g.keys) == 0 {
-				continue
+		cctx, cancel := context.WithCancelCause(ctx)
+		err := pool.Run(len(owners), len(owners), func(_, k int) error {
+			s := owners[k]
+			g := groups[s]
+			m, err := co.resolveShard(cctx, chunk, s, BatchCoverageRequest{Clauses: texts, Examples: g.keys}, g.exs)
+			if err != nil {
+				cancel(err)
+				return err
 			}
-			wg.Add(1)
-			go func(s int, g group) {
-				defer wg.Done()
-				m, err := co.resolveShard(cctx, chunk, s, BatchCoverageRequest{Clauses: texts, Examples: g.keys}, g.exs)
-				if err != nil {
-					mu.Lock()
-					defer mu.Unlock()
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-					return
+			// Shards own disjoint columns, so their writes never meet.
+			for i, row := range m {
+				for b, j := range g.pos {
+					verdicts[start+i][j] = row[b]
 				}
-				// Shards own disjoint columns, so their writes never meet.
-				for i, row := range m {
-					for b, j := range g.pos {
-						verdicts[start+i][j] = row[b]
-					}
-				}
-			}(s, g)
-		}
-		wg.Wait()
-		cancel()
-		if firstErr != nil {
-			return nil, firstErr
+			}
+			return nil
+		})
+		cancel(nil)
+		if err != nil {
+			// The cause is the first failure, not a sibling's echo of the
+			// cancellation it triggered.
+			return nil, context.Cause(cctx)
 		}
 	}
 	return verdicts, nil
