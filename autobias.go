@@ -582,11 +582,12 @@ func (r *Result) Evaluate(testPos, testNeg []Example) (Metrics, error) {
 	return m, err
 }
 
-// EvaluateExact scores the result with exact Datalog semantics: each
-// clause is executed as a select-project-join query over the database
-// (the §5 baseline coverage method). Slower on long clauses, but free of
-// the ground-BC sampling approximation; a budget-exhausted join counts
-// as "not covered".
+// EvaluateExact scores the result with exact Datalog semantics (the §5
+// baseline coverage method): each clause is θ-reduced once, then tested
+// per example by θ-subsumption against the whole database, compiled once
+// as a ground clause at the version this call pins. Free of the ground-BC
+// sampling approximation; a search that exhausts its budget counts as
+// "not covered".
 func (r *Result) EvaluateExact(testPos, testNeg []Example) (Metrics, error) {
 	eng := query.New(r.db, query.Options{})
 	covers := func(d *Definition, e Example) (bool, error) {
@@ -596,13 +597,18 @@ func (r *Result) EvaluateExact(testPos, testNeg []Example) (Metrics, error) {
 		}
 		return ok, err
 	}
-	return eval.Evaluate(nil, covers, r.Definition, testPos, testNeg)
+	reduced := &Definition{Target: r.Definition.Target}
+	for _, c := range r.Definition.Clauses {
+		reduced.Add(subsume.Reduce(c, subsume.Options{}))
+	}
+	return eval.Evaluate(nil, covers, reduced, testPos, testNeg)
 }
 
-// ExecuteClause runs one clause as a query over a database, returning up
-// to limit derived head facts — what the rule predicts (unary heads).
+// ExecuteClause runs one clause, θ-reduced, as a query over a database,
+// returning up to limit derived head facts — what the rule predicts
+// (unary heads).
 func ExecuteClause(d *Database, c *Clause, limit int) ([]Example, error) {
-	return query.New(d, query.Options{}).Bindings(c, limit, nil)
+	return query.New(d, query.Options{}).Bindings(subsume.Reduce(c, subsume.Options{}), limit, nil)
 }
 
 // BuildBias constructs the language bias a method would use, without

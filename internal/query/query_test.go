@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/db"
@@ -104,6 +105,30 @@ func TestCoversHeadEdgeCases(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal("empty body covers everything")
 	}
+
+	// Values the database does not hold bind like any other value, and
+	// two of them are equal only when their names are.
+	cases := []struct {
+		clause  string
+		example logic.Literal
+		want    bool
+	}{
+		{"advisedBy(X,Y) :- professor(Y).", ex("advisedBy", "ghost", "sarita"), true},
+		{"advisedBy(X,Y) :- student(X).", ex("advisedBy", "juan", "ghost"), true},
+		{"advisedBy(X,X).", ex("advisedBy", "ghost1", "ghost2"), false},
+		{"advisedBy(X,X).", ex("advisedBy", "ghost1", "ghost1"), true},
+		{"advisedBy(X,ghost1) :- student(X).", ex("advisedBy", "juan", "ghost2"), false},
+		{"advisedBy(X,ghost1) :- student(X).", ex("advisedBy", "juan", "ghost1"), true},
+		// A head predicate the database does not hold.
+		{"nosuchTarget(X) :- student(X).", ex("nosuchTarget", "juan"), true},
+		{"nosuchTarget(X) :- student(X).", ex("nosuchTarget", "sarita"), false},
+	}
+	for _, tc := range cases {
+		ok, err := e.Covers(mustClause(t, tc.clause), tc.example)
+		if err != nil || ok != tc.want {
+			t.Errorf("Covers(%s, %v) = %v, %v; want %v", tc.clause, tc.example, ok, err, tc.want)
+		}
+	}
 }
 
 func TestCoversErrors(t *testing.T) {
@@ -140,23 +165,6 @@ func TestDefinitionCovers(t *testing.T) {
 	ok, err = e.DefinitionCovers(def, ex("advisedBy", "juan", "mary"))
 	if err != nil || ok {
 		t.Fatal("neither clause covers juan/mary")
-	}
-}
-
-func TestCount(t *testing.T) {
-	e := New(uwDB(t), Options{})
-	c := mustClause(t, "advisedBy(X,Y) :- publication(Z,X), publication(Z,Y), professor(Y), student(X).")
-	examples := []logic.Literal{
-		ex("advisedBy", "juan", "sarita"),
-		ex("advisedBy", "john", "mary"),
-		ex("advisedBy", "juan", "mary"),
-	}
-	n, err := e.Count(c, examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("Count = %d, want 1", n)
 	}
 }
 
@@ -232,6 +240,28 @@ func TestBindings(t *testing.T) {
 	one, err := e.Bindings(c, 1, rand.New(rand.NewSource(1)))
 	if err != nil || len(one) != 1 {
 		t.Fatalf("limited Bindings = %v, %v", one, err)
+	}
+}
+
+// An engine answers at the snapshot New pinned: a commit after New
+// derives a new head, which Bindings must not see.
+func TestBindingsAtPinnedSnapshot(t *testing.T) {
+	s := db.NewSchema()
+	s.MustAdd("directed", "person", "movie")
+	s.MustAdd("genre", "movie", "g")
+	d := db.New(s)
+	d.MustInsert("directed", "ana", "m1")
+	d.MustInsert("genre", "m1", "drama")
+	e := New(d, Options{})
+	if _, err := d.Commit(map[string][]db.Tuple{"directed": {{"dan", "m1"}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Bindings(mustClause(t, "dramaDirector(P) :- directed(P,M), genre(M,drama)."), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Terms[0].Name != "ana" {
+		t.Fatalf("Bindings = %v, want only ana (dan was committed after New)", got)
 	}
 }
 
@@ -334,4 +364,25 @@ func bruteForce(d *db.Database, c *logic.Clause, example logic.Literal, consts [
 		return false
 	}
 	return try(0, logic.Substitution{})
+}
+
+// One engine answers from several goroutines at once (run with -race):
+// every call binds its head into a view of the shared compiled snapshot.
+func TestCoversConcurrent(t *testing.T) {
+	e := New(uwDB(t), Options{})
+	c := mustClause(t, "advisedBy(X,Y) :- student(X), professor(Y), publication(Z,X), publication(Z,Y).")
+	want := map[string]bool{"juan": true, "john": false, "ghost": false}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stud, w := range want {
+				if ok, err := e.Covers(c, ex("advisedBy", stud, "sarita")); err != nil || ok != w {
+					t.Errorf("Covers(%s) = %v, %v; want %v", stud, ok, err, w)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

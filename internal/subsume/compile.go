@@ -34,6 +34,7 @@ type CompiledGround struct {
 	in       *logic.Interner
 	headPred int32   // interned id
 	headVals []int32 // local ids
+	headIDs  []int32 // interned ids: what head constants and repeats compare
 	// globals holds, ascending, the interned ids of the clause's term
 	// values; locals[i] is the local id of globals[i]. nLocal counts them
 	// and doubles as the local id of "a value this clause does not hold":
@@ -169,7 +170,7 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 	cg.nLocal = int32(nLocal)
 
 	// One arena for everything the search reads.
-	size := nHead + 2*nLocal
+	size := 2*nHead + 2*nLocal
 	for i := range cg.exts {
 		e := &cg.exts[i]
 		e.n, e.stride = sc.extRows[i], nLocal+2
@@ -182,8 +183,11 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 		next += n
 		return s
 	}
-	cg.headVals = carve(nHead)
+	cg.headVals, cg.headIDs = carve(nHead), carve(nHead)
 	copy(cg.headVals, sc.terms)
+	for i, l := range cg.headVals {
+		cg.headIDs[i] = sc.byLocal[l]
+	}
 	cg.globals, cg.locals = carve(nLocal), carve(nLocal)
 	for i := range cg.exts {
 		e := &cg.exts[i]
@@ -250,6 +254,25 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 	}
 	compilePool.Put(sc)
 	return cg
+}
+
+// WithHead returns cg with its head replaced by the ground literal h,
+// sharing cg's extents and arena: a database compiled once as a ground
+// clause answers every example's coverage test through it. h's symbols
+// are interned. A value of h that cg does not hold matches no row, and
+// two such values are equal only when their names are: head constants
+// and repeated head variables compare interned ids, not local ones. The
+// empty string stays the matcher's "unbound" value, as in every ground
+// clause: a head variable bound to it is free.
+func (cg *CompiledGround) WithHead(h logic.Literal) *CompiledGround {
+	out := *cg
+	out.headPred = cg.in.Intern(h.Predicate)
+	out.headVals, out.headIDs = make([]int32, len(h.Terms)), make([]int32, len(h.Terms))
+	for i, t := range h.Terms {
+		out.headIDs[i] = cg.in.Intern(t.Name)
+		out.headVals[i] = cg.localOf(out.headIDs[i])
+	}
+	return &out
 }
 
 // Interner returns the intern table the ground clause was compiled with.

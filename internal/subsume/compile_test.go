@@ -201,3 +201,31 @@ func TestCheckCompiledEquivalenceOddArity(t *testing.T) {
 		}
 	}
 }
+
+// TestWithHead binds heads onto one compiled ground without copying its
+// arena, and keeps values the ground does not hold apart by name.
+func TestWithHead(t *testing.T) {
+	db := CompileGround(nil, mustClause(t, "db(all) :- student(juan), professor(sarita), publication(p1,juan), publication(p1,sarita)."))
+	cases := []struct {
+		clause, head string
+		want         bool
+	}{
+		{"advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).", "advisedBy(juan,sarita)", true},
+		{"advisedBy(X,Y) :- student(X), professor(Y).", "advisedBy(sarita,juan)", false},
+		{"advisedBy(X,Y) :- professor(Y).", "advisedBy(ghost,sarita)", true},
+		{"advisedBy(X,Y) :- student(Y).", "advisedBy(juan,ghost)", false},
+		{"advisedBy(X,X).", "advisedBy(ghost1,ghost2)", false},
+		{"advisedBy(X,X).", "advisedBy(ghost1,ghost1)", true},
+		{"advisedBy(X,ghost1).", "advisedBy(juan,ghost2)", false},
+		{"advisedBy(X,ghost1).", "advisedBy(juan,ghost1)", true},
+	}
+	for _, tc := range cases {
+		cg := db.WithHead(mustClause(t, tc.head+".").Head)
+		if &cg.arena[0] != &db.arena[0] || len(cg.exts) != len(db.exts) {
+			t.Fatal("WithHead copied the compiled body")
+		}
+		if got := CheckCompiled(mustClause(t, tc.clause), cg, Options{}); got.Subsumes != tc.want || !got.Complete {
+			t.Errorf("%s against %s: %+v, want %v", tc.clause, tc.head, got, tc.want)
+		}
+	}
+}

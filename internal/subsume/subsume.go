@@ -313,20 +313,20 @@ func (m *matcher) bindHead(cc *CompiledClause, cg *CompiledGround) bool {
 	clear(m.initial)
 	m.varOccs = resizeOccs(m.varOccs, m.nVars)
 	for i, t := range cc.head {
-		gv := cg.headVals[i]
+		id := cg.headIDs[i]
 		if t.varID < 0 {
-			if cg.localOf(cc.resolve(t.val, cc.src.Head.Terms[i].Name)) != gv {
+			if cc.resolve(t.val, cc.src.Head.Terms[i].Name) != id {
 				return false
 			}
 			continue
 		}
 		// A repeated head variable must see one ground value.
 		for j := 0; j < i; j++ {
-			if cc.head[j].varID == t.varID && cg.headVals[j] != gv {
+			if cc.head[j].varID == t.varID && cg.headIDs[j] != id {
 				return false
 			}
 		}
-		m.initial[t.varID] = gv
+		m.initial[t.varID] = cg.headVals[i]
 	}
 	return true
 }
