@@ -142,6 +142,10 @@ type Builder struct {
 	// snap is the database state the build in progress reads, pinned
 	// once per build so a concurrent commit is seen whole or not at all.
 	snap *db.Snapshot
+	// olkenFreq and olkenPicks are olkenSample's buffers, reused by every
+	// draw set of the builder's builds (olkenSample does not recurse).
+	olkenFreq  []int
+	olkenPicks []olkenPick
 }
 
 // noteDepth raises the current build's reached-depth watermark.
@@ -303,11 +307,15 @@ type foundTuple struct {
 }
 
 // state accumulates the clause under construction: the constant→variable
-// hash table of Algorithm 2, the body literals (deduplicated), and the
-// frontier of newly discovered constants.
+// hash table of Algorithm 2, the body literals (deduplicated), and, for a
+// naive build, the frontier of newly discovered constants.
 type state struct {
 	b      *Builder
 	ground bool
+	// tracksFrontier is set for a naive build, the only one whose
+	// traversal reads the frontier: random and stratified builds collect
+	// their tuples before adding any, so notes would be dead work.
+	tracksFrontier bool
 
 	head logic.Literal
 	body []logic.Literal
@@ -329,13 +337,17 @@ type frontierEntry struct {
 }
 
 func newState(b *Builder, ground bool) *state {
-	return &state{
-		b:          b,
-		ground:     ground,
-		seen:       make(map[string]bool),
-		varOf:      make(map[string]string),
-		constTypes: make(map[string]map[string]bool),
+	st := &state{
+		b:              b,
+		ground:         ground,
+		tracksFrontier: b.opts.Strategy == Naive,
+		seen:           make(map[string]bool),
+		varOf:          make(map[string]string),
 	}
+	if st.tracksFrontier {
+		st.constTypes = make(map[string]map[string]bool)
+	}
+	return st
 }
 
 func (st *state) full() bool { return len(st.body) >= st.b.opts.MaxLiterals }
@@ -353,8 +365,12 @@ func (st *state) variable(c string) string {
 }
 
 // noteConstant records that constant c carries the given types, queueing
-// any types new to c on the frontier.
+// any types new to c on the frontier. It does nothing in a build that
+// does not track the frontier.
 func (st *state) noteConstant(c string, types []string) {
+	if !st.tracksFrontier {
+		return
+	}
 	known := st.constTypes[c]
 	if known == nil {
 		known = make(map[string]bool)

@@ -143,13 +143,17 @@ func groundBuilds(tb testing.TB, task inducedTask, s Strategy) func() {
 // TestGroundBuildAllocs bounds the allocations of one ground BC on sys,
 // whose one relation carries 80 induced modes: the builder notes a
 // tuple's constants and emits its ground literal once, not once per
-// mode, and reads compiled type slices and index postings in place.
+// mode, and reads compiled type slices and index postings in place. A
+// random build also probes each frontier value's frequency once per
+// Olken draw set and, like a stratified one, notes no frontier.
 func TestGroundBuildAllocs(t *testing.T) {
-	const ceiling = 4000
+	ceilings := map[Strategy]float64{Naive: 2500, Random: 800, Stratified: 3000}
 	task := loadInducedTasks(t)["sys"]
 	for _, s := range []Strategy{Naive, Random, Stratified} {
-		if got := testing.AllocsPerRun(50, groundBuilds(t, task, s)); got > ceiling {
-			t.Errorf("%v: %.0f allocations per ground BC, want <= %d", s, got, ceiling)
+		got := testing.AllocsPerRun(50, groundBuilds(t, task, s))
+		t.Logf("%v: %.0f allocations per ground BC", s, got)
+		if got > ceilings[s] {
+			t.Errorf("%v: %.0f allocations per ground BC, want <= %.0f", s, got, ceilings[s])
 		}
 	}
 }

@@ -1,0 +1,109 @@
+package bottom
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/db"
+)
+
+// olkenSampleOracle is the per-attempt Olken sampler olkenSample
+// replaced: it probes rel's index for m(a) on every attempt and dedupes
+// picks by (value, offset). Kept as the reference for the draw stream.
+func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) []db.Tuple {
+	maxFreq := rel.MaxFrequency(attr)
+	if maxFreq == 0 {
+		return nil
+	}
+	s := b.opts.SampleSize
+	maxAttempts := 20 * s
+	var out []db.Tuple
+	type pick struct {
+		value string
+		idx   int
+	}
+	var picked []pick
+	for attempts := 0; attempts < maxAttempts && len(out) < s; attempts++ {
+		a := values[b.rng.Intn(len(values))]
+		m := rel.Frequency(attr, a)
+		if m == 0 {
+			continue
+		}
+		i := b.rng.Intn(m)
+		if b.rng.Float64() >= float64(m)/float64(maxFreq) {
+			continue
+		}
+		key := pick{value: a, idx: i}
+		if slices.Contains(picked, key) {
+			continue
+		}
+		picked = append(picked, key)
+		out = append(out, rel.LookupAt(attr, a, i))
+	}
+	return out
+}
+
+// olkenFrontiers returns distinct-valued frontier sets over one column:
+// for each size, one drawn from the column and one in which every other
+// value is one the column does not hold (m = 0).
+func olkenFrontiers(r *rand.Rand, column []string, sizes []int) [][]string {
+	var out [][]string
+	for _, n := range sizes {
+		perm := r.Perm(len(column))
+		var present, mixed []string
+		for k := 0; k < n && k < len(perm); k++ {
+			present = append(present, column[perm[k]])
+		}
+		for k := 0; k < n; k++ {
+			if k%2 == 0 {
+				mixed = append(mixed, fmt.Sprintf("absent_%d", k))
+			} else if k < len(perm) {
+				mixed = append(mixed, column[perm[k]])
+			}
+		}
+		out = append(out, present, mixed)
+	}
+	return out
+}
+
+// TestOlkenStreamUnchanged holds olkenSample to the per-attempt oracle on
+// every (relation, attribute) of the five induced tasks: identically
+// seeded builders must return the same tuples in the same order and
+// leave their RNGs in the same state, so every random-sampled BC — the
+// rest of a build's draws included — is the oracle's.
+func TestOlkenStreamUnchanged(t *testing.T) {
+	tasks := loadInducedTasks(t)
+	cases := 0
+	for _, name := range datagen.Names() {
+		task := tasks[name]
+		s := NewBuilder(task.ds.DB, task.c, Options{Strategy: Random}).opts.SampleSize
+		frontierRNG := rand.New(rand.NewSource(1))
+		for _, relName := range task.ds.DB.Schema().Names() {
+			rel := task.ds.DB.Relation(relName)
+			for attr := range task.ds.DB.Schema().Relation(relName).Attributes {
+				for _, values := range olkenFrontiers(frontierRNG, rel.DistinctValues(attr), []int{1, 2, 5, s}) {
+					if len(values) == 0 {
+						continue
+					}
+					for seed := int64(1); seed <= 3; seed++ {
+						opts := Options{Strategy: Random, Seed: seed}
+						got, want := NewBuilder(task.ds.DB, task.c, opts), NewBuilder(task.ds.DB, task.c, opts)
+						gotTuples := got.olkenSample(rel, attr, values)
+						wantTuples := olkenSampleOracle(want, rel, attr, values)
+						if !slices.EqualFunc(gotTuples, wantTuples, slices.Equal) {
+							t.Fatalf("%s %s.%d %v seed %d: sample %v, oracle %v", name, relName, attr, values, seed, gotTuples, wantTuples)
+						}
+						if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+							t.Fatalf("%s %s.%d %v seed %d: next draw %d, oracle %d", name, relName, attr, values, seed, g, w)
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d frontier draws match the oracle", cases)
+}

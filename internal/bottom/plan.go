@@ -7,8 +7,11 @@ import "repro/internal/bias"
 // every clone, as the bias itself is. The builder never asks the bias
 // for modes or types per tuple or per traversal step: it reads them here.
 type plan struct {
-	// target[i] is the type list of the target's attribute i.
-	target [][]string
+	// target[i] is the type list of the target's attribute i, and
+	// targetPlus[i] the attributes its constants are looked up in
+	// (bias.Compiled.PlusTargets of that list).
+	target     [][]string
+	targetPlus [][]bias.RelAttr
 	// rels holds one entry per relation with a mode definition.
 	rels map[string]*relPlan
 }
@@ -17,8 +20,11 @@ type plan struct {
 // are indexed by the discovery attribute: the + position through which
 // a tuple of the relation was reached.
 type relPlan struct {
-	// types[i] is the type list of attribute i.
+	// types[i] is the type list of attribute i, and plus[i] the
+	// attributes a value of attribute i semi-joins into: the random and
+	// stratified traversals' child edges.
 	types [][]string
+	plus  [][]bias.RelAttr
 	// constAttrs lists the attributes some mode allows to be a constant,
 	// ascending: the stratum attributes of §4.3.2.
 	constAttrs []int
@@ -46,18 +52,21 @@ func compilePlan(c *bias.Compiled) *plan {
 			break
 		}
 		p.target = append(p.target, types)
+		p.targetPlus = append(p.targetPlus, c.PlusTargets(types))
 	}
 	for _, rel := range c.Relations() {
 		modes := c.ModesFor(rel)
 		arity := len(modes[0].Symbols)
 		rp := &relPlan{
 			types:      make([][]string, arity),
+			plus:       make([][]bias.RelAttr, arity),
 			modes:      make([][]bias.ModeDef, arity),
 			firstNotes: make([][]int, arity),
 			laterNotes: make([][]int, arity),
 		}
 		for i := 0; i < arity; i++ {
 			rp.types[i] = c.TypesOf(rel, i)
+			rp.plus[i] = c.PlusTargets(rp.types[i])
 			if c.CanBeConstant(rel, i) {
 				rp.constAttrs = append(rp.constAttrs, i)
 			}
@@ -94,4 +103,13 @@ func (p *plan) targetTypes(i int) []string {
 		return nil
 	}
 	return p.target[i]
+}
+
+// targetPlusTargets returns the attributes the target's attribute i
+// semi-joins into (nil past the target's arity).
+func (p *plan) targetPlusTargets(i int) []bias.RelAttr {
+	if i >= len(p.targetPlus) {
+		return nil
+	}
+	return p.targetPlus[i]
 }

@@ -3,6 +3,7 @@ package bottom
 import (
 	"slices"
 
+	"repro/internal/bias"
 	"repro/internal/db"
 	"repro/internal/logic"
 )
@@ -17,7 +18,7 @@ func (b *Builder) randomTuples(example logic.Literal) []foundTuple {
 	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		b.expandRandom([]string{term.Name}, b.plan.targetTypes(i), b.opts.Depth, &out, &budget)
+		b.expandRandom([]string{term.Name}, b.plan.targetPlusTargets(i), b.opts.Depth, &out, &budget)
 		if budget <= 0 {
 			break
 		}
@@ -25,14 +26,14 @@ func (b *Builder) randomTuples(example logic.Literal) []foundTuple {
 	return out
 }
 
-// expandRandom samples one tree level: every (relation, attribute) the
-// frontier values can semi-join into, then recurses on the sampled
-// tuples' attributes.
-func (b *Builder) expandRandom(values, types []string, depth int, out *[]foundTuple, budget *int) {
+// expandRandom samples one tree level: every (relation, attribute) in
+// targets, the edges the frontier values can semi-join into, then
+// recurses on the sampled tuples' attributes. The values are distinct.
+func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth int, out *[]foundTuple, budget *int) {
 	if depth <= 0 || len(values) == 0 || *budget <= 0 || b.interrupted() {
 		return
 	}
-	for _, ra := range b.bias.PlusTargets(types) {
+	for _, ra := range targets {
 		if *budget <= 0 || b.interrupted() {
 			return
 		}
@@ -52,21 +53,23 @@ func (b *Builder) expandRandom(values, types []string, depth int, out *[]foundTu
 				return
 			}
 		}
+		if depth == 1 {
+			continue // the tree's last level: no semi-join below it
+		}
 		// Recurse: the distinct values of each attribute of the sampled
-		// tuples seed the next level of semi-joins.
-		for j, childTypes := range b.plan.rels[ra.Relation].types {
-			if len(childTypes) == 0 {
+		// tuples, in first-seen order, seed the next level of semi-joins.
+		// A sample holds at most s tuples, so a linear scan beats a map.
+		for j, childTargets := range b.plan.rels[ra.Relation].plus {
+			if len(childTargets) == 0 {
 				continue
 			}
-			seen := make(map[string]bool, len(sample))
-			var childValues []string
+			childValues := make([]string, 0, len(sample))
 			for _, t := range sample {
-				if !seen[t[j]] {
-					seen[t[j]] = true
+				if !slices.Contains(childValues, t[j]) {
 					childValues = append(childValues, t[j])
 				}
 			}
-			b.expandRandom(childValues, childTypes, depth-1, out, budget)
+			b.expandRandom(childValues, childTargets, depth-1, out, budget)
 			if *budget <= 0 {
 				return
 			}
@@ -81,25 +84,39 @@ func (b *Builder) expandRandom(values, types []string, depth int, out *[]foundTu
 // rel.attr and M the relation's maximum frequency on that attribute.
 // Oversampling (bounded attempts) compensates for rejections and
 // non-matching values.
+//
+// Each value's m(a) is read from the index once, before the first
+// attempt: the attempts draw values with replacement, up to 20·s of them
+// from at most s values. Where m(a) is read from does not touch the RNG —
+// each attempt calls Intn(len(values)), then Intn(m) and Float64() only
+// when m > 0 — so the stream and the sample equal those of a sampler
+// that probes the index per attempt (olken_oracle_test.go).
 func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.Tuple {
 	maxFreq := rel.MaxFrequency(attr)
 	if maxFreq == 0 {
 		return nil
 	}
+	freq := b.olkenFreq[:0]
+	matches := 0 // |{values} ⋉ rel.attr|: no sample holds more tuples
+	for _, a := range values {
+		m := rel.Frequency(attr, a)
+		freq = append(freq, m)
+		matches += m
+	}
 	s := b.opts.SampleSize
 	maxAttempts := 20 * s
 	var out []db.Tuple
-	// Dedupe picks by (value, offset) so a sample never wastes a literal
-	// slot on an identical tuple. There are at most s picks, so a linear
-	// scan beats a map.
-	type pick struct {
-		value string
-		idx   int
+	if matches > 0 {
+		out = make([]db.Tuple, 0, min(s, matches))
 	}
-	var picked []pick
+	// Dedupe picks by (value index, offset) so a sample never wastes a
+	// literal slot on an identical tuple; the values are distinct, so the
+	// index names the value. There are at most s picks, so a linear scan
+	// beats a map.
+	picked := b.olkenPicks[:0]
 	for attempts := 0; attempts < maxAttempts && len(out) < s; attempts++ {
-		a := values[b.rng.Intn(len(values))]
-		m := rel.Frequency(attr, a)
+		k := b.rng.Intn(len(values))
+		m := freq[k]
 		if m == 0 {
 			continue
 		}
@@ -109,12 +126,17 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 		if b.rng.Float64() >= float64(m)/float64(maxFreq) {
 			continue
 		}
-		key := pick{value: a, idx: i}
+		key := olkenPick{value: k, idx: i}
 		if slices.Contains(picked, key) {
 			continue
 		}
 		picked = append(picked, key)
-		out = append(out, rel.LookupAt(attr, a, i))
+		out = append(out, rel.LookupAt(attr, values[k], i))
 	}
+	b.olkenFreq, b.olkenPicks = freq, picked
 	return out
 }
+
+// olkenPick names one accepted Olken draw: the index of its value in the
+// frontier and its offset among that value's matches.
+type olkenPick struct{ value, idx int }

@@ -21,7 +21,7 @@ func (b *Builder) stratifiedTuples(example logic.Literal) []foundTuple {
 	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		for _, ra := range b.bias.PlusTargets(b.plan.targetTypes(i)) {
+		for _, ra := range b.plan.targetPlusTargets(i) {
 			sub := b.stratRec(ra.Relation, ra.Attr, map[string]bool{term.Name: true}, 1, &budget)
 			out = append(out, sub...)
 			if budget <= 0 {
@@ -53,15 +53,15 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 
 	var out []foundTuple
 	descended := false
-	for bAttr, childTypes := range b.plan.rels[relName].types {
-		if len(childTypes) == 0 {
+	for bAttr, childTargets := range b.plan.rels[relName].plus {
+		if len(childTargets) == 0 {
 			continue
 		}
 		vals := projectDistinct(ir, bAttr)
 		if len(vals) == 0 {
 			continue
 		}
-		for _, ra := range b.bias.PlusTargets(childTypes) {
+		for _, ra := range childTargets {
 			if *budget <= 0 {
 				return out
 			}

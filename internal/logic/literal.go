@@ -74,7 +74,12 @@ func (l Literal) Variables(dst []string, seen map[string]bool) ([]string, map[st
 // Key returns a string that uniquely identifies the literal, usable as a
 // map key for deduplication.
 func (l Literal) Key() string {
+	n := len(l.Predicate) + 2
+	for _, t := range l.Terms {
+		n += len(t.Name) + 2
+	}
 	var b strings.Builder
+	b.Grow(n) // at least the key's length: one allocation, no regrowth
 	b.WriteString(l.Predicate)
 	b.WriteByte('(')
 	for i, t := range l.Terms {
