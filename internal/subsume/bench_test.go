@@ -94,15 +94,17 @@ func BenchmarkSubsume(b *testing.B) {
 // BenchmarkSubsumeEscalation has one cell per way a coverage test at the
 // learner's budget ends: decided by the search before its stop (a
 // cover), answered by the refuter at the stop (a negative the legacy
-// matcher spends its whole budget on), and carried past the stop to an
-// exhausted budget (a negative no arc-consistency sweep can refute, where
-// the sweep is pure overhead). Clause and ground are compiled ahead, as
-// in the coverage engine.
+// matcher spends its whole budget on — refuted by the in-order sweep, or
+// only once the sets are narrowed to a fixpoint), and carried past the
+// stop to an exhausted budget (an arc-consistent negative no refuter of
+// this kind can refute, where the refuter is pure overhead). Clause and
+// ground are compiled ahead, as in the coverage engine.
 func BenchmarkSubsumeEscalation(b *testing.B) {
 	ctx := context.Background()
 	opts := Options{MaxNodes: 5000}
 	pos, _, ground := benchWorkload(7, 300, 60)
 	refC, refG := chainNegative(b, 7, 6)
+	backC, backG := backwardNegative(b, 7, 6)
 	hardC, hardG := hardInstance(b, 7)
 	for _, cell := range []struct {
 		name string
@@ -112,6 +114,7 @@ func BenchmarkSubsumeEscalation(b *testing.B) {
 	}{
 		{"probe-decided-cover", pos, ground, Result{Subsumes: true, Complete: true}, byProbe},
 		{"refutable-exhausted-negative", refC, refG, Result{Complete: true, Nodes: probeNodes}, byRefuter},
+		{"backward-refutable-negative", backC, backG, Result{Complete: true, Nodes: probeNodes}, byRefuter},
 		{"ac-consistent-hard-negative", hardC, hardG, Result{Nodes: 5000}, bySearch},
 	} {
 		b.Run(cell.name, func(b *testing.B) {

@@ -36,6 +36,58 @@ func chainNegative(t testing.TB, n, hops int) (c, g *logic.Clause) {
 		mustClause(t, "h(v0) :- "+strings.Join(gb, ", ")+".")
 }
 
+// backwardNegative is a refutable hard negative that one sweep in body
+// order does not refute: the same chain, ending in a vertex whose b-value
+// must be c and which must itself be d, over a ground clause where the
+// c-valued vertices {v1,v2} and the d vertices {v3,v4} are disjoint. The
+// sweep reads c(Z) after b has narrowed the last vertex, so d still has
+// support; only narrowing back through b to a fixpoint refutes.
+func backwardNegative(t testing.TB, n, hops int) (c, g *logic.Clause) {
+	t.Helper()
+	var gb, cb []string
+	for i := 0; i < n; i++ {
+		gb = append(gb, fmt.Sprintf("b(v%d,z%d)", i, i))
+		for j := 0; j < n; j++ {
+			if i != j {
+				gb = append(gb, fmt.Sprintf("e(v%d,v%d)", i, j))
+			}
+		}
+	}
+	gb = append(gb, "c(z1)", "c(z2)", "d(v3)", "d(v4)")
+	for i := 0; i < hops; i++ {
+		cb = append(cb, fmt.Sprintf("e(Y%d,Y%d)", i, i+1))
+	}
+	cb = append(cb, fmt.Sprintf("b(Y%d,Z)", hops), "c(Z)", fmt.Sprintf("d(Y%d)", hops))
+	return mustClause(t, "h(Y0) :- "+strings.Join(cb, ", ")+"."),
+		mustClause(t, "h(v0) :- "+strings.Join(gb, ", ")+".")
+}
+
+// oneSweepRefutes is the refuter before it narrowed to a fixpoint: one
+// sweep over the bound literals in body order, each narrowing the sets
+// as if kept, none revisited.
+func oneSweepRefutes(m *matcher) bool {
+	m.whole.reset(m.nVars, m.nLocal)
+	for i := range m.lits {
+		if !m.revise(&m.whole, i, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// sweepAndFixpoint binds c over g on a matcher of its own and runs both
+// refuters: ok is false when the clause does not bind.
+func sweepAndFixpoint(c, g *logic.Clause) (sweep, fixpoint, ok bool) {
+	cg := CompileGround(nil, g)
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.cc.compile(cg.in, c)
+	if !m.bind(&m.cc, cg) {
+		return false, false, false
+	}
+	return oneSweepRefutes(m), m.refutes(), true
+}
+
 // chainLatePositive is a positive the search finds only well past the
 // stop: the same chain over two clusters the head vertex points into —
 // the complete digraph on v1..v4, which holds no vertex that is both q
@@ -155,6 +207,21 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 		t.Fatalf("chain-negative no longer exhausts the legacy matcher: %+v", want)
 	}
 
+	// What narrowing to a fixpoint adds: the sweep leaves this chain to
+	// the search, which exhausts the legacy budget on it.
+	before = tl
+	c, g = backwardNegative(t, 7, 6)
+	requireEscalation(t, "backward-negative", c, g, &tl)
+	if tl.refuted-before.refuted != 2 {
+		t.Fatalf("the backward negative must be refuted at both budgets above the stop: %+v", tl)
+	}
+	if sweep, fixpoint, _ := sweepAndFixpoint(c, g); sweep || !fixpoint {
+		t.Fatalf("backward-negative: one sweep refutes=%v, the fixpoint refutes=%v", sweep, fixpoint)
+	}
+	if want := legacyCheck(context.Background(), c, g, Options{MaxNodes: 5000}); want.Complete || want.Nodes != 5000 {
+		t.Fatalf("backward-negative no longer exhausts the legacy matcher: %+v", want)
+	}
+
 	before = tl
 	c, g = chainLatePositive(t, 6)
 	requireEscalation(t, "chain-late-positive", c, g, &tl)
@@ -164,12 +231,12 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 	}
 
 	// AC-consistent hard negative: every arc of the pigeonhole instance
-	// has support, so the sweep cannot refute it and it stays exhausted.
+	// has support, so the refuter cannot refute it and it stays exhausted.
 	before = tl
 	c, g = hardInstance(t, 7)
 	requireEscalation(t, "pigeonhole", c, g, &tl)
 	if tl.refuted != before.refuted {
-		t.Fatalf("pigeonhole refuted: the sweep is claiming more than arc consistency")
+		t.Fatalf("pigeonhole refuted: the refuter is claiming more than arc consistency")
 	}
 	if res, _ := checkHow(context.Background(), c, g, Options{MaxNodes: 5000}); res.Complete || res.Nodes != 5000 {
 		t.Fatalf("pigeonhole must still exhaust its budget: %+v", res)
@@ -235,16 +302,35 @@ func escalationInstance(take func(n int) int) (c, g *logic.Clause) {
 }
 
 // TestCheckClauseEscalationRandom is the contract over random instances,
-// and checks that the generator exercises all three outcomes.
+// and checks that the generator exercises all three outcomes. It also
+// runs the fixpoint and the one-pass sweep on every instance that binds,
+// whether or not its search reaches the stop: every clause the sweep
+// refutes the fixpoint refutes too, and the fixpoint refutes a share of
+// clauses the sweep leaves to the search, each confirmed by an
+// exhaustive search.
 func TestCheckClauseEscalationRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var tl tally
+	fixpointOnly := 0
 	for trial := 0; trial < 3200; trial++ {
 		c, g := escalationInstance(r.Intn)
-		requireEscalation(t, fmt.Sprintf("random-%d", trial), c, g, &tl)
+		name := fmt.Sprintf("random-%d", trial)
+		requireEscalation(t, name, c, g, &tl)
+		switch sweep, fixpoint, _ := sweepAndFixpoint(c, g); {
+		case sweep && !fixpoint:
+			t.Fatalf("%s: refuted by the sweep, not by the fixpoint (clause %v vs %v)", name, c, g)
+		case fixpoint && !sweep:
+			fixpointOnly++
+			if legacyCheck(context.Background(), c, g, exhaustive).Subsumes {
+				t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", name, c, g)
+			}
+		}
 	}
 	if tl.probe < 1000 || tl.refuted < 100 || tl.search < 1000 {
 		t.Fatalf("the generator is not exercising the escalation: %+v", tl)
+	}
+	if fixpointOnly < 20 {
+		t.Fatalf("only %d instances refuted by the fixpoint alone", fixpointOnly)
 	}
 }
 
@@ -259,16 +345,21 @@ func FuzzCheckClauseEscalation(f *testing.F) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		pos := 0
-		take := func(n int) int {
-			v := int(data[pos%len(data)]+byte(pos/len(data))) % n
-			pos++
-			return v
-		}
-		c, g := escalationInstance(take)
+		c, g := escalationInstance(byteTaker(data))
 		var tl tally
 		requireEscalation(t, "fuzz", c, g, &tl)
 	})
+}
+
+// byteTaker decodes a fuzzer's byte string into escalationInstance's
+// draws, cycling through it with a per-lap offset.
+func byteTaker(data []byte) func(n int) int {
+	pos := 0
+	return func(n int) int {
+		v := int(data[pos%len(data)]+byte(pos/len(data))) % n
+		pos++
+		return v
+	}
 }
 
 // TestEscalationCancellation: a context done before the probe, during
@@ -318,19 +409,27 @@ func TestEscalationCancellation(t *testing.T) {
 
 // TestForwardPassWholeRefuted: a whole-clause test that outlives the
 // probe and is refuted is reported as such, and the pass still keeps
-// exactly the literals independent checks keep.
+// exactly the literals independent checks keep. On the chain, r(Y6) is
+// what the prefix cannot take: q(Y6) narrowed Y6 to {v1,v2}. On the
+// backward chain it is d(Y6): keeping c(Z) narrowed Z, and propagation
+// narrowed Y6 through b to the vertices whose b-value is c.
 func TestForwardPassWholeRefuted(t *testing.T) {
-	c, g := chainNegative(t, 7, 6)
-	opts := Options{MaxNodes: 5000}
-	got := ForwardPass(context.Background(), c, CompileGround(nil, g), opts)
-	if !got.HeadMatches || got.Covers || !got.WholeRefuted {
-		t.Fatalf("expected the whole clause refuted at the stop, got %+v", got)
+	chainC, chainG := chainNegative(t, 7, 6)
+	backC, backG := backwardNegative(t, 7, 6)
+	for _, tc := range []struct {
+		name string
+		c, g *logic.Clause
+	}{{"chain-negative", chainC, chainG}, {"backward-negative", backC, backG}} {
+		opts := Options{MaxNodes: 5000}
+		got := ForwardPass(context.Background(), tc.c, CompileGround(nil, tc.g), opts)
+		if !got.HeadMatches || got.Covers || !got.WholeRefuted {
+			t.Fatalf("%s: expected the whole clause refuted at the stop, got %+v", tc.name, got)
+		}
+		if got.Refuted != 1 || len(got.Kept) != len(tc.c.Body)-1 {
+			t.Fatalf("%s: expected every literal but the last kept, got %+v", tc.name, got)
+		}
+		requireForwardSound(t, tc.name, tc.c, tc.g, opts)
 	}
-	// r(Y6) is what the prefix cannot take: q(Y6) narrowed Y6 to {v1,v2}.
-	if got.Refuted != 1 || len(got.Kept) != len(c.Body)-1 {
-		t.Fatalf("expected every literal but r(Y6) kept, got %+v", got)
-	}
-	requireForwardSound(t, "chain-negative", c, g, opts)
 }
 
 // TestCheckClauseStaleSymbolsPastTheStop is TestCheckClauseStaleSymbols
@@ -376,9 +475,10 @@ func TestCheckClauseStaleSymbolsPastTheStop(t *testing.T) {
 
 // TestSteadyStateAllocations restores "a steady-state check allocates
 // nothing" for the three shapes the learner runs by the hundred
-// thousand: a check the probe decides, a check the refuter answers, and
-// a ForwardPass step (refuted without a search, and searched then
-// dropped).
+// thousand: a check the probe decides, a check the refuter answers (by
+// its sweep, and only after revisiting literals), and a ForwardPass step
+// (refuted without a search, searched then dropped, and kept then
+// propagated).
 func TestSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -399,6 +499,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { CheckClauseCtx(ctx, negCC, negCG, opts) }); n != 0 {
 		t.Errorf("refuted check: %v allocs/run", n)
+	}
+	bc, bg := backwardNegative(t, 7, 6)
+	bwCC, bwCG := CompileClause(in, bc), CompileGround(in, bg)
+	if res, how := checkHow(ctx, bc, bg, opts); res.Subsumes || how != byRefuter {
+		t.Fatalf("backward negative must be refuted: %+v by %d", res, how)
+	}
+	if n := testing.AllocsPerRun(200, func() { CheckClauseCtx(ctx, bwCC, bwCG, opts) }); n != 0 {
+		t.Errorf("refuted check, fixpoint: %v allocs/run", n)
 	}
 
 	// ForwardPass steps that keep nothing, so each repeats from the same
@@ -434,5 +542,27 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Errorf("ForwardPass %s step: %v allocs/run", tc.name, n)
 		}
 		m.release()
+	}
+
+	// Keeping steps, each followed by propagation over the kept prefix,
+	// rerun from the bound head: on the backward chain keeping c(Z)
+	// narrows Z, then through b the last vertex, so d(Y6) is refuted
+	// against the prefix's sets.
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.cc.compile(in, bc)
+	last := len(bc.Body) - 1
+	pass := func() {
+		m.bindHead(&m.cc, bwCG)
+		m.kept.reset(m.nVars, m.nLocal)
+		for i := 0; i <= last; i++ {
+			if kept, refuted := m.extend(ctx, bwCG, opts.normalized(), i); kept == (i == last) || refuted != (i == last) {
+				t.Fatalf("kept step %d: kept=%v refuted=%v", i, kept, refuted)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(100, pass); n != 0 {
+		t.Errorf("ForwardPass kept-and-propagated steps: %v allocs/run", n)
 	}
 }

@@ -37,16 +37,16 @@ type Forward struct {
 // clause is compiled once and the bound prefix grows and shrinks by one
 // literal per step. And a refuter runs ahead of every prefix search: it
 // keeps, for each variable of the kept prefix, the set of ground values
-// that the rows supporting the prefix's literals allow — narrowed once
-// per kept literal — and a literal with no ground row consistent with
-// its constants, the head bindings and those sets is dropped without a
-// search. The sets over-approximate the values a variable takes in any
-// substitution the search could find for the prefix, so a refuted
-// prefix is one every search answers "does not subsume": a refutation
-// only ever replaces an answer that was already no, never a yes. (The
-// whole-clause test and every prefix search are the package's one test
-// procedure, so each also stops once for the same sweep over all its
-// literals — see escalate.)
+// that the rows supporting the prefix's literals allow — narrowed to a
+// fixpoint after each kept literal — and a literal with no ground row
+// consistent with its constants, the head bindings and those sets is
+// dropped without a search. The sets over-approximate the values a
+// variable takes in any substitution the search could find for the
+// prefix, so a refuted prefix is one every search answers "does not
+// subsume": a refutation only ever replaces an answer that was already
+// no, never a yes. (The whole-clause test and every prefix search are
+// the package's one test procedure, so each also stops once for the same
+// refuter over all its literals — see escalate.)
 func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Forward {
 	opts = opts.normalized()
 	m := matcherPool.Get().(*matcher)
@@ -132,30 +132,83 @@ func (m *matcher) extend(ctx context.Context, cg *CompiledGround, opts Options, 
 		m.terms = m.terms[:held]
 		return false, false
 	}
-	m.narrow(terms, &m.kept)
+	m.propagate(&m.kept, len(m.lits)-1) // a kept prefix has a witness: never refuted
 	return true, false
 }
 
-// refutes reports whether the clause the matcher holds is refuted: the
-// body is swept once in order, every literal narrowing the sets as if
-// kept, and a literal left without a supporting row means no
-// substitution exists for the clause. It reads the bound literals — terms
-// already in the ground clause's ids, constants re-resolved — and the
-// head bindings, and polls the context once per literal; a cancelled
-// sweep refutes nothing and sets m.cancelled.
+// refutes reports whether the clause the matcher holds is refuted: its
+// body's value sets, narrowed to a fixpoint, leave some literal without
+// a supporting row, so no substitution exists for the clause. It reads
+// the bound literals — terms already in the ground clause's ids,
+// constants re-resolved — and the head bindings; a cancelled refuter
+// refutes nothing and sets m.cancelled.
 func (m *matcher) refutes() bool {
 	m.whole.reset(m.nVars, m.nLocal)
-	for i := range m.lits {
+	return m.propagate(&m.whole, 0)
+}
+
+// propagate narrows d to a fixpoint (arc consistency over the bound
+// literals) and reports whether some literal is left without a
+// supporting row. It sweeps literals from..n-1 in order, as if each were
+// kept — literals before from are the ones d was already narrowed over —
+// and then revises, until no set shrinks, every literal already checked
+// that holds a variable whose set shrank. It polls the context once per
+// literal checked; a cancelled propagation refutes nothing and sets
+// m.cancelled.
+func (m *matcher) propagate(d *domains, from int) bool {
+	n := len(m.lits)
+	m.inQueue = resizeBools(m.inQueue, n)
+	clear(m.inQueue)
+	m.queue = m.queue[:0]
+	for i := from; i < n; i++ {
 		if m.interrupted() {
 			return false
 		}
-		cl := &m.lits[i]
-		if !m.supported(cl.terms, cl.ext, &m.whole) {
+		if !m.revise(d, i, i) {
 			return true
 		}
-		m.narrow(cl.terms, &m.whole)
+	}
+	for len(m.queue) > 0 {
+		if m.interrupted() {
+			return false
+		}
+		li := m.queue[len(m.queue)-1]
+		m.queue = m.queue[:len(m.queue)-1]
+		m.inQueue[li] = false
+		if !m.revise(d, int(li), n) {
+			return true
+		}
 	}
 	return false
+}
+
+// revise checks bound literal li against d: false when no row supports
+// it. Otherwise each of its free variables' sets becomes the values the
+// supporting rows give it — a subset of the old set, since a supporting
+// row lies within it — and a set that shrank, or was set for the first
+// time, queues the other literals below upto that hold its variable.
+func (m *matcher) revise(d *domains, li, upto int) bool {
+	terms := m.lits[li].terms
+	if !m.supported(terms, m.lits[li].ext, d) {
+		return false
+	}
+	w := d.words
+	for p, t := range terms {
+		v := t.varID
+		// A repeated variable's later positions collected the same set.
+		if v < 0 || m.initial[v] != 0 || d.seen[v] && d.nextSize[p] == d.size[v] {
+			continue
+		}
+		copy(d.bits[int(v)*w:][:w], d.nextBits[p*w:][:w])
+		d.size[v], d.one[v], d.seen[v] = d.nextSize[p], d.nextOne[p], true
+		for _, occ := range m.varOccs[v] {
+			if j := occ.lit; j < upto && j != li && !m.inQueue[j] {
+				m.inQueue[j] = true
+				m.queue = append(m.queue, int32(j))
+			}
+		}
+	}
+	return true
 }
 
 // supported reports whether some row of ext is consistent with the
@@ -254,28 +307,4 @@ func consistent(terms []cTerm, row, initial []int32, d *domains) bool {
 		}
 	}
 	return true
-}
-
-// narrow replaces the sets of the literal's free variables in d by the
-// values supported just collected for them — subsets of the old sets,
-// since a supporting row already lies within them.
-func (m *matcher) narrow(terms []cTerm, d *domains) {
-	w := d.words
-	for p, t := range terms {
-		if t.varID < 0 || m.initial[t.varID] != 0 {
-			continue
-		}
-		first := true
-		for q := 0; q < p; q++ {
-			if terms[q].varID == t.varID {
-				first = false
-			}
-		}
-		if !first {
-			continue
-		}
-		copy(d.bits[int(t.varID)*w:][:w], d.nextBits[p*w:][:w])
-		d.size[t.varID], d.one[t.varID] = d.nextSize[p], d.nextOne[p]
-		d.seen[t.varID] = true
-	}
 }

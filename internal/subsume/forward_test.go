@@ -81,7 +81,7 @@ func TestForwardPassTable(t *testing.T) {
 		{"const-in-body", "h(X) :- p(X,b), q(c,X), q(b,X).", "h(a) :- p(a,b), q(b,a)."},
 		{"unknown-const", "h(X) :- p(X,zzz), p(X,Y).", "h(a) :- p(a,b)."},
 		{"arity-mismatch", "h(X) :- p(X), p(X,Y).", "h(a) :- p(a,b)."},
-		// Not refutable by one directional step (Y=b and Y=c each have
+		// Not refutable by arc consistency (Y=b and Y=c each have
 		// support in q and in s, never together): the search must decide.
 		{"needs-search", "h(X) :- p(X,Y), q(Y,Z), s(Y,Z).", "h(a) :- p(a,b), p(a,c), q(b,d), q(c,e), s(b,e), s(c,d)."},
 	}
@@ -111,6 +111,24 @@ func TestForwardPassTable(t *testing.T) {
 	if got.WholeRefuted || got.Refuted != 1 || !slices.Equal(got.Kept, []int{0, 1}) {
 		t.Fatalf("expected s(Y) refuted and the whole clause searched, got %+v", got)
 	}
+}
+
+// FuzzForwardPass decodes a byte string into an escalation instance
+// (escalation_test.go) and a budget, and holds ForwardPass to
+// requireForwardSound's two contracts.
+func FuzzForwardPass(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0})
+	f.Add([]byte{31, 3, 3, 0, 1, 3, 0, 2, 3, 1, 2, 3, 2, 0, 3, 1, 0, 3, 2, 1, 9, 1, 1, 5, 1, 2, 5, 2, 3})
+	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		take := byteTaker(data)
+		c, g := escalationInstance(take)
+		requireForwardSound(t, "fuzz", c, g, Options{MaxNodes: escalationBudgets[take(len(escalationBudgets))]})
+	})
 }
 
 // TestForwardPassRandom is the soundness property over random instances

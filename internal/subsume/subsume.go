@@ -17,8 +17,8 @@
 // nodes, while the few that exhaust a budget of thousands own most of
 // the nodes — and most of those have no substitution at all. So the
 // deterministic pass stops once, at probeNodes, for the whole-clause
-// refuter (forward.go: one directional arc-consistency sweep over the
-// bound literals): a refuted test is answered "does not subsume,
+// refuter (forward.go: the bound literals' value sets narrowed to a
+// fixpoint): a refuted test is answered "does not subsume,
 // complete" there and then, anything else carries on as the same pass,
 // node for node. A test the pass decides before the stop is the legacy
 // test; a refutation only replaces an answer that was "no" already
@@ -127,7 +127,7 @@ func CheckCompiledCtx(ctx context.Context, c *logic.Clause, cg *CompiledGround, 
 // probeNodes is where the deterministic pass stops for the refuter. It
 // is a constant of the procedure, not a tuning knob: high enough that
 // the ~95 % of coverage tests the search answers in a few dozen nodes
-// never pay for a sweep, low enough that a test bound for a budget of
+// never pay for the refuter, low enough that a test bound for a budget of
 // thousands has spent a twentieth of it. A budget not above it leaves no
 // test to rescue, so such a search never stops.
 const probeNodes = 256
@@ -279,9 +279,12 @@ type matcher struct {
 	// across backtracking siblings so the inner loop never allocates.
 	cands [][]int32
 
-	// The refuter's value sets (forward.go): whole for the sweep over
-	// every bound literal at the stop, kept for ForwardPass's prefix.
+	// The refuter's value sets (forward.go): whole for the bound clause
+	// at the stop, kept for ForwardPass's prefix; queue and inQueue are
+	// propagate's pending revisions.
 	whole, kept domains
+	queue       []int32
+	inQueue     []bool
 }
 
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
@@ -705,11 +708,12 @@ func (m *matcher) interrupted() bool {
 	}
 }
 
-// escalate is the pass's one stop, at probeNodes: the refuter sweeps the
-// bound literals and either ends the test (true: refuted, or cancelled
-// mid-sweep) or hands the pass the caller's budget to carry on under.
-// The sweep reads the bound clause and the head bindings only — never the
-// search state — so the pass resumes exactly where it paused.
+// escalate is the pass's one stop, at probeNodes: the refuter narrows
+// the bound literals' value sets and either ends the test (true:
+// refuted, or cancelled mid-refuter) or hands the pass the caller's
+// budget to carry on under. The refuter reads the bound clause and the
+// head bindings only — never the search state — so the pass resumes
+// exactly where it paused.
 func (m *matcher) escalate() bool {
 	m.probing = false
 	m.maxNodes = m.budget
