@@ -64,9 +64,9 @@ type (
 	Metrics = eval.Metrics
 	// CVResult aggregates cross-validation outcomes.
 	CVResult = eval.CVResult
-	// Report records a run's degradation events (deadline hits, recovered
-	// worker panics, abandoned coverage work, exhausted subsumption
-	// budgets); see Result.Report.
+	// Report records the events that changed a run (deadline hits,
+	// recovered worker panics, abandoned coverage work, shard recoveries);
+	// see Result.Report.
 	Report = report.Report
 	// DegradationEvent is one recorded degradation.
 	DegradationEvent = report.Event
@@ -118,10 +118,6 @@ const (
 	// DegradationBottomAbandoned: a bottom-clause construction was
 	// interrupted.
 	DegradationBottomAbandoned = report.BottomAbandoned
-	// DegradationSubsumeBudget: a subsumption test exhausted its node
-	// budget and reported "not covered" (the §5 sound approximation; not
-	// counted by Report.Degraded).
-	DegradationSubsumeBudget = report.SubsumeBudget
 	// DegradationShardRetried: a shard coverage RPC failed and was retried
 	// (or failed over to a surviving shard). Results stay exact — the
 	// retry resolved the same pure verdicts — so this does not count as
@@ -234,7 +230,7 @@ type Options struct {
 	Depth int
 	// SampleSize is s, tuples per mode/stratum (default 20).
 	SampleSize int
-	// MaxLiterals caps BC body size (default 1500).
+	// MaxLiterals caps BC body size (default 400).
 	MaxLiterals int
 	// ConstantThreshold is the §3.2 hyper-parameter as a relative ratio
 	// (default 0.18).
@@ -438,7 +434,7 @@ func (o Options) run(ctx context.Context, task Task, res *Result, l *learn.Learn
 	if err != nil {
 		return err
 	}
-	res.capture(engine, def, stats.Clauses, stats.TimedOut, stats.Cancelled, stats.Report)
+	res.capture(engine, def, stats)
 	res.Elapsed = time.Since(start)
 	return nil
 }
@@ -466,7 +462,11 @@ type Result struct {
 	// clauses learned before the interruption — anytime semantics.
 	TimedOut  bool
 	Cancelled bool
-	// Report records the run's degradation events; never nil after Learn.
+	// Report records the events that changed the run — interruptions,
+	// recovered panics, abandoned work, shard retries and fallbacks —
+	// and nothing the run did as designed: an exhausted subsumption
+	// budget (§5's approximation) is counted only by the
+	// subsume.budget_exhausted gauge in Metrics. Never nil after Learn.
 	Report *Report
 	// Clauses is the number of learned clauses.
 	Clauses int
@@ -488,12 +488,12 @@ type Result struct {
 
 // capture records a finished learner run on the result: the theory, how
 // the run ended, and the engine that answers for it from here on.
-func (r *Result) capture(engine *learn.CoverageEngine, def *Definition, clauses int, timedOut, cancelled bool, rep *Report) {
+func (r *Result) capture(engine *learn.CoverageEngine, def *Definition, stats *learn.Stats) {
 	r.Definition = def
-	r.Clauses = clauses
-	r.TimedOut = timedOut
-	r.Cancelled = cancelled
-	r.Report = rep
+	r.Clauses = def.Len()
+	r.TimedOut = stats.TimedOut
+	r.Cancelled = stats.Cancelled
+	r.Report = stats.Report
 	r.covers = func(d *Definition, e Example) (bool, error) {
 		return engine.DefinitionCovers(context.Background(), d, e)
 	}
@@ -502,8 +502,8 @@ func (r *Result) capture(engine *learn.CoverageEngine, def *Definition, clauses 
 
 // Degraded reports whether the run was interrupted or lost work it could
 // not recover exactly (deadline hit, recovered panic, abandoned
-// coverage). Exhausted subsumption budgets alone do not count — they are
-// the paper's by-design approximation.
+// coverage, lost shard). Exhausted subsumption budgets never reach the
+// report — they are the paper's by-design approximation.
 func (r *Result) Degraded() bool { return r.Report.Degraded() }
 
 // BuildArtifact captures the run as a sealed model artifact: the learned

@@ -7,6 +7,8 @@
 // Usage:
 //
 //	ingest -dataset uw -models ./models -addr :8081
+//	ingest -csv ./uwdata/db -target advisedBy -attrs stud,prof \
+//	       -pos ./uwdata/pos.txt -neg ./uwdata/neg.txt -models ./models
 //	curl -X POST localhost:8081/ingest -d '{"mutations":[
 //	     {"op":"insert","relation":"publication","tuple":["title_9","prof_0002"]}]}'
 //	curl localhost:8081/status
@@ -20,7 +22,10 @@
 // so /status and the artifact on disk always reflect the latest
 // committed data.
 //
-// Exit codes: 0 clean shutdown, 1 error, 2 usage error.
+// The -dataset / -csv flag family is cmd/autobias's (internal/cli's
+// BuildTask), so a directory cmd/datasetgen wrote loads the same way.
+//
+// Exit codes: 0 clean shutdown, 1 error.
 package main
 
 import (
@@ -43,7 +48,10 @@ func main() {
 	scale := flag.Float64("scale", 0, "dataset scale factor (0 = default size)")
 	seed := flag.Int64("seed", 1, "dataset and learning seed")
 	csvDir := flag.String("csv", "", "load the database from this CSV directory instead of generating")
-	target := flag.String("target", "", "target relation (required with -csv)")
+	target := flag.String("target", "", "target relation name (with -csv)")
+	attrs := flag.String("attrs", "", "comma-separated target attribute names (with -csv)")
+	posFile := flag.String("pos", "", "file of positive examples (with -csv)")
+	negFile := flag.String("neg", "", "file of negative examples (with -csv)")
 	modelsDir := flag.String("models", "", "write versioned model artifacts to this directory (optional)")
 	addr := flag.String("addr", ":8081", "listen address")
 	workers := flag.Int("workers", 0, "coverage worker pool (0 = all CPUs; theories are identical at any setting)")
@@ -53,14 +61,23 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write the final metrics snapshot to this JSON file on shutdown")
 	flag.Parse()
 
-	if err := run(dataset, scale, seed, csvDir, target, modelsDir, addr, workers,
+	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ingest:", err)
+		os.Exit(1)
+	}
+	name, data := *target, autobias.ModelDataRef{CSVDir: *csvDir}
+	if *dataset != "" {
+		name, data = *dataset, autobias.ModelDataRef{Dataset: *dataset, Scale: *scale, Seed: *seed}
+	}
+	if err := run(task, name, data, seed, modelsDir, addr, workers,
 		maxConcurrent, streamBatch, drainTimeout, metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "ingest:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir, addr *string,
+func run(task autobias.Task, name string, data autobias.ModelDataRef, seed *int64, modelsDir, addr *string,
 	workers, maxConcurrent, streamBatch *int, drainTimeout *time.Duration, metricsOut *string) error {
 	mc := autobias.NewMetricsCollector()
 	ctx, stop := cli.NotifyContext()
@@ -70,40 +87,6 @@ func run(dataset *string, scale *float64, seed *int64, csvDir, target, modelsDir
 		if err := os.MkdirAll(*modelsDir, 0o755); err != nil {
 			return err
 		}
-	}
-
-	var task autobias.Task
-	name := *dataset
-	var data autobias.ModelDataRef
-	switch {
-	case *dataset != "":
-		ds, err := autobias.GenerateDataset(*dataset, *scale, *seed)
-		if err != nil {
-			return err
-		}
-		task = autobias.TaskFromDataset(ds)
-		data = autobias.ModelDataRef{Dataset: *dataset, Scale: *scale, Seed: *seed}
-	case *csvDir != "":
-		if *target == "" {
-			fmt.Fprintln(os.Stderr, "ingest: -csv needs -target")
-			flag.Usage()
-			os.Exit(2)
-		}
-		d, err := autobias.LoadCSVDir(*csvDir)
-		if err != nil {
-			return err
-		}
-		rel := d.Relation(*target)
-		if rel == nil {
-			return fmt.Errorf("unknown target relation %q", *target)
-		}
-		task = autobias.Task{DB: d, Target: *target, TargetAttrs: rel.Schema.Attributes}
-		name = *target
-		data = autobias.ModelDataRef{CSVDir: *csvDir}
-	default:
-		fmt.Fprintln(os.Stderr, "ingest: one of -dataset or -csv is required")
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	opts := autobias.Options{

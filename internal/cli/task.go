@@ -11,9 +11,9 @@ import (
 
 // BuildTask assembles the learning task the -dataset / -csv flag family
 // describes: a generated benchmark dataset, or a CSV directory with an
-// explicit target signature and example files. cmd/autobias and
-// cmd/shardworker share it so a coordinator and its workers cannot load
-// the same flags differently.
+// explicit target signature and example files. cmd/autobias,
+// cmd/shardworker and cmd/ingest share it so a coordinator, its workers
+// and a live learner cannot load the same flags differently.
 func BuildTask(dataset string, scale float64, seed int64, csvDir, target, attrs, posFile, negFile string) (autobias.Task, error) {
 	if dataset != "" {
 		ds, err := autobias.GenerateDataset(dataset, scale, seed)

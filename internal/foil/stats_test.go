@@ -6,21 +6,23 @@ import (
 	"repro/internal/bottom"
 	"repro/internal/learn"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 )
 
 func TestFOILStatsPopulated(t *testing.T) {
 	d, c, pos, neg := parentWorld(t)
-	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}})
+	mc := metrics.New()
+	l := New(d, c, learn.Options{Bottom: bottom.Options{Depth: 2}, Metrics: mc})
 	_, stats, err := l.Learn(pos, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CandidatesSeen == 0 || stats.Elapsed <= 0 {
-		t.Fatalf("stats not populated: %+v", stats)
+	if mc.Counter(metrics.LearnCandidates) == 0 || mc.Snapshot().Spans["learn.run"].TotalNS <= 0 {
+		t.Fatalf("FOIL search not counted: %+v", mc.Snapshot())
 	}
-	// The one learn.Stats: the covering loop's accounting comes with it.
-	if stats.RoundsTotal == 0 || stats.CoverageTests == 0 || stats.PositivesCovered == 0 || stats.Report == nil {
-		t.Fatalf("covering-loop stats not populated: %+v", stats)
+	// The one covering loop: its counts and its outcome come with it.
+	if mc.Counter(metrics.LearnRounds) == 0 || mc.Counter(metrics.CoverageTests) == 0 || stats.PositivesCovered == 0 || stats.Report == nil {
+		t.Fatalf("covering loop not counted: %+v %+v", stats, mc.Snapshot())
 	}
 }
 
@@ -62,7 +64,7 @@ func TestFOILEmptyPositives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Len() != 0 || stats.Clauses != 0 {
+	if def.Len() != 0 || stats.PositivesCovered != 0 {
 		t.Fatal("no positives must learn nothing")
 	}
 }

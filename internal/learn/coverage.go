@@ -103,9 +103,6 @@ type CoverageEngine struct {
 	// this run consumed (see CarriedHits).
 	carriedHits atomic.Int64
 
-	// tests counts subsumption checks, for instrumentation.
-	tests atomic.Int64
-
 	// rep records degradation events (nil = don't record). Stored
 	// atomically so SetReport need not race with in-flight workers.
 	rep atomic.Pointer[report.Report]
@@ -208,16 +205,13 @@ func (ce *CoverageEngine) SetMetrics(mc *metrics.Collector) {
 }
 
 // SetReport directs degradation events (recovered panics, abandoned
-// counts, exhausted subsumption budgets) to r; nil disables recording.
+// counts and builds) to r; nil disables recording.
 func (ce *CoverageEngine) SetReport(r *report.Report) { ce.rep.Store(r) }
 
 // RecordEvent records a degradation event on the engine's report —
 // exported so transports report shard retries, local fallbacks and losses
 // into the same Result.Report the rest of the run uses.
 func (ce *CoverageEngine) RecordEvent(e report.Event) { ce.rep.Load().Add(e) }
-
-// TestCount returns how many subsumption checks the engine has run.
-func (ce *CoverageEngine) TestCount() int { return int(ce.tests.Load()) }
 
 // panicErr carries a recovered panic through an error return so the
 // engine can isolate it to the failing example.
@@ -328,40 +322,34 @@ func deriveSeed(base int64, key string) int64 {
 // settle produces one verdict: fetch the ground entry, bind the record's
 // compiled clause to it and run subsume's one test procedure — the
 // search, stopping once for the whole-clause refuter (DESIGN.md §20).
-// It is the one place a test is counted, a panic (in the fetch or the
-// test) is isolated to the pair as "not covered", and an exhausted node
-// budget — a sound-negative answer, §5's approximation — is reported; a
-// test the refuter answers is a complete "not covered" and reports
-// nothing. A done ctx returns its error.
+// It is the one place a test is counted and a panic (in the fetch or the
+// test) is isolated to the pair as "not covered". An exhausted node
+// budget is a sound-negative "not covered", §5's approximation working
+// as designed; subsume counts it (subsume.budget_exhausted). A done ctx
+// returns its error.
 func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*groundEntry, error)) (bool, error) {
-	v, complete, err := func() (v, complete bool, err error) {
+	v, err := func() (v bool, err error) {
 		defer recoverToErr(&err)
 		ent, err := fetch()
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
-		ce.tests.Add(1)
 		ce.mc.Inc(metrics.CoverageTests)
 		res := subsume.CheckClauseCtx(ctx, ce.compiled(rec, c), ent.cg, ce.subOpts)
 		if res.Cancelled {
 			// Cancelled without a done ctx: an injected subsume fault; treat
 			// as an ordinary incomplete (sound-negative) answer.
-			return false, false, ctx.Err()
+			return false, ctx.Err()
 		}
-		return res.Subsumes, res.Complete, nil
+		return res.Subsumes, nil
 	}()
-	switch {
-	case isPanic(err):
+	if isPanic(err) {
 		// The failure belongs to this pair alone, and is a function of the
 		// pair, not of scheduling: the same answer at every worker count.
 		ce.RecordEvent(report.Event{Kind: report.PanicRecovered, Site: "coverage.test", Example: key, Detail: err.Error()})
 		return false, nil
-	case err != nil:
-		return false, err
-	case !complete:
-		ce.RecordEvent(report.Event{Kind: report.SubsumeBudget, Site: "subsume.check", Example: key})
 	}
-	return v, nil
+	return v, err
 }
 
 // Covers reports whether the clause covers the example. Results are

@@ -249,7 +249,7 @@ func TestLearnEmptyPositives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Len() != 0 || stats.Clauses != 0 {
+	if def.Len() != 0 || stats.PositivesCovered != 0 {
 		t.Fatal("no positives must yield an empty definition")
 	}
 }

@@ -111,22 +111,20 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Stats reports what a learning run did.
+// Stats reports how a learning run ended. What it did — rounds,
+// candidates, coverage tests, wall-clock — is counted once, by
+// Options.Metrics (learn.rounds, learn.candidates, coverage.tests, the
+// learn.run span); the clause count is the definition's Len.
 type Stats struct {
-	Clauses        int
-	RoundsTotal    int
-	CandidatesSeen int
-	CoverageTests  int
-	Elapsed        time.Duration
 	// TimedOut reports the run hit its deadline (Options.Timeout or the
 	// caller's ctx deadline); Cancelled reports a non-deadline
 	// cancellation (e.g. SIGINT). Either way the returned definition is
 	// the best theory learned so far — anytime semantics.
 	TimedOut  bool
 	Cancelled bool
-	// Report records every degradation event of the run (deadline hits,
-	// recovered panics, abandoned coverage counts, exhausted subsumption
-	// budgets). Never nil.
+	// Report records every event that changed the run (deadline hits,
+	// recovered panics, abandoned coverage counts and builds, shard
+	// recoveries). Never nil.
 	Report *report.Report
 	// PositivesCovered is how many training positives the final
 	// definition covers, counted once the loop has ended; an interrupted
@@ -143,8 +141,8 @@ type Learner struct {
 	opts  Options
 	cover *CoverageEngine
 	rng   *rand.Rand
-	// stats is the current run's; a clause search adds to it through
-	// NoteRound and Evaluate.
+	// stats is the current run's outcome; the covering loop and a clause
+	// search record events on its Report.
 	stats *Stats
 }
 
@@ -191,7 +189,6 @@ func (l *Learner) Learn(pos, neg []Example) (*logic.Definition, *Stats, error) {
 // returned with Stats.TimedOut/Cancelled set and the degradation
 // recorded in Stats.Report: cancellation is graceful, not an error.
 func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Definition, *Stats, error) {
-	start := time.Now()
 	spanStart := l.opts.Metrics.StartSpan()
 	defer l.opts.Metrics.EndSpan(metrics.SpanLearn, spanStart)
 	if l.opts.Timeout > 0 {
@@ -208,10 +205,8 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 		return nil, nil, err
 	}
 	if err != nil {
-		l.noteStop(ctx, where)
+		l.noteStop(ctx, where, def.Len())
 	}
-	l.stats.CoverageTests = l.cover.TestCount()
-	l.stats.Elapsed = time.Since(start)
 	return def, l.stats, nil
 }
 
@@ -255,7 +250,6 @@ func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg 
 			continue
 		}
 		def.Add(clause)
-		l.stats.Clauses++
 		l.opts.Metrics.Inc(metrics.LearnClauses)
 		// Remove every positive the definition now covers.
 		var still []Example
@@ -284,7 +278,7 @@ func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg 
 
 // noteStop is the one place an interrupted run is classified — deadline
 // or explicit cancel — and its one deadline-hit event recorded.
-func (l *Learner) noteStop(ctx context.Context, where string) {
+func (l *Learner) noteStop(ctx context.Context, where string, clauses int) {
 	if ctx.Err() == context.DeadlineExceeded {
 		l.stats.TimedOut = true
 	} else {
@@ -293,7 +287,7 @@ func (l *Learner) noteStop(ctx context.Context, where string) {
 	l.stats.Report.Add(report.Event{
 		Kind:   report.DeadlineHit,
 		Site:   "learn.Learn",
-		Detail: fmt.Sprintf("interrupted during %s (%v); returning %d clause(s) learned so far", where, ctx.Err(), l.stats.Clauses),
+		Detail: fmt.Sprintf("interrupted during %s (%v); returning %d clause(s) learned so far", where, ctx.Err(), clauses),
 	})
 }
 
@@ -467,7 +461,6 @@ func (l *Learner) ScoringSamples(pos, neg []Example) (posSample, negSample []Exa
 // in-process it fans the candidates across the worker pool. Counts are
 // bit-identical to per-candidate evaluation.
 func (l *Learner) Evaluate(ctx context.Context, cs []*logic.Clause, posSample, negSample []Example, minPos int) (ps, ns []int, err error) {
-	l.stats.CandidatesSeen += len(cs)
 	l.opts.Metrics.Add(metrics.LearnCandidates, int64(len(cs)))
 	return l.counts(ctx, cs, posSample, negSample, minPos)
 }
@@ -500,9 +493,8 @@ func (l *Learner) counts(ctx context.Context, cs []*logic.Clause, posSample, neg
 }
 
 // NoteRound records one round of a clause search — a beam round or a
-// growth step — on the run's stats and metrics.
+// growth step — on the run's metrics.
 func (l *Learner) NoteRound() {
-	l.stats.RoundsTotal++
 	l.opts.Metrics.Inc(metrics.LearnRounds)
 }
 

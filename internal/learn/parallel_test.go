@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/subsume"
 )
 
@@ -291,30 +292,34 @@ func TestPooledColdCacheConcurrent(t *testing.T) {
 // guarantee: the same seed learns the same definition (and the same
 // search trajectory) at 1 and at 8 workers.
 func TestLearnDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (*logic.Definition, *Stats) {
+	run := func(workers int) (*logic.Definition, *Stats, metrics.Snapshot) {
 		d, pos, neg := uwWorld(t, 12, 8)
 		c := uwLearnBias(t, d)
+		mc := metrics.New()
 		l := New(d, c, Options{
 			Bottom:  bottom.Options{Depth: 1, SampleSize: 20},
 			Seed:    5,
 			Workers: workers,
+			Metrics: mc,
 		})
 		def, stats, err := l.Learn(pos, neg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return def, stats
+		return def, stats, mc.Snapshot()
 	}
-	def1, stats1 := run(1)
-	def8, stats8 := run(8)
+	def1, stats1, snap1 := run(1)
+	def8, stats8, snap8 := run(8)
 	if def1.String() != def8.String() {
 		t.Errorf("definitions diverge across worker counts:\nworkers=1:\n%s\nworkers=8:\n%s", def1, def8)
 	}
-	if stats1.Clauses != stats8.Clauses ||
-		stats1.RoundsTotal != stats8.RoundsTotal ||
-		stats1.CandidatesSeen != stats8.CandidatesSeen ||
-		stats1.PositivesCovered != stats8.PositivesCovered {
-		t.Errorf("search trajectory diverges: workers=1 %+v, workers=8 %+v", stats1, stats8)
+	if stats1.PositivesCovered != stats8.PositivesCovered {
+		t.Errorf("coverage diverges: workers=1 %+v, workers=8 %+v", stats1, stats8)
+	}
+	for _, name := range []string{"learn.rounds", "learn.candidates", "learn.clauses"} {
+		if snap1.Counters[name] == 0 || snap1.Counters[name] != snap8.Counters[name] {
+			t.Errorf("search trajectory diverges: %s workers=1 %d, workers=8 %d", name, snap1.Counters[name], snap8.Counters[name])
+		}
 	}
 }
 

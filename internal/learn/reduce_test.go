@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bottom"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/subsume"
 )
 
@@ -149,13 +150,13 @@ func TestARMGWithBudgetedSubsumption(t *testing.T) {
 func TestLearnStatsPopulated(t *testing.T) {
 	d, pos, neg := uwWorld(t, 8, 5)
 	c := uwLearnBias(t, d)
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 1}})
-	_, stats, err := l.Learn(pos, neg)
-	if err != nil {
+	mc := metrics.New()
+	l := New(d, c, Options{Bottom: bottom.Options{Depth: 1}, Metrics: mc})
+	if _, _, err := l.Learn(pos, neg); err != nil {
 		t.Fatal(err)
 	}
-	if stats.CoverageTests == 0 || stats.CandidatesSeen == 0 || stats.Elapsed <= 0 {
-		t.Fatalf("stats not populated: %+v", stats)
+	if mc.Counter(metrics.CoverageTests) == 0 || mc.Counter(metrics.LearnCandidates) == 0 || mc.Snapshot().Spans["learn.run"].TotalNS <= 0 {
+		t.Fatalf("run not counted: %+v", mc.Snapshot())
 	}
 }
 

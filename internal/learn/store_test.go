@@ -19,6 +19,9 @@ func TestStoreSharesVerdictsAcrossRenamedTwins(t *testing.T) {
 	d, pos, neg := uwWorld(t, 12, 8)
 	all := append(append([]Example(nil), pos...), neg...)
 	ce := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	mc := metrics.New()
+	ce.SetMetrics(mc)
+	tests := func() int { return int(mc.Counter(metrics.CoverageTests)) }
 	first := logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).")
 	twin := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B).")
 	if first.Key() != twin.Key() || first.String() == twin.String() {
@@ -29,8 +32,8 @@ func TestStoreSharesVerdictsAcrossRenamedTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want == 0 || ce.TestCount() != len(all) {
-		t.Fatalf("first count covered %d with %d tests, want >0 with %d", want, ce.TestCount(), len(all))
+	if want == 0 || tests() != len(all) {
+		t.Fatalf("first count covered %d with %d tests, want >0 with %d", want, tests(), len(all))
 	}
 	got, err := count(ce, twin, all)
 	if err != nil {
@@ -39,7 +42,7 @@ func TestStoreSharesVerdictsAcrossRenamedTwins(t *testing.T) {
 	if got != want {
 		t.Errorf("twin count %d, want %d", got, want)
 	}
-	if extra := ce.TestCount() - len(all); extra != 0 {
+	if extra := tests() - len(all); extra != 0 {
 		t.Errorf("the twin's count ran %d subsumption tests, want 0", extra)
 	}
 	if ce.record(first) != ce.record(twin) {
@@ -193,6 +196,8 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 		t.Fatalf("deleted %d tuples, want 1", n)
 	}
 	repair := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	mc := metrics.New()
+	repair.SetMetrics(mc)
 	gotDirty, flipped, err := repair.AdoptCarried(ctx, cs, clauses[:2])
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +238,7 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 		t.Error("the check disturbed the source engine")
 	}
 
-	checked := repair.TestCount()
+	checked := mc.Counter(metrics.CoverageTests)
 	if checked != 2 {
 		t.Errorf("the check ran %d subsumption tests, want 2 (each previous clause on the changed example)", checked)
 	}
@@ -243,7 +248,7 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := repair.TestCount() - checked; got != 1 {
+	if got := mc.Counter(metrics.CoverageTests) - checked; got != 1 {
 		t.Errorf("replay ran %d subsumption tests, want 1 (the one forgotten verdict)", got)
 	}
 	if repair.cache[dirty] != rebuilt {

@@ -13,11 +13,6 @@ type Clause struct {
 	Body []Literal
 }
 
-// NewClause builds a clause from a head and body literals.
-func NewClause(head Literal, body ...Literal) *Clause {
-	return &Clause{Head: head, Body: body}
-}
-
 // Clone returns a deep copy of the clause.
 func (c *Clause) Clone() *Clause {
 	out := &Clause{Head: c.Head.Clone(), Body: make([]Literal, len(c.Body))}

@@ -121,7 +121,9 @@ const (
 	// — the paper's dominant cost (§5). Gauge.
 	SubsumeNodes
 	// SubsumeBudgetExhausted counts tests that gave up their node budget
-	// and answered sound-negative (§5's approximation). Gauge.
+	// and answered sound-negative (§5's approximation) — coverage tests
+	// and armg's whole-clause and prefix checks alike. It is the one
+	// count of the event: the run's report does not record it. Gauge.
 	SubsumeBudgetExhausted
 	// SubsumeProbeDecided counts tests (of those whose budget lets the
 	// search stop for the refuter at all) that the search answered before
@@ -275,8 +277,7 @@ type histDef struct {
 	deterministic bool
 	// bounds are inclusive upper bucket bounds ("≤ bound"); one implicit
 	// overflow bucket follows. Fixed at compile time so histograms from
-	// different runs and worker counts are always mergeable and
-	// comparable.
+	// different runs and worker counts are always comparable.
 	bounds []int64
 }
 
@@ -597,66 +598,6 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Unlock()
 	return s
-}
-
-// Merge folds another snapshot into s: sums for counters, gauges,
-// histogram buckets and spans; max for max-valued counters. Used by
-// cmd/experiments to aggregate across cells.
-func (s *Snapshot) Merge(o Snapshot) {
-	maxNames := make(map[string]bool)
-	for _, def := range counterDefs {
-		if def.kind == kindMax {
-			maxNames[def.name] = true
-		}
-	}
-	mergeInts := func(dst map[string]int64, src map[string]int64) {
-		for k, v := range src {
-			if maxNames[k] {
-				if v > dst[k] {
-					dst[k] = v
-				}
-			} else {
-				dst[k] += v
-			}
-		}
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]int64)
-	}
-	if s.Histograms == nil {
-		s.Histograms = make(map[string]HistogramSnapshot)
-	}
-	if s.Spans == nil {
-		s.Spans = make(map[string]SpanSnapshot)
-	}
-	mergeInts(s.Counters, o.Counters)
-	mergeInts(s.Gauges, o.Gauges)
-	for name, oh := range o.Histograms {
-		h, ok := s.Histograms[name]
-		if !ok {
-			oh.Bounds = append([]int64(nil), oh.Bounds...)
-			oh.Counts = append([]int64(nil), oh.Counts...)
-			s.Histograms[name] = oh
-			continue
-		}
-		for i := range h.Counts {
-			if i < len(oh.Counts) {
-				h.Counts[i] += oh.Counts[i]
-			}
-		}
-		h.Count += oh.Count
-		h.Sum += oh.Sum
-		s.Histograms[name] = h
-	}
-	for name, osp := range o.Spans {
-		sp := s.Spans[name]
-		sp.Count += osp.Count
-		sp.TotalNS += osp.TotalNS
-		s.Spans[name] = sp
-	}
 }
 
 // DeterministicDiff compares the deterministic portions of two

@@ -164,30 +164,8 @@ func TestConcurrentCollection(t *testing.T) {
 	}
 }
 
-func TestMergeAndDeterministicDiff(t *testing.T) {
-	a := New()
-	a.Add(BottomLiterals, 10)
-	a.SetMax(BottomMaxDepth, 2)
-	a.Inc(CoverageTests)
-	a.Observe(HistBottomLiterals, 3)
-	b := New()
-	b.Add(BottomLiterals, 5)
-	b.SetMax(BottomMaxDepth, 4)
-	b.Observe(HistBottomLiterals, 3)
-
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	if got := merged.Counters["bottom.literals"]; got != 15 {
-		t.Errorf("merged literals = %d", got)
-	}
-	if got := merged.Counters["bottom.max_depth"]; got != 4 {
-		t.Errorf("merged max depth = %d (must take max, not sum)", got)
-	}
-	if got := merged.Histograms["bottom.literals_per_clause"].Count; got != 2 {
-		t.Errorf("merged hist count = %d", got)
-	}
-
-	// Diff: identical deterministic parts, divergent gauges → no diffs.
+func TestDeterministicDiff(t *testing.T) {
+	// Identical deterministic parts, divergent gauges → no diffs.
 	c1, c2 := New(), New()
 	c1.Add(BottomLiterals, 7)
 	c2.Add(BottomLiterals, 7)

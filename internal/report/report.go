@@ -1,11 +1,14 @@
-// Package report records degradation events of a learning run: the
+// Package report records the events that changed a learning run: the
 // moments where the system traded completeness for bounded execution —
 // a deadline interrupting work mid-primitive, a recovered worker panic
-// isolated to one example, a coverage count abandoned, a subsumption
-// search giving up its node budget. A run that finishes with an empty
-// report ran exactly; a degraded run still returns its best partial
-// theory (anytime semantics), and the report is the caller's record of
-// what was sacrificed and where.
+// isolated to one example, a coverage count abandoned, a shard's
+// examples lost — and the shard-transport recoveries that left the
+// result exact but moved work. A run with an empty report ran exactly,
+// on its planned transport; a degraded run still returns its best
+// partial theory (anytime semantics), and the report is the caller's
+// record of what was sacrificed and where. Work the run did as designed
+// — an exhausted subsumption budget (§5's approximation) included — is
+// counted once, by internal/metrics, not here.
 //
 // A Report is safe for concurrent use (coverage workers append to it)
 // and nil-safe: every method works on a nil receiver, so library code
@@ -34,10 +37,6 @@ const (
 	CoverageAbandoned Kind = "coverage-abandoned"
 	// BottomAbandoned: a bottom-clause construction was interrupted.
 	BottomAbandoned Kind = "bottom-build-abandoned"
-	// SubsumeBudget: a θ-subsumption test exhausted its node budget and
-	// reported (sound-negative) "does not subsume". This is the paper's
-	// §5 approximation working as designed, counted for observability.
-	SubsumeBudget Kind = "subsume-budget-exhausted"
 	// ShardRetried: a coverage RPC to a shard worker failed and was
 	// retried (with backoff) on the shard's next replica. Verdicts are
 	// pure, so the result is exact; recorded for observability.
@@ -52,12 +51,9 @@ const (
 	ShardLost Kind = "shard-lost"
 )
 
-// exactKinds are degradations that never change a run's results: the
-// by-design subsumption approximation, and shard-transport recoveries
-// whose merge contract guarantees bit-identical outcomes. They do not
-// make a run Degraded.
+// exactKinds are shard-transport recoveries whose merge contract
+// guarantees bit-identical outcomes. They do not make a run Degraded.
 var exactKinds = map[Kind]bool{
-	SubsumeBudget:      true,
 	ShardRetried:       true,
 	ShardFellBackLocal: true,
 }
@@ -88,9 +84,9 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// maxEventsPerKind caps stored events so a budget-starved run (which can
-// exhaust thousands of subsumption budgets) cannot balloon the report;
-// Count still reflects every occurrence.
+// maxEventsPerKind caps stored events so a run that recovers thousands
+// of panics or retries cannot balloon the report; Count still reflects
+// every occurrence.
 const maxEventsPerKind = 32
 
 // Report accumulates events. The zero value is NOT usable — use New —
@@ -161,7 +157,7 @@ func (r *Report) Degraded() bool {
 }
 
 // Summary renders one line of per-kind counts, e.g.
-// "deadline-hit=1 coverage-abandoned=3 subsume-budget-exhausted=212";
+// "deadline-hit=1 coverage-abandoned=3 shard-rpc-retried=2";
 // empty for a clean run.
 func (r *Report) Summary() string {
 	if r == nil {

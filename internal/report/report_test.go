@@ -17,10 +17,10 @@ func TestNilReceiverIsSafe(t *testing.T) {
 func TestCountsAndRetentionCap(t *testing.T) {
 	r := New()
 	for i := 0; i < 100; i++ {
-		r.Add(Event{Kind: SubsumeBudget, Site: "subsume.check"})
+		r.Add(Event{Kind: ShardRetried, Site: "shard.rpc:0"})
 	}
 	r.Add(Event{Kind: DeadlineHit, Site: "learn.Learn"})
-	if got := r.Count(SubsumeBudget); got != 100 {
+	if got := r.Count(ShardRetried); got != 100 {
 		t.Fatalf("Count = %d, want 100", got)
 	}
 	if got := len(r.Events()); got != maxEventsPerKind+1 {
@@ -28,11 +28,11 @@ func TestCountsAndRetentionCap(t *testing.T) {
 	}
 }
 
-func TestDegradedIgnoresSubsumeBudget(t *testing.T) {
+func TestDegradedIgnoresExactKinds(t *testing.T) {
 	r := New()
-	r.Add(Event{Kind: SubsumeBudget})
+	r.Add(Event{Kind: ShardRetried})
 	if r.Degraded() {
-		t.Fatal("subsume-budget alone should not mark the run degraded")
+		t.Fatal("a shard retry alone should not mark the run degraded")
 	}
 	r.Add(Event{Kind: PanicRecovered, Example: "p(a)"})
 	if !r.Degraded() {

@@ -219,11 +219,8 @@ func (m *Model) Retire() {
 
 func (m *Model) closeDrained() { m.drainOnce.Do(func() { close(m.drained) }) }
 
-// Drained returns a channel closed when the version is retired and its
-// last in-flight request has finished.
-func (m *Model) Drained() <-chan struct{} { return m.drained }
-
-// Drain blocks until the version has drained (see Drained) or ctx ends.
+// Drain blocks until the version is retired and its last in-flight
+// request has finished, or ctx ends.
 func (m *Model) Drain(ctx context.Context) error {
 	select {
 	case <-m.drained:
@@ -309,12 +306,6 @@ func (m *Model) PredictExample(ctx context.Context, e logic.Literal) (bool, erro
 		m.mc.Inc(metrics.ServeCovered)
 	}
 	return covered, nil
-}
-
-// PredictTuple classifies a tuple of the target relation given as
-// attribute values in schema order.
-func (m *Model) PredictTuple(ctx context.Context, values []string) (bool, error) {
-	return m.PredictExample(ctx, m.TupleExample(values))
 }
 
 // TupleExample builds the ground target literal for a tuple's attribute

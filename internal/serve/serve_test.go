@@ -81,8 +81,8 @@ func TestBindAndPredict(t *testing.T) {
 			t.Errorf("%s: covered=%v, want %v", tc.example, got, tc.covered)
 		}
 	}
-	if ok, err := m.PredictTuple(context.Background(), []string{"p1", "p3"}); err != nil || !ok {
-		t.Fatalf("PredictTuple(p1,p3) = %v, %v", ok, err)
+	if ok, err := m.PredictExample(context.Background(), m.TupleExample([]string{"p1", "p3"})); err != nil || !ok {
+		t.Fatalf("PredictExample(p1,p3) = %v, %v", ok, err)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestLoadDir(t *testing.T) {
 	if !ok {
 		t.Fatal("model gp missing")
 	}
-	if ok, err := m.PredictTuple(context.Background(), []string{"p1", "p3"}); err != nil || !ok {
-		t.Fatalf("loaded model PredictTuple = %v, %v", ok, err)
+	if ok, err := m.PredictExample(context.Background(), m.TupleExample([]string{"p1", "p3"})); err != nil || !ok {
+		t.Fatalf("loaded model PredictExample = %v, %v", ok, err)
 	}
 	if _, err := LoadDir(context.Background(), t.TempDir(), DefaultResolver(""), Options{}); err == nil {
 		t.Fatal("LoadDir on empty dir succeeded")

@@ -304,7 +304,6 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	}
 	mc := w.opts.Metrics
 	mc.AddNamedGauge("shard.worker.requests", 1)
-	mc.AddNamedGauge("shard.worker.batches", 1)
 	mc.AddNamedGauge("shard.worker.examples", int64(len(exs)))
 	mc.AddNamedGauge("shard.worker.batch_clauses", int64(len(clauses)))
 	httpx.WriteJSON(rw, http.StatusOK, BatchCoverageResponse{Covered: covered})

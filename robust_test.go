@@ -2,6 +2,7 @@ package autobias
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -99,5 +100,27 @@ func TestLearnCleanRunNotDegraded(t *testing.T) {
 	}
 	if res.Degraded() {
 		t.Fatalf("clean run reported degraded: %q", res.Report.Summary())
+	}
+}
+
+// TestBudgetStarvedRunCountedOnce: a subsumption budget far too small
+// for the task exhausts on many coverage tests. That is §5's
+// approximation working as designed, so it is counted once — by the
+// subsume.budget_exhausted gauge — and the run's Report, which keeps
+// only what changed the run, holds no event for it.
+func TestBudgetStarvedRunCountedOnce(t *testing.T) {
+	task := uwTask(t, 0.25)
+	res, err := Learn(task, Options{Method: MethodManual, Seed: 2, SubsumeMaxNodes: 3, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Metrics.Gauges["subsume.budget_exhausted"]; got == 0 {
+		t.Fatal("a 3-node budget must exhaust on some subsumption test")
+	}
+	if s := res.Report.Summary(); strings.Contains(s, "subsume") || len(res.Report.Events()) != 0 {
+		t.Fatalf("budget exhaustion reached the report: %q", s)
+	}
+	if res.Degraded() {
+		t.Fatalf("budget-starved run reported degraded: %q", res.Report.Summary())
 	}
 }

@@ -31,8 +31,8 @@ func TestSchemaVariantDifferential(t *testing.T) {
 		name string
 		// maxLiterals caps bottom-clause size. The indirection literals a
 		// transform introduces land at the deepest frontier level, so the
-		// cap must clear the variant schema's depth-3 frontier: 1500 (the
-		// default) truncates exactly the fragment-deref literals on the
+		// cap must clear the variant schema's depth-3 frontier: the default
+		// 400 (and even 1500) truncates the fragment-deref literals on the
 		// 46-relation IMDb schema.
 		maxLiterals int
 		// beamWidth widens the search where decomposed schemas need
