@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bias"
+	"repro/internal/bottom"
+	"repro/internal/datagen"
+	"repro/internal/db"
 	"repro/internal/logic"
 )
 
@@ -147,5 +151,60 @@ func BenchmarkSubsumeCompileGround(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CompileGround(in, g)
+	}
+}
+
+// uwForwardPass builds one armg step of the learner on uw at scale 0.3
+// (data seed 1) under its induced bias: positive i's bottom clause and
+// positive j's ground bottom clause, each built as the coverage engine
+// builds them (naive sampling, its own seeded clone).
+func uwForwardPass(tb testing.TB, i, j int) (c, g *logic.Clause) {
+	tb.Helper()
+	ds, err := datagen.Generate("uw", datagen.Config{Scale: 0.3, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pos := make([]db.Tuple, len(ds.Pos))
+	for k, e := range ds.Pos {
+		for _, term := range e.Terms {
+			pos[k] = append(pos[k], term.Name)
+		}
+	}
+	res, err := bias.Induce(ds.DB, ds.Target, ds.TargetAttrs, pos, bias.InduceOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	compiled, err := res.Bias.Compile(ds.DB.Schema(), ds.Target, ds.TargetArity())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := bottom.NewBuilder(ds.DB, compiled, bottom.Options{})
+	if c, err = b.CloneSeeded(int64(i + 1)).Construct(ds.Pos[i]); err != nil {
+		tb.Fatal(err)
+	}
+	if g, err = b.CloneSeeded(int64(j + 1)).ConstructGround(ds.Pos[j]); err != nil {
+		tb.Fatal(err)
+	}
+	return c, g
+}
+
+// BenchmarkSubsumeForwardPass is one ForwardPass — armg's forward pass,
+// one prefix test per body literal — of a uw bottom clause against
+// another positive's ground bottom clause, at the learner's default
+// budget: 62 of its 181 searches reach the stop, so its refuter runs on
+// prefixes of up to a hundred-odd kept literals. The ground clause is
+// compiled ahead, as the coverage engine caches it.
+func BenchmarkSubsumeForwardPass(b *testing.B) {
+	ctx := context.Background()
+	c, g := uwForwardPass(b, 0, 1)
+	cg := CompileGround(nil, g)
+	opts := Options{MaxNodes: 5000}
+	if fw := ForwardPass(ctx, c, cg, opts); !fw.HeadMatches || fw.Covers || len(fw.Kept) == 0 {
+		b.Fatalf("the pass must search its prefixes: %+v", fw)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ForwardPass(ctx, c, cg, opts)
 	}
 }

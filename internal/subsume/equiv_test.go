@@ -160,6 +160,50 @@ func TestCheckCompiledEquivalenceTable(t *testing.T) {
 	requireRenamingInvariant(t, "pigeonhole", c, g)
 }
 
+// TestCheckCompiledEquivalenceInPlaceWalk pins the node counts of the
+// search's in-place walk over a level's rows — a row that fails the check
+// against the level's bindings is skipped without a node — at every
+// budget from one node up, so each budget runs out at a different row.
+func TestCheckCompiledEquivalenceInPlaceWalk(t *testing.T) {
+	cases := []struct {
+		name   string
+		clause string
+		ground string
+	}{
+		// t(X,Y,k) walks X's posting list (5 rows; k's has 7), whose rows
+		// alternate between k and j: the budget runs out mid-level with
+		// incompatible rows between the compatible ones, none of which
+		// has a u to go on to.
+		{"budget-mid-level", "h(X) :- t(X,Y,k), u(Y).",
+			"h(a) :- t(a,y1,k), t(a,y2,j), t(a,y3,k), t(a,y4,j), t(a,y5,k), " +
+				"t(b,y1,k), t(b,y2,k), t(b,y3,k), t(b,y4,k), u(z)."},
+		// p(W,W) with W = w1 bound walks the first slot's posting list (3
+		// rows; the second slot's has 5), where p(w1,w2) and p(w1,w3) fail
+		// the row check and p(w1,w1) passes; with Z free, e(Z,Z,k) walks
+		// k's posting list and binds Z from its first slot, so e(a,b,k) is
+		// a node that fails on the second.
+		{"repeated-var-bound", "h(X) :- q(X,W), p(W,W), s(W).",
+			"h(a) :- q(a,w1), q(a,w4), p(w1,w2), p(w1,w1), p(w1,w3), p(w3,w1), p(w5,w1), p(w6,w1), p(w7,w1), " +
+				"p(w4,w5), p(w4,w4), s(w4)."},
+		{"repeated-var-free", "h(X) :- e(Z,Z,k), s(Z).",
+			"h(a) :- e(a,b,k), e(c,c,k), e(d,e,k), e(f,f,j), e(g,g,k), s(g)."},
+		// Nothing bound: p(Y,Z) is picked first and scans its whole extent.
+		{"nothing-bound", "h(X) :- p(Y,Z), q(Z), r(Y).",
+			"h(a) :- p(b,c), p(c,d), p(d,e), p(e,f), q(d), q(f), r(e)."},
+	}
+	for _, tc := range cases {
+		c := mustClause(t, tc.clause)
+		g := mustClause(t, tc.ground)
+		if !legacyCheck(context.Background(), c, g, Options{}).Subsumes && tc.name != "budget-mid-level" {
+			t.Fatalf("%s: the instance must subsume, so the walk reaches its last level", tc.name)
+		}
+		for budget := 1; budget <= 12; budget++ {
+			requireEquiv(t, tc.name, c, g, Options{MaxNodes: budget})
+		}
+		requireEquiv(t, tc.name, c, g, Options{})
+	}
+}
+
 func TestCheckCompiledEquivalenceEmptyStringConstants(t *testing.T) {
 	// The interner reserves id 0 for "" as the unbound sentinel; ground
 	// databases may still carry literal empty-string values. Equivalence

@@ -477,7 +477,8 @@ func TestCheckClauseStaleSymbolsPastTheStop(t *testing.T) {
 // nothing" for the three shapes the learner runs by the hundred
 // thousand: a check the probe decides, a check the refuter answers (by
 // its sweep, and only after revisiting literals), and a ForwardPass step
-// (refuted without a search, searched then dropped, and kept then
+// (refuted without a search, searched then dropped, searched to the stop
+// and refuted there from the kept prefix's sets, and kept then
 // propagated).
 func TestSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
@@ -512,15 +513,23 @@ func TestSteadyStateAllocations(t *testing.T) {
 	// ForwardPass steps that keep nothing, so each repeats from the same
 	// state: on the chain with everything up to q(Y6) kept, r(Y6) is
 	// refuted against the prefix's sets; on the needs-search instance
-	// s(Y,Z) has support in them, is searched and dropped.
+	// s(Y,Z) has support in them, is searched and dropped; on the
+	// kept-narrowed chain k(Y6,Z) is searched to the stop, whose refuter
+	// copies the prefix's sets and drops it.
 	sc := mustClause(t, "h(X) :- p(X,Y), q(Y,Z), s(Y,Z).")
 	scg := CompileGround(in, mustClause(t, "h(a) :- p(a,b), p(a,c), q(b,d), q(c,e), s(b,e), s(c,d)."))
+	kc, kg := keptNarrowedNegative(t)
 	for _, tc := range []struct {
 		name     string
 		c        *logic.Clause
 		cg       *CompiledGround
 		searched bool
-	}{{"refuted", nc, negCG, false}, {"searched", sc, scg, true}} {
+		how      stage
+	}{
+		{"refuted", nc, negCG, false, bySearch},
+		{"searched", sc, scg, true, byProbe},
+		{"refuted-at-the-stop", kc, CompileGround(in, kg), true, byRefuter},
+	} {
 		m := matcherPool.Get().(*matcher)
 		m.cc.compile(in, tc.c)
 		if !m.bindHead(&m.cc, tc.cg) {
@@ -537,6 +546,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 			if kept, refuted := m.extend(ctx, tc.cg, opts.normalized(), last); kept || refuted == tc.searched {
 				t.Fatalf("%s step: kept=%v refuted=%v", tc.name, kept, refuted)
 			}
+		}
+		if step(); tc.searched && m.how != tc.how {
+			t.Fatalf("%s step: answered by %d, want %d", tc.name, m.how, tc.how)
 		}
 		if n := testing.AllocsPerRun(100, step); n != 0 {
 			t.Errorf("ForwardPass %s step: %v allocs/run", tc.name, n)

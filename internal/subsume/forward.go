@@ -45,8 +45,9 @@ type Forward struct {
 // prefix, so a refuted prefix is one every search answers "does not
 // subsume": a refutation only ever replaces an answer that was already
 // no, never a yes. (The whole-clause test and every prefix search are
-// the package's one test procedure, so each also stops once for the same
-// refuter over all its literals — see escalate.)
+// the package's one test procedure, so each also stops once for the
+// refuter — over all its literals for the whole clause, resumed from the
+// prefix's sets for a prefix search: see escalate and refutes.)
 func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Forward {
 	opts = opts.normalized()
 	m := matcherPool.Get().(*matcher)
@@ -106,6 +107,15 @@ func (d *domains) reset(nVars int, nLocal int32) {
 	d.bits = resizeUint64(d.bits, nVars*d.words)
 }
 
+// copyFrom makes d a copy of src's sets, keeping d's capacities.
+func (d *domains) copyFrom(src *domains) {
+	d.words = src.words
+	d.seen = append(d.seen[:0], src.seen...)
+	d.size = append(d.size[:0], src.size...)
+	d.one = append(d.one[:0], src.one...)
+	d.bits = append(d.bits[:0], src.bits...)
+}
+
 // has reports whether value v is in variable id's set.
 func (d *domains) has(id, v int32) bool {
 	return d.bits[int(id)*d.words+int(v>>6)]&(1<<(v&63)) != 0
@@ -125,7 +135,9 @@ func (m *matcher) extend(ctx context.Context, cg *CompiledGround, opts Options, 
 	}
 	m.pushLit(terms, ext)
 	m.sizeSearch()
+	m.fromKept = true
 	res := m.search(ctx, opts)
+	m.fromKept = false
 	m.record(opts, res)
 	if !res.Subsumes {
 		m.popLit()
@@ -142,7 +154,19 @@ func (m *matcher) extend(ctx context.Context, cg *CompiledGround, opts Options, 
 // the bound literals — terms already in the ground clause's ids,
 // constants re-resolved — and the head bindings; a cancelled refuter
 // refutes nothing and sets m.cancelled.
+//
+// A test of ForwardPass's kept prefix plus one literal (m.fromKept)
+// resumes from the prefix's sets, which are already its fixpoint, and
+// narrows from the new literal only. A revision only ever shrinks sets,
+// and revising smaller sets never yields larger ones, so narrowing ends
+// at the one greatest fixpoint from any start that contains it. The
+// fixpoint of the prefix plus the literal lies within the prefix's, so
+// both starts end at the same sets and the same verdict (DESIGN.md §17).
 func (m *matcher) refutes() bool {
+	if m.fromKept {
+		m.whole.copyFrom(&m.kept)
+		return m.propagate(&m.whole, len(m.lits)-1)
+	}
 	m.whole.reset(m.nVars, m.nLocal)
 	return m.propagate(&m.whole, 0)
 }

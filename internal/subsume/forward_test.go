@@ -51,6 +51,7 @@ func requireForwardSound(t *testing.T, name string, c, g *logic.Clause, opts Opt
 	m.kept.reset(m.nVars, m.nLocal)
 	prefix := &logic.Clause{Head: c.Head}
 	for i, lit := range c.Body {
+		requireResumedRefuter(t, name, m, cg, i)
 		kept, refuted := m.extend(ctx, cg, opts, i)
 		if refuted {
 			refutations++
@@ -64,6 +65,108 @@ func requireForwardSound(t *testing.T, name string, c, g *logic.Clause, opts Opt
 		}
 	}
 	return refutations
+}
+
+// requireResumedRefuter holds the stop's refuter on a prefix test to the
+// from-scratch one. On a matcher holding a forward pass's kept prefix
+// (and the prefix's sets in m.kept), it binds body literal i as
+// extend does and, when the literal has support in the kept sets — so its
+// search runs and may reach the stop — runs both refuters: the one the
+// stop runs, resumed from m.kept, and whole.reset plus a sweep from
+// literal 0. They must agree on the verdict and, when neither refutes, on
+// the fixpoint itself. The matcher is left as it was found.
+func requireResumedRefuter(t *testing.T, name string, m *matcher, cg *CompiledGround, i int) {
+	t.Helper()
+	held := len(m.terms)
+	defer func() { m.terms = m.terms[:held] }()
+	terms, ext := m.litTerms(&m.cc, i, cg), m.cc.extent(i, cg)
+	if !m.supported(terms, ext, &m.kept) {
+		return
+	}
+	m.pushLit(terms, ext)
+	defer m.popLit()
+
+	m.whole.reset(m.nVars, m.nLocal)
+	scratch := m.propagate(&m.whole, 0)
+	var want domains
+	want.copyFrom(&m.whole)
+	m.fromKept = true
+	resumed := m.refutes()
+	m.fromKept = false
+	if resumed != scratch {
+		t.Fatalf("%s: literal %d: resumed refuter refutes=%v, from scratch %v", name, i, resumed, scratch)
+	}
+	if scratch {
+		return
+	}
+	got, w := &m.whole, want.words
+	for v := 0; v < m.nVars; v++ {
+		if got.seen[v] != want.seen[v] {
+			t.Fatalf("%s: literal %d: variable %d seen=%v resumed, %v from scratch", name, i, v, got.seen[v], want.seen[v])
+		}
+		if !want.seen[v] {
+			continue
+		}
+		if got.size[v] != want.size[v] || !slices.Equal(got.bits[v*w:][:w], want.bits[v*w:][:w]) {
+			t.Fatalf("%s: literal %d: variable %d's set differs: resumed %d values, from scratch %d", name, i, v, got.size[v], want.size[v])
+		}
+		if want.size[v] == 1 && got.one[v] != want.one[v] {
+			t.Fatalf("%s: literal %d: variable %d's one value: resumed %d, from scratch %d", name, i, v, got.one[v], want.one[v])
+		}
+	}
+}
+
+// keptNarrowedNegative is a prefix test the stop's refuter answers from
+// the kept prefix's sets: the hard chain of chainNegative, then b(Y6,Z)
+// and c(Z), which the pass keeps and which narrow Z to {z1,z2} and the
+// last vertex to {v1,v2}, then k(Y6,Z). Its row k(v1,z2) has support in
+// those sets, so it is searched, and the search thrashes through the
+// chain to the stop; its other row, k(v3,z3), is consistent with b alone.
+// Only with c(Z)'s earlier narrowing does k leave Y6 = v1 and Z = z2,
+// which no b row holds: the resumed refuter refutes at the stop.
+func keptNarrowedNegative(t testing.TB) (c, g *logic.Clause) {
+	t.Helper()
+	c, g = backwardNegative(t, 7, 6)
+	c.Body[len(c.Body)-1] = logic.NewLiteral("k", logic.Var("Y6"), logic.Var("Z"))
+	body := g.Body[:0]
+	for _, l := range g.Body {
+		if l.Predicate != "d" {
+			body = append(body, l)
+		}
+	}
+	g.Body = append(body,
+		logic.NewLiteral("k", logic.Const("v1"), logic.Const("z2")),
+		logic.NewLiteral("k", logic.Const("v3"), logic.Const("z3")))
+	return c, g
+}
+
+// TestForwardPassRefutedFromKept: the prefix test of k(Y6,Z) reaches the
+// stop and is refuted there, by the refuter resumed from the kept sets.
+func TestForwardPassRefutedFromKept(t *testing.T) {
+	ctx := context.Background()
+	c, g := keptNarrowedNegative(t)
+	cg := CompileGround(nil, g)
+	opts := Options{MaxNodes: 5000}
+	last := len(c.Body) - 1
+	got := ForwardPass(ctx, c, cg, opts)
+	if !got.WholeRefuted || got.Refuted != 0 || len(got.Kept) != last || slices.Contains(got.Kept, last) {
+		t.Fatalf("expected k(Y6,Z) dropped at the stop and the rest kept, got %+v", got)
+	}
+	requireForwardSound(t, "kept-narrowed", c, g, opts)
+
+	m := matcherPool.Get().(*matcher)
+	defer m.release()
+	m.cc.compile(cg.in, c)
+	m.bindHead(&m.cc, cg)
+	m.kept.reset(m.nVars, m.nLocal)
+	for i := 0; i < last; i++ {
+		if kept, _ := m.extend(ctx, cg, opts.normalized(), i); !kept {
+			t.Fatalf("literal %d must be kept", i)
+		}
+	}
+	if kept, refuted := m.extend(ctx, cg, opts.normalized(), last); kept || refuted || m.how != byRefuter {
+		t.Fatalf("k(Y6,Z): kept=%v refuted=%v by %d, want dropped by the refuter at the stop", kept, refuted, m.how)
+	}
 }
 
 func TestForwardPassTable(t *testing.T) {

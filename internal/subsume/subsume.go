@@ -42,9 +42,9 @@
 // variables bind and unbind, and candidate sets are retrieved through
 // the most selective bound position. The inner loop indexes arrays and
 // compares int32s only — no hashing of strings or ids survives past
-// binding. Per-check state (substitution, trail, degree buckets,
-// candidate buffers, the refuter's value sets) is recycled through a
-// sync.Pool, so a steady-state check allocates nothing.
+// binding. Per-check state (substitution, trail, degree buckets, the
+// refuter's value sets) is recycled through a sync.Pool, so a
+// steady-state check allocates nothing.
 //
 // Concurrency contract: CheckCompiled(Ctx), CheckClauseCtx and
 // ForwardPass are pure with respect to shared state — every call binds
@@ -258,10 +258,13 @@ type matcher struct {
 	nodes     int
 	maxNodes  int
 	// The escalation: while probing, maxNodes is probeNodes and budget
-	// holds the caller's; how names what answered the test.
-	budget  int
-	probing bool
-	how     stage
+	// holds the caller's; how names what answered the test. fromKept is
+	// set while ForwardPass searches its kept prefix plus one literal: the
+	// refuter at the stop then resumes from the prefix's sets.
+	budget   int
+	probing  bool
+	fromKept bool
+	how      stage
 	// done is the context's cancellation channel (nil = uncancellable);
 	// polled alongside the node-budget check so cancellation interrupts
 	// the search mid-pass. cancelled records that it fired.
@@ -274,10 +277,6 @@ type matcher struct {
 	buckets [][]int
 	pos     []int
 	topDeg  int
-
-	// cands[d] is the candidate-row buffer for search depth d, reused
-	// across backtracking siblings so the inner loop never allocates.
-	cands [][]int32
 
 	// The refuter's value sets (forward.go): whole for the bound clause
 	// at the stop, kept for ForwardPass's prefix; queue and inQueue are
@@ -425,10 +424,6 @@ func (m *matcher) sizeSearch() {
 	}
 	m.buckets = m.buckets[:maxDeg+1]
 	m.pos = resizeInts(m.pos, len(m.lits))
-	if cap(m.cands) < len(m.lits)+1 {
-		m.cands = append(m.cands[:cap(m.cands)], make([][]int32, len(m.lits)+1-cap(m.cands))...)
-	}
-	m.cands = m.cands[:len(m.lits)+1]
 }
 
 // resize helpers: keep capacity across pooled reuse, reallocate only on
@@ -587,70 +582,6 @@ func (m *matcher) candidateBound(li int) int {
 	return best
 }
 
-// candidates fills the depth's buffer with the extent rows compatible
-// with literal li, via the most selective bound position.
-func (m *matcher) candidates(li, depth int) []int32 {
-	cl := &m.lits[li]
-	if cl.ext.arity != len(cl.terms) {
-		return nil
-	}
-	var bestList []int32
-	haveBound := false
-	for p, t := range cl.terms {
-		var want int32
-		if t.varID < 0 {
-			want = t.val
-		} else if m.bound[t.varID] {
-			want = m.vals[t.varID]
-		} else {
-			continue
-		}
-		list := cl.ext.posting(p, want)
-		if !haveBound || len(list) < len(bestList) {
-			bestList, haveBound = list, true
-			if len(list) == 0 {
-				return nil
-			}
-		}
-	}
-
-	check := func(row []int32) bool {
-		for p, t := range cl.terms {
-			if t.varID < 0 {
-				if t.val != row[p] {
-					return false
-				}
-				continue
-			}
-			if m.bound[t.varID] {
-				if m.vals[t.varID] != row[p] {
-					return false
-				}
-			} else if row[p] == noValue {
-				return false // a ground literal too short to have this slot
-			}
-		}
-		return true
-	}
-
-	out := m.cands[depth][:0]
-	if haveBound {
-		for _, gi := range bestList {
-			if check(cl.ext.row(gi)) {
-				out = append(out, gi)
-			}
-		}
-	} else {
-		for gi := int32(0); int(gi) < cl.ext.n; gi++ {
-			if check(cl.ext.row(gi)) {
-				out = append(out, gi)
-			}
-		}
-	}
-	m.cands[depth] = out // keep grown capacity for sibling branches
-	return out
-}
-
 func (m *matcher) bindVar(v int32, val int32) {
 	m.vals[v] = val
 	m.bound[v] = true
@@ -711,9 +642,9 @@ func (m *matcher) interrupted() bool {
 // escalate is the pass's one stop, at probeNodes: the refuter narrows
 // the bound literals' value sets and either ends the test (true:
 // refuted, or cancelled mid-refuter) or hands the pass the caller's
-// budget to carry on under. The refuter reads the bound clause and the
-// head bindings only — never the search state — so the pass resumes
-// exactly where it paused.
+// budget to carry on under. The refuter reads the bound clause, the head
+// bindings and, in a prefix test, the kept prefix's sets — never the
+// search state — so the pass resumes exactly where it paused.
 func (m *matcher) escalate() bool {
 	m.probing = false
 	m.maxNodes = m.budget
@@ -726,6 +657,12 @@ func (m *matcher) escalate() bool {
 
 // solve matches every unmatched literal. It returns (matched,
 // budgetExhausted).
+//
+// It walks the chosen literal's rows in place: the cheapest posting list
+// among its positions with a known value (its extent when there is none),
+// each row checked, as it is reached, against the level's bindings. A row
+// that fails the check is no node. A level with no compatible row returns
+// before it touches the degree buckets.
 func (m *matcher) solve() (bool, bool) {
 	if m.remaining == 0 {
 		return true, false
@@ -734,43 +671,81 @@ func (m *matcher) solve() (bool, bool) {
 		return false, true
 	}
 
-	depth := len(m.lits) - m.remaining
 	li := m.pickLiteral()
-	cands := m.candidates(li, depth)
-	if len(cands) == 0 {
+	cl := &m.lits[li]
+	if cl.ext.arity != len(cl.terms) {
 		return false, false
 	}
-
-	cl := &m.lits[li]
-	m.bucketRemove(li)
-	m.matched[li] = true
-	m.remaining--
-	defer func() {
-		m.matched[li] = false
-		m.remaining++
-		m.bucketAdd(li)
-	}()
+	var list []int32
+	indexed := false
+	for p, t := range cl.terms {
+		var want int32
+		if t.varID < 0 {
+			want = t.val
+		} else if m.bound[t.varID] {
+			want = m.vals[t.varID]
+		} else {
+			continue
+		}
+		if l := cl.ext.posting(p, want); !indexed || len(l) < len(list) {
+			list, indexed = l, true
+			if len(l) == 0 {
+				return false, false
+			}
+		}
+	}
+	n := cl.ext.n
+	if indexed {
+		n = len(list)
+	}
 
 	var boundBuf [8]int32
-	exhausted := false
-	for _, gi := range cands {
-		m.nodes++
-		if m.over() {
-			return false, true
+	entered, exhausted := false, false
+	for k := 0; k < n && !exhausted; k++ {
+		gi := int32(k)
+		if indexed {
+			gi = list[k]
 		}
 		row := cl.ext.row(gi)
-		// Bind with undo. Repeated variables within the literal (p(X,X))
-		// bind on first occurrence and re-verify equality on later ones:
-		// candidates() checks slots against bindings made before the call.
-		bound := boundBuf[:0]
+		// The row check, against the bindings the level was entered with:
+		// every row before this one unbound what it bound.
 		ok := true
 		for p, t := range cl.terms {
 			if t.varID < 0 {
-				continue // constants pre-checked by candidates
+				ok = t.val == row[p]
+			} else if m.bound[t.varID] {
+				ok = m.vals[t.varID] == row[p]
+			} else {
+				ok = row[p] != noValue // a ground literal too short to have this slot
+			}
+			if !ok {
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		if !entered {
+			entered = true
+			m.bucketRemove(li)
+			m.matched[li] = true
+			m.remaining--
+		}
+		m.nodes++
+		if m.over() {
+			exhausted = true
+			break
+		}
+		// Bind with undo. Repeated variables within the literal (p(X,X))
+		// bind on first occurrence and re-verify equality on later ones:
+		// the row check read the bindings made before the row.
+		bound := boundBuf[:0]
+		for p, t := range cl.terms {
+			if t.varID < 0 {
+				continue // constants checked above
 			}
 			if m.bound[t.varID] {
-				if m.vals[t.varID] != row[p] {
-					ok = false
+				if ok = m.vals[t.varID] == row[p]; !ok {
 					break
 				}
 				continue
@@ -781,18 +756,18 @@ func (m *matcher) solve() (bool, bool) {
 		if ok {
 			matched, ex := m.solve()
 			if matched {
-				return true, false
+				return true, false // the pass is over: run resets its state
 			}
-			if ex {
-				exhausted = true
-			}
+			exhausted = ex
 		}
 		for _, v := range bound {
 			m.unbindVar(v)
 		}
-		if exhausted {
-			return false, true
-		}
+	}
+	if entered {
+		m.matched[li] = false
+		m.remaining++
+		m.bucketAdd(li)
 	}
 	return false, exhausted
 }
