@@ -35,25 +35,13 @@ import (
 	"time"
 
 	autobias "repro"
-	"repro/internal/bottom"
 	"repro/internal/cli"
 )
 
 func main() {
-	dataset := flag.String("dataset", "", "generated dataset: uw, hiv, imdb, flt, sys")
-	scale := flag.Float64("scale", 1, "dataset scale factor")
-	seed := flag.Int64("seed", 1, "random seed")
-	csvDir := flag.String("csv", "", "load database from a directory of <relation>.csv files")
-	target := flag.String("target", "", "target relation name (with -csv)")
-	attrs := flag.String("attrs", "", "comma-separated target attribute names (with -csv)")
-	posFile := flag.String("pos", "", "file of positive examples (with -csv)")
-	negFile := flag.String("neg", "", "file of negative examples (with -csv)")
-	method := flag.String("method", "autobias", "castor, noconst, manual, aleph, autobias")
-	sampling := flag.String("sampling", "naive", "naive, random, stratified")
-	depth := flag.Int("depth", 2, "bottom-clause construction depth d")
-	sampleSize := flag.Int("s", 20, "sample size s (tuples per mode/stratum)")
+	tf := cli.RegisterTask(flag.CommandLine)
+	lf := cli.RegisterLearn(flag.CommandLine)
 	timeout := flag.Duration("timeout", 0, "learning budget (0 = unlimited)")
-	workers := flag.Int("workers", 0, "coverage-test worker pool size (0 = all CPUs, 1 = sequential; results are identical at any setting)")
 	metricsOut := flag.String("metrics", "", "write run instrumentation (counters, histograms, spans) to this JSON file")
 	saveModel := flag.String("save-model", "", "write the learned model as a serving artifact (theory, bias, engine configuration) to this file; serve it with cmd/serve")
 	shards := flag.String("shards", "", "distribute coverage testing across shard workers (cmd/shardworker): comma-separated base URLs, one per shard, replicas of a shard separated by '|'")
@@ -62,25 +50,17 @@ func main() {
 	shardNoFallback := flag.Bool("shard-no-fallback", false, "with -shards: abort to the partial theory instead of computing a lost shard's examples in-process")
 	flag.Parse()
 
-	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	task, err := tf.Task()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "autobias:", err)
 		os.Exit(1)
 	}
-	strat, err := bottom.ParseStrategy(*sampling)
+	opts, err := lf.Options(tf.Seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "autobias: unknown sampling %q\n", *sampling)
+		fmt.Fprintln(os.Stderr, "autobias:", err)
 		os.Exit(2)
 	}
-	opts := autobias.Options{
-		Method:     autobias.Method(*method),
-		Sampling:   strat,
-		Depth:      *depth,
-		SampleSize: *sampleSize,
-		Timeout:    *timeout,
-		Seed:       *seed,
-		Workers:    *workers,
-	}
+	opts.Timeout = *timeout
 	if *shards != "" {
 		opts.Shard = &autobias.ShardOptions{
 			Workers:              strings.Split(*shards, ","),
@@ -104,7 +84,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%% method=%s sampling=%s bias=%d defs biasTime=%v learnTime=%v clauses=%d\n",
-		*method, strat, res.Bias.Size(), res.BiasTime.Round(time.Millisecond),
+		lf.Method, opts.Sampling, res.Bias.Size(), res.BiasTime.Round(time.Millisecond),
 		res.Elapsed.Round(time.Millisecond), res.Clauses)
 	if res.Definition.Len() == 0 {
 		fmt.Println("% no definition learned")
@@ -118,11 +98,7 @@ func main() {
 	}
 	fmt.Printf("%% training metrics: precision=%.2f recall=%.2f f1=%.2f\n", m.Precision, m.Recall, m.F1)
 	if *saveModel != "" {
-		ref := autobias.ModelDataRef{CSVDir: *csvDir}
-		if *dataset != "" {
-			ref = autobias.ModelDataRef{Dataset: *dataset, Scale: *scale, Seed: *seed}
-		}
-		if err := res.SaveModel(*saveModel, task, ref); err != nil {
+		if err := res.SaveModel(*saveModel, task, tf.DataRef()); err != nil {
 			fmt.Fprintln(os.Stderr, "autobias:", err)
 			os.Exit(1)
 		}

@@ -23,7 +23,7 @@
 // committed data.
 //
 // The -dataset / -csv flag family is cmd/autobias's (internal/cli's
-// BuildTask), so a directory cmd/datasetgen wrote loads the same way.
+// RegisterTask), so a directory cmd/datasetgen wrote loads the same way.
 //
 // Exit codes: 0 clean shutdown, 1 error.
 package main
@@ -44,14 +44,7 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "", "generated dataset to learn over (uw, hiv, imdb, flt, sys; required unless -csv)")
-	scale := flag.Float64("scale", 0, "dataset scale factor (0 = default size)")
-	seed := flag.Int64("seed", 1, "dataset and learning seed")
-	csvDir := flag.String("csv", "", "load the database from this CSV directory instead of generating")
-	target := flag.String("target", "", "target relation name (with -csv)")
-	attrs := flag.String("attrs", "", "comma-separated target attribute names (with -csv)")
-	posFile := flag.String("pos", "", "file of positive examples (with -csv)")
-	negFile := flag.String("neg", "", "file of negative examples (with -csv)")
+	tf := cli.RegisterTask(flag.CommandLine)
 	modelsDir := flag.String("models", "", "write versioned model artifacts to this directory (optional)")
 	addr := flag.String("addr", ":8081", "listen address")
 	workers := flag.Int("workers", 0, "coverage worker pool (0 = all CPUs; theories are identical at any setting)")
@@ -61,16 +54,16 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write the final metrics snapshot to this JSON file on shutdown")
 	flag.Parse()
 
-	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	task, err := tf.Task()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ingest:", err)
 		os.Exit(1)
 	}
-	name, data := *target, autobias.ModelDataRef{CSVDir: *csvDir}
-	if *dataset != "" {
-		name, data = *dataset, autobias.ModelDataRef{Dataset: *dataset, Scale: *scale, Seed: *seed}
+	name := tf.Target
+	if tf.Dataset != "" {
+		name = tf.Dataset
 	}
-	if err := run(task, name, data, seed, modelsDir, addr, workers,
+	if err := run(task, name, tf.DataRef(), &tf.Seed, modelsDir, addr, workers,
 		maxConcurrent, streamBatch, drainTimeout, metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "ingest:", err)
 		os.Exit(1)

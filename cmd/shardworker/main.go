@@ -31,24 +31,12 @@ import (
 	"time"
 
 	autobias "repro"
-	"repro/internal/bottom"
 	"repro/internal/cli"
 )
 
 func main() {
-	dataset := flag.String("dataset", "", "generated dataset: uw, hiv, imdb, flt, sys")
-	scale := flag.Float64("scale", 1, "dataset scale factor")
-	seed := flag.Int64("seed", 1, "random seed (must match the coordinating run)")
-	csvDir := flag.String("csv", "", "load database from a directory of <relation>.csv files")
-	target := flag.String("target", "", "target relation name (with -csv)")
-	attrs := flag.String("attrs", "", "comma-separated target attribute names (with -csv)")
-	posFile := flag.String("pos", "", "file of positive examples (with -csv)")
-	negFile := flag.String("neg", "", "file of negative examples (with -csv)")
-	method := flag.String("method", "autobias", "castor, noconst, manual, autobias (must match the coordinating run)")
-	sampling := flag.String("sampling", "naive", "naive, random, stratified")
-	depth := flag.Int("depth", 2, "bottom-clause construction depth d")
-	sampleSize := flag.Int("s", 20, "sample size s (tuples per mode/stratum)")
-	workers := flag.Int("workers", 0, "local coverage worker pool size (0 = all CPUs)")
+	tf := cli.RegisterTask(flag.CommandLine)
+	lf := cli.RegisterLearn(flag.CommandLine)
 	id := flag.String("id", "", "worker id reported in health/readiness payloads (default: the listen address)")
 	addr := flag.String("addr", ":0", "listen address (use :0 for an ephemeral port; the actual address is printed)")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request coverage budget")
@@ -59,25 +47,17 @@ func main() {
 	shardCount := flag.Int("shard-count", 0, "with -preload: total shard count of the fleet; 0 or 1 preloads every example")
 	flag.Parse()
 
-	task, err := cli.BuildTask(*dataset, *scale, *seed, *csvDir, *target, *attrs, *posFile, *negFile)
+	task, err := tf.Task()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shardworker:", err)
 		os.Exit(1)
 	}
-	strat, err := bottom.ParseStrategy(*sampling)
+	opts, err := lf.Options(tf.Seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shardworker: unknown sampling %q\n", *sampling)
+		fmt.Fprintln(os.Stderr, "shardworker:", err)
 		os.Exit(2)
 	}
-	opts := autobias.Options{
-		Method:     autobias.Method(*method),
-		Sampling:   strat,
-		Depth:      *depth,
-		SampleSize: *sampleSize,
-		Seed:       *seed,
-		Workers:    *workers,
-		Metrics:    true,
-	}
+	opts.Metrics = true
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shardworker:", err)

@@ -1,6 +1,6 @@
 // Package cli holds the small pieces the command-line entry points in
 // cmd/* share: signal-driven cancellation, the -metrics JSON dump, and
-// the -dataset / -csv task loader (task.go). Centralizing them keeps the
+// the flag families a run is read from (task.go). Centralizing them keeps the
 // binaries' shutdown semantics identical — in particular, all of them
 // drain gracefully on SIGTERM (what init systems and container runtimes
 // send) as well as SIGINT (what a terminal sends).

@@ -24,7 +24,9 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) normalized() Config {
+// Normalized returns c with its defaults filled in: two configs that
+// normalize equal generate the same dataset.
+func (c Config) Normalized() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}

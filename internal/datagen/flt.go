@@ -18,7 +18,7 @@ import (
 func FLT(cfg Config) *Dataset { return mustGenerate("flt", cfg) }
 
 func generateFLT(cfg Config, mk SinkFactory) (*Dataset, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed + 4))
 
 	nFlight := cfg.scaled(2000, 300)

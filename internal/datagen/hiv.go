@@ -18,7 +18,7 @@ import (
 func HIV(cfg Config) *Dataset { return mustGenerate("hiv", cfg) }
 
 func generateHIV(cfg Config, mk SinkFactory) (*Dataset, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 
 	nComp := cfg.scaled(300, 120)

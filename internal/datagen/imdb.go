@@ -82,7 +82,7 @@ var catalogSatellites = []satellite{
 func IMDb(cfg Config) *Dataset { return mustGenerate("imdb", cfg) }
 
 func generateIMDb(cfg Config, mk SinkFactory) (*Dataset, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 
 	nMovie := cfg.scaled(1500, 240)

@@ -19,7 +19,7 @@ import (
 func SYS(cfg Config) *Dataset { return mustGenerate("sys", cfg) }
 
 func generateSYS(cfg Config, mk SinkFactory) (*Dataset, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed + 5))
 
 	nProc := cfg.scaled(1600, 300)

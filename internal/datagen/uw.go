@@ -21,7 +21,7 @@ import (
 func UW(cfg Config) *Dataset { return mustGenerate("uw", cfg) }
 
 func generateUW(cfg Config, mk SinkFactory) (*Dataset, error) {
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	nStud := cfg.scaled(150, 60)

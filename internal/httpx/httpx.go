@@ -36,10 +36,6 @@ const (
 	ErrCodeUnsupported    = "unsupported"
 	ErrCodeNotReady       = "not_ready"
 	ErrCodeConfigMismatch = "config_mismatch"
-	// ErrCodeUnsupportedProto answers a request whose wire-protocol
-	// version header the server does not speak (409): the client must
-	// renegotiate, not retry.
-	ErrCodeUnsupportedProto = "unsupported_proto"
 )
 
 // ErrorBody is the structured error envelope every service writes:

@@ -218,13 +218,13 @@ func TestNamedGauges(t *testing.T) {
 
 	c := New()
 	c.SetNamedGauge("shard.wire_bytes_sent", 1024)
-	c.SetNamedGauge("serve.model.gp.version", 2)
+	c.SetNamedGauge("shard.fallback_local", 2)
 	c.AddNamedGauge("shard.wire_bytes_sent", -24)
 	if got := c.NamedGauge("shard.wire_bytes_sent"); got != 1000 {
 		t.Fatalf("named gauge = %d, want 1000", got)
 	}
 	s := c.Snapshot()
-	if s.Gauges["shard.wire_bytes_sent"] != 1000 || s.Gauges["serve.model.gp.version"] != 2 {
+	if s.Gauges["shard.wire_bytes_sent"] != 1000 || s.Gauges["shard.fallback_local"] != 2 {
 		t.Fatalf("snapshot gauges %+v", s.Gauges)
 	}
 }

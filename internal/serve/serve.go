@@ -426,7 +426,6 @@ func (r *Registry) Swap(m *Model) *Model {
 		old.Retire()
 		m.mc.Inc(metrics.ServeModelSwaps)
 	}
-	m.mc.SetNamedGauge("serve.model."+m.name+".version", int64(m.version))
 	return old
 }
 
@@ -517,6 +516,12 @@ func DefaultResolver(csvOverride string) DBResolver {
 		}
 		if ref.CSVDir != "" && csvOverride != "" {
 			ref.CSVDir = csvOverride
+		}
+		if ref.Dataset != "" {
+			// Refs that differ only by spelling a default ({uw, scale 0}
+			// and {uw, scale 1}) name one database: build it once.
+			cfg := datagen.Config{Scale: ref.Scale, Seed: ref.Seed}.Normalized()
+			ref.Scale, ref.Seed = cfg.Scale, cfg.Seed
 		}
 		key := ref.Key()
 		mu.Lock()

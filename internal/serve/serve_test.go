@@ -220,6 +220,38 @@ func TestLoadDir(t *testing.T) {
 	}
 }
 
+// TestDefaultResolverNormalizesGeneratedRefs: artifacts whose refs
+// differ only by spelling a generator default ({hiv, scale 0} from one
+// binary, {hiv, scale 1} from another) name one database, and serve
+// builds it once; a different seed is a different database.
+func TestDefaultResolverNormalizesGeneratedRefs(t *testing.T) {
+	resolve := DefaultResolver("")
+	first, err := resolve(model.DataRef{Dataset: "hiv", Scale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []model.DataRef{
+		{Dataset: "hiv", Scale: 0, Seed: 1},
+		{Dataset: "hiv", Scale: 1, Seed: 0},
+		{Dataset: "hiv", Scale: -1},
+	} {
+		d, err := resolve(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != first {
+			t.Errorf("%+v resolved to a second database; it names the same generated data as {hiv 1 1}", ref)
+		}
+	}
+	other, err := resolve(model.DataRef{Dataset: "hiv", Scale: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first {
+		t.Error("seed 2 resolved to seed 1's database")
+	}
+}
+
 func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)

@@ -49,8 +49,9 @@ func TestPackUnpackBits(t *testing.T) {
 	}
 }
 
-// postBatch posts a wire-v2 batch request with the given headers.
-func postBatch(t *testing.T, url string, req BatchCoverageRequest, fp, proto string) (*http.Response, []byte) {
+// postBatch posts a batch request to /v2/coverage, with fp as its
+// fingerprint header when fp is set.
+func postBatch(t *testing.T, url string, req BatchCoverageRequest, fp string) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -62,9 +63,6 @@ func postBatch(t *testing.T, url string, req BatchCoverageRequest, fp, proto str
 	}
 	if fp != "" {
 		hreq.Header.Set(FingerprintHeader, fp)
-	}
-	if proto != "" {
-		hreq.Header.Set(ProtoHeader, proto)
 	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
@@ -106,7 +104,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	}
 
 	t.Run("inline-registers-and-answers", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
@@ -131,14 +129,14 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 	})
 
 	t.Run("no-examples-400", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses[:1]}, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses[:1]}, "deadbeef")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400: %s", resp.StatusCode, body)
 		}
 	})
 
 	t.Run("no-clauses-400", func(t *testing.T) {
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Examples: examples}, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Examples: examples}, "deadbeef")
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400: %s", resp.StatusCode, body)
 		}
@@ -149,21 +147,9 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 		for i := range big.Clauses {
 			big.Clauses[i] = clauses[i%len(clauses)]
 		}
-		resp, body := postBatch(t, srv.URL, big, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, big, "deadbeef")
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("status %d, want 413: %s", resp.StatusCode, body)
-		}
-	})
-
-	t.Run("wrong-proto-409", func(t *testing.T) {
-		for _, proto := range []string{"1", "3"} {
-			resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", proto)
-			if resp.StatusCode != http.StatusConflict {
-				t.Fatalf("X-Shard-Proto %s on /v2/coverage: status %d, want 409: %s", proto, resp.StatusCode, body)
-			}
-			if detail, ok := httpx.DecodeError(body); !ok || detail.Code != httpx.ErrCodeUnsupportedProto {
-				t.Errorf("error body %s, want code %s", body, httpx.ErrCodeUnsupportedProto)
-			}
 		}
 	})
 }
@@ -186,7 +172,7 @@ func TestWorkerParseCachesAreBounded(t *testing.T) {
 		for i := from; i < from+MaxBatchClauses; i++ {
 			clauses = append(clauses, fmt.Sprintf("advisedBy(A,B) :- publication(C%d,A), publication(C%d,B)", i, i))
 		}
-		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef", ProtoV2)
+		resp, body := postBatch(t, srv.URL, BatchCoverageRequest{Clauses: clauses, Examples: examples}, "deadbeef")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
@@ -425,6 +411,60 @@ func TestCoordinatorKeepAliveSteadyState(t *testing.T) {
 	}
 }
 
+// TestCoordinatorDefaultClientOneConnPerReplica: with no injected client,
+// a run's sequential counts over a 3-shard fleet open exactly one
+// connection to each replica — a run has at most one request in flight
+// per replica, so the default transport's per-host idle pool is enough.
+func TestCoordinatorDefaultClientOneConnPerReplica(t *testing.T) {
+	_, pos, neg := tinyWorld(t)
+	all := append(append([]learn.Example(nil), pos...), neg...)
+	const shards = 3
+	owned := make([]int, shards)
+	for _, e := range all {
+		owned[shardFor(e.String(), shards)]++
+	}
+	for s, n := range owned {
+		if n == 0 {
+			t.Fatalf("shard %d owns no example (%v); every count must reach every replica", s, owned)
+		}
+	}
+
+	fleet := make([][]string, shards)
+	conns := make([]*atomic.Int64, shards)
+	for s := range fleet {
+		conns[s] = new(atomic.Int64)
+		srv := httptest.NewUnstartedServer(NewWorker(fmt.Sprintf("c%d", s), tinyEngine(t, 1), "fp1", WorkerOptions{}).Handler())
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns[s].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		fleet[s] = []string{srv.URL}
+	}
+	mc := metrics.New()
+	co, _ := bindCoordinator(t, Options{Shards: fleet, Fingerprint: "fp1", Metrics: mc})
+
+	const counts = 20
+	for i := 0; i < counts; i++ {
+		// A distinct clause per count: each one misses the store and
+		// goes to every shard.
+		c := logic.MustParseClause(fmt.Sprintf("advisedBy(A,B) :- publication(t%02d,A)", i))
+		if _, err := countOne(co, c, all, len(all)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rpcs := mc.Snapshot().Gauges["shard.rpc_sent"]; rpcs != counts*shards {
+		t.Fatalf("%d counts over %d shards sent %d RPCs, want %d", counts, shards, rpcs, counts*shards)
+	}
+	for s, n := range conns {
+		if got := n.Load(); got != 1 {
+			t.Errorf("replica %d saw %d connections over %d sequential counts, want 1", s, got, counts)
+		}
+	}
+}
+
 func TestWorkerPreloadGatesReadiness(t *testing.T) {
 	engine := tinyEngine(t, 1)
 	w := NewWorker("pre", engine, "fp1", WorkerOptions{})
@@ -460,7 +500,6 @@ func TestWorkerPreloadGatesReadiness(t *testing.T) {
 	}
 	var ready struct {
 		Preloaded int64 `json:"preloaded"`
-		Proto     int   `json:"proto"`
 	}
 	if derr := json.NewDecoder(resp.Body).Decode(&ready); derr != nil {
 		t.Fatal(derr)
@@ -471,9 +510,6 @@ func TestWorkerPreloadGatesReadiness(t *testing.T) {
 	}
 	if ready.Preloaded != int64(len(all)) {
 		t.Errorf("readyz reports %d preloaded BCs, want %d", ready.Preloaded, len(all))
-	}
-	if ready.Proto != 2 {
-		t.Errorf("readyz reports proto %d, want 2", ready.Proto)
 	}
 
 	// Shard-scoped preload warms only the owned range.
@@ -490,27 +526,5 @@ func TestWorkerPreloadGatesReadiness(t *testing.T) {
 	}
 	if n != owned {
 		t.Errorf("shard-0-of-2 preload warmed %d BCs, want %d (its owned range)", n, owned)
-	}
-}
-
-func TestNewFleetClientTuned(t *testing.T) {
-	small := newFleetClient([][]string{{"a", "b"}, {"c"}})
-	tr, ok := small.Transport.(*http.Transport)
-	if !ok {
-		t.Fatal("fleet client transport is not an *http.Transport")
-	}
-	if tr.MaxIdleConnsPerHost < 16 {
-		t.Errorf("small fleet MaxIdleConnsPerHost %d, want the 16 floor", tr.MaxIdleConnsPerHost)
-	}
-	bigFleet := make([][]string, 20)
-	total := 0
-	for i := range bigFleet {
-		bigFleet[i] = []string{fmt.Sprintf("http://w%d-a", i), fmt.Sprintf("http://w%d-b", i)}
-		total += 2
-	}
-	big := newFleetClient(bigFleet)
-	tr2 := big.Transport.(*http.Transport)
-	if tr2.MaxIdleConnsPerHost < total {
-		t.Errorf("40-replica fleet MaxIdleConnsPerHost %d, want >= %d so steady state never churns connections", tr2.MaxIdleConnsPerHost, total)
 	}
 }

@@ -60,9 +60,10 @@ type Options struct {
 	// Metrics, when non-nil, receives shard.* gauges.
 	Metrics *metrics.Collector
 	// Client, when non-nil, overrides the HTTP client (tests inject an
-	// httptest transport). When nil the coordinator builds one with a
-	// connection pool sized to the fleet (see newFleetClient) so steady
-	// state re-uses one persistent connection per worker.
+	// httptest transport). When nil the coordinator gets a pool of its
+	// own, a clone of http.DefaultTransport: a run has at most one
+	// request in flight per replica, and idle connections are kept per
+	// host:port, so each replica keeps one warm connection.
 	Client *http.Client
 }
 
@@ -74,31 +75,6 @@ func (o Options) normalized() Options {
 		o.Retries = 3
 	}
 	return o
-}
-
-// newFleetClient builds the coordinator's default HTTP client: an
-// http.Transport whose idle-connection pool is sized to the whole fleet
-// (MaxIdleConnsPerHost ≥ total replicas ≥ replicas per host), so the
-// steady-state request pattern — every coverage count hits every shard —
-// keeps one warm connection per worker and never churns through dials.
-// The stdlib default of 2 idle conns per host would close and re-open
-// connections on every fan-out wider than 2.
-func newFleetClient(shards [][]string) *http.Client {
-	total := 0
-	for _, reps := range shards {
-		total += len(reps)
-	}
-	perHost := total
-	if perHost < 16 {
-		perHost = 16
-	}
-	return &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        2 * perHost,
-			MaxIdleConnsPerHost: perHost,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	}
 }
 
 // shardState is one shard's replica URLs and where its next request goes.
@@ -139,7 +115,7 @@ func New(opts Options) (*Coordinator, error) {
 	opts = opts.normalized()
 	client := opts.Client
 	if client == nil {
-		client = newFleetClient(opts.Shards)
+		client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	shards := make([]*shardState, len(opts.Shards))
 	for i, urls := range opts.Shards {
@@ -247,7 +223,6 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 			return nil, cerr
 		}
 		if co.opts.DisableLocalFallback {
-			co.mc.AddNamedGauge("shard.lost", 1)
 			co.engine.RecordEvent(report.Event{
 				Kind:   report.ShardLost,
 				Site:   fmt.Sprintf("shard:%d", s),
@@ -307,8 +282,8 @@ func (co *Coordinator) tryShard(ctx context.Context, s int, req BatchCoverageReq
 }
 
 // fatalError marks failures that retrying cannot fix (409: the worker was
-// built from a different configuration, or does not speak this wire
-// protocol); they abort the run instead of retrying or falling back.
+// built from a different configuration); they abort the run instead of
+// retrying or falling back.
 type fatalError struct{ error }
 
 func isFatal(err error) bool {
@@ -338,7 +313,6 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 		return nil, 0, fmt.Errorf("shard %d: request: %w", target, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ProtoHeader, ProtoV2)
 	if co.opts.Fingerprint != "" {
 		hreq.Header.Set(FingerprintHeader, co.opts.Fingerprint)
 	}
@@ -361,8 +335,8 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:
-		// config_mismatch or unsupported_proto: either way this worker
-		// answers for a different universe than the run's.
+		// config_mismatch: this worker answers for a different universe
+		// than the run's.
 		detail, _ := httpx.DecodeError(data)
 		return nil, 0, fatalError{fmt.Errorf("shard %d: %s: config mismatch (%s): %s", target, url, detail.Code, detail.Message)}
 	case http.StatusServiceUnavailable:

@@ -32,8 +32,9 @@
 // in-process, and the shard stays local for the rest of the run; with
 // DisableLocalFallback the run aborts with ErrShardsLost instead.
 // Every recovery is recorded in the run's Result.Report
-// (ShardRetried / ShardFellBackLocal / ShardLost) and surfaced as
-// shard.* metrics. Fault injection sites: shard.rpc.send[:<shard>] and
+// (ShardRetried / ShardFellBackLocal / ShardLost); retries and
+// fallbacks are also counted as shard.* metrics. Fault injection
+// sites: shard.rpc.send[:<shard>] and
 // shard.rpc.batch[:<shard>] (both on every send) and
 // shard.rpc.recv[:<shard>] on the coordinator, shard.crash[:<id>] in
 // the worker handler.
@@ -53,18 +54,6 @@ import (
 // answers 409 config_mismatch instead of silently returning verdicts
 // from the wrong universe.
 const FingerprintHeader = "X-Shard-Fingerprint"
-
-// ProtoHeader carries the wire-protocol version on every coverage RPC.
-// There is one protocol, ProtoV2: the batched frontier protocol
-// (BatchCoverageRequest) with inline example sets and packed bitset
-// verdicts. A worker that sees any other declared version
-// answers a structured 409 (httpx.ErrCodeUnsupportedProto) instead of
-// guessing, and the coordinator treats that like a config mismatch: the
-// fleet was not built for this run.
-const (
-	ProtoHeader = "X-Shard-Proto"
-	ProtoV2     = "2"
-)
 
 // Batch bounds of one BatchCoverageRequest: the coordinator chunks a
 // frontier at MaxBatchClauses, and a worker answers a request over

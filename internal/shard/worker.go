@@ -57,7 +57,7 @@ const (
 // package comment's merge contract — plus GET /healthz
 // (liveness: the process is up), GET /readyz (readiness for operators
 // and load balancers: not draining and not mid-preload; reports
-// fingerprint, cache heat, and wire protocol), GET /metrics and
+// fingerprint and cache heat), GET /metrics and
 // /debug/pprof/ (httpx.MountAdmin).
 type Worker struct {
 	id     string
@@ -220,14 +220,6 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	if !w.crashFault(rw, r) {
 		return
 	}
-	// An absent version header is accepted — the route already names the
-	// version — but a header naming a different one is a coordinator/
-	// worker disagreement that must surface, not be guessed around.
-	if got := r.Header.Get(ProtoHeader); got != "" && got != ProtoV2 {
-		httpx.Fail(rw, http.StatusConflict, httpx.ErrCodeUnsupportedProto,
-			fmt.Errorf("shard %s: /v2/coverage speaks wire v2, request declared %q", w.id, got))
-		return
-	}
 	if got := r.Header.Get(FingerprintHeader); got != "" && got != w.fp {
 		httpx.Fail(rw, http.StatusConflict, httpx.ErrCodeConfigMismatch,
 			fmt.Errorf("shard %s: coordinator fingerprint %s != worker %s (different task/options?)", w.id, got, w.fp))
@@ -330,6 +322,5 @@ func (w *Worker) handleReady(rw http.ResponseWriter, r *http.Request) {
 		"fingerprint": w.fp,
 		"cached_bcs":  w.engine.CachedBCs(),
 		"preloaded":   w.preloaded.Load(),
-		"proto":       2,
 	})
 }

@@ -14,20 +14,40 @@ import (
 // candidate ordering and budget accounting.
 func requireEquiv(t *testing.T, name string, c, g *logic.Clause, opts Options) {
 	t.Helper()
-	ctx := context.Background()
-	want := legacyCheck(ctx, c, g, opts)
+	requireEntryPoints(t, name, c, g, opts, legacyCheck(context.Background(), c, g, opts))
+}
 
+// requireMatcherContract is requireEquiv where the contract is exact
+// equality — budgets at or below the stop — and the escalation's
+// contract (requireEscalationAt) above it, where the refuter may answer
+// a legacy "no" at the stop's node count.
+func requireMatcherContract(t *testing.T, name string, c, g *logic.Clause, opts Options) {
+	t.Helper()
+	if opts.normalized().MaxNodes <= probeNodes {
+		requireEquiv(t, name, c, g, opts)
+		return
+	}
+	want := requireEscalationAt(t, name, c, g, opts, &tally{}, new(bool))
+	requireEntryPoints(t, name, c, g, opts, want)
+}
+
+// requireEntryPoints checks that every way of running one test —
+// string and compiled forms, a reused compiled ground, a shared
+// interner, a clause compiled ahead of its ground — returns want.
+func requireEntryPoints(t *testing.T, name string, c, g *logic.Clause, opts Options, want Result) {
+	t.Helper()
+	ctx := context.Background()
 	if got := Check(c, g, opts); got != want {
-		t.Fatalf("%s: Check=%+v legacy=%+v (clause %v vs %v)", name, got, want, c, g)
+		t.Fatalf("%s: Check=%+v want=%+v (clause %v vs %v)", name, got, want, c, g)
 	}
 	cg := CompileGround(nil, g)
 	if got := CheckCompiled(c, cg, opts); got != want {
-		t.Fatalf("%s: CheckCompiled=%+v legacy=%+v (clause %v vs %v)", name, got, want, c, g)
+		t.Fatalf("%s: CheckCompiled=%+v want=%+v (clause %v vs %v)", name, got, want, c, g)
 	}
 	// A second check against the same CompiledGround must not be
 	// perturbed by pooled-matcher state left over from the first.
 	if got := CheckCompiled(c, cg, opts); got != want {
-		t.Fatalf("%s: repeated CheckCompiled=%+v legacy=%+v", name, got, want)
+		t.Fatalf("%s: repeated CheckCompiled=%+v want=%+v", name, got, want)
 	}
 	// Sharing an interner across compiles must not change outcomes even
 	// when the candidate mentions constants interned by other grounds.
@@ -38,10 +58,10 @@ func requireEquiv(t *testing.T, name string, c, g *logic.Clause, opts Options) {
 	cc := CompileClause(in, c)
 	shared := CompileGround(in, g)
 	if got := CheckCompiled(c, shared, opts); got != want {
-		t.Fatalf("%s: shared-interner CheckCompiled=%+v legacy=%+v", name, got, want)
+		t.Fatalf("%s: shared-interner CheckCompiled=%+v want=%+v", name, got, want)
 	}
 	if got := CheckClauseCtx(ctx, cc, shared, opts); got != want {
-		t.Fatalf("%s: CheckClauseCtx=%+v legacy=%+v (clause %v vs %v)", name, got, want, c, g)
+		t.Fatalf("%s: CheckClauseCtx=%+v want=%+v (clause %v vs %v)", name, got, want, c, g)
 	}
 }
 
@@ -277,14 +297,15 @@ func TestCheckCompiledEquivalenceRandom(t *testing.T) {
 		case 2:
 			opts = Options{MaxNodes: 1 + r.Intn(50)}
 		}
-		requireEquiv(t, "random", c, g, opts)
+		requireMatcherContract(t, "random", c, g, opts)
 		requireRenamingInvariant(t, "random", c, g)
 	}
 }
 
 // FuzzCheckCompiledEquivalence decodes a byte string into a (clause,
-// ground, options) triple and requires bit-identical results from the
-// legacy and compiled matchers.
+// ground, options) triple and holds the compiled matcher to the legacy
+// one: bit-identical at budgets up to the stop, the escalation's
+// contract above it.
 func FuzzCheckCompiledEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
@@ -331,7 +352,7 @@ func FuzzCheckCompiledEquivalence(f *testing.F) {
 		if take(2) == 0 {
 			opts = Options{}
 		}
-		requireEquiv(t, "fuzz", c, g, opts)
+		requireMatcherContract(t, "fuzz", c, g, opts)
 		requireForwardSound(t, "fuzz", c, g, opts)
 	})
 }

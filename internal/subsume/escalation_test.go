@@ -130,55 +130,63 @@ var escalationBudgets = []int{1, probeNodes - 1, probeNodes, probeNodes + 1, 50,
 type tally struct{ probe, refuted, search int }
 
 // requireEscalation holds one (clause, ground) input to the escalation's
-// contract at every budget: Subsumes equals the
+// contract (requireEscalationAt) at every budget of escalationBudgets.
+func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally) {
+	t.Helper()
+	confirmed := false
+	for _, budget := range escalationBudgets {
+		requireEscalationAt(t, fmt.Sprintf("%s budget %d", name, budget), c, g, Options{MaxNodes: budget}, tl, &confirmed)
+	}
+}
+
+// requireEscalationAt holds one (clause, ground, options) test to the
+// escalation's contract and returns its Result: Subsumes equals the
 // legacy matcher's; a test the refuter did not answer returns the legacy
 // Result whole, node count included; a refuted test is one the legacy
 // matcher answers "no" having spent at least the stop's nodes, is
-// reported complete at exactly the stop, and is confirmed by an
-// exhaustive search; Complete is false only where legacy's was; nothing
-// is Cancelled.
-func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally) {
+// reported complete at exactly the stop, and — the first time *confirmed
+// is false — is confirmed by an exhaustive search; Complete is false
+// only where legacy's was; nothing is Cancelled. tl counts what
+// answered.
+func requireEscalationAt(t *testing.T, at string, c, g *logic.Clause, opts Options, tl *tally, confirmed *bool) Result {
 	t.Helper()
 	ctx := context.Background()
-	confirmed := false
-	for _, budget := range escalationBudgets {
-		opts := Options{MaxNodes: budget}
-		want := legacyCheck(ctx, c, g, opts)
-		got, how := checkHow(ctx, c, g, opts)
-		at := fmt.Sprintf("%s budget %d", name, budget)
-		if got.Subsumes != want.Subsumes || got.Cancelled || (!got.Complete && want.Complete) {
-			t.Fatalf("%s: got %+v legacy %+v (clause %v vs %v)", at, got, want, c, g)
+	budget := opts.normalized().MaxNodes
+	want := legacyCheck(ctx, c, g, opts)
+	got, how := checkHow(ctx, c, g, opts)
+	if got.Subsumes != want.Subsumes || got.Cancelled || (!got.Complete && want.Complete) {
+		t.Fatalf("%s: got %+v legacy %+v (clause %v vs %v)", at, got, want, c, g)
+	}
+	if shared := CheckCompiled(c, CompileGround(nil, g), opts); shared != got {
+		t.Fatalf("%s: CheckCompiled %+v, CheckClauseCtx %+v", at, shared, got)
+	}
+	switch how {
+	case byRefuter:
+		tl.refuted++
+		if budget <= probeNodes {
+			t.Fatalf("%s: refuted under a budget with no stop in it", at)
 		}
-		if shared := CheckCompiled(c, CompileGround(nil, g), opts); shared != got {
-			t.Fatalf("%s: CheckCompiled %+v, CheckClauseCtx %+v", at, shared, got)
+		if got != (Result{Complete: true, Nodes: probeNodes}) || want.Nodes < probeNodes {
+			t.Fatalf("%s: refuted %+v, legacy %+v", at, got, want)
 		}
-		switch how {
-		case byRefuter:
-			tl.refuted++
-			if budget <= probeNodes {
-				t.Fatalf("%s: refuted under a budget with no stop in it", at)
+		if !*confirmed {
+			*confirmed = true
+			if legacyCheck(ctx, c, g, exhaustive).Subsumes {
+				t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", at, c, g)
 			}
-			if got != (Result{Complete: true, Nodes: probeNodes}) || want.Nodes < probeNodes {
-				t.Fatalf("%s: refuted %+v, legacy %+v", at, got, want)
-			}
-			if !confirmed {
-				confirmed = true
-				if legacyCheck(ctx, c, g, exhaustive).Subsumes {
-					t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", at, c, g)
-				}
-			}
-		case byProbe:
-			tl.probe++
-			if got != want || budget <= probeNodes || got.Nodes > probeNodes {
-				t.Fatalf("%s: probe-decided %+v, legacy %+v", at, got, want)
-			}
-		default:
-			tl.search++
-			if got != want {
-				t.Fatalf("%s: searched %+v, legacy %+v", at, got, want)
-			}
+		}
+	case byProbe:
+		tl.probe++
+		if got != want || budget <= probeNodes || got.Nodes > probeNodes {
+			t.Fatalf("%s: probe-decided %+v, legacy %+v", at, got, want)
+		}
+	default:
+		tl.search++
+		if got != want {
+			t.Fatalf("%s: searched %+v, legacy %+v", at, got, want)
 		}
 	}
+	return got
 }
 
 func TestCheckClauseEscalationTable(t *testing.T) {

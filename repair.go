@@ -159,7 +159,6 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 		mc.EndSpan(metrics.SpanRepairReplay, replayStart)
 		rep.Result = res
 		rep.CarriedHits = engine.CarriedHits()
-		mc.SetNamedGauge("ingest.carried_hits", rep.CarriedHits)
 	}
 	rep.Elapsed = time.Since(start)
 	if mc != nil {
