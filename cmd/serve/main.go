@@ -19,8 +19,9 @@
 // /admin/reload, and /debug/pprof/ — all on one port.
 //
 // Hot reload: SIGHUP or POST /admin/reload re-scans -models and swaps
-// changed artifacts in with zero downtime (the old version drains its
-// in-flight requests, new requests land on the new version). Unchanged
+// changed artifacts in with zero downtime (requests that already
+// resolved the old version finish on it, new requests land on the new
+// version). Unchanged
 // artifacts are skipped by checksum; a bad artifact keeps its last good
 // version serving.
 //

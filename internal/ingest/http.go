@@ -43,9 +43,9 @@ func NewServer(ing *Ingestor, maxInflight int) *Server {
 // Handler returns the server's routed handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", s.admit(s.handleBatch))
-	mux.HandleFunc("/ingest/stream", s.admit(s.handleStream))
-	mux.HandleFunc("/version", s.handleVersion)
+	mux.HandleFunc("POST /ingest", s.admit(s.handleBatch))
+	mux.HandleFunc("POST /ingest/stream", s.admit(s.handleStream))
+	mux.HandleFunc("GET /version", s.handleVersion)
 	return mux
 }
 
@@ -61,21 +61,11 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpx.Fail(w, http.StatusMethodNotAllowed, httpx.ErrCodeBadRequest,
-			fmt.Errorf("ingest: %s not allowed", r.Method))
-		return
-	}
+func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, map[string]uint64{"version": s.ing.Version()})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.Fail(w, http.StatusMethodNotAllowed, httpx.ErrCodeBadRequest,
-			fmt.Errorf("ingest: %s not allowed", r.Method))
-		return
-	}
 	var b Batch
 	if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
 		httpx.Fail(w, http.StatusBadRequest, httpx.ErrCodeBadRequest,
@@ -99,11 +89,6 @@ type streamResponse struct {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpx.Fail(w, http.StatusMethodNotAllowed, httpx.ErrCodeBadRequest,
-			fmt.Errorf("ingest: %s not allowed", r.Method))
-		return
-	}
 	st := s.ing.NewStream(s.StreamBatch)
 	st.OnCommit = s.OnCommit
 	sc := bufio.NewScanner(r.Body)

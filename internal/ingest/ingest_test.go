@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -275,4 +276,18 @@ func TestHTTPBatchAndStream(t *testing.T) {
 		t.Fatalf("invalid batch status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// Routes are method patterns: a GET on the commit route gets the
+	// mux's plain 405 and commits nothing.
+	resp, err = ts.Client().Get(ts.URL + "/ingest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /ingest status = %d, want 405", resp.StatusCode)
+	}
+	if d.Version() != 3 {
+		t.Fatalf("GET /ingest moved the data version to %d", d.Version())
+	}
 }

@@ -480,22 +480,9 @@ func (c *Collector) WorkerBusy(worker int, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// SetNamedGauge sets a dynamically-named gauge (e.g. one serving model's
-// cache occupancy in bytes). Named gauges are scheduling- and
+// AddNamedGauge adds delta to a dynamically-named gauge (e.g. the shard
+// coordinator's wire bytes). Named gauges are scheduling- and
 // traffic-dependent by nature and are reported under Snapshot.Gauges.
-func (c *Collector) SetNamedGauge(name string, v int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.named == nil {
-		c.named = make(map[string]int64)
-	}
-	c.named[name] = v
-	c.mu.Unlock()
-}
-
-// AddNamedGauge adds delta to a dynamically-named gauge.
 func (c *Collector) AddNamedGauge(name string, delta int64) {
 	if c == nil {
 		return

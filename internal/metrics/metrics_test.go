@@ -208,17 +208,16 @@ func TestWriteFileRoundTrip(t *testing.T) {
 
 func TestNamedGauges(t *testing.T) {
 	var nilC *Collector
-	// Nil-safety: the serving layer and the shard coordinator publish
-	// named gauges unconditionally.
-	nilC.SetNamedGauge("shard.wire_bytes_sent", 42)
-	nilC.AddNamedGauge("shard.wire_bytes_sent", 1)
+	// Nil-safety: the shard coordinator and worker publish named gauges
+	// unconditionally.
+	nilC.AddNamedGauge("shard.wire_bytes_sent", 42)
 	if got := nilC.NamedGauge("shard.wire_bytes_sent"); got != 0 {
 		t.Fatalf("nil named gauge = %d", got)
 	}
 
 	c := New()
-	c.SetNamedGauge("shard.wire_bytes_sent", 1024)
-	c.SetNamedGauge("shard.fallback_local", 2)
+	c.AddNamedGauge("shard.wire_bytes_sent", 1024)
+	c.AddNamedGauge("shard.fallback_local", 2)
 	c.AddNamedGauge("shard.wire_bytes_sent", -24)
 	if got := c.NamedGauge("shard.wire_bytes_sent"); got != 1000 {
 		t.Fatalf("named gauge = %d, want 1000", got)

@@ -77,8 +77,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryPredict measures the full tenancy path (acquire,
-// concurrency budget) on the hot memo, quantifying the per-request
+// BenchmarkRegistryPredict measures the full tenancy path (resolve,
+// in-flight budget) on the hot memo, quantifying the per-request
 // overhead the registry adds over Model.PredictBatch.
 func BenchmarkRegistryPredict(b *testing.B) {
 	const people = 200
@@ -90,7 +90,7 @@ func BenchmarkRegistryPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(m)
+	reg.Swap(m)
 	if _, _, err := reg.Predict(context.Background(), "gp", examples); err != nil {
 		b.Fatal(err)
 	}

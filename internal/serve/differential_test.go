@@ -88,20 +88,14 @@ func TestCachedUncachedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Point predictions interleaved with batches, so verdicts memoized
-		// by one path serve the other.
+		// Single-example batches interleaved with longer ones, so verdicts
+		// memoized by one serve the other.
 		got := make([]bool, len(stream))
 		for start := 0; start < len(stream); {
-			if start%3 == 0 {
-				v, err := cached.PredictExample(context.Background(), stream[start])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[start] = v
-				start++
-				continue
-			}
 			end := start + 50
+			if start%3 == 0 {
+				end = start + 1
+			}
 			if end > len(stream) {
 				end = len(stream)
 			}
@@ -142,7 +136,7 @@ func TestConcurrentMixedModelTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.Add(m)
+		reg.Swap(m)
 	}
 
 	rng := rand.New(rand.NewSource(11))

@@ -216,9 +216,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 
 // handleReload triggers a hot model reload (ReloadDir via the
 // configured hook) and reports what changed. Serving never pauses:
-// swapped models drain their old versions in the background — but
-// readiness dips while the sweep runs, so rolling deploys wait for the
-// rebind to finish before routing fresh traffic.
+// requests already on a replaced version finish on it — but readiness
+// dips while the sweep runs, so rolling deploys wait for the rebind to
+// finish before routing fresh traffic.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Reload == nil {
 		s.fail(w, http.StatusNotImplemented, httpx.ErrCodeUnsupported, errors.New("no reload hook configured"))
@@ -258,7 +258,7 @@ type predictResponse struct {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.opts.Metrics.Inc(metrics.ServeRequests)
 	name := r.PathValue("name")
-	m, release, ok := s.reg.Acquire(name)
+	m, ok := s.reg.Get(name)
 	if !ok {
 		s.fail(w, http.StatusNotFound, httpx.ErrCodeModelNotFound, fmt.Errorf("no such model %q", name))
 		return
@@ -270,7 +270,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if len(req.Tuples)+len(req.Examples) == 0 {
 			err = errors.New("empty request: provide tuples and/or examples")
 		} else if n := len(req.Tuples) + len(req.Examples); n > s.opts.MaxBatch {
-			release()
 			s.fail(w, http.StatusRequestEntityTooLarge, httpx.ErrCodeBatchTooLarge,
 				fmt.Errorf("batch of %d examples exceeds the limit of %d; split the request", n, s.opts.MaxBatch))
 			return
@@ -278,7 +277,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			examples, err = m.decodeBatch(req)
 		}
 	}
-	release()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, httpx.ErrCodeBadRequest, err)
 		return
@@ -301,6 +299,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrNoModel):
 			status, code = http.StatusNotFound, httpx.ErrCodeModelNotFound
+		case errors.Is(err, ErrBadExample):
+			status, code = http.StatusBadRequest, httpx.ErrCodeBadRequest
 		case errors.Is(err, ErrOverloaded):
 			status, code = http.StatusServiceUnavailable, httpx.ErrCodeOverloaded
 		default:
@@ -318,10 +318,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
-// decodeBatch turns a predict request into ground literals, tuples
-// first, and validates each against the model's target signature so
-// malformed inputs surface as 400s, not engine errors. Parse and
-// validation errors carry the offending input.
+// decodeBatch parses a predict request into ground literals, tuples
+// first; a parse error carries the offending input. Registry.Predict
+// validates the literals against the version that serves them.
 func (m *Model) decodeBatch(req predictRequest) ([]Example, error) {
 	out := make([]Example, 0, len(req.Tuples)+len(req.Examples))
 	for _, vals := range req.Tuples {
@@ -333,11 +332,6 @@ func (m *Model) decodeBatch(req predictRequest) ([]Example, error) {
 			return nil, err
 		}
 		out = append(out, e)
-	}
-	for _, e := range out {
-		if err := m.checkExample(e); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

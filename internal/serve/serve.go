@@ -20,12 +20,14 @@
 // and keeps nothing. Purity means the memo can only redistribute cost,
 // never change an answer (see the differential suite).
 //
-// Multi-model tenancy: a Registry holds one tenant per model name, each
-// with a versioned current Model swapped atomically (Swap). In-flight
-// requests hold a reference to the version they resolved; a replaced
-// version serves them to completion and then drains (Retire/Drain) —
-// zero-downtime rollout. Each model carries its own concurrency budget
-// so one hot model cannot starve the rest.
+// Multi-model tenancy: a Registry holds one versioned current Model per
+// name, swapped atomically (Swap). A request serves on the version it
+// resolved, even if a swap replaces it meanwhile; a replaced version
+// holds only memory, so nothing waits for it to empty — the garbage
+// collector retires it. Each model keeps one in-flight count of admitted
+// predicts: it is the model's concurrency budget, so one hot model
+// cannot starve the rest, and the in_flight gauge that readiness
+// reports.
 package serve
 
 import (
@@ -54,6 +56,10 @@ type Example = logic.Literal
 // ErrNoModel reports a predict against a name the registry does not
 // hold.
 var ErrNoModel = errors.New("serve: no such model")
+
+// ErrBadExample reports an example that does not query the serving
+// model's target signature. HTTP maps it to 400.
+var ErrBadExample = errors.New("serve: bad example")
 
 // ErrOverloaded reports a predict shed because the model's concurrency
 // budget was exhausted. HTTP maps it to 503 with Retry-After.
@@ -109,15 +115,10 @@ type Model struct {
 
 	// memo caches definition-level verdicts; nil in Uncached mode.
 	memo *verdictMemo
-	// slots is the model's concurrency budget (nil = unlimited).
-	slots chan struct{}
-
-	// inflight counts requests holding this version (Registry.Acquire);
-	// a retired version closes drained when the count reaches zero.
-	inflight  atomic.Int64
-	retired   atomic.Bool
-	drained   chan struct{}
-	drainOnce sync.Once
+	// inflight counts predicts admitted through Registry.Predict; a
+	// positive limit (Options.ModelConcurrency) bounds it.
+	inflight atomic.Int64
+	limit    int64
 }
 
 // Bind reconstructs a model's training engine over the database; see
@@ -162,13 +163,10 @@ func Bind(_ context.Context, name string, art *model.Artifact, database *db.Data
 		def:     def,
 		engine:  engine,
 		mc:      opts.Metrics,
-		drained: make(chan struct{}),
+		limit:   int64(opts.ModelConcurrency),
 	}
 	if !opts.Uncached {
 		m.memo = newVerdictMemo(opts.MemoLimit)
-	}
-	if opts.ModelConcurrency > 0 {
-		m.slots = make(chan struct{}, opts.ModelConcurrency)
 	}
 	return m, nil
 }
@@ -191,77 +189,38 @@ func (m *Model) DataVersion() uint64 { return m.art.DataVersion }
 // Definition returns the learned theory.
 func (m *Model) Definition() *logic.Definition { return m.def }
 
-// InFlight reports how many acquired requests currently hold this
-// version.
+// InFlight reports how many predicts this version is serving.
 func (m *Model) InFlight() int { return int(m.inflight.Load()) }
 
-// Retired reports whether this version has been replaced by a Swap.
-func (m *Model) Retired() bool { return m.retired.Load() }
-
-// ref/unref count requests holding this version. unref closes the drain
-// gate when a retired version's last request finishes.
-func (m *Model) ref() { m.inflight.Add(1) }
-
-func (m *Model) unref() {
-	if m.inflight.Add(-1) == 0 && m.retired.Load() {
-		m.closeDrained()
-	}
-}
-
-// Retire marks the version replaced: it serves its in-flight requests
-// to completion but Registry.Acquire routes new ones to the successor.
-func (m *Model) Retire() {
-	m.retired.Store(true)
-	if m.inflight.Load() == 0 {
-		m.closeDrained()
-	}
-}
-
-func (m *Model) closeDrained() { m.drainOnce.Do(func() { close(m.drained) }) }
-
-// Drain blocks until the version is retired and its last in-flight
-// request has finished, or ctx ends.
-func (m *Model) Drain(ctx context.Context) error {
-	select {
-	case <-m.drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// tryAcquireSlot claims a concurrency-budget slot without queueing;
-// false means the caller should shed.
+// tryAcquireSlot admits one predict against the model's budget without
+// queueing; false means the caller should shed.
 func (m *Model) tryAcquireSlot() bool {
-	if m.slots == nil {
-		return true
-	}
-	select {
-	case m.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (m *Model) releaseSlot() {
-	if m.slots != nil {
-		<-m.slots
+	for {
+		n := m.inflight.Load()
+		if m.limit > 0 && n >= m.limit {
+			return false
+		}
+		if m.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
-// checkExample validates that e queries this model's target relation.
+func (m *Model) releaseSlot() { m.inflight.Add(-1) }
+
+// checkExample validates that e queries this model's target relation;
+// its errors wrap ErrBadExample.
 func (m *Model) checkExample(e logic.Literal) error {
 	if e.Predicate != m.art.Target {
-		return fmt.Errorf("serve: model %q classifies %s/%d, not %s/%d",
-			m.name, m.art.Target, len(m.art.TargetAttrs), e.Predicate, e.Arity())
+		return fmt.Errorf("%w: model %q classifies %s/%d, not %s/%d",
+			ErrBadExample, m.name, m.art.Target, len(m.art.TargetAttrs), e.Predicate, e.Arity())
 	}
 	if e.Arity() != len(m.art.TargetAttrs) {
-		return fmt.Errorf("serve: model %q: %s takes %d attributes (%s), got %d",
-			m.name, m.art.Target, len(m.art.TargetAttrs), strings.Join(m.art.TargetAttrs, ","), e.Arity())
+		return fmt.Errorf("%w: model %q: %s takes %d attributes (%s), got %d",
+			ErrBadExample, m.name, m.art.Target, len(m.art.TargetAttrs), strings.Join(m.art.TargetAttrs, ","), e.Arity())
 	}
 	if !e.IsGround() {
-		return fmt.Errorf("serve: example %s is not ground", e.String())
+		return fmt.Errorf("%w: %s is not ground", ErrBadExample, e.String())
 	}
 	return nil
 }
@@ -288,26 +247,6 @@ func (m *Model) predictOne(ctx context.Context, e Example) (bool, error) {
 	return v, nil
 }
 
-// PredictExample reports whether the learned theory covers the ground
-// example, with the training verdict semantics (see the package
-// comment).
-func (m *Model) PredictExample(ctx context.Context, e logic.Literal) (bool, error) {
-	if err := m.checkExample(e); err != nil {
-		return false, err
-	}
-	span := m.mc.StartSpan()
-	covered, err := m.predictOne(ctx, e)
-	m.mc.EndSpan(metrics.SpanServePredict, span)
-	if err != nil {
-		return false, err
-	}
-	m.mc.Add(metrics.ServePredictions, 1)
-	if covered {
-		m.mc.Inc(metrics.ServeCovered)
-	}
-	return covered, nil
-}
-
 // TupleExample builds the ground target literal for a tuple's attribute
 // values. (Arity errors surface at predict time via checkExample.)
 func (m *Model) TupleExample(values []string) logic.Literal {
@@ -318,11 +257,12 @@ func (m *Model) TupleExample(values []string) logic.Literal {
 	return logic.NewLiteral(m.art.Target, terms...)
 }
 
-// PredictBatch classifies every example, fanning the independent
-// coverage tests through pool.Run on min(Workers, batch size)
-// goroutines — the engine's rule. Verdicts are positionally aligned with
-// the input and identical at every worker count (each test is a pure
-// function of the example).
+// PredictBatch reports whether the learned theory covers each ground
+// example, with the training verdict semantics (see the package
+// comment). It fans the independent coverage tests through pool.Run on
+// min(Workers, batch size) goroutines — the engine's rule. Verdicts
+// are positionally aligned with the input and identical at every worker
+// count (each test is a pure function of the example).
 func (m *Model) PredictBatch(ctx context.Context, examples []logic.Literal) ([]bool, error) {
 	for _, e := range examples {
 		if err := m.checkExample(e); err != nil {
@@ -353,118 +293,66 @@ func (m *Model) PredictBatch(ctx context.Context, examples []logic.Literal) ([]b
 	return out, nil
 }
 
-// tenant is one model name's serving state: its current version. cur is
-// swapped atomically; swapMu serializes writers (version numbering).
-type tenant struct {
-	name   string
-	swapMu sync.Mutex
-	cur    atomic.Pointer[Model]
-}
-
-// acquire returns the tenant's current model with a reference held. The
-// re-check loop closes the race with Swap: after Swap(m2) returns, no
-// new reference on the old version can be taken, which is what makes
-// Drain's "no new work" guarantee sound.
-func (t *tenant) acquire() (*Model, func()) {
-	for {
-		m := t.cur.Load()
-		m.ref()
-		if t.cur.Load() == m {
-			return m, m.unref
-		}
-		m.unref()
-	}
-}
-
-// Registry holds the bound models of a serving process, keyed by name.
-// Safe for concurrent use; reads never block on swaps.
+// Registry holds the bound models of a serving process, keyed by name:
+// one atomically swapped current version per name. Safe for concurrent
+// use; reads never block on swaps.
 type Registry struct {
 	mu      sync.RWMutex
-	tenants map[string]*tenant
+	current map[string]*atomic.Pointer[Model]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tenants: make(map[string]*tenant)}
+	return &Registry{current: make(map[string]*atomic.Pointer[Model])}
 }
 
-func (r *Registry) tenant(name string) *tenant {
-	r.mu.RLock()
-	t := r.tenants[name]
-	r.mu.RUnlock()
-	return t
-}
-
-// Add registers the model under its name; an existing binding is
-// swapped out (see Swap).
-func (r *Registry) Add(m *Model) { r.Swap(m) }
-
-// Swap atomically installs m as its name's current version and returns
-// the replaced version (nil for a first binding). The old version is
-// retired: requests that already resolved it finish on it (that IS the
-// drain window), new requests land on m. Callers that need to know the
-// rollout completed wait on old.Drain.
+// Swap atomically installs m as its name's current version (version =
+// old+1, or 1 for a first binding) and returns the replaced version,
+// nil for a first binding. Requests that already resolved the old
+// version finish on it; new requests land on m.
 func (r *Registry) Swap(m *Model) *Model {
 	r.mu.Lock()
-	t := r.tenants[m.name]
-	if t == nil {
-		t = &tenant{name: m.name}
-		r.tenants[m.name] = t
+	defer r.mu.Unlock()
+	cur := r.current[m.name]
+	if cur == nil {
+		cur = new(atomic.Pointer[Model])
+		r.current[m.name] = cur
 	}
-	r.mu.Unlock()
-
-	t.swapMu.Lock()
-	old := t.cur.Load()
+	old := cur.Load()
+	m.version = 1
 	if old != nil {
 		m.version = old.version + 1
-	} else {
-		m.version = 1
-	}
-	t.cur.Store(m)
-	t.swapMu.Unlock()
-	if old != nil {
-		old.Retire()
 		m.mc.Inc(metrics.ServeModelSwaps)
 	}
+	cur.Store(m)
 	return old
 }
 
 // Get returns the named model's current version.
 func (r *Registry) Get(name string) (*Model, bool) {
-	t := r.tenant(name)
-	if t == nil {
+	r.mu.RLock()
+	cur := r.current[name]
+	r.mu.RUnlock()
+	if cur == nil {
 		return nil, false
 	}
-	m := t.cur.Load()
+	m := cur.Load()
 	return m, m != nil
 }
 
-// Acquire returns the named model's current version with a reference
-// held; the caller must call release when its request is done. The
-// reference keeps drain accounting exact across concurrent swaps.
-func (r *Registry) Acquire(name string) (m *Model, release func(), ok bool) {
-	t := r.tenant(name)
-	if t == nil {
-		return nil, nil, false
-	}
-	m, release = t.acquire()
-	return m, release, true
-}
-
-// Predict classifies the batch through the full tenancy path: acquire
-// the tenant's current version, claim its concurrency budget (shedding
-// with ErrOverloaded when exhausted), and return positionally aligned
-// verdicts plus the version that served each example — one version for
-// the whole batch.
+// Predict classifies the batch through the full tenancy path: resolve
+// the name's current version, admit the predict against its in-flight
+// budget (shedding with ErrOverloaded when exhausted), and return
+// positionally aligned verdicts plus the version that served each
+// example — one version for the whole batch, which also validates it.
 func (r *Registry) Predict(ctx context.Context, name string, examples []Example) (verdicts []bool, versions []int, err error) {
-	m, release, ok := r.Acquire(name)
+	m, ok := r.Get(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNoModel, name)
 	}
-	defer release()
 	if !m.tryAcquireSlot() {
 		m.mc.Inc(metrics.ServeLoadShed)
-		return nil, nil, fmt.Errorf("%w: model %q at %d in-flight predicts", ErrOverloaded, name, cap(m.slots))
+		return nil, nil, fmt.Errorf("%w: model %q at %d in-flight predicts", ErrOverloaded, name, m.limit)
 	}
 	defer m.releaseSlot()
 	verdicts, err = m.PredictBatch(ctx, examples)
@@ -481,8 +369,8 @@ func (r *Registry) Predict(ctx context.Context, name string, examples []Example)
 // Names lists registered model names in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.tenants))
-	for name := range r.tenants {
+	names := make([]string, 0, len(r.current))
+	for name := range r.current {
 		names = append(names, name)
 	}
 	r.mu.RUnlock()
@@ -494,7 +382,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.tenants)
+	return len(r.current)
 }
 
 // DBResolver maps an artifact's data reference to a live database.
@@ -562,20 +450,11 @@ func LoadDir(ctx context.Context, dir string, resolve DBResolver, opts Options) 
 	}
 	r := NewRegistry()
 	for _, p := range paths {
-		art, err := model.Load(p)
+		m, _, err := bindFile(ctx, r, p, resolve, opts)
 		if err != nil {
 			return nil, err
 		}
-		database, err := resolve(art.Data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", p, err)
-		}
-		name := strings.TrimSuffix(filepath.Base(p), ".model")
-		m, err := Bind(ctx, name, art, database, opts)
-		if err != nil {
-			return nil, err
-		}
-		r.Add(m)
+		r.Swap(m)
 		opts.Metrics.Inc(metrics.ServeModelsLoaded)
 	}
 	return r, nil
@@ -593,6 +472,29 @@ func modelPaths(dir string) ([]string, error) {
 	return paths, nil
 }
 
+func modelName(path string) string { return strings.TrimSuffix(filepath.Base(path), ".model") }
+
+// bindFile is the one per-artifact step of LoadDir and ReloadDir: load
+// the artifact at path, resolve its database, and bind it under the
+// file's base name. When r already serves an artifact with the same
+// checksum, bindFile returns that version, unchanged, and binds nothing.
+func bindFile(ctx context.Context, r *Registry, path string, resolve DBResolver, opts Options) (m *Model, unchanged bool, err error) {
+	name := modelName(path)
+	art, err := model.Load(path)
+	if err != nil {
+		return nil, false, err
+	}
+	if cur, ok := r.Get(name); ok && cur.art.Checksum == art.Checksum {
+		return cur, true, nil
+	}
+	database, err := resolve(art.Data)
+	if err != nil {
+		return nil, false, fmt.Errorf("serve: %s: %w", path, err)
+	}
+	m, err = Bind(ctx, name, art, database, opts)
+	return m, false, err
+}
+
 // ReloadReport summarizes one ReloadDir sweep.
 type ReloadReport struct {
 	// Swapped names models replaced with a new version; Added names
@@ -603,19 +505,15 @@ type ReloadReport struct {
 	Added     []string          `json:"added,omitempty"`
 	Unchanged []string          `json:"unchanged,omitempty"`
 	Failed    map[string]string `json:"failed,omitempty"`
-	// Retired holds the replaced versions, still draining their in-flight
-	// requests; callers wanting rollout confirmation wait on Drain.
-	Retired []*Model `json:"-"`
 }
 
 // ReloadDir re-scans a models directory and hot-swaps changed models
 // into the registry with zero downtime: each changed artifact is fully
-// bound BEFORE its swap, the swap is atomic, and the
-// replaced version drains in-flight requests on its own. Unchanged
-// artifacts (same checksum as the serving version) are skipped;
-// per-model failures are reported but never interrupt serving — unlike
-// startup (LoadDir), where a bad artifact fails the process, a bad
-// reload keeps the last good version live.
+// bound BEFORE its swap, and the swap is atomic. Unchanged artifacts
+// (same checksum as the serving version) are skipped; per-model
+// failures are reported but never interrupt serving — unlike startup
+// (LoadDir), where a bad artifact fails the process, a bad reload keeps
+// the last good version live.
 func ReloadDir(ctx context.Context, r *Registry, dir string, resolve DBResolver, opts Options) (*ReloadReport, error) {
 	paths, err := modelPaths(dir)
 	if err != nil {
@@ -624,32 +522,20 @@ func ReloadDir(ctx context.Context, r *Registry, dir string, resolve DBResolver,
 	opts.Metrics.Inc(metrics.ServeReloads)
 	rep := &ReloadReport{Failed: make(map[string]string)}
 	for _, p := range paths {
-		name := strings.TrimSuffix(filepath.Base(p), ".model")
-		art, err := model.Load(p)
-		if err != nil {
+		name := modelName(p)
+		m, unchanged, err := bindFile(ctx, r, p, resolve, opts)
+		switch {
+		case err != nil:
 			rep.Failed[name] = err.Error()
-			continue
-		}
-		if cur, ok := r.Get(name); ok && cur.art.Checksum == art.Checksum {
+		case unchanged:
 			rep.Unchanged = append(rep.Unchanged, name)
-			continue
-		}
-		database, err := resolve(art.Data)
-		if err != nil {
-			rep.Failed[name] = err.Error()
-			continue
-		}
-		m, err := Bind(ctx, name, art, database, opts)
-		if err != nil {
-			rep.Failed[name] = err.Error()
-			continue
-		}
-		if old := r.Swap(m); old != nil {
-			rep.Swapped = append(rep.Swapped, name)
-			rep.Retired = append(rep.Retired, old)
-		} else {
-			rep.Added = append(rep.Added, name)
-			opts.Metrics.Inc(metrics.ServeModelsLoaded)
+		default:
+			if old := r.Swap(m); old != nil {
+				rep.Swapped = append(rep.Swapped, name)
+			} else {
+				rep.Added = append(rep.Added, name)
+				opts.Metrics.Inc(metrics.ServeModelsLoaded)
+			}
 		}
 	}
 	if len(rep.Failed) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -73,16 +74,16 @@ func TestBindAndPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.PredictExample(context.Background(), e)
+		got, err := m.PredictBatch(context.Background(), []Example{e})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.example, err)
 		}
-		if got != tc.covered {
-			t.Errorf("%s: covered=%v, want %v", tc.example, got, tc.covered)
+		if got[0] != tc.covered {
+			t.Errorf("%s: covered=%v, want %v", tc.example, got[0], tc.covered)
 		}
 	}
-	if ok, err := m.PredictExample(context.Background(), m.TupleExample([]string{"p1", "p3"})); err != nil || !ok {
-		t.Fatalf("PredictExample(p1,p3) = %v, %v", ok, err)
+	if ok, err := m.PredictBatch(context.Background(), []Example{m.TupleExample([]string{"p1", "p3"})}); err != nil || !ok[0] {
+		t.Fatalf("PredictBatch(p1,p3) = %v, %v", ok, err)
 	}
 }
 
@@ -97,19 +98,24 @@ func TestBindRejectsStaleSchema(t *testing.T) {
 	}
 }
 
+// TestPredictValidation: a predict is validated against the version
+// that serves it, and a wrong predicate or arity fails with
+// ErrBadExample, which HTTP maps to 400.
 func TestPredictValidation(t *testing.T) {
 	d, art := testWorld(t)
 	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := NewRegistry()
+	reg.Swap(m)
 	for _, bad := range []string{"parent(p1,p2)", "gp(p1)", "gp(p1,p2,p3)"} {
 		e, err := model.ParseExample(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.PredictExample(context.Background(), e); err == nil {
-			t.Errorf("%s: prediction accepted", bad)
+		if _, _, err := reg.Predict(context.Background(), "gp", []Example{e}); !errors.Is(err, ErrBadExample) {
+			t.Errorf("%s: predict returned %v, want ErrBadExample", bad, err)
 		}
 	}
 	if _, err := model.ParseExample("gp(X,p2)"); err == nil {
@@ -212,8 +218,8 @@ func TestLoadDir(t *testing.T) {
 	if !ok {
 		t.Fatal("model gp missing")
 	}
-	if ok, err := m.PredictExample(context.Background(), m.TupleExample([]string{"p1", "p3"})); err != nil || !ok {
-		t.Fatalf("loaded model PredictExample = %v, %v", ok, err)
+	if ok, err := m.PredictBatch(context.Background(), []Example{m.TupleExample([]string{"p1", "p3"})}); err != nil || !ok[0] {
+		t.Fatalf("loaded model PredictBatch = %v, %v", ok, err)
 	}
 	if _, err := LoadDir(context.Background(), t.TempDir(), DefaultResolver(""), Options{}); err == nil {
 		t.Fatal("LoadDir on empty dir succeeded")
@@ -361,7 +367,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("non-ground example: %s", resp.Status)
 	}
 	// A well-formed literal for the wrong predicate is still a client
-	// error — it must be rejected at decode, not surface as a 500.
+	// error — ErrBadExample, a 400, not a 500.
 	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/models/gp/predict", map[string]any{"examples": []string{"nope(a,b)"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-predicate example: %s", resp.Status)

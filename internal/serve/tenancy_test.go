@@ -61,9 +61,8 @@ func mustExamples(t *testing.T, strs ...string) []Example {
 }
 
 // TestSwapZeroDowntime swaps a tenant's model under continuous traffic:
-// no request may fail, every verdict must come from a coherent version
-// (1 = grandparent theory, 2 = parent theory), and the old version must
-// drain once its in-flight requests finish.
+// no request may fail, and every verdict must come from a coherent
+// version (1 = grandparent theory, 2 = parent theory).
 func TestSwapZeroDowntime(t *testing.T) {
 	d, art := testWorld(t)
 	mc := metrics.New()
@@ -72,7 +71,7 @@ func TestSwapZeroDowntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(m1)
+	reg.Swap(m1)
 
 	// gp(p1,p3) is a grandparent: v1 says true, v2 (parent theory) false.
 	examples := mustExamples(t, "gp(p1,p3)")
@@ -127,17 +126,6 @@ func TestSwapZeroDowntime(t *testing.T) {
 		t.Fatalf("new version %d, want 2", m2.Version())
 	}
 
-	// The old version must drain: it is retired, and once its in-flight
-	// requests complete the drained channel closes.
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := old.Drain(drainCtx); err != nil {
-		t.Fatalf("old version never drained: %v", err)
-	}
-	if !old.Retired() {
-		t.Fatal("old version not marked retired")
-	}
-
 	time.Sleep(20 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
@@ -164,7 +152,7 @@ func TestLoadSheddingPerModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(m)
+	reg.Swap(m)
 	examples := mustExamples(t, "gp(p1,p3)")
 
 	// Occupy the model's only slot, as a long-running request would.
@@ -183,6 +171,28 @@ func TestLoadSheddingPerModel(t *testing.T) {
 		t.Fatalf("predict after release: %v", err)
 	}
 
+	// The in-flight count is the budget: contended admissions never push
+	// it past the bound, and it returns to zero.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if m.tryAcquireSlot() {
+					if n := m.InFlight(); n != 1 {
+						t.Errorf("admitted predict sees %d in flight, budget 1", n)
+					}
+					m.releaseSlot()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := m.InFlight(); n != 0 {
+		t.Fatalf("in-flight count %d after every predict returned", n)
+	}
+
 	// Unknown tenants are a distinct failure.
 	if _, _, err := reg.Predict(context.Background(), "nope", examples); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("unknown model returned %v, want ErrNoModel", err)
@@ -190,8 +200,8 @@ func TestLoadSheddingPerModel(t *testing.T) {
 }
 
 // TestReloadDir covers the hot-reload sweep: unchanged checksums are
-// skipped, changed artifacts swap with the old version draining, and a
-// corrupt artifact keeps the previous version serving.
+// skipped, changed artifacts swap, and a corrupt artifact keeps the
+// previous version serving.
 func TestReloadDir(t *testing.T) {
 	modelsDir := saveWorldTheory(t, t.TempDir(), "")
 	mc := metrics.New()
@@ -213,19 +223,14 @@ func TestReloadDir(t *testing.T) {
 	}
 
 	// Rewrite the artifact with the flipped theory: reload must swap,
-	// verdicts must flip, and the old version must drain.
+	// and verdicts must flip.
 	saveWorldTheory(t, modelsDir, flippedTheory)
 	rep, err = ReloadDir(context.Background(), reg, modelsDir, resolve, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Swapped) != 1 || len(rep.Retired) != 1 {
+	if len(rep.Swapped) != 1 {
 		t.Fatalf("changed reload report %+v", rep)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rep.Retired[0].Drain(drainCtx); err != nil {
-		t.Fatalf("retired model never drained: %v", err)
 	}
 	verdicts, versions, err := reg.Predict(context.Background(), "gp", examples)
 	if err != nil {
@@ -265,7 +270,7 @@ func TestHTTPTenancyBehaviors(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(m)
+	reg.Swap(m)
 	srv := NewServer(reg, ServerOptions{MaxBatch: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

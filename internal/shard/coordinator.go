@@ -297,7 +297,7 @@ func isFatal(err error) bool {
 // RequestTimeout and fires the shard.rpc.* faultpoint sites; a 503's
 // Retry-After hint is returned with its error.
 func (co *Coordinator) send(ctx context.Context, target int, url string, req BatchCoverageRequest) ([][]bool, time.Duration, error) {
-	if err := inject(ctx, target, "shard.rpc.send", "shard.rpc.batch"); err != nil {
+	if err := inject(ctx, target, "shard.rpc.send"); err != nil {
 		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, url, err)
 	}
 	co.mc.AddNamedGauge("shard.rpc_sent", 1)
@@ -372,17 +372,15 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 	return m, 0, nil
 }
 
-// inject fires the faultpoint sites <family> and <family>:<target> of
-// each family in order.
-func inject(ctx context.Context, target int, families ...string) error {
+// inject fires the faultpoint sites <family> and <family>:<target> in
+// order.
+func inject(ctx context.Context, target int, family string) error {
 	if !faultpoint.Enabled() {
 		return nil
 	}
-	for _, f := range families {
-		for _, name := range []string{f, fmt.Sprintf("%s:%d", f, target)} {
-			if err := faultpoint.Inject(ctx, name); err != nil {
-				return err
-			}
+	for _, name := range []string{family, fmt.Sprintf("%s:%d", family, target)} {
+		if err := faultpoint.Inject(ctx, name); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -34,8 +34,7 @@
 // Every recovery is recorded in the run's Result.Report
 // (ShardRetried / ShardFellBackLocal / ShardLost); retries and
 // fallbacks are also counted as shard.* metrics. Fault injection
-// sites: shard.rpc.send[:<shard>] and
-// shard.rpc.batch[:<shard>] (both on every send) and
+// sites: shard.rpc.send[:<shard>] (on every send) and
 // shard.rpc.recv[:<shard>] on the coordinator, shard.crash[:<id>] in
 // the worker handler.
 package shard

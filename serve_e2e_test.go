@@ -107,14 +107,14 @@ func TestServeRoundTrip(t *testing.T) {
 			}
 			m, _ := reg.Get("uw")
 
-			// Point path agrees too.
+			// Single-example batches agree too.
 			for _, i := range []int{0, len(task.Pos), len(examples) - 1} {
-				ok, err := m.PredictExample(context.Background(), examples[i])
+				ok, err := m.PredictBatch(context.Background(), examples[i:i+1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok != want[i] {
-					t.Errorf("point %v: served %v, learner said %v", examples[i], ok, want[i])
+				if ok[0] != want[i] {
+					t.Errorf("point %v: served %v, learner said %v", examples[i], ok[0], want[i])
 				}
 			}
 

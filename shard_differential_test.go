@@ -166,16 +166,17 @@ func TestShardDifferential(t *testing.T) {
 
 	t.Run("batch-faults-retry", func(t *testing.T) {
 		defer faultpoint.Reset()
-		// Faults on the batch-specific wire site: the 2nd and 3rd batched
-		// sends to shard 3 fail; the retry ladder resolves them with no
-		// effect on the theory or the deterministic counters.
-		faultpoint.Enable("shard.rpc.batch:3", faultpoint.Fault{Err: fmt.Errorf("injected batch failure"), After: 2, Times: 2})
+		// Every coverage RPC is one batched send, so the batch leg faults
+		// the send site of shard 3: its 2nd and 3rd batches fail and the
+		// retry ladder resolves them with no effect on the theory or the
+		// deterministic counters.
+		faultpoint.Enable("shard.rpc.send:3", faultpoint.Fault{Err: fmt.Errorf("injected batch failure"), After: 2, Times: 2})
 		leg, err := testkit.Run(ctx, task, sharded(4, nil), "sharded(batch-faults)")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if faultpoint.Hits("shard.rpc.batch:3") < 2 {
-			t.Fatalf("batch faultpoint fired %d times; the v2 path was not exercised", faultpoint.Hits("shard.rpc.batch:3"))
+		if n := faultpoint.Hits("shard.rpc.send:3"); n < 2 {
+			t.Fatalf("shard.rpc.send:3 fired %d times; the faulted batches were not exercised", n)
 		}
 		for _, d := range diffVsReference(ref, leg) {
 			t.Error(d)
@@ -197,6 +198,9 @@ func TestShardDifferential(t *testing.T) {
 		leg, err := testkit.Run(ctx, task, sharded(4, nil), "sharded(send-faults)")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := faultpoint.Hits("shard.rpc.send:2"); n < 2 {
+			t.Fatalf("shard.rpc.send:2 fired %d times; the faulted sends were not exercised", n)
 		}
 		for _, d := range diffVsReference(ref, leg) {
 			t.Error(d)
