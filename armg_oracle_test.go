@@ -76,7 +76,6 @@ func TestARMGOracle(t *testing.T) {
 				}
 				builder := bottom.NewBuilder(task.DB, compiled, opts.bottomOptions())
 				in := logic.NewInterner()
-				builder.SetInterner(in)
 				pos := task.Pos[:min(10, len(task.Pos))]
 				bcs := make([]*logic.Clause, len(pos))
 				grounds := make([]*logic.Clause, len(pos))

@@ -22,7 +22,9 @@ package bottom
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/bias"
@@ -123,12 +125,6 @@ type Builder struct {
 	plan *plan
 	opts Options
 	rng  *rand.Rand
-	// intern, when non-nil, receives every predicate name and ground
-	// constant the builder emits, so ground bottom clauses arrive at the
-	// subsumption compiler (subsume.CompileGround) with their strings
-	// already interned. The table is shared by clones (it is internally
-	// locked); the coverage engine installs its per-task interner here.
-	intern *logic.Interner
 	// done is the cancellation channel of the build in progress (nil
 	// between builds). Builders are single-goroutine by contract (see
 	// above), so holding per-build state here lets the samplers' deep
@@ -146,6 +142,10 @@ type Builder struct {
 	// draw set of the builder's builds (olkenSample does not recurse).
 	olkenFreq  []int
 	olkenPicks []olkenPick
+	// sampleIdx and sample are the uniform samplers' buffers, reused by
+	// every draw (each sample is read before the next is drawn).
+	sampleIdx []int
+	sample    []db.Tuple
 }
 
 // noteDepth raises the current build's reached-depth watermark.
@@ -188,7 +188,7 @@ func (b *Builder) Clone() *Builder {
 // a deterministic per-worker or per-example seed so sampled clauses do
 // not depend on goroutine scheduling.
 func (b *Builder) CloneSeeded(seed int64) *Builder {
-	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, rng: rand.New(rand.NewSource(seed)), intern: b.intern}
+	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Options returns the builder's normalized options.
@@ -196,11 +196,6 @@ func (b *Builder) Options() Options { return b.opts }
 
 // Database returns the builder's (shared, read-only) database.
 func (b *Builder) Database() *db.Database { return b.db }
-
-// SetInterner directs emitted predicate names and ground constants into
-// the table (nil disables interning). Set before building, like the
-// engine-level Set* methods; clones made afterwards share the table.
-func (b *Builder) SetInterner(in *logic.Interner) { b.intern = in }
 
 // Construct builds the (variabilized) bottom clause for the example,
 // which must be a ground literal of the target relation.
@@ -252,7 +247,8 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 	mc := b.opts.Metrics
 	spanStart := mc.StartSpan()
 
-	st := newState(b, ground)
+	st := b.plan.newState(b, ground)
+	defer b.plan.release(st)
 	st.seedHead(example)
 
 	var tuples []foundTuple
@@ -308,7 +304,10 @@ type foundTuple struct {
 
 // state accumulates the clause under construction: the constant→variable
 // hash table of Algorithm 2, the body literals (deduplicated), and, for a
-// naive build, the frontier of newly discovered constants.
+// naive build, the frontier of newly discovered constants. A state is
+// taken from the plan's pool for one build and returned after it, so its
+// maps and buffers serve every build of the builder and its clones; the
+// clause's head, body and terms are the build's own.
 type state struct {
 	b      *Builder
 	ground bool
@@ -319,35 +318,67 @@ type state struct {
 
 	head logic.Literal
 	body []logic.Literal
-	seen map[string]bool // literal keys
+	// arena is the unused tail of the block the clause's terms are cut
+	// from; a full block is left to the clause and a larger one made.
+	arena []logic.Term
+	// lit holds the terms of the literal being built until emit knows
+	// whether it is new.
+	lit []logic.Term
+	// seen maps a literal hash to 1 + the body index of the last literal
+	// with that hash, and chain[i] to 1 + the index of the one before
+	// body literal i (0 ends a chain): emit confirms a hash match by
+	// comparing terms.
+	seed  maphash.Seed
+	seen  map[uint64]int32
+	chain []int32
 
 	varOf   map[string]string // constant -> variable name
 	nextVar int
 
-	// constTypes tracks the types each known constant was discovered
-	// under; frontier holds (constant, fresh types) pairs to process next
-	// iteration.
-	constTypes map[string]map[string]bool
-	frontier   []frontierEntry
+	// known maps each noted constant to the offset in knownWords of the
+	// type set it was discovered under. frontier holds the (constant,
+	// fresh types) pairs to process next iteration, each fresh set at its
+	// offset in freshWords; spareFronts is the slice the previous iteration
+	// read, recycled for the next one's entries.
+	known       map[string]int32
+	knownWords  []uint64
+	freshWords  []uint64
+	frontier    []frontierEntry
+	spareFronts []frontierEntry
 }
 
 type frontierEntry struct {
 	constant string
-	types    []string
+	fresh    int32 // offset of the fresh type set in state.freshWords
 }
 
-func newState(b *Builder, ground bool) *state {
-	st := &state{
-		b:              b,
-		ground:         ground,
-		tracksFrontier: b.opts.Strategy == Naive,
-		seen:           make(map[string]bool),
-		varOf:          make(map[string]string),
+// newState takes a state from the pool for one build.
+func (p *plan) newState(b *Builder, ground bool) *state {
+	st, _ := p.states.Get().(*state)
+	if st == nil {
+		st = &state{
+			seed:  maphash.MakeSeed(),
+			seen:  make(map[uint64]int32),
+			varOf: make(map[string]string),
+			known: make(map[string]int32),
+		}
 	}
-	if st.tracksFrontier {
-		st.constTypes = make(map[string]map[string]bool)
-	}
+	st.b, st.ground, st.tracksFrontier = b, ground, b.opts.Strategy == Naive
 	return st
+}
+
+// release empties the state and returns it to the pool. The clause it
+// built keeps its body and terms: the state drops them, never reuses
+// them.
+func (p *plan) release(st *state) {
+	clear(st.seen)
+	clear(st.varOf)
+	clear(st.known)
+	st.b, st.head, st.body, st.arena, st.nextVar = nil, logic.Literal{}, nil, nil, 0
+	st.lit, st.chain = st.lit[:0], st.chain[:0]
+	st.knownWords, st.freshWords = st.knownWords[:0], st.freshWords[:0]
+	st.frontier, st.spareFronts = st.frontier[:0], st.spareFronts[:0]
+	p.states.Put(st)
 }
 
 func (st *state) full() bool { return len(st.body) >= st.b.opts.MaxLiterals }
@@ -364,41 +395,49 @@ func (st *state) variable(c string) string {
 	return v
 }
 
-// noteConstant records that constant c carries the given types, queueing
-// any types new to c on the frontier. It does nothing in a build that
-// does not track the frontier.
-func (st *state) noteConstant(c string, types []string) {
-	if !st.tracksFrontier {
-		return
+// cut returns n terms from the arena.
+func (st *state) cut(n int) []logic.Term {
+	if cap(st.arena)-len(st.arena) < n {
+		st.arena = make([]logic.Term, 0, max(n, 2*cap(st.arena), 64))
 	}
-	known := st.constTypes[c]
-	if known == nil {
-		known = make(map[string]bool)
-		st.constTypes[c] = known
-	}
-	var fresh []string
-	for _, t := range types {
-		if !known[t] {
-			known[t] = true
-			fresh = append(fresh, t)
-		}
-	}
-	if len(fresh) > 0 {
-		st.frontier = append(st.frontier, frontierEntry{constant: c, types: fresh})
-	}
+	k := len(st.arena)
+	st.arena = st.arena[:k+n]
+	return st.arena[k : k+n : k+n]
 }
 
-// takeFrontier returns and clears the pending frontier.
-func (st *state) takeFrontier() []frontierEntry {
-	f := st.frontier
-	st.frontier = nil
-	return f
+// noteConstant records that constant c carries the given types, queueing
+// the types new to c on the frontier. It does nothing in a build that
+// does not track the frontier.
+func (st *state) noteConstant(c string, types typeSet) {
+	if !st.tracksFrontier || types == nil {
+		return
+	}
+	off, ok := st.known[c]
+	if !ok {
+		off = int32(len(st.knownWords))
+		st.knownWords = append(st.knownWords, make([]uint64, len(types))...)
+		st.known[c] = off
+	}
+	known := st.knownWords[off : int(off)+len(types)]
+	fresh := int32(len(st.freshWords))
+	any := false
+	for i, w := range types {
+		f := w &^ known[i]
+		known[i] |= w
+		any = any || f != 0
+		st.freshWords = append(st.freshWords, f)
+	}
+	if !any {
+		st.freshWords = st.freshWords[:fresh]
+		return
+	}
+	st.frontier = append(st.frontier, frontierEntry{constant: c, fresh: fresh})
 }
 
 // seedHead installs the head literal and seeds the frontier with the
 // example's constants under the target's attribute types.
 func (st *state) seedHead(example logic.Literal) {
-	terms := make([]logic.Term, len(example.Terms))
+	terms := st.cut(len(example.Terms))
 	for i, t := range example.Terms {
 		if st.ground {
 			terms[i] = t
@@ -408,24 +447,6 @@ func (st *state) seedHead(example logic.Literal) {
 		st.noteConstant(t.Name, st.b.plan.targetTypes(i))
 	}
 	st.head = logic.Literal{Predicate: example.Predicate, Terms: terms}
-	st.internLiteral(st.head)
-}
-
-// internLiteral warms the shared intern table with a ground literal's
-// strings, so the subsumption compiler's Intern calls all take the
-// read-locked fast path. Only ground builds intern: variabilized bottom
-// clauses are never compiled as a ground side.
-func (st *state) internLiteral(l logic.Literal) {
-	in := st.b.intern
-	if in == nil || !st.ground {
-		return
-	}
-	in.Intern(l.Predicate)
-	for _, t := range l.Terms {
-		if t.IsConst() {
-			in.Intern(t.Name)
-		}
-	}
 }
 
 // addTuple converts a discovered tuple into one literal per applicable
@@ -442,16 +463,16 @@ func (st *state) addTuple(ft foundTuple) {
 		return
 	}
 	for _, m := range rp.modes[ft.viaAttr] {
-		terms := make([]logic.Term, len(ft.tuple))
+		st.lit = st.lit[:0]
 		for i, v := range ft.tuple {
 			if m.Symbols[i] == bias.Constant {
-				terms[i] = logic.Const(v)
+				st.lit = append(st.lit, logic.Const(v))
 				continue
 			}
-			terms[i] = logic.Var(st.variable(v))
+			st.lit = append(st.lit, logic.Var(st.variable(v)))
 			st.noteConstant(v, rp.types[i])
 		}
-		if st.emit(logic.Literal{Predicate: ft.rel, Terms: terms}) && st.full() {
+		if st.emit(ft.rel) && st.full() {
 			return
 		}
 	}
@@ -472,11 +493,11 @@ func (st *state) addGroundTuple(ft foundTuple, rp *relPlan) {
 	for _, i := range first {
 		st.noteConstant(ft.tuple[i], rp.types[i])
 	}
-	terms := make([]logic.Term, len(ft.tuple))
-	for i, v := range ft.tuple {
-		terms[i] = logic.Const(v)
+	st.lit = st.lit[:0]
+	for _, v := range ft.tuple {
+		st.lit = append(st.lit, logic.Const(v))
 	}
-	if st.emit(logic.Literal{Predicate: ft.rel, Terms: terms}) && st.full() {
+	if st.emit(ft.rel) && st.full() {
 		return
 	}
 	for _, i := range rp.laterNotes[ft.viaAttr] {
@@ -484,16 +505,23 @@ func (st *state) addGroundTuple(ft foundTuple, rp *relPlan) {
 	}
 }
 
-// emit appends the literal to the body unless an equal one is there,
-// reporting whether it did.
-func (st *state) emit(l logic.Literal) bool {
-	key := l.Key()
-	if st.seen[key] {
-		return false
+// emit appends the literal pred(st.lit) to the body unless an equal one
+// is there, reporting whether it did.
+func (st *state) emit(pred string) bool {
+	h := maphash.String(st.seed, pred)
+	for _, t := range st.lit {
+		h = (h^uint64(t.Kind))*0x9e3779b97f4a7c15 + maphash.String(st.seed, t.Name)
 	}
-	st.seen[key] = true
-	st.internLiteral(l)
-	st.body = append(st.body, l)
+	for j := st.seen[h]; j != 0; j = st.chain[j-1] {
+		if l := st.body[j-1]; l.Predicate == pred && slices.Equal(l.Terms, st.lit) {
+			return false
+		}
+	}
+	terms := st.cut(len(st.lit))
+	copy(terms, st.lit)
+	st.chain = append(st.chain, st.seen[h])
+	st.body = append(st.body, logic.Literal{Predicate: pred, Terms: terms})
+	st.seen[h] = int32(len(st.body))
 	return true
 }
 
@@ -504,55 +532,93 @@ func (st *state) clause() *logic.Clause {
 
 // naiveTuples runs Algorithm 2 with naïve per-lookup sampling, feeding
 // tuples into the state as it goes (so frontier constants drive the next
-// iteration).
+// iteration). A frontier entry is looked up in every attribute its fresh
+// types reach, in the plan's lookups order.
 func (b *Builder) naiveTuples(st *state, example logic.Literal) []foundTuple {
 	for iter := 0; iter < b.opts.Depth && !st.full(); iter++ {
-		frontier := st.takeFrontier()
+		frontier := st.frontier
 		if len(frontier) == 0 {
 			break
 		}
+		st.frontier = st.spareFronts[:0]
 		b.noteDepth(iter + 1)
 		for _, fe := range frontier {
 			if st.full() || b.interrupted() {
 				break
 			}
-			for _, ra := range b.bias.PlusTargets(fe.types) {
+			fresh := typeSet(st.freshWords[fe.fresh : int(fe.fresh)+b.plan.words])
+			for _, lk := range b.plan.lookups {
+				if !lk.types.meets(fresh) {
+					continue
+				}
 				if st.full() {
 					break
 				}
-				rel := b.snap.Relation(ra.Relation)
+				rel := b.snap.Relation(lk.ra.Relation)
 				if rel == nil {
 					continue
 				}
-				matches := rel.Lookup(ra.Attr, fe.constant)
-				for _, t := range b.sampleUniform(matches) {
-					st.addTuple(foundTuple{rel: ra.Relation, viaAttr: ra.Attr, tuple: t})
+				for _, t := range b.lookupSample(rel, lk.ra.Attr, fe.constant) {
+					st.addTuple(foundTuple{rel: lk.ra.Relation, viaAttr: lk.ra.Attr, tuple: t})
 					if st.full() {
 						break
 					}
 				}
 			}
 		}
+		st.spareFronts = frontier
 	}
 	return nil // naive adds tuples directly to the state
 }
 
 // sampleUniform returns a uniform sample of at most SampleSize tuples.
+// A sample drawn from more lives in a buffer of the builder that the
+// next draw overwrites.
 func (b *Builder) sampleUniform(tuples []db.Tuple) []db.Tuple {
-	s := b.opts.SampleSize
-	if len(tuples) <= s {
+	if len(tuples) <= b.opts.SampleSize {
 		return tuples
 	}
-	// Partial Fisher-Yates over a copy of the index space.
-	idx := make([]int, len(tuples))
-	for i := range idx {
-		idx[i] = i
+	out := b.sample[:0]
+	for _, i := range b.sampleIndices(len(tuples)) {
+		out = append(out, tuples[i])
 	}
-	out := make([]db.Tuple, s)
-	for i := 0; i < s; i++ {
-		j := i + b.rng.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = tuples[idx[i]]
-	}
+	b.sample = out
 	return out
+}
+
+// lookupSample is sampleUniform(rel.Lookup(attr, value)), which it equals
+// draw for draw, without copying the matches: it reads the sampled ones
+// into the builder's buffer, which the next draw overwrites.
+func (b *Builder) lookupSample(rel *db.Relation, attr int, value string) []db.Tuple {
+	m := rel.Frequency(attr, value)
+	out := b.sample[:0]
+	if m <= b.opts.SampleSize {
+		for i := range m {
+			out = append(out, rel.LookupAt(attr, value, i))
+		}
+	} else {
+		for _, i := range b.sampleIndices(m) {
+			out = append(out, rel.LookupAt(attr, value, i))
+		}
+	}
+	b.sample = out
+	return out
+}
+
+// sampleIndices returns SampleSize distinct indices below n, which must
+// exceed it: the first SampleSize positions of a partial Fisher-Yates
+// shuffle of 0..n-1, in a buffer of the builder that the next draw
+// overwrites.
+func (b *Builder) sampleIndices(n int) []int {
+	idx := b.sampleIdx[:0]
+	for i := range n {
+		idx = append(idx, i)
+	}
+	s := b.opts.SampleSize
+	for i := 0; i < s; i++ {
+		j := i + b.rng.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	b.sampleIdx = idx
+	return idx[:s]
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/db"
 	"repro/internal/logic"
+	"repro/internal/subsume"
 )
 
 // inducedTask is one generated dataset at scale 0.3 (data seed 1) with
@@ -140,20 +142,71 @@ func groundBuilds(tb testing.TB, task inducedTask, s Strategy) func() {
 	}
 }
 
-// TestGroundBuildAllocs bounds the allocations of one ground BC on sys,
-// whose one relation carries 80 induced modes: the builder notes a
+// TestGroundBuildAllocs bounds the allocations of one ground BC. On sys,
+// whose one relation carries 80 induced modes, the builder notes a
 // tuple's constants and emits its ground literal once, not once per
-// mode, and reads compiled type slices and index postings in place. A
+// mode, and reads compiled type sets and index postings in place. A
 // random build also probes each frontier value's frequency once per
-// Olken draw set and, like a stratified one, notes no frontier.
+// Olken draw set and, like a stratified one, notes no frontier. A naive
+// build on uw, imdb or hiv makes no string per literal: it dedups by
+// hash, cuts terms from an arena, and reuses pooled maps across builds
+// (their ceilings hold without the race detector, under which sync.Pool
+// sheds entries and the maps are made again).
 func TestGroundBuildAllocs(t *testing.T) {
-	ceilings := map[Strategy]float64{Naive: 2500, Random: 800, Stratified: 3000}
-	task := loadInducedTasks(t)["sys"]
-	for _, s := range []Strategy{Naive, Random, Stratified} {
-		got := testing.AllocsPerRun(50, groundBuilds(t, task, s))
-		t.Logf("%v: %.0f allocations per ground BC", s, got)
-		if got > ceilings[s] {
-			t.Errorf("%v: %.0f allocations per ground BC, want <= %.0f", s, got, ceilings[s])
+	tasks := loadInducedTasks(t)
+	for _, c := range []struct {
+		dataset string
+		s       Strategy
+		ceiling float64
+		pooled  bool
+	}{
+		{"sys", Naive, 2500, false},
+		{"sys", Random, 800, false},
+		{"sys", Stratified, 3000, false},
+		{"uw", Naive, 100, true},
+		{"imdb", Naive, 100, true},
+		{"hiv", Naive, 100, true},
+	} {
+		got := testing.AllocsPerRun(50, groundBuilds(t, tasks[c.dataset], c.s))
+		t.Logf("%s/%v: %.0f allocations per ground BC", c.dataset, c.s, got)
+		if got > c.ceiling && !(c.pooled && raceEnabled) {
+			t.Errorf("%s/%v: %.0f allocations per ground BC, want <= %.0f", c.dataset, c.s, got, c.ceiling)
+		}
+	}
+}
+
+// TestCompileGroundSymbolOrder: compiling a fresh ground BC into an
+// empty interner numbers its strings in head-then-body first-occurrence
+// order — predicate, then terms, literal by literal — the order the
+// builder interned them in when it kept a table. The engine's symbol
+// order therefore does not depend on where interning happens.
+func TestCompileGroundSymbolOrder(t *testing.T) {
+	for name, task := range loadInducedTasks(t) {
+		b := NewBuilder(task.ds.DB, task.c, Options{})
+		for i, e := range task.ds.Pos[:min(5, len(task.ds.Pos))] {
+			g, err := b.CloneSeeded(int64(i + 1)).ConstructGround(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{""}
+			seen := map[string]bool{"": true}
+			note := func(s string) {
+				if !seen[s] {
+					seen[s] = true
+					want = append(want, s)
+				}
+			}
+			for _, l := range append([]logic.Literal{g.Head}, g.Body...) {
+				note(l.Predicate)
+				for _, term := range l.Terms {
+					note(term.Name)
+				}
+			}
+			in := logic.NewInterner()
+			subsume.CompileGround(in, g)
+			if got := in.Symbols(); !slices.Equal(got, want) {
+				t.Fatalf("%s example %d: symbols %v, want %v", name, i, got, want)
+			}
 		}
 	}
 }

@@ -127,16 +127,15 @@ func NewCoverage(builder *bottom.Builder, subOpts subsume.Options) *CoverageEngi
 	}
 	// The intern table starts from the task schema (relation names in
 	// schema order — deterministic for a given task) and grows with the
-	// constants of compiled ground BCs. Installing it on the builder
-	// makes BC construction emit pre-interned literals, so compilation
-	// takes the read-locked fast path.
+	// constants of ground BCs as subsume.CompileGround compiles them,
+	// head then body in first-occurrence order. The builder emits plain
+	// strings: CompileGround is the one place a ground BC is interned.
 	in := logic.NewInterner()
 	if d := builder.Database(); d != nil {
 		if s := d.Schema(); s != nil {
 			in.InternAll(s.Names()...)
 		}
 	}
-	builder.SetInterner(in)
 	return &CoverageEngine{
 		builder: builder,
 		subOpts: subOpts,

@@ -121,7 +121,7 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 //
 // Every carried example, in sorted key order (the example is its entry's
 // head), has its ground BC rebuilt once, on this engine's post-batch
-// database, and compared textually with the carried one; the
+// database, and compared term by term with the carried one; the
 // ingest.examples_checked gauge counts them. A ground BC is a pure
 // function of (options, example, data) under every sampler (DESIGN.md
 // §19), and a verdict or armg result of (options, clause, ground BC), so
@@ -140,7 +140,6 @@ func (cs *CarriedState) ARMGPairs() [][2]string {
 // other test of the run.
 func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, prev []*logic.Clause) (dirty, flipped []string, err error) {
 	ce.in = cs.Interner
-	ce.builder.SetInterner(cs.Interner)
 	for _, rec := range cs.records {
 		for ek, v := range rec.verdicts {
 			rec.verdicts[ek] = v | vCarried
@@ -164,7 +163,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 			return nil, nil, err
 		case err != nil:
 			delete(ce.cache, key)
-		case bc.String() == old.bc.String():
+		case bc.Equal(old.bc):
 			continue
 		default:
 			ce.cache[key] = &groundEntry{bc: bc, cg: subsume.CompileGround(ce.in, bc)}

@@ -32,8 +32,11 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -392,12 +395,19 @@ type DBResolver func(model.DataRef) (*db.Database, error)
 // CSV references by loading the directory (csvOverride, when non-empty,
 // replaces every artifact's CSV path — the serving host's data rarely
 // lives where the training host's did). Databases are cached by
-// reference, so models trained on the same data share one instance.
+// reference, so models trained on the same data share one instance; a
+// CSV reference also carries a digest of its directory's files, so data
+// changed on disk since it was cached is loaded again (and replaces the
+// cached instance) rather than served as it was.
 // The returned resolver is safe for concurrent use (hot reloads can
 // race the initial load).
 func DefaultResolver(csvOverride string) DBResolver {
+	type cached struct {
+		digest string
+		d      *db.Database
+	}
 	var mu sync.Mutex
-	cache := make(map[string]*db.Database)
+	cache := make(map[string]cached)
 	return func(ref model.DataRef) (*db.Database, error) {
 		if ref.IsZero() {
 			return nil, fmt.Errorf("serve: artifact has no data reference; pass the data explicitly")
@@ -412,10 +422,17 @@ func DefaultResolver(csvOverride string) DBResolver {
 			ref.Scale, ref.Seed = cfg.Scale, cfg.Seed
 		}
 		key := ref.Key()
+		var digest string
+		if ref.Dataset == "" {
+			var err error
+			if digest, err = csvDigest(ref.CSVDir); err != nil {
+				return nil, fmt.Errorf("serve: resolving %s: %w", key, err)
+			}
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		if d, ok := cache[key]; ok {
-			return d, nil
+		if c, ok := cache[key]; ok && c.digest == digest {
+			return c.d, nil
 		}
 		var (
 			d   *db.Database
@@ -433,9 +450,36 @@ func DefaultResolver(csvOverride string) DBResolver {
 		if err != nil {
 			return nil, fmt.Errorf("serve: resolving %s: %w", key, err)
 		}
-		cache[key] = d
+		cache[key] = cached{digest: digest, d: d}
 		return d, nil
 	}
+}
+
+// csvDigest hashes the names and contents of the files db.LoadCSVDir
+// reads from dir: its *.csv files, in name order.
+func csvDigest(dir string) (string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".csv") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return "", err
+		}
+		file := sha256.New()
+		_, err = io.Copy(file, f)
+		f.Close()
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "%s\x00%x\n", e.Name(), file.Sum(nil))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }
 
 // LoadDir loads every *.model artifact in dir (sorted, so registry

@@ -260,6 +260,65 @@ func TestReloadDir(t *testing.T) {
 	}
 }
 
+// TestReloadDirRereadsChangedCSV: a CSV reference resolves to the data
+// as it is on disk. After parent(q2,q3) joins the CSV and the artifact
+// is re-saved, a reload binds the new data (gp(q1,q3) becomes true),
+// while a resolve of unchanged data still shares one database.
+func TestReloadDirRereadsChangedCSV(t *testing.T) {
+	modelsDir := saveWorldTheory(t, t.TempDir(), "")
+	opts := Options{Workers: 1}
+	resolve := DefaultResolver("")
+	reg, err := LoadDir(context.Background(), modelsDir, resolve, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples := mustExamples(t, "gp(q1,q3)")
+	if verdicts, _, err := reg.Predict(context.Background(), "gp", examples); err != nil || verdicts[0] {
+		t.Fatalf("before the new tuple: verdict=%v err=%v, want false", verdicts, err)
+	}
+
+	d, art := testWorld(t)
+	if err := d.Insert("parent", "q2", "q3"); err != nil {
+		t.Fatal(err)
+	}
+	dataDir := filepath.Join(modelsDir, "data")
+	if err := d.WriteCSVDir(dataDir); err != nil {
+		t.Fatal(err)
+	}
+	art.Data = model.DataRef{CSVDir: dataDir}
+	art.Theory = "gp(A,C) :- parent(A,B), parent(B,C)." // re-learned: same theory, new text
+	if err := art.Save(filepath.Join(modelsDir, "gp.model")); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReloadDir(context.Background(), reg, modelsDir, resolve, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Swapped) != 1 {
+		t.Fatalf("reload report %+v, want one swap", rep)
+	}
+	verdicts, versions, err := reg.Predict(context.Background(), "gp", examples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !verdicts[0] || versions[0] != 2 {
+		t.Fatalf("after the new tuple: verdict=%v version=%d, want true/2", verdicts[0], versions[0])
+	}
+
+	ref := model.DataRef{CSVDir: dataDir}
+	a, err := resolve(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := resolve(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("unchanged CSV data resolved to two databases")
+	}
+}
+
 // TestHTTPTenancyBehaviors covers the new HTTP surface: 413 on oversize
 // batches, 503 + Retry-After on per-model shed, and the admin reload
 // endpoint (501 without a hook, report with one).
