@@ -241,7 +241,7 @@ func (c *coverageCell) run(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		ns, err := ce.CountMany(context.Background(), []*logic.Clause{c.cand}, c.examples, len(c.examples)+1)
+		ns, err := ce.CountMany(context.Background(), []*logic.Clause{c.cand}, c.examples)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,10 +32,11 @@ func smallTask(t *testing.T) autobias.Task {
 
 // TestDifferentialWorkers is the acceptance check for the metrics
 // determinism contract: at 1, 4 and 8 workers the learned theory is
-// bit-identical and every deterministic counter and histogram agrees
-// exactly. Gauges (coverage.tests, subsume.*, cache splits, per-worker
-// utilization) are excluded by construction — the parallel engine's
-// early exit legitimately changes which subsumption tests execute.
+// bit-identical, and every deterministic counter and histogram and the
+// engine's test totals (coverage.tests, coverage.memo_hits,
+// coverage.bc_cache_hits and the subsume.* gauges) agree exactly: every
+// count is exact, so the worker count cannot change which tests run.
+// Per-worker utilization is the one coverage gauge left uncompared.
 func TestDifferentialWorkers(t *testing.T) {
 	task := smallTask(t)
 	opts := autobias.Options{Method: autobias.MethodAutoBias, Seed: 1}

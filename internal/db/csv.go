@@ -12,40 +12,22 @@ import (
 
 // WriteCSVDir writes one CSV file per relation into dir (created if
 // needed). Each file is named <relation>.csv with a header row of
-// attribute names. The inverse of LoadCSVDir.
+// attribute names. The inverse of LoadCSVDir. Every relation is read
+// from one pinned Snapshot, so a dump is one data version even while
+// commits go on, and written through a CSVStreamWriter, the one CSV
+// writer.
 func (d *Database) WriteCSVDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("db: write csv dir: %w", err)
-	}
-	for _, r := range d.rels {
-		name := r.Schema.Name
-		f, err := os.Create(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			return fmt.Errorf("db: write csv for %s: %w", name, err)
-		}
-		if err := writeRelationCSV(f, r); err != nil {
-			f.Close()
-			return fmt.Errorf("db: write csv for %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("db: close csv for %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-func writeRelationCSV(w io.Writer, r *Relation) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Schema.Attributes); err != nil {
+	w, err := NewCSVStreamWriter(dir, d.schema)
+	if err != nil {
 		return err
 	}
-	for _, t := range r.Snapshot() {
-		if err := cw.Write(t); err != nil {
-			return err
+	s := d.Snapshot()
+	for _, name := range d.schema.Names() {
+		for _, t := range s.Relation(name).Snapshot() {
+			w.MustInsert(name, t...)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return w.Close()
 }
 
 // LoadCSVDir loads a database from a directory of <relation>.csv files,

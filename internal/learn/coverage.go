@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,17 +51,20 @@ type Example = logic.Literal
 // store. It is safe for concurrent use and fans the (clause, example)
 // tests out over a bounded worker pool (SetWorkers). Coverage testing is
 // the dominant cost of learning (§5) and the tests are independent, so
-// this is where parallel hardware pays off. Two rules keep results
-// bit-identical to the sequential engine at every worker count:
+// this is where parallel hardware pays off. Three rules keep results,
+// and the tests run to reach them, bit-identical at every worker count:
 //
 //   - Verdicts are pure: a ground BC depends only on its example, and a
 //     subsumption test is a deterministic search over it (see the
 //     subsume package's concurrency contract), so an outcome depends
 //     only on (clause, example, options), never on which worker runs it.
 //   - Ground BCs consumed by a resolve are prefetched sequentially, in
-//     the order the sequential engine first touches them, so the intern
+//     the order its tests first touch them, so the intern
 //     table's ids and the deterministic counters do not depend on the
 //     worker count either.
+//   - Every count is exact: a resolve tests and stores every pair it
+//     misses, so the store and the coverage.* and subsume.* totals
+//     depend only on the inputs.
 //
 // Bounded execution: cancellation reaches into the running primitives —
 // the subsumption node-budget loop and BC construction — so a deadline
@@ -159,9 +161,10 @@ type groundEntry struct {
 }
 
 // SetWorkers bounds the coverage worker pool; n <= 0 selects
-// runtime.GOMAXPROCS(0). At 1 worker the engine runs the exact
-// sequential code path (same subsumption order, same test counts) as
-// the pre-pool engine.
+// runtime.GOMAXPROCS(0). The bound decides how many goroutines run the
+// tests, never which tests run: every worker count settles the same
+// pairs, builds the same ground BCs in the same order and reaches the
+// same coverage.* and subsume.* totals.
 func (ce *CoverageEngine) SetWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -357,7 +360,7 @@ func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logi
 // whatever transport is installed. Safe for concurrent use; a done ctx
 // returns its error.
 func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
-	verdicts, err := ce.resolve(ctx, nil, []*logic.Clause{c}, []Example{e}, math.MaxInt)
+	verdicts, err := ce.resolve(ctx, nil, []*logic.Clause{c}, []Example{e})
 	return err == nil && verdicts[0][0], err
 }
 
@@ -396,20 +399,16 @@ func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Defin
 	return false, nil
 }
 
-// CountMany resolves a whole candidate frontier in one call:
-// counts[i] = min(|{e : clauses[i] covers e}|, limit). Callers that only
-// need a threshold decision ("does this clause cover more than k
-// negatives?") pass a small limit and stop paying for subsumption tests
-// whose outcome cannot change the decision; len(examples)+1 asks for the
-// exact count. With a transport installed the pairs the store cannot
-// answer travel as one bulk call (the coordinator turns it into one RPC
-// round per shard instead of one per candidate); without one they are
-// resolved in process. Counts are identical at every worker count.
-func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause, examples []Example, limit int) ([]int, error) {
+// CountMany resolves a whole candidate frontier in one call: counts[i]
+// is the exact number of examples clauses[i] covers. With a transport
+// installed the pairs the store cannot answer travel as one bulk call
+// (the coordinator turns it into one RPC round per shard instead of one
+// per candidate); without one they are resolved in process. Counts, and
+// the tests run to reach them, are identical at every worker count.
+func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause, examples []Example) ([]int, error) {
 	if len(clauses) == 0 {
 		return nil, nil
 	}
-	limit = max(limit, 0)
 	if faultpoint.Enabled() {
 		if err := faultpoint.Inject(ctx, "coverage.count"); err != nil {
 			return nil, err
@@ -418,7 +417,7 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 	if ce.transport == nil {
 		defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
 	}
-	verdicts, err := ce.resolve(ctx, ce.transport, clauses, examples, limit)
+	verdicts, err := ce.resolve(ctx, ce.transport, clauses, examples)
 	if err != nil {
 		return nil, ce.abandoned(err, len(examples))
 	}
@@ -429,9 +428,6 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 				counts[i]++
 			}
 		}
-		// Known verdicts, and pool workers racing past their check, can
-		// pass limit: clamp so the value returned is deterministic.
-		counts[i] = min(counts[i], limit)
 	}
 	return counts, nil
 }
@@ -443,7 +439,7 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 // never route back through the transport.
 func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
 	defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
-	verdicts, err := ce.resolve(ctx, nil, clauses, examples, math.MaxInt)
+	verdicts, err := ce.resolve(ctx, nil, clauses, examples)
 	return verdicts, ce.abandoned(err, len(examples))
 }
 
@@ -456,7 +452,7 @@ func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Cla
 // (3) Every computed verdict is stored, isolated failures included, so a
 // panicking example cannot perturb later decisions; when step 2 fails
 // nothing is stored.
-func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example, limit int) ([][]bool, error) {
+func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
 	n := len(examples)
 	keys := make([]string, n)
 	for j, e := range examples {
@@ -464,16 +460,14 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 	}
 	recs := make([]*clauseRecord, len(clauses))
 	verdicts := make([][]bool, len(clauses))
-	hits := make([]atomic.Int64, len(clauses))
-	var misses []int // pair i*n+j, in the order the sequential engine tests them
+	var misses []int // pair i*n+j, clause-major: the order the tests first touch examples
 	for i, c := range clauses {
 		recs[i], verdicts[i] = ce.record(c), make([]bool, n)
 		for j, key := range keys {
 			if v, ok := ce.lookup(recs[i], key); !ok {
 				misses = append(misses, i*n+j)
-			} else if v {
-				verdicts[i][j] = true
-				hits[i].Add(1)
+			} else {
+				verdicts[i][j] = v
 			}
 		}
 	}
@@ -481,7 +475,7 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 		return verdicts, nil
 	}
 	if t == nil {
-		if err := ce.settleMisses(ctx, recs, clauses, examples, keys, misses, verdicts, hits, limit); err != nil {
+		if err := ce.settleMisses(ctx, recs, clauses, examples, keys, misses, verdicts); err != nil {
 			return nil, err
 		}
 	} else {
@@ -515,30 +509,22 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 		}
 	}
 	for _, p := range misses {
-		if p >= 0 {
-			ce.memoize(recs[p/n], keys[p%n], verdicts[p/n][p%n])
-		}
+		ce.memoize(recs[p/n], keys[p%n], verdicts[p/n][p%n])
 	}
 	return verdicts, nil
 }
 
-// settleMisses settles resolve's misses in process. One worker tests
-// every miss in order, building ground BCs as first touched. More
-// workers first prefetch the missed examples' BCs sequentially in that
-// order, so intern-table growth and the built/rebuilt counters match (a
-// prefetch isolated by a panic is skipped: the pool's own fetch
-// re-derives the failure); then a clause whose covered count, seeded
-// from its known verdicts, reaches limit stops being tested — its
-// remaining misses stay false and are marked -1, not to be stored.
-func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord, clauses []*logic.Clause, examples []Example, keys []string, misses []int, verdicts [][]bool, hits []atomic.Int64, limit int) error {
+// settleMisses settles resolve's misses in process, one path at every
+// worker count: it prefetches the missed examples' ground BCs
+// sequentially in first-touch order, so intern-table growth and every
+// cache counter are fixed by the inputs (a prefetch isolated by a panic
+// is skipped: the test's own fetch re-derives the failure), then tests
+// every miss through fanOut.
+func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord, clauses []*logic.Clause, examples []Example, keys []string, misses []int, verdicts [][]bool) error {
 	n := len(examples)
-	pooled := min(ce.workers, len(misses)) > 1
-	if !pooled {
-		limit = math.MaxInt // one worker tests every miss
-	}
 	fetched := make([]bool, n)
-	for k := 0; pooled && k < len(misses); k++ {
-		if j := misses[k] % n; !fetched[j] {
+	for _, p := range misses {
+		if j := p % n; !fetched[j] {
 			fetched[j] = true
 			if _, err := ce.entry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
 				return err
@@ -547,10 +533,6 @@ func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord
 	}
 	return ce.fanOut(len(misses), func(k int) error {
 		i, j := misses[k]/n, misses[k]%n
-		if hits[i].Load() >= int64(limit) {
-			misses[k] = -1
-			return nil
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -572,9 +554,6 @@ func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord
 			return err
 		}
 		verdicts[i][j] = v
-		if v {
-			hits[i].Add(1)
-		}
 		return nil
 	})
 }

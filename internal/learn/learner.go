@@ -411,7 +411,7 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 	if len(c.Body) <= 1 {
 		return c, nil
 	}
-	baseNeg, err := l.count(ctx, c, negSample, len(negSample)+1)
+	baseNeg, err := l.count(ctx, c, negSample)
 	if err != nil {
 		return nil, err
 	}
@@ -427,10 +427,7 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 		if len(trial.Body) == 0 {
 			continue
 		}
-		// Only the threshold decision n <= baseNeg matters here, so the
-		// pool may stop counting at baseNeg+1: a failing trial costs one
-		// extra covered negative instead of the whole sample.
-		n, err := l.count(ctx, trial, negSample, baseNeg+1)
+		n, err := l.count(ctx, trial, negSample)
 		if err != nil {
 			return nil, err
 		}
@@ -468,7 +465,7 @@ func (l *Learner) Evaluate(ctx context.Context, cs []*logic.Clause, posSample, n
 // counts is Evaluate without the candidate accounting, which the
 // minimum-criterion check of an already-counted clause goes through too.
 func (l *Learner) counts(ctx context.Context, cs []*logic.Clause, posSample, negSample []Example, minPos int) (ps, ns []int, err error) {
-	ps, err = l.cover.CountMany(ctx, cs, posSample, len(posSample)+1)
+	ps, err = l.cover.CountMany(ctx, cs, posSample)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -478,7 +475,7 @@ func (l *Learner) counts(ctx context.Context, cs []*logic.Clause, posSample, neg
 			live = append(live, c)
 		}
 	}
-	counts, err := l.cover.CountMany(ctx, live, negSample, len(negSample)+1)
+	counts, err := l.cover.CountMany(ctx, live, negSample)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -504,10 +501,9 @@ func (l *Learner) NoteRound() {
 // search reads (FOIL growth: the database's value frequencies).
 func (l *Learner) Rand() *rand.Rand { return l.rng }
 
-// count is CountMany for one clause: min(covered, limit), where
-// len(examples)+1 asks for the exact count.
-func (l *Learner) count(ctx context.Context, c *logic.Clause, examples []Example, limit int) (int, error) {
-	ns, err := l.cover.CountMany(ctx, []*logic.Clause{c}, examples, limit)
+// count is CountMany for one clause.
+func (l *Learner) count(ctx context.Context, c *logic.Clause, examples []Example) (int, error) {
+	ns, err := l.cover.CountMany(ctx, []*logic.Clause{c}, examples)
 	if err != nil {
 		return 0, err
 	}

@@ -72,8 +72,8 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 
 // TestCountManyMatchesSequential checks the batched evaluation path:
 // CountMany over a candidate frontier returns exactly the counts
-// sequential single-clause counts return, at every worker count
-// and every limit, and leaves the same ground BCs behind.
+// sequential single-clause counts return, at every worker count, and
+// leaves the same ground BCs behind.
 func TestCountManyMatchesSequential(t *testing.T) {
 	d, pos, neg := uwWorld(t, 12, 8)
 	c := uwLearnBias(t, d)
@@ -84,32 +84,27 @@ func TestCountManyMatchesSequential(t *testing.T) {
 		logic.MustParseClause("advisedBy(X,Y) :- professor(Y)."),
 		logic.MustParseClause("advisedBy(X,Y) :- student(X), professor(Y), publication(Z,X)."),
 	}
-	limits := []int{0, 1, 3, len(all), len(all) + 1}
 
 	ref := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
-	want := make(map[int][]int)
-	for _, limit := range limits {
-		for _, cl := range frontier {
-			n, err := countUpTo(ref, cl, all, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[limit] = append(want[limit], n)
+	var want []int
+	for _, cl := range frontier {
+		n, err := count(ref, cl, all)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want = append(want, n)
 	}
 
 	for _, workers := range []int{1, 4, 8} {
 		ce := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
 		ce.SetWorkers(workers)
-		for _, limit := range limits {
-			got, err := ce.CountMany(context.Background(), frontier, all, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range frontier {
-				if got[i] != want[limit][i] {
-					t.Errorf("workers=%d limit=%d clause %d: CountMany %d, want %d", workers, limit, i, got[i], want[limit][i])
-				}
+		got, err := ce.CountMany(context.Background(), frontier, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frontier {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d clause %d: CountMany %d, want %d", workers, i, got[i], want[i])
 			}
 		}
 		// Batched evaluation must build the same ground BCs the
@@ -182,41 +177,6 @@ func TestGeneralizeManyMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(syms, wantSyms) {
 			t.Errorf("workers=%d: intern table holds %d symbols, workers=1 holds %d (or in another order)", workers, len(syms), len(wantSyms))
-		}
-	}
-}
-
-// TestCountUpToDecisions checks the early-exit contract: a count
-// returns min(exact, limit), so threshold decisions agree with the full
-// count at every worker count.
-func TestCountUpToDecisions(t *testing.T) {
-	d, pos, _ := uwWorld(t, 12, 8)
-	c := uwLearnBias(t, d)
-	copub := logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).")
-
-	for _, workers := range []int{1, 4} {
-		builder := bottom.NewBuilder(d, c, bottom.Options{Depth: 1})
-		ce := NewCoverage(builder, subsume.Options{})
-		ce.SetWorkers(workers)
-		exact, err := count(ce, copub, pos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact == 0 {
-			t.Fatal("co-publication must cover positives")
-		}
-		for _, limit := range []int{0, 1, exact - 1, exact, exact + 3} {
-			got, err := countUpTo(ce, copub, pos, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := exact
-			if want > limit {
-				want = limit
-			}
-			if got != want {
-				t.Errorf("workers=%d: count(limit=%d) = %d, want %d", workers, limit, got, want)
-			}
 		}
 	}
 }

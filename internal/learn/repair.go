@@ -154,7 +154,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 		keys = append(keys, key)
 	}
 	slices.Sort(keys)
-	ce.mc.AddNamedGauge("ingest.examples_checked", int64(len(keys)))
+	ce.mc.Add(metrics.IngestExamplesChecked, int64(len(keys)))
 	for _, key := range keys {
 		old := ce.cache[key]
 		bc, err := ce.buildBC(ctx, key, old.bc.Head)

@@ -135,7 +135,7 @@ func TestCountCtxCancelledMidCoverage(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos, len(pos)+1)
+	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -163,7 +163,7 @@ func TestCountCtxCancelledMidCoverageParallel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos, len(pos)+1)
+	_, err := ce.CountMany(ctx, []*logic.Clause{copub}, pos)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

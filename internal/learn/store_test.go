@@ -177,7 +177,7 @@ func TestDropExamplesReachesEveryRecord(t *testing.T) {
 	}
 	clauses = append(clauses, bc.PruneNotHeadConnected())
 	ctx := context.Background()
-	if _, err := ce.CountMany(ctx, clauses, pos, len(pos)+1); err != nil {
+	if _, err := ce.CountMany(ctx, clauses, pos); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ce.GeneralizeManyCtx(ctx, clauses[2:], pos); err != nil {

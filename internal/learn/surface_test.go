@@ -80,14 +80,10 @@ func TestEngineSurface(t *testing.T) {
 	}
 }
 
-// count and countUpTo are CountMany for one clause, for the suites
-// written against single-clause counts.
+// count is CountMany for one clause, for the suites written against
+// single-clause counts.
 func count(ce *CoverageEngine, c *logic.Clause, examples []Example) (int, error) {
-	return countUpTo(ce, c, examples, len(examples)+1)
-}
-
-func countUpTo(ce *CoverageEngine, c *logic.Clause, examples []Example, limit int) (int, error) {
-	ns, err := ce.CountMany(context.Background(), []*logic.Clause{c}, examples, limit)
+	ns, err := ce.CountMany(context.Background(), []*logic.Clause{c}, examples)
 	if err != nil {
 		return 0, err
 	}

@@ -48,8 +48,8 @@ func keysOf[T fmt.Stringer](xs []T) []string {
 
 // TestResolveScreensAndStores pins the one store boundary: the engine
 // looks every pair up, hands the transport only the clauses and examples
-// that have a miss, stores every verdict that comes back, clamps counts
-// itself, and stores nothing when the transport fails.
+// that have a miss, stores every verdict that comes back, and stores
+// nothing when the transport fails.
 func TestResolveScreensAndStores(t *testing.T) {
 	d, pos, neg := uwWorld(t, 12, 8)
 	all := append(append([]Example(nil), pos...), neg...)
@@ -62,7 +62,7 @@ func TestResolveScreensAndStores(t *testing.T) {
 		logic.MustParseClause("advisedBy(X,Y) :- student(X)."),
 		logic.MustParseClause("advisedBy(X,Y) :- professor(Y)."),
 	}
-	want, err := engine().CountMany(ctx, clauses, all, len(all)+1)
+	want, err := engine().CountMany(ctx, clauses, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestResolveScreensAndStores(t *testing.T) {
 		if len(ft.calls) != 0 {
 			t.Fatalf("Covers reached the transport %d times", len(ft.calls))
 		}
-		got, err := ce.CountMany(ctx, clauses, all, len(all)+1)
+		got, err := ce.CountMany(ctx, clauses, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,32 +104,11 @@ func TestResolveScreensAndStores(t *testing.T) {
 			t.Errorf("transport got clauses %v over %d examples; want the two with a miss over the %d examples with a miss",
 				c.clauses, len(c.examples), len(missed))
 		}
-		if _, err := ce.CountMany(ctx, clauses, all, len(all)+1); err != nil {
+		if _, err := ce.CountMany(ctx, clauses, all); err != nil {
 			t.Fatal(err)
 		}
 		if len(ft.calls) != 1 {
 			t.Errorf("a repeated CountMany reached the transport: every returned verdict must be stored")
-		}
-	})
-
-	t.Run("clamps-at-limit", func(t *testing.T) {
-		ft := &fakeTransport{truth: engine()}
-		ce := engine()
-		ce.SetTransport(ft)
-		got, err := ce.CountMany(ctx, clauses, all, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range clauses {
-			if got[i] != min(want[i], 2) {
-				t.Errorf("clause %d: count %d, want min(%d, 2)", i, got[i], want[i])
-			}
-		}
-		if len(ft.calls) != 1 {
-			t.Fatalf("%d transport calls, want 1", len(ft.calls))
-		}
-		if c := ft.calls[0]; len(c.clauses) != len(clauses) || len(c.examples) != len(all) {
-			t.Errorf("transport got %d×%d pairs, want all %d×%d: it is given no limit", len(c.clauses), len(c.examples), len(clauses), len(all))
 		}
 	})
 
@@ -139,14 +118,14 @@ func TestResolveScreensAndStores(t *testing.T) {
 		ce.SetTransport(ft)
 		rep := report.New()
 		ce.SetReport(rep)
-		if _, err := ce.CountMany(ctx, clauses, all, len(all)+1); !errors.Is(err, context.Canceled) {
+		if _, err := ce.CountMany(ctx, clauses, all); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want the transport's cancellation", err)
 		}
 		if n := rep.Count(report.CoverageAbandoned); n != 1 {
 			t.Errorf("%d CoverageAbandoned events, want 1", n)
 		}
 		ft.err = nil
-		got, err := ce.CountMany(ctx, clauses, all, len(all)+1)
+		got, err := ce.CountMany(ctx, clauses, all)
 		if err != nil {
 			t.Fatal(err)
 		}

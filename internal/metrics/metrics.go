@@ -23,11 +23,13 @@
 //     validated/pruned, learner rounds/candidates/clauses, examples
 //     scored. The differential harness (internal/testkit) asserts these
 //     are bit-identical at 1, 4, and 8 workers.
-//   - Gauges (Snapshot.Gauges) count work whose total legitimately
-//     depends on scheduling — subsumption tests and nodes (the parallel
-//     CountMany early exit skips tests whose outcome cannot change a
-//     threshold decision), memo and BC-cache hits, per-worker busy time.
-//     These are observability data, never compared for equality.
+//   - Gauges (Snapshot.Gauges) hold the rest: counts of traffic
+//     (serving, shard RPCs, ingest checks), per-worker busy time, and the
+//     coverage engine's test totals — coverage.tests, memo and BC-cache
+//     hits, subsume.* — which sit here only because the benchmark reads
+//     them here. Every coverage count is exact, so those totals are a
+//     pure function of (task, options) too: the differential harness
+//     compares them by name across worker counts, and no other gauge.
 //
 // Histograms carry a Deterministic flag with the same meaning. Spans are
 // wall-clock and always non-deterministic.
@@ -99,23 +101,24 @@ const (
 	// distinct examples tested, regardless of worker count.
 	CoverageBCBuilt
 
-	// --- gauges: totals below depend on scheduling ---
+	// --- gauges: reported under Snapshot.Gauges ---
 
 	// CoverageTests counts θ-subsumption coverage tests actually executed
-	// (memo misses). Gauge: the parallel CountMany early exit skips tests
-	// whose outcome cannot change a threshold decision, so the total
-	// varies with worker count even though results never do.
+	// (memo misses). Every count is exact, so the total is fixed by the
+	// inputs, identical at every worker count.
 	CoverageTests
-	// CoverageMemoHits counts per-(clause,example) memo hits. Gauge.
+	// CoverageMemoHits counts per-(clause,example) memo hits. Fixed by
+	// the inputs.
 	CoverageMemoHits
-	// CoverageBCCacheHits counts ground-BC cache hits. Gauge: the
-	// parallel prefetch probes the cache once per example per count.
+	// CoverageBCCacheHits counts ground-BC cache hits: a resolve's
+	// prefetch probes the cache once per missed example, and each test
+	// once more. Fixed by the inputs.
 	CoverageBCCacheHits
 	// CoverageBCRebuilt counts ground-BC builds that lost the
 	// first-build-wins race (external concurrent callers only). Gauge.
 	CoverageBCRebuilt
-	// SubsumeTests counts θ-subsumption checks. Gauge (same early-exit
-	// reasoning as CoverageTests).
+	// SubsumeTests counts θ-subsumption checks: coverage tests and armg's
+	// whole-clause and prefix checks. Fixed by the inputs.
 	SubsumeTests
 	// SubsumeNodes counts binding attempts across all subsumption passes
 	// — the paper's dominant cost (§5). Gauge.
@@ -164,6 +167,32 @@ const (
 	ServeModelSwaps
 	// ServeReloads counts reload sweeps over the models directory. Gauge.
 	ServeReloads
+	// ShardRPCSent counts coverage RPCs the coordinator sent, retries
+	// included. Gauge, like every shard count: retries, local fallback and
+	// memo state decide how much traffic a run makes.
+	ShardRPCSent
+	// ShardRPCRetried counts coverage RPCs the coordinator sent again
+	// after a failed attempt. Gauge.
+	ShardRPCRetried
+	// ShardFallbackLocal counts shard blocks the coordinator resolved in
+	// process once a shard's replicas were gone. Gauge.
+	ShardFallbackLocal
+	// ShardWireBytesSent and ShardWireBytesRecv count request and
+	// response body bytes on the coordinator's side of the wire. Gauges.
+	ShardWireBytesSent
+	ShardWireBytesRecv
+	// ShardWorkerRequests counts coverage requests a worker answered;
+	// ShardWorkerExamples and ShardWorkerBatchClauses the examples and
+	// clauses they carried. Gauges.
+	ShardWorkerRequests
+	ShardWorkerExamples
+	ShardWorkerBatchClauses
+	// ShardWorkerPreloadedBCs counts ground BCs a worker built at start
+	// for its shard's examples. Gauge.
+	ShardWorkerPreloadedBCs
+	// IngestExamplesChecked counts cached examples a repair rebuilt and
+	// checked against the carried verdicts. Gauge.
+	IngestExamplesChecked
 	// IngestBatches counts mutation batches committed by the ingest
 	// subsystem. Deterministic: a pure function of the applied stream.
 	IngestBatches
@@ -240,6 +269,16 @@ var counterDefs = [numCounters]counterDef{
 	ServeLoadShed:             {"serve.load_shed", false, kindSum},
 	ServeModelSwaps:           {"serve.model_swaps", false, kindSum},
 	ServeReloads:              {"serve.reloads", false, kindSum},
+	ShardRPCSent:              {"shard.rpc_sent", false, kindSum},
+	ShardRPCRetried:           {"shard.rpc_retried", false, kindSum},
+	ShardFallbackLocal:        {"shard.fallback_local", false, kindSum},
+	ShardWireBytesSent:        {"shard.wire_bytes_sent", false, kindSum},
+	ShardWireBytesRecv:        {"shard.wire_bytes_recv", false, kindSum},
+	ShardWorkerRequests:       {"shard.worker.requests", false, kindSum},
+	ShardWorkerExamples:       {"shard.worker.examples", false, kindSum},
+	ShardWorkerBatchClauses:   {"shard.worker.batch_clauses", false, kindSum},
+	ShardWorkerPreloadedBCs:   {"shard.worker.preloaded_bcs", false, kindSum},
+	IngestExamplesChecked:     {"ingest.examples_checked", false, kindSum},
 	IngestBatches:             {"ingest.batches", true, kindSum},
 	IngestTuplesApplied:       {"ingest.tuples_applied", true, kindSum},
 	IngestExamplesDirty:       {"ingest.examples_dirty", true, kindSum},
@@ -256,8 +295,8 @@ const (
 	// HistINDErrorPct distributes validated INDs' error rates, in integer
 	// percent. Deterministic.
 	HistINDErrorPct
-	// HistSubsumeNodes distributes per-test binding attempts. Gauge-class
-	// (the executed test set depends on scheduling).
+	// HistSubsumeNodes distributes per-test binding attempts. Gauge-class,
+	// like the subsume.* totals it sits beside.
 	HistSubsumeNodes
 	// HistServeBatch distributes predict-request batch sizes. Gauge-class.
 	HistServeBatch
@@ -369,13 +408,10 @@ type Collector struct {
 	spans    [numSpans]spanState
 
 	// workerBusy tracks cumulative busy time per coverage-pool worker
-	// index; grown under mu, summed into the snapshot as gauges. named
-	// holds dynamically-keyed gauges (per-model serving occupancy,
-	// versions) that cannot be enumerated at compile time; both are
-	// reported under Snapshot.Gauges.
+	// index, the one gauge family whose names vary (with the worker
+	// index); grown under mu, reported under Snapshot.Gauges.
 	mu         sync.Mutex
 	workerBusy []int64
-	named      map[string]int64
 }
 
 // New returns an enabled, empty collector.
@@ -480,32 +516,6 @@ func (c *Collector) WorkerBusy(worker int, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// AddNamedGauge adds delta to a dynamically-named gauge (e.g. the shard
-// coordinator's wire bytes). Named gauges are scheduling- and
-// traffic-dependent by nature and are reported under Snapshot.Gauges.
-func (c *Collector) AddNamedGauge(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.named == nil {
-		c.named = make(map[string]int64)
-	}
-	c.named[name] += delta
-	c.mu.Unlock()
-}
-
-// NamedGauge returns a named gauge's current value (0 when absent or
-// disabled).
-func (c *Collector) NamedGauge(name string) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.named[name]
-}
-
 // HistogramSnapshot is one histogram's state at snapshot time. Counts
 // has one entry per bound plus a final overflow bucket.
 type HistogramSnapshot struct {
@@ -579,9 +589,6 @@ func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	for w, busy := range c.workerBusy {
 		s.Gauges[fmt.Sprintf("coverage.worker_busy_ns.%d", w)] = busy
-	}
-	for name, v := range c.named {
-		s.Gauges[name] = v
 	}
 	c.mu.Unlock()
 	return s

@@ -206,24 +206,49 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNamedGauges: the shard and ingest gauges are declared counters
+// under their fixed names, reported under Snapshot.Gauges (where the
+// benchmark and the suites read them), and nil-safe like every counter.
 func TestNamedGauges(t *testing.T) {
 	var nilC *Collector
-	// Nil-safety: the shard coordinator and worker publish named gauges
-	// unconditionally.
-	nilC.AddNamedGauge("shard.wire_bytes_sent", 42)
-	if got := nilC.NamedGauge("shard.wire_bytes_sent"); got != 0 {
-		t.Fatalf("nil named gauge = %d", got)
+	// Nil-safety: the shard coordinator and worker record unconditionally.
+	nilC.Add(ShardWireBytesSent, 42)
+	if got := nilC.Counter(ShardWireBytesSent); got != 0 {
+		t.Fatalf("nil gauge = %d", got)
 	}
 
 	c := New()
-	c.AddNamedGauge("shard.wire_bytes_sent", 1024)
-	c.AddNamedGauge("shard.fallback_local", 2)
-	c.AddNamedGauge("shard.wire_bytes_sent", -24)
-	if got := c.NamedGauge("shard.wire_bytes_sent"); got != 1000 {
-		t.Fatalf("named gauge = %d, want 1000", got)
+	c.Add(ShardWireBytesSent, 1024)
+	c.Add(ShardFallbackLocal, 2)
+	c.Add(ShardWireBytesSent, -24)
+	if got := c.Counter(ShardWireBytesSent); got != 1000 {
+		t.Fatalf("gauge = %d, want 1000", got)
 	}
 	s := c.Snapshot()
 	if s.Gauges["shard.wire_bytes_sent"] != 1000 || s.Gauges["shard.fallback_local"] != 2 {
 		t.Fatalf("snapshot gauges %+v", s.Gauges)
+	}
+	names := map[CounterID]string{
+		ShardRPCSent:            "shard.rpc_sent",
+		ShardRPCRetried:         "shard.rpc_retried",
+		ShardFallbackLocal:      "shard.fallback_local",
+		ShardWireBytesSent:      "shard.wire_bytes_sent",
+		ShardWireBytesRecv:      "shard.wire_bytes_recv",
+		ShardWorkerRequests:     "shard.worker.requests",
+		ShardWorkerExamples:     "shard.worker.examples",
+		ShardWorkerBatchClauses: "shard.worker.batch_clauses",
+		ShardWorkerPreloadedBCs: "shard.worker.preloaded_bcs",
+		IngestExamplesChecked:   "ingest.examples_checked",
+	}
+	for id, name := range names {
+		if id.Name() != name {
+			t.Errorf("%s is declared as %q", name, id.Name())
+		}
+		if _, ok := s.Gauges[name]; !ok {
+			t.Errorf("%s is not reported under Gauges", name)
+		}
+		if _, ok := s.Counters[name]; ok {
+			t.Errorf("%s is reported under Counters", name)
+		}
 	}
 }

@@ -205,7 +205,7 @@ func TestWorkerParseCachesAreBounded(t *testing.T) {
 
 // countLocal is the exact number of examples c covers on a local engine.
 func countLocal(e *learn.CoverageEngine, c *logic.Clause, examples []learn.Example) (int, error) {
-	ns, err := e.CountMany(context.Background(), []*logic.Clause{c}, examples, len(examples)+1)
+	ns, err := e.CountMany(context.Background(), []*logic.Clause{c}, examples)
 	if err != nil {
 		return 0, err
 	}
@@ -245,7 +245,7 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 		want[i] = n
 	}
 
-	got, err := co.engine.CountMany(context.Background(), frontier, all, len(all)+1)
+	got, err := co.engine.CountMany(context.Background(), frontier, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestCoordinatorBatchFrontier(t *testing.T) {
 	}
 
 	// Every verdict memoized: the same frontier again costs zero RPCs.
-	if _, err := co.engine.CountMany(context.Background(), frontier, all, len(all)+1); err != nil {
+	if _, err := co.engine.CountMany(context.Background(), frontier, all); err != nil {
 		t.Fatal(err)
 	}
 	if rpcs := mc.Snapshot().Gauges["shard.rpc_sent"]; rpcs != 1 {
@@ -293,7 +293,7 @@ func TestCoordinatorSurvivesWorkerRestart(t *testing.T) {
 	c1 := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	c2 := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 
-	if _, err := co.engine.CountMany(context.Background(), []*logic.Clause{c1}, all, len(all)+1); err != nil {
+	if _, err := co.engine.CountMany(context.Background(), []*logic.Clause{c1}, all); err != nil {
 		t.Fatal(err)
 	}
 	before := mc.Snapshot().Gauges["shard.rpc_sent"]
@@ -301,7 +301,7 @@ func TestCoordinatorSurvivesWorkerRestart(t *testing.T) {
 	// "Restart" the worker: fresh engine, empty caches.
 	cur.Store(NewWorker("r2", tinyEngine(t, 1), "fp1", WorkerOptions{}))
 
-	got, err := co.engine.CountMany(context.Background(), []*logic.Clause{c2}, all, len(all)+1)
+	got, err := co.engine.CountMany(context.Background(), []*logic.Clause{c2}, all)
 	if err != nil {
 		t.Fatalf("a restarted worker must answer the next count: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestCoordinatorFatalCancelsSiblingShards(t *testing.T) {
 	})
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	start := time.Now()
-	_, err := countOne(co, c, all, len(all))
+	_, err := countOne(co, c, all)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fatal shard answer did not fail the count")
@@ -402,7 +402,7 @@ func TestCoordinatorKeepAliveSteadyState(t *testing.T) {
 		{logic.MustParseClause("advisedBy(A,B) :- professor(B)")},
 	}
 	for _, f := range frontiers {
-		if _, err := co.engine.CountMany(context.Background(), f, all, len(all)+1); err != nil {
+		if _, err := co.engine.CountMany(context.Background(), f, all); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,7 +451,7 @@ func TestCoordinatorDefaultClientOneConnPerReplica(t *testing.T) {
 		// A distinct clause per count: each one misses the store and
 		// goes to every shard.
 		c := logic.MustParseClause(fmt.Sprintf("advisedBy(A,B) :- publication(t%02d,A)", i))
-		if _, err := countOne(co, c, all, len(all)+1); err != nil {
+		if _, err := countOne(co, c, all); err != nil {
 			t.Fatal(err)
 		}
 	}

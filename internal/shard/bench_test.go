@@ -124,12 +124,12 @@ func BenchmarkCoordinatorMemoHit(b *testing.B) {
 	b.Cleanup(co.Close)
 	c := logic.MustParseClause(benchClause)
 	examples := benchExamples()
-	if _, err := countOne(co, c, examples, len(examples)); err != nil {
+	if _, err := countOne(co, c, examples); err != nil {
 		b.Fatal(err) // warm the memo
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := countOne(co, c, examples, len(examples)); err != nil {
+		if _, err := countOne(co, c, examples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkCoordinatorProcsMatrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := countOne(co, c, examples, len(examples)); err != nil {
+			if _, err := countOne(co, c, examples); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -187,7 +187,7 @@ func BenchmarkCoordinatorRPC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := countOne(co, c, examples, len(examples)); err != nil {
+		if _, err := countOne(co, c, examples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func BenchmarkCoordinatorBatchRPC(b *testing.B) {
 			}
 			frontier[j] = c
 		}
-		counts, err := e.CountMany(context.Background(), frontier, examples, len(examples))
+		counts, err := e.CountMany(context.Background(), frontier, examples)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestShardBenchGate(t *testing.T) {
 		for j, txt := range texts {
 			frontier[j] = logic.MustParseClause(txt)
 		}
-		if _, err := e.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
+		if _, err := e.CountMany(context.Background(), frontier, examples); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestShardBenchGate(t *testing.T) {
 				}
 				frontier[j] = c
 			}
-			if _, err := e.CountMany(context.Background(), frontier, examples, len(examples)); err != nil {
+			if _, err := e.CountMany(context.Background(), frontier, examples); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -231,7 +231,7 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 			return nil, fmt.Errorf("shard %d: every replica unreachable (%v): %w", s, err, ErrShardsLost)
 		}
 		if sh.local.CompareAndSwap(false, true) {
-			co.mc.AddNamedGauge("shard.fallback_local", 1)
+			co.mc.Inc(metrics.ShardFallbackLocal)
 			co.engine.RecordEvent(report.Event{
 				Kind:   report.ShardFellBackLocal,
 				Site:   fmt.Sprintf("shard:%d", s),
@@ -254,7 +254,7 @@ func (co *Coordinator) tryShard(ctx context.Context, s int, req BatchCoverageReq
 	)
 	for a := 0; a < co.opts.Retries; a++ {
 		if a > 0 {
-			co.mc.AddNamedGauge("shard.rpc_retried", 1)
+			co.mc.Inc(metrics.ShardRPCRetried)
 			co.engine.RecordEvent(report.Event{
 				Kind:   report.ShardRetried,
 				Site:   fmt.Sprintf("shard.rpc:%d", s),
@@ -300,12 +300,12 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 	if err := inject(ctx, target, "shard.rpc.send"); err != nil {
 		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, url, err)
 	}
-	co.mc.AddNamedGauge("shard.rpc_sent", 1)
+	co.mc.Inc(metrics.ShardRPCSent)
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shard %d: marshal: %w", target, err)
 	}
-	co.mc.AddNamedGauge("shard.wire_bytes_sent", int64(len(body)))
+	co.mc.Add(metrics.ShardWireBytesSent, int64(len(body)))
 	attemptCtx, cancel := context.WithTimeout(ctx, co.opts.RequestTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, url+"/v2/coverage", bytes.NewReader(body))
@@ -331,7 +331,7 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 	if err != nil {
 		return nil, 0, fmt.Errorf("shard %d: read %s: %w", target, url, err)
 	}
-	co.mc.AddNamedGauge("shard.wire_bytes_recv", int64(len(data)))
+	co.mc.Add(metrics.ShardWireBytesRecv, int64(len(data)))
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusConflict:

@@ -273,8 +273,8 @@ func stubWorker(fn func(w http.ResponseWriter, r *http.Request, calls int64) boo
 // countOne is CountMany for one clause on the coordinator's bound
 // engine: the engine screens its store, the coordinator computes the
 // misses.
-func countOne(co *Coordinator, c *logic.Clause, examples []learn.Example, limit int) (int, error) {
-	ns, err := co.engine.CountMany(context.Background(), []*logic.Clause{c}, examples, limit)
+func countOne(co *Coordinator, c *logic.Clause, examples []learn.Example) (int, error) {
+	ns, err := co.engine.CountMany(context.Background(), []*logic.Clause{c}, examples)
 	if err != nil {
 		return 0, err
 	}
@@ -300,7 +300,7 @@ func TestCoordinatorMemoizesVerdicts(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	_, pos, _ := tinyWorld(t)
-	n, err := countOne(co, c, pos, len(pos))
+	n, err := countOne(co, c, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestCoordinatorMemoizesVerdicts(t *testing.T) {
 	if first == 0 {
 		t.Fatal("no RPC issued on a cold memo")
 	}
-	if _, err := countOne(co, c, pos, len(pos)); err != nil {
+	if _, err := countOne(co, c, pos); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != first {
@@ -334,7 +334,7 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
 	start := time.Now()
-	if _, err := countOne(co, c, pos[:1], 1); err != nil {
+	if _, err := countOne(co, c, pos[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
@@ -362,7 +362,7 @@ func TestCoordinatorConfigMismatchIsFatal(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
-	_, err := countOne(co, c, pos, len(pos))
+	_, err := countOne(co, c, pos)
 	if err == nil {
 		t.Fatal("config mismatch did not abort the count")
 	}
@@ -390,7 +390,7 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- publication(C,A), publication(C,B)")
 	_, pos, neg := tinyWorld(t)
-	n, err := countOne(co, c, append(append([]learn.Example(nil), pos...), neg...), 100)
+	n, err := countOne(co, c, append(append([]learn.Example(nil), pos...), neg...))
 	if err != nil {
 		t.Fatalf("local fallback should have absorbed the dead worker: %v", err)
 	}
@@ -414,7 +414,7 @@ func TestCoordinatorShardsLost(t *testing.T) {
 
 	c := logic.MustParseClause("advisedBy(A,B) :- student(A)")
 	_, pos, _ := tinyWorld(t)
-	_, err := countOne(co, c, pos, len(pos))
+	_, err := countOne(co, c, pos)
 	if err == nil {
 		t.Fatal("total loss with fallback disabled must error")
 	}
@@ -449,7 +449,7 @@ func TestCoordinatorStartsAtLastAnsweringReplica(t *testing.T) {
 
 	_, pos, _ := tinyWorld(t)
 	for i, body := range []string{"student(A)", "professor(B)", "publication(C,A)", "publication(C,B)"} {
-		if _, err := countOne(co, logic.MustParseClause("advisedBy(A,B) :- "+body), pos, len(pos)); err != nil {
+		if _, err := countOne(co, logic.MustParseClause("advisedBy(A,B) :- "+body), pos); err != nil {
 			t.Fatalf("count %d: %v", i, err)
 		}
 		if n := deadCalls.Load(); n != 1 {
@@ -479,7 +479,7 @@ func TestCoordinatorLostShardStaysLocal(t *testing.T) {
 	all := append(append([]learn.Example(nil), pos...), neg...)
 	for _, body := range []string{"student(A)", "professor(B)", "publication(C,A)", "publication(C,A), publication(C,B)"} {
 		c := logic.MustParseClause("advisedBy(A,B) :- " + body)
-		got, err := countOne(co, c, all, len(all)+1)
+		got, err := countOne(co, c, all)
 		if err != nil {
 			t.Fatalf("%v: local fallback should have absorbed the dead worker: %v", c, err)
 		}
@@ -522,7 +522,7 @@ func TestCoordinatorConcurrentCountsFallBackOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, err := countOne(co, c, all, len(all)+1); err != nil || got != want {
+			if got, err := countOne(co, c, all); err != nil || got != want {
 				t.Errorf("%v: count %d (err %v), want %d", c, got, err, want)
 			}
 		}()

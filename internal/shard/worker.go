@@ -144,7 +144,7 @@ func (w *Worker) Preload(ctx context.Context, examples []learn.Example, shardInd
 		n++
 		w.preloaded.Store(int64(n))
 	}
-	w.opts.Metrics.AddNamedGauge("shard.worker.preloaded_bcs", int64(n))
+	w.opts.Metrics.Add(metrics.ShardWorkerPreloadedBCs, int64(n))
 	return n, nil
 }
 
@@ -295,9 +295,9 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 		covered[i] = PackBits(row)
 	}
 	mc := w.opts.Metrics
-	mc.AddNamedGauge("shard.worker.requests", 1)
-	mc.AddNamedGauge("shard.worker.examples", int64(len(exs)))
-	mc.AddNamedGauge("shard.worker.batch_clauses", int64(len(clauses)))
+	mc.Inc(metrics.ShardWorkerRequests)
+	mc.Add(metrics.ShardWorkerExamples, int64(len(exs)))
+	mc.Add(metrics.ShardWorkerBatchClauses, int64(len(clauses)))
 	httpx.WriteJSON(rw, http.StatusOK, BatchCoverageResponse{Covered: covered})
 }
 

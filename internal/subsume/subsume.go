@@ -76,9 +76,9 @@ type Options struct {
 	// and artifacts and shard fingerprints record it.
 	Seed int64
 	// Metrics, when non-nil, receives per-test counters (tests run, nodes
-	// expanded, budget exhaustions). Subsumption totals are gauges: the
-	// parallel coverage engine's early exit changes which tests run, so
-	// they are never compared across worker counts (see the metrics
+	// expanded, budget exhaustions). Subsumption totals are reported as
+	// gauges, yet fixed by the inputs: every coverage count is exact, so
+	// the worker count never changes which tests run (see the metrics
 	// package's determinism contract).
 	Metrics *metrics.Collector
 }

@@ -6,12 +6,12 @@
 //
 // The harness exists because the system's headline concurrency claim
 // (DESIGN.md, "Concurrency architecture") is that the Workers knob
-// changes wall-clock only: the theory and every deterministic counter
+// changes wall-clock only: the theory, every deterministic counter
 // (bottom.*, ind.*, learn.*, coverage.bc_built, eval.examples_scored)
-// must be bit-identical at any worker count. Gauges — coverage.tests,
-// subsume.*, cache hit/miss splits, per-worker utilization — legitimately
-// vary with scheduling and are excluded (metrics.Snapshot keeps the two
-// classes apart, so the comparison is just DeterministicDiff).
+// and the coverage engine's test totals (exactGauges) must be
+// bit-identical at any worker count. The rest of Gauges — per-worker
+// utilization, serving and shard traffic — legitimately varies with
+// scheduling and is not compared.
 //
 // For cancelled-then-resumed runs the invariant is necessarily weaker:
 // the interrupted clause search is redone from scratch on resume, so
@@ -64,10 +64,22 @@ func Run(ctx context.Context, task autobias.Task, opts autobias.Options, label s
 	}, nil
 }
 
+// exactGauges are the gauges whose totals the inputs alone fix: every
+// coverage count is exact, so the engine runs the same tests, probes
+// its ground-BC cache the same number of times and searches the same
+// subsumption nodes at every worker count. A shard leg's tests run on
+// its workers, so only worker legs compare them.
+var exactGauges = []string{
+	"coverage.tests", "coverage.memo_hits", "coverage.bc_cache_hits",
+	"subsume.tests", "subsume.nodes", "subsume.budget_exhausted",
+	"subsume.probe_decided", "subsume.refuted",
+}
+
 // Differential runs the task once per worker count and compares every
-// leg against the first: theories must be bit-identical and the
-// deterministic counter/histogram totals equal. The returned diffs are
-// human-readable divergence lines, empty when the runs agree.
+// leg against the first: theories must be bit-identical, and the
+// deterministic counter/histogram totals and the exactGauges equal. The
+// returned diffs are human-readable divergence lines, empty when the
+// runs agree.
 func Differential(ctx context.Context, task autobias.Task, opts autobias.Options, workers []int) ([]Leg, []string, error) {
 	if len(workers) < 2 {
 		return nil, nil, fmt.Errorf("testkit: differential needs at least 2 worker counts, got %v", workers)
@@ -91,6 +103,11 @@ func Differential(ctx context.Context, task autobias.Task, opts autobias.Options
 		}
 		for _, d := range ref.Snapshot.DeterministicDiff(leg.Snapshot) {
 			diffs = append(diffs, fmt.Sprintf("%s vs %s: %s", ref.Label, leg.Label, d))
+		}
+		for _, name := range exactGauges {
+			if a, b := ref.Snapshot.Gauges[name], leg.Snapshot.Gauges[name]; a != b {
+				diffs = append(diffs, fmt.Sprintf("%s vs %s: gauge %s: %d != %d", ref.Label, leg.Label, name, a, b))
+			}
 		}
 	}
 	return legs, diffs, nil

@@ -12,8 +12,10 @@ import (
 // nor the armg fan-out may leave a trace of the worker count: at 1 (the
 // exact sequential engine), 2, 4 and 8 workers a run must end with the
 // same theory, the same deterministic counters (candidates scored,
-// armg.* among them), the same armg memo (the pairs the rounds planned
-// and stored), and the same intern table in the same id order — the
+// armg.* among them), the same coverage and subsumption test totals
+// (every count is exact, so no worker count skips a test), the same
+// armg memo (the pairs the rounds planned and stored), and the same
+// intern table in the same id order — the
 // symbol table a model artifact records, which the sequential ground-BC
 // prefetch exists to keep stable. The top-down search is held to the
 // same: its growth steps score whole frontiers through the pool, under
@@ -28,6 +30,7 @@ func learnDeterministicAcrossWorkers(t *testing.T, opts Options) {
 	type outcome struct {
 		theory   string
 		counters map[string]int64
+		tests    map[string]int64
 		memoKeys [][2]string
 		symbols  []string
 	}
@@ -41,15 +44,23 @@ func learnDeterministicAcrossWorkers(t *testing.T, opts Options) {
 		got := outcome{
 			theory:   res.Definition.String(),
 			counters: res.Metrics.Counters,
+			tests:    make(map[string]int64),
 			memoKeys: res.engine.ExtractCarried().ARMGPairs(),
 			symbols:  res.engine.Interner().Symbols(),
+		}
+		for _, name := range []string{
+			"coverage.tests", "coverage.memo_hits", "coverage.bc_cache_hits",
+			"subsume.tests", "subsume.nodes", "subsume.budget_exhausted",
+			"subsume.probe_decided", "subsume.refuted",
+		} {
+			got.tests[name] = res.Metrics.Gauges[name]
 		}
 		if workers == 1 {
 			ref = got
 			if opts.Method == MethodAutoBias && (got.counters["armg.applications"] == 0 || got.counters["armg.literals_refuted"] == 0) {
 				t.Fatalf("the run exercised no armg pass or no refutation: %v", got.counters)
 			}
-			if got.counters["learn.candidates"] == 0 || res.Clauses == 0 {
+			if got.counters["learn.candidates"] == 0 || res.Clauses == 0 || got.tests["coverage.tests"] == 0 {
 				t.Fatalf("%s: the run scored no candidate or kept no clause: %v", opts.Method, got.counters)
 			}
 			continue
@@ -60,6 +71,9 @@ func learnDeterministicAcrossWorkers(t *testing.T, opts Options) {
 		}
 		if !reflect.DeepEqual(got.counters, ref.counters) {
 			t.Errorf("%s: deterministic counters diverge from workers=1:\n%v\nwant:\n%v", label, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.tests, ref.tests) {
+			t.Errorf("%s: test totals diverge from workers=1:\n%v\nwant:\n%v", label, got.tests, ref.tests)
 		}
 		if !slices.Equal(got.memoKeys, ref.memoKeys) {
 			t.Errorf("%s: armg memo holds %d keys, workers=1 holds %d (or different ones)", label, len(got.memoKeys), len(ref.memoKeys))
