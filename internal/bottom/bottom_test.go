@@ -339,7 +339,7 @@ func TestOlkenUniformity(t *testing.T) {
 	d.MustInsert("r", "cold", "c0")
 	rel := d.Relation("r")
 
-	b := &Builder{db: d, opts: Options{SampleSize: 1}.normalized(), rng: rand.New(rand.NewSource(99))}
+	b := &Builder{db: d, opts: Options{SampleSize: 1}.normalized(), src: rand.NewSource(99)}
 	b.opts.SampleSize = 1
 	coldHits, total := 0, 4000
 	for i := 0; i < total; i++ {

@@ -117,14 +117,17 @@ func (o Options) normalized() Options {
 
 // Builder constructs bottom clauses for examples of one target relation
 // over one database and compiled bias. A Builder is not safe for
-// concurrent use (it owns an RNG); worker pools must give each worker
-// its own builder via Clone or CloneSeeded rather than sharing one.
+// concurrent use (it owns a random source); worker pools must give each
+// worker its own builder via Clone or CloneSeeded rather than sharing
+// one.
 type Builder struct {
 	db   *db.Database
 	bias *bias.Compiled
 	plan *plan
 	opts Options
-	rng  *rand.Rand
+	// src is the builder's random source, read only through drawInt31n
+	// and drawFloat64 (draw.go).
+	src rand.Source
 	// done is the cancellation channel of the build in progress (nil
 	// between builds). Builders are single-goroutine by contract (see
 	// above), so holding per-build state here lets the samplers' deep
@@ -138,10 +141,21 @@ type Builder struct {
 	// snap is the database state the build in progress reads, pinned
 	// once per build so a concurrent commit is seen whole or not at all.
 	snap *db.Snapshot
-	// olkenFreq and olkenPicks are olkenSample's buffers, reused by every
-	// draw set of the builder's builds (olkenSample does not recurse).
+	// olkenFreq, olkenMax and olkenPicks are olkenSample's buffers,
+	// reused by every draw set of the builder's builds (olkenSample does
+	// not recurse).
 	olkenFreq  []int
+	olkenMax   []int32
 	olkenPicks []olkenPick
+	// strat holds the stratified traversal's scratch, one level per
+	// recursion depth. sampleStrata lays a selection out stratum by
+	// stratum in strata, from its sorted distinct values, each tuple's
+	// stratum and the strata's offsets.
+	strat        []stratLevel
+	strataVals   []string
+	strataOf     []int
+	strataStarts []int
+	strata       []db.Tuple
 	// sampleIdx and sample are the uniform samplers' buffers, reused by
 	// every draw (each sample is read before the next is drawn).
 	sampleIdx []int
@@ -172,23 +186,23 @@ func (b *Builder) interrupted() bool {
 // compiles the bias's construction plan once; clones share it.
 func NewBuilder(d *db.Database, c *bias.Compiled, opts Options) *Builder {
 	opts = opts.normalized()
-	return &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	return &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts, src: rand.NewSource(opts.Seed)}
 }
 
 // Clone returns an independent builder sharing the (read-only) database,
-// compiled bias and construction plan but owning a fresh RNG re-seeded
-// from the options seed. This is the concurrency contract for worker
-// pools: the database, bias and plan are safe to share, the RNG is not,
-// so each worker clones.
+// compiled bias and construction plan but owning a fresh random source
+// seeded from the options seed. This is the concurrency contract for
+// worker pools: the database, bias and plan are safe to share, the
+// source is not, so each worker clones.
 func (b *Builder) Clone() *Builder {
 	return b.CloneSeeded(b.opts.Seed)
 }
 
-// CloneSeeded is Clone with an explicit RNG seed, for pools that derive
+// CloneSeeded is Clone with an explicit seed, for pools that derive
 // a deterministic per-worker or per-example seed so sampled clauses do
 // not depend on goroutine scheduling.
 func (b *Builder) CloneSeeded(seed int64) *Builder {
-	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, rng: rand.New(rand.NewSource(seed))}
+	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, src: rand.NewSource(seed)}
 }
 
 // Options returns the builder's normalized options.
@@ -606,9 +620,9 @@ func (b *Builder) lookupSample(rel *db.Relation, attr int, value string) []db.Tu
 }
 
 // sampleIndices returns SampleSize distinct indices below n, which must
-// exceed it: the first SampleSize positions of a partial Fisher-Yates
-// shuffle of 0..n-1, in a buffer of the builder that the next draw
-// overwrites.
+// exceed it and fit an int32: the first SampleSize positions of a
+// partial Fisher-Yates shuffle of 0..n-1, in a buffer of the builder
+// that the next draw overwrites. Step i draws Intn(n-i).
 func (b *Builder) sampleIndices(n int) []int {
 	idx := b.sampleIdx[:0]
 	for i := range n {
@@ -616,7 +630,8 @@ func (b *Builder) sampleIndices(n int) []int {
 	}
 	s := b.opts.SampleSize
 	for i := 0; i < s; i++ {
-		j := i + b.rng.Intn(n-i)
+		r := int32(n - i)
+		j := i + int(drawInt31n(b.src, r, int31nMax(r)))
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	b.sampleIdx = idx

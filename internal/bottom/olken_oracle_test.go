@@ -20,6 +20,7 @@ func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) 
 	}
 	s := b.opts.SampleSize
 	maxAttempts := 20 * s
+	rng := rand.New(b.src)
 	var out []db.Tuple
 	type pick struct {
 		value string
@@ -27,13 +28,13 @@ func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) 
 	}
 	var picked []pick
 	for attempts := 0; attempts < maxAttempts && len(out) < s; attempts++ {
-		a := values[b.rng.Intn(len(values))]
+		a := values[rng.Intn(len(values))]
 		m := rel.Frequency(attr, a)
 		if m == 0 {
 			continue
 		}
-		i := b.rng.Intn(m)
-		if b.rng.Float64() >= float64(m)/float64(maxFreq) {
+		i := rng.Intn(m)
+		if rng.Float64() >= float64(m)/float64(maxFreq) {
 			continue
 		}
 		key := pick{value: a, idx: i}
@@ -46,25 +47,43 @@ func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) 
 	return out
 }
 
-// olkenFrontiers returns distinct-valued frontier sets over one column:
-// for each size, one drawn from the column and one in which every other
-// value is one the column does not hold (m = 0).
-func olkenFrontiers(r *rand.Rand, column []string, sizes []int) [][]string {
+// olkenFrontiers returns distinct-valued frontier sets over one column
+// of rel: for each size n,
+//   - n values drawn from the column;
+//   - n values of which every other one the column does not hold (m = 0);
+//   - n values none of which the column holds (Σm = 0: the whole call is
+//     drain);
+//   - up to n values drawn from the column whose matches number fewer
+//     than s (Σm < s: the sample completes, and the drain starts, before
+//     the attempts run out).
+func olkenFrontiers(r *rand.Rand, rel *db.Relation, attr int, sizes []int, s int) [][]string {
+	column := rel.DistinctValues(attr)
 	var out [][]string
 	for _, n := range sizes {
 		perm := r.Perm(len(column))
-		var present, mixed []string
+		var present, mixed, absent, sparse []string
 		for k := 0; k < n && k < len(perm); k++ {
 			present = append(present, column[perm[k]])
 		}
 		for k := 0; k < n; k++ {
+			absent = append(absent, fmt.Sprintf("absent_%d", k))
 			if k%2 == 0 {
 				mixed = append(mixed, fmt.Sprintf("absent_%d", k))
 			} else if k < len(perm) {
 				mixed = append(mixed, column[perm[k]])
 			}
 		}
-		out = append(out, present, mixed)
+		matches := 0
+		for _, p := range perm {
+			if len(sparse) == n {
+				break
+			}
+			if m := rel.Frequency(attr, column[p]); matches+m < s {
+				sparse = append(sparse, column[p])
+				matches += m
+			}
+		}
+		out = append(out, present, mixed, absent, sparse)
 	}
 	return out
 }
@@ -72,8 +91,10 @@ func olkenFrontiers(r *rand.Rand, column []string, sizes []int) [][]string {
 // TestOlkenStreamUnchanged holds olkenSample to the per-attempt oracle on
 // every (relation, attribute) of the five induced tasks: identically
 // seeded builders must return the same tuples in the same order and
-// leave their RNGs in the same state, so every random-sampled BC — the
-// rest of a build's draws included — is the oracle's.
+// leave their sources in the same state, so every random-sampled BC —
+// the rest of a build's draws included — is the oracle's. The sparse and
+// all-absent frontiers pin the drain: attempts made after the sample is
+// complete must advance the source by exactly the oracle's draws.
 func TestOlkenStreamUnchanged(t *testing.T) {
 	tasks := loadInducedTasks(t)
 	cases := 0
@@ -84,7 +105,7 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 		for _, relName := range task.ds.DB.Schema().Names() {
 			rel := task.ds.DB.Relation(relName)
 			for attr := range task.ds.DB.Schema().Relation(relName).Attributes {
-				for _, values := range olkenFrontiers(frontierRNG, rel.DistinctValues(attr), []int{1, 2, 5, s}) {
+				for _, values := range olkenFrontiers(frontierRNG, rel, attr, []int{1, 2, 5, s}, s) {
 					if len(values) == 0 {
 						continue
 					}
@@ -96,7 +117,7 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 						if !slices.EqualFunc(gotTuples, wantTuples, slices.Equal) {
 							t.Fatalf("%s %s.%d %v seed %d: sample %v, oracle %v", name, relName, attr, values, seed, gotTuples, wantTuples)
 						}
-						if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+						if g, w := got.src.Int63(), want.src.Int63(); g != w {
 							t.Fatalf("%s %s.%d %v seed %d: next draw %d, oracle %d", name, relName, attr, values, seed, g, w)
 						}
 						cases++

@@ -87,53 +87,84 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth in
 //
 // Each value's m(a) is read from the index once, before the first
 // attempt: the attempts draw values with replacement, up to 20·s of them
-// from at most s values. Where m(a) is read from does not touch the RNG —
-// each attempt calls Intn(len(values)), then Intn(m) and Float64() only
-// when m > 0 — so the stream and the sample equal those of a sampler
-// that probes the index per attempt (olken_oracle_test.go).
+// from at most s values. Where m(a) is read from does not touch the
+// source — each attempt draws Intn(len(values)), then Intn(m) and
+// Float64() only when m > 0 — so the stream and the sample equal those
+// of a sampler that probes the index per attempt (olken_oracle_test.go).
+//
+// A sample is complete once it holds min(s, Σm(a)) picks: no later
+// attempt can add one. Attempts stop at s picks, as they always have;
+// below s, the attempts left after completion only advance the source by
+// the draws they would have made, so the rest of the build draws what it
+// always did.
 func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.Tuple {
 	maxFreq := rel.MaxFrequency(attr)
 	if maxFreq == 0 {
 		return nil
 	}
-	freq := b.olkenFreq[:0]
+	freq, bound := b.olkenFreq[:0], b.olkenMax[:0]
 	matches := 0 // |{values} ⋉ rel.attr|: no sample holds more tuples
 	for _, a := range values {
 		m := rel.Frequency(attr, a)
-		freq = append(freq, m)
+		var mMax int32 // Intn(m)'s rejection bound; m = 0 draws no Intn(m)
+		if m > 0 {
+			mMax = int31nMax(int32(m))
+		}
+		freq, bound = append(freq, m), append(bound, mMax)
 		matches += m
 	}
+	b.olkenFreq, b.olkenMax = freq, bound
 	s := b.opts.SampleSize
 	maxAttempts := 20 * s
+	complete := min(s, matches)
+	nv := int32(len(values))
+	nvMax := int31nMax(nv)
 	var out []db.Tuple
 	if matches > 0 {
-		out = make([]db.Tuple, 0, min(s, matches))
+		out = make([]db.Tuple, 0, complete)
 	}
 	// Dedupe picks by (value index, offset) so a sample never wastes a
 	// literal slot on an identical tuple; the values are distinct, so the
 	// index names the value. There are at most s picks, so a linear scan
 	// beats a map.
 	picked := b.olkenPicks[:0]
-	for attempts := 0; attempts < maxAttempts && len(out) < s; attempts++ {
-		k := b.rng.Intn(len(values))
+	attempts := 0
+	for ; attempts < maxAttempts && len(out) < complete; attempts++ {
+		k := drawInt31n(b.src, nv, nvMax)
 		m := freq[k]
 		if m == 0 {
 			continue
 		}
-		i := b.rng.Intn(m)
+		i := int(drawInt31n(b.src, int32(m), bound[k]))
 		// Accept with p = m/M so tuples of the semi-join come out uniform
 		// regardless of how skewed the value frequencies are.
-		if b.rng.Float64() >= float64(m)/float64(maxFreq) {
+		if drawFloat64(b.src) >= float64(m)/float64(maxFreq) {
 			continue
 		}
-		key := olkenPick{value: k, idx: i}
+		key := olkenPick{value: int(k), idx: i}
 		if slices.Contains(picked, key) {
 			continue
 		}
 		picked = append(picked, key)
 		out = append(out, rel.LookupAt(attr, values[k], i))
 	}
-	b.olkenFreq, b.olkenPicks = freq, picked
+	b.olkenPicks = picked
+	if len(out) == s {
+		return out
+	}
+	// Drain: the sample is complete below s, or the attempts ran out. An
+	// attempt's draws are Intn(len(values)), then, when m > 0, Intn(m) —
+	// one draw plus one per draw above its rejection bound — and
+	// Float64() — one draw plus one per draw at or above float64Redraw.
+	for ; attempts < maxAttempts; attempts++ {
+		k := drawInt31n(b.src, nv, nvMax)
+		if freq[k] > 0 {
+			for int32(b.src.Int63()>>32) > bound[k] {
+			}
+			for b.src.Int63() >= float64Redraw {
+			}
+		}
+	}
 	return out
 }
 

@@ -1,7 +1,7 @@
 package bottom
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/db"
 	"repro/internal/logic"
@@ -12,18 +12,32 @@ import (
 // relation and the traversal degenerates to a full scan per level.
 const maxJoinValues = 200
 
+// stratLevel is one recursion level's scratch in a stratified build,
+// reused by every call at that level: the selection I_R, the value set
+// its children descend with, and the values the backtrack keeps. Value
+// sets are sorted and distinct.
+type stratLevel struct {
+	ir     []db.Tuple
+	vals   []string
+	joined []string
+}
+
 // stratifiedTuples implements Algorithm 4: a depth-first traversal of
 // the semi-join tree that, at the deepest level, samples every stratum —
 // one stratum per distinct value of each constant-able attribute (or the
 // whole relation when none) — and, while backtracking, adds the parent
 // tuples that join the sampled child tuples.
 func (b *Builder) stratifiedTuples(example logic.Literal) []foundTuple {
+	if len(b.strat) <= b.opts.Depth {
+		b.strat = make([]stratLevel, b.opts.Depth+1) // level 0 holds the root value set
+	}
 	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
+		root := append(b.strat[0].vals[:0], term.Name)
+		b.strat[0].vals = root
 		for _, ra := range b.plan.targetPlusTargets(i) {
-			sub := b.stratRec(ra.Relation, ra.Attr, map[string]bool{term.Name: true}, 1, &budget)
-			out = append(out, sub...)
+			b.stratRec(ra.Relation, ra.Attr, root, 1, &out, &budget)
 			if budget <= 0 {
 				return out
 			}
@@ -32,60 +46,63 @@ func (b *Builder) stratifiedTuples(example logic.Literal) []foundTuple {
 	return out
 }
 
-// stratRec is the StratRec function of Algorithm 4. M is the join-value
-// set flowing down from the parent; iter counts from 1 to Depth.
-func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int, budget *int) []foundTuple {
+// stratRec is the StratRec function of Algorithm 4, appending what it
+// finds to out. m is the join-value set flowing down from the parent,
+// sorted and distinct; iter counts from 1 to Depth.
+func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *[]foundTuple, budget *int) {
 	if *budget <= 0 || b.interrupted() {
-		return nil
+		return
 	}
 	rel := b.snap.Relation(relName)
 	if rel == nil || rel.Len() == 0 {
-		return nil
+		return
 	}
-	ir := rel.SelectIn(attr, m)
+	lv := &b.strat[iter]
+	ir := selectIn(rel, attr, m, lv.ir[:0])
+	lv.ir = ir
 	if len(ir) == 0 {
-		return nil
+		return
 	}
 	b.noteDepth(iter)
 	if iter >= b.opts.Depth {
-		return b.sampleStrata(relName, attr, ir, budget)
+		b.sampleStrata(relName, attr, ir, out, budget)
+		return
 	}
 
-	var out []foundTuple
 	descended := false
 	for bAttr, childTargets := range b.plan.rels[relName].plus {
 		if len(childTargets) == 0 {
 			continue
 		}
-		vals := projectDistinct(ir, bAttr)
-		if len(vals) == 0 {
-			continue
-		}
+		vals := projectDistinct(ir, bAttr, lv.vals[:0])
+		lv.vals = vals
 		for _, ra := range childTargets {
 			if *budget <= 0 {
-				return out
+				return
 			}
-			is := b.stratRec(ra.Relation, ra.Attr, vals, iter+1, budget)
-			if len(is) == 0 {
+			from := len(*out)
+			b.stratRec(ra.Relation, ra.Attr, vals, iter+1, out, budget)
+			if len(*out) == from {
 				continue
 			}
 			descended = true
-			out = append(out, is...)
 			// Backtrack step: keep the parent tuples that join the
 			// sampled child tuples (σ_{B ∈ π_{B'}(I_S)}(I_R)). Only
-			// direct children count — is also carries deeper descendants.
-			joined := make(map[string]bool)
-			for _, ft := range is {
+			// direct children count — the child's output also carries
+			// deeper descendants.
+			joined := lv.joined[:0]
+			for _, ft := range (*out)[from:] {
 				if ft.rel == ra.Relation && ft.viaAttr == ra.Attr {
-					joined[ft.tuple[ft.viaAttr]] = true
+					joined = insertSorted(joined, ft.tuple[ft.viaAttr])
 				}
 			}
+			lv.joined = joined
 			for _, t := range ir {
-				if joined[t[bAttr]] {
-					out = append(out, foundTuple{rel: relName, viaAttr: attr, tuple: t})
+				if _, ok := slices.BinarySearch(joined, t[bAttr]); ok {
+					*out = append(*out, foundTuple{rel: relName, viaAttr: attr, tuple: t})
 					*budget--
 					if *budget <= 0 {
-						return out
+						return
 					}
 				}
 			}
@@ -94,62 +111,116 @@ func (b *Builder) stratRec(relName string, attr int, m map[string]bool, iter int
 	if !descended {
 		// Leaf in practice (no joinable children had matches): sample the
 		// strata here so the branch still contributes.
-		return b.sampleStrata(relName, attr, ir, budget)
+		b.sampleStrata(relName, attr, ir, out, budget)
 	}
-	return out
+}
+
+// selectIn appends σ_{attr ∈ values}(rel) to buf, in the order
+// db.Relation.SelectIn returns it for the same set, without building the
+// set or copying postings: for a set no larger than the column's
+// distinct values, value by value in sorted order, each value's matches
+// in postings order; otherwise in relation order by scan. values must be
+// sorted and distinct.
+func selectIn(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.Tuple {
+	if len(values) <= rel.DistinctCount(attr) {
+		for _, v := range values {
+			for i := range rel.Frequency(attr, v) {
+				buf = append(buf, rel.LookupAt(attr, v, i))
+			}
+		}
+		return buf
+	}
+	for _, t := range rel.Snapshot() {
+		if _, ok := slices.BinarySearch(values, t[attr]); ok {
+			buf = append(buf, t)
+		}
+	}
+	return buf
 }
 
 // sampleStrata partitions ir into strata and uniformly samples
-// SampleSize tuples from each: one stratum per distinct value of each
-// constant-able attribute, or a single stratum holding everything when
-// the relation has no constant-able attribute (§4.3.2).
-func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, budget *int) []foundTuple {
+// SampleSize tuples from each, appending them to out: one stratum per
+// distinct value of each constant-able attribute, in sorted value order
+// and each holding its tuples in ir's order, or a single stratum holding
+// everything when the relation has no constant-able attribute (§4.3.2).
+func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, out *[]foundTuple, budget *int) {
 	constAttrs := b.plan.rels[relName].constAttrs
-	var out []foundTuple
-	emit := func(stratum []db.Tuple) {
-		for _, t := range b.sampleUniform(stratum) {
-			out = append(out, foundTuple{rel: relName, viaAttr: viaAttr, tuple: t})
-			*budget--
-			if *budget <= 0 {
-				return
-			}
-		}
-	}
 	if len(constAttrs) == 0 {
-		emit(ir)
-		return out
+		b.emitStratum(relName, viaAttr, ir, out, budget)
+		return
 	}
 	for _, ca := range constAttrs {
-		groups := make(map[string][]db.Tuple)
-		for _, t := range ir {
-			groups[t[ca]] = append(groups[t[ca]], t)
-		}
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // deterministic stratum order
-		for _, k := range keys {
-			if *budget <= 0 || b.interrupted() {
-				return out
+		// Lay the strata out in sorted value order, each holding its
+		// tuples in ir's order: the distinct values of ca, each tuple's
+		// stratum by binary search, then a stable counting sort.
+		vals := b.strataVals[:0]
+		for j, t := range ir {
+			if j == 0 || t[ca] != ir[j-1][ca] {
+				vals = append(vals, t[ca])
 			}
-			emit(groups[k])
+		}
+		slices.Sort(vals)
+		vals = slices.Compact(vals)
+		starts := append(b.strataStarts[:0], make([]int, len(vals)+1)...)
+		which := b.strataOf[:0]
+		k := 0
+		for j, t := range ir {
+			if j == 0 || t[ca] != ir[j-1][ca] {
+				k, _ = slices.BinarySearch(vals, t[ca])
+			}
+			which = append(which, k)
+			starts[k+1]++
+		}
+		for k := 1; k < len(starts); k++ {
+			starts[k] += starts[k-1]
+		}
+		strata := slices.Grow(b.strata[:0], len(ir))[:len(ir)]
+		for j, t := range ir {
+			k := which[j]
+			strata[starts[k]] = t
+			starts[k]++
+		}
+		// Each stratum k now ends at starts[k] and begins where k-1 ends.
+		b.strataVals, b.strataStarts, b.strataOf, b.strata = vals, starts, which, strata
+		lo := 0
+		for k := range vals {
+			if *budget <= 0 || b.interrupted() {
+				return
+			}
+			b.emitStratum(relName, viaAttr, strata[lo:starts[k]], out, budget)
+			lo = starts[k]
 		}
 	}
-	return out
 }
 
-// projectDistinct returns the distinct values of column attr across the
-// tuples, capped at maxJoinValues, as a set.
-func projectDistinct(tuples []db.Tuple, attr int) map[string]bool {
-	out := make(map[string]bool)
-	for _, t := range tuples {
-		if !out[t[attr]] {
-			out[t[attr]] = true
-			if len(out) >= maxJoinValues {
-				break
-			}
+// emitStratum appends a uniform sample of one stratum to out, stopping
+// when the budget runs out.
+func (b *Builder) emitStratum(relName string, viaAttr int, stratum []db.Tuple, out *[]foundTuple, budget *int) {
+	for _, t := range b.sampleUniform(stratum) {
+		*out = append(*out, foundTuple{rel: relName, viaAttr: viaAttr, tuple: t})
+		*budget--
+		if *budget <= 0 {
+			return
 		}
 	}
-	return out
+}
+
+// projectDistinct appends to vals, sorted, the distinct values of column
+// attr across the tuples, taking the first maxJoinValues in tuple order.
+func projectDistinct(tuples []db.Tuple, attr int, vals []string) []string {
+	for _, t := range tuples {
+		if vals = insertSorted(vals, t[attr]); len(vals) >= maxJoinValues {
+			break
+		}
+	}
+	return vals
+}
+
+// insertSorted adds v to the sorted, distinct set vals unless it is
+// there.
+func insertSorted(vals []string, v string) []string {
+	if i, found := slices.BinarySearch(vals, v); !found {
+		return slices.Insert(vals, i, v)
+	}
+	return vals
 }

@@ -87,9 +87,7 @@ type CoverageEngine struct {
 	// in is the engine's intern table: predicate names and ground
 	// constants mapped to dense int32 ids for the subsumption compiler.
 	// Seeded deterministically from the task schema in NewCoverage,
-	// grown by ground-BC compilation (sequential in the prefetch pass),
-	// and installed on the builder so BC construction emits
-	// pre-interned literals.
+	// grown by ground-BC compilation (sequential in the fetch pass).
 	in *logic.Interner
 
 	// mu guards cache and the clause store (records, byPtr and every
@@ -257,9 +255,8 @@ func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Cl
 // building it on a miss. The build is a function of the example alone
 // (buildEntry), so it runs outside every lock and the result is the same
 // no matter which goroutine gets there first; resolve and
-// GeneralizeManyCtx prefetch sequentially, so concurrent builds of one
-// example only happen for external callers of Covers — or when the
-// prefetch itself was isolated.
+// GeneralizeManyCtx fetch sequentially, so concurrent builds of one
+// example only happen for external callers of Covers.
 func (ce *CoverageEngine) entry(ctx context.Context, key string, e Example) (*groundEntry, error) {
 	ce.mu.RLock()
 	ent, ok := ce.cache[key]
@@ -515,20 +512,27 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 }
 
 // settleMisses settles resolve's misses in process, one path at every
-// worker count: it prefetches the missed examples' ground BCs
+// worker count: it fetches the missed examples' ground entries
 // sequentially in first-touch order, so intern-table growth and every
-// cache counter are fixed by the inputs (a prefetch isolated by a panic
-// is skipped: the test's own fetch re-derives the failure), then tests
-// every miss through fanOut.
+// cache counter are fixed by the inputs, then tests every miss through
+// fanOut against the entry fetched for its example — one cache probe per
+// missed example. A fetch isolated by a panic scores each of that
+// example's pairs "not covered", recording the panic once per pair.
 func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord, clauses []*logic.Clause, examples []Example, keys []string, misses []int, verdicts [][]bool) error {
 	n := len(examples)
-	fetched := make([]bool, n)
+	type fetched struct {
+		done bool
+		ent  *groundEntry
+		err  error // a recovered panic, isolated to the example's pairs
+	}
+	ents := make([]fetched, n)
 	for _, p := range misses {
-		if j := p % n; !fetched[j] {
-			fetched[j] = true
-			if _, err := ce.entry(ctx, keys[j], examples[j]); err != nil && !isPanic(err) {
+		if j := p % n; !ents[j].done {
+			ent, err := ce.entry(ctx, keys[j], examples[j])
+			if err != nil && !isPanic(err) {
 				return err
 			}
+			ents[j] = fetched{true, ent, err}
 		}
 	}
 	return ce.fanOut(len(misses), func(k int) error {
@@ -548,7 +552,7 @@ func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord
 					return nil, &panicErr{val: err}
 				}
 			}
-			return ce.entry(ctx, keys[j], examples[j])
+			return ents[j].ent, ents[j].err
 		})
 		if err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bottom"
 	"repro/internal/faultpoint"
 	"repro/internal/logic"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/subsume"
 )
@@ -114,6 +115,86 @@ func TestPanicIsolationMatchesCleanRunExceptVictim(t *testing.T) {
 	}
 	if rep.Count(report.PanicRecovered) != 1 {
 		t.Fatalf("want exactly 1 recovered panic, got summary %q", rep.Summary())
+	}
+}
+
+// TestFetchPanicIsolatedPerPair: a ground-BC build that panics while a
+// resolve fetches its example's entry is isolated to that example: each
+// of its pairs scores "not covered" and records one recovered panic,
+// every other pair keeps its clean verdict, and the fetch is made once —
+// the tests reuse its outcome instead of building again.
+func TestFetchPanicIsolatedPerPair(t *testing.T) {
+	d, pos, neg := uwWorld(t, 10, 6)
+	c := uwLearnBias(t, d)
+	all := append(append([]Example(nil), pos...), neg...)
+	clauses := []*logic.Clause{
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)."),
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X)."),
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,Y)."),
+	}
+	clean, err := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{}).ResolveLocal(context.Background(), clauses, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	victim := 1
+	defer faultpoint.Reset()
+	faultpoint.Enable("bottom.construct:"+all[victim].String(), faultpoint.Fault{Panic: "boom"})
+	for _, workers := range []int{1, 4} {
+		ce := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
+		ce.SetWorkers(workers)
+		rep := report.New()
+		ce.SetReport(rep)
+		got, err := ce.ResolveLocal(context.Background(), clauses, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range clauses {
+			if !clean[i][victim] {
+				t.Fatalf("fixture: clause %d must cover the victim in a clean run", i)
+			}
+			for j := range all {
+				if want := clean[i][j] && j != victim; got[i][j] != want {
+					t.Errorf("workers=%d: clause %d on %v = %v, want %v", workers, i, all[j], got[i][j], want)
+				}
+			}
+		}
+		if n := rep.Count(report.PanicRecovered); n != len(clauses) {
+			t.Errorf("workers=%d: %d recovered panics, want one per pair (%d): %s", workers, n, len(clauses), rep.Summary())
+		}
+		for _, ev := range rep.Events() {
+			if ev.Kind == report.PanicRecovered && ev.Example != all[victim].String() {
+				t.Errorf("workers=%d: panic isolated to the wrong example: %+v", workers, ev)
+			}
+		}
+	}
+}
+
+// TestResolveProbesCacheOncePerExample: a resolve's tests reuse the
+// entries its fetch pass read, so a warm cache is probed once per missed
+// example, however many clauses miss on it.
+func TestResolveProbesCacheOncePerExample(t *testing.T) {
+	d, pos, neg := uwWorld(t, 10, 6)
+	all := append(append([]Example(nil), pos...), neg...)
+	ce := NewCoverage(bottom.NewBuilder(d, uwLearnBias(t, d), bottom.Options{Depth: 1}), subsume.Options{})
+	mc := metrics.New()
+	ce.SetMetrics(mc)
+	if _, err := ce.CountMany(context.Background(), []*logic.Clause{logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X).")}, all); err != nil {
+		t.Fatal(err)
+	}
+	if hits := mc.Counter(metrics.CoverageBCCacheHits); hits != 0 {
+		t.Fatalf("cold resolve: %d cache hits, want 0", hits)
+	}
+	clauses := []*logic.Clause{
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,Y)."),
+		logic.MustParseClause("advisedBy(X,Y) :- publication(Z,X), publication(Z,Y)."),
+	}
+	if _, err := ce.CountMany(context.Background(), clauses, all); err != nil {
+		t.Fatal(err)
+	}
+	if hits, tests := mc.Counter(metrics.CoverageBCCacheHits), mc.Counter(metrics.CoverageTests); hits != int64(len(all)) || tests != int64(3*len(all)) {
+		t.Fatalf("warm resolve of %d clauses × %d examples: %d cache hits and %d tests in all, want %d and %d",
+			len(clauses), len(all), hits, tests, len(all), 3*len(all))
 	}
 }
 
