@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"cmp"
 	"context"
 
 	"repro/internal/logic"
@@ -75,13 +76,12 @@ func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts
 // generalization chain must rebuild with the new names instead of
 // replaying a renamed twin's memo entry.
 //
-// The pairs that miss the memo fan out across the worker pool. What
-// keeps the result, the memo, the intern table and the deterministic
-// counters identical at every worker count is the order of the one step
-// that touches shared state: the ground BCs of the missing pairs are
-// fetched first, sequentially, in pair order — the order a one-by-one
-// loop first touches them — and only then do the passes run, each a
-// function of its own (clause, compiled ground BC, options). A
+// The pairs that miss the memo run through the engine's pair pipeline,
+// which prefetches their ground BCs in the order a one-by-one loop first
+// touches them — so the result, the memo, the intern table and the
+// deterministic counters are identical at every worker count — fans the
+// passes out, and isolates a panic in a pair's fetch or pass to the
+// pair, whose result is nil, memoized like a computed one. A
 // cancelled pass is truncated (remaining subsumption tests report
 // non-coverage), so a done ctx is returned as an error and nothing of
 // the round is memoized.
@@ -97,58 +97,53 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 		pair
 		rec   *clauseRecord
 		c     *logic.Clause
-		cg    *subsume.CompiledGround
 		slots []int
 		out   *logic.Clause
 		fw    subsume.Forward
 	}
+	keys := make([]string, len(examples))
+	for j, e := range examples {
+		keys[j] = e.String()
+	}
 	out := make([]*logic.Clause, len(clauses)*len(examples))
 	var jobs []*job
+	var pairs []int
 	planned := make(map[pair]*job)
 	for i, c := range clauses {
 		rec, rendered := ce.record(c), c.String()
-		for j, e := range examples {
+		for j, key := range keys {
 			slot := i*len(examples) + j
-			key := pair{rendered, e.String()}
+			p := pair{rendered, key}
 			ce.mu.RLock()
-			cand, ok := rec.armg[rendered][key.example]
+			cand, ok := rec.armg[rendered][key]
 			ce.mu.RUnlock()
 			if ok {
 				ce.mc.Inc(metrics.ARMGMemoHits)
 				out[slot] = cand
 				continue
 			}
-			if jb := planned[key]; jb != nil {
+			if jb := planned[p]; jb != nil {
 				ce.mc.Inc(metrics.ARMGMemoHits)
 				jb.slots = append(jb.slots, slot)
 				continue
 			}
-			ent, err := ce.entry(ctx, key.example, e)
-			if err != nil {
-				return nil, err
-			}
-			jb := &job{pair: key, rec: rec, c: c, cg: ent.cg, slots: []int{slot}}
+			jb := &job{pair: p, rec: rec, c: c, slots: []int{slot}}
 			jobs = append(jobs, jb)
-			planned[key] = jb
+			pairs = append(pairs, slot)
+			planned[p] = jb
 		}
 	}
 
-	err := ce.fanOut(len(jobs), func(k int) (err error) {
-		defer recoverToErr(&err)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		jobs[k].out, jobs[k].fw = armg(ctx, jobs[k].c, jobs[k].cg, ce.subOpts)
+	err := ce.pipeline(ctx, "armg", examples, keys, pairs, func(k int, ent *groundEntry) error {
+		jobs[k].out, jobs[k].fw = armg(ctx, jobs[k].c, ent.cg, ce.subOpts)
 		return nil
 	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	if err != nil {
+	if err := cmp.Or(ctx.Err(), err); err != nil {
 		return nil, err
 	}
 
 	ce.mu.Lock()
+	defer ce.mu.Unlock()
 	for _, jb := range jobs {
 		if jb.rec.armg == nil {
 			jb.rec.armg = make(map[string]map[string]*logic.Clause)
@@ -159,9 +154,6 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 			jb.rec.armg[jb.rendered] = byEx
 		}
 		byEx[jb.example] = jb.out
-	}
-	ce.mu.Unlock()
-	for _, jb := range jobs {
 		for _, slot := range jb.slots {
 			out[slot] = jb.out
 		}

@@ -48,20 +48,21 @@ type Example = logic.Literal
 // the transport when one is installed), and ResolveLocal, the in-process
 // every-pair form transports fall back to. All of them reach the same
 // resolver, the one place verdicts are read from and written to the
-// store. It is safe for concurrent use and fans the (clause, example)
-// tests out over a bounded worker pool (SetWorkers). Coverage testing is
-// the dominant cost of learning (§5) and the tests are independent, so
-// this is where parallel hardware pays off. Three rules keep results,
-// and the tests run to reach them, bit-identical at every worker count:
+// store. It is safe for concurrent use and fans (clause, example) work
+// out over a bounded worker pool (SetWorkers) through one pair pipeline.
+// Coverage testing is the dominant cost of learning (§5) and the tests
+// are independent, so this is where parallel hardware pays off. Three
+// rules keep results, and the tests run to reach them, bit-identical at
+// every worker count:
 //
 //   - Verdicts are pure: a ground BC depends only on its example, and a
 //     subsumption test is a deterministic search over it (see the
 //     subsume package's concurrency contract), so an outcome depends
 //     only on (clause, example, options), never on which worker runs it.
-//   - Ground BCs consumed by a resolve are prefetched sequentially, in
-//     the order its tests first touch them, so the intern
-//     table's ids and the deterministic counters do not depend on the
-//     worker count either.
+//   - The pipeline prefetches the ground BCs a batch consumes
+//     sequentially, in the order its jobs first touch them, so the
+//     intern table's ids and the deterministic counters do not depend on
+//     the worker count either.
 //   - Every count is exact: a resolve tests and stores every pair it
 //     misses, so the store and the coverage.* and subsume.* totals
 //     depend only on the inputs.
@@ -69,11 +70,12 @@ type Example = logic.Literal
 // Bounded execution: cancellation reaches into the running primitives —
 // the subsumption node-budget loop and BC construction — so a deadline
 // interrupts coverage mid-test, not at the next example boundary. A
-// panic inside one example's test (a bug, or a fault injected via
-// internal/faultpoint) is recovered and isolated to that (clause,
-// example) pair, which deterministically scores "not covered": learning
-// continues, the outcome is identical at every worker count, and the
-// degradation is recorded on the engine's Report.
+// panic in one pair's ground-BC fetch or work (a bug, or a fault injected
+// via internal/faultpoint) is recovered and isolated to that (clause,
+// example) pair, which deterministically gets its kind's negative
+// answer — "not covered", or no generalization: learning continues, the
+// outcome is identical at every worker count, and the degradation is
+// recorded on the engine's Report.
 type CoverageEngine struct {
 	builder *bottom.Builder
 	subOpts subsume.Options
@@ -254,9 +256,9 @@ func (ce *CoverageEngine) GroundBCCtx(ctx context.Context, e Example) (*logic.Cl
 // entry returns the cached (BC, compiled index) pair for the example,
 // building it on a miss. The build is a function of the example alone
 // (buildEntry), so it runs outside every lock and the result is the same
-// no matter which goroutine gets there first; resolve and
-// GeneralizeManyCtx fetch sequentially, so concurrent builds of one
-// example only happen for external callers of Covers.
+// no matter which goroutine gets there first; the pair pipeline fetches
+// sequentially, so concurrent builds of one example only happen for
+// concurrent external callers of the engine.
 func (ce *CoverageEngine) entry(ctx context.Context, key string, e Example) (*groundEntry, error) {
 	ce.mu.RLock()
 	ent, ok := ce.cache[key]
@@ -318,44 +320,59 @@ func deriveSeed(base int64, key string) int64 {
 	return base ^ int64(h.Sum64())
 }
 
-// settle produces one verdict: fetch the ground entry, bind the record's
-// compiled clause to it and run subsume's one test procedure — the
-// search, stopping once for the whole-clause refuter (DESIGN.md §20).
-// It is the one place a test is counted and a panic (in the fetch or the
-// test) is isolated to the pair as "not covered". An exhausted node
-// budget is a sound-negative "not covered", §5's approximation working
-// as designed; subsume counts it (subsume.budget_exhausted). A done ctx
-// returns its error.
-func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, fetch func() (*groundEntry, error)) (bool, error) {
-	v, err := func() (v bool, err error) {
-		defer recoverToErr(&err)
-		ent, err := fetch()
-		if err != nil {
-			return false, err
+// settle produces one verdict under the failure rule (isolate): bind the
+// record's compiled clause to the example's ground entry and run
+// subsume's one test procedure — the search, stopping once for the
+// whole-clause refuter (DESIGN.md §20). It is the one place a test is
+// counted. An exhausted node budget is a sound-negative "not covered",
+// §5's approximation working as designed; subsume counts it
+// (subsume.budget_exhausted). A done ctx returns its error.
+func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, ent *groundEntry) (covered bool, err error) {
+	err = ce.isolate("coverage.test", key, func() error {
+		if faultpoint.Enabled() {
+			// Per-test site: anything but a cancellation fails like a panic.
+			if err := faultpoint.Inject(ctx, "coverage.test:"+key); err != nil {
+				if !isCtxErr(err) {
+					panic(err)
+				}
+				return err
+			}
 		}
 		ce.mc.Inc(metrics.CoverageTests)
 		res := subsume.CheckClauseCtx(ctx, ce.compiled(rec, c), ent.cg, ce.subOpts)
 		if res.Cancelled {
 			// Cancelled without a done ctx: an injected subsume fault; treat
 			// as an ordinary incomplete (sound-negative) answer.
-			return false, ctx.Err()
+			return ctx.Err()
 		}
-		return res.Subsumes, nil
-	}()
-	if isPanic(err) {
-		// The failure belongs to this pair alone, and is a function of the
-		// pair, not of scheduling: the same answer at every worker count.
-		ce.RecordEvent(report.Event{Kind: report.PanicRecovered, Site: "coverage.test", Example: key, Detail: err.Error()})
-		return false, nil
-	}
-	return v, err
+		covered = res.Subsumes
+		return nil
+	})
+	return covered, err
 }
 
-// Covers reports whether the clause covers the example. Results are
-// stored per (canonical clause, example): the covering loop and beam
-// scoring revisit the same pairs many times. Covers stays in process
-// whatever transport is installed. Safe for concurrent use; a done ctx
-// returns its error.
+// isolate is the failure rule of every (clause, example) pair: when the
+// pair's work panics, or returns a recovered panic (its fetch's), it
+// records one PanicRecovered naming the example at site and returns nil,
+// and the work's output keeps its kind's negative answer ("not covered",
+// no generalization), stored like a computed one. The failure is a
+// function of the pair, not of scheduling. Other errors pass through.
+func (ce *CoverageEngine) isolate(site, key string, work func() error) (err error) {
+	defer func() {
+		if isPanic(err) {
+			ce.RecordEvent(report.Event{Kind: report.PanicRecovered, Site: site, Example: key, Detail: err.Error()})
+			err = nil
+		}
+	}()
+	defer recoverToErr(&err)
+	return work()
+}
+
+// Covers reports whether the clause covers the example. The verdict is
+// stored per (canonical clause, example), for repair's carried verdicts
+// and queries after a run: within a run few pairs recur. Covers stays in
+// process whatever transport is installed. Safe for concurrent use; a
+// done ctx returns its error.
 func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
 	verdicts, err := ce.resolve(ctx, nil, []*logic.Clause{c}, []Example{e})
 	return err == nil && verdicts[0][0], err
@@ -377,10 +394,11 @@ func (ce *CoverageEngine) DefinitionCovers(ctx context.Context, d *logic.Definit
 // CheckDefinitionCtx reports whether any clause of the definition covers
 // the example — the semantics of DefinitionCovers, in clause order with
 // early exit — while keeping nothing but the clauses' records: the
-// example's ground entry is built for this call and dropped after it,
-// and no verdict is stored. It is the serving path's one engine verb
-// (internal/serve memoizes verdicts of its own), so unbounded traffic
-// never grows engine state.
+// example's ground entry is built for this call and dropped after it, no
+// verdict is stored, and a head constant its ground BC's body does not
+// hold is never interned (subsume.CompileGround). It is the serving
+// path's one engine verb (internal/serve memoizes verdicts of its own),
+// so unbounded traffic never grows engine state.
 func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
 	key := e.String()
 	ent, err := ce.buildEntry(ctx, key, e)
@@ -388,7 +406,7 @@ func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Defin
 		return false, err
 	}
 	for _, c := range d.Clauses {
-		ok, err := ce.settle(ctx, ce.record(c), c, key, func() (*groundEntry, error) { return ent, nil })
+		ok, err := ce.settle(ctx, ce.record(c), c, key, ent)
 		if ok || err != nil {
 			return ok, err
 		}
@@ -445,7 +463,7 @@ func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Cla
 // on examples[j]. (1) One lookup pass answers every pair the store holds,
 // consuming carried marks and counting memo hits. (2) The misses are
 // computed: t gets the clauses that have a miss against the examples
-// that have a miss, or, when t is nil, settleMisses works in process.
+// that have a miss, or, when t is nil, the pair pipeline tests each.
 // (3) Every computed verdict is stored, isolated failures included, so a
 // panicking example cannot perturb later decisions; when step 2 fails
 // nothing is stored.
@@ -472,7 +490,12 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 		return verdicts, nil
 	}
 	if t == nil {
-		if err := ce.settleMisses(ctx, recs, clauses, examples, keys, misses, verdicts); err != nil {
+		err := ce.pipeline(ctx, "coverage.test", examples, keys, misses, func(k int, ent *groundEntry) (err error) {
+			i, j := misses[k]/n, misses[k]%n
+			verdicts[i][j], err = ce.settle(ctx, recs[i], clauses[i], keys[j], ent)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
 	} else {
@@ -511,54 +534,38 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 	return verdicts, nil
 }
 
-// settleMisses settles resolve's misses in process, one path at every
-// worker count: it fetches the missed examples' ground entries
-// sequentially in first-touch order, so intern-table growth and every
-// cache counter are fixed by the inputs, then tests every miss through
-// fanOut against the entry fetched for its example — one cache probe per
-// missed example. A fetch isolated by a panic scores each of that
-// example's pairs "not covered", recording the panic once per pair.
-func (ce *CoverageEngine) settleMisses(ctx context.Context, recs []*clauseRecord, clauses []*logic.Clause, examples []Example, keys []string, misses []int, verdicts [][]bool) error {
-	n := len(examples)
-	type fetched struct {
-		done bool
-		ent  *groundEntry
-		err  error // a recovered panic, isolated to the example's pairs
-	}
-	ents := make([]fetched, n)
-	for _, p := range misses {
-		if j := p % n; !ents[j].done {
-			ent, err := ce.entry(ctx, keys[j], examples[j])
-			if err != nil && !isPanic(err) {
-				return err
+// pipeline is the one way a batch of (clause, example) work runs — a
+// resolve's misses, an armg round. Job k works on pairs[k] =
+// i*len(examples)+j: clause i on examples[j], whose key is keys[j].
+// Prefetch: each distinct example's ground entry is fetched once,
+// sequentially, in first-touch order, so intern-table growth and every
+// cache counter are fixed by the inputs. Fan-out: fanOut runs work(k,
+// entry) for every job. Failure rule: a panic in a job's fetch or work
+// is isolated to the job (isolate). A done ctx, or a fetch that fails
+// without a panic, aborts the batch.
+func (ce *CoverageEngine) pipeline(ctx context.Context, site string, examples []Example, keys []string, pairs []int, work func(k int, ent *groundEntry) error) error {
+	// errs holds a fetch's recovered panic, isolated to each of the
+	// example's jobs; a fetched example has an entry or an error.
+	ents, errs := make([]*groundEntry, len(examples)), make([]error, len(examples))
+	for _, p := range pairs {
+		if j := p % len(examples); ents[j] == nil && errs[j] == nil {
+			ents[j], errs[j] = ce.entry(ctx, keys[j], examples[j])
+			if errs[j] != nil && !isPanic(errs[j]) {
+				return errs[j]
 			}
-			ents[j] = fetched{true, ent, err}
 		}
 	}
-	return ce.fanOut(len(misses), func(k int) error {
-		i, j := misses[k]/n, misses[k]%n
+	return ce.fanOut(len(pairs), func(k int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		v, err := ce.settle(ctx, recs[i], clauses[i], keys[j], func() (*groundEntry, error) {
-			if faultpoint.Enabled() {
-				// Per-example site: injected failures are a function of the
-				// example, not of pool order. Anything but a cancellation is
-				// isolated like a panic from the test proper.
-				if err := faultpoint.Inject(ctx, "coverage.test:"+keys[j]); err != nil {
-					if isCtxErr(err) {
-						return nil, err
-					}
-					return nil, &panicErr{val: err}
-				}
+		j := pairs[k] % len(examples)
+		return ce.isolate(site, keys[j], func() error {
+			if errs[j] != nil {
+				return errs[j]
 			}
-			return ents[j].ent, ents[j].err
+			return work(k, ents[j])
 		})
-		if err != nil {
-			return err
-		}
-		verdicts[i][j] = v
-		return nil
 	})
 }
 

@@ -57,10 +57,6 @@ type Options struct {
 	// each candidate clause (coverage testing dominates learning time,
 	// §5); <=0 defaults to 200 of each.
 	EvalSampleCap int
-	// MinPositives is the minimum criterion of Algorithm 1: a clause must
-	// cover at least this many uncovered positives; <=0 defaults to 2
-	// (1 when fewer than 10 positives are available).
-	MinPositives int
 	// MinPrecision is the minimum clause precision pos/(pos+neg) on the
 	// scoring sample; <=0 defaults to 0.7.
 	MinPrecision float64
@@ -215,12 +211,9 @@ func (l *Learner) LearnCtx(ctx context.Context, pos, neg []Example) (*logic.Defi
 // keeps the theory so far) or a real one — comes back with the phase it
 // stopped.
 func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg []Example) (where string, err error) {
-	minPos := l.opts.MinPositives
-	if minPos <= 0 {
-		minPos = 2
-		if len(pos) < 10 {
-			minPos = 1
-		}
+	minPos := 2 // Algorithm 1's minimum criterion, in sampled uncovered positives
+	if len(pos) < 10 {
+		minPos = 1
 	}
 	uncovered := append([]Example(nil), pos...)
 	for len(uncovered) > 0 {
@@ -252,13 +245,13 @@ func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg 
 		def.Add(clause)
 		l.opts.Metrics.Inc(metrics.LearnClauses)
 		// Remove every positive the definition now covers.
+		covered, err := l.cover.resolve(ctx, nil, []*logic.Clause{clause}, uncovered)
+		if err != nil {
+			return "covered-positive removal", err
+		}
 		var still []Example
-		for _, e := range uncovered {
-			ok, err := l.cover.Covers(ctx, clause, e)
-			if err != nil {
-				return "covered-positive removal", err
-			}
-			if !ok {
+		for j, e := range uncovered {
+			if !covered[0][j] {
 				still = append(still, e)
 			}
 		}
@@ -299,19 +292,25 @@ func (l *Learner) noteStop(ctx context.Context, where string, clauses int) {
 // The seed's variabilized clause is the one build that runs on the
 // engine's builder itself rather than a per-example clone: its sample
 // follows the covering loop's seed order, which is a function of the
-// verdicts alone, and no ground build ever draws from that RNG.
+// verdicts alone, and no ground build ever draws from that RNG. A panic
+// in it is isolated to the seed: no clause, and the seed is set aside.
 type beamSearch struct{}
 
 func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Example) (*logic.Clause, error) {
 	seed := pos[0]
-	builder := l.cover.builder
-	bc, err := builder.ConstructCtx(ctx, seed)
-	if err != nil {
-		if isCtxErr(err) {
-			l.stats.Report.Add(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: seed.String()})
-			return nil, err
-		}
+	var bc *logic.Clause
+	err := l.cover.isolate("bottom.construct", seed.String(), func() (err error) {
+		bc, err = l.cover.builder.ConstructCtx(ctx, seed)
+		return err
+	})
+	switch {
+	case isCtxErr(err):
+		l.stats.Report.Add(report.Event{Kind: report.BottomAbandoned, Site: "bottom.construct", Example: seed.String()})
+		return nil, err
+	case err != nil:
 		return nil, fmt.Errorf("learn: %w", err)
+	case bc == nil:
+		return nil, nil
 	}
 	bc = bc.PruneNotHeadConnected()
 

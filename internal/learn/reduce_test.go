@@ -187,7 +187,7 @@ func TestLearnManySeedsProgress(t *testing.T) {
 		noise = append(noise, logic.NewLiteral("advisedBy",
 			logic.Const(fmt.Sprintf("s%02d", i)), logic.Const(fmt.Sprintf("p%02d", (i+3)%8))))
 	}
-	l := New(d, c, Options{Bottom: bottom.Options{Depth: 1}, MinPrecision: 1.0, MinPositives: 3})
+	l := New(d, c, Options{Bottom: bottom.Options{Depth: 1}, MinPrecision: 1.0})
 	def, _, err := l.Learn(noise, neg)
 	if err != nil {
 		t.Fatal(err)

@@ -185,7 +185,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 			if old&vCarried == 0 || ent == nil {
 				continue
 			}
-			now, err := ce.settle(ctx, rec, c, key, func() (*groundEntry, error) { return ent, nil })
+			now, err := ce.settle(ctx, rec, c, key, ent)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -3,6 +3,7 @@ package learn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -166,6 +167,126 @@ func TestFetchPanicIsolatedPerPair(t *testing.T) {
 			if ev.Kind == report.PanicRecovered && ev.Example != all[victim].String() {
 				t.Errorf("workers=%d: panic isolated to the wrong example: %+v", workers, ev)
 			}
+		}
+	}
+}
+
+// TestGeneralizePanicIsolatedPerPair: an armg round whose victim
+// example's ground-BC build panics is not aborted. Each of the victim's
+// pairs comes back nil ("no generalization") with one recovered panic,
+// every other pair equals a clean engine's result, and the nil is
+// memoized: the round again answers from the memo and records nothing.
+// A panic in the pass itself is isolated the same way.
+func TestGeneralizePanicIsolatedPerPair(t *testing.T) {
+	d, pos, _ := uwWorld(t, 12, 8)
+	c := uwLearnBias(t, d)
+	var clauses []*logic.Clause
+	for _, e := range []Example{pos[0], pos[2]} {
+		bc, err := bottom.NewBuilder(d, c, bottom.Options{Depth: 1}).Construct(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clauses = append(clauses, bc.PruneNotHeadConnected())
+	}
+	newEngine := func(workers int) (*CoverageEngine, *report.Report) {
+		ce := NewCoverage(bottom.NewBuilder(d, c, bottom.Options{Depth: 1}), subsume.Options{})
+		ce.SetWorkers(workers)
+		rep := report.New()
+		ce.SetReport(rep)
+		return ce, rep
+	}
+	cleanEngine, _ := newEngine(1)
+	clean, err := cleanEngine.GeneralizeManyCtx(context.Background(), clauses, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	victim := 1
+	defer faultpoint.Reset()
+	faultpoint.Enable("bottom.construct:"+pos[victim].String(), faultpoint.Fault{Panic: "boom"})
+	for _, workers := range []int{1, 4} {
+		ce, rep := newEngine(workers)
+		for round := 0; round < 2; round++ {
+			got, err := ce.GeneralizeManyCtx(context.Background(), clauses, pos)
+			if err != nil {
+				t.Fatalf("workers=%d round %d: %v", workers, round, err)
+			}
+			for slot := range got {
+				i, j := slot/len(pos), slot%len(pos)
+				want := fmt.Sprint(clean[slot])
+				if j == victim {
+					if clean[slot] == nil {
+						t.Fatalf("fixture: clause %d must generalize against the victim in a clean run", i)
+					}
+					want = fmt.Sprint((*logic.Clause)(nil))
+				}
+				if g := fmt.Sprint(got[slot]); g != want {
+					t.Errorf("workers=%d round %d: clause %d on %v = %s, want %s", workers, round, i, pos[j], g, want)
+				}
+			}
+			if n := rep.Count(report.PanicRecovered); n != len(clauses) {
+				t.Errorf("workers=%d round %d: %d recovered panics, want one per victim pair (%d): %s", workers, round, n, len(clauses), rep.Summary())
+			}
+		}
+		for _, ev := range rep.Events() {
+			if ev.Kind == report.PanicRecovered && ev.Example != pos[victim].String() {
+				t.Errorf("workers=%d: panic isolated to the wrong example: %+v", workers, ev)
+			}
+		}
+	}
+
+	faultpoint.Reset()
+	faultpoint.Enable("subsume.check", faultpoint.Fault{Panic: "pass boom"})
+	ce, rep := newEngine(1)
+	got, err := ce.GeneralizeManyCtx(context.Background(), clauses, pos)
+	if err != nil {
+		t.Fatalf("panicking passes aborted the round: %v", err)
+	}
+	for slot, cand := range got {
+		if cand != nil {
+			t.Fatalf("slot %d: a panicking pass generalized to %v", slot, cand)
+		}
+	}
+	if n := rep.Count(report.PanicRecovered); n != len(got) {
+		t.Fatalf("%d recovered panics for %d panicking passes: %s", n, len(got), rep.Summary())
+	}
+}
+
+// TestBuildPanicNeverFailsLearn: a bottom.construct:<example> panic is
+// isolated to its example wherever the build runs — the seed's
+// variabilized clause, an armg round's prefetch, a coverage resolve —
+// so for every positive of the toy task as the victim, Learn returns
+// without error and without a panic escaping, the theory is identical at
+// 1, 4 and 8 workers, and every recovered panic names the victim.
+func TestBuildPanicNeverFailsLearn(t *testing.T) {
+	_, pos, _ := uwWorld(t, 12, 8)
+	defer faultpoint.Reset()
+	for _, victim := range pos {
+		key := victim.String()
+		defs := make(map[int]string)
+		for _, workers := range []int{1, 4, 8} {
+			faultpoint.Reset()
+			faultpoint.Enable("bottom.construct:"+key, faultpoint.Fault{Panic: "injected build panic"})
+			var stats *Stats
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("victim %s, workers=%d: panic escaped Learn: %v", key, workers, r)
+					}
+				}()
+				defs[workers], stats = learnWith(t, workers, 1)
+			}()
+			if n := stats.Report.Count(report.PanicRecovered); n == 0 {
+				t.Fatalf("victim %s, workers=%d: no recovered panic reported: %s", key, workers, stats.Report.Summary())
+			}
+			for _, ev := range stats.Report.Events() {
+				if ev.Kind == report.PanicRecovered && ev.Example != key {
+					t.Fatalf("victim %s, workers=%d: panic isolated to the wrong example: %+v", key, workers, ev)
+				}
+			}
+		}
+		if defs[4] != defs[1] || defs[8] != defs[1] {
+			t.Fatalf("victim %s: theories diverge across workers:\n1: %s\n4: %s\n8: %s", key, defs[1], defs[4], defs[8])
 		}
 	}
 }

@@ -67,8 +67,9 @@ func (in *Interner) InternAll(ss ...string) {
 
 // Lookup returns the id for s without assigning one. Callers compiling
 // a candidate clause against an already-compiled ground side use this:
-// a string the ground side never interned cannot match anything, so a
-// miss is reported rather than grown into the table.
+// a string the ground side never interned matches no row (a ground
+// head value the table lacks is compared by name), so a miss is
+// reported rather than grown into the table.
 func (in *Interner) Lookup(s string) (int32, bool) {
 	in.mu.RLock()
 	id, ok := in.ids[s]

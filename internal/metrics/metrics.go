@@ -110,9 +110,9 @@ const (
 	// CoverageMemoHits counts per-(clause,example) memo hits. Fixed by
 	// the inputs.
 	CoverageMemoHits
-	// CoverageBCCacheHits counts ground-BC cache hits: a resolve probes
-	// the cache once per missed example, and its tests reuse the entry.
-	// Fixed by the inputs.
+	// CoverageBCCacheHits counts ground-BC cache hits: a batch of pair
+	// work (a resolve's misses, an armg round) probes the cache once per
+	// example, and its jobs reuse the entry. Fixed by the inputs.
 	CoverageBCCacheHits
 	// CoverageBCRebuilt counts ground-BC builds that lost the
 	// first-build-wins race (external concurrent callers only). Gauge.

@@ -185,6 +185,35 @@ func TestEvictionKeepsVerdicts(t *testing.T) {
 	}
 }
 
+// TestColdPredictionsKeepInternTable: a cold prediction keeps nothing
+// in the engine, its intern table included. A served example's
+// constants that no body literal holds are compared by name, never
+// interned, so 5,000 predictions of unseen entities leave the table the
+// size the first one left it.
+func TestColdPredictionsKeepInternTable(t *testing.T) {
+	d, art := testWorld(t)
+	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := 0
+	for i := 0; i < 5000; i++ {
+		e, err := model.ParseExample(fmt.Sprintf("gp(x%d,y%d)", i, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.PredictBatch(context.Background(), []Example{e})
+		if err != nil || got[0] {
+			t.Fatalf("%v: %v, %v; want not covered", e, got, err)
+		}
+		if i == 0 {
+			size = m.engine.Interner().Len()
+		} else if n := m.engine.Interner().Len(); n != size {
+			t.Fatalf("prediction %d grew the intern table from %d to %d symbols", i, size, n)
+		}
+	}
+}
+
 // saveWorld materializes the toy world to disk: CSV data plus a sealed
 // artifact referencing it, ready for LoadDir.
 func saveWorld(t *testing.T) (modelsDir string) {

@@ -34,7 +34,11 @@ type CompiledGround struct {
 	in       *logic.Interner
 	headPred int32   // interned id
 	headVals []int32 // local ids
-	headIDs  []int32 // interned ids: what head constants and repeats compare
+	// headIDs are the head values' interned ids, what head constants and
+	// repeats compare; -1 for a value the table did not hold, which is
+	// compared by its name in head (sameHead).
+	headIDs []int32
+	head    logic.Literal
 	// globals holds, ascending, the interned ids of the clause's term
 	// values; locals[i] is the local id of globals[i]. nLocal counts them
 	// and doubles as the local id of "a value this clause does not hold":
@@ -123,9 +127,14 @@ func (sc *compileScratch) local(g int32) int32 {
 
 // CompileGround compiles g against the interner (nil selects a fresh
 // private table, the one-shot Check path). Every predicate name and
-// term value of g is interned. Extent order, row order and posting-list
-// order reproduce the legacy per-call matcher's, so searches over the
-// compiled form take bit-identical decisions.
+// body term value of g is interned; a head value is interned only when
+// the body holds it. A head-only value — an example constant no body
+// literal mentions, such as a served example's unseen entity — matches
+// no row, so it takes the local id no row holds (nLocal, as in
+// WithHead) and never grows the table: serving unbounded examples
+// leaves the engine's table as it was. Extent order, row order and
+// posting-list order reproduce the legacy per-call matcher's, so
+// searches over the compiled form take bit-identical decisions.
 func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 	if in == nil {
 		in = logic.NewInterner()
@@ -137,13 +146,17 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 	sc.litExt, sc.litLen = sc.litExt[:0], sc.litLen[:0]
 	sc.extRows, sc.extPosts = sc.extRows[:0], sc.extPosts[:0]
 
-	cg := &CompiledGround{in: in, headPred: in.Intern(g.Head.Predicate), bodyLen: len(g.Body)}
+	cg := &CompiledGround{in: in, headPred: in.Intern(g.Head.Predicate), head: g.Head, bodyLen: len(g.Body)}
 	sc.local(0) // the empty string is local 0 whether or not it occurs
 	note := func(name string) int32 { return sc.local(in.Intern(name)) }
 
 	// Pass 1: number the values, find the extents and size them.
 	for _, t := range g.Head.Terms {
-		sc.terms = append(sc.terms, note(t.Name))
+		if t.Name == "" || bodyHolds(g.Body, t.Name) {
+			sc.terms = append(sc.terms, note(t.Name))
+		} else {
+			sc.terms = append(sc.terms, headOnly)
+		}
 	}
 	nHead := len(sc.terms)
 	last := -1 // bottom clauses list a relation's literals together
@@ -184,9 +197,12 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 		return s
 	}
 	cg.headVals, cg.headIDs = carve(nHead), carve(nHead)
-	copy(cg.headVals, sc.terms)
-	for i, l := range cg.headVals {
-		cg.headIDs[i] = sc.byLocal[l]
+	for i, l := range sc.terms[:nHead] {
+		if l == headOnly {
+			cg.headVals[i], cg.headIDs[i] = cg.nLocal, -1
+		} else {
+			cg.headVals[i], cg.headIDs[i] = l, sc.byLocal[l]
+		}
 	}
 	cg.globals, cg.locals = carve(nLocal), carve(nLocal)
 	for i := range cg.exts {
@@ -256,23 +272,54 @@ func CompileGround(in *logic.Interner, g *logic.Clause) *CompiledGround {
 	return cg
 }
 
+// headOnly marks, in CompileGround's pass 1, a head value the body
+// does not hold.
+const headOnly = -2
+
+// bodyHolds reports whether some body literal of a ground clause has a
+// term named name.
+func bodyHolds(body []logic.Literal, name string) bool {
+	for _, l := range body {
+		for _, t := range l.Terms {
+			if t.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // WithHead returns cg with its head replaced by the ground literal h,
 // sharing cg's extents and arena: a database compiled once as a ground
-// clause answers every example's coverage test through it. h's symbols
-// are interned. A value of h that cg does not hold matches no row, and
-// two such values are equal only when their names are: head constants
-// and repeated head variables compare interned ids, not local ones. The
-// empty string stays the matcher's "unbound" value, as in every ground
-// clause: a head variable bound to it is free.
+// clause answers every example's coverage test through it. h's
+// predicate is interned, its values only looked up. A value of h that
+// cg does not hold matches no row, and two such values are equal only
+// when their names are: head constants and repeated head variables
+// compare interned ids, or names where the table lacks one (sameHead),
+// never local ones. The empty string stays the matcher's "unbound"
+// value, as in every ground clause: a head variable bound to it is free.
 func (cg *CompiledGround) WithHead(h logic.Literal) *CompiledGround {
 	out := *cg
 	out.headPred = cg.in.Intern(h.Predicate)
+	out.head = h
 	out.headVals, out.headIDs = make([]int32, len(h.Terms)), make([]int32, len(h.Terms))
 	for i, t := range h.Terms {
-		out.headIDs[i] = cg.in.Intern(t.Name)
-		out.headVals[i] = cg.localOf(out.headIDs[i])
+		id, ok := cg.in.Lookup(t.Name)
+		if !ok {
+			id = -1
+		}
+		out.headIDs[i], out.headVals[i] = id, cg.localOf(id)
 	}
 	return &out
+}
+
+// sameHead reports whether head value i is the symbol (id, name): by
+// interned id when both sides have one, else by name.
+func (cg *CompiledGround) sameHead(i int, id int32, name string) bool {
+	if h := cg.headIDs[i]; h >= 0 && id >= 0 {
+		return h == id
+	}
+	return cg.head.Terms[i].Name == name
 }
 
 // Interner returns the intern table the ground clause was compiled with.

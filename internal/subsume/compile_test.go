@@ -63,11 +63,20 @@ func TestCompiledGroundLayout(t *testing.T) {
 		if value[0] != "" {
 			t.Fatalf("local 0 must be the empty string, is %q", value[0])
 		}
-		var order []string // first occurrence, head first, after ""
+		// First occurrence, head first, after "" — a head value only when
+		// the body holds it: a head-only value is local nLocal, id -1, and
+		// stays out of the table.
+		var order []string
 		seen := map[string]bool{"": true}
+		inBody := map[string]bool{}
+		for _, l := range g.Body {
+			for _, tm := range l.Terms {
+				inBody[tm.Name] = true
+			}
+		}
 		note := func(ts []logic.Term) {
 			for _, tm := range ts {
-				if !seen[tm.Name] {
+				if !seen[tm.Name] && inBody[tm.Name] {
 					seen[tm.Name] = true
 					order = append(order, tm.Name)
 				}
@@ -79,6 +88,14 @@ func TestCompiledGroundLayout(t *testing.T) {
 		}
 		if !slices.Equal(value[1:], order) {
 			t.Fatalf("local ids %q are not first-occurrence order %q", value[1:], order)
+		}
+		for i, tm := range g.Head.Terms {
+			if tm.Name == "" || inBody[tm.Name] {
+				continue
+			}
+			if _, interned := in.Lookup(tm.Name); interned || cg.headVals[i] != cg.nLocal || cg.headIDs[i] != -1 {
+				t.Fatalf("head-only value %q: local %d, id %d, interned %v", tm.Name, cg.headVals[i], cg.headIDs[i], interned)
+			}
 		}
 		if cg.localOf(-1) != cg.nLocal || cg.localOf(in.Intern("noise1")) != cg.nLocal {
 			t.Fatal("an id the clause does not hold must map to nLocal")
@@ -226,6 +243,48 @@ func TestWithHead(t *testing.T) {
 		}
 		if got := CheckCompiled(mustClause(t, tc.clause), cg, Options{}); got.Subsumes != tc.want || !got.Complete {
 			t.Errorf("%s against %s: %+v, want %v", tc.clause, tc.head, got, tc.want)
+		}
+	}
+}
+
+// TestCompileGroundHeadOnlyValues: a head value the body does not hold
+// stays out of the intern table, and head constants and repeated head
+// variables still compare it by name — through a clause compiled on the
+// same table (CheckClauseCtx) and through the one-shot path alike.
+func TestCompileGroundHeadOnlyValues(t *testing.T) {
+	body := " :- student(juan), professor(sarita), publication(p1,juan), publication(p1,sarita)."
+	cases := []struct {
+		clause, head string
+		want         bool
+	}{
+		{"advisedBy(X,Y) :- publication(Z,X), publication(Z,Y).", "advisedBy(juan,sarita)", true},
+		{"advisedBy(X,Y) :- professor(Y).", "advisedBy(ghost,sarita)", true},
+		{"advisedBy(X,Y) :- student(Y).", "advisedBy(juan,ghost)", false},
+		{"advisedBy(X,X).", "advisedBy(ghost1,ghost2)", false},
+		{"advisedBy(X,X).", "advisedBy(ghost1,ghost1)", true},
+		{"advisedBy(X,X).", "advisedBy(juan,ghost1)", false},
+		{"advisedBy(X,ghost1).", "advisedBy(juan,ghost2)", false},
+		{"advisedBy(X,ghost1).", "advisedBy(juan,ghost1)", true},
+		{"advisedBy(juan,Y).", "advisedBy(juan,ghost1)", true},
+	}
+	in := logic.NewInterner()
+	CompileGround(in, mustClause(t, "advisedBy(juan,sarita)"+body))
+	size := in.Len()
+	for _, tc := range cases {
+		c := mustClause(t, tc.clause)
+		cc := CompileClause(in, c)
+		cg := CompileGround(in, mustClause(t, tc.head+body))
+		if in.Len() != size {
+			t.Fatalf("compiling %s grew the table to %v", tc.head, in.Symbols())
+		}
+		if got := CheckClauseCtx(context.Background(), cc, cg, Options{}); got.Subsumes != tc.want || !got.Complete {
+			t.Errorf("%s against %s: %+v, want %v", tc.clause, tc.head, got, tc.want)
+		}
+		if got := CheckCompiled(c, cg, Options{}); got.Subsumes != tc.want {
+			t.Errorf("one-shot %s against %s: %+v, want %v", tc.clause, tc.head, got, tc.want)
+		}
+		if fw := ForwardPass(context.Background(), c, cg, Options{}); fw.HeadMatches != tc.want && len(c.Body) == 0 {
+			t.Errorf("ForwardPass %s against %s: head matches %v, want %v", tc.clause, tc.head, fw.HeadMatches, tc.want)
 		}
 	}
 }

@@ -315,16 +315,16 @@ func (m *matcher) bindHead(cc *CompiledClause, cg *CompiledGround) bool {
 	clear(m.initial)
 	m.varOccs = resizeOccs(m.varOccs, m.nVars)
 	for i, t := range cc.head {
-		id := cg.headIDs[i]
 		if t.varID < 0 {
-			if cc.resolve(t.val, cc.src.Head.Terms[i].Name) != id {
+			name := cc.src.Head.Terms[i].Name
+			if !cg.sameHead(i, cc.resolve(t.val, name), name) {
 				return false
 			}
 			continue
 		}
 		// A repeated head variable must see one ground value.
 		for j := 0; j < i; j++ {
-			if cc.head[j].varID == t.varID && cg.headIDs[j] != id {
+			if cc.head[j].varID == t.varID && !cg.sameHead(j, cg.headIDs[i], cg.head.Terms[i].Name) {
 				return false
 			}
 		}

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faultpoint"
+	"repro/internal/report"
 )
 
 // TestLearnTimeoutAnytime is the headline robustness acceptance test:
@@ -122,5 +125,41 @@ func TestBudgetStarvedRunCountedOnce(t *testing.T) {
 	}
 	if res.Degraded() {
 		t.Fatalf("budget-starved run reported degraded: %q", res.Report.Summary())
+	}
+}
+
+// TestBuildPanicIsolatedThroughFacade: a panic in one positive's
+// bottom-clause build — the first seed's, so the seed build, the armg
+// rounds and every coverage resolve meet it — never fails a run through
+// the facade: under the bottom-up (autobias) and the top-down (aleph)
+// search, at 1 and 4 workers, Learn returns without error, the theory
+// is the same at both worker counts, and every recovered panic names the
+// victim.
+func TestBuildPanicIsolatedThroughFacade(t *testing.T) {
+	task := uwTask(t, 0.25)
+	victim := task.Pos[0].String()
+	defer faultpoint.Reset()
+	for _, method := range []Method{MethodAutoBias, MethodAleph} {
+		theories := make(map[int]string)
+		for _, workers := range []int{1, 4} {
+			faultpoint.Reset()
+			faultpoint.Enable("bottom.construct:"+victim, faultpoint.Fault{Panic: "injected build panic"})
+			res, err := Learn(task, Options{Method: method, Seed: 2, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", method, workers, err)
+			}
+			theories[workers] = res.Definition.String()
+			if res.Report.Count(report.PanicRecovered) == 0 {
+				t.Fatalf("%s, workers=%d: no recovered panic reported: %s", method, workers, res.Report.Summary())
+			}
+			for _, ev := range res.Report.Events() {
+				if ev.Kind == report.PanicRecovered && ev.Example != victim {
+					t.Fatalf("%s, workers=%d: panic isolated to the wrong example: %+v", method, workers, ev)
+				}
+			}
+		}
+		if theories[4] != theories[1] {
+			t.Fatalf("%s: theories diverge across workers:\n1: %s\n4: %s", method, theories[1], theories[4])
+		}
 	}
 }
