@@ -2,7 +2,6 @@ package bottom
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -339,11 +338,12 @@ func TestOlkenUniformity(t *testing.T) {
 	d.MustInsert("r", "cold", "c0")
 	rel := d.Relation("r")
 
-	b := &Builder{db: d, opts: Options{SampleSize: 1}.normalized(), src: rand.NewSource(99)}
+	b := &Builder{db: d, opts: Options{SampleSize: 1}.normalized()}
+	b.src.Seed(99)
 	b.opts.SampleSize = 1
 	coldHits, total := 0, 4000
 	for i := 0; i < total; i++ {
-		sample := b.olkenSample(rel, 0, []string{"hot", "cold"})
+		sample := b.olkenSample(rel, 0, []string{"hot", "cold"}, nil)
 		if len(sample) == 0 {
 			continue
 		}

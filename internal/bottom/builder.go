@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -117,17 +116,14 @@ func (o Options) normalized() Options {
 
 // Builder constructs bottom clauses for examples of one target relation
 // over one database and compiled bias. A Builder is not safe for
-// concurrent use (it owns a random source); worker pools must give each
-// worker its own builder via Clone or CloneSeeded rather than sharing
-// one.
+// concurrent use (it owns its random generator); worker pools must give
+// each worker its own builder via Clone or CloneSeeded rather than
+// sharing one.
 type Builder struct {
 	db   *db.Database
 	bias *bias.Compiled
 	plan *plan
 	opts Options
-	// src is the builder's random source, read only through drawInt31n
-	// and drawFloat64 (draw.go).
-	src rand.Source
 	// done is the cancellation channel of the build in progress (nil
 	// between builds). Builders are single-goroutine by contract (see
 	// above), so holding per-build state here lets the samplers' deep
@@ -147,6 +143,9 @@ type Builder struct {
 	olkenFreq  []int
 	olkenMax   []int32
 	olkenPicks []olkenPick
+	// rnd holds the random traversal's scratch, one level per tree
+	// level.
+	rnd []randLevel
 	// strat holds the stratified traversal's scratch, one level per
 	// recursion depth. sampleStrata lays a selection out stratum by
 	// stratum in strata, from its sorted distinct values, each tuple's
@@ -160,6 +159,12 @@ type Builder struct {
 	// every draw (each sample is read before the next is drawn).
 	sampleIdx []int
 	sample    []db.Tuple
+	// src is the builder's random generator, math/rand's stream held by
+	// value (source.go), read only through drawInt31n, drawFloat64 and
+	// olkenSample's drain. It is the last field, so the part of a
+	// builder the garbage collector scans for pointers ends before its
+	// 4.9 KB of words.
+	src source
 }
 
 // noteDepth raises the current build's reached-depth watermark.
@@ -186,23 +191,28 @@ func (b *Builder) interrupted() bool {
 // compiles the bias's construction plan once; clones share it.
 func NewBuilder(d *db.Database, c *bias.Compiled, opts Options) *Builder {
 	opts = opts.normalized()
-	return &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts, src: rand.NewSource(opts.Seed)}
+	b := &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts}
+	b.src.Seed(opts.Seed)
+	return b
 }
 
 // Clone returns an independent builder sharing the (read-only) database,
-// compiled bias and construction plan but owning a fresh random source
-// seeded from the options seed. This is the concurrency contract for
-// worker pools: the database, bias and plan are safe to share, the
-// source is not, so each worker clones.
+// compiled bias and construction plan but owning a fresh random
+// generator seeded from the options seed. This is the concurrency
+// contract for worker pools: the database, bias and plan are safe to
+// share, the generator is not, so each worker clones.
 func (b *Builder) Clone() *Builder {
 	return b.CloneSeeded(b.opts.Seed)
 }
 
 // CloneSeeded is Clone with an explicit seed, for pools that derive
 // a deterministic per-worker or per-example seed so sampled clauses do
-// not depend on goroutine scheduling.
+// not depend on goroutine scheduling. The generator lives in the
+// builder, so a clone is one allocation.
 func (b *Builder) CloneSeeded(seed int64) *Builder {
-	return &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts, src: rand.NewSource(seed)}
+	c := &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts}
+	c.src.Seed(seed)
+	return c
 }
 
 // Options returns the builder's normalized options.
@@ -270,9 +280,9 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 	case Naive:
 		tuples = b.naiveTuples(st, example)
 	case Random:
-		tuples = b.randomTuples(example)
+		tuples = b.randomTuples(example, st.found)
 	case Stratified:
-		tuples = b.stratifiedTuples(example)
+		tuples = b.stratifiedTuples(example, st.found)
 	default:
 		return nil, fmt.Errorf("bottom: unknown strategy %v", b.opts.Strategy)
 	}
@@ -286,6 +296,7 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 			}
 			st.addTuple(ft)
 		}
+		st.found = tuples
 	}
 	// A build cut short by cancellation must not hand back a truncated
 	// clause as if it were the example's real BC: coverage results built
@@ -359,6 +370,9 @@ type state struct {
 	freshWords  []uint64
 	frontier    []frontierEntry
 	spareFronts []frontierEntry
+	// found holds a random or stratified build's tuples, collected
+	// before any is added.
+	found []foundTuple
 }
 
 type frontierEntry struct {
@@ -392,6 +406,8 @@ func (p *plan) release(st *state) {
 	st.lit, st.chain = st.lit[:0], st.chain[:0]
 	st.knownWords, st.freshWords = st.knownWords[:0], st.freshWords[:0]
 	st.frontier, st.spareFronts = st.frontier[:0], st.spareFronts[:0]
+	clear(st.found)
+	st.found = st.found[:0]
 	p.states.Put(st)
 }
 
@@ -631,7 +647,7 @@ func (b *Builder) sampleIndices(n int) []int {
 	s := b.opts.SampleSize
 	for i := 0; i < s; i++ {
 		r := int32(n - i)
-		j := i + int(drawInt31n(b.src, r, int31nMax(r)))
+		j := i + int(drawInt31n(&b.src, r, int31nMax(r)))
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	b.sampleIdx = idx

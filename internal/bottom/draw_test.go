@@ -16,7 +16,8 @@ func TestDrawHelpersMatchMathRand(t *testing.T) {
 	bounds := []int32{1, 2, 3, 20, 400, 1 << 20, 1<<30 + 1, 1<<31 - 1}
 	for seed := int64(1); seed <= 1000; seed++ {
 		for _, n := range bounds {
-			want, src := rand.New(rand.NewSource(seed)), rand.NewSource(seed)
+			want, src := rand.New(rand.NewSource(seed)), new(source)
+			src.Seed(seed)
 			max := int31nMax(n)
 			for call := 0; call < 8; call++ {
 				if g, w := drawInt31n(src, n, max), want.Int31n(n); g != w {
@@ -27,7 +28,8 @@ func TestDrawHelpersMatchMathRand(t *testing.T) {
 				t.Fatalf("seed %d, n %d: next Int63 after drawInt31n %d, after Int31n %d", seed, n, g, w)
 			}
 		}
-		want, src := rand.New(rand.NewSource(seed)), rand.NewSource(seed)
+		want, src := rand.New(rand.NewSource(seed)), new(source)
+		src.Seed(seed)
 		for call := 0; call < 8; call++ {
 			if g, w := drawFloat64(src), want.Float64(); g != w {
 				t.Fatalf("seed %d: drawFloat64 call %d = %v, Float64 %v", seed, call, g, w)

@@ -20,7 +20,7 @@ func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) 
 	}
 	s := b.opts.SampleSize
 	maxAttempts := 20 * s
-	rng := rand.New(b.src)
+	rng := rand.New(&b.src)
 	var out []db.Tuple
 	type pick struct {
 		value string
@@ -88,13 +88,32 @@ func olkenFrontiers(r *rand.Rand, rel *db.Relation, attr int, sizes []int, s int
 	return out
 }
 
+// olkenDrainOracle makes n Olken attempts' draws through rng, as the
+// per-attempt sampler makes them: Intn(len(freq)), then Intn(m) and
+// Float64() when the value's frequency m is not 0.
+func olkenDrainOracle(rng *rand.Rand, n int, freq []int) {
+	for ; n > 0; n-- {
+		if m := freq[rng.Intn(len(freq))]; m > 0 {
+			rng.Intn(m)
+			rng.Float64()
+		}
+	}
+}
+
 // TestOlkenStreamUnchanged holds olkenSample to the per-attempt oracle on
 // every (relation, attribute) of the five induced tasks: identically
 // seeded builders must return the same tuples in the same order and
 // leave their sources in the same state, so every random-sampled BC —
 // the rest of a build's draws included — is the oracle's. The sparse and
 // all-absent frontiers pin the drain: attempts made after the sample is
-// complete must advance the source by exactly the oracle's draws.
+// complete must advance the source by exactly the oracle's draws. Most
+// frontier sizes are not powers of two, so the value draw divides and
+// may redraw.
+//
+// No relation holds a value often enough for Int31n(m) to redraw more
+// than rarely, so the drain is also run alone, on frontiers whose
+// frequencies reject up to half their draws (1<<30+1) beside absent
+// values, against olkenDrainOracle.
 func TestOlkenStreamUnchanged(t *testing.T) {
 	tasks := loadInducedTasks(t)
 	cases := 0
@@ -105,14 +124,14 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 		for _, relName := range task.ds.DB.Schema().Names() {
 			rel := task.ds.DB.Relation(relName)
 			for attr := range task.ds.DB.Schema().Relation(relName).Attributes {
-				for _, values := range olkenFrontiers(frontierRNG, rel, attr, []int{1, 2, 5, s}, s) {
+				for _, values := range olkenFrontiers(frontierRNG, rel, attr, []int{1, 2, 3, 5, 7, 13, s}, s) {
 					if len(values) == 0 {
 						continue
 					}
 					for seed := int64(1); seed <= 3; seed++ {
 						opts := Options{Strategy: Random, Seed: seed}
 						got, want := NewBuilder(task.ds.DB, task.c, opts), NewBuilder(task.ds.DB, task.c, opts)
-						gotTuples := got.olkenSample(rel, attr, values)
+						gotTuples := got.olkenSample(rel, attr, values, nil)
 						wantTuples := olkenSampleOracle(want, rel, attr, values)
 						if !slices.EqualFunc(gotTuples, wantTuples, slices.Equal) {
 							t.Fatalf("%s %s.%d %v seed %d: sample %v, oracle %v", name, relName, attr, values, seed, gotTuples, wantTuples)
@@ -127,4 +146,30 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 		}
 	}
 	t.Logf("%d frontier draws match the oracle", cases)
+
+	heavy := []int{1<<30 + 1, 1<<31 - 1, 3 << 29, 1<<30 + 1<<29 + 7, 0, 5, 1 << 20, 0, 3}
+	drains := 0
+	for nv := 1; nv <= len(heavy); nv++ {
+		freq := heavy[len(heavy)-nv:]
+		bound := make([]int32, nv)
+		for k, m := range freq {
+			if m > 0 {
+				bound[k] = int31nMax(int32(m))
+			}
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			for _, n := range []int{1, 7, 400} {
+				var got source
+				got.Seed(seed)
+				want := rand.New(rand.NewSource(seed))
+				got.drainOlken(n, bound)
+				olkenDrainOracle(want, n, freq)
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("frequencies %v seed %d, %d attempts: next draw %d, oracle %d", freq, seed, n, g, w)
+				}
+				drains++
+			}
+		}
+	}
+	t.Logf("%d synthetic drains match the oracle", drains)
 }

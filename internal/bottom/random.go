@@ -8,17 +8,30 @@ import (
 	"repro/internal/logic"
 )
 
+// randLevel is one semi-join tree level's scratch in a random build,
+// reused by every draw set at that level: the level's Olken sample,
+// which the level reads again after the recursions below it return,
+// and the value set its children descend with.
+type randLevel struct {
+	sample []db.Tuple
+	vals   []string
+}
+
 // randomTuples implements §4.2: random sampling over the semi-join tree
 // rooted at the example. The tree's root relation holds the example as
 // its only tuple (sampled with probability 1); every edge is a semi-join
 // permitted by the language bias; each edge is sampled with the
 // extended-Olken acceptance scheme, and each node's sample feeds the
-// semi-joins below it.
-func (b *Builder) randomTuples(example logic.Literal) []foundTuple {
-	var out []foundTuple
+// semi-joins below it. The tuples are appended to out.
+func (b *Builder) randomTuples(example logic.Literal, out []foundTuple) []foundTuple {
+	if len(b.rnd) <= b.opts.Depth {
+		b.rnd = make([]randLevel, b.opts.Depth+1) // level 0 holds the root value
+	}
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		b.expandRandom([]string{term.Name}, b.plan.targetPlusTargets(i), b.opts.Depth, &out, &budget)
+		root := append(b.rnd[0].vals[:0], term.Name)
+		b.rnd[0].vals = root
+		b.expandRandom(root, b.plan.targetPlusTargets(i), 1, &out, &budget)
 		if budget <= 0 {
 			break
 		}
@@ -26,13 +39,15 @@ func (b *Builder) randomTuples(example logic.Literal) []foundTuple {
 	return out
 }
 
-// expandRandom samples one tree level: every (relation, attribute) in
-// targets, the edges the frontier values can semi-join into, then
-// recurses on the sampled tuples' attributes. The values are distinct.
-func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth int, out *[]foundTuple, budget *int) {
-	if depth <= 0 || len(values) == 0 || *budget <= 0 || b.interrupted() {
+// expandRandom samples tree level iter (1 to Depth): every (relation,
+// attribute) in targets, the edges the frontier values can semi-join
+// into, then recurses on the sampled tuples' attributes. The values are
+// distinct.
+func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, iter int, out *[]foundTuple, budget *int) {
+	if iter > b.opts.Depth || len(values) == 0 || *budget <= 0 || b.interrupted() {
 		return
 	}
+	lv := &b.rnd[iter]
 	for _, ra := range targets {
 		if *budget <= 0 || b.interrupted() {
 			return
@@ -41,11 +56,12 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth in
 		if rel == nil || rel.Len() == 0 {
 			continue
 		}
-		sample := b.olkenSample(rel, ra.Attr, values)
+		sample := b.olkenSample(rel, ra.Attr, values, lv.sample)
+		lv.sample = sample
 		if len(sample) == 0 {
 			continue
 		}
-		b.noteDepth(b.opts.Depth - depth + 1)
+		b.noteDepth(iter)
 		for _, t := range sample {
 			*out = append(*out, foundTuple{rel: ra.Relation, viaAttr: ra.Attr, tuple: t})
 			*budget--
@@ -53,7 +69,7 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth in
 				return
 			}
 		}
-		if depth == 1 {
+		if iter == b.opts.Depth {
 			continue // the tree's last level: no semi-join below it
 		}
 		// Recurse: the distinct values of each attribute of the sampled
@@ -63,13 +79,14 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth in
 			if len(childTargets) == 0 {
 				continue
 			}
-			childValues := make([]string, 0, len(sample))
+			vals := lv.vals[:0]
 			for _, t := range sample {
-				if !slices.Contains(childValues, t[j]) {
-					childValues = append(childValues, t[j])
+				if !slices.Contains(vals, t[j]) {
+					vals = append(vals, t[j])
 				}
 			}
-			b.expandRandom(childValues, childTargets, depth-1, out, budget)
+			lv.vals = vals
+			b.expandRandom(vals, childTargets, iter+1, out, budget)
 			if *budget <= 0 {
 				return
 			}
@@ -96,17 +113,22 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, depth in
 // attempt can add one. Attempts stop at s picks, as they always have;
 // below s, the attempts left after completion only advance the source by
 // the draws they would have made, so the rest of the build draws what it
-// always did.
-func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.Tuple {
+// always did. The drain is one loop over the source (drainOlken).
+//
+// The sample is appended to buf[:0].
+func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.Tuple {
+	out := buf[:0]
 	maxFreq := rel.MaxFrequency(attr)
 	if maxFreq == 0 {
-		return nil
+		return out
 	}
 	freq, bound := b.olkenFreq[:0], b.olkenMax[:0]
 	matches := 0 // |{values} ⋉ rel.attr|: no sample holds more tuples
 	for _, a := range values {
 		m := rel.Frequency(attr, a)
-		var mMax int32 // Intn(m)'s rejection bound; m = 0 draws no Intn(m)
+		// Intn(m)'s rejection bound; m = 0 draws no Intn(m), and its 0
+		// tells drainOlken so.
+		var mMax int32
 		if m > 0 {
 			mMax = int31nMax(int32(m))
 		}
@@ -119,10 +141,6 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 	complete := min(s, matches)
 	nv := int32(len(values))
 	nvMax := int31nMax(nv)
-	var out []db.Tuple
-	if matches > 0 {
-		out = make([]db.Tuple, 0, complete)
-	}
 	// Dedupe picks by (value index, offset) so a sample never wastes a
 	// literal slot on an identical tuple; the values are distinct, so the
 	// index names the value. There are at most s picks, so a linear scan
@@ -130,15 +148,15 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 	picked := b.olkenPicks[:0]
 	attempts := 0
 	for ; attempts < maxAttempts && len(out) < complete; attempts++ {
-		k := drawInt31n(b.src, nv, nvMax)
+		k := drawInt31n(&b.src, nv, nvMax)
 		m := freq[k]
 		if m == 0 {
 			continue
 		}
-		i := int(drawInt31n(b.src, int32(m), bound[k]))
+		i := int(drawInt31n(&b.src, int32(m), bound[k]))
 		// Accept with p = m/M so tuples of the semi-join come out uniform
 		// regardless of how skewed the value frequencies are.
-		if drawFloat64(b.src) >= float64(m)/float64(maxFreq) {
+		if drawFloat64(&b.src) >= float64(m)/float64(maxFreq) {
 			continue
 		}
 		key := olkenPick{value: int(k), idx: i}
@@ -149,21 +167,9 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string) []db.
 		out = append(out, rel.LookupAt(attr, values[k], i))
 	}
 	b.olkenPicks = picked
-	if len(out) == s {
-		return out
-	}
-	// Drain: the sample is complete below s, or the attempts ran out. An
-	// attempt's draws are Intn(len(values)), then, when m > 0, Intn(m) —
-	// one draw plus one per draw above its rejection bound — and
-	// Float64() — one draw plus one per draw at or above float64Redraw.
-	for ; attempts < maxAttempts; attempts++ {
-		k := drawInt31n(b.src, nv, nvMax)
-		if freq[k] > 0 {
-			for int32(b.src.Int63()>>32) > bound[k] {
-			}
-			for b.src.Int63() >= float64Redraw {
-			}
-		}
+	if len(out) < s {
+		// The sample is complete below s, or the attempts ran out.
+		b.src.drainOlken(maxAttempts-attempts, bound)
 	}
 	return out
 }

@@ -26,12 +26,12 @@ type stratLevel struct {
 // the semi-join tree that, at the deepest level, samples every stratum —
 // one stratum per distinct value of each constant-able attribute (or the
 // whole relation when none) — and, while backtracking, adds the parent
-// tuples that join the sampled child tuples.
-func (b *Builder) stratifiedTuples(example logic.Literal) []foundTuple {
+// tuples that join the sampled child tuples. The tuples are appended to
+// out.
+func (b *Builder) stratifiedTuples(example logic.Literal, out []foundTuple) []foundTuple {
 	if len(b.strat) <= b.opts.Depth {
 		b.strat = make([]stratLevel, b.opts.Depth+1) // level 0 holds the root value set
 	}
-	var out []foundTuple
 	budget := b.opts.MaxLiterals
 	for i, term := range example.Terms {
 		root := append(b.strat[0].vals[:0], term.Name)
