@@ -273,11 +273,11 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 
 	st := b.plan.newState(b, ground)
 	defer b.plan.release(st)
-	st.seedHead(example)
 
 	var tuples []foundTuple
 	switch b.opts.Strategy {
 	case Naive:
+		st.seedHead(example)
 		tuples = b.naiveTuples(st, example)
 	case Random:
 		tuples = b.randomTuples(example, st.found)
@@ -288,13 +288,19 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 	}
 	if b.opts.Strategy != Naive {
 		// Random and stratified collect tuples first (they traverse
-		// semi-join trees); literals are created afterwards in discovery
-		// order so shared constants variabilize consistently.
-		for _, ft := range tuples {
-			if st.full() || b.interrupted() {
-				break
+		// semi-join trees, reading no build state); the head and then the
+		// literals are created afterwards in discovery order so shared
+		// constants variabilize consistently.
+		if ground {
+			st.assembleGround(example, tuples)
+		} else {
+			st.seedHead(example)
+			for _, ft := range tuples {
+				if st.full() || b.interrupted() {
+					break
+				}
+				st.addTuple(ft)
 			}
-			st.addTuple(ft)
 		}
 		st.found = tuples
 	}
@@ -371,8 +377,10 @@ type state struct {
 	frontier    []frontierEntry
 	spareFronts []frontierEntry
 	// found holds a random or stratified build's tuples, collected
-	// before any is added.
-	found []foundTuple
+	// before any is added; picked, the indexes in found of a ground
+	// build's literals.
+	found  []foundTuple
+	picked []int32
 }
 
 type frontierEntry struct {
@@ -403,7 +411,7 @@ func (p *plan) release(st *state) {
 	clear(st.varOf)
 	clear(st.known)
 	st.b, st.head, st.body, st.arena, st.nextVar = nil, logic.Literal{}, nil, nil, 0
-	st.lit, st.chain = st.lit[:0], st.chain[:0]
+	st.lit, st.chain, st.picked = st.lit[:0], st.chain[:0], st.picked[:0]
 	st.knownWords, st.freshWords = st.knownWords[:0], st.freshWords[:0]
 	st.frontier, st.spareFronts = st.frontier[:0], st.spareFronts[:0]
 	clear(st.found)
@@ -532,6 +540,53 @@ func (st *state) addGroundTuple(ft foundTuple, rp *relPlan) {
 	}
 	for _, i := range rp.laterNotes[ft.viaAttr] {
 		st.noteConstant(ft.tuple[i], rp.types[i])
+	}
+}
+
+// assembleGround is addGroundTuple over a random or stratified build's
+// collected tuples, whose notes are dead work (no frontier), in two
+// passes: the first picks, in order and up to the literal cap, the tuples
+// that make a new literal — a ground tuple makes at most one, equal to an
+// earlier one exactly when relation and values are — and the second cuts
+// the head and the picked literals from a body and a term arena sized to
+// them, so neither grows while the clause is assembled.
+func (st *state) assembleGround(example logic.Literal, tuples []foundTuple) {
+	picked, terms := st.picked[:0], len(example.Terms)
+	for i, ft := range tuples {
+		if len(picked) >= st.b.opts.MaxLiterals || st.b.interrupted() {
+			break
+		}
+		if rp := st.b.plan.rels[ft.rel]; rp == nil || len(rp.firstNotes[ft.viaAttr]) == 0 {
+			continue
+		}
+		h := maphash.String(st.seed, ft.rel)
+		for _, v := range ft.tuple {
+			h = h*0x9e3779b97f4a7c15 + maphash.String(st.seed, v)
+		}
+		dup := false
+		for j := st.seen[h]; j != 0 && !dup; j = st.chain[j-1] {
+			p := tuples[picked[j-1]]
+			dup = p.rel == ft.rel && slices.Equal(p.tuple, ft.tuple)
+		}
+		if dup {
+			continue
+		}
+		st.chain = append(st.chain, st.seen[h])
+		picked = append(picked, int32(i))
+		st.seen[h] = int32(len(picked))
+		terms += len(ft.tuple)
+	}
+	st.picked = picked
+	st.body = make([]logic.Literal, 0, len(picked))
+	st.arena = make([]logic.Term, 0, terms)
+	st.seedHead(example)
+	for _, i := range picked {
+		ft := tuples[i]
+		lit := st.cut(len(ft.tuple))
+		for k, v := range ft.tuple {
+			lit[k] = logic.Const(v)
+		}
+		st.body = append(st.body, logic.Literal{Predicate: ft.rel, Terms: lit})
 	}
 }
 

@@ -398,11 +398,17 @@ func (ce *CoverageEngine) DefinitionCovers(ctx context.Context, d *logic.Definit
 // verdict is stored, and a head constant its ground BC's body does not
 // hold is never interned (subsume.CompileGround). It is the serving
 // path's one engine verb (internal/serve memoizes verdicts of its own),
-// so unbounded traffic never grows engine state.
+// so unbounded traffic never grows engine state. A panic in the build is
+// isolated to the example like a pair's (isolate): it is "not covered",
+// and one PanicRecovered names it.
 func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Definition, e Example) (bool, error) {
 	key := e.String()
-	ent, err := ce.buildEntry(ctx, key, e)
-	if err != nil {
+	var ent *groundEntry
+	err := ce.isolate("bottom.construct", key, func() (err error) {
+		ent, err = ce.buildEntry(ctx, key, e)
+		return err
+	})
+	if ent == nil {
 		return false, err
 	}
 	for _, c := range d.Clauses {

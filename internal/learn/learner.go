@@ -323,7 +323,7 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 		}
 		out := make([]scored, len(cs))
 		for i, c := range cs {
-			out[i] = scored{clause: c, score: ps[i] - ns[i]}
+			out[i] = scored{clause: c, score: ps[i] - ns[i], key: l.cover.record(c).key}
 		}
 		return out, nil
 	}
@@ -334,7 +334,7 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 	}
 	best := first[0]
 	beam := []scored{best}
-	seen := map[string]bool{bc.Key(): true}
+	seen := map[*clauseRecord]bool{l.cover.record(bc): true}
 
 	stale := 0
 	for round := 0; round < maxRounds; round++ {
@@ -345,8 +345,8 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 		sample := l.sampleExamples(pos, generalizeSample)
 		// Generate the round's whole candidate frontier first — the beam ×
 		// sample armg applications, fanned across the engine's pool —
-		// dedup by canonical key in (beam, sample) order, then score it in
-		// one batched evaluation.
+		// dedup by store record (one per canonical key) in (beam, sample)
+		// order, then score it in one batched evaluation.
 		beamClauses := make([]*logic.Clause, len(beam))
 		for i, b := range beam {
 			beamClauses[i] = b.clause
@@ -360,11 +360,11 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 			if cand == nil || len(cand.Body) == 0 {
 				continue
 			}
-			key := cand.Key()
-			if seen[key] {
+			rec := l.cover.record(cand)
+			if seen[rec] {
 				continue
 			}
-			seen[key] = true
+			seen[rec] = true
 			fresh = append(fresh, cand)
 		}
 		candidates, err := evaluate(fresh)
@@ -523,14 +523,16 @@ func (l *Learner) sampleExamples(xs []Example, n int) []Example {
 	return out
 }
 
-// scored pairs a candidate clause with its pos−neg coverage score.
+// scored pairs a candidate clause with its pos−neg coverage score and its
+// canonical key, read from its store record.
 type scored struct {
 	clause *logic.Clause
 	score  int
+	key    string
 }
 
 // sortScored orders candidates best-first: higher score, then shorter
-// clause (more general), then canonical string for determinism.
+// clause (more general), then canonical key for determinism.
 func sortScored(all []scored) {
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].score != all[j].score {
@@ -539,6 +541,6 @@ func sortScored(all []scored) {
 		if len(all[i].clause.Body) != len(all[j].clause.Body) {
 			return len(all[i].clause.Body) < len(all[j].clause.Body)
 		}
-		return all[i].clause.Key() < all[j].clause.Key()
+		return all[i].key < all[j].key
 	})
 }

@@ -110,7 +110,7 @@ func TestSortScored(t *testing.T) {
 	c1 := logic.MustParseClause("h(X) :- p(X).")
 	c2 := logic.MustParseClause("h(X) :- p(X), q(X).")
 	c3 := logic.MustParseClause("h(X) :- r(X).")
-	all := []scored{{c2, 5}, {c1, 7}, {c3, 5}}
+	all := []scored{{c2, 5, c2.Key()}, {c1, 7, c1.Key()}, {c3, 5, c3.Key()}}
 	sortScored(all)
 	if all[0].score != 7 {
 		t.Fatalf("best score first: %+v", all)

@@ -72,6 +72,7 @@ func (ce *CoverageEngine) ExtractCarried() *CarriedState {
 	unchecked := make(map[string]bool)
 	for ck, rec := range ce.records {
 		cp := &clauseRecord{
+			key:      rec.key,
 			verdicts: maps.Clone(rec.verdicts),
 			armg:     make(map[string]map[string]*logic.Clause, len(rec.armg)),
 		}
@@ -175,11 +176,10 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 	// Re-test before forgetting: the comparison needs the carried verdict,
 	// and the fresh one, stored unmarked, is what the sweep below spares.
 	for _, c := range prev {
-		ck := c.Key()
-		if err := faultpoint.Inject(ctx, "ingest.repair:"+ck); err != nil {
+		rec, changed := ce.record(c), false
+		if err := faultpoint.Inject(ctx, "ingest.repair:"+rec.key); err != nil {
 			return nil, nil, err
 		}
-		rec, changed := ce.record(c), false
 		for _, key := range dirty {
 			old, ent := rec.verdicts[key], ce.cache[key]
 			if old&vCarried == 0 || ent == nil {
@@ -193,7 +193,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 			changed = changed || now != (old&vCovered != 0)
 		}
 		if changed {
-			flipped = append(flipped, ck)
+			flipped = append(flipped, rec.key)
 		}
 	}
 	for _, rec := range ce.records {

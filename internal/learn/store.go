@@ -9,15 +9,18 @@ import (
 )
 
 // The engine's one store (DESIGN.md §18): a record per clause up to
-// variable renaming, keyed by Clause.Key(). A coverage verdict is a pure
-// function of (canonical clause, ground BC, options) — the subsumption
-// compiler numbers variables by first occurrence, exactly as Standardize
-// does, so renamed twins compile to the same search — which is why
-// verdicts and the compiled clause sit at the record level, shared by
-// every pointer and every run (incremental repair carries records across
-// engines, see repair.go). An armg result is NOT renaming-invariant: it
-// reuses its input clause's variable names, so the armg memo nests one
-// level further down, under the clause's rendered form.
+// variable renaming, keyed by the clause's canonical key (logic's
+// Clause.Key), which record renders once per clause pointer and the
+// record keeps, so nothing else in the package renders one. A coverage
+// verdict is a pure function of (canonical clause, ground BC, options) —
+// the subsumption compiler numbers variables by first occurrence, exactly
+// as the key renames them, so renamed twins compile to the same search —
+// which is why verdicts and the compiled clause sit at the record level,
+// shared by every pointer and every run (incremental repair carries
+// records across engines, see repair.go). An armg result is NOT
+// renaming-invariant: it reuses its input clause's variable names, so the
+// armg memo nests one level further down, under the clause's rendered
+// form.
 
 // verdict is one stored (clause, example) outcome.
 type verdict uint8
@@ -32,6 +35,8 @@ const (
 // clauseRecord is what the engine knows about one canonical clause. The
 // maps are guarded by the engine's mu.
 type clauseRecord struct {
+	// key is the canonical key the record was created under.
+	key string
 	// verdicts maps example key → outcome. Isolated failures store "not
 	// covered", which is what keeps a panicking example from perturbing
 	// later decisions.
@@ -62,7 +67,7 @@ func (ce *CoverageEngine) record(c *logic.Clause) *clauseRecord {
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
 	if rec = ce.records[key]; rec == nil {
-		rec = &clauseRecord{verdicts: make(map[string]verdict)}
+		rec = &clauseRecord{key: key, verdicts: make(map[string]verdict)}
 		ce.records[key] = rec
 	}
 	ce.byPtr[c] = rec

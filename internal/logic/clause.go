@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Clause is a Horn clause: exactly one positive head literal and a
 // conjunctive body (paper Definition 2.1). The body is ordered; order
@@ -125,59 +122,6 @@ func (c *Clause) HeadConnected() []Literal {
 // only head-connected literals.
 func (c *Clause) PruneNotHeadConnected() *Clause {
 	return &Clause{Head: c.Head.Clone(), Body: c.HeadConnected()}
-}
-
-// Standardize returns a copy of the clause with variables renamed to
-// V0, V1, ... in first-occurrence order. Two clauses that are equal up to
-// variable renaming standardize to equal clauses, so Standardize().String()
-// is a canonical key usable for deduplication in beam search.
-func (c *Clause) Standardize() *Clause {
-	ren := make(Substitution)
-	next := 0
-	rename := func(l Literal) Literal {
-		out := Literal{Predicate: l.Predicate, Terms: make([]Term, len(l.Terms))}
-		for i, t := range l.Terms {
-			if !t.IsVar() {
-				out.Terms[i] = t
-				continue
-			}
-			img, ok := ren[t.Name]
-			if !ok {
-				img = Var(fmt.Sprintf("V%d", next))
-				next++
-				ren[t.Name] = img
-			}
-			out.Terms[i] = img
-		}
-		return out
-	}
-	out := &Clause{Head: rename(c.Head), Body: make([]Literal, len(c.Body))}
-	for i, l := range c.Body {
-		out.Body[i] = rename(l)
-	}
-	return out
-}
-
-// Key returns a canonical string for the clause modulo variable renaming.
-func (c *Clause) Key() string { return c.Standardize().String() }
-
-// String renders the clause in Datalog syntax:
-//
-//	head(x,y) :- b1(x,z), b2(z,y).
-func (c *Clause) String() string {
-	var b strings.Builder
-	b.WriteString(c.Head.String())
-	if len(c.Body) > 0 {
-		b.WriteString(" :- ")
-		for i, l := range c.Body {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(l.String())
-		}
-	}
-	b.WriteByte('.')
-	return b.String()
 }
 
 // Definition is a set of clauses sharing a head predicate (paper

@@ -97,21 +97,6 @@ func (l Literal) Key() string {
 	return b.String()
 }
 
-// String renders the literal in Datalog syntax.
-func (l Literal) String() string {
-	var b strings.Builder
-	b.WriteString(l.Predicate)
-	b.WriteByte('(')
-	for i, t := range l.Terms {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(t.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
 // SharesVariable reports whether l and o have at least one variable in
 // common.
 func (l Literal) SharesVariable(o Literal) bool {

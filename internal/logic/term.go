@@ -41,54 +41,6 @@ func (t Term) IsVar() bool { return t.Kind == KindVariable }
 // IsConst reports whether the term is a constant.
 func (t Term) IsConst() bool { return t.Kind == KindConstant }
 
-// String renders the term in Datalog syntax. Variables print as-is;
-// constants print as-is when they look like plain identifiers or numbers
-// and double-quoted otherwise, so that parsing round-trips.
-func (t Term) String() string {
-	if t.Kind == KindVariable {
-		return t.Name
-	}
-	if isPlainConstant(t.Name) {
-		return t.Name
-	}
-	// Quote manually, escaping only backslash and quote, so that arbitrary
-	// (non-control) values round-trip through the clause parser.
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(t.Name); i++ {
-		c := t.Name[i]
-		if c == '"' || c == '\\' {
-			b.WriteByte('\\')
-		}
-		b.WriteByte(c)
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
-// isPlainConstant reports whether v can be printed unquoted and still be
-// re-read as a constant: non-empty, starts with a lowercase letter or
-// digit, and contains only identifier-ish characters.
-func isPlainConstant(v string) bool {
-	if v == "" {
-		return false
-	}
-	c := v[0]
-	if !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9') {
-		return false
-	}
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '_', c == '.', c == '-', c == ':', c == '/':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // Substitution maps variable names to terms. Applying a substitution
 // replaces each bound variable by its image; unbound variables and
 // constants are left intact.

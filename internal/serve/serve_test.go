@@ -16,8 +16,10 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/faultpoint"
 	"repro/internal/httpx"
 	"repro/internal/model"
+	"repro/internal/report"
 )
 
 // testWorld is the grandparent toy domain: a parent chain p1→p2→p3→p4
@@ -84,6 +86,40 @@ func TestBindAndPredict(t *testing.T) {
 	}
 	if ok, err := m.PredictBatch(context.Background(), []Example{m.TupleExample([]string{"p1", "p3"})}); err != nil || !ok[0] {
 		t.Fatalf("PredictBatch(p1,p3) = %v, %v", ok, err)
+	}
+}
+
+// TestPredictIsolatesBuildPanic: a panic while building one example's
+// ground BC fails that example, not the batch: it is "not covered", one
+// PanicRecovered names it, and the rest of the batch is served.
+func TestPredictIsolatesBuildPanic(t *testing.T) {
+	d, art := testWorld(t)
+	m, err := Bind(context.Background(), "gp", art, d, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := report.New()
+	m.engine.SetReport(rep)
+	faultpoint.Enable("bottom.construct:gp(p2,p4)", faultpoint.Fault{Panic: "injected build panic"})
+	defer faultpoint.Reset()
+	var batch []Example
+	for _, s := range []string{"gp(p1,p3)", "gp(p2,p4)", "gp(p1,p4)"} {
+		e, err := model.ParseExample(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, e)
+	}
+	got, err := m.PredictBatch(context.Background(), batch)
+	if err != nil {
+		t.Fatalf("one example's build panic failed the batch: %v", err)
+	}
+	if want := []bool{true, false, false}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("verdicts %v, want %v", got, want)
+	}
+	evs := rep.Events()
+	if rep.Count(report.PanicRecovered) != 1 || len(evs) != 1 || evs[0].Example != "gp(p2,p4)" || evs[0].Site != "bottom.construct" {
+		t.Fatalf("want one PanicRecovered at bottom.construct naming gp(p2,p4), got %+v", evs)
 	}
 }
 
