@@ -326,8 +326,9 @@ func deriveSeed(base int64, key string) int64 {
 // whole-clause refuter (DESIGN.md §20). It is the one place a test is
 // counted. An exhausted node budget is a sound-negative "not covered",
 // §5's approximation working as designed; subsume counts it
-// (subsume.budget_exhausted). A done ctx returns its error.
-func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, ent *groundEntry) (covered bool, err error) {
+// (subsume.budget_exhausted). A "not covered" whose search finished is
+// marked vRefuted. A done ctx returns its error.
+func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logic.Clause, key string, ent *groundEntry) (v verdict, err error) {
 	err = ce.isolate("coverage.test", key, func() error {
 		if faultpoint.Enabled() {
 			// Per-test site: anything but a cancellation fails like a panic.
@@ -340,15 +341,19 @@ func (ce *CoverageEngine) settle(ctx context.Context, rec *clauseRecord, c *logi
 		}
 		ce.mc.Inc(metrics.CoverageTests)
 		res := subsume.CheckClauseCtx(ctx, ce.compiled(rec, c), ent.cg, ce.subOpts)
-		if res.Cancelled {
+		switch {
+		case res.Cancelled:
 			// Cancelled without a done ctx: an injected subsume fault; treat
 			// as an ordinary incomplete (sound-negative) answer.
 			return ctx.Err()
+		case res.Subsumes:
+			v = vCovered
+		case res.Complete:
+			v = vRefuted
 		}
-		covered = res.Subsumes
 		return nil
 	})
-	return covered, err
+	return v, err
 }
 
 // isolate is the failure rule of every (clause, example) pair: when the
@@ -375,7 +380,7 @@ func (ce *CoverageEngine) isolate(site, key string, work func() error) (err erro
 // done ctx returns its error.
 func (ce *CoverageEngine) Covers(ctx context.Context, c *logic.Clause, e Example) (bool, error) {
 	verdicts, err := ce.resolve(ctx, nil, []*logic.Clause{c}, []Example{e})
-	return err == nil && verdicts[0][0], err
+	return err == nil && verdicts[0][0]&vCovered != 0, err
 }
 
 // DefinitionCovers reports whether any clause of the definition covers
@@ -412,9 +417,9 @@ func (ce *CoverageEngine) CheckDefinitionCtx(ctx context.Context, d *logic.Defin
 		return false, err
 	}
 	for _, c := range d.Clauses {
-		ok, err := ce.settle(ctx, ce.record(c), c, key, ent)
-		if ok || err != nil {
-			return ok, err
+		v, err := ce.settle(ctx, ce.record(c), c, key, ent)
+		if v&vCovered != 0 || err != nil {
+			return v&vCovered != 0, err
 		}
 	}
 	return false, nil
@@ -430,27 +435,57 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 	if len(clauses) == 0 {
 		return nil, nil
 	}
-	if faultpoint.Enabled() {
-		if err := faultpoint.Inject(ctx, "coverage.count"); err != nil {
-			return nil, err
-		}
-	}
-	if ce.transport == nil {
-		defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
-	}
-	verdicts, err := ce.resolve(ctx, ce.transport, clauses, examples)
+	verdicts, err := ce.countRows(ctx, ce.transport, clauses, examples)
 	if err != nil {
-		return nil, ce.abandoned(err, len(examples))
+		return nil, err
 	}
 	counts := make([]int, len(clauses))
 	for i, row := range verdicts {
 		for _, v := range row {
-			if v {
+			if v&vCovered != 0 {
 				counts[i]++
 			}
 		}
 	}
 	return counts, nil
+}
+
+// countOpen is CountMany for one clause that also returns the examples
+// its verdicts leave open: every example but those the clause is refuted
+// on (vRefuted). No clause whose body contains c's under the same head
+// covers an example outside open, which is what negative reduction
+// counts its trials on (reduceClause). A transport's verdicts carry no
+// completeness, so through one every example it answers stays open.
+func (ce *CoverageEngine) countOpen(ctx context.Context, c *logic.Clause, examples []Example) (n int, open []Example, err error) {
+	verdicts, err := ce.countRows(ctx, ce.transport, []*logic.Clause{c}, examples)
+	if err != nil {
+		return 0, nil, err
+	}
+	for j, v := range verdicts[0] {
+		if v&vCovered != 0 {
+			n++
+		}
+		if v&vRefuted == 0 {
+			open = append(open, examples[j])
+		}
+	}
+	return n, open, nil
+}
+
+// countRows is the counting verbs' one resolve: the coverage.count fault
+// site, the coverage.count span when t is nil (a transport times its own
+// rounds), and the abandoned-count event.
+func (ce *CoverageEngine) countRows(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example) ([][]verdict, error) {
+	if faultpoint.Enabled() {
+		if err := faultpoint.Inject(ctx, "coverage.count"); err != nil {
+			return nil, err
+		}
+	}
+	if t == nil {
+		defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
+	}
+	verdicts, err := ce.resolve(ctx, t, clauses, examples)
+	return verdicts, ce.abandoned(err, len(examples))
 }
 
 // ResolveLocal resolves every (clause, example) pair in process —
@@ -461,29 +496,39 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
 	defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
 	verdicts, err := ce.resolve(ctx, nil, clauses, examples)
-	return verdicts, ce.abandoned(err, len(examples))
+	if err != nil {
+		return nil, ce.abandoned(err, len(examples))
+	}
+	covered := make([][]bool, len(verdicts))
+	for i, row := range verdicts {
+		covered[i] = make([]bool, len(row))
+		for j, v := range row {
+			covered[i][j] = v&vCovered != 0
+		}
+	}
+	return covered, nil
 }
 
 // resolve is the one place verdicts are read and written for CountMany,
-// Covers, DefinitionCovers and ResolveLocal; verdicts[i][j] is clauses[i]
-// on examples[j]. (1) One lookup pass answers every pair the store holds,
-// consuming carried marks and counting memo hits. (2) The misses are
-// computed: t gets the clauses that have a miss against the examples
-// that have a miss, or, when t is nil, the pair pipeline tests each.
-// (3) Every computed verdict is stored, isolated failures included, so a
-// panicking example cannot perturb later decisions; when step 2 fails
-// nothing is stored.
-func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
+// countOpen, Covers, DefinitionCovers and ResolveLocal; verdicts[i][j] is
+// clauses[i] on examples[j], as stored, without the carried mark. (1) One
+// lookup pass answers every pair the store holds, consuming carried marks
+// and counting memo hits. (2) The misses are computed: t gets the clauses
+// that have a miss against the examples that have a miss, or, when t is
+// nil, the pair pipeline tests each. (3) Every computed verdict is
+// stored, isolated failures included, so a panicking example cannot
+// perturb later decisions; when step 2 fails nothing is stored.
+func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example) ([][]verdict, error) {
 	n := len(examples)
 	keys := make([]string, n)
 	for j, e := range examples {
 		keys[j] = e.String()
 	}
 	recs := make([]*clauseRecord, len(clauses))
-	verdicts := make([][]bool, len(clauses))
+	verdicts := make([][]verdict, len(clauses))
 	var misses []int // pair i*n+j, clause-major: the order the tests first touch examples
 	for i, c := range clauses {
-		recs[i], verdicts[i] = ce.record(c), make([]bool, n)
+		recs[i], verdicts[i] = ce.record(c), make([]verdict, n)
 		for j, key := range keys {
 			if v, ok := ce.lookup(recs[i], key); !ok {
 				misses = append(misses, i*n+j)
@@ -531,7 +576,9 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 			return nil, err
 		}
 		for _, p := range misses {
-			verdicts[p/n][p%n] = got[row[p/n]-1][col[p%n]-1]
+			if got[row[p/n]-1][col[p%n]-1] {
+				verdicts[p/n][p%n] = vCovered
+			}
 		}
 	}
 	for _, p := range misses {

@@ -38,6 +38,11 @@ const (
 	generalizeSample = 10
 	// maxRounds caps beam-search rounds per clause.
 	maxRounds = 10
+	// firstChain is the length of negative reduction's first chain of
+	// trials (reduceClause). Most trials are accepted, so chains start
+	// long; on the seed-1 traces 16 ran the fewest coverage tests of
+	// 1, 2, 4, 8, 16, 32, 64 and 128 on live-loop and table5.
+	firstChain = 16
 )
 
 // Options configures the learner.
@@ -251,7 +256,7 @@ func (l *Learner) covering(ctx context.Context, def *logic.Definition, pos, neg 
 		}
 		var still []Example
 		for j, e := range uncovered {
-			if !covered[0][j] {
+			if covered[0][j]&vCovered == 0 {
 				still = append(still, e)
 			}
 		}
@@ -401,11 +406,29 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 
 // reduceClause performs negative-based reduction (Castor [44]): drop
 // every body literal whose removal does not increase coverage of
-// negatives. Removal only generalizes, so positive coverage never drops;
-// the surviving literals are the ones actually needed to keep the
-// negatives out, which keeps learned clauses short and able to
-// generalize past the training seeds. A ctx error return means the
-// budget interrupted the reduction, like the search before it.
+// negatives, last to first. Removal only generalizes, so positive
+// coverage never drops; the surviving literals are the ones actually
+// needed to keep the negatives out, which keeps learned clauses short and
+// able to generalize past the training seeds. A ctx error return means
+// the budget interrupted the reduction, like the search before it.
+//
+// A trial drops one literal and prunes what is no longer head-connected;
+// it is accepted when it covers no more negatives than the body it
+// replaces. The trials are decided in chains, each with the decisions of
+// the one-count-per-trial loop (reduceSequential in reduce_test.go, the
+// oracle). From the current body, the next k trials are built as if each
+// were accepted, and only the chain's last clause F is counted against
+// the whole sample. Every trial's body contains F's under the same head,
+// so a substitution for a trial is one for F, and a negative F is refuted
+// on (its search finished without one, vRefuted) is covered by no trial
+// of the chain. The chain is replayed in order, each trial counted on
+// F's open negatives alone — its whole-sample count, exactly — up to the
+// first trial the sample rejects; when F is refuted on every negative the
+// whole chain is accepted untested. k doubles after a chain is accepted
+// whole and halves after a break: it follows the decisions alone, not
+// which verdicts were refuted, so the learn.reduce_* counters agree in
+// process and through a transport, whose verdicts leave every negative
+// open.
 func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample []Example) (*logic.Clause, error) {
 	if len(c.Body) <= 1 {
 		return c, nil
@@ -414,28 +437,59 @@ func (l *Learner) reduceClause(ctx context.Context, c *logic.Clause, negSample [
 	if err != nil {
 		return nil, err
 	}
-	body := append([]logic.Literal(nil), c.Body...)
-	for i := len(body) - 1; i >= 0 && len(body) > 1; i-- {
+	// A chain link: the trial that drops body literal at.
+	type link struct {
+		trial *logic.Clause
+		at    int
+	}
+	var chain []link
+	body := c.Body
+	for k, i := firstChain, len(body)-1; i >= 0 && len(body) > 1; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		trialBody := make([]logic.Literal, 0, len(body)-1)
-		trialBody = append(trialBody, body[:i]...)
-		trialBody = append(trialBody, body[i+1:]...)
-		trial := (&logic.Clause{Head: c.Head, Body: trialBody}).PruneNotHeadConnected()
-		if len(trial.Body) == 0 {
-			continue
+		chain = chain[:0]
+		for j, b := i, body; j >= 0 && len(b) > 1 && len(chain) < k; j-- {
+			trialBody := make([]logic.Literal, 0, len(b)-1)
+			trialBody = append(trialBody, b[:j]...)
+			trialBody = append(trialBody, b[j+1:]...)
+			trial := (&logic.Clause{Head: c.Head, Body: trialBody}).PruneNotHeadConnected()
+			if len(trial.Body) == 0 {
+				continue
+			}
+			chain = append(chain, link{trial, j})
+			b = trial.Body
+			j = min(j, len(b)) // the loop's index clamp
 		}
-		n, err := l.count(ctx, trial, negSample)
+		if len(chain) == 0 {
+			break // every remaining trial prunes to an empty body
+		}
+		last := chain[len(chain)-1].trial
+		lastNeg, open, err := l.cover.countOpen(ctx, last, negSample)
 		if err != nil {
 			return nil, err
 		}
-		if n <= baseNeg {
-			body = trial.Body
-			baseNeg = n
-			if i > len(body) {
-				i = len(body)
+		l.opts.Metrics.Inc(metrics.LearnReduceFullCounts)
+		whole := true
+		for a, ln := range chain {
+			n := lastNeg // 0 when nothing is open
+			if a < len(chain)-1 && len(open) > 0 {
+				if n, _, err = l.cover.countOpen(ctx, ln.trial, open); err != nil {
+					return nil, err
+				}
 			}
+			l.opts.Metrics.Inc(metrics.LearnReduceTrials)
+			if n > baseNeg {
+				i, whole = ln.at-1, false
+				break
+			}
+			body, baseNeg = ln.trial.Body, n
+			i = min(ln.at, len(body)) - 1
+		}
+		if whole {
+			k *= 2
+		} else {
+			k = max(k/2, 1)
 		}
 	}
 	return (&logic.Clause{Head: c.Head, Body: body}).PruneNotHeadConnected(), nil

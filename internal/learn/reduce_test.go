@@ -3,13 +3,257 @@ package learn
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/bias"
 	"repro/internal/bottom"
+	"repro/internal/datagen"
+	"repro/internal/db"
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/subsume"
 )
+
+// reduceSequential is negative reduction as it ran before chains, kept as
+// reduceClause's oracle: one count of the whole sample per trial, last
+// literal to first. clamped reports whether an accepted trial pruned
+// the body below the loop index, which the loop then clamps; baseMax is
+// the largest value baseNeg took.
+func reduceSequential(ctx context.Context, l *Learner, c *logic.Clause, negSample []Example) (out *logic.Clause, clamped bool, baseMax int, err error) {
+	if len(c.Body) <= 1 {
+		return c, false, 0, nil
+	}
+	baseNeg, err := l.count(ctx, c, negSample)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	baseMax = baseNeg
+	body := append([]logic.Literal(nil), c.Body...)
+	for i := len(body) - 1; i >= 0 && len(body) > 1; i-- {
+		trialBody := make([]logic.Literal, 0, len(body)-1)
+		trialBody = append(trialBody, body[:i]...)
+		trialBody = append(trialBody, body[i+1:]...)
+		trial := (&logic.Clause{Head: c.Head, Body: trialBody}).PruneNotHeadConnected()
+		if len(trial.Body) == 0 {
+			continue
+		}
+		n, err := l.count(ctx, trial, negSample)
+		if err != nil {
+			return nil, false, 0, err
+		}
+		if n <= baseNeg {
+			body = trial.Body
+			baseNeg = n
+			baseMax = max(baseMax, n)
+			if i > len(body) {
+				i = len(body)
+				clamped = true
+			}
+		}
+	}
+	return (&logic.Clause{Head: c.Head, Body: body}).PruneNotHeadConnected(), clamped, baseMax, nil
+}
+
+// reduceWorld is one dataset at a scale under the induced bias and one
+// sampler: the source of the clauses and samples the reduction oracle
+// tests run on.
+type reduceWorld struct {
+	ds       *datagen.Dataset
+	compiled *bias.Compiled
+	strategy bottom.Strategy
+	builder  *bottom.Builder
+	// gen generalizes corpus clauses, at the learner's budget whatever
+	// budget a test then reduces under.
+	gen *CoverageEngine
+}
+
+func newReduceWorld(t testing.TB, name string, scale float64, strategy bottom.Strategy) *reduceWorld {
+	t.Helper()
+	ds, err := datagen.Generate(name, datagen.Config{Scale: scale, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([]db.Tuple, len(ds.Pos))
+	for i, e := range ds.Pos {
+		for _, term := range e.Terms {
+			tuples[i] = append(tuples[i], term.Name)
+		}
+	}
+	res, err := bias.Induce(ds.DB, ds.Target, ds.TargetAttrs, tuples, bias.InduceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := res.Bias.Compile(ds.DB.Schema(), ds.Target, len(ds.TargetAttrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bopts := bottom.Options{Strategy: strategy, Seed: 1}
+	return &reduceWorld{
+		ds: ds, compiled: compiled, strategy: strategy,
+		builder: bottom.NewBuilder(ds.DB, compiled, bopts),
+		gen:     New(ds.DB, compiled, Options{Bottom: bopts, Workers: 1}).cover,
+	}
+}
+
+// clause is the head-connected bottom clause of positive seed, armg-
+// generalized against the ground BCs of the gens positives after it, as
+// the beam would: a clause covering positives, so a sample holding them
+// gives the reduction nonzero counts. nil when the build or a
+// generalization leaves no clause.
+func (w *reduceWorld) clause(t testing.TB, seed, gens int) *logic.Clause {
+	t.Helper()
+	ctx := context.Background()
+	pos := w.ds.Pos
+	bc, err := w.builder.Construct(pos[seed%len(pos)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bc.PruneNotHeadConnected()
+	for g := 1; g <= gens && c != nil; g++ {
+		gs, err := w.gen.GeneralizeManyCtx(ctx, []*logic.Clause{c}, []Example{pos[(seed+g)%len(pos)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = gs[0]
+	}
+	return c
+}
+
+// reversed is c with its body in reverse order: dropping a literal that
+// introduces a variable then prunes the literals before it, so an
+// accepted trial can shrink the body past the loop index, which the
+// loop clamps.
+func reversed(c *logic.Clause) *logic.Clause {
+	r := &logic.Clause{Head: c.Head, Body: slices.Clone(c.Body)}
+	slices.Reverse(r.Body)
+	return r
+}
+
+// checkReduce reduces c against sample with the oracle and with the
+// chained reduction at one and four workers, each on a fresh engine, and
+// fails unless all three return the same clause, literal for literal.
+func (w *reduceWorld) checkReduce(t testing.TB, budget int, c *logic.Clause, sample []Example) (clamped bool, baseMax int) {
+	t.Helper()
+	ctx := context.Background()
+	opts := Options{Bottom: bottom.Options{Strategy: w.strategy}, Subsume: subsume.Options{MaxNodes: budget}, Workers: 1}
+	want, clamped, baseMax, err := reduceSequential(ctx, New(w.ds.DB, w.compiled, opts), c, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts.Workers = range []int{1, 4} {
+		got, err := New(w.ds.DB, w.compiled, opts).reduceClause(ctx, c, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("budget %d, workers %d: reduceClause diverges from the sequential loop\nfrom: %v\n got: %v\nwant: %v",
+				budget, opts.Workers, c, got, want)
+		}
+	}
+	return clamped, baseMax
+}
+
+// reduceOracleScale and reduceOracleStrategies are what
+// TestReduceClauseMatchesSequential runs on: scale 0.1 under naive
+// sampling here, scale 0.3 under every sampler with the slow tag.
+var (
+	reduceOracleScale      = 0.1
+	reduceOracleStrategies = []bottom.Strategy{bottom.Naive}
+)
+
+// TestReduceClauseMatchesSequential: the chained reduction returns the
+// sequential loop's clause on every bundled dataset under the induced
+// bias — from the first positive's bottom clause, from that clause
+// generalized against the next two positives, and from the bottom clause
+// with its body reversed — against a sample of positives and negatives, at
+// budgets from starved (3 and 8 nodes, where many "not covered" answers
+// are exhausted, not refuted, and stay open) to the learner's, at one
+// and four workers. The corpus must exercise what the chain has to get
+// right: a baseNeg above 0, so trials that cover part of the sample are
+// accepted and rejected, and accepted drops whose pruning clamps the
+// loop index.
+func TestReduceClauseMatchesSequential(t *testing.T) {
+	var mu sync.Mutex
+	clamped, baseMax := false, 0
+	t.Run("group", func(t *testing.T) {
+		for _, strategy := range reduceOracleStrategies {
+			for _, name := range datagen.Names() {
+				t.Run(fmt.Sprintf("%s/%v", name, strategy), func(t *testing.T) {
+					t.Parallel()
+					w := newReduceWorld(t, name, reduceOracleScale, strategy)
+					var corpus []*logic.Clause
+					for gens := 0; gens <= 2; gens += 2 {
+						if c := w.clause(t, 0, gens); c != nil && len(c.Body) > 1 {
+							corpus = append(corpus, c)
+						}
+					}
+					if len(corpus) == 0 {
+						t.Fatal("no clause with more than one body literal")
+					}
+					corpus = append(corpus, reversed(corpus[0]))
+					pos, neg := w.ds.Pos, w.ds.Neg
+					sample := append(slices.Clone(pos[:min(12, len(pos))]), neg[:min(12, len(neg))]...)
+					for _, budget := range []int{3, 8, 30, 200, 5000} {
+						for _, c := range corpus {
+							cl, bm := w.checkReduce(t, budget, c, sample)
+							mu.Lock()
+							clamped, baseMax = clamped || cl, max(baseMax, bm)
+							mu.Unlock()
+						}
+					}
+				})
+			}
+		}
+	})
+	if !clamped || baseMax == 0 {
+		t.Fatalf("corpus too easy: clamped=%v, largest baseNeg %d", clamped, baseMax)
+	}
+}
+
+// fuzzWorlds caches one naive-sampling world per dataset across
+// FuzzReduceClause's inputs.
+var fuzzWorlds = struct {
+	sync.Mutex
+	m map[string]*reduceWorld
+}{m: make(map[string]*reduceWorld)}
+
+// FuzzReduceClause: for any dataset, seed positive, number of armg
+// generalizations, budget and sample — any subset of the first 32
+// positives and 32 negatives — the chained reduction returns the
+// sequential loop's clause.
+func FuzzReduceClause(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(2), uint16(199), uint64(0x0000_0fff_0000_0fff))
+	f.Add(uint8(1), uint8(3), uint8(1), uint16(7), uint64(0x00ff_00ff_00ff_00ff))
+	f.Add(uint8(2), uint8(1), uint8(2), uint16(4999), uint64(0x5555_5555_0000_ffff))
+	f.Fuzz(func(t *testing.T, dataset, seed, gens uint8, budget uint16, subset uint64) {
+		name := datagen.Names()[int(dataset)%len(datagen.Names())]
+		fuzzWorlds.Lock()
+		w := fuzzWorlds.m[name]
+		if w == nil {
+			w = newReduceWorld(t, name, 0.1, bottom.Naive)
+			fuzzWorlds.m[name] = w
+		}
+		fuzzWorlds.Unlock()
+		c := w.clause(t, int(seed)%10, int(gens)%3)
+		if c == nil || len(c.Body) <= 1 {
+			return
+		}
+		pos, neg := w.ds.Pos[:min(32, len(w.ds.Pos))], w.ds.Neg[:min(32, len(w.ds.Neg))]
+		var sample []Example
+		for i := 0; i < 64; i++ {
+			if subset&(1<<i) != 0 {
+				if i < 32 && i < len(pos) {
+					sample = append(sample, pos[i])
+				} else if i >= 32 && i-32 < len(neg) {
+					sample = append(sample, neg[i-32])
+				}
+			}
+		}
+		w.checkReduce(t, int(budget)%5000+1, c, sample)
+	})
+}
 
 func TestReduceClauseDropsRedundantLiterals(t *testing.T) {
 	d, pos, neg := uwWorld(t, 10, 6)

@@ -190,7 +190,7 @@ func (ce *CoverageEngine) AdoptCarried(ctx context.Context, cs *CarriedState, pr
 				return nil, nil, err
 			}
 			ce.memoize(rec, key, now)
-			changed = changed || now != (old&vCovered != 0)
+			changed = changed || (now^old)&vCovered != 0
 		}
 		if changed {
 			flipped = append(flipped, rec.key)

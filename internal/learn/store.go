@@ -30,6 +30,14 @@ const (
 	vCovered verdict = 1 << iota
 	// vCarried: installed by AdoptCarried and not yet read by this run.
 	vCarried
+	// vRefuted: not covered, and the search that said so finished — no
+	// substitution exists at any budget. Only settle sets it, from
+	// subsume's Result.Complete. A transport's verdict (the wire carries
+	// no completeness), an isolated failure and an injected fault stay
+	// unmarked: "not covered" without a proof. Negative reduction reads
+	// it (reduceClause): a clause refuted on an example refutes every
+	// clause whose body contains its own under the same head.
+	vRefuted
 )
 
 // clauseRecord is what the engine knows about one canonical clause. The
@@ -84,14 +92,15 @@ func (ce *CoverageEngine) compiled(rec *clauseRecord, c *logic.Clause) *subsume.
 	return rec.cc.Load()
 }
 
-// lookup reads a stored verdict. The first read of a carried verdict
-// consumes it: the carried mark is cleared and the hit counted.
-func (ce *CoverageEngine) lookup(rec *clauseRecord, key string) (covered, ok bool) {
+// lookup reads a stored verdict, without its carried mark. The first
+// read of a carried verdict consumes it: the mark is cleared and the hit
+// counted.
+func (ce *CoverageEngine) lookup(rec *clauseRecord, key string) (v verdict, ok bool) {
 	ce.mu.RLock()
-	v, ok := rec.verdicts[key]
+	v, ok = rec.verdicts[key]
 	ce.mu.RUnlock()
 	if !ok {
-		return false, false
+		return 0, false
 	}
 	if v&vCarried != 0 {
 		ce.mu.Lock()
@@ -102,14 +111,10 @@ func (ce *CoverageEngine) lookup(rec *clauseRecord, key string) (covered, ok boo
 		ce.mu.Unlock()
 	}
 	ce.mc.Inc(metrics.CoverageMemoHits)
-	return v&vCovered != 0, true
+	return v &^ vCarried, true
 }
 
-func (ce *CoverageEngine) memoize(rec *clauseRecord, key string, covered bool) {
-	var v verdict
-	if covered {
-		v = vCovered
-	}
+func (ce *CoverageEngine) memoize(rec *clauseRecord, key string, v verdict) {
 	ce.mu.Lock()
 	rec.verdicts[key] = v
 	ce.mu.Unlock()

@@ -75,43 +75,50 @@ func (c *Clause) Equal(o *Clause) bool {
 // another head-connected literal (paper §4.2.1). Order is preserved.
 // Ground literals (all constants) are never head-connected and are
 // dropped; they carry no generalization value.
+//
+// One pass over the terms: each variable is numbered by first occurrence
+// (the renderer's pooled scratch, which numbers a V<n> without hashing
+// it), and each later holder of a variable is joined to its first — the
+// head, index len(c.Body), or a body literal — in a union-find forest, so
+// the head-connected literals are those in the head's tree.
 func (c *Clause) HeadConnected() []Literal {
-	connected := make(map[string]bool)
+	r := renderers.Get().(*renderer)
+	defer r.release()
+	head := len(c.Body)
+	root := make([]int32, head+1)
+	for i := range root {
+		root[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	first := make([]int32, 0, len(c.Body)) // variable number → its first holder
+	join := func(i int32, t Term) {
+		if !t.IsVar() {
+			return
+		}
+		if v := r.number(t.Name); int(v) < len(first) {
+			root[find(i)] = find(first[v])
+		} else {
+			first = append(first, i)
+		}
+	}
 	for _, t := range c.Head.Terms {
-		if t.IsVar() {
-			connected[t.Name] = true
+		join(int32(head), t)
+	}
+	for i, l := range c.Body {
+		for _, t := range l.Terms {
+			join(int32(i), t)
 		}
 	}
-	kept := make([]bool, len(c.Body))
-	// Fixed point: keep adding literals that touch the connected set.
-	for changed := true; changed; {
-		changed = false
-		for i, l := range c.Body {
-			if kept[i] {
-				continue
-			}
-			touches := false
-			for _, t := range l.Terms {
-				if t.IsVar() && connected[t.Name] {
-					touches = true
-					break
-				}
-			}
-			if !touches {
-				continue
-			}
-			kept[i] = true
-			changed = true
-			for _, t := range l.Terms {
-				if t.IsVar() {
-					connected[t.Name] = true
-				}
-			}
-		}
-	}
+	h := find(int32(head))
 	out := make([]Literal, 0, len(c.Body))
 	for i, l := range c.Body {
-		if kept[i] {
+		if find(int32(i)) == h {
 			out = append(out, l)
 		}
 	}

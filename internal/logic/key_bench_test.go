@@ -10,12 +10,10 @@ import (
 	"repro/internal/logic"
 )
 
-// BenchmarkClauseKey renders the canonical key of a uw bottom clause
-// (scale 0.3, data seed 1, induced bias, naive sampling, built on the
-// first positive as the learner builds its seed clause): Key, the
-// one-pass renderer, against Standardize, the rename-then-print
-// reference it must equal byte for byte.
-func BenchmarkClauseKey(b *testing.B) {
+// uwBottomClause is a uw bottom clause (scale 0.3, data seed 1, induced
+// bias, naive sampling, built on the first positive as the learner builds
+// its seed clause, head-connected): 337 body literals.
+func uwBottomClause(b *testing.B) *logic.Clause {
 	ds, err := datagen.Generate("uw", datagen.Config{Scale: 0.3, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -38,7 +36,14 @@ func BenchmarkClauseKey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bc = bc.PruneNotHeadConnected()
+	return bc.PruneNotHeadConnected()
+}
+
+// BenchmarkClauseKey renders the canonical key of uwBottomClause: Key,
+// the one-pass renderer, against Standardize, the rename-then-print
+// reference it must equal byte for byte.
+func BenchmarkClauseKey(b *testing.B) {
+	bc := uwBottomClause(b)
 	if bc.Key() != logic.OracleKey(bc) {
 		b.Fatal("Key differs from the reference")
 	}
@@ -53,5 +58,15 @@ func BenchmarkClauseKey(b *testing.B) {
 				_ = leg.key(bc)
 			}
 		})
+	}
+}
+
+// BenchmarkHeadConnected prunes uwBottomClause, the call negative
+// reduction makes for every trial it builds.
+func BenchmarkHeadConnected(b *testing.B) {
+	bc := uwBottomClause(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = bc.HeadConnected()
 	}
 }

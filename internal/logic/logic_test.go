@@ -360,6 +360,87 @@ func TestPropHeadConnectedSubsetAndIdempotent(t *testing.T) {
 	}
 }
 
+// headConnectedFixedPoint is HeadConnected as it was before the one-pass
+// union-find, kept as the oracle: rescan the body until no literal joins
+// the connected set.
+func headConnectedFixedPoint(c *Clause) []Literal {
+	connected := make(map[string]bool)
+	for _, t := range c.Head.Terms {
+		if t.IsVar() {
+			connected[t.Name] = true
+		}
+	}
+	kept := make([]bool, len(c.Body))
+	for changed := true; changed; {
+		changed = false
+		for i, l := range c.Body {
+			if kept[i] {
+				continue
+			}
+			touches := false
+			for _, t := range l.Terms {
+				if t.IsVar() && connected[t.Name] {
+					touches = true
+					break
+				}
+			}
+			if !touches {
+				continue
+			}
+			kept[i] = true
+			changed = true
+			for _, t := range l.Terms {
+				if t.IsVar() {
+					connected[t.Name] = true
+				}
+			}
+		}
+	}
+	out := make([]Literal, 0, len(c.Body))
+	for i, l := range c.Body {
+		if kept[i] {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestHeadConnectedMatchesFixedPoint compares the one-pass union-find
+// with the fixed point on random clauses built to have what the pass must
+// get right: islands joined to the head only through a literal late in the
+// body, variables repeated within and across literals, constant-only
+// literals, and heads with constants or no variables at all.
+func TestHeadConnectedMatchesFixedPoint(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n < 3000; n++ {
+		vars := []string{"A", "B", "C", "D", "E", "F", "G", "H"}[:2+r.Intn(7)]
+		term := func() Term {
+			if r.Intn(4) == 0 {
+				return Const([]string{"a", "b"}[r.Intn(2)])
+			}
+			return Var(vars[r.Intn(len(vars))])
+		}
+		lit := func(pred string, ground bool) Literal {
+			terms := make([]Term, 1+r.Intn(3))
+			for i := range terms {
+				terms[i] = term()
+				if ground {
+					terms[i] = Const("k")
+				}
+			}
+			return NewLiteral(pred, terms...)
+		}
+		c := &Clause{Head: lit("h", r.Intn(10) == 0)}
+		for i, m := 0, r.Intn(12); i < m; i++ {
+			c.Body = append(c.Body, lit([]string{"p", "q", "r"}[r.Intn(3)], r.Intn(6) == 0))
+		}
+		got, want := c.HeadConnected(), headConnectedFixedPoint(c)
+		if !(&Clause{Head: c.Head, Body: got}).Equal(&Clause{Head: c.Head, Body: want}) {
+			t.Fatalf("%s:\n got %v\nwant %v", c, got, want)
+		}
+	}
+}
+
 func TestQuickSubstitutionCloneEqual(t *testing.T) {
 	f := func(keys []string) bool {
 		s := Substitution{}

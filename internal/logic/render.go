@@ -16,7 +16,7 @@ import (
 
 // renderer is the scratch a clause rendering reuses: the buffer the text
 // is appended to and, for a key, the renaming of the clause's variables to
-// their first-occurrence numbers. A variable spelled V<n> — how the bottom
+// their first-occurrence numbers (which HeadConnected reuses). A variable spelled V<n> — how the bottom
 // builder names every variable, and so nearly every variable the learner
 // sees — finds its number at num[n]-1 (0: not seen yet) without hashing
 // its name; any other name goes through named.
@@ -40,6 +40,12 @@ func render(c *Clause, key bool) string {
 	}
 	r.buf = appendClause(r.buf[:0], c, ren)
 	s := string(r.buf)
+	r.release()
+	return s
+}
+
+// release forgets the renaming and returns r to the pool.
+func (r *renderer) release() {
 	for _, n := range r.touched {
 		r.num[n] = 0
 	}
@@ -48,7 +54,6 @@ func render(c *Clause, key bool) string {
 		clear(r.named)
 	}
 	renderers.Put(r)
-	return s
 }
 
 // number returns the first-occurrence number of the variable name,

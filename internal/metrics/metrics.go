@@ -79,6 +79,15 @@ const (
 	// LearnClauses counts clauses added to the learned definition.
 	// Deterministic.
 	LearnClauses
+	// LearnReduceTrials counts the literal drops negative reduction
+	// decided (learn.Learner's reduceClause), accepted or not.
+	// Deterministic, like the one below: the trials follow from the
+	// verdicts alone.
+	LearnReduceTrials
+	// LearnReduceFullCounts counts the reduction's counts against its
+	// whole negative sample: one per chain of trials, however many
+	// trials the count decides.
+	LearnReduceFullCounts
 	// ARMGApplications counts armg forward passes actually run (memo
 	// misses). Deterministic, like the three below: the (clause,
 	// example) pairs of a round and each pass's outcome are fixed by the
@@ -244,6 +253,8 @@ var counterDefs = [numCounters]counterDef{
 	LearnRounds:               {"learn.rounds", true, kindSum},
 	LearnCandidates:           {"learn.candidates", true, kindSum},
 	LearnClauses:              {"learn.clauses", true, kindSum},
+	LearnReduceTrials:         {"learn.reduce_trials", true, kindSum},
+	LearnReduceFullCounts:     {"learn.reduce_full_counts", true, kindSum},
 	ARMGApplications:          {"armg.applications", true, kindSum},
 	ARMGMemoHits:              {"armg.memo_hits", true, kindSum},
 	ARMGLiteralsRefuted:       {"armg.literals_refuted", true, kindSum},

@@ -225,8 +225,8 @@ func (m *matcher) revise(d *domains, li, upto int) bool {
 		}
 		copy(d.bits[int(v)*w:][:w], d.nextBits[p*w:][:w])
 		d.size[v], d.one[v], d.seen[v] = d.nextSize[p], d.nextOne[p], true
-		for _, occ := range m.varOccs[v] {
-			if j := occ.lit; j < upto && j != li && !m.inQueue[j] {
+		for _, j := range m.varOccs[v] {
+			if j < upto && j != li && !m.inQueue[j] {
 				m.inQueue[j] = true
 				m.queue = append(m.queue, int32(j))
 			}

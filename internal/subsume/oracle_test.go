@@ -98,7 +98,7 @@ type legacyCLit struct {
 type legacyMatcher struct {
 	lits      []legacyCLit
 	initial   []string
-	varOccs   [][]varOcc
+	varOccs   [][]int
 	nVars     int
 	vals      []string
 	bound     []bool
@@ -191,11 +191,11 @@ func newLegacyMatcher(c, g *logic.Clause) (*legacyMatcher, bool) {
 	for id, v := range headVal {
 		m.initial[id] = v
 	}
-	m.varOccs = make([][]varOcc, m.nVars)
+	m.varOccs = make([][]int, m.nVars)
 	for li, cl := range m.lits {
 		for _, t := range cl.terms {
 			if t.varID >= 0 {
-				m.varOccs[t.varID] = append(m.varOccs[t.varID], varOcc{lit: li, delta: 1})
+				m.varOccs[t.varID] = append(m.varOccs[t.varID], li)
 			}
 		}
 	}
@@ -379,28 +379,28 @@ func (m *legacyMatcher) candidates(li int) []int {
 func (m *legacyMatcher) bindVar(v int, val string) {
 	m.vals[v] = val
 	m.bound[v] = true
-	for _, occ := range m.varOccs[v] {
-		if m.matched[occ.lit] {
-			m.deg[occ.lit] += occ.delta
+	for _, li := range m.varOccs[v] {
+		if m.matched[li] {
+			m.deg[li]++
 			continue
 		}
-		m.bucketRemove(occ.lit)
-		m.deg[occ.lit] += occ.delta
-		m.bucketAdd(occ.lit)
+		m.bucketRemove(li)
+		m.deg[li]++
+		m.bucketAdd(li)
 	}
 }
 
 func (m *legacyMatcher) unbindVar(v int) {
 	m.vals[v] = ""
 	m.bound[v] = false
-	for _, occ := range m.varOccs[v] {
-		if m.matched[occ.lit] {
-			m.deg[occ.lit] -= occ.delta
+	for _, li := range m.varOccs[v] {
+		if m.matched[li] {
+			m.deg[li]--
 			continue
 		}
-		m.bucketRemove(occ.lit)
-		m.deg[occ.lit] -= occ.delta
-		m.bucketAdd(occ.lit)
+		m.bucketRemove(li)
+		m.deg[li]--
+		m.bucketAdd(li)
 	}
 }
 

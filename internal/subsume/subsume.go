@@ -219,11 +219,6 @@ type cLit struct {
 	ext   *groundExtent
 }
 
-type varOcc struct {
-	lit   int
-	delta int
-}
-
 // matcher holds one check's bound candidate and search state. All of it
 // is scratch: matchers are recycled through matcherPool and every slice
 // is resized (capacity kept) by bind, so steady-state checks allocate
@@ -235,7 +230,9 @@ type matcher struct {
 	// empty-string id, when the head leaves it free — the same sentinel
 	// the legacy string matcher used.
 	initial []int32
-	varOccs [][]varOcc
+	// varOccs[v] lists the literals holding variable v, once per
+	// position, so a literal's degree counts its bound positions.
+	varOccs [][]int
 	nVars   int
 	nLocal  int32 // the ground clause's value count: the refuter's set width
 
@@ -384,7 +381,7 @@ func (m *matcher) pushLit(terms []cTerm, ext *groundExtent) {
 	d := 0
 	for _, t := range terms {
 		if t.varID >= 0 {
-			m.varOccs[t.varID] = append(m.varOccs[t.varID], varOcc{lit: li, delta: 1})
+			m.varOccs[t.varID] = append(m.varOccs[t.varID], li)
 		}
 		if t.varID < 0 || m.initial[t.varID] != 0 {
 			d++
@@ -464,9 +461,9 @@ func resizeTerms(s []cTerm, n int) []cTerm {
 	return s[:n]
 }
 
-func resizeOccs(s [][]varOcc, n int) [][]varOcc {
+func resizeOccs(s [][]int, n int) [][]int {
 	if cap(s) < n {
-		out := make([][]varOcc, n)
+		out := make([][]int, n)
 		copy(out, s[:cap(s)])
 		s = out
 	}
@@ -585,28 +582,28 @@ func (m *matcher) candidateBound(li int) int {
 func (m *matcher) bindVar(v int32, val int32) {
 	m.vals[v] = val
 	m.bound[v] = true
-	for _, occ := range m.varOccs[v] {
-		if m.matched[occ.lit] {
-			m.deg[occ.lit] += occ.delta
+	for _, li := range m.varOccs[v] {
+		if m.matched[li] {
+			m.deg[li]++
 			continue
 		}
-		m.bucketRemove(occ.lit)
-		m.deg[occ.lit] += occ.delta
-		m.bucketAdd(occ.lit)
+		m.bucketRemove(li)
+		m.deg[li]++
+		m.bucketAdd(li)
 	}
 }
 
 func (m *matcher) unbindVar(v int32) {
 	m.vals[v] = 0
 	m.bound[v] = false
-	for _, occ := range m.varOccs[v] {
-		if m.matched[occ.lit] {
-			m.deg[occ.lit] -= occ.delta
+	for _, li := range m.varOccs[v] {
+		if m.matched[li] {
+			m.deg[li]--
 			continue
 		}
-		m.bucketRemove(occ.lit)
-		m.deg[occ.lit] -= occ.delta
-		m.bucketAdd(occ.lit)
+		m.bucketRemove(li)
+		m.deg[li]--
+		m.bucketAdd(li)
 	}
 }
 
