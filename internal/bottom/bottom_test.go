@@ -338,12 +338,12 @@ func TestOlkenUniformity(t *testing.T) {
 	d.MustInsert("r", "cold", "c0")
 	rel := d.Relation("r")
 
-	b := &Builder{db: d, opts: Options{SampleSize: 1}.normalized()}
-	b.src.Seed(99)
-	b.opts.SampleSize = 1
+	st := &state{b: &Builder{db: d, opts: Options{SampleSize: 1}.normalized()}}
+	st.own.Seed(99)
+	st.src = &st.own
 	coldHits, total := 0, 4000
 	for i := 0; i < total; i++ {
-		sample := b.olkenSample(rel, 0, []string{"hot", "cold"}, nil)
+		sample := st.olkenSample(rel, 0, []string{"hot", "cold"}, nil)
 		if len(sample) == 0 {
 			continue
 		}

@@ -10,16 +10,17 @@
 // bias. Ground bottom clauses (constants kept) are used by coverage
 // testing (§5).
 //
-// Every sampled clause is a function of the builder's RNG. The coverage
-// engine draws each example's ground BC as its own sample: it builds on
-// CloneSeeded with a seed derived from the example, so a ground BC is a
-// pure function of (options, example) and never of which other builds
-// ran before it (DESIGN.md §19). Only the learner's variabilized seed
-// clauses are built on a NewBuilder builder directly, in covering-loop
-// order.
+// Every sampled clause is a function of the generator its build draws
+// from. The coverage engine draws each example's ground BC as its own
+// sample: Ground seeds the build's own generator with a seed derived from
+// the example, so a ground BC is a pure function of (options, example)
+// and never of which other builds ran before it (DESIGN.md §19). Only the
+// learner's variabilized seed clauses draw from the builder's sequential
+// stream, in covering-loop order.
 package bottom
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/maphash"
@@ -93,8 +94,8 @@ type Options struct {
 	Seed int64
 	// Metrics, when non-nil, receives per-build counters (constructions,
 	// literals emitted, depth reached) and the bottom.construct span.
-	// Clones share the collector: its methods are concurrency-safe even
-	// though the builder itself is not.
+	// Concurrent builds share the collector, whose methods are
+	// concurrency-safe.
 	Metrics *metrics.Collector
 }
 
@@ -115,104 +116,31 @@ func (o Options) normalized() Options {
 }
 
 // Builder constructs bottom clauses for examples of one target relation
-// over one database and compiled bias. A Builder is not safe for
-// concurrent use (it owns its random generator); worker pools must give
-// each worker its own builder via Clone or CloneSeeded rather than
-// sharing one.
+// over one database and compiled bias. It is a plan — the database, the
+// bias's construction plan and the options, all read-only — and every
+// build writes only a state of its own (its generator, sampler scratch
+// and clause), so Ground is safe for concurrent use on one Builder.
+//
+// The one mutable field is src, the sequential stream, seeded with the
+// options seed: Construct, ConstructCtx and ConstructGround draw from it
+// in call order, as the learner's variabilized seed clauses do, and are
+// not safe for concurrent use. It is last, so the part of a builder the
+// garbage collector scans for pointers ends before its 4.9 KB of words.
 type Builder struct {
 	db   *db.Database
 	bias *bias.Compiled
 	plan *plan
 	opts Options
-	// done is the cancellation channel of the build in progress (nil
-	// between builds). Builders are single-goroutine by contract (see
-	// above), so holding per-build state here lets the samplers' deep
-	// recursions poll cancellation without threading a ctx through
-	// every signature.
-	done <-chan struct{}
-	// depthReached is the deepest Algorithm 2 iteration (or semi-join
-	// tree level) that contributed tuples to the build in progress;
-	// per-build state like done.
-	depthReached int
-	// snap is the database state the build in progress reads, pinned
-	// once per build so a concurrent commit is seen whole or not at all.
-	snap *db.Snapshot
-	// olkenFreq, olkenMax and olkenPicks are olkenSample's buffers,
-	// reused by every draw set of the builder's builds (olkenSample does
-	// not recurse).
-	olkenFreq  []int
-	olkenMax   []int32
-	olkenPicks []olkenPick
-	// rnd holds the random traversal's scratch, one level per tree
-	// level.
-	rnd []randLevel
-	// strat holds the stratified traversal's scratch, one level per
-	// recursion depth. sampleStrata lays a selection out stratum by
-	// stratum in strata, from its sorted distinct values, each tuple's
-	// stratum and the strata's offsets.
-	strat        []stratLevel
-	strataVals   []string
-	strataOf     []int
-	strataStarts []int
-	strata       []db.Tuple
-	// sampleIdx and sample are the uniform samplers' buffers, reused by
-	// every draw (each sample is read before the next is drawn).
-	sampleIdx []int
-	sample    []db.Tuple
-	// src is the builder's random generator, math/rand's stream held by
-	// value (source.go), read only through drawInt31n, drawFloat64 and
-	// olkenSample's drain. It is the last field, so the part of a
-	// builder the garbage collector scans for pointers ends before its
-	// 4.9 KB of words.
-	src source
-}
-
-// noteDepth raises the current build's reached-depth watermark.
-func (b *Builder) noteDepth(d int) {
-	if d > b.depthReached {
-		b.depthReached = d
-	}
-}
-
-// interrupted reports whether the current build's context is done.
-func (b *Builder) interrupted() bool {
-	if b.done == nil {
-		return false
-	}
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
+	src  source
 }
 
 // NewBuilder returns a builder for the database and compiled bias. It
-// compiles the bias's construction plan once; clones share it.
+// compiles the bias's construction plan once.
 func NewBuilder(d *db.Database, c *bias.Compiled, opts Options) *Builder {
 	opts = opts.normalized()
 	b := &Builder{db: d, bias: c, plan: compilePlan(c), opts: opts}
 	b.src.Seed(opts.Seed)
 	return b
-}
-
-// Clone returns an independent builder sharing the (read-only) database,
-// compiled bias and construction plan but owning a fresh random
-// generator seeded from the options seed. This is the concurrency
-// contract for worker pools: the database, bias and plan are safe to
-// share, the generator is not, so each worker clones.
-func (b *Builder) Clone() *Builder {
-	return b.CloneSeeded(b.opts.Seed)
-}
-
-// CloneSeeded is Clone with an explicit seed, for pools that derive
-// a deterministic per-worker or per-example seed so sampled clauses do
-// not depend on goroutine scheduling. The generator lives in the
-// builder, so a clone is one allocation.
-func (b *Builder) CloneSeeded(seed int64) *Builder {
-	c := &Builder{db: b.db, bias: b.bias, plan: b.plan, opts: b.opts}
-	c.src.Seed(seed)
-	return c
 }
 
 // Options returns the builder's normalized options.
@@ -222,7 +150,8 @@ func (b *Builder) Options() Options { return b.opts }
 func (b *Builder) Database() *db.Database { return b.db }
 
 // Construct builds the (variabilized) bottom clause for the example,
-// which must be a ground literal of the target relation.
+// which must be a ground literal of the target relation, drawing from the
+// builder's sequential stream.
 func (b *Builder) Construct(example logic.Literal) (*logic.Clause, error) {
 	return b.ConstructCtx(context.Background(), example)
 }
@@ -232,22 +161,32 @@ func (b *Builder) Construct(example logic.Literal) (*logic.Clause, error) {
 // interrupted build returns no clause — callers that want anytime
 // behavior stop learning and keep what earlier builds produced.
 func (b *Builder) ConstructCtx(ctx context.Context, example logic.Literal) (*logic.Clause, error) {
-	return b.build(ctx, example, false)
+	return b.plan.newState(b, false, &b.src).build(ctx, example)
 }
 
-// ConstructGround builds the ground bottom clause for the example, used
-// by θ-subsumption coverage testing (§5): the same reachable tuples, with
-// constants kept.
+// ConstructGround builds the ground bottom clause for the example from
+// the builder's sequential stream: the same reachable tuples as
+// Construct, with constants kept. Coverage testing (§5) grounds through
+// Ground instead.
 func (b *Builder) ConstructGround(example logic.Literal) (*logic.Clause, error) {
-	return b.ConstructGroundCtx(context.Background(), example)
+	return b.plan.newState(b, true, &b.src).build(context.Background(), example)
 }
 
-// ConstructGroundCtx is ConstructGround with cancellation.
-func (b *Builder) ConstructGroundCtx(ctx context.Context, example logic.Literal) (*logic.Clause, error) {
-	return b.build(ctx, example, true)
+// Ground builds the example's ground bottom clause on a generator of the
+// build's own, seeded with exactly seed: a pure function of (options,
+// example, seed), whatever other builds run before it or beside it. It is
+// safe for concurrent use, and it is how coverage testing (§5) grounds an
+// example.
+func (b *Builder) Ground(ctx context.Context, example logic.Literal, seed int64) (*logic.Clause, error) {
+	st := b.plan.newState(b, true, nil)
+	st.own.Seed(seed)
+	return st.build(ctx, example)
 }
 
-func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool) (*logic.Clause, error) {
+// build runs one build on the state and returns the state to the pool.
+func (st *state) build(ctx context.Context, example logic.Literal) (*logic.Clause, error) {
+	b := st.b
+	defer b.plan.release(st)
 	if example.Predicate != b.bias.Target() {
 		return nil, fmt.Errorf("bottom: example %v is not of target relation %s", example, b.bias.Target())
 	}
@@ -264,45 +203,38 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 			return nil, fmt.Errorf("bottom: construct %v: %w", example, err)
 		}
 	}
-	b.done = ctx.Done()
-	b.depthReached = 0
-	b.snap = b.db.Snapshot()
-	defer func() { b.done, b.snap = nil, nil }()
+	st.done = ctx.Done()
+	st.snap = b.db.Snapshot()
 	mc := b.opts.Metrics
 	spanStart := mc.StartSpan()
 
-	st := b.plan.newState(b, ground)
-	defer b.plan.release(st)
-
-	var tuples []foundTuple
 	switch b.opts.Strategy {
 	case Naive:
 		st.seedHead(example)
-		tuples = b.naiveTuples(st, example)
+		st.naiveTuples()
 	case Random:
-		tuples = b.randomTuples(example, st.found)
+		st.randomTuples(example)
 	case Stratified:
-		tuples = b.stratifiedTuples(example, st.found)
+		st.stratifiedTuples(example)
 	default:
 		return nil, fmt.Errorf("bottom: unknown strategy %v", b.opts.Strategy)
 	}
 	if b.opts.Strategy != Naive {
 		// Random and stratified collect tuples first (they traverse
-		// semi-join trees, reading no build state); the head and then the
-		// literals are created afterwards in discovery order so shared
+		// semi-join trees, reading none of the clause); the head and then
+		// the literals are created afterwards in discovery order so shared
 		// constants variabilize consistently.
-		if ground {
-			st.assembleGround(example, tuples)
+		if st.ground {
+			st.assembleGround(example)
 		} else {
 			st.seedHead(example)
-			for _, ft := range tuples {
-				if st.full() || b.interrupted() {
+			for _, ft := range st.found {
+				if st.full() || st.interrupted() {
 					break
 				}
 				st.addTuple(ft)
 			}
 		}
-		st.found = tuples
 	}
 	// A build cut short by cancellation must not hand back a truncated
 	// clause as if it were the example's real BC: coverage results built
@@ -310,15 +242,15 @@ func (b *Builder) build(ctx context.Context, example logic.Literal, ground bool)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("bottom: construct %v interrupted: %w", example, err)
 	}
-	c := st.clause()
+	c := &logic.Clause{Head: st.head, Body: st.body}
 	if mc.Enabled() {
 		mc.Inc(metrics.BottomConstructions)
-		if ground {
+		if st.ground {
 			mc.Inc(metrics.BottomGroundConstructions)
 		}
 		mc.Add(metrics.BottomLiterals, int64(len(c.Body)))
 		mc.Observe(metrics.HistBottomLiterals, int64(len(c.Body)))
-		mc.SetMax(metrics.BottomMaxDepth, int64(b.depthReached))
+		mc.SetMax(metrics.BottomMaxDepth, int64(st.depthReached))
 		mc.EndSpan(metrics.SpanBottomConstruct, spanStart)
 	}
 	return c, nil
@@ -333,15 +265,25 @@ type foundTuple struct {
 	tuple   db.Tuple
 }
 
-// state accumulates the clause under construction: the constant→variable
-// hash table of Algorithm 2, the body literals (deduplicated), and, for a
-// naive build, the frontier of newly discovered constants. A state is
-// taken from the plan's pool for one build and returned after it, so its
-// maps and buffers serve every build of the builder and its clones; the
-// clause's head, body and terms are the build's own.
+// state is one build: everything it writes. It accumulates the clause
+// under construction — the constant→variable hash table of Algorithm 2,
+// the body literals (deduplicated), and, for a naive build, the frontier
+// of newly discovered constants — and holds the samplers' scratch and the
+// generator the build draws from. A state is taken from the plan's pool
+// for one build and returned after it, so its maps and buffers serve
+// every build of the builder, concurrent ones included; the clause's
+// head, body and terms are the build's own.
 type state struct {
 	b      *Builder
 	ground bool
+	// done is the build's cancellation channel, polled by the samplers'
+	// deep recursions; snap the database state it reads, pinned once so a
+	// concurrent commit is seen whole or not at all; depthReached the
+	// deepest Algorithm 2 iteration (or semi-join tree level) that
+	// contributed tuples.
+	done         <-chan struct{}
+	snap         *db.Snapshot
+	depthReached int
 	// tracksFrontier is set for a naive build, the only one whose
 	// traversal reads the frontier: random and stratified builds collect
 	// their tuples before adding any, so notes would be dead work.
@@ -381,6 +323,34 @@ type state struct {
 	// build's literals.
 	found  []foundTuple
 	picked []int32
+
+	// olkenRows, olkenMax and olkenPicks are olkenSample's buffers, reused
+	// by every draw set (olkenSample does not recurse).
+	olkenRows  [][]int
+	olkenMax   []int32
+	olkenPicks []olkenPick
+	// rnd holds the random traversal's scratch, one level per tree
+	// level.
+	rnd []randLevel
+	// strat holds the stratified traversal's scratch, one level per
+	// recursion depth. sampleStrata lays a selection out stratum by
+	// stratum in strata, from its sorted distinct values, each tuple's
+	// stratum and the strata's offsets.
+	strat        []stratLevel
+	strataVals   []string
+	strataOf     []int
+	strataStarts []int
+	strata       []db.Tuple
+	// sampleIdx and sample are the uniform samplers' buffers, reused by
+	// every draw (each sample is read before the next is drawn).
+	sampleIdx []int
+	sample    []db.Tuple
+	// src is the generator the build draws from, only through drawInt31n,
+	// drawFloat64 and olkenSample's drain: own for a Ground build, the
+	// builder's sequential stream otherwise. own is held by value and
+	// last, after every pointer.
+	src *source
+	own source
 }
 
 type frontierEntry struct {
@@ -388,8 +358,9 @@ type frontierEntry struct {
 	fresh    int32 // offset of the fresh type set in state.freshWords
 }
 
-// newState takes a state from the pool for one build.
-func (p *plan) newState(b *Builder, ground bool) *state {
+// newState takes a state from the pool for one build that draws from src,
+// or from the state's own generator when src is nil.
+func (p *plan) newState(b *Builder, ground bool, src *source) *state {
 	st, _ := p.states.Get().(*state)
 	if st == nil {
 		st = &state{
@@ -400,26 +371,51 @@ func (p *plan) newState(b *Builder, ground bool) *state {
 		}
 	}
 	st.b, st.ground, st.tracksFrontier = b, ground, b.opts.Strategy == Naive
+	st.src = cmp.Or(src, &st.own)
 	return st
 }
 
-// release empties the state and returns it to the pool. The clause it
-// built keeps its body and terms: the state drops them, never reuses
-// them.
+// release empties the state and returns it to the pool. Sampler scratch
+// keeps its capacity, not what it points to, so a pooled state holds no
+// tuple or postings of an older database version. The clause it built
+// keeps its body and terms: the state drops them, never reuses them.
 func (p *plan) release(st *state) {
 	clear(st.seen)
 	clear(st.varOf)
 	clear(st.known)
-	st.b, st.head, st.body, st.arena, st.nextVar = nil, logic.Literal{}, nil, nil, 0
+	st.b, st.src, st.done, st.snap, st.depthReached = nil, nil, nil, nil, 0
+	st.head, st.body, st.arena, st.nextVar = logic.Literal{}, nil, nil, 0
 	st.lit, st.chain, st.picked = st.lit[:0], st.chain[:0], st.picked[:0]
 	st.knownWords, st.freshWords = st.knownWords[:0], st.freshWords[:0]
 	st.frontier, st.spareFronts = st.frontier[:0], st.spareFronts[:0]
 	clear(st.found)
 	st.found = st.found[:0]
+	clear(st.olkenRows[:cap(st.olkenRows)])
+	clear(st.sample[:cap(st.sample)])
+	clear(st.strata[:cap(st.strata)])
+	for i := range st.rnd {
+		clear(st.rnd[i].sample[:cap(st.rnd[i].sample)])
+	}
+	for i := range st.strat {
+		clear(st.strat[i].ir[:cap(st.strat[i].ir)])
+	}
 	p.states.Put(st)
 }
 
 func (st *state) full() bool { return len(st.body) >= st.b.opts.MaxLiterals }
+
+// noteDepth raises the build's reached-depth watermark.
+func (st *state) noteDepth(d int) { st.depthReached = max(st.depthReached, d) }
+
+// interrupted reports whether the build's context is done.
+func (st *state) interrupted() bool {
+	select {
+	case <-st.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // variable returns the variable mapped to the constant, creating one if
 // needed.
@@ -544,16 +540,17 @@ func (st *state) addGroundTuple(ft foundTuple, rp *relPlan) {
 }
 
 // assembleGround is addGroundTuple over a random or stratified build's
-// collected tuples, whose notes are dead work (no frontier), in two
+// collected tuples (found), whose notes are dead work (no frontier), in two
 // passes: the first picks, in order and up to the literal cap, the tuples
 // that make a new literal — a ground tuple makes at most one, equal to an
 // earlier one exactly when relation and values are — and the second cuts
 // the head and the picked literals from a body and a term arena sized to
 // them, so neither grows while the clause is assembled.
-func (st *state) assembleGround(example logic.Literal, tuples []foundTuple) {
+func (st *state) assembleGround(example logic.Literal) {
+	tuples := st.found
 	picked, terms := st.picked[:0], len(example.Terms)
 	for i, ft := range tuples {
-		if len(picked) >= st.b.opts.MaxLiterals || st.b.interrupted() {
+		if len(picked) >= st.b.opts.MaxLiterals || st.interrupted() {
 			break
 		}
 		if rp := st.b.plan.rels[ft.rel]; rp == nil || len(rp.firstNotes[ft.viaAttr]) == 0 {
@@ -610,40 +607,36 @@ func (st *state) emit(pred string) bool {
 	return true
 }
 
-// clause assembles the final bottom clause.
-func (st *state) clause() *logic.Clause {
-	return &logic.Clause{Head: st.head, Body: st.body}
-}
-
 // naiveTuples runs Algorithm 2 with naïve per-lookup sampling, feeding
 // tuples into the state as it goes (so frontier constants drive the next
 // iteration). A frontier entry is looked up in every attribute its fresh
 // types reach, in the plan's lookups order.
-func (b *Builder) naiveTuples(st *state, example logic.Literal) []foundTuple {
-	for iter := 0; iter < b.opts.Depth && !st.full(); iter++ {
+func (st *state) naiveTuples() {
+	p := st.b.plan
+	for iter := 0; iter < st.b.opts.Depth && !st.full(); iter++ {
 		frontier := st.frontier
 		if len(frontier) == 0 {
 			break
 		}
 		st.frontier = st.spareFronts[:0]
-		b.noteDepth(iter + 1)
+		st.noteDepth(iter + 1)
 		for _, fe := range frontier {
-			if st.full() || b.interrupted() {
+			if st.full() || st.interrupted() {
 				break
 			}
-			fresh := typeSet(st.freshWords[fe.fresh : int(fe.fresh)+b.plan.words])
-			for _, lk := range b.plan.lookups {
+			fresh := typeSet(st.freshWords[fe.fresh : int(fe.fresh)+p.words])
+			for _, lk := range p.lookups {
 				if !lk.types.meets(fresh) {
 					continue
 				}
 				if st.full() {
 					break
 				}
-				rel := b.snap.Relation(lk.ra.Relation)
+				rel := st.snap.Relation(lk.ra.Relation)
 				if rel == nil {
 					continue
 				}
-				for _, t := range b.lookupSample(rel, lk.ra.Attr, fe.constant) {
+				for _, t := range st.lookupSample(rel, lk.ra.Attr, fe.constant) {
 					st.addTuple(foundTuple{rel: lk.ra.Relation, viaAttr: lk.ra.Attr, tuple: t})
 					if st.full() {
 						break
@@ -653,58 +646,58 @@ func (b *Builder) naiveTuples(st *state, example logic.Literal) []foundTuple {
 		}
 		st.spareFronts = frontier
 	}
-	return nil // naive adds tuples directly to the state
 }
 
 // sampleUniform returns a uniform sample of at most SampleSize tuples.
-// A sample drawn from more lives in a buffer of the builder that the
-// next draw overwrites.
-func (b *Builder) sampleUniform(tuples []db.Tuple) []db.Tuple {
-	if len(tuples) <= b.opts.SampleSize {
+// A sample drawn from more lives in a buffer of the state that the next
+// draw overwrites.
+func (st *state) sampleUniform(tuples []db.Tuple) []db.Tuple {
+	if len(tuples) <= st.b.opts.SampleSize {
 		return tuples
 	}
-	out := b.sample[:0]
-	for _, i := range b.sampleIndices(len(tuples)) {
+	out := st.sample[:0]
+	for _, i := range st.sampleIndices(len(tuples)) {
 		out = append(out, tuples[i])
 	}
-	b.sample = out
+	st.sample = out
 	return out
 }
 
 // lookupSample is sampleUniform(rel.Lookup(attr, value)), which it equals
 // draw for draw, without copying the matches: it reads the sampled ones
-// into the builder's buffer, which the next draw overwrites.
-func (b *Builder) lookupSample(rel *db.Relation, attr int, value string) []db.Tuple {
-	m := rel.Frequency(attr, value)
-	out := b.sample[:0]
-	if m <= b.opts.SampleSize {
-		for i := range m {
-			out = append(out, rel.LookupAt(attr, value, i))
+// from the value's postings into the state's buffer, which the next draw
+// overwrites.
+func (st *state) lookupSample(rel *db.Relation, attr int, value string) []db.Tuple {
+	tuples, rows := rel.Postings(attr, value)
+	out := st.sample[:0]
+	if len(rows) <= st.b.opts.SampleSize {
+		for _, r := range rows {
+			out = append(out, tuples[r])
 		}
 	} else {
-		for _, i := range b.sampleIndices(m) {
-			out = append(out, rel.LookupAt(attr, value, i))
+		for _, i := range st.sampleIndices(len(rows)) {
+			out = append(out, tuples[rows[i]])
 		}
 	}
-	b.sample = out
+	st.sample = out
 	return out
 }
 
 // sampleIndices returns SampleSize distinct indices below n, which must
 // exceed it and fit an int32: the first SampleSize positions of a
-// partial Fisher-Yates shuffle of 0..n-1, in a buffer of the builder
-// that the next draw overwrites. Step i draws Intn(n-i).
-func (b *Builder) sampleIndices(n int) []int {
-	idx := b.sampleIdx[:0]
+// partial Fisher-Yates shuffle of 0..n-1, in a buffer of the state that
+// the next draw overwrites. Step i draws Intn(n-i).
+func (st *state) sampleIndices(n int) []int {
+	idx := st.sampleIdx[:0]
 	for i := range n {
 		idx = append(idx, i)
 	}
-	s := b.opts.SampleSize
+	s := st.b.opts.SampleSize
 	for i := 0; i < s; i++ {
 		r := int32(n - i)
-		j := i + int(drawInt31n(&b.src, r, int31nMax(r)))
+		j := i + int(drawInt31n(st.src, r, int31nMax(r)))
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	b.sampleIdx = idx
+	st.sampleIdx = idx
 	return idx[:s]
 }

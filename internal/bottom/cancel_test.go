@@ -36,7 +36,8 @@ func TestConstructCtxCancelled(t *testing.T) {
 }
 
 // TestConstructCtxDoneChannelCleared: after an interrupted build, the
-// builder is reusable — the stored done channel is per-build state.
+// builder is reusable — a build's cancellation lives and ends with the
+// build.
 func TestConstructCtxDoneChannelCleared(t *testing.T) {
 	d := table4(t)
 	c := table3Bias(t, d.Schema())

@@ -1,6 +1,6 @@
 package bottom
 
-// Every draw of a builder is read straight from its source (source.go)
+// Every draw of a build is read straight from its source (source.go)
 // through drawInt31n and drawFloat64, which reproduce math/rand's
 // Rand.Int31n and Rand.Float64 draw for draw: the same values from the
 // same Int63 calls, so every sampled clause is the one a rand.Rand over

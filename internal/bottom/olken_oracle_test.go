@@ -10,17 +10,26 @@ import (
 	"repro/internal/db"
 )
 
+// seeded takes a state for one build that draws from its own generator,
+// seeded with seed, as Ground's build does.
+func seeded(b *Builder, ground bool, seed int64) *state {
+	st := b.plan.newState(b, ground, nil)
+	st.own.Seed(seed)
+	return st
+}
+
 // olkenSampleOracle is the per-attempt Olken sampler olkenSample
 // replaced: it probes rel's index for m(a) on every attempt and dedupes
-// picks by (value, offset). Kept as the reference for the draw stream.
-func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) []db.Tuple {
+// picks by (value, offset). Kept as the reference for the draw stream,
+// which it reads from the build state's generator.
+func olkenSampleOracle(st *state, rel *db.Relation, attr int, values []string) []db.Tuple {
 	maxFreq := rel.MaxFrequency(attr)
 	if maxFreq == 0 {
 		return nil
 	}
-	s := b.opts.SampleSize
+	s := st.b.opts.SampleSize
 	maxAttempts := 20 * s
-	rng := rand.New(&b.src)
+	rng := rand.New(st.src)
 	var out []db.Tuple
 	type pick struct {
 		value string
@@ -42,7 +51,7 @@ func olkenSampleOracle(b *Builder, rel *db.Relation, attr int, values []string) 
 			continue
 		}
 		picked = append(picked, key)
-		out = append(out, rel.LookupAt(attr, a, i))
+		out = append(out, rel.Lookup(attr, a)[i])
 	}
 	return out
 }
@@ -102,8 +111,8 @@ func olkenDrainOracle(rng *rand.Rand, n int, freq []int) {
 
 // TestOlkenStreamUnchanged holds olkenSample to the per-attempt oracle on
 // every (relation, attribute) of the five induced tasks: identically
-// seeded builders must return the same tuples in the same order and
-// leave their sources in the same state, so every random-sampled BC —
+// seeded build states of one builder must return the same tuples in the
+// same order and leave their generators in the same state, so every random-sampled BC —
 // the rest of a build's draws included — is the oracle's. The sparse and
 // all-absent frontiers pin the drain: attempts made after the sample is
 // complete must advance the source by exactly the oracle's draws. Most
@@ -119,7 +128,8 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 	cases := 0
 	for _, name := range datagen.Names() {
 		task := tasks[name]
-		s := NewBuilder(task.ds.DB, task.c, Options{Strategy: Random}).opts.SampleSize
+		b := NewBuilder(task.ds.DB, task.c, Options{Strategy: Random})
+		s := b.opts.SampleSize
 		frontierRNG := rand.New(rand.NewSource(1))
 		for _, relName := range task.ds.DB.Schema().Names() {
 			rel := task.ds.DB.Relation(relName)
@@ -129,8 +139,7 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 						continue
 					}
 					for seed := int64(1); seed <= 3; seed++ {
-						opts := Options{Strategy: Random, Seed: seed}
-						got, want := NewBuilder(task.ds.DB, task.c, opts), NewBuilder(task.ds.DB, task.c, opts)
+						got, want := seeded(b, true, seed), seeded(b, true, seed)
 						gotTuples := got.olkenSample(rel, attr, values, nil)
 						wantTuples := olkenSampleOracle(want, rel, attr, values)
 						if !slices.EqualFunc(gotTuples, wantTuples, slices.Equal) {
@@ -139,6 +148,8 @@ func TestOlkenStreamUnchanged(t *testing.T) {
 						if g, w := got.src.Int63(), want.src.Int63(); g != w {
 							t.Fatalf("%s %s.%d %v seed %d: next draw %d, oracle %d", name, relName, attr, values, seed, g, w)
 						}
+						b.plan.release(got)
+						b.plan.release(want)
 						cases++
 					}
 				}

@@ -69,9 +69,9 @@ func TestGroundAndVariabilizedReachSameTuples(t *testing.T) {
 func TestSampleUniformExactWhenFits(t *testing.T) {
 	d := table4(t)
 	c := table3Bias(t, d.Schema())
-	b := NewBuilder(d, c, Options{SampleSize: 100})
+	st := seeded(NewBuilder(d, c, Options{SampleSize: 100}), true, 1)
 	tuples := d.Relation("publication").Snapshot()
-	got := b.sampleUniform(tuples)
+	got := st.sampleUniform(tuples)
 	if len(got) != len(tuples) {
 		t.Fatalf("sample of undersized input must be identity: %d vs %d", len(got), len(tuples))
 	}
@@ -80,10 +80,10 @@ func TestSampleUniformExactWhenFits(t *testing.T) {
 func TestSampleUniformNoDuplicates(t *testing.T) {
 	d := table4(t)
 	c := table3Bias(t, d.Schema())
-	b := NewBuilder(d, c, Options{SampleSize: 3})
+	st := seeded(NewBuilder(d, c, Options{SampleSize: 3}), true, 1)
 	tuples := d.Relation("publication").Snapshot() // 4 tuples
 	for trial := 0; trial < 50; trial++ {
-		got := b.sampleUniform(tuples)
+		got := st.sampleUniform(tuples)
 		if len(got) != 3 {
 			t.Fatalf("sample size = %d", len(got))
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // plan is the part of bottom-clause construction that depends on the
-// compiled bias alone, derived once in NewBuilder and shared read-only by
-// every clone, as the bias itself is. The builder never asks the bias
+// compiled bias alone, derived once in NewBuilder and read-only, as the
+// bias itself is, so concurrent builds share it. The builder never asks the bias
 // for modes or types per tuple or per traversal step: it reads them here.
 type plan struct {
 	// ids numbers the types the bias mentions, and words is the length
@@ -29,8 +29,8 @@ type plan struct {
 	lookups []lookup
 	// rels holds one entry per relation with a mode definition.
 	rels map[string]*relPlan
-	// states recycles the working memory of finished builds across the
-	// builder and all its clones.
+	// states recycles the working memory of finished builds, sampler
+	// scratch and generator included, across every build of the builder.
 	states sync.Pool
 }
 

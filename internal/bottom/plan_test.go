@@ -118,7 +118,7 @@ func TestFrontierNotesMatchTypeMaps(t *testing.T) {
 		lists = append(lists, c.TypesOf(rel, 0), c.TypesOf(rel, 1))
 	}
 	rng := rand.New(rand.NewSource(1))
-	st := b.plan.newState(b, true)
+	st := b.plan.newState(b, true, nil)
 	st.tracksFrontier = true
 	defer b.plan.release(st)
 	known := make(map[string]map[string]bool)

@@ -3,6 +3,6 @@
 package bottom
 
 // raceEnabled: under the race detector sync.Pool drops a share of what is
-// put back, so the pooled scratch is reallocated and allocation counts
-// say nothing about the code.
+// put back, so some pooled scratch is reallocated and allocation counts
+// run higher than the code's own.
 const raceEnabled = true

@@ -22,60 +22,59 @@ type randLevel struct {
 // its only tuple (sampled with probability 1); every edge is a semi-join
 // permitted by the language bias; each edge is sampled with the
 // extended-Olken acceptance scheme, and each node's sample feeds the
-// semi-joins below it. The tuples are appended to out.
-func (b *Builder) randomTuples(example logic.Literal, out []foundTuple) []foundTuple {
-	if len(b.rnd) <= b.opts.Depth {
-		b.rnd = make([]randLevel, b.opts.Depth+1) // level 0 holds the root value
+// semi-joins below it. The tuples are appended to found.
+func (st *state) randomTuples(example logic.Literal) {
+	if len(st.rnd) <= st.b.opts.Depth {
+		st.rnd = make([]randLevel, st.b.opts.Depth+1) // level 0 holds the root value
 	}
-	budget := b.opts.MaxLiterals
+	budget := st.b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		root := append(b.rnd[0].vals[:0], term.Name)
-		b.rnd[0].vals = root
-		b.expandRandom(root, b.plan.targetPlusTargets(i), 1, &out, &budget)
+		root := append(st.rnd[0].vals[:0], term.Name)
+		st.rnd[0].vals = root
+		st.expandRandom(root, st.b.plan.targetPlusTargets(i), 1, &budget)
 		if budget <= 0 {
 			break
 		}
 	}
-	return out
 }
 
 // expandRandom samples tree level iter (1 to Depth): every (relation,
 // attribute) in targets, the edges the frontier values can semi-join
 // into, then recurses on the sampled tuples' attributes. The values are
 // distinct.
-func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, iter int, out *[]foundTuple, budget *int) {
-	if iter > b.opts.Depth || len(values) == 0 || *budget <= 0 || b.interrupted() {
+func (st *state) expandRandom(values []string, targets []bias.RelAttr, iter int, budget *int) {
+	if iter > st.b.opts.Depth || len(values) == 0 || *budget <= 0 || st.interrupted() {
 		return
 	}
-	lv := &b.rnd[iter]
+	lv := &st.rnd[iter]
 	for _, ra := range targets {
-		if *budget <= 0 || b.interrupted() {
+		if *budget <= 0 || st.interrupted() {
 			return
 		}
-		rel := b.snap.Relation(ra.Relation)
+		rel := st.snap.Relation(ra.Relation)
 		if rel == nil || rel.Len() == 0 {
 			continue
 		}
-		sample := b.olkenSample(rel, ra.Attr, values, lv.sample)
+		sample := st.olkenSample(rel, ra.Attr, values, lv.sample)
 		lv.sample = sample
 		if len(sample) == 0 {
 			continue
 		}
-		b.noteDepth(iter)
+		st.noteDepth(iter)
 		for _, t := range sample {
-			*out = append(*out, foundTuple{rel: ra.Relation, viaAttr: ra.Attr, tuple: t})
+			st.found = append(st.found, foundTuple{rel: ra.Relation, viaAttr: ra.Attr, tuple: t})
 			*budget--
 			if *budget <= 0 {
 				return
 			}
 		}
-		if iter == b.opts.Depth {
+		if iter == st.b.opts.Depth {
 			continue // the tree's last level: no semi-join below it
 		}
 		// Recurse: the distinct values of each attribute of the sampled
 		// tuples, in first-seen order, seed the next level of semi-joins.
 		// A sample holds at most s tuples, so a linear scan beats a map.
-		for j, childTargets := range b.plan.rels[ra.Relation].plus {
+		for j, childTargets := range st.b.plan.rels[ra.Relation].plus {
 			if len(childTargets) == 0 {
 				continue
 			}
@@ -86,7 +85,7 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, iter int
 				}
 			}
 			lv.vals = vals
-			b.expandRandom(vals, childTargets, iter+1, out, budget)
+			st.expandRandom(vals, childTargets, iter+1, budget)
 			if *budget <= 0 {
 				return
 			}
@@ -102,12 +101,13 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, iter int
 // Oversampling (bounded attempts) compensates for rejections and
 // non-matching values.
 //
-// Each value's m(a) is read from the index once, before the first
-// attempt: the attempts draw values with replacement, up to 20·s of them
-// from at most s values. Where m(a) is read from does not touch the
-// source — each attempt draws Intn(len(values)), then Intn(m) and
-// Float64() only when m > 0 — so the stream and the sample equal those
-// of a sampler that probes the index per attempt (olken_oracle_test.go).
+// Each value's postings, and so m(a), are read from the index once,
+// before the first attempt: the attempts draw values with replacement,
+// up to 20·s of them from at most s values. Where m(a) is read from does
+// not touch the source — each attempt draws Intn(len(values)), then
+// Intn(m) and Float64() only when m > 0 — so the stream and the sample
+// equal those of a sampler that probes the index per attempt
+// (olken_oracle_test.go).
 //
 // A sample is complete once it holds min(s, Σm(a)) picks: no later
 // attempt can add one. Attempts stop at s picks, as they always have;
@@ -116,27 +116,30 @@ func (b *Builder) expandRandom(values []string, targets []bias.RelAttr, iter int
 // always did. The drain is one loop over the source (drainOlken).
 //
 // The sample is appended to buf[:0].
-func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.Tuple {
+func (st *state) olkenSample(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.Tuple {
 	out := buf[:0]
 	maxFreq := rel.MaxFrequency(attr)
 	if maxFreq == 0 {
 		return out
 	}
-	freq, bound := b.olkenFreq[:0], b.olkenMax[:0]
+	var tuples []db.Tuple // rel is pinned: every value's postings index it
+	postings, bound := st.olkenRows[:0], st.olkenMax[:0]
 	matches := 0 // |{values} ⋉ rel.attr|: no sample holds more tuples
 	for _, a := range values {
-		m := rel.Frequency(attr, a)
+		var rows []int
+		tuples, rows = rel.Postings(attr, a)
+		m := len(rows)
 		// Intn(m)'s rejection bound; m = 0 draws no Intn(m), and its 0
 		// tells drainOlken so.
 		var mMax int32
 		if m > 0 {
 			mMax = int31nMax(int32(m))
 		}
-		freq, bound = append(freq, m), append(bound, mMax)
+		postings, bound = append(postings, rows), append(bound, mMax)
 		matches += m
 	}
-	b.olkenFreq, b.olkenMax = freq, bound
-	s := b.opts.SampleSize
+	st.olkenRows, st.olkenMax = postings, bound
+	s := st.b.opts.SampleSize
 	maxAttempts := 20 * s
 	complete := min(s, matches)
 	nv := int32(len(values))
@@ -145,18 +148,18 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string, buf [
 	// literal slot on an identical tuple; the values are distinct, so the
 	// index names the value. There are at most s picks, so a linear scan
 	// beats a map.
-	picked := b.olkenPicks[:0]
+	picked := st.olkenPicks[:0]
 	attempts := 0
 	for ; attempts < maxAttempts && len(out) < complete; attempts++ {
-		k := drawInt31n(&b.src, nv, nvMax)
-		m := freq[k]
+		k := drawInt31n(st.src, nv, nvMax)
+		m := len(postings[k])
 		if m == 0 {
 			continue
 		}
-		i := int(drawInt31n(&b.src, int32(m), bound[k]))
+		i := int(drawInt31n(st.src, int32(m), bound[k]))
 		// Accept with p = m/M so tuples of the semi-join come out uniform
 		// regardless of how skewed the value frequencies are.
-		if drawFloat64(&b.src) >= float64(m)/float64(maxFreq) {
+		if drawFloat64(st.src) >= float64(m)/float64(maxFreq) {
 			continue
 		}
 		key := olkenPick{value: int(k), idx: i}
@@ -164,12 +167,12 @@ func (b *Builder) olkenSample(rel *db.Relation, attr int, values []string, buf [
 			continue
 		}
 		picked = append(picked, key)
-		out = append(out, rel.LookupAt(attr, values[k], i))
+		out = append(out, tuples[postings[k][i]])
 	}
-	b.olkenPicks = picked
+	st.olkenPicks = picked
 	if len(out) < s {
 		// The sample is complete below s, or the attempts ran out.
-		b.src.drainOlken(maxAttempts-attempts, bound)
+		st.src.drainOlken(maxAttempts-attempts, bound)
 	}
 	return out
 }

@@ -6,8 +6,9 @@ import "math/rand"
 // rngSource behind rand.NewSource, by D. P. Mitchell and J. A. Reeds),
 // reproduced word for word: seeded with the same value, it returns the
 // same Uint64 and Int63 stream (TestSourceMatchesMathRand). The builder
-// holds it by value and its draws inline, so a clone is one allocation
-// and a draw is no interface call.
+// and each pooled build state hold one by value, so seeding a build
+// allocates nothing, and its draws inline, so a draw is no interface
+// call.
 //
 // Two things differ from rngSource, neither visible in the stream. The
 // 607 cooked words that seeding XORs in are recovered from math/rand

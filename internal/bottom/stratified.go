@@ -27,50 +27,49 @@ type stratLevel struct {
 // one stratum per distinct value of each constant-able attribute (or the
 // whole relation when none) — and, while backtracking, adds the parent
 // tuples that join the sampled child tuples. The tuples are appended to
-// out.
-func (b *Builder) stratifiedTuples(example logic.Literal, out []foundTuple) []foundTuple {
-	if len(b.strat) <= b.opts.Depth {
-		b.strat = make([]stratLevel, b.opts.Depth+1) // level 0 holds the root value set
+// found.
+func (st *state) stratifiedTuples(example logic.Literal) {
+	if len(st.strat) <= st.b.opts.Depth {
+		st.strat = make([]stratLevel, st.b.opts.Depth+1) // level 0 holds the root value set
 	}
-	budget := b.opts.MaxLiterals
+	budget := st.b.opts.MaxLiterals
 	for i, term := range example.Terms {
-		root := append(b.strat[0].vals[:0], term.Name)
-		b.strat[0].vals = root
-		for _, ra := range b.plan.targetPlusTargets(i) {
-			b.stratRec(ra.Relation, ra.Attr, root, 1, &out, &budget)
+		root := append(st.strat[0].vals[:0], term.Name)
+		st.strat[0].vals = root
+		for _, ra := range st.b.plan.targetPlusTargets(i) {
+			st.stratRec(ra.Relation, ra.Attr, root, 1, &budget)
 			if budget <= 0 {
-				return out
+				return
 			}
 		}
 	}
-	return out
 }
 
 // stratRec is the StratRec function of Algorithm 4, appending what it
-// finds to out. m is the join-value set flowing down from the parent,
+// finds to found. m is the join-value set flowing down from the parent,
 // sorted and distinct; iter counts from 1 to Depth.
-func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *[]foundTuple, budget *int) {
-	if *budget <= 0 || b.interrupted() {
+func (st *state) stratRec(relName string, attr int, m []string, iter int, budget *int) {
+	if *budget <= 0 || st.interrupted() {
 		return
 	}
-	rel := b.snap.Relation(relName)
+	rel := st.snap.Relation(relName)
 	if rel == nil || rel.Len() == 0 {
 		return
 	}
-	lv := &b.strat[iter]
+	lv := &st.strat[iter]
 	ir := selectIn(rel, attr, m, lv.ir[:0])
 	lv.ir = ir
 	if len(ir) == 0 {
 		return
 	}
-	b.noteDepth(iter)
-	if iter >= b.opts.Depth {
-		b.sampleStrata(relName, attr, ir, out, budget)
+	st.noteDepth(iter)
+	if iter >= st.b.opts.Depth {
+		st.sampleStrata(relName, attr, ir, budget)
 		return
 	}
 
 	descended := false
-	for bAttr, childTargets := range b.plan.rels[relName].plus {
+	for bAttr, childTargets := range st.b.plan.rels[relName].plus {
 		if len(childTargets) == 0 {
 			continue
 		}
@@ -80,9 +79,9 @@ func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *
 			if *budget <= 0 {
 				return
 			}
-			from := len(*out)
-			b.stratRec(ra.Relation, ra.Attr, vals, iter+1, out, budget)
-			if len(*out) == from {
+			from := len(st.found)
+			st.stratRec(ra.Relation, ra.Attr, vals, iter+1, budget)
+			if len(st.found) == from {
 				continue
 			}
 			descended = true
@@ -91,7 +90,7 @@ func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *
 			// direct children count — the child's output also carries
 			// deeper descendants.
 			joined := lv.joined[:0]
-			for _, ft := range (*out)[from:] {
+			for _, ft := range st.found[from:] {
 				if ft.rel == ra.Relation && ft.viaAttr == ra.Attr {
 					joined = insertSorted(joined, ft.tuple[ft.viaAttr])
 				}
@@ -99,7 +98,7 @@ func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *
 			lv.joined = joined
 			for _, t := range ir {
 				if _, ok := slices.BinarySearch(joined, t[bAttr]); ok {
-					*out = append(*out, foundTuple{rel: relName, viaAttr: attr, tuple: t})
+					st.found = append(st.found, foundTuple{rel: relName, viaAttr: attr, tuple: t})
 					*budget--
 					if *budget <= 0 {
 						return
@@ -111,7 +110,7 @@ func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *
 	if !descended {
 		// Leaf in practice (no joinable children had matches): sample the
 		// strata here so the branch still contributes.
-		b.sampleStrata(relName, attr, ir, out, budget)
+		st.sampleStrata(relName, attr, ir, budget)
 	}
 }
 
@@ -119,13 +118,14 @@ func (b *Builder) stratRec(relName string, attr int, m []string, iter int, out *
 // db.Relation.SelectIn returns it for the same set, without building the
 // set or copying postings: for a set no larger than the column's
 // distinct values, value by value in sorted order, each value's matches
-// in postings order; otherwise in relation order by scan. values must be
-// sorted and distinct.
+// read from its postings in order, one index probe per value; otherwise
+// in relation order by scan. values must be sorted and distinct.
 func selectIn(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.Tuple {
 	if len(values) <= rel.DistinctCount(attr) {
 		for _, v := range values {
-			for i := range rel.Frequency(attr, v) {
-				buf = append(buf, rel.LookupAt(attr, v, i))
+			tuples, rows := rel.Postings(attr, v)
+			for _, r := range rows {
+				buf = append(buf, tuples[r])
 			}
 		}
 		return buf
@@ -139,21 +139,21 @@ func selectIn(rel *db.Relation, attr int, values []string, buf []db.Tuple) []db.
 }
 
 // sampleStrata partitions ir into strata and uniformly samples
-// SampleSize tuples from each, appending them to out: one stratum per
+// SampleSize tuples from each, appending them to found: one stratum per
 // distinct value of each constant-able attribute, in sorted value order
 // and each holding its tuples in ir's order, or a single stratum holding
 // everything when the relation has no constant-able attribute (§4.3.2).
-func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, out *[]foundTuple, budget *int) {
-	constAttrs := b.plan.rels[relName].constAttrs
+func (st *state) sampleStrata(relName string, viaAttr int, ir []db.Tuple, budget *int) {
+	constAttrs := st.b.plan.rels[relName].constAttrs
 	if len(constAttrs) == 0 {
-		b.emitStratum(relName, viaAttr, ir, out, budget)
+		st.emitStratum(relName, viaAttr, ir, budget)
 		return
 	}
 	for _, ca := range constAttrs {
 		// Lay the strata out in sorted value order, each holding its
 		// tuples in ir's order: the distinct values of ca, each tuple's
 		// stratum by binary search, then a stable counting sort.
-		vals := b.strataVals[:0]
+		vals := st.strataVals[:0]
 		for j, t := range ir {
 			if j == 0 || t[ca] != ir[j-1][ca] {
 				vals = append(vals, t[ca])
@@ -161,8 +161,8 @@ func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, out *
 		}
 		slices.Sort(vals)
 		vals = slices.Compact(vals)
-		starts := append(b.strataStarts[:0], make([]int, len(vals)+1)...)
-		which := b.strataOf[:0]
+		starts := append(st.strataStarts[:0], make([]int, len(vals)+1)...)
+		which := st.strataOf[:0]
 		k := 0
 		for j, t := range ir {
 			if j == 0 || t[ca] != ir[j-1][ca] {
@@ -174,30 +174,30 @@ func (b *Builder) sampleStrata(relName string, viaAttr int, ir []db.Tuple, out *
 		for k := 1; k < len(starts); k++ {
 			starts[k] += starts[k-1]
 		}
-		strata := slices.Grow(b.strata[:0], len(ir))[:len(ir)]
+		strata := slices.Grow(st.strata[:0], len(ir))[:len(ir)]
 		for j, t := range ir {
 			k := which[j]
 			strata[starts[k]] = t
 			starts[k]++
 		}
 		// Each stratum k now ends at starts[k] and begins where k-1 ends.
-		b.strataVals, b.strataStarts, b.strataOf, b.strata = vals, starts, which, strata
+		st.strataVals, st.strataStarts, st.strataOf, st.strata = vals, starts, which, strata
 		lo := 0
 		for k := range vals {
-			if *budget <= 0 || b.interrupted() {
+			if *budget <= 0 || st.interrupted() {
 				return
 			}
-			b.emitStratum(relName, viaAttr, strata[lo:starts[k]], out, budget)
+			st.emitStratum(relName, viaAttr, strata[lo:starts[k]], budget)
 			lo = starts[k]
 		}
 	}
 }
 
-// emitStratum appends a uniform sample of one stratum to out, stopping
+// emitStratum appends a uniform sample of one stratum to found, stopping
 // when the budget runs out.
-func (b *Builder) emitStratum(relName string, viaAttr int, stratum []db.Tuple, out *[]foundTuple, budget *int) {
-	for _, t := range b.sampleUniform(stratum) {
-		*out = append(*out, foundTuple{rel: relName, viaAttr: viaAttr, tuple: t})
+func (st *state) emitStratum(relName string, viaAttr int, stratum []db.Tuple, budget *int) {
+	for _, t := range st.sampleUniform(stratum) {
+		st.found = append(st.found, foundTuple{rel: relName, viaAttr: viaAttr, tuple: t})
 		*budget--
 		if *budget <= 0 {
 			return

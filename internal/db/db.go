@@ -342,13 +342,14 @@ func (r *Relation) Lookup(attr int, value string) []Tuple {
 	return out
 }
 
-// LookupAt returns Lookup(attr, value)[i] without copying the matches:
-// the i-th tuple, in postings order, whose attribute attr equals value.
-// i must be below Frequency(attr, value). It is the draw of §4.2's Olken
-// sampler, which reads one matching tuple per accepted attempt.
-func (r *Relation) LookupAt(attr int, value string, i int) Tuple {
+// Postings returns Lookup(attr, value) uncopied, in one index probe:
+// Lookup(attr, value)[i] is tuples[rows[i]], both read from one version.
+// The slices are the relation's own; callers must not modify either. Both
+// are capped, as Snapshot's result is, since later versions append to them.
+func (r *Relation) Postings(attr int, value string) (tuples []Tuple, rows []int) {
 	v := r.cur.Load()
-	return v.tuples[v.index(attr).postings(value)[i]]
+	ps := v.index(attr).postings(value)
+	return v.tuples[:len(v.tuples):len(v.tuples)], ps[:len(ps):len(ps)]
 }
 
 // Frequency returns m_{R.attr}(value): how many tuples hold value in

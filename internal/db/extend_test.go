@@ -50,9 +50,9 @@ func TestBuildIndexesEager(t *testing.T) {
 	}
 }
 
-// TestLookupAtMatchesLookup pins LookupAt to Lookup's order, before and
-// after a commit appends to the postings.
-func TestLookupAtMatchesLookup(t *testing.T) {
+// TestPostingsMatchLookup pins the postings view to Lookup's order,
+// before and after a commit appends to the postings.
+func TestPostingsMatchLookup(t *testing.T) {
 	d := uwFragment(t)
 	pub := d.Relation("publication")
 	check := func(when string) {
@@ -60,15 +60,22 @@ func TestLookupAtMatchesLookup(t *testing.T) {
 		for _, attr := range []int{0, 1} {
 			for _, v := range pub.DistinctValues(attr) {
 				want := pub.Lookup(attr, v)
-				if n := pub.Frequency(attr, v); n != len(want) {
-					t.Fatalf("%s: Frequency(%d,%s) = %d, Lookup holds %d", when, attr, v, n, len(want))
+				tuples, rows := pub.Postings(attr, v)
+				if cap(tuples) != len(tuples) || cap(rows) != len(rows) {
+					t.Errorf("%s: Postings(%d,%s) is not capped, so an append would write into arrays later versions share", when, attr, v)
+				}
+				if n := pub.Frequency(attr, v); n != len(want) || len(rows) != len(want) {
+					t.Fatalf("%s: Frequency(%d,%s) = %d and %d postings, Lookup holds %d", when, attr, v, n, len(rows), len(want))
 				}
 				for i, w := range want {
-					if got := pub.LookupAt(attr, v, i); !got.Equal(w) {
-						t.Errorf("%s: LookupAt(%d,%s,%d) = %v, want %v", when, attr, v, i, got, w)
+					if got := tuples[rows[i]]; !got.Equal(w) {
+						t.Errorf("%s: Postings(%d,%s) row %d = %v, want %v", when, attr, v, i, got, w)
 					}
 				}
 			}
+		}
+		if tuples, rows := pub.Postings(0, "absent"); len(rows) != 0 || len(tuples) != pub.Len() {
+			t.Errorf("%s: Postings of an absent value = %d rows over %d tuples, want 0 over %d", when, len(rows), len(tuples), pub.Len())
 		}
 	}
 	check("loaded")

@@ -37,9 +37,9 @@ type Example = logic.Literal
 // engine; everything else the engine knows lives in one store of
 // per-clause records (store.go, DESIGN.md §18).
 //
-// Every ground BC has one provenance (DESIGN.md §19): it is built on a
-// clone of the engine's builder seeded from (seed, example), so it is a
-// pure function of (options, example) — the same clause in the learner,
+// Every ground BC has one provenance (DESIGN.md §19): it is the engine
+// builder's Ground build seeded from (seed, example), so it is a pure
+// function of (options, example) — the same clause in the learner,
 // a shard worker, a repair check and a server, whatever was built before
 // it and whichever goroutine builds it.
 //
@@ -175,11 +175,11 @@ func (ce *CoverageEngine) SetWorkers(n int) {
 // Workers returns the configured pool bound.
 func (ce *CoverageEngine) Workers() int { return ce.workers }
 
-// Builder returns the engine's bottom-clause builder: the template every
-// ground build is cloned from, and the builder the learner constructs
-// its variabilized seed clauses on. Exposed so model capture and the
-// config fingerprint can read its effective options; callers must
-// respect the builder's single-goroutine contract.
+// Builder returns the engine's bottom-clause builder: the plan every
+// ground build runs on, and whose sequential stream the learner draws
+// its variabilized seed clauses from. Exposed so model capture and the
+// config fingerprint can read its effective options; only the learner
+// draws from the sequential stream.
 func (ce *CoverageEngine) Builder() *bottom.Builder { return ce.builder }
 
 // SubsumeOptions returns the engine's effective subsumption options (the
@@ -284,12 +284,12 @@ func (ce *CoverageEngine) entry(ctx context.Context, key string, e Example) (*gr
 	return built, nil
 }
 
-// buildBC is the one place a ground BC is made: on a clone of the
-// engine's builder seeded from the example key, touching no engine
-// state. A panic becomes an error.
+// buildBC is the one place a ground BC is made: the builder's Ground
+// build seeded from the example key, touching no engine state. A panic
+// becomes an error.
 func (ce *CoverageEngine) buildBC(ctx context.Context, key string, e Example) (bc *logic.Clause, err error) {
 	defer recoverToErr(&err)
-	return ce.builder.CloneSeeded(deriveSeed(ce.subOpts.Seed, key)).ConstructGroundCtx(ctx, e)
+	return ce.builder.Ground(ctx, e, deriveSeed(ce.subOpts.Seed, key))
 }
 
 // buildEntry builds the example's ground BC and compiles its subsumption

@@ -294,10 +294,10 @@ func (l *Learner) noteStop(ctx context.Context, where string, clauses int) {
 // generalizations against sampled positives, scoring by pos − neg
 // coverage, and reduce the winner against the negatives.
 //
-// The seed's variabilized clause is the one build that runs on the
-// engine's builder itself rather than a per-example clone: its sample
-// follows the covering loop's seed order, which is a function of the
-// verdicts alone, and no ground build ever draws from that RNG. A panic
+// The seed's variabilized clause is the one build that draws from the
+// engine builder's sequential stream rather than a per-example seed: its
+// sample follows the covering loop's seed order, which is a function of
+// the verdicts alone, and no ground build ever draws from that stream. A panic
 // in it is isolated to the seed: no clause, and the seed is set aside.
 type beamSearch struct{}
 

@@ -283,46 +283,52 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuilderCloneContract checks the worker-pool contract on Builder:
-// clones share the database and bias but own their RNG, so concurrent
-// construction through clones is race-free and a clone reproduces the
-// sequence a fresh builder with the same seed would produce.
-func TestBuilderCloneContract(t *testing.T) {
+// TestBuilderSeededBuildsConcurrent checks the builder's concurrency
+// contract: one Builder is shared, and a seeded ground build draws from a
+// generator of its own build state, so eight goroutines building on one
+// builder at once are race-free and each result equals the same seed's
+// build made alone — the first ground build of a fresh builder whose
+// options carry that seed.
+func TestBuilderSeededBuildsConcurrent(t *testing.T) {
 	d, pos, _ := uwWorld(t, 12, 8)
 	c := uwLearnBias(t, d)
-	opts := bottom.Options{Depth: 1, SampleSize: 3, Seed: 7}
-	fresh := bottom.NewBuilder(d, c, opts)
-	clone := bottom.NewBuilder(d, c, opts).Clone()
-	for _, e := range pos {
-		a, err := fresh.ConstructGround(e)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	const workers = 8
+	seed := func(w, i int) int64 { return int64(100 + w*len(pos) + i) }
+	for _, s := range []bottom.Strategy{bottom.Naive, bottom.Random, bottom.Stratified} {
+		opts := bottom.Options{Strategy: s, Depth: 2, SampleSize: 3, Seed: 7}
+		shared := bottom.NewBuilder(d, c, opts)
+		got := make([][]string, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, e := range pos {
+					g, err := shared.Ground(ctx, e, seed(w, i))
+					if err != nil {
+						t.Errorf("%v worker %d: %v", s, w, err)
+						return
+					}
+					got[w] = append(got[w], g.String())
+				}
+			}()
 		}
-		b, err := clone.ConstructGround(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatalf("clone diverges from fresh builder on %v", e)
-		}
-	}
-	// Concurrent construction through independent clones is safe.
-	base := bottom.NewBuilder(d, c, opts)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := base.CloneSeeded(int64(100 + w))
-			for _, e := range pos {
-				if _, err := b.ConstructGround(e); err != nil {
-					t.Errorf("clone %d: %v", w, err)
-					return
+		wg.Wait()
+		for w := range workers {
+			for i, e := range pos {
+				alone := opts
+				alone.Seed = seed(w, i)
+				want, err := bottom.NewBuilder(d, c, alone).ConstructGround(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= len(got[w]) || got[w][i] != want.String() {
+					t.Fatalf("%v worker %d: shared seeded build of %v diverges from the same seed's build alone", s, w, e)
 				}
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
 }
 
 // TestFanOutAllocationCeiling pins the pool's per-job cost: a successful

@@ -8,8 +8,8 @@
 // (stale model + changed schema fails loudly) and the training engine is
 // reconstructed — same bias compilation, same bottom-clause options,
 // same subsumption options. Binding builds no bottom clause: every
-// ground BC, in training and here, is built on a per-example
-// derived-seed builder clone (DESIGN.md §19), so a verdict is a pure
+// ground BC, in training and here, is the builder's Ground build on a
+// per-example derived seed (DESIGN.md §19), so a verdict is a pure
 // function of (model, example) — equal to the learner's own for
 // training, held-out and never-seen examples alike, invariant under
 // request order, concurrency, and process restarts.

@@ -178,11 +178,11 @@ func uwForwardPass(tb testing.TB, i, j int) (c, g *logic.Clause) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := bottom.NewBuilder(ds.DB, compiled, bottom.Options{})
-	if c, err = b.CloneSeeded(int64(i + 1)).Construct(ds.Pos[i]); err != nil {
+	if c, err = bottom.NewBuilder(ds.DB, compiled, bottom.Options{Seed: int64(i + 1)}).Construct(ds.Pos[i]); err != nil {
 		tb.Fatal(err)
 	}
-	if g, err = b.CloneSeeded(int64(j + 1)).ConstructGround(ds.Pos[j]); err != nil {
+	b := bottom.NewBuilder(ds.DB, compiled, bottom.Options{})
+	if g, err = b.Ground(context.Background(), ds.Pos[j], int64(j+1)); err != nil {
 		tb.Fatal(err)
 	}
 	return c, g

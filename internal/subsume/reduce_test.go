@@ -93,8 +93,8 @@ func TestReduceFrozenNamesClash(t *testing.T) {
 // TestReducePreservesVerdicts checks each golden clause, reduced and
 // unreduced, against the ground bottom clause of every example of its
 // dataset as TestBCDigests in internal/bottom builds them (scale 0.3,
-// seed 1, induced bias, each example on CloneSeeded(i+1), three
-// samplers): wherever both checks are complete they agree.
+// seed 1, induced bias, each example's Ground build with seed i+1,
+// three samplers): wherever both checks are complete they agree.
 func TestReducePreservesVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every bottom clause of five datasets")
@@ -129,7 +129,7 @@ func TestReducePreservesVerdicts(t *testing.T) {
 		for _, s := range []bottom.Strategy{bottom.Naive, bottom.Random, bottom.Stratified} {
 			b := bottom.NewBuilder(ds.DB, compiled, bottom.Options{Strategy: s})
 			for i, e := range examples {
-				g, err := b.CloneSeeded(int64(i + 1)).ConstructGround(e)
+				g, err := b.Ground(ctx, e, int64(i+1))
 				if err != nil {
 					t.Fatal(err)
 				}
