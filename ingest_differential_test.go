@@ -504,6 +504,9 @@ func TestRepairShardedTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep3.UncheckedExamples == 0 {
+		t.Fatalf("fixture: the repair after commit stud_0057 has no unchecked example, so this leg no longer reaches the unchecked-verdicts rule: the coordinator built the ground BC of every example it holds verdicts for; pick a commit that reaches an example only the workers resolved")
+	}
 	if rep3.DirtyExamples != 0 || rep3.Unchanged {
 		t.Errorf("dirty=%d Unchanged=%v, want a replay with nothing dirty: unchecked verdicts rule out the shortcut", rep3.DirtyExamples, rep3.Unchanged)
 	}

@@ -31,16 +31,29 @@ import (
 // cancellation via ctx and discards the result, so the truncation is
 // harmless — it only bounds how much work is wasted.
 func ARMGCtx(ctx context.Context, c *logic.Clause, ground *logic.Clause, opts subsume.Options) *logic.Clause {
-	out, _ := armg(ctx, c, subsume.CompileGround(nil, ground), opts)
+	out, _ := armg(ctx, c, subsume.CompileGround(nil, ground), opts, 0)
 	return out
 }
 
-// armg is ARMGCtx over an already compiled ground clause. The forward
+// armg is ARMGCtx over an already compiled ground clause, given the
+// stored verdict of c on the example (0 when there is none). The forward
 // pass itself — compile the clause once, grow the kept prefix literal by
 // literal, refute before searching — is subsume.ForwardPass; its result
-// also carries the refuter's counts for the armg.* counters.
-func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts subsume.Options) (*logic.Clause, subsume.Forward) {
-	fw := subsume.ForwardPass(ctx, c, cg, opts)
+// also carries the refuter's counts for the armg.* counters. A proved
+// verdict answers the pass's whole-clause test, the same test under the
+// same options: covered returns c pruned with no pass, refuted runs the
+// prefix scan alone (subsume.ForwardScan). An unmarked "not covered" —
+// an exhausted budget, an isolated failure — runs the whole pass.
+func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts subsume.Options, known verdict) (*logic.Clause, subsume.Forward) {
+	var fw subsume.Forward
+	switch {
+	case known&vCovered != 0:
+		fw = subsume.Forward{HeadMatches: true, Covers: true}
+	case known&vRefuted != 0:
+		fw = subsume.ForwardScan(ctx, c, cg, opts)
+	default:
+		fw = subsume.ForwardPass(ctx, c, cg, opts)
+	}
 	switch {
 	case !fw.HeadMatches:
 		return nil, fw
@@ -76,6 +89,10 @@ func armg(ctx context.Context, c *logic.Clause, cg *subsume.CompiledGround, opts
 // generalization chain must rebuild with the new names instead of
 // replaying a renamed twin's memo entry.
 //
+// A pair whose verdict the store holds proved — covered, or refuted —
+// skips the pass's whole-clause test (armg); the store is read, not
+// counted: no carried mark is consumed and no coverage memo hit counted.
+//
 // The pairs that miss the memo run through the engine's pair pipeline,
 // which prefetches their ground BCs in the order a one-by-one loop first
 // touches them — so the result, the memo, the intern table and the
@@ -97,6 +114,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 		pair
 		rec   *clauseRecord
 		c     *logic.Clause
+		known verdict // the stored verdict of the pair, read without consuming it
 		slots []int
 		out   *logic.Clause
 		fw    subsume.Forward
@@ -116,6 +134,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 			p := pair{rendered, key}
 			ce.mu.RLock()
 			cand, ok := rec.armg[rendered][key]
+			known := rec.verdicts[key] &^ vCarried
 			ce.mu.RUnlock()
 			if ok {
 				ce.mc.Inc(metrics.ARMGMemoHits)
@@ -127,7 +146,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 				jb.slots = append(jb.slots, slot)
 				continue
 			}
-			jb := &job{pair: p, rec: rec, c: c, slots: []int{slot}}
+			jb := &job{pair: p, rec: rec, c: c, known: known, slots: []int{slot}}
 			jobs = append(jobs, jb)
 			pairs = append(pairs, slot)
 			planned[p] = jb
@@ -135,7 +154,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 	}
 
 	err := ce.pipeline(ctx, "armg", examples, keys, pairs, func(k int, ent *groundEntry) error {
-		jobs[k].out, jobs[k].fw = armg(ctx, jobs[k].c, ent.cg, ce.subOpts)
+		jobs[k].out, jobs[k].fw = armg(ctx, jobs[k].c, ent.cg, ce.subOpts, jobs[k].known)
 		return nil
 	})
 	if err := cmp.Or(ctx.Err(), err); err != nil {
@@ -159,7 +178,7 @@ func (ce *CoverageEngine) GeneralizeManyCtx(ctx context.Context, clauses []*logi
 		}
 		ce.mc.Inc(metrics.ARMGApplications)
 		ce.mc.Add(metrics.ARMGLiteralsRefuted, int64(jb.fw.Refuted))
-		if jb.fw.WholeRefuted {
+		if jb.known != 0 || jb.fw.WholeRefuted {
 			ce.mc.Inc(metrics.ARMGFastPathSkipped)
 		}
 	}

@@ -454,8 +454,8 @@ func (ce *CoverageEngine) CountMany(ctx context.Context, clauses []*logic.Clause
 // its verdicts leave open: every example but those the clause is refuted
 // on (vRefuted). No clause whose body contains c's under the same head
 // covers an example outside open, which is what negative reduction
-// counts its trials on (reduceClause). A transport's verdicts carry no
-// completeness, so through one every example it answers stays open.
+// counts its trials on (reduceClause). A transport's verdicts carry
+// their completeness, so the same examples stay open either way.
 func (ce *CoverageEngine) countOpen(ctx context.Context, c *logic.Clause, examples []Example) (n int, open []Example, err error) {
 	verdicts, err := ce.countRows(ctx, ce.transport, []*logic.Clause{c}, examples)
 	if err != nil {
@@ -489,24 +489,24 @@ func (ce *CoverageEngine) countRows(ctx context.Context, t CoverageTransport, cl
 }
 
 // ResolveLocal resolves every (clause, example) pair in process —
-// verdicts[i][j] is clauses[i] on examples[j] — bypassing any installed
-// transport: it is what a shard worker answers a batch with and what the
-// coordinator degrades to when a shard's workers are gone, so it must
-// never route back through the transport.
-func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
+// verdicts[i][j] is clauses[i] on examples[j], refuted mark included —
+// bypassing any installed transport: it is what a shard worker answers a
+// batch with and what the coordinator degrades to when a shard's workers
+// are gone, so it must never route back through the transport.
+func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]Verdict, error) {
 	defer ce.mc.EndSpan(metrics.SpanCoverageCount, ce.mc.StartSpan())
 	verdicts, err := ce.resolve(ctx, nil, clauses, examples)
 	if err != nil {
 		return nil, ce.abandoned(err, len(examples))
 	}
-	covered := make([][]bool, len(verdicts))
+	out := make([][]Verdict, len(verdicts))
 	for i, row := range verdicts {
-		covered[i] = make([]bool, len(row))
+		out[i] = make([]Verdict, len(row))
 		for j, v := range row {
-			covered[i][j] = v&vCovered != 0
+			out[i][j] = v.exported()
 		}
 	}
-	return covered, nil
+	return out, nil
 }
 
 // resolve is the one place verdicts are read and written for CountMany,
@@ -516,8 +516,9 @@ func (ce *CoverageEngine) ResolveLocal(ctx context.Context, clauses []*logic.Cla
 // and counting memo hits. (2) The misses are computed: t gets the clauses
 // that have a miss against the examples that have a miss, or, when t is
 // nil, the pair pipeline tests each. (3) Every computed verdict is
-// stored, isolated failures included, so a panicking example cannot
-// perturb later decisions; when step 2 fails nothing is stored.
+// stored as it came, refuted mark included, isolated failures too, so a
+// panicking example cannot perturb later decisions; when step 2 fails
+// nothing is stored.
 func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clauses []*logic.Clause, examples []Example) ([][]verdict, error) {
 	n := len(examples)
 	keys := make([]string, n)
@@ -576,9 +577,7 @@ func (ce *CoverageEngine) resolve(ctx context.Context, t CoverageTransport, clau
 			return nil, err
 		}
 		for _, p := range misses {
-			if got[row[p/n]-1][col[p%n]-1] {
-				verdicts[p/n][p%n] = vCovered
-			}
+			verdicts[p/n][p%n] = stored(got[row[p/n]-1][col[p%n]-1])
 		}
 	}
 	for _, p := range misses {

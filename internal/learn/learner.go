@@ -299,9 +299,13 @@ func (l *Learner) noteStop(ctx context.Context, where string, clauses int) {
 // sample follows the covering loop's seed order, which is a function of
 // the verdicts alone, and no ground build ever draws from that stream. A panic
 // in it is isolated to the seed: no clause, and the seed is set aside.
-type beamSearch struct{}
+type beamSearch struct {
+	// merge ranks a round's fresh candidates into the beam; nil selects
+	// boundedScores. The beam oracle test sets a full-count merge.
+	merge func(beam, best []scored, width int, countNeg func([]*logic.Clause) ([]int, error)) ([]scored, error)
+}
 
-func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Example) (*logic.Clause, error) {
+func (bs beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Example) (*logic.Clause, error) {
 	seed := pos[0]
 	var bc *logic.Clause
 	err := l.cover.isolate("bottom.construct", seed.String(), func() (err error) {
@@ -321,23 +325,12 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 
 	posSample, negSample := l.ScoringSamples(pos, neg)
 
-	evaluate := func(cs []*logic.Clause) ([]scored, error) {
-		ps, ns, err := l.Evaluate(ctx, cs, posSample, negSample, 0)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]scored, len(cs))
-		for i, c := range cs {
-			out[i] = scored{clause: c, score: ps[i] - ns[i], key: l.cover.record(c).key}
-		}
-		return out, nil
-	}
-
-	first, err := evaluate([]*logic.Clause{bc})
+	// The bottom clause alone is counted in full: there is no beam yet.
+	ps, ns, err := l.Evaluate(ctx, []*logic.Clause{bc}, posSample, negSample, 0)
 	if err != nil {
 		return nil, err
 	}
-	best := first[0]
+	best := scored{clause: bc, score: ps[0] - ns[0], key: l.cover.record(bc).key}
 	beam := []scored{best}
 	seen := map[*clauseRecord]bool{l.cover.record(bc): true}
 
@@ -351,7 +344,8 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 		// Generate the round's whole candidate frontier first — the beam ×
 		// sample armg applications, fanned across the engine's pool —
 		// dedup by store record (one per canonical key) in (beam, sample)
-		// order, then score it in one batched evaluation.
+		// order, then score it: positives in one batched count, negatives
+		// in batches, only while a candidate can still enter the beam.
 		beamClauses := make([]*logic.Clause, len(beam))
 		for i, b := range beam {
 			beamClauses[i] = b.clause
@@ -372,19 +366,27 @@ func (beamSearch) LearnClause(ctx context.Context, l *Learner, pos, neg []Exampl
 			seen[rec] = true
 			fresh = append(fresh, cand)
 		}
-		candidates, err := evaluate(fresh)
+		if len(fresh) == 0 {
+			break
+		}
+		l.opts.Metrics.Add(metrics.LearnCandidates, int64(len(fresh)))
+		ps, err := l.cover.CountMany(ctx, fresh, posSample)
 		if err != nil {
 			return nil, err
 		}
-		if len(candidates) == 0 {
-			break
+		cands := make([]scored, len(fresh))
+		for i, c := range fresh {
+			cands[i] = scored{clause: c, score: ps[i], key: l.cover.record(c).key}
 		}
-		// Merge beam and candidates, keep the top BeamWidth. Stable
-		// preference: higher score first, then shorter clause.
-		all := append(beam, candidates...)
-		sortScored(all)
-		if len(all) > l.opts.BeamWidth {
-			all = all[:l.opts.BeamWidth]
+		merge := bs.merge
+		if merge == nil {
+			merge = boundedScores
+		}
+		all, err := merge(beam, cands, l.opts.BeamWidth, func(cs []*logic.Clause) ([]int, error) {
+			return l.cover.CountMany(ctx, cs, negSample)
+		})
+		if err != nil {
+			return nil, err
 		}
 		improved := all[0].score > best.score
 		beam = all
@@ -502,11 +504,12 @@ func (l *Learner) ScoringSamples(pos, neg []Example) (posSample, negSample []Exa
 	return l.sampleExamples(pos, l.opts.EvalSampleCap), l.sampleExamples(neg, l.opts.EvalSampleCap)
 }
 
-// Evaluate is the frontier evaluator every clause search scores through:
-// two CountMany calls — the whole frontier against the positive sample,
-// then every candidate covering at least minPos positives against the
-// negative sample (the rest report zero negatives) — instead of 2·N
-// individual counts. Through the shard transport this collapses a
+// Evaluate is the frontier evaluator clause searches score through (the
+// armg beam scores only its bottom clause with it; its rounds count
+// negatives under boundedScores' bound): two CountMany calls — the whole
+// frontier against the positive sample, then every candidate covering at
+// least minPos positives against the negative sample (the rest report
+// zero negatives) — instead of 2·N individual counts. Through the shard transport this collapses a
 // refinement step's RPC rounds from O(candidates · shards) to O(shards);
 // in-process it fans the candidates across the worker pool. Counts are
 // bit-identical to per-candidate evaluation.
@@ -585,16 +588,64 @@ type scored struct {
 	key    string
 }
 
-// sortScored orders candidates best-first: higher score, then shorter
-// clause (more general), then canonical key for determinism.
+// outranks is the beam's preference: higher score, then shorter clause
+// (more general), then canonical key for determinism. Beam members and
+// fresh candidates have distinct keys (one store record each), so it is
+// a strict total order on any merge.
+func outranks(a, b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if len(a.clause.Body) != len(b.clause.Body) {
+		return len(a.clause.Body) < len(b.clause.Body)
+	}
+	return a.key < b.key
+}
+
+// sortScored orders candidates best-first (outranks).
 func sortScored(all []scored) {
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	sort.SliceStable(all, func(i, j int) bool { return outranks(all[i], all[j]) })
+}
+
+// boundedScores merges a round's fresh candidates into the beam and
+// returns the top width of the merge, best-first: exactly the top width
+// of beam ∪ best scored by pos − neg, while counting negatives only for
+// candidates that could still enter it. best holds each candidate scored
+// at its best case — its positive count, the score it would have with no
+// negative covered — and countNeg counts the negatives of a batch of
+// clauses. best is sorted in place, and its candidates are counted at
+// most width at a time in the order of their best cases. Once width scored clauses (beam members and
+// counted candidates) outrank a candidate at its best case, neither it
+// nor any candidate after it is counted or merged: a true score is never
+// above the best case, so each of them is outranked by width clauses of
+// the merge and cannot be in its top width (DESIGN.md §21).
+func boundedScores(beam, best []scored, width int, countNeg func([]*logic.Clause) ([]int, error)) ([]scored, error) {
+	sortScored(best)
+	kept := append(make([]scored, 0, len(beam)+width), beam...)
+	sortScored(kept)
+	kept = kept[:min(len(kept), width)]
+	pruned := func(c scored) bool { return len(kept) >= width && outranks(kept[width-1], c) }
+	batch := make([]*logic.Clause, 0, width)
+	for i := 0; i < len(best); {
+		batch = batch[:0]
+		for n := i; n < len(best) && len(batch) < width && !pruned(best[n]); n++ {
+			batch = append(batch, best[n].clause)
 		}
-		if len(all[i].clause.Body) != len(all[j].clause.Body) {
-			return len(all[i].clause.Body) < len(all[j].clause.Body)
+		if len(batch) == 0 {
+			break
 		}
-		return all[i].key < all[j].key
-	})
+		ns, err := countNeg(batch)
+		if err != nil {
+			return nil, err
+		}
+		for k, n := range ns {
+			c := best[i+k]
+			c.score -= n
+			kept = append(kept, c)
+		}
+		i += len(batch)
+		sortScored(kept)
+		kept = kept[:min(len(kept), width)]
+	}
+	return kept, nil
 }

@@ -151,12 +151,12 @@ func TestFetchPanicIsolatedPerPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range clauses {
-			if !clean[i][victim] {
+			if !clean[i][victim].Covered {
 				t.Fatalf("fixture: clause %d must cover the victim in a clean run", i)
 			}
 			for j := range all {
-				if want := clean[i][j] && j != victim; got[i][j] != want {
-					t.Errorf("workers=%d: clause %d on %v = %v, want %v", workers, i, all[j], got[i][j], want)
+				if want := clean[i][j].Covered && j != victim; got[i][j].Covered != want {
+					t.Errorf("workers=%d: clause %d on %v = %v, want %v", workers, i, all[j], got[i][j].Covered, want)
 				}
 			}
 		}

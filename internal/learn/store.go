@@ -31,14 +31,32 @@ const (
 	// vCarried: installed by AdoptCarried and not yet read by this run.
 	vCarried
 	// vRefuted: not covered, and the search that said so finished — no
-	// substitution exists at any budget. Only settle sets it, from
-	// subsume's Result.Complete. A transport's verdict (the wire carries
-	// no completeness), an isolated failure and an injected fault stay
-	// unmarked: "not covered" without a proof. Negative reduction reads
-	// it (reduceClause): a clause refuted on an example refutes every
-	// clause whose body contains its own under the same head.
+	// substitution exists at any budget. settle sets it, from subsume's
+	// Result.Complete, here or on a shard worker, whose answer carries it
+	// back (Verdict.Refuted). An isolated failure, an injected fault and
+	// an older worker's answer stay unmarked: "not covered" without a
+	// proof. Negative reduction reads it (reduceClause): a clause refuted
+	// on an example refutes every clause whose body contains its own
+	// under the same head. armg reads it too (GeneralizeManyCtx): a
+	// refuted pair skips the whole-clause test.
 	vRefuted
 )
+
+// exported is v as a transport answers it, without the carried mark.
+func (v verdict) exported() Verdict {
+	return Verdict{Covered: v&vCovered != 0, Refuted: v&vRefuted != 0}
+}
+
+// stored is a transport's answer as the store keeps it.
+func stored(v Verdict) verdict {
+	switch {
+	case v.Covered:
+		return vCovered
+	case v.Refuted:
+		return vRefuted
+	}
+	return 0
+}
 
 // clauseRecord is what the engine knows about one canonical clause. The
 // maps are guarded by the engine's mu.

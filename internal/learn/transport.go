@@ -6,6 +6,18 @@ import (
 	"repro/internal/logic"
 )
 
+// Verdict is one computed (clause, example) outcome as a transport
+// returns it. Refuted is settle's completeness mark: the clause does not
+// cover the example and the search that said so finished, so no
+// substitution exists at any budget. A verdict is never both; a "not
+// covered" without Refuted is read as "not proved" (an exhausted budget,
+// an isolated failure, an injected fault, or a worker that sends no
+// completeness), which can only cost a later test, never change a
+// decision.
+type Verdict struct {
+	Covered, Refuted bool
+}
+
 // CoverageTransport computes coverage verdicts on behalf of the engine —
 // the seam that lets the learner's hot loop (the per-example
 // θ-subsumption fan-out) run somewhere other than this process. It is a
@@ -19,9 +31,10 @@ import (
 //
 //   - Verdicts are pure. Every ground BC is built with derived-seed
 //     provenance (CoverageEngine.buildBC), here and on the remote side
-//     alike, so "clause c covers example e" is a function of
-//     (configuration, clause, example) — independent of which process
-//     computes it, in what order, or how many times (retries).
+//     alike, so "clause c covers example e" — and whether a "no" is
+//     refuted — is a function of (configuration, clause, example),
+//     independent of which process computes it, in what order, or how
+//     many times (retries).
 //   - Every pair is computed: no limit, no early exit, so the engine's
 //     store after the call does not depend on scheduling.
 //   - No store is touched: the engine memoizes the returned verdicts
@@ -35,7 +48,7 @@ type CoverageTransport interface {
 	// Resolve computes every (clause, example) pair: verdicts[i][j] is
 	// clauses[i] on examples[j]. How many wire round-trips pay for the
 	// block is the transport's business.
-	Resolve(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error)
+	Resolve(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]Verdict, error)
 }
 
 // SetTransport routes CountMany's store misses through t; nil restores

@@ -23,7 +23,7 @@ type fakeTransport struct {
 
 type fakeCall struct{ clauses, examples []string }
 
-func (f *fakeTransport) Resolve(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]bool, error) {
+func (f *fakeTransport) Resolve(ctx context.Context, clauses []*logic.Clause, examples []Example) ([][]Verdict, error) {
 	var call fakeCall
 	for _, c := range clauses {
 		call.clauses = append(call.clauses, c.String())

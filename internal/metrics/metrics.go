@@ -74,7 +74,9 @@ const (
 	// LearnRounds counts beam-search generalization rounds. Deterministic.
 	LearnRounds
 	// LearnCandidates counts candidate clauses scored (armg products and
-	// FOIL literals). Deterministic.
+	// FOIL literals): every one is counted on the positive sample; the
+	// beam counts negatives only of those that can still enter it.
+	// Deterministic.
 	LearnCandidates
 	// LearnClauses counts clauses added to the learned definition.
 	// Deterministic.
@@ -99,8 +101,9 @@ const (
 	// ARMGLiteralsRefuted counts body literals the forward pass dropped
 	// without a subsumption search (subsume.ForwardPass's refuter).
 	ARMGLiteralsRefuted
-	// ARMGFastPathSkipped counts passes whose whole-clause test was
-	// answered by the refuter instead of the rest of its search.
+	// ARMGFastPathSkipped counts passes whose whole-clause test ran no
+	// search: the pair's stored verdict was proved (covered or refuted),
+	// or the refuter answered the test instead of the rest of its search.
 	ARMGFastPathSkipped
 	// EvalExamples counts held-out examples scored by Evaluate.
 	// Deterministic.

@@ -149,7 +149,7 @@ func (co *Coordinator) Close() { co.client.CloseIdleConnections() }
 // an error (its attempts already exhausted — the count is doomed)
 // cancels its siblings immediately instead of letting survivors burn
 // their full retry/backoff budgets on a dead run.
-func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, examples []learn.Example) ([][]bool, error) {
+func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, examples []learn.Example) ([][]learn.Verdict, error) {
 	type group struct {
 		keys []string
 		exs  []learn.Example
@@ -167,9 +167,9 @@ func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, exa
 			owners = append(owners, s)
 		}
 	}
-	verdicts := make([][]bool, len(clauses))
+	verdicts := make([][]learn.Verdict, len(clauses))
 	for i := range verdicts {
-		verdicts[i] = make([]bool, len(examples))
+		verdicts[i] = make([]learn.Verdict, len(examples))
 	}
 	for start := 0; start < len(clauses); start += MaxBatchClauses {
 		chunk := clauses[start:min(start+MaxBatchClauses, len(clauses))]
@@ -209,7 +209,7 @@ func (co *Coordinator) Resolve(ctx context.Context, clauses []*logic.Clause, exa
 // shard's examples resolve in-process for the rest of the run — or,
 // under DisableLocalFallback, the run aborts with ErrShardsLost. The
 // returned matrix is clauses × exs, positionally aligned.
-func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req BatchCoverageRequest, exs []learn.Example) ([][]bool, error) {
+func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause, s int, req BatchCoverageRequest, exs []learn.Example) ([][]learn.Verdict, error) {
 	sh := co.shards[s]
 	if !sh.local.Load() {
 		verdicts, err := co.tryShard(ctx, s, req)
@@ -245,7 +245,7 @@ func (co *Coordinator) resolveShard(ctx context.Context, clauses []*logic.Clause
 // tryShard makes up to Retries attempts on shard s, walking its
 // replicas in order from the one that last answered, with backoff
 // between attempts. Returns the last error when the budget runs out.
-func (co *Coordinator) tryShard(ctx context.Context, s int, req BatchCoverageRequest) ([][]bool, error) {
+func (co *Coordinator) tryShard(ctx context.Context, s int, req BatchCoverageRequest) ([][]learn.Verdict, error) {
 	sh := co.shards[s]
 	first := int(sh.last.Load())
 	var (
@@ -293,10 +293,11 @@ func isFatal(err error) bool {
 
 // send performs one RPC attempt — one HTTP POST — against one replica:
 // the self-contained batched request out (wire bytes counted both
-// ways), packed bitset verdicts back. The attempt is bounded by
-// RequestTimeout and fires the shard.rpc.* faultpoint sites; a 503's
-// Retry-After hint is returned with its error.
-func (co *Coordinator) send(ctx context.Context, target int, url string, req BatchCoverageRequest) ([][]bool, time.Duration, error) {
+// ways), packed bitset verdicts back: covered, and refuted when the
+// worker sends it. The attempt is bounded by RequestTimeout and fires
+// the shard.rpc.* faultpoint sites; a 503's Retry-After hint is returned
+// with its error.
+func (co *Coordinator) send(ctx context.Context, target int, url string, req BatchCoverageRequest) ([][]learn.Verdict, time.Duration, error) {
 	if err := inject(ctx, target, "shard.rpc.send"); err != nil {
 		return nil, 0, fmt.Errorf("shard %d: send %s: %w", target, url, err)
 	}
@@ -356,16 +357,26 @@ func (co *Coordinator) send(ctx context.Context, target int, url string, req Bat
 	if err := json.Unmarshal(data, &br); err != nil {
 		return nil, 0, fmt.Errorf("shard %d: decode %s: %w", target, url, err)
 	}
-	if len(br.Covered) != len(req.Clauses) {
-		return nil, 0, fmt.Errorf("shard %d: %s answered %d bitsets for %d clauses", target, url, len(br.Covered), len(req.Clauses))
+	if len(br.Covered) != len(req.Clauses) || (br.Refuted != nil && len(br.Refuted) != len(req.Clauses)) {
+		return nil, 0, fmt.Errorf("shard %d: %s answered %d+%d bitsets for %d clauses", target, url, len(br.Covered), len(br.Refuted), len(req.Clauses))
 	}
-	m := make([][]bool, len(br.Covered))
+	m := make([][]learn.Verdict, len(br.Covered))
 	for i, bs := range br.Covered {
-		row, ok := UnpackBits(bs, len(req.Examples))
-		if !ok {
-			return nil, 0, fmt.Errorf("shard %d: %s clause %d bitset is %d bytes for %d examples", target, url, i, len(bs), len(req.Examples))
+		covered, ok := UnpackBits(bs, len(req.Examples))
+		refuted := make([]bool, len(req.Examples)) // no Refuted: nothing proved
+		if ok && br.Refuted != nil {
+			refuted, ok = UnpackBits(br.Refuted[i], len(req.Examples))
 		}
-		m[i] = row
+		if !ok {
+			return nil, 0, fmt.Errorf("shard %d: %s clause %d bitsets do not hold %d examples", target, url, i, len(req.Examples))
+		}
+		m[i] = make([]learn.Verdict, len(req.Examples))
+		for j := range m[i] {
+			if covered[j] && refuted[j] {
+				return nil, 0, fmt.Errorf("shard %d: %s marks clause %d both covered and refuted on %s", target, url, i, req.Examples[j])
+			}
+			m[i][j] = learn.Verdict{Covered: covered[j], Refuted: refuted[j]}
+		}
 	}
 	co.mc.Observe(metrics.HistShardBatchClauses, int64(len(req.Clauses)))
 	co.mc.Observe(metrics.HistShardBatchExamples, int64(len(req.Examples)))

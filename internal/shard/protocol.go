@@ -74,13 +74,17 @@ type BatchCoverageRequest struct {
 	Examples []string `json:"examples,omitempty"`
 }
 
-// BatchCoverageResponse carries one packed verdict bitset per requested
-// clause — bit j of Covered[i] (LSB-first) is clause i's verdict on
-// example j of the request's example set. Bitsets ride JSON as base64:
-// a full MaxBatchExamples set costs ~700 bytes per clause instead of a
-// 20KB JSON []bool array.
+// BatchCoverageResponse carries two packed bitsets per requested clause
+// — bit j of Covered[i] (LSB-first) is clause i's verdict on example j
+// of the request's example set, and bit j of Refuted[i] marks that "not
+// covered" as proved (learn.Verdict). Bitsets ride JSON as base64: a full
+// MaxBatchExamples set costs ~700 bytes per clause instead of a 20KB
+// JSON []bool array. A response without Refuted (a worker from before
+// the field) proves nothing, which costs the coordinator tests, never a
+// decision; a pair marked both covered and refuted is malformed.
 type BatchCoverageResponse struct {
 	Covered [][]byte `json:"covered"`
+	Refuted [][]byte `json:"refuted,omitempty"`
 }
 
 // PackBits packs verdicts into an LSB-first bitset of ⌈n/8⌉ bytes.

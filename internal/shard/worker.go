@@ -53,8 +53,8 @@ const (
 // Worker is one shard-worker service: a coverage engine behind the
 // httpx substrate. It answers POST /v2/coverage (a whole candidate
 // frontier over an inline example set) with pure per-example verdicts
-// as packed bitsets — every example resolved, no count limit; see the
-// package comment's merge contract — plus GET /healthz
+// as packed bitsets, covered and refuted — every example resolved, no
+// count limit; see the package comment's merge contract — plus GET /healthz
 // (liveness: the process is up), GET /readyz (readiness for operators
 // and load balancers: not draining and not mid-preload; reports
 // fingerprint and cache heat), GET /metrics and
@@ -215,7 +215,7 @@ func (w *Worker) crashFault(rw http.ResponseWriter, r *http.Request) bool {
 
 // handleBatchCoverage answers wire v2: the shard's whole candidate
 // frontier and its example set in one self-contained request, verdicts
-// as one packed bitset per clause.
+// as two packed bitsets per clause: covered, and refuted.
 func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 	if !w.crashFault(rw, r) {
 		return
@@ -290,15 +290,19 @@ func (w *Worker) handleBatchCoverage(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	covered := make([][]byte, len(verdicts))
+	resp := BatchCoverageResponse{Covered: make([][]byte, len(verdicts)), Refuted: make([][]byte, len(verdicts))}
+	covered, refuted := make([]bool, len(exs)), make([]bool, len(exs))
 	for i, row := range verdicts {
-		covered[i] = PackBits(row)
+		for j, v := range row {
+			covered[j], refuted[j] = v.Covered, v.Refuted
+		}
+		resp.Covered[i], resp.Refuted[i] = PackBits(covered), PackBits(refuted)
 	}
 	mc := w.opts.Metrics
 	mc.Inc(metrics.ShardWorkerRequests)
 	mc.Add(metrics.ShardWorkerExamples, int64(len(exs)))
 	mc.Add(metrics.ShardWorkerBatchClauses, int64(len(clauses)))
-	httpx.WriteJSON(rw, http.StatusOK, BatchCoverageResponse{Covered: covered})
+	httpx.WriteJSON(rw, http.StatusOK, resp)
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {

@@ -27,7 +27,7 @@ func requireMatcherContract(t *testing.T, name string, c, g *logic.Clause, opts 
 		requireEquiv(t, name, c, g, opts)
 		return
 	}
-	want := requireEscalationAt(t, name, c, g, opts, &tally{}, new(bool))
+	want := requireEscalationAt(t, name, c, g, opts, &tally{}, new(bool), exact())
 	requireEntryPoints(t, name, c, g, opts, want)
 }
 
@@ -353,6 +353,6 @@ func FuzzCheckCompiledEquivalence(f *testing.F) {
 			opts = Options{}
 		}
 		requireMatcherContract(t, "fuzz", c, g, opts)
-		requireForwardSound(t, "fuzz", c, g, opts)
+		requireForwardSound(t, "fuzz", c, g, opts, exact())
 	})
 }

@@ -131,11 +131,11 @@ type tally struct{ probe, refuted, search int }
 
 // requireEscalation holds one (clause, ground) input to the escalation's
 // contract (requireEscalationAt) at every budget of escalationBudgets.
-func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally) {
+func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally, or *oracle) {
 	t.Helper()
 	confirmed := false
 	for _, budget := range escalationBudgets {
-		requireEscalationAt(t, fmt.Sprintf("%s budget %d", name, budget), c, g, Options{MaxNodes: budget}, tl, &confirmed)
+		requireEscalationAt(t, fmt.Sprintf("%s budget %d", name, budget), c, g, Options{MaxNodes: budget}, tl, &confirmed, or)
 	}
 }
 
@@ -145,10 +145,10 @@ func requireEscalation(t *testing.T, name string, c, g *logic.Clause, tl *tally)
 // Result whole, node count included; a refuted test is one the legacy
 // matcher answers "no" having spent at least the stop's nodes, is
 // reported complete at exactly the stop, and — the first time *confirmed
-// is false — is confirmed by an exhaustive search; Complete is false
+// is false — is confirmed by or's search; Complete is false
 // only where legacy's was; nothing is Cancelled. tl counts what
 // answered.
-func requireEscalationAt(t *testing.T, at string, c, g *logic.Clause, opts Options, tl *tally, confirmed *bool) Result {
+func requireEscalationAt(t *testing.T, at string, c, g *logic.Clause, opts Options, tl *tally, confirmed *bool, or *oracle) Result {
 	t.Helper()
 	ctx := context.Background()
 	budget := opts.normalized().MaxNodes
@@ -171,7 +171,7 @@ func requireEscalationAt(t *testing.T, at string, c, g *logic.Clause, opts Optio
 		}
 		if !*confirmed {
 			*confirmed = true
-			if legacyCheck(ctx, c, g, exhaustive).Subsumes {
+			if or.subsumes(ctx, c, g) {
 				t.Fatalf("%s: refuted but it subsumes (clause %v vs %v)", at, c, g)
 			}
 		}
@@ -201,11 +201,11 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 		{"arity-mismatch", "h(X) :- p(X), p(X,Y).", "h(a) :- p(a,b)."},
 		{"backtracking", "h(X) :- p(X,Y), q(Y).", "h(a) :- p(a,b), p(a,c), q(c)."},
 	} {
-		requireEscalation(t, tc.name, mustClause(t, tc.clause), mustClause(t, tc.ground), &tl)
+		requireEscalation(t, tc.name, mustClause(t, tc.clause), mustClause(t, tc.ground), &tl, exact())
 	}
 	before := tl
 	c, g := chainNegative(t, 7, 6)
-	requireEscalation(t, "chain-negative", c, g, &tl)
+	requireEscalation(t, "chain-negative", c, g, &tl, exact())
 	if tl.refuted-before.refuted != 2 {
 		t.Fatalf("the refutable negative must be refuted at both budgets above the stop: %+v", tl)
 	}
@@ -219,7 +219,7 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 	// the search, which exhausts the legacy budget on it.
 	before = tl
 	c, g = backwardNegative(t, 7, 6)
-	requireEscalation(t, "backward-negative", c, g, &tl)
+	requireEscalation(t, "backward-negative", c, g, &tl, exact())
 	if tl.refuted-before.refuted != 2 {
 		t.Fatalf("the backward negative must be refuted at both budgets above the stop: %+v", tl)
 	}
@@ -232,7 +232,7 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 
 	before = tl
 	c, g = chainLatePositive(t, 6)
-	requireEscalation(t, "chain-late-positive", c, g, &tl)
+	requireEscalation(t, "chain-late-positive", c, g, &tl, exact())
 	res, how := checkHow(context.Background(), c, g, Options{MaxNodes: 1 << 30})
 	if !res.Subsumes || res.Nodes <= probeNodes || how != bySearch {
 		t.Fatalf("the late positive must be found past the stop: %+v by %d", res, how)
@@ -242,7 +242,7 @@ func TestCheckClauseEscalationTable(t *testing.T) {
 	// has support, so the refuter cannot refute it and it stays exhausted.
 	before = tl
 	c, g = hardInstance(t, 7)
-	requireEscalation(t, "pigeonhole", c, g, &tl)
+	requireEscalation(t, "pigeonhole", c, g, &tl, exact())
 	if tl.refuted != before.refuted {
 		t.Fatalf("pigeonhole refuted: the refuter is claiming more than arc consistency")
 	}
@@ -323,7 +323,7 @@ func TestCheckClauseEscalationRandom(t *testing.T) {
 	for trial := 0; trial < 3200; trial++ {
 		c, g := escalationInstance(r.Intn)
 		name := fmt.Sprintf("random-%d", trial)
-		requireEscalation(t, name, c, g, &tl)
+		requireEscalation(t, name, c, g, &tl, exact())
 		switch sweep, fixpoint, _ := sweepAndFixpoint(c, g); {
 		case sweep && !fixpoint:
 			t.Fatalf("%s: refuted by the sweep, not by the fixpoint (clause %v vs %v)", name, c, g)
@@ -343,7 +343,8 @@ func TestCheckClauseEscalationRandom(t *testing.T) {
 }
 
 // FuzzCheckClauseEscalation decodes a byte string into an instance of
-// the same shape and holds it to the same contract.
+// the same shape and holds it to the same contract, confirming a
+// refutation under the fuzz oracle's budget.
 func FuzzCheckClauseEscalation(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
@@ -355,7 +356,9 @@ func FuzzCheckClauseEscalation(f *testing.F) {
 		}
 		c, g := escalationInstance(byteTaker(data))
 		var tl tally
-		requireEscalation(t, "fuzz", c, g, &tl)
+		or := fuzzOracle()
+		requireEscalation(t, "fuzz", c, g, &tl, or)
+		or.log(t)
 	})
 }
 
@@ -436,7 +439,7 @@ func TestForwardPassWholeRefuted(t *testing.T) {
 		if got.Refuted != 1 || len(got.Kept) != len(tc.c.Body)-1 {
 			t.Fatalf("%s: expected every literal but the last kept, got %+v", tc.name, got)
 		}
-		requireForwardSound(t, tc.name, tc.c, tc.g, opts)
+		requireForwardSound(t, tc.name, tc.c, tc.g, opts, exact())
 	}
 }
 

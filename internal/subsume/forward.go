@@ -49,6 +49,20 @@ type Forward struct {
 // refuter — over all its literals for the whole clause, resumed from the
 // prefix's sets for a prefix search: see escalate and refutes.)
 func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Forward {
+	return forward(ctx, c, cg, opts, true)
+}
+
+// ForwardScan is ForwardPass for a clause already known not to subsume
+// the ground clause under opts (a finished search said so): it skips the
+// whole-clause test and goes straight to the prefix scan, whose
+// decisions do not read that test. Its result is ForwardPass's with
+// WholeRefuted false.
+func ForwardScan(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options) Forward {
+	return forward(ctx, c, cg, opts, false)
+}
+
+// forward is the pass, with or without its whole-clause test.
+func forward(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts Options, whole bool) Forward {
 	opts = opts.normalized()
 	m := matcherPool.Get().(*matcher)
 	defer m.release()
@@ -58,12 +72,14 @@ func ForwardPass(ctx context.Context, c *logic.Clause, cg *CompiledGround, opts 
 		return Forward{}
 	}
 	out := Forward{HeadMatches: true}
-	if m.check(ctx, cc, cg, opts).Subsumes {
-		out.Covers = true
-		return out
+	if whole {
+		if m.check(ctx, cc, cg, opts).Subsumes {
+			out.Covers = true
+			return out
+		}
+		out.WholeRefuted = m.how == byRefuter
+		m.bindHead(cc, cg)
 	}
-	out.WholeRefuted = m.how == byRefuter
-	m.bindHead(cc, cg)
 	m.kept.reset(m.nVars, m.nLocal)
 	for i := range cc.lits {
 		kept, refuted := m.extend(ctx, cg, opts, i)

@@ -56,6 +56,12 @@ type Repair struct {
 	// InvalidatedClauses lists previously learned clauses whose coverage
 	// over the dirty examples actually changed.
 	InvalidatedClauses []string
+	// UncheckedExamples counts the examples the previous run holds
+	// verdicts for but has no ground bottom clause of (a shard worker
+	// resolved them, or their build failed), so the check cannot vouch for
+	// them; while it is nonzero the repair replays instead of answering
+	// Unchanged.
+	UncheckedExamples int
 	// CarriedHits counts the distinct carried (clause, example) verdicts
 	// the replay consumed — each one a ground-BC fetch and subsumption
 	// test repair avoided. Clauses equal up to variable renaming share one
@@ -136,7 +142,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	}
 	mc.Add(metrics.IngestExamplesDirty, int64(len(dirty)))
 	mc.Add(metrics.IngestClausesInvalidated, int64(len(flipped)))
-	rep := &Repair{DirtyExamples: len(dirty), InvalidatedClauses: flipped, BiasDrift: drift}
+	rep := &Repair{DirtyExamples: len(dirty), InvalidatedClauses: flipped, UncheckedExamples: cs.Unchecked, BiasDrift: drift}
 	// The previous theory is what a re-learn finds only when the check saw
 	// every verdict it rests on, unchanged, under the modes it was learned
 	// with. The FOIL search also reads the live database besides its
@@ -144,7 +150,7 @@ func RepairCtx(ctx context.Context, prev *Result, task Task, commit IngestCommit
 	// tuple in no example's BC can reorder or displace — so under
 	// MethodAleph a clean check still replays: every verdict carried, the
 	// search re-run on the post-batch data.
-	rep.Unchanged = len(dirty) == 0 && cs.Unchecked == 0 && !drift && opts.method() != MethodAleph
+	rep.Unchanged = len(dirty) == 0 && rep.UncheckedExamples == 0 && !drift && opts.method() != MethodAleph
 	if rep.Unchanged {
 		rep.Result = prev
 	} else {
